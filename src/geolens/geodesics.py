@@ -314,6 +314,8 @@ class GeodesicLine:
 
     Closed-form models evaluate directly; the numeric model lazily integrates
     and caches forward/backward segments out to the requested parameter.
+    A request beyond the cached span re-integrates with another step count,
+    which moves every sample; :meth:`cover` fixes the span up front.
     """
 
     def __init__(self, manifold: Manifold, base: ManifoldPoint, direction: TangentVector):
@@ -323,7 +325,6 @@ class GeodesicLine:
         self.manifold = manifold
         self.base = base
         self.direction = direction
-        self._closed_form = not isinstance(manifold, SurfaceOfRevolution)
         self._fwd: GeodesicSegment | None = None
         self._bwd: GeodesicSegment | None = None
 
@@ -338,8 +339,15 @@ class GeodesicLine:
                 self.manifold, self.base, rev, max(-t * 1.05, 1e-6)
             )
 
+    def cover(self, lo: float, hi: float):
+        """Integrate the numeric line over [lo, hi] now, so that every later
+        evaluation inside that span reads the same trajectory."""
+        if not self.manifold.closed_form:
+            self._extend(hi)
+            self._extend(lo)
+
     def _eval(self, t: float):
-        if self._closed_form:
+        if self.manifold.closed_form:
             return self.manifold.exp_velocity_coords(
                 self.base.coords, self.direction.components, t
             )
@@ -361,7 +369,7 @@ class GeodesicLine:
 
     def segment(self, length: float) -> GeodesicSegment:
         """The restriction to [0, length] as a segment object."""
-        if self._closed_form:
+        if self.manifold.closed_form:
             return GeodesicSegment.from_exp(self.manifold, self.base, self.direction, length)
         seg = integrate_geodesic(self.manifold, self.base, self.direction, length)
         if seg.endpoint_error is not None and seg.endpoint_error > 1e-6:

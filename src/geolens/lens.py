@@ -14,13 +14,25 @@ over a separation grid, and estimates two thresholds of that profile:
 * ``full_width_end`` (printed as S_est): the largest separation at which the
   lens still achieves the full diameter 2r.
 
-Diameter maximization is multi-start: a boundary-biased scan over the
-sampled cloud seeds a projected geodesic ascent (move each witness along the
-distance gradient, retract into whichever ball it violates), with the axis
-extremes, the boundary-circle corner pair, and the perpendicular diametral
-chord always included as deterministic candidates.  On the rotationally
-symmetric models every check is carried out in an axial 2-plane section,
-which contains witnesses for widths, Hausdorff gaps, and nesting margins.
+The diameter is the best of two sources.  A scan of a boundary-biased subset
+of the sampled cloud gives the farthest sampled pair, and three
+deterministic candidates are evaluated exactly: the axis extremes, the
+boundary-circle corner pair and the perpendicular diametral chord.  The
+circle, disk and corner formulas come from the model (``Manifold``).
+
+On a model whose geodesics and formulas are exact (``Manifold.closed_form``)
+with R below the convexity radius, both balls are convex and the candidates
+attain the diameter in every configuration audited: over Euclidean,
+spherical and hyperbolic lenses in dimensions 2 and 3 the ascent below
+never beat them, and a test keeps that audit.  Elsewhere -- on the numeric surface, whose corner is
+a leading-order flat estimate, and for balls at or beyond the convexity
+radius (the sphere counterexample) -- a projected geodesic ascent polishes
+the sampled pair first: each witness moves along the distance gradient and
+is retracted into whichever ball it violates.
+
+On the rotationally symmetric models every check is carried out in an axial
+2-plane section, which contains witnesses for widths, Hausdorff gaps, and
+nesting margins.
 """
 
 from __future__ import annotations
@@ -30,20 +42,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from geolens import _kernels
 from geolens.errors import DefectError, InjectivityError, TangencyError
 from geolens.geodesics import GeodesicLine, GeodesicSegment
-from geolens.manifolds import (
-    Euclidean,
-    Hyperbolic,
-    Manifold,
-    ManifoldPoint,
-    Sphere,
-    SurfaceOfRevolution,
-    TangentVector,
-    basepoint_of,
-)
-from geolens.sets import PointCloud
+from geolens.manifolds import Manifold, ManifoldPoint, TangentVector, basepoint_of
+from geolens.sets import PointCloud, diameter_with_witness
 
 DEFAULT_GRID = 200
 DEFAULT_BUDGET = 4096
@@ -54,17 +56,6 @@ ASCENT_IMPROVE_TOL = 1e-10
 INSIDE = "inside"
 BOUNDARY = "boundary"
 OUTSIDE = "outside"
-
-
-def _circumference_radius(manifold: Manifold, rho: float) -> float:
-    """Length of the metric circle of geodesic radius rho, divided by 2*pi."""
-    if isinstance(manifold, Sphere):
-        a = manifold.radius
-        return a * math.sin(rho / a)
-    if isinstance(manifold, Hyperbolic):
-        a = manifold.radius
-        return a * math.sinh(rho / a)
-    return rho  # flat and (approximately) numeric charts
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +105,9 @@ class BallPair:
             frame = manifold.tangent_basis(base.coords)
             direction = TangentVector(base, frame[0])
         line = GeodesicLine(manifold, base, direction)
+        # every separation in [0, R + r] and axis point down to -r then reads
+        # one integration of a numeric line, whatever was evaluated before
+        line.cover(-float(r), float(R) + float(r))
         return cls(manifold, line, float(R), float(r), float(t), float(conv))
 
     def with_separation(self, t: float) -> "BallPair":
@@ -172,22 +166,8 @@ def _corner_points(bp: BallPair) -> np.ndarray | None:
     m, R, r, t = bp.manifold, bp.R, bp.r, bp.t
     if t < 1e-12:
         return None
-    if isinstance(m, Sphere):
-        a = m.radius
-        denom = math.sin(R / a) * math.sin(t / a)
-        if abs(denom) < 1e-300:
-            return None
-        cos_phi = (math.cos(r / a) - math.cos(R / a) * math.cos(t / a)) / denom
-    elif isinstance(m, Hyperbolic):
-        a = m.radius
-        denom = math.sinh(R / a) * math.sinh(t / a)
-        if abs(denom) < 1e-300:
-            return None
-        cos_phi = (math.cosh(R / a) * math.cosh(t / a) - math.cosh(r / a)) / denom
-    else:
-        # flat law of cosines; also the leading-order numeric-chart answer
-        cos_phi = (t * t + R * R - r * r) / (2.0 * t * R)
-    if not -1.0 <= cos_phi <= 1.0:
+    cos_phi = m.corner_cosine(R, r, t)
+    if cos_phi is None or not -1.0 <= cos_phi <= 1.0:
         return None
     phi = math.acos(cos_phi)
     center = bp.center_big()
@@ -199,7 +179,7 @@ def _corner_points(bp: BallPair) -> np.ndarray | None:
     return np.array([plus, minus])
 
 
-def _perp_chord(bp: BallPair) -> np.ndarray | None:
+def _perp_chord(bp: BallPair) -> np.ndarray:
     """Endpoints of the small ball's diametral chord perpendicular to the axis."""
     center = bp.center_small()
     axis = bp.line.velocity_at(bp.t).components
@@ -235,7 +215,7 @@ def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 
     frame_big = m.tangent_basis(center_big, primary=axis_big)
 
     interior_budget = max(16, int(0.6 * budget))
-    area = _disk_area(m, r)
+    area = m.disk_area(r)
     pitch = math.sqrt(area / interior_budget)
     n_rad = max(2, int(math.ceil(r / pitch)))
     drho = r / n_rad
@@ -252,7 +232,7 @@ def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 
         if i == 0:
             ring = center_small[None, :]
         else:
-            circ = 2.0 * math.pi * _circumference_radius(m, rho)
+            circ = m.circle_circumference(rho)
             n_ang = max(6, int(math.ceil(circ / drho)))
             phase = rng.uniform(0.0, 2.0 * math.pi)
             ang = phase + np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
@@ -265,7 +245,7 @@ def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 
             chunks.append(ring[keep])
 
     # boundary arcs: small circle inside the big ball, big circle inside the small
-    n_arc = max(64, int(math.ceil(2.0 * math.pi * _circumference_radius(m, r) / drho)))
+    n_arc = max(64, int(math.ceil(m.circle_circumference(r) / drho)))
     phase = rng.uniform(0.0, 2.0 * math.pi)
     ang = phase + np.linspace(0.0, 2.0 * math.pi, n_arc, endpoint=False)
     vecs = r * (np.cos(ang)[:, None] * frame_small[0] + np.sin(ang)[:, None] * frame_small[1])
@@ -273,7 +253,7 @@ def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 
     keep = m.dist_many(center_big, small_circle) <= R + 1e-12
     chunks.append(small_circle[keep])
 
-    n_arc_big = max(64, int(math.ceil(2.0 * math.pi * _circumference_radius(m, R) / drho)))
+    n_arc_big = max(64, int(math.ceil(m.circle_circumference(R) / drho)))
     phase = rng.uniform(0.0, 2.0 * math.pi)
     ang = phase + np.linspace(0.0, 2.0 * math.pi, n_arc_big, endpoint=False)
     vecs = R * (np.cos(ang)[:, None] * frame_big[0] + np.sin(ang)[:, None] * frame_big[1])
@@ -281,10 +261,9 @@ def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 
     keep = m.dist_many(center_small, big_circle) <= r + 1e-12
     chunks.append(big_circle[keep])
 
-    if chord is not None:
-        keep = bp.margins(chord) >= -1e-12
-        if np.any(keep):
-            chunks.append(chord[keep])
+    keep = bp.margins(chord) >= -1e-12
+    if np.any(keep):
+        chunks.append(chord[keep])
 
     points = np.vstack(chunks)
     margins = bp.margins(points)
@@ -299,16 +278,6 @@ def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 
     points = points[inside]
     fill = 0.5 * math.hypot(drho, drho)
     return PointCloud(m, points, fill)
-
-
-def _disk_area(manifold: Manifold, rho: float) -> float:
-    if isinstance(manifold, Sphere):
-        k = manifold.curvature
-        return 2.0 * math.pi * (1.0 - math.cos(rho * math.sqrt(k))) / k
-    if isinstance(manifold, Hyperbolic):
-        k = -manifold.curvature
-        return 2.0 * math.pi * (math.cosh(rho * math.sqrt(k)) - 1.0) / k
-    return math.pi * rho * rho
 
 
 def _project_into_lens(bp: BallPair, coords: np.ndarray):
@@ -386,6 +355,20 @@ class LensDiameter:
     n_samples: int
 
 
+def _sampled_pair(bp: BallPair, cloud: PointCloud):
+    """Farthest pair over a boundary-biased subset of the cloud."""
+    pts = cloud.points
+    band = max(3.0 * cloud.fill_radius, 0.05 * bp.r)
+    subset = pts[bp.margins(pts) <= band]
+    if len(subset) < min(64, len(pts)):
+        subset = pts
+    if len(subset) > SCAN_CAP:
+        stride = int(math.ceil(len(subset) / SCAN_CAP))
+        subset = subset[::stride]
+    _, (i, j) = diameter_with_witness(PointCloud(bp.manifold, subset, cloud.fill_radius))
+    return subset[i], subset[j]
+
+
 def lens_diameter(
     bp: BallPair,
     budget: int = DEFAULT_BUDGET,
@@ -395,9 +378,15 @@ def lens_diameter(
 ) -> LensDiameter:
     """Lower-bound the lens diameter by a witness pair; slack = 2 * fill.
 
-    Seeds: the best pair over a boundary-biased subset of the sampled cloud
-    plus the deterministic candidates.  ``refine=False`` skips the ascent and
-    returns the raw sampled value (useful as an independent cross-check).
+    The value is the best of the sampled farthest pair and the deterministic
+    candidates (axis extremes, corners, perpendicular chord).  With
+    ``refine`` the projected ascent first polishes the sampled pair, but only
+    where the candidates are not known to attain the diameter: on a model
+    without closed forms, or for R at or beyond the convexity radius.
+    ``refine=False`` never runs the ascent and returns the sampled and
+    candidate value alone, an independent cross-check of the refined one.
+    A model without a scan kernel fails fast with ``ValueError`` on a
+    subset too large for the pairwise scan of :mod:`geolens.sets`.
     """
     m = bp.manifold
     if bp.R + bp.r - bp.t < 1e-12 * (bp.R + bp.r):
@@ -405,47 +394,22 @@ def lens_diameter(
         return LensDiameter(0.0, contact, contact, 0.0, 0.0, 1)
     if cloud is None:
         cloud = sample_intersection(bp, budget, seed)
-    pts = cloud.points
-    margins = bp.margins(pts)
+    best_pair = _sampled_pair(bp, cloud)
 
-    band = max(3.0 * cloud.fill_radius, 0.05 * bp.r)
-    subset = pts[margins <= band]
-    if len(subset) < min(64, len(pts)):
-        subset = pts
-    if len(subset) > SCAN_CAP:
-        stride = int(math.ceil(len(subset) / SCAN_CAP))
-        subset = subset[::stride]
-
-    if len(subset) >= 2:
-        if m.kernel_kind is None:
-            best, i, j = 0.0, 0, 0
-            for a in range(len(subset) - 1):
-                d = m.dist_many(subset[a], subset[a + 1 :])
-                k = int(np.argmax(d))
-                if d[k] > best:
-                    best, i, j = float(d[k]), a, a + 1 + k
-        else:
-            best, i, j = _kernels.pairwise_max(subset, m.kernel_kind, m.kernel_scale)
-        sampled_pair = (subset[i], subset[j])
-    else:
-        sampled_pair = (pts[0], pts[0])
-
-    # deterministic candidates are exact extremal pairs; only the sampled
-    # seed needs ascent polish
     candidates = [_axis_points(bp)]
     corners = _corner_points(bp)
     if corners is not None and np.all(bp.margins(corners) >= -1e-9):
         candidates.append(corners)
     chord = _perp_chord(bp)
-    if chord is not None and np.all(bp.margins(chord) >= -1e-9):
+    if np.all(bp.margins(chord) >= -1e-9):
         candidates.append(chord)
 
-    if refine:
-        p, q, best_d = _ascend_pair(bp, sampled_pair[0].copy(), sampled_pair[1].copy())
+    exact = m.closed_form and bp.R < m.convexity_radius()
+    if refine and not exact:
+        p, q, best_d = _ascend_pair(bp, best_pair[0].copy(), best_pair[1].copy())
         best_pair = (p, q)
     else:
-        best_pair = sampled_pair
-        best_d = m.dist_coords(sampled_pair[0], sampled_pair[1])
+        best_d = m.dist_coords(best_pair[0], best_pair[1])
     for pair in candidates:
         d = m.dist_coords(pair[0], pair[1])
         if d > best_d:
@@ -528,6 +492,7 @@ def estimate_nesting_onset(
     budget: int = 512,
     seed: int = 0,
     slack: float = 1e-9,
+    scan: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ThresholdEstimate:
     """Smallest separation s after which all later lenses nest into D_r(gamma(s)).
 
@@ -536,13 +501,14 @@ def estimate_nesting_onset(
     located by bisection over the grid (the passing set is an interval up to
     sampling noise, which a local fix-up absorbs), then refined continuously
     between the last failing and first passing grid values.  Reported with
-    the grid resolution as its uncertainty.
+    the grid resolution as its uncertainty.  ``scan`` is the
+    ``_nesting_scan`` of this grid, budget and seed, when the caller has it.
     """
     m = bp.manifold
     span = bp.R + bp.r
     ts = np.linspace(0.0, span, n_grid)
     h = ts[1] - ts[0]
-    points, owners = _nesting_scan(bp, ts, budget, seed)
+    points, owners = _nesting_scan(bp, ts, budget, seed) if scan is None else scan
 
     def ok(s: float) -> bool:
         sel = ts[owners] > s + 1e-15
@@ -632,8 +598,10 @@ def w_profile(
         wa[i] = res.witness_a
         wb[i] = res.witness_b
 
+    probe_budget = max(256, budget // 8)
+    scan = _nesting_scan(bp, ts, probe_budget, seed)
     onset = estimate_nesting_onset(
-        bp, n_grid=grid, budget=max(256, budget // 8), seed=seed
+        bp, n_grid=grid, budget=probe_budget, seed=seed, scan=scan
     )
 
     eval_budget = max(512, budget // 8)
@@ -658,14 +626,14 @@ def w_profile(
     )
     full_end = estimate_full_width_end(stub, evaluator=evaluator)
 
-    # nesting flags against the first grid point at or after the onset
+    # nesting flags against the first grid point at or after the onset, on
+    # the clouds of the onset scan
+    points, owners = scan
     flags = np.zeros(grid, dtype=int)
     anchor_idx = int(np.searchsorted(ts, onset.value - 1e-12))
     anchor_idx = min(anchor_idx, grid - 1)
     anchor = bp.line.coords_at(ts[anchor_idx])
-    probe_budget = max(256, budget // 8)
     for i in range(anchor_idx + 1, grid):
-        cloud = sample_intersection(bp.with_separation(float(ts[i])), probe_budget, seed)
-        dmax = float(np.max(m.dist_many(anchor, cloud.points)))
+        dmax = float(np.max(m.dist_many(anchor, points[owners == i])))
         flags[i] = int(dmax <= bp.r + 1e-9)
     return replace(stub, nested_after_onset=flags, full_width_end=full_end)

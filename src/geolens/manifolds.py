@@ -208,6 +208,29 @@ class Manifold(ABC):
         """Sectional (Gauss) curvature at a point, where defined as a scalar."""
         raise NotImplementedError
 
+    # -- metric circles and the lens corner ------------------------------------
+    # The base class holds the flat formulas.  They are exact on Euclidean
+    # space, and the numeric surface uses them as leading-order estimates.
+
+    # True where the exponential map, the distance and the three formulas
+    # below are exact (the constant-curvature models).
+    closed_form: bool = False
+
+    def circle_circumference(self, rho: float) -> float:
+        """Length of the metric circle of geodesic radius rho in a 2-plane."""
+        return 2.0 * math.pi * rho
+
+    def disk_area(self, rho: float) -> float:
+        """Area of the geodesic disk of radius rho in a 2-plane."""
+        return math.pi * rho * rho
+
+    def corner_cosine(self, R: float, r: float, t: float) -> float | None:
+        """Law of cosines: cos of the angle at a center of the circle of radius
+        R between the line to the other center (at distance t > 0) and a point
+        where the two circles, of radii R and r, meet.  A value outside [-1, 1]
+        means the circles do not meet; None means the formula degenerates."""
+        return (t * t + R * R - r * r) / (2.0 * t * R)
+
     # kernel routing: geometry code understood by the scan kernels, or None
     kernel_kind: int | None = None
     kernel_scale: float = 1.0
@@ -221,6 +244,7 @@ class Euclidean(Manifold):
 
     kind = "euclidean"
     kernel_kind = _kernels.EUCLIDEAN
+    closed_form = True
 
     @property
     def ambient_dim(self):
@@ -276,6 +300,7 @@ class Sphere(Manifold):
 
     kind = "sphere"
     kernel_kind = _kernels.SPHERE
+    closed_form = True
 
     def __init__(self, dim: int, curvature: float = 1.0):
         super().__init__(dim)
@@ -378,6 +403,20 @@ class Sphere(Manifold):
     def curvature_at(self, coords):
         return self.curvature
 
+    def circle_circumference(self, rho):
+        return 2.0 * math.pi * (self.radius * math.sin(rho / self.radius))
+
+    def disk_area(self, rho):
+        k = self.curvature
+        return 2.0 * math.pi * (1.0 - math.cos(rho * math.sqrt(k))) / k
+
+    def corner_cosine(self, R, r, t):
+        a = self.radius
+        denom = math.sin(R / a) * math.sin(t / a)
+        if abs(denom) < 1e-300:
+            return None
+        return (math.cos(r / a) - math.cos(R / a) * math.cos(t / a)) / denom
+
     def describe(self):
         return f"sphere(dim={self.dim}, curvature={self.curvature:g})"
 
@@ -391,6 +430,7 @@ class Hyperbolic(Manifold):
 
     kind = "hyperbolic"
     kernel_kind = _kernels.HYPERBOLOID
+    closed_form = True
 
     def __init__(self, dim: int, curvature: float = -1.0):
         super().__init__(dim)
@@ -508,6 +548,20 @@ class Hyperbolic(Manifold):
 
     def curvature_at(self, coords):
         return self.curvature
+
+    def circle_circumference(self, rho):
+        return 2.0 * math.pi * (self.radius * math.sinh(rho / self.radius))
+
+    def disk_area(self, rho):
+        k = -self.curvature
+        return 2.0 * math.pi * (math.cosh(rho * math.sqrt(k)) - 1.0) / k
+
+    def corner_cosine(self, R, r, t):
+        a = self.radius
+        denom = math.sinh(R / a) * math.sinh(t / a)
+        if abs(denom) < 1e-300:
+            return None
+        return (math.cosh(R / a) * math.cosh(t / a) - math.cosh(r / a)) / denom
 
     def describe(self):
         return f"hyperbolic(dim={self.dim}, curvature={self.curvature:g})"

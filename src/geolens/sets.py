@@ -15,7 +15,7 @@ import numpy as np
 
 from geolens import _kernels
 from geolens.errors import NestingError
-from geolens.manifolds import Manifold, SurfaceOfRevolution
+from geolens.manifolds import Manifold
 
 SLOW_PAIR_LIMIT = 250_000
 

@@ -9,7 +9,9 @@ from geolens import (
     BallPair,
     Euclidean,
     Hyperbolic,
+    RevolutionProfile,
     Sphere,
+    SurfaceOfRevolution,
     estimate_full_width_end,
     estimate_nesting_onset,
     lens_diameter,
@@ -17,7 +19,25 @@ from geolens import (
     sample_intersection,
     w_profile,
 )
-from geolens.lens import BOUNDARY, INSIDE, OUTSIDE
+from geolens import lens as lens_module
+from geolens.lens import (
+    BOUNDARY,
+    INSIDE,
+    OUTSIDE,
+    _ascend_pair,
+    _corner_points,
+    _sampled_pair,
+)
+
+CONVEX_CASES = [
+    # (model, (R, r) pairs below its convexity radius)
+    (Euclidean(2), [(2.0, 1.0), (1.0, 1.0)]),
+    (Euclidean(3), [(1.5, 0.7)]),
+    (Sphere(2, 1.0), [(1.2, 0.6), (1.0, 1.0)]),
+    (Sphere(3, 4.0), [(0.6, 0.3)]),
+    (Hyperbolic(2, -1.0), [(2.0, 1.0), (1.0, 1.0)]),
+    (Hyperbolic(3, -1.0), [(1.5, 0.7)]),
+]
 
 
 @pytest.fixture(scope="module")
@@ -148,13 +168,55 @@ def test_lens_diameter_matches_brute_force_oracle(plane):
     assert res.value == pytest.approx(euclid_closed_form_width(R, r, t), abs=1e-12)
 
 
-def test_lens_diameter_sphere_counterexample_configuration():
+def test_lens_diameter_sphere_counterexample_configuration(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].R)
+        return _ascend_pair(*args, **kwargs)
+
+    monkeypatch.setattr(lens_module, "_ascend_pair", counted)
     s = Sphere(2, 1.0)
     bp = BallPair.create(
         s, math.pi / 2, math.pi / 2, t=1.0, convexity_bound=math.inf, enforce_convexity=False
     )
     res = lens_diameter(bp, budget=4096, seed=1)
     assert res.value == pytest.approx(math.pi, abs=1e-9)
+    # R at the convexity radius: the candidates are not known to be exact,
+    # so the ascent still runs; below it, and with refine=False, it does not
+    assert calls == [math.pi / 2]
+    lens_diameter(bp, budget=512, seed=1, refine=False)
+    lens_diameter(BallPair.create(s, 1.2, 0.6, t=0.9), budget=512, seed=1)
+    assert calls == [math.pi / 2]
+
+
+@pytest.mark.parametrize("model,pairs", CONVEX_CASES, ids=[m.describe() for m, _ in CONVEX_CASES])
+def test_ascent_cross_check_never_beats_candidates(model, pairs):
+    # lens_diameter skips the ascent below the convexity radius of a
+    # closed-form model; started from the sampled seed pair it must never
+    # find a wider pair than the candidates there
+    for R, r in pairs:
+        bp = BallPair.create(model, R, r)
+        for t in np.linspace(0.0, R + r, 13)[1:-1]:
+            lens = bp.with_separation(float(t))
+            for seed in (0, 9):
+                cloud = sample_intersection(lens, budget=512, seed=seed)
+                value = lens_diameter(lens, cloud=cloud).value
+                p, q = _sampled_pair(lens, cloud)
+                _, _, ascended = _ascend_pair(lens, p.copy(), q.copy())
+                assert ascended <= value, (R, r, t, seed, ascended - value)
+
+
+@pytest.mark.parametrize("model", [m for m, _ in CONVEX_CASES], ids=lambda m: m.describe())
+def test_corner_points_lie_on_both_circles(model):
+    scale = min(1.0, 0.6 * model.convexity_radius())
+    for R, r, t in [(1.2, 0.6, 1.0), (1.0, 1.0, 0.7), (0.9, 0.5, 0.6)]:
+        R, r, t = scale * R, scale * r, scale * t
+        bp = BallPair.create(model, R, r, t=t)
+        corners = _corner_points(bp)
+        assert corners is not None
+        np.testing.assert_allclose(model.dist_many(bp.center_big(), corners), R, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.dist_many(bp.center_small(), corners), r, rtol=0, atol=1e-12)
 
 
 def test_lens_diameter_witnesses_admissible(plane):
@@ -163,6 +225,16 @@ def test_lens_diameter_witnesses_admissible(plane):
         res = lens_diameter(bp, budget=2048, seed=5)
         assert np.all(bp.margins(np.array([res.witness_a, res.witness_b])) >= -1e-9)
         assert res.value <= 2.0 * 1.0 + 1e-12
+
+
+def test_surface_pair_samples_do_not_depend_on_history():
+    # the numeric line is integrated once over the pair's span, so a second
+    # call does not read a re-integrated (longer) trajectory
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    bp = BallPair.create(surface, 0.05, 0.03, t=0.04, convexity_bound=1.0)
+    first = sample_intersection(bp, budget=16, seed=0)
+    second = sample_intersection(bp, budget=16, seed=0)
+    np.testing.assert_array_equal(first.points, second.points)
 
 
 # -------------------------------------------------------------- profile

@@ -293,3 +293,50 @@ def test_exp_is_arclength_minimizing(models):
 def test_dimension_below_two_rejected():
     with pytest.raises(ValueError):
         Euclidean(1)
+
+
+# ------------------------------------------------- circle and disk formulas
+
+
+def test_disk_area_and_circumference_known_values():
+    for k in (1.0, 4.0):
+        # the disk of radius pi/(2 sqrt k) is a hemisphere
+        assert Sphere(2, k).disk_area(0.5 * math.pi / math.sqrt(k)) == pytest.approx(
+            2.0 * math.pi / k, rel=1e-14
+        )
+        assert Sphere(3, k).circle_circumference(
+            0.5 * math.pi / math.sqrt(k)
+        ) == pytest.approx(2.0 * math.pi / math.sqrt(k), rel=1e-14)
+    h = Hyperbolic(2, -1.0)
+    for rho in (0.1, 1.0, 2.5):
+        assert h.circle_circumference(rho) == pytest.approx(2.0 * math.pi * math.sinh(rho), rel=1e-14)
+        assert h.disk_area(rho) == pytest.approx(2.0 * math.pi * (math.cosh(rho) - 1.0), rel=1e-14)
+    e = Euclidean(3)
+    assert e.disk_area(1.5) == math.pi * 1.5 * 1.5
+    assert e.circle_circumference(1.5) == 2.0 * math.pi * 1.5
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Euclidean(2), Sphere(2, 1.0), Sphere(3, 4.0), Hyperbolic(2, -1.0), Hyperbolic(3, -0.25)],
+    ids=lambda m: m.describe(),
+)
+def test_disk_formulas_flat_limit_and_area_derivative(model):
+    rho = 1e-4
+    assert model.disk_area(rho) / (math.pi * rho * rho) == pytest.approx(1.0, abs=1e-6)
+    assert model.circle_circumference(rho) / (2.0 * math.pi * rho) == pytest.approx(1.0, abs=1e-7)
+    # the circumference is the derivative of the area in the radius
+    h = 1e-5
+    for rho in (0.3, 0.7):
+        slope = (model.disk_area(rho + h) - model.disk_area(rho - h)) / (2.0 * h)
+        assert slope == pytest.approx(model.circle_circumference(rho), rel=1e-8)
+
+
+def test_surface_uses_flat_formulas():
+    sor = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    flat = Euclidean(2)
+    assert not sor.closed_form
+    assert all(m.closed_form for m in (flat, Sphere(2, 1.0), Hyperbolic(2, -1.0)))
+    assert sor.disk_area(0.2) == flat.disk_area(0.2)
+    assert sor.circle_circumference(0.2) == flat.circle_circumference(0.2)
+    assert sor.corner_cosine(0.3, 0.2, 0.25) == flat.corner_cosine(0.3, 0.2, 0.25)

@@ -11,7 +11,9 @@ from geolens import (
     BallPair,
     Euclidean,
     PointCloud,
+    RevolutionProfile,
     Sphere,
+    SurfaceOfRevolution,
     diameter,
     diameter_lipschitz_check,
     hausdorff,
@@ -207,3 +209,11 @@ def test_monotone_shrinking_lens_clouds(plane):
         seq, "nested-decreasing", limit, slack=2.0 * limit.fill_radius
     )
     assert final <= deltas[-1] + 3.0 * limit.fill_radius
+
+
+def test_numeric_manifold_pairwise_scan_fails_fast():
+    # the one non-kernel scan (also behind lens_diameter on the surface)
+    # refuses a cloud whose pairwise scan would shoot for hours
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    with pytest.raises(ValueError):
+        diameter(PointCloud(surface, np.zeros((501, 2)), 0.0))

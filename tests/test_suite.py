@@ -61,6 +61,21 @@ def test_sphere_pair_passes():
     assert report.passed
 
 
+def test_nesting_claim_draws_above_onset_band():
+    # verify_s2's pair at seed 204: the grid onset sits on a grid point 8e-3
+    # below the fine onset, and a separation drawn just above it put the
+    # lens corner 1.5e-5 outside D_r(gamma(s))
+    cfg = RunConfig(
+        manifold=ManifoldSpec(kind="sphere", curvature=1.0),
+        pairs=((1.2, 0.6),),
+        grid=40,
+        budget=4096,
+        seed=204,
+    )
+    entry = {e.claim_id: e for e in run_verification_suite(cfg).entries}
+    assert entry["nested_after_onset"].status == "pass", entry["nested_after_onset"].render()
+
+
 def test_radius_at_convexity_rejected():
     cfg = RunConfig(
         manifold=ManifoldSpec(kind="sphere", curvature=1.0),
