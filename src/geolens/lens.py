@@ -14,6 +14,15 @@ over a separation grid, and estimates two thresholds of that profile:
 * ``full_width_end`` (printed as S_est): the largest separation at which the
   lens still achieves the full diameter 2r.
 
+A lens cloud is a polar grid over the small ball plus both boundary arcs,
+rejected against the other ball.  The center, the interior rings and the
+small arc form one tangent block about gamma(t), pushed forward by a single
+``exp_many``; the big arc is one more call about gamma(0).  Each candidate
+gets one distance for its rejection test, and only the kept points get the
+other distance.  The numeric surface integrates a whole block with the step
+count of its longest vector, which leaves the points unchanged while
+r <= 16 RK4 steps and moves them at the level of rounding beyond that.
+
 The diameter is the best of two sources.  A scan of a boundary-biased subset
 of the sampled cloud gives the farthest sampled pair, and three
 deterministic candidates are evaluated exactly: the axis extremes, the
@@ -120,19 +129,36 @@ class BallPair:
         """The anchoring geodesic restricted to [0, R + r]."""
         return self.line.segment(self.R + self.r)
 
+    def _memo(self, name, compute):
+        value = self.__dict__.get(name)
+        if value is None:
+            value = compute()
+            object.__setattr__(self, name, value)
+        return value
+
     def center_big(self) -> np.ndarray:
-        cached = getattr(self, "_center_big", None)
-        if cached is None:
-            cached = self.line.coords_at(0.0)
-            object.__setattr__(self, "_center_big", cached)
-        return cached
+        return self._memo("_center_big", lambda: self.line.coords_at(0.0))
 
     def center_small(self) -> np.ndarray:
-        cached = getattr(self, "_center_small", None)
-        if cached is None:
-            cached = self.line.coords_at(self.t)
-            object.__setattr__(self, "_center_small", cached)
-        return cached
+        return self._memo("_center_small", lambda: self.line.coords_at(self.t))
+
+    def frame_big(self) -> np.ndarray:
+        """Orthonormal tangent frame at gamma(0) whose first vector is gamma'(0)."""
+        return self._memo(
+            "_frame_big",
+            lambda: self.manifold.tangent_basis(
+                self.center_big(), primary=self.line.velocity_at(0.0).components
+            ),
+        )
+
+    def frame_small(self) -> np.ndarray:
+        """Orthonormal tangent frame at gamma(t) whose first vector is gamma'(t)."""
+        return self._memo(
+            "_frame_small",
+            lambda: self.manifold.tangent_basis(
+                self.center_small(), primary=self.line.velocity_at(self.t).components
+            ),
+        )
 
     def margins(self, points) -> np.ndarray:
         """min(R - d(gamma(0), x), r - d(gamma(t), x)) per row; >= 0 inside."""
@@ -170,22 +196,39 @@ def _corner_points(bp: BallPair) -> np.ndarray | None:
     if cos_phi is None or not -1.0 <= cos_phi <= 1.0:
         return None
     phi = math.acos(cos_phi)
-    center = bp.center_big()
-    axis = bp.line.velocity_at(0.0).components
-    frame = m.tangent_basis(center, primary=axis)
-    vec = bp.R * (math.cos(phi) * frame[0] + math.sin(phi) * frame[1])
-    plus = m.exp_many(center, vec[None, :])[0]
-    minus = m.exp_many(center, (bp.R * (math.cos(phi) * frame[0] - math.sin(phi) * frame[1]))[None, :])[0]
-    return np.array([plus, minus])
+    frame = bp.frame_big()
+    vecs = np.array(
+        [
+            R * (math.cos(phi) * frame[0] + math.sin(phi) * frame[1]),
+            R * (math.cos(phi) * frame[0] - math.sin(phi) * frame[1]),
+        ]
+    )
+    return m.exp_many(bp.center_big(), vecs)
 
 
 def _perp_chord(bp: BallPair) -> np.ndarray:
     """Endpoints of the small ball's diametral chord perpendicular to the axis."""
-    center = bp.center_small()
-    axis = bp.line.velocity_at(bp.t).components
-    frame = bp.manifold.tangent_basis(center, primary=axis)
+    frame = bp.frame_small()
     vecs = np.array([bp.r * frame[1], -bp.r * frame[1]])
-    return bp.manifold.exp_many(center, vecs)
+    return bp.manifold.exp_many(bp.center_small(), vecs)
+
+
+def _circles(m: Manifold, center, frame, radii, counts, phases) -> np.ndarray:
+    """exp at ``center`` of circles in the plane of ``frame[0], frame[1]``.
+
+    Circle j has radius ``radii[j]`` and ``counts[j]`` equally spaced angles
+    ``phases[j] + k * 2 pi / counts[j]`` (the values of ``phases[j] +
+    np.linspace(0, 2 pi, counts[j], endpoint=False)``); all circles go
+    through one ``exp_many`` call.
+    """
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    k = np.arange(int(counts.sum()), dtype=np.float64) - np.repeat(starts, counts)
+    ang = np.repeat(phases, counts) + k * np.repeat(2.0 * math.pi / counts, counts)
+    vecs = np.cos(ang)[:, None] * frame[0]
+    vecs += np.sin(ang)[:, None] * frame[1]
+    vecs *= np.repeat(radii, counts)[:, None]
+    return m.exp_many(center, vecs)
 
 
 def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 0) -> PointCloud:
@@ -197,6 +240,16 @@ def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 
     chord) when they are admissible.  The fill radius is the half-diagonal of
     the interior grid cell; it is an estimate tied to the grid pitch, not a
     certificate near the corner cusps.
+
+    The center, the interior rings and the small boundary circle form one
+    tangent block about gamma(t), pushed forward by one ``exp_many`` call;
+    the big boundary circle is a second call about gamma(0).  Each rejection
+    test computes one distance per candidate, and the inside test then adds
+    only the other distance of the kept points.  On the numeric surface
+    ``exp_many`` takes its RK4 step count from the longest vector of the
+    batch, so the inner rings integrate with the step count of the outer
+    circle: the points are the same while r <= 16 steps, and move at the
+    level of rounding beyond that.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -209,10 +262,6 @@ def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 
     rng = np.random.default_rng([seed, budget])
     center_small = bp.center_small()
     center_big = bp.center_big()
-    axis_small = bp.line.velocity_at(t).components
-    frame_small = m.tangent_basis(center_small, primary=axis_small)
-    axis_big = bp.line.velocity_at(0.0).components
-    frame_big = m.tangent_basis(center_big, primary=axis_big)
 
     interior_budget = max(16, int(0.6 * budget))
     area = m.disk_area(r)
@@ -220,64 +269,54 @@ def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 
     n_rad = max(2, int(math.ceil(r / pitch)))
     drho = r / n_rad
 
-    chunks = [_axis_points(bp)]
+    # one phase per ring, then the small circle's, then the big circle's
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=n_rad + 2)
+    rhos = [i * drho for i in range(1, n_rad + 1)]
+    counts = [max(6, int(math.ceil(m.circle_circumference(rho) / drho))) for rho in rhos]
+    counts.append(max(64, int(math.ceil(m.circle_circumference(r) / drho))))
+    n_arc_big = max(64, int(math.ceil(m.circle_circumference(R) / drho)))
+
+    # the center (a zero vector, pinned exactly), the interior rings and the
+    # small circle, rejected against the big ball
+    block = _circles(
+        m, center_small, bp.frame_small(), [0.0] + rhos + [r], [1] + counts,
+        np.concatenate([[0.0], phases[:-1]]),
+    )
+    block[0] = center_small
+    d_big = m.dist_many(center_big, block)
+    keep = d_big <= R + 1e-12
+    inner = block[keep]
+    inner_margin = np.minimum(R - d_big[keep], r - m.dist_many(center_small, inner))
+
+    # the big circle, rejected against the small ball
+    arc = _circles(m, center_big, bp.frame_big(), [R], [n_arc_big], phases[-1:])
+    d_small = m.dist_many(center_small, arc)
+    keep = d_small <= r + 1e-12
+    outer = arc[keep]
+    outer_margin = np.minimum(R - m.dist_many(center_big, outer), r - d_small[keep])
+
+    ends = [_axis_points(bp)]
     corners = _corner_points(bp)
     if corners is not None:
-        chunks.append(corners)
-    chord = _perp_chord(bp)
+        ends.append(corners)
+    ends.append(_perp_chord(bp))
+    ends = np.vstack(ends)
+    end_margin = bp.margins(ends)
+    lead = len(ends) - 2
+    chord_keep = end_margin[lead:] >= -1e-12
 
-    # interior polar grid over the small ball, rejected against the big one
-    for i in range(n_rad + 1):
-        rho = i * drho
-        if i == 0:
-            ring = center_small[None, :]
-        else:
-            circ = m.circle_circumference(rho)
-            n_ang = max(6, int(math.ceil(circ / drho)))
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            ang = phase + np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
-            vecs = rho * (
-                np.cos(ang)[:, None] * frame_small[0] + np.sin(ang)[:, None] * frame_small[1]
-            )
-            ring = m.exp_many(center_small, vecs)
-        keep = m.dist_many(center_big, ring) <= R + 1e-12
-        if np.any(keep):
-            chunks.append(ring[keep])
-
-    # boundary arcs: small circle inside the big ball, big circle inside the small
-    n_arc = max(64, int(math.ceil(m.circle_circumference(r) / drho)))
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    ang = phase + np.linspace(0.0, 2.0 * math.pi, n_arc, endpoint=False)
-    vecs = r * (np.cos(ang)[:, None] * frame_small[0] + np.sin(ang)[:, None] * frame_small[1])
-    small_circle = m.exp_many(center_small, vecs)
-    keep = m.dist_many(center_big, small_circle) <= R + 1e-12
-    chunks.append(small_circle[keep])
-
-    n_arc_big = max(64, int(math.ceil(m.circle_circumference(R) / drho)))
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    ang = phase + np.linspace(0.0, 2.0 * math.pi, n_arc_big, endpoint=False)
-    vecs = R * (np.cos(ang)[:, None] * frame_big[0] + np.sin(ang)[:, None] * frame_big[1])
-    big_circle = m.exp_many(center_big, vecs)
-    keep = m.dist_many(center_small, big_circle) <= r + 1e-12
-    chunks.append(big_circle[keep])
-
-    keep = bp.margins(chord) >= -1e-12
-    if np.any(keep):
-        chunks.append(chord[keep])
-
-    points = np.vstack(chunks)
-    margins = bp.margins(points)
+    points = np.vstack([ends[:lead], inner, outer, ends[lead:][chord_keep]])
+    margins = np.concatenate(
+        [end_margin[:lead], inner_margin, outer_margin, end_margin[lead:][chord_keep]]
+    )
     inside = margins >= -BOUNDARY_TOL
     if not np.any(inside):
-        if t <= R + r:
-            raise TangencyError(
-                "no lens samples found although t <= R + r; either a tangency "
-                "or an integration defect"
-            )
-        raise DefectError("empty intersection sample")
-    points = points[inside]
+        raise TangencyError(
+            "no lens samples found although t <= R + r; either a tangency "
+            "or an integration defect"
+        )
     fill = 0.5 * math.hypot(drho, drho)
-    return PointCloud(m, points, fill)
+    return PointCloud(m, points[inside], fill)
 
 
 def _project_into_lens(bp: BallPair, coords: np.ndarray):
@@ -504,6 +543,8 @@ def estimate_nesting_onset(
     the grid resolution as its uncertainty.  ``scan`` is the
     ``_nesting_scan`` of this grid, budget and seed, when the caller has it.
     """
+    if n_grid < 2:
+        raise ValueError("n_grid must have at least 2 points")
     m = bp.manifold
     span = bp.R + bp.r
     ts = np.linspace(0.0, span, n_grid)

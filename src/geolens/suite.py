@@ -217,6 +217,15 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
             f"{key}: min decrease over {gap * h:.3g}-separated pairs = {strict_min:.4g}"
         )
 
+        # the probe clouds of the claims below, drawn once per separation
+        clouds: dict[tuple[float, int], PointCloud] = {}
+
+        def cloud_at(t, budget):
+            key = (float(t), budget)
+            if key not in clouds:
+                clouds[key] = sample_intersection(bp.with_separation(key[0]), budget, config.seed)
+            return clouds[key]
+
         # continuity via the diameter-Hausdorff modulus:
         # |w(s) - w(t)| <= 2 H(lens(s), lens(t)) + sampling slack
         rng = np.random.default_rng([config.seed, 17])
@@ -225,12 +234,8 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
         def modulus_margin(pairs):
             worst = math.inf
             for i, j in pairs:
-                cs = sample_intersection(
-                    bp.with_separation(float(ts[i])), probe_budget, config.seed
-                )
-                ct = sample_intersection(
-                    bp.with_separation(float(ts[j])), probe_budget, config.seed
-                )
+                cs = cloud_at(ts[i], probe_budget)
+                ct = cloud_at(ts[j], probe_budget)
                 dh = hausdorff(cs, ct)
                 slack_ij = 4.0 * (cs.fill_radius + ct.fill_radius)
                 worst = min(worst, 2.0 * dh + slack_ij - abs(w[i] - w[j]))
@@ -256,7 +261,7 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
             s, t = np.sort(nest_rng.uniform(nest_lo, span, size=2))
             if t - s < 1e-9:
                 continue
-            cloud = sample_intersection(bp.with_separation(float(t)), probe_budget, config.seed)
+            cloud = cloud_at(t, probe_budget)
             d = manifold.dist_many(bp.line.coords_at(float(s)), cloud.points)
             worst = min(worst, float(r + 1e-6 - np.max(d)))
         per_claim["nested_after_onset"][key] = worst
@@ -266,8 +271,8 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
         lip_ok = True
         for _ in range(15):
             i, j = lip_rng.integers(0, len(ts), size=2)
-            cs = sample_intersection(bp.with_separation(float(ts[i])), probe_budget, config.seed)
-            ct = sample_intersection(bp.with_separation(float(ts[j])), probe_budget, config.seed)
+            cs = cloud_at(ts[i], probe_budget)
+            ct = cloud_at(ts[j], probe_budget)
             lip_ok &= diameter_lipschitz_check(cs, ct)
         per_claim["diameter_hausdorff_lipschitz"][key] = 1.0 if lip_ok else -1.0
 
@@ -275,8 +280,7 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
         # shared-angle clouds the sampled Hausdorff gap equals delta_k exactly
         l_base = 0.8 * r
         deltas = [0.12 * r / (2**k) for k in range(5)]
-        center = bp.line.coords_at(0.0)
-        frame = manifold.tangent_basis(center, primary=bp.line.velocity_at(0.0).components)
+        center, frame = bp.center_big(), bp.frame_big()
         limit_cloud = _concentric_cloud(manifold, center, frame, l_base)
         seq = [
             _concentric_cloud(manifold, center, frame, l_base + dlt) for dlt in deltas

@@ -149,6 +149,108 @@ def test_sample_deterministic_given_seed(plane):
     assert a.points.shape != c.points.shape or not np.array_equal(a.points, c.points)
 
 
+def _per_ring_reference(bp, budget, seed):
+    """The sampler as one model call per ring: the reference for the block.
+
+    Same rings, arcs, extreme points, phase draws, filters and point order
+    as ``sample_intersection``, built one circle at a time.
+    """
+    m, R, r, t = bp.manifold, bp.R, bp.r, bp.t
+    if R + r - t < 1e-12 * (R + r):
+        return bp.line.coords_at(R)[None, :], 0.0
+    rng = np.random.default_rng([seed, budget])
+    center_small, center_big = bp.center_small(), bp.center_big()
+    frame_small = m.tangent_basis(center_small, primary=bp.line.velocity_at(t).components)
+    frame_big = m.tangent_basis(center_big, primary=bp.line.velocity_at(0.0).components)
+    pitch = math.sqrt(m.disk_area(r) / max(16, int(0.6 * budget)))
+    n_rad = max(2, int(math.ceil(r / pitch)))
+    drho = r / n_rad
+
+    def circle(center, frame, rho, n):
+        ang = rng.uniform(0.0, 2.0 * math.pi) + np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        vecs = rho * (np.cos(ang)[:, None] * frame[0] + np.sin(ang)[:, None] * frame[1])
+        return m.exp_many(center, vecs)
+
+    chunks = [np.array([bp.line.coords_at(t - r), bp.line.coords_at(min(t + r, R))])]
+    cos_phi = m.corner_cosine(R, r, t) if t >= 1e-12 else None
+    if cos_phi is not None and -1.0 <= cos_phi <= 1.0:
+        phi = math.acos(cos_phi)
+        for sign in (1.0, -1.0):
+            vec = R * (math.cos(phi) * frame_big[0] + sign * math.sin(phi) * frame_big[1])
+            chunks.append(m.exp_many(center_big, vec[None, :]))
+    chord = m.exp_many(center_small, np.array([r * frame_small[1], -r * frame_small[1]]))
+    for i in range(n_rad + 1):
+        if i == 0:
+            ring = center_small[None, :]
+        else:
+            n_ang = max(6, int(math.ceil(m.circle_circumference(i * drho) / drho)))
+            ring = circle(center_small, frame_small, i * drho, n_ang)
+        chunks.append(ring[m.dist_many(center_big, ring) <= R + 1e-12])
+    n_arc = max(64, int(math.ceil(m.circle_circumference(r) / drho)))
+    arc = circle(center_small, frame_small, r, n_arc)
+    chunks.append(arc[m.dist_many(center_big, arc) <= R + 1e-12])
+    n_arc = max(64, int(math.ceil(m.circle_circumference(R) / drho)))
+    arc = circle(center_big, frame_big, R, n_arc)
+    chunks.append(arc[m.dist_many(center_small, arc) <= r + 1e-12])
+    chunks.append(chord[bp.margins(chord) >= -1e-12])
+    points = np.vstack(chunks)
+    return points[bp.margins(points) >= -1e-9], 0.5 * math.hypot(drho, drho)
+
+
+ORACLE_CASES = [
+    (Euclidean(2), 2.0, 1.0),
+    (Euclidean(3), 1.5, 0.7),
+    (Sphere(2, 1.0), 1.2, 0.6),
+    (Sphere(3, 4.0), 0.6, 0.3),
+    (Hyperbolic(2, -1.0), 2.0, 1.0),
+    (Hyperbolic(3, -1.0), 1.5, 0.7),
+]
+
+
+@pytest.mark.parametrize("model,R,r", ORACLE_CASES, ids=[m.describe() for m, _, _ in ORACLE_CASES])
+def test_sample_block_matches_per_ring_reference(model, R, r):
+    bp = BallPair.create(model, R, r)
+    for t in (0.0, R - r, 0.5 * (R - r) + 0.25 * (R + r), 0.9 * (R + r), (R + r) * (1 - 1e-9)):
+        lens = bp.with_separation(t)
+        for budget in (256, 4096):
+            for seed in (0, 5):
+                cloud = sample_intersection(lens, budget, seed)
+                points, fill = _per_ring_reference(lens, budget, seed)
+                assert cloud.points.tobytes() == points.tobytes(), (t, budget, seed)
+                assert cloud.fill_radius == fill
+
+
+def test_surface_sample_block_matches_per_ring_reference():
+    # r = 0.03 is below 16 RK4 steps, so the shared step count of the
+    # block changes no point
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    bp = BallPair.create(surface, 0.05, 0.03, t=0.04, convexity_bound=1.0)
+    cloud = sample_intersection(bp, budget=16, seed=0)
+    points, fill = _per_ring_reference(bp, 16, 0)
+    assert cloud.points.tobytes() == points.tobytes()
+    assert cloud.fill_radius == fill
+
+
+def test_sample_makes_a_fixed_number_of_model_calls(monkeypatch):
+    # one block about each center, the corners and the chord; the two frames
+    sphere = Sphere(2, 1.0)
+    lens = BallPair.create(sphere, 1.2, 0.6).with_separation(1.0)
+    calls = {"exp_many": 0, "dist_many": 0, "tangent_basis": 0}
+    for name in calls:
+        method = getattr(sphere, name)
+
+        def counted(*args, _method=method, _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(sphere, name, counted)
+    cloud = sample_intersection(lens, budget=4096, seed=0)
+    assert len(cloud) > 1000
+    assert calls["exp_many"] <= 4
+    assert calls["tangent_basis"] <= 2
+    assert calls["dist_many"] <= 6
+
+
 # ------------------------------------------------------------- diameter
 
 
@@ -293,6 +395,12 @@ def test_onset_zero_when_radii_equal(plane):
     bp = BallPair.create(plane, 1.0, 1.0)
     est = estimate_nesting_onset(bp, n_grid=301, budget=256, seed=0)
     assert est.value <= est.uncertainty
+
+
+def test_onset_needs_two_grid_points(plane):
+    bp = BallPair.create(plane, 2.0, 1.0)
+    with pytest.raises(ValueError):
+        estimate_nesting_onset(bp, n_grid=1)
 
 
 def test_onset_euclid_between_gap_and_big_radius(plane):
