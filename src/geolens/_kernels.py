@@ -1,0 +1,80 @@
+"""The two distance scans behind every width, Hausdorff gap and nesting margin.
+
+``pairwise_max`` finds the farthest pair of one cloud and ``min_dist_to``
+the distance from each point of a cloud to its nearest target.  On a model
+with closed forms the scans work on row blocks of the model's squared
+pre-metric (:meth:`Manifold.scan_sq`), which is monotone in the distance, and
+map only the reduced values to distances (:meth:`Manifold.scan_dist`).
+Blocks are chunked to bound memory.
+
+A model without closed forms (the numeric surface) has no pre-metric: there
+each row goes through :meth:`Manifold.dist_many`, one Newton shoot per
+distance, and a scan over more than ``SLOW_PAIR_LIMIT`` pairs raises
+``ValueError`` instead of running for hours.
+"""
+
+import numpy as np
+
+SLOW_PAIR_LIMIT = 250_000
+
+_CHUNK = 512
+
+
+def pairwise_max(points, manifold):
+    """Largest pairwise distance in one cloud; returns (dist, i, j)."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    if not manifold.closed_form:
+        return _pairwise_max_rows(pts, manifold)
+    n = pts.shape[0]
+    if n < 2:
+        return 0.0, 0, 0
+    best = -1.0
+    bi = bj = 0
+    for i0 in range(0, n, _CHUNK):
+        a = pts[i0 : i0 + _CHUNK]
+        for j0 in range(i0, n, _CHUNK):
+            sq = manifold.scan_sq(a, pts[j0 : j0 + _CHUNK])
+            if j0 == i0:
+                sq = np.triu(sq, k=1)
+            k = int(np.argmax(sq))
+            i, j = divmod(k, sq.shape[1])
+            if sq[i, j] > best:
+                best = float(sq[i, j])
+                bi, bj = i0 + i, j0 + j
+    return float(manifold.scan_dist(np.asarray(best))), bi, bj
+
+
+def min_dist_to(points, targets, manifold):
+    """For each row of ``points``, the distance to its nearest row of ``targets``."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    tgt = np.ascontiguousarray(targets, dtype=np.float64)
+    if not manifold.closed_form:
+        return _min_dist_rows(pts, tgt, manifold)
+    out = np.full(pts.shape[0], np.inf)
+    for i0 in range(0, pts.shape[0], _CHUNK):
+        a = pts[i0 : i0 + _CHUNK]
+        row_min = np.full(a.shape[0], np.inf)
+        for j0 in range(0, tgt.shape[0], _CHUNK):
+            sq = manifold.scan_sq(a, tgt[j0 : j0 + _CHUNK])
+            np.minimum(row_min, sq.min(axis=1), out=row_min)
+        out[i0 : i0 + a.shape[0]] = row_min
+    return manifold.scan_dist(out)
+
+
+def _pairwise_max_rows(pts, manifold):
+    n = len(pts)
+    if n * n > SLOW_PAIR_LIMIT:
+        raise ValueError("cloud too large for the numeric-manifold pairwise scan")
+    best, bi, bj = 0.0, 0, 0
+    for i in range(n - 1):
+        d = manifold.dist_many(pts[i], pts[i + 1 :])
+        j = int(np.argmax(d))
+        if d[j] > best:
+            best, bi, bj = float(d[j]), i, i + 1 + j
+    return best, bi, bj
+
+
+def _min_dist_rows(pts, targets, manifold):
+    if len(pts) * len(targets) > SLOW_PAIR_LIMIT:
+        raise ValueError("clouds too large for the numeric-manifold scan")
+    return np.array([np.min(manifold.dist_many(p, targets)) for p in pts])

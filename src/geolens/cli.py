@@ -10,7 +10,6 @@ import argparse
 import math
 import sys
 
-from geolens import _kernels
 from geolens.config import RunConfig, atomic_write, load_config
 from geolens.errors import ConfigError, GeolensError
 from geolens.lens import BallPair, w_profile
@@ -28,7 +27,6 @@ def _build_parser():
         prog="geolens",
         description="Geodesic-ball overlap widths and supporting geometry on model manifolds.",
     )
-    parser.add_argument("--backend", action="store_true", help="print the kernel backend and exit")
     sub = parser.add_subparsers(dest="command")
     for name, doc in [
         ("profile", "sample the overlap width profile and write it as CSV"),
@@ -150,9 +148,6 @@ def _write_records(path, report) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.backend:
-        print(_kernels.BACKEND)
-        return EXIT_OK
     if args.command is None:
         parser.print_help()
         return EXIT_CONFIG_ERROR

@@ -18,6 +18,7 @@ computation starts; violations raise :class:`ConfigError`.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 import os
 import tempfile
@@ -248,7 +249,7 @@ def validate_config(config: RunConfig):
         raise ConfigError("grid must be >= 2")
     if config.budget < 1:
         raise ConfigError("budget must be >= 1")
-    conv = _convexity_bound(config, manifold)
+    conv = convexity_bound_for(config, manifold)
     for R, r in config.all_pairs():
         if not (0 < r <= R):
             raise ConfigError(f"radii must satisfy 0 < r <= R (got {R}, {r})")
@@ -259,21 +260,26 @@ def validate_config(config: RunConfig):
             )
 
 
-def _convexity_bound(config: RunConfig, manifold: Manifold) -> float:
-    if isinstance(manifold, SurfaceOfRevolution):
-        inj = config.manifold.injectivity_bound
-        if inj is None:
-            raise ConfigError(
-                "surface_of_revolution requires injectivity_bound in [manifold]"
-            )
-        from geolens.radii import focal_radius
+def convexity_bound_for(config: RunConfig, manifold: Manifold) -> float:
+    """Radius below which the configured model's balls are convex.
 
-        foc = focal_radius(manifold, directions=16)
-        if foc.lower_bound_only and foc.value < inj / 2:
-            return foc.value  # conservative: at least this much is convex
-        return min(foc.value, inj / 2)
+    A closed-form model gives its convexity radius.  The numeric surface
+    gives a bound from its focal radius and the configured injectivity
+    bound; that focal scan is computed once per manifold spec.
+    """
+    if isinstance(manifold, SurfaceOfRevolution):
+        return _surface_convexity_bound(config.manifold)
     return manifold.convexity_radius()
 
 
-def convexity_bound_for(config: RunConfig, manifold: Manifold) -> float:
-    return _convexity_bound(config, manifold)
+@functools.lru_cache(maxsize=16)
+def _surface_convexity_bound(spec: ManifoldSpec) -> float:
+    inj = spec.injectivity_bound
+    if inj is None:
+        raise ConfigError("surface_of_revolution requires injectivity_bound in [manifold]")
+    from geolens.radii import focal_radius
+
+    foc = focal_radius(spec.build(), directions=16)
+    if foc.lower_bound_only and foc.value < inj / 2:
+        return foc.value  # conservative: at least this much is convex
+    return min(foc.value, inj / 2)

@@ -424,8 +424,9 @@ def lens_diameter(
     without closed forms, or for R at or beyond the convexity radius.
     ``refine=False`` never runs the ascent and returns the sampled and
     candidate value alone, an independent cross-check of the refined one.
-    A model without a scan kernel fails fast with ``ValueError`` on a
-    subset too large for the pairwise scan of :mod:`geolens.sets`.
+    On a model without closed forms the farthest-pair scan of
+    :mod:`geolens._kernels` shoots one geodesic per pair, so it fails fast
+    with ``ValueError`` on a subset over ``SLOW_PAIR_LIMIT`` pairs.
     """
     m = bp.manifold
     if bp.R + bp.r - bp.t < 1e-12 * (bp.R + bp.r):

@@ -21,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from geolens import _kernels
-from geolens._ode import rk4_endpoint, rk4_trajectory
+from geolens._ode import rk4_endpoint
 from geolens.errors import (
     ChartError,
     InjectivityError,
@@ -231,9 +230,19 @@ class Manifold(ABC):
         means the circles do not meet; None means the formula degenerates."""
         return (t * t + R * R - r * r) / (2.0 * t * R)
 
-    # kernel routing: geometry code understood by the scan kernels, or None
-    kernel_kind: int | None = None
-    kernel_scale: float = 1.0
+    # -- distance scans ------------------------------------------------------
+    # The scans of geolens._kernels reduce a squared pre-metric and map only
+    # the reduced values to distances.  The base class holds the flat pair;
+    # the scans use these only where ``closed_form`` is True.
+
+    def scan_sq(self, a, b) -> np.ndarray:
+        """Squared pre-metric between row blocks a (m, d) and b (n, d)."""
+        diff = a[:, None, :] - b[None, :, :]
+        return np.einsum("ijk,ijk->ij", diff, diff)
+
+    def scan_dist(self, sq):
+        """Distance from the squared pre-metric (monotone increasing)."""
+        return np.sqrt(sq)
 
     def describe(self) -> str:
         return f"{self.kind}(dim={self.dim})"
@@ -243,7 +252,6 @@ class Euclidean(Manifold):
     """Flat space R^n with the standard inner product."""
 
     kind = "euclidean"
-    kernel_kind = _kernels.EUCLIDEAN
     closed_form = True
 
     @property
@@ -291,15 +299,11 @@ class Euclidean(Manifold):
     def curvature_at(self, coords):
         return 0.0
 
-    def describe(self):
-        return f"euclidean(dim={self.dim})"
-
 
 class Sphere(Manifold):
     """Round sphere of constant curvature k > 0, radius 1/sqrt(k), in R^(n+1)."""
 
     kind = "sphere"
-    kernel_kind = _kernels.SPHERE
     closed_form = True
 
     def __init__(self, dim: int, curvature: float = 1.0):
@@ -308,7 +312,6 @@ class Sphere(Manifold):
             raise ValueError("sphere curvature must be positive")
         self.curvature = float(curvature)
         self.radius = 1.0 / math.sqrt(curvature)
-        self.kernel_scale = self.radius
 
     @property
     def ambient_dim(self):
@@ -417,6 +420,9 @@ class Sphere(Manifold):
             return None
         return (math.cos(r / a) - math.cos(R / a) * math.cos(t / a)) / denom
 
+    def scan_dist(self, sq):
+        return 2.0 * self.radius * np.arcsin(np.clip(np.sqrt(sq) / (2.0 * self.radius), 0.0, 1.0))
+
     def describe(self):
         return f"sphere(dim={self.dim}, curvature={self.curvature:g})"
 
@@ -429,7 +435,6 @@ class Hyperbolic(Manifold):
     """
 
     kind = "hyperbolic"
-    kernel_kind = _kernels.HYPERBOLOID
     closed_form = True
 
     def __init__(self, dim: int, curvature: float = -1.0):
@@ -438,7 +443,6 @@ class Hyperbolic(Manifold):
             raise ValueError("hyperbolic curvature must be negative")
         self.curvature = float(curvature)
         self.radius = 1.0 / math.sqrt(-curvature)
-        self.kernel_scale = self.radius
 
     @property
     def ambient_dim(self):
@@ -563,6 +567,14 @@ class Hyperbolic(Manifold):
             return None
         return (math.cosh(R / a) * math.cosh(t / a) - math.cosh(r / a)) / denom
 
+    def scan_sq(self, a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        sq = np.einsum("ijk,ijk->ij", diff[:, :, 1:], diff[:, :, 1:]) - diff[:, :, 0] ** 2
+        return np.clip(sq, 0.0, None)
+
+    def scan_dist(self, sq):
+        return 2.0 * self.radius * np.arcsinh(np.sqrt(sq) / (2.0 * self.radius))
+
     def describe(self):
         return f"hyperbolic(dim={self.dim}, curvature={self.curvature:g})"
 
@@ -631,7 +643,6 @@ class SurfaceOfRevolution(Manifold):
     """
 
     kind = "surface_of_revolution"
-    kernel_kind = None
 
     def __init__(self, profile: RevolutionProfile, step: float = 2e-3, horizon: float = 16.0):
         super().__init__(2)
@@ -702,8 +713,7 @@ class SurfaceOfRevolution(Manifold):
         if span > self.horizon:
             raise ChartError(f"requested length {span:g} exceeds horizon {self.horizon:g}")
         state0 = np.concatenate([np.tile(base, (tg.shape[0], 1)), tg], axis=1)
-        _, ys = rk4_trajectory(self._rhs, state0, 1.0, self._n_steps(span))
-        end = ys[-1]
+        end = rk4_endpoint(self._rhs, state0, 1.0, self._n_steps(span))
         self.profile.check_domain(end[:, 0])
         return end[:, :2]
 

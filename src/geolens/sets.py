@@ -3,8 +3,9 @@
 Compact sets are represented by nonempty finite point clouds carrying an
 explicit fill radius: every point of the represented set lies within
 ``fill_radius`` of some sample.  Set-level statements then hold up to
-quantified slack.  Scans are brute force O(|Y| * |Z|) through the kernel
-layer; desk-scale clouds make clarity worth more than an index.
+quantified slack.  Every distance comes from the two brute-force scans of
+:mod:`geolens._kernels`, O(|Y| * |Z|); desk-scale clouds make clarity worth
+more than an index.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 from geolens import _kernels
 from geolens.errors import NestingError
 from geolens.manifolds import Manifold
-
-SLOW_PAIR_LIMIT = 250_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,49 +38,15 @@ class PointCloud:
     def __len__(self):
         return self.points.shape[0]
 
-    @classmethod
-    def from_points(cls, manifold, points, fill_radius=0.0, validate=True):
-        cloud = cls(manifold, np.asarray(points, dtype=np.float64), float(fill_radius))
-        if validate:
-            worst = max(manifold.point_violation(p) for p in cloud.points)
-            if worst > 1e-8:
-                raise ValueError(f"cloud contains off-manifold points ({worst:.2e})")
-        return cloud
-
 
 def _same_manifold(y: PointCloud, z: PointCloud):
     if y.manifold is not z.manifold:
         raise ValueError("clouds live on different manifolds")
 
 
-def _pairwise_max_slow(manifold, pts):
-    n = len(pts)
-    if n * n > SLOW_PAIR_LIMIT:
-        raise ValueError("cloud too large for the numeric-manifold pairwise scan")
-    best, bi, bj = 0.0, 0, 0
-    for i in range(n - 1):
-        d = manifold.dist_many(pts[i], pts[i + 1 :])
-        j = int(np.argmax(d))
-        if d[j] > best:
-            best, bi, bj = float(d[j]), i, i + 1 + j
-    return best, bi, bj
-
-
-def _min_dist_slow(manifold, pts, targets):
-    if len(pts) * len(targets) > SLOW_PAIR_LIMIT:
-        raise ValueError("clouds too large for the numeric-manifold scan")
-    return np.array([np.min(manifold.dist_many(p, targets)) for p in pts])
-
-
 def diameter_with_witness(cloud: PointCloud):
     """(max pairwise distance, index pair); exact on the samples."""
-    if len(cloud) == 1:
-        return 0.0, (0, 0)
-    m = cloud.manifold
-    if m.kernel_kind is None:
-        best, bi, bj = _pairwise_max_slow(m, cloud.points)
-        return best, (bi, bj)
-    d, i, j = _kernels.pairwise_max(cloud.points, m.kernel_kind, m.kernel_scale)
+    d, i, j = _kernels.pairwise_max(cloud.points, cloud.manifold)
     return float(d), (i, j)
 
 
@@ -92,12 +57,8 @@ def diameter(cloud: PointCloud) -> float:
 
 
 def min_distances(cloud: PointCloud, target: PointCloud) -> np.ndarray:
-    m = cloud.manifold
-    if m.kernel_kind is None:
-        return _min_dist_slow(m, cloud.points, target.points)
-    return _kernels.min_dist_to(
-        cloud.points, target.points, m.kernel_kind, m.kernel_scale
-    )
+    """Distance from each sample of ``cloud`` to its nearest sample of ``target``."""
+    return _kernels.min_dist_to(cloud.points, target.points, cloud.manifold)
 
 
 def hausdorff(y: PointCloud, z: PointCloud) -> float:

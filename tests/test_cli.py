@@ -221,3 +221,24 @@ def test_verify_records_out(euclid_config, tmp_path):
     rows = open(out).read().strip().split("\n")
     assert rows[0] == "claim,status,margin,summary"
     assert len(rows) == 16  # header + full claim registry
+
+
+def test_surface_focal_scan_runs_once_per_config(tmp_path, monkeypatch):
+    import geolens.radii
+    from geolens import config
+
+    directions = []
+    focal_radius = geolens.radii.focal_radius
+
+    def counted(*args, **kwargs):
+        directions.append(kwargs.get("directions"))
+        return focal_radius(*args, **kwargs)
+
+    monkeypatch.setattr(geolens.radii, "focal_radius", counted)
+    config._surface_convexity_bound.cache_clear()
+    cfg = tmp_path / "surface.ini"
+    cfg.write_text(SURFACE_CFG)
+    loaded = config.load_config(str(cfg))
+    bound = config.convexity_bound_for(loaded, loaded.manifold.build())
+    assert directions == [16]
+    assert bound == 0.5

@@ -1,4 +1,4 @@
-"""Backend parity and correctness of the distance-scan kernels."""
+"""Correctness of the distance scans against the models' own distances."""
 
 import math
 
@@ -6,26 +6,18 @@ import numpy as np
 import pytest
 
 from geolens import _kernels
-from geolens._kernels import _fallback
+from geolens.manifolds import Euclidean, Hyperbolic, RevolutionProfile, Sphere, SurfaceOfRevolution
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
-def _native_or_skip():
-    try:
-        from geolens._kernels import _native
-    except ImportError:
-        pytest.skip("native kernel not built")
-    return _native
-
-
-def _random_sphere_cloud(rng, n, radius=1.0):
-    pts = rng.normal(size=(n, 3))
+def _random_sphere_cloud(rng, n, radius=1.0, dim=2):
+    pts = rng.normal(size=(n, dim + 1))
     return radius * pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _random_hyperboloid_cloud(rng, n, radius=1.0):
-    spatial = rng.normal(scale=0.8, size=(n, 2))
+def _random_hyperboloid_cloud(rng, n, radius=1.0, dim=2):
+    spatial = rng.normal(scale=0.8 * radius, size=(n, dim))
     x0 = np.sqrt(radius**2 + np.sum(spatial**2, axis=1))
     return np.column_stack([x0, spatial])
 
@@ -33,7 +25,7 @@ def _random_hyperboloid_cloud(rng, n, radius=1.0):
 def test_euclidean_pairwise_max_matches_direct():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(150, 2))
-    d, i, j = _kernels.pairwise_max(pts, _kernels.EUCLIDEAN)
+    d, i, j = _kernels.pairwise_max(pts, Euclidean(2))
     full = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     assert d == pytest.approx(full.max(), abs=1e-12)
     assert full[i, j] == pytest.approx(d, abs=1e-12)
@@ -42,9 +34,10 @@ def test_euclidean_pairwise_max_matches_direct():
 def test_sphere_kernel_distance_formula():
     rng = np.random.default_rng(1)
     pts = _random_sphere_cloud(rng, 60, radius=2.0)
-    out = _kernels.min_dist_to(pts[:1], pts, _kernels.SPHERE, 2.0)
+    sphere = Sphere(2, 0.25)
+    out = _kernels.min_dist_to(pts[:1], pts, sphere)
     assert out[0] == 0.0
-    d, i, j = _kernels.pairwise_max(pts, _kernels.SPHERE, 2.0)
+    d, i, j = _kernels.pairwise_max(pts, sphere)
     expected = 2.0 * math.acos(np.clip(np.dot(pts[i], pts[j]) / 4.0, -1, 1))
     assert d == pytest.approx(expected, abs=1e-9)
 
@@ -52,36 +45,53 @@ def test_sphere_kernel_distance_formula():
 def test_hyperboloid_kernel_distance_formula():
     rng = np.random.default_rng(2)
     pts = _random_hyperboloid_cloud(rng, 60)
-    d, i, j = _kernels.pairwise_max(pts, _kernels.HYPERBOLOID, 1.0)
+    d, i, j = _kernels.pairwise_max(pts, Hyperbolic(2, -1.0))
     mink = np.dot(pts[i][1:], pts[j][1:]) - pts[i][0] * pts[j][0]
     expected = math.acosh(max(-mink, 1.0))
     assert d == pytest.approx(expected, abs=1e-9)
 
 
+def _brute_force(model, points, targets):
+    return np.array([model.dist_many(p, targets) for p in points])
+
+
+def _random_cloud(model, rng, n):
+    if isinstance(model, Sphere):
+        return _random_sphere_cloud(rng, n, model.radius, model.dim)
+    if isinstance(model, Hyperbolic):
+        return _random_hyperboloid_cloud(rng, n, model.radius, model.dim)
+    return rng.normal(size=(n, model.dim))
+
+
 @pytest.mark.parametrize(
-    "kind,scale,maker",
-    [
-        (_kernels.EUCLIDEAN, 1.0, lambda rng, n: rng.normal(size=(n, 2))),
-        (_kernels.SPHERE, 1.5, lambda rng, n: _random_sphere_cloud(rng, n, 1.5)),
-        (_kernels.HYPERBOLOID, 1.0, _random_hyperboloid_cloud),
-    ],
+    "model",
+    [Euclidean(2), Euclidean(3), Sphere(2, 2.5), Sphere(3, 2.5), Hyperbolic(2, -0.3), Hyperbolic(3, -0.3)],
+    ids=lambda m: m.describe(),
 )
-def test_backend_parity(kind, scale, maker):
-    native = _native_or_skip()
-    rng = np.random.default_rng(3)
-    a = maker(rng, 200)
-    b = maker(rng, 170)
-    dn, ini, jn = native.pairwise_max(a, kind, scale)
-    df, inf_, jf = _fallback.pairwise_max(a, kind, scale)
-    assert dn == pytest.approx(df, abs=1e-12)
-    assert (ini, jn) == (inf_, jf)
-    mn = native.min_dist_to(a, b, kind, scale)
-    mf = _fallback.min_dist_to(a, b, kind, scale)
-    np.testing.assert_allclose(mn, mf, atol=1e-12)
+def test_scans_match_dist_many(model):
+    # 700 rows cross the 512-row chunk boundary of both scans
+    rng = np.random.default_rng(4 + model.dim)
+    a = _random_cloud(model, rng, 700)
+    b = _random_cloud(model, rng, 90)
+    assert max(model.point_violation(p) for p in np.vstack([a, b])) < 1e-9
+    d, i, j = _kernels.pairwise_max(a, model)
+    full = _brute_force(model, a, a)
+    assert i < j
+    assert d == pytest.approx(full.max(), abs=1e-12)
+    assert full[i, j] == pytest.approx(d, abs=1e-12)
+    np.testing.assert_allclose(
+        _kernels.min_dist_to(a, b, model), _brute_force(model, a, b).min(axis=1), rtol=0, atol=1e-12
+    )
 
 
-def test_directed_hausdorff_asymmetry():
-    a = np.array([[0.0, 0.0]])
-    b = np.array([[0.0, 0.0], [1.0, 0.0]])
-    assert _kernels.directed_hausdorff(a, b, _kernels.EUCLIDEAN) == 0.0
-    assert _kernels.directed_hausdorff(b, a, _kernels.EUCLIDEAN) == 1.0
+def test_surface_scans_take_the_row_loop_and_match_dist_many():
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    rng = np.random.default_rng(6)
+    # a small patch keeps every shoot at the minimum RK4 step count
+    pts = np.column_stack([rng.uniform(-0.01, 0.01, 20), rng.uniform(-0.004, 0.004, 20)])
+    full = _brute_force(surface, pts, pts)
+    d, i, j = _kernels.pairwise_max(pts, surface)
+    assert d == pytest.approx(full.max(), abs=1e-12)
+    assert full[i, j] == pytest.approx(d, abs=1e-12)
+    nearest = _kernels.min_dist_to(pts[:5], pts[10:], surface)
+    np.testing.assert_allclose(nearest, full[:5, 10:].min(axis=1), rtol=0, atol=1e-12)
