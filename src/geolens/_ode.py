@@ -7,6 +7,15 @@ and checked downstream with Richardson comparisons against a half-step run.
 import numpy as np
 
 
+def rk4_step(rhs, y, h):
+    """One classical RK4 step of y' = rhs(y) with step h."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def rk4_trajectory(rhs, y0, span, n_steps):
     """Integrate y' = rhs(y) over [0, span] and return (ts, ys).
 
@@ -22,11 +31,7 @@ def rk4_trajectory(rhs, y0, span, n_steps):
     ys = np.empty((n_steps + 1,) + y.shape)
     ys[0] = y
     for i in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4_step(rhs, y, h)
         ys[i + 1] = y
     return ts, ys
 
@@ -36,9 +41,5 @@ def rk4_endpoint(rhs, y0, span, n_steps):
     y = np.array(y0, dtype=np.float64)
     h = span / n_steps
     for _ in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4_step(rhs, y, h)
     return y

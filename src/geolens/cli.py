@@ -13,7 +13,6 @@ import sys
 from geolens.config import RunConfig, atomic_write, load_config
 from geolens.errors import ConfigError, GeolensError
 from geolens.lens import BallPair, w_profile
-from geolens.manifolds import SurfaceOfRevolution
 from geolens.radii import radii_report
 from geolens.suite import run_counterexample, run_speculation_probe, run_verification_suite
 

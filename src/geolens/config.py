@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import configparser
 import functools
-import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -124,30 +123,49 @@ class RunConfig:
         return self.pairs if self.pairs else ((self.R, self.r),)
 
     def resolved_lines(self):
-        """Deterministic key=value echo embedded in reports for round-trips."""
+        """Deterministic ``section.key=value`` echo embedded in reports.
+
+        Written back as an INI file with one ``[section]`` per prefix, it
+        loads as this config, ``out`` aside.  Unset keys are left empty.
+        """
         ms = self.manifold
         lines = [
             f"manifold.kind={ms.kind}",
             f"manifold.dimension={ms.dimension}",
-            f"manifold.curvature={ms.curvature:g}",
+            f"manifold.curvature={_num(ms.curvature)}",
         ]
         if ms.kind == "surface_of_revolution":
             lines += [
-                f"manifold.u_min={ms.u_min:g}",
-                f"manifold.u_max={ms.u_max:g}",
-                f"manifold.offset={ms.offset:g}",
-                f"manifold.injectivity_bound={ms.injectivity_bound}",
-                f"manifold.loop_length={ms.loop_length}",
+                f"manifold.profile={ms.profile_name or ''}",
+                f"manifold.profile_file={ms.profile_file or ''}",
+                f"manifold.u_min={_num(ms.u_min)}",
+                f"manifold.u_max={_num(ms.u_max)}",
+                f"manifold.offset={_num(ms.offset)}",
+                f"manifold.step={_num(ms.step)}",
+                f"manifold.injectivity_bound={_opt(ms.injectivity_bound)}",
+                f"manifold.loop_length={_opt(ms.loop_length)}",
             ]
         lines += [
-            "lens.pairs=" + ";".join(f"{R:g},{r:g}" for R, r in self.all_pairs()),
+            "lens.pairs=" + ";".join(f"{_num(R)},{_num(r)}" for R, r in self.all_pairs()),
             f"run.grid={self.grid}",
             f"run.budget={self.budget}",
             f"run.seed={self.seed}",
         ]
+        if self.expect_counterexample:
+            lines.append("run.expect_counterexample=1")
         tol = self.tolerances
-        lines += [f"tolerances.{f.name}={getattr(tol, f.name):g}" for f in fields(tol)]
+        lines += [f"tolerances.{f.name}={_num(getattr(tol, f.name))}" for f in fields(tol)]
         return lines
+
+
+def _num(x: float) -> str:
+    """``:g`` where it reads back as the same float, else ``repr``."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
+def _opt(x) -> str:
+    return "" if x is None else str(x)
 
 
 def _parse_pairs(text: str):
@@ -184,8 +202,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             kind=man.get("kind", "euclidean").strip().lower(),
             dimension=int(man.get("dimension", 2)),
             curvature=float(man.get("curvature", _default_curvature(man.get("kind", "euclidean")))),
-            profile_name=man.get("profile", None),
-            profile_file=man.get("profile_file", None),
+            profile_name=man.get("profile") or None,
+            profile_file=man.get("profile_file") or None,
             u_min=float(man.get("u_min", -0.6)),
             u_max=float(man.get("u_max", 0.6)),
             offset=float(man.get("offset", 2.0)),
@@ -202,11 +220,13 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         }
         pairs = _parse_pairs(lens_sec.get("pairs", ""))
         default_R, default_r = pairs[0] if pairs else (1.0, 1.0)
+        R = float(lens_sec.get("R", default_R))
+        r = float(lens_sec.get("r", default_r))
         config = RunConfig(
             manifold=spec,
-            R=float(lens_sec.get("R", default_R)),
-            r=float(lens_sec.get("r", default_r)),
-            pairs=pairs,
+            R=R,
+            r=r,
+            pairs=pairs or ((R, r),),
             grid=int(run_sec.get("grid", 200)),
             budget=int(run_sec.get("budget", 4096)),
             seed=int(run_sec.get("seed", 0)),
@@ -267,7 +287,7 @@ def convexity_bound_for(config: RunConfig, manifold: Manifold) -> float:
     gives a bound from its focal radius and the configured injectivity
     bound; that focal scan is computed once per manifold spec.
     """
-    if isinstance(manifold, SurfaceOfRevolution):
+    if not manifold.closed_form:
         return _surface_convexity_bound(config.manifold)
     return manifold.convexity_radius()
 

@@ -16,13 +16,8 @@ import numpy as np
 from scipy.integrate import simpson
 
 from geolens._ode import rk4_endpoint, rk4_trajectory
-from geolens.errors import ChartError, DefectError
-from geolens.manifolds import (
-    Manifold,
-    ManifoldPoint,
-    SurfaceOfRevolution,
-    TangentVector,
-)
+from geolens.errors import ChartError
+from geolens.manifolds import Manifold, ManifoldPoint, TangentVector
 
 UNIT_SPEED_TOL = 1e-10
 DEFAULT_STEP = 2e-3
@@ -43,6 +38,21 @@ def _hermite(t, t0, t1, p0, p1, v0, v1):
     d11 = s * (3 * s - 2)
     vel = d00 * p0 + d10 * v0 + d01 * p1 + d11 * v1
     return pos, vel
+
+
+def hermite_zero(t0, t1, v0, v1, d0, d1):
+    """Zero in [t0, t1] of the cubic Hermite interpolant of values v and
+    derivatives d, by 80 bisection steps; elementwise over arrays.  The
+    values at the ends must have opposite signs."""
+    lo, hi = np.asarray(t0, dtype=np.float64), np.asarray(t1, dtype=np.float64)
+    lo_positive = np.asarray(v0) > 0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        f_mid, _ = _hermite(mid, t0, t1, v0, v1, d0, d1)
+        same = (f_mid > 0) == lo_positive
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +196,7 @@ def integrate_geodesic(
 
     state0 = np.concatenate([start.coords, direction.components])
     ts, ys = rk4_trajectory(rhs, state0, length, n)
-    if isinstance(manifold, SurfaceOfRevolution):
+    if not manifold.closed_form:
         manifold.profile.check_domain(ys[:, 0])
     coarse = rk4_endpoint(rhs, state0, length, max(1, n // 2))
     err = float(np.linalg.norm(coarse[:d] - ys[-1, :d])) / 15.0
@@ -233,20 +243,6 @@ class JacobiSolution:
     jp: np.ndarray
     curvature: np.ndarray  # K(c(t)) at the sample times
 
-    def _refine_zero(self, i, values, derivs):
-        """Zero of the cubic Hermite interpolant on [ts[i], ts[i+1]]."""
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        lo, hi = t0, t1
-        f_lo, _ = _hermite(lo, t0, t1, values[i], values[i + 1], derivs[i], derivs[i + 1])
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            f_mid, _ = _hermite(mid, t0, t1, values[i], values[i + 1], derivs[i], derivs[i + 1])
-            if (f_mid > 0) == (f_lo > 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
     def first_zero(self, of: str = "value") -> float | None:
         """First positive zero of j ("value") or of j' ("derivative")."""
         if of == "value":
@@ -260,7 +256,11 @@ class JacobiSolution:
             if vals[i] == 0.0 and self.ts[i] > 0:
                 return float(self.ts[i])
             if vals[i] * vals[i + 1] < 0:
-                return float(self._refine_zero(i, vals, ders))
+                return float(
+                    hermite_zero(
+                        self.ts[i], self.ts[i + 1], vals[i], vals[i + 1], ders[i], ders[i + 1]
+                    )
+                )
         return None
 
     def residual_max(self) -> float:
@@ -275,26 +275,16 @@ def integrate_jacobi(
 ) -> JacobiSolution:
     """Integrate j'' + K j = 0 along the geodesic with j(0)=0, j'(0)=1.
 
-    Constant-curvature models use their constant K in any dimension; the
-    surface of revolution re-integrates the geodesic jointly with (j, j') so
-    the curvature is evaluated exactly at the RK4 substeps.
+    Constant-curvature models use their constant K in any dimension; a model
+    without closed forms (the surface of revolution) re-integrates the
+    geodesic jointly with (j, j') through its ``jacobi_rhs``, so the
+    curvature is evaluated exactly at the RK4 substeps.
     """
     n = max(2, int(math.ceil(geodesic.length / step)))
-    if isinstance(manifold, SurfaceOfRevolution):
+    if not manifold.closed_form:
         base = geodesic.base.coords
         state0 = np.concatenate([base, geodesic.direction.components, [0.0, 1.0]])
-        profile = manifold.profile
-
-        def rhs(state):
-            u, du, dv, j, jp = state[0], state[2], state[3], state[4], state[5]
-            f = float(profile.f(u))
-            fp = float(profile.df(u))
-            k = -float(profile.d2f(u)) / f
-            return np.array(
-                [du, dv, f * fp * dv * dv, -2.0 * (fp / f) * du * dv, jp, -k * j]
-            )
-
-        ts, ys = rk4_trajectory(rhs, state0, geodesic.length, n)
+        ts, ys = rk4_trajectory(manifold.jacobi_rhs, state0, geodesic.length, n)
         manifold.profile.check_domain(ys[:, 0])
         curv = np.asarray(manifold.curvature_of_u(ys[:, 0]))
         return JacobiSolution(geodesic, ts, ys[:, 4].copy(), ys[:, 5].copy(), curv)
@@ -366,14 +356,3 @@ class GeodesicLine:
 
     def coords_at(self, t: float) -> np.ndarray:
         return self._eval(t)[0]
-
-    def segment(self, length: float) -> GeodesicSegment:
-        """The restriction to [0, length] as a segment object."""
-        if self.manifold.closed_form:
-            return GeodesicSegment.from_exp(self.manifold, self.base, self.direction, length)
-        seg = integrate_geodesic(self.manifold, self.base, self.direction, length)
-        if seg.endpoint_error is not None and seg.endpoint_error > 1e-6:
-            raise DefectError(
-                f"geodesic integration error estimate {seg.endpoint_error:.2e} too large"
-            )
-        return seg

@@ -52,8 +52,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from geolens.errors import DefectError, InjectivityError, TangencyError
-from geolens.geodesics import GeodesicLine, GeodesicSegment
-from geolens.manifolds import Manifold, ManifoldPoint, TangentVector, basepoint_of
+from geolens.geodesics import GeodesicLine
+from geolens.manifolds import Manifold, ManifoldPoint, TangentVector
 from geolens.sets import PointCloud, diameter_with_witness
 
 DEFAULT_GRID = 200
@@ -109,7 +109,7 @@ class BallPair:
         if not 0.0 <= t <= R + r:
             raise ValueError(f"separation t={t:g} outside [0, R+r]")
         if base is None:
-            base = basepoint_of(manifold)
+            base = manifold.basepoint()
         if direction is None:
             frame = manifold.tangent_basis(base.coords)
             direction = TangentVector(base, frame[0])
@@ -123,11 +123,6 @@ class BallPair:
         if not 0.0 <= t <= self.R + self.r + 1e-12:
             raise ValueError(f"separation t={t:g} outside [0, R+r]")
         return replace(self, t=float(min(t, self.R + self.r)))
-
-    @property
-    def gamma(self) -> GeodesicSegment:
-        """The anchoring geodesic restricted to [0, R + r]."""
-        return self.line.segment(self.R + self.r)
 
     def _memo(self, name, compute):
         value = self.__dict__.get(name)
@@ -159,6 +154,23 @@ class BallPair:
                 self.center_small(), primary=self.line.velocity_at(self.t).components
             ),
         )
+
+    def extremes(self):
+        """(ends, margins, lead): the axis ends, the corners of the boundary
+        circles when they meet and the ends of the perpendicular chord,
+        stacked in that order; their margins; and the number of axis and
+        corner rows, which the two chord rows follow."""
+
+        def compute():
+            ends = [_axis_points(self)]
+            corners = _corner_points(self)
+            if corners is not None:
+                ends.append(corners)
+            ends.append(_perp_chord(self))
+            ends = np.vstack(ends)
+            return ends, self.margins(ends), len(ends) - 2
+
+        return self._memo("_extremes", compute)
 
     def margins(self, points) -> np.ndarray:
         """min(R - d(gamma(0), x), r - d(gamma(t), x)) per row; >= 0 inside."""
@@ -295,14 +307,7 @@ def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 
     outer = arc[keep]
     outer_margin = np.minimum(R - m.dist_many(center_big, outer), r - d_small[keep])
 
-    ends = [_axis_points(bp)]
-    corners = _corner_points(bp)
-    if corners is not None:
-        ends.append(corners)
-    ends.append(_perp_chord(bp))
-    ends = np.vstack(ends)
-    end_margin = bp.margins(ends)
-    lead = len(ends) - 2
+    ends, end_margin, lead = bp.extremes()
     chord_keep = end_margin[lead:] >= -1e-12
 
     points = np.vstack([ends[:lead], inner, outer, ends[lead:][chord_keep]])
@@ -436,13 +441,12 @@ def lens_diameter(
         cloud = sample_intersection(bp, budget, seed)
     best_pair = _sampled_pair(bp, cloud)
 
-    candidates = [_axis_points(bp)]
-    corners = _corner_points(bp)
-    if corners is not None and np.all(bp.margins(corners) >= -1e-9):
-        candidates.append(corners)
-    chord = _perp_chord(bp)
-    if np.all(bp.margins(chord) >= -1e-9):
-        candidates.append(chord)
+    ends, end_margin, lead = bp.extremes()
+    candidates = [ends[:2]]
+    if lead > 2 and np.all(end_margin[2:lead] >= -1e-9):
+        candidates.append(ends[2:lead])
+    if np.all(end_margin[lead:] >= -1e-9):
+        candidates.append(ends[lead:])
 
     exact = m.closed_form and bp.R < m.convexity_radius()
     if refine and not exact:

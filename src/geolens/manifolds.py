@@ -197,6 +197,13 @@ class Manifold(ABC):
     def tangent_basis(self, base_coords, primary=None) -> np.ndarray:
         """(dim, ambient_dim) metric-orthonormal frame; ``primary`` first."""
 
+    def basepoint(self) -> ManifoldPoint:
+        """A canonical point usable as a default geodesic anchor."""
+        return ManifoldPoint(np.zeros(self.ambient_dim))
+
+    # Length of the Jacobi scans of geolens.radii when the caller gives none.
+    horizon: float = 8.0
+
     def convexity_radius(self) -> float:
         """Closed-form convexity radius; numeric models have none."""
         raise NotImplementedError(
@@ -312,6 +319,8 @@ class Sphere(Manifold):
             raise ValueError("sphere curvature must be positive")
         self.curvature = float(curvature)
         self.radius = 1.0 / math.sqrt(curvature)
+        # past the conjugate radius pi * a, so that the scans reach it
+        self.horizon = 1.25 * math.pi * self.radius
 
     @property
     def ambient_dim(self):
@@ -698,6 +707,23 @@ class SurfaceOfRevolution(Manifold):
         out[..., 2:] = self.geodesic_acceleration(pos, vel)
         return out
 
+    def jacobi_rhs(self, state):
+        """The geodesic equation joined with the scalar Jacobi equation
+        j'' = -K j, on a state (..., 6) of u, v, du, dv, j, j'.
+
+        u is clamped to the profile's domain, which leaves rows inside it
+        unchanged; rows that leave it are the caller's to detect.
+        """
+        p = self.profile
+        u = np.clip(state[..., 0], p.u_min, p.u_max)
+        k = -np.asarray(p.d2f(u)) / np.asarray(p.f(u))
+        out = np.empty_like(state)
+        out[..., :2] = state[..., 2:4]
+        out[..., 2:4] = self.geodesic_acceleration(u[..., None], state[..., 2:4])
+        out[..., 4] = state[..., 5]
+        out[..., 5] = -k * state[..., 4]
+        return out
+
     def _n_steps(self, span):
         return max(16, int(math.ceil(abs(span) / self.step)))
 
@@ -820,10 +846,3 @@ class SurfaceOfRevolution(Manifold):
             f"surface_of_revolution(u in [{self.profile.u_min:g}, "
             f"{self.profile.u_max:g}], step={self.step:g})"
         )
-
-
-def basepoint_of(manifold: Manifold) -> ManifoldPoint:
-    """A canonical point usable as a default geodesic anchor."""
-    if hasattr(manifold, "basepoint"):
-        return manifold.basepoint()
-    return ManifoldPoint(np.zeros(manifold.ambient_dim))

@@ -16,19 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geolens._ode import rk4_trajectory
+from geolens._ode import rk4_step
 from geolens.errors import ConfigError
-from geolens.geodesics import GeodesicSegment, JacobiSolution, integrate_jacobi
-from geolens.manifolds import (
-    Euclidean,
-    Hyperbolic,
-    Manifold,
-    ManifoldPoint,
-    Sphere,
-    SurfaceOfRevolution,
-    TangentVector,
-    basepoint_of,
-)
+from geolens.geodesics import GeodesicSegment, hermite_zero, integrate_jacobi
+from geolens.manifolds import Manifold, ManifoldPoint, TangentVector
 
 CLOSED_FORM = "closed-form"
 NUMERIC = "numeric-estimate"
@@ -117,30 +108,25 @@ def _residual(a: float, b: float) -> float:
 
 
 def closed_form_radii(manifold: Manifold) -> RadiiReport:
-    """Exact radii for the constant-curvature models."""
+    """Exact radii of a constant-curvature model, from its convexity radius c.
+
+    Focal and convexity radii are c; injectivity and conjugate radii are 2c
+    and the shortest geodesic loop is 4c (all infinite when c is).  Scaling
+    by powers of two is exact, so on the sphere of radius a these are the
+    floating-point values of pi*a/2, pi*a and 2*pi*a.
+    """
     label = manifold.describe()
-    if isinstance(manifold, Euclidean) or isinstance(manifold, Hyperbolic):
-        inf = RadiusValue(math.inf, CLOSED_FORM)
-        return RadiiReport(label, inf, inf, inf, inf, inf)
-    if isinstance(manifold, Sphere):
-        a = manifold.radius
-        return RadiiReport(
-            label,
-            injectivity=RadiusValue(math.pi * a, CLOSED_FORM),
-            conjugate=RadiusValue(math.pi * a, CLOSED_FORM),
-            focal=RadiusValue(0.5 * math.pi * a, CLOSED_FORM),
-            loop_length=RadiusValue(2.0 * math.pi * a, CLOSED_FORM),
-            convexity=RadiusValue(0.5 * math.pi * a, CLOSED_FORM),
-        )
-    raise ConfigError(f"no closed-form radii for {label}")
-
-
-def _default_horizon(manifold: Manifold) -> float:
-    if isinstance(manifold, Sphere):
-        return 1.25 * math.pi * manifold.radius
-    if isinstance(manifold, SurfaceOfRevolution):
-        return manifold.horizon
-    return 8.0
+    if not manifold.closed_form:
+        raise ConfigError(f"no closed-form radii for {label}")
+    c = manifold.convexity_radius()
+    return RadiiReport(
+        label,
+        injectivity=RadiusValue(2.0 * c, CLOSED_FORM),
+        conjugate=RadiusValue(2.0 * c, CLOSED_FORM),
+        focal=RadiusValue(c, CLOSED_FORM),
+        loop_length=RadiusValue(4.0 * c, CLOSED_FORM),
+        convexity=RadiusValue(c, CLOSED_FORM),
+    )
 
 
 def _first_zeros_batch(manifold, base_coords, angles, horizon, step):
@@ -148,126 +134,72 @@ def _first_zeros_batch(manifold, base_coords, angles, horizon, step):
 
     Returns (j_zero, jp_zero, valid_length) arrays with nan for "no zero
     found"; valid_length is where a direction left the chart (else horizon).
-    Used for the numeric surface; vectorizes the joint geodesic+Jacobi system
-    over all directions with a chart mask.
+    Integrates the surface's joint geodesic + Jacobi system over all
+    directions at once, on the grid :func:`integrate_jacobi` uses, and
+    places each zero inside its bracketing step with the cubic Hermite
+    interpolant of the RK4 states, as ``JacobiSolution.first_zero`` does.
     """
+    profile = manifold.profile
     m = len(angles)
-    u0 = base_coords[0]
-    fu = float(manifold.profile.f(u0))
     state = np.zeros((m, 6))
     state[:, 0] = base_coords[0]
     state[:, 1] = base_coords[1]
     state[:, 2] = np.cos(angles)
-    state[:, 3] = np.sin(angles) / fu
+    state[:, 3] = np.sin(angles) / float(profile.f(base_coords[0]))
     state[:, 5] = 1.0
 
     n = max(2, int(math.ceil(horizon / step)))
+    ts = np.linspace(0.0, horizon, n + 1)
     h = horizon / n
     alive = np.ones(m, dtype=bool)
     valid_length = np.full(m, horizon)
-    j_zero = np.full(m, np.nan)
-    jp_zero = np.full(m, np.nan)
-    u_min, u_max = manifold.profile.u_min, manifold.profile.u_max
-
-    def rhs(s):
-        u = np.clip(s[:, 0], u_min, u_max)
-        f = np.asarray(manifold.profile.f(u))
-        fp = np.asarray(manifold.profile.df(u))
-        k = -np.asarray(manifold.profile.d2f(u)) / f
-        out = np.empty_like(s)
-        out[:, 0] = s[:, 2]
-        out[:, 1] = s[:, 3]
-        out[:, 2] = f * fp * s[:, 3] ** 2
-        out[:, 3] = -2.0 * (fp / f) * s[:, 2] * s[:, 3]
-        out[:, 4] = s[:, 5]
-        out[:, 5] = -k * s[:, 4]
-        return out
-
-    t = 0.0
-    prev = state.copy()
-    for _ in range(n):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        new = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t_new = t + h
-        exited = alive & ((new[:, 0] < u_min) | (new[:, 0] > u_max))
-        valid_length[exited] = t
+    zeros = np.full((m, 2), np.nan)  # columns: j, j'
+    for i in range(n):
+        new = rk4_step(manifold.jacobi_rhs, state, h)
+        exited = alive & ((new[:, 0] < profile.u_min) | (new[:, 0] > profile.u_max))
+        valid_length[exited] = ts[i]
         alive &= ~exited
-        cross_j = alive & (t > 0) & (prev[:, 4] * new[:, 4] <= 0) & np.isnan(j_zero)
-        cross_j &= np.abs(prev[:, 4]) + np.abs(new[:, 4]) > 0
-        for i in np.where(cross_j)[0]:
-            denom = new[i, 4] - prev[i, 4]
-            frac = 0.0 if denom == 0 else -prev[i, 4] / denom
-            j_zero[i] = t + frac * h
-        cross_jp = alive & (prev[:, 5] * new[:, 5] <= 0) & np.isnan(jp_zero)
-        cross_jp &= np.abs(prev[:, 5]) + np.abs(new[:, 5]) > 0
-        for i in np.where(cross_jp)[0]:
-            denom = new[i, 5] - prev[i, 5]
-            frac = 0.0 if denom == 0 else -prev[i, 5] / denom
-            jp_zero[i] = t + frac * h
-        prev = new
+        pending = alive[:, None] & np.isnan(zeros)
+        before, after = state[:, 4:], new[:, 4:]
+        at_start = pending & (before == 0.0) & (ts[i] > 0)
+        zeros[at_start] = ts[i]
+        rows, cols = np.nonzero(pending & ~at_start & (before * after < 0))
+        if len(rows):
+            # the derivatives of (j, j') are columns 4 and 5 of the system
+            d0 = manifold.jacobi_rhs(state[rows])[np.arange(len(rows)), 4 + cols]
+            d1 = manifold.jacobi_rhs(new[rows])[np.arange(len(rows)), 4 + cols]
+            zeros[rows, cols] = hermite_zero(
+                ts[i], ts[i + 1], before[rows, cols], after[rows, cols], d0, d1
+            )
         state = new
-        t = t_new
-        done = ~alive | (~np.isnan(j_zero) & ~np.isnan(jp_zero))
-        if done.all():
+        if np.all(~alive | ~np.isnan(zeros).any(axis=1)):
             break
-    return j_zero, jp_zero, valid_length
+    return zeros[:, 0], zeros[:, 1], valid_length
 
 
-def _jacobi_along_direction(manifold, base, angle_or_dir, horizon, step) -> JacobiSolution:
-    if isinstance(manifold, SurfaceOfRevolution):
-        comp = manifold.unit_tangent(base.coords, angle_or_dir)
-    else:
-        comp = angle_or_dir
-    direction = TangentVector(base, comp)
-    seg = GeodesicSegment(
-        manifold=manifold, base=base, direction=direction, length=horizon
-    )
-    return integrate_jacobi(manifold, seg, step=step)
+def _smallest_zero(zeros, valid) -> RadiusValue:
+    """The smallest zero found, else the shortest valid length as a bound."""
+    if np.all(np.isnan(zeros)):
+        return RadiusValue(float(np.min(valid)), NUMERIC, lower_bound_only=True)
+    return RadiusValue(float(np.nanmin(zeros)), NUMERIC)
 
 
 def _scan_radius(manifold, base, directions, horizon, step, of: str) -> RadiusValue:
-    base = base if isinstance(base, ManifoldPoint) else basepoint_of(manifold)
-    if isinstance(manifold, (Euclidean, Sphere, Hyperbolic)):
+    base = manifold.basepoint() if base is None else base
+    if manifold.closed_form:
         # constant curvature: the scalar equation is direction-independent
         frame = manifold.tangent_basis(base.coords)
-        sol = _jacobi_along_direction(manifold, base, frame[0], horizon, step)
-        zero = sol.first_zero(of=of)
+        seg = GeodesicSegment(
+            manifold=manifold, base=base, direction=TangentVector(base, frame[0]), length=horizon
+        )
+        zero = integrate_jacobi(manifold, seg, step=step).first_zero(of=of)
         if zero is None:
             return RadiusValue(horizon, NUMERIC, lower_bound_only=True)
         return RadiusValue(float(zero), NUMERIC)
 
     angles = np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False)
-    j_zero, jp_zero, valid = _first_zeros_batch(
-        manifold, base.coords, angles, horizon, step
-    )
-    coarse = j_zero if of == "value" else jp_zero
-    return _refine_scan(manifold, base, angles, coarse, valid, step, of)
-
-
-def _refine_scan(manifold, base, angles, coarse, valid, step, of):
-    found = ~np.isnan(coarse)
-    if not found.any():
-        bound = float(np.min(valid))
-        return RadiusValue(bound, NUMERIC, lower_bound_only=True)
-    # only directions near the coarse minimum can host the true minimum
-    # (linear-interpolated crossings are accurate to far below one step)
-    coarse_min = float(np.nanmin(coarse))
-    near = found & (coarse <= coarse_min + 0.5 * step)
-    best = math.inf
-    for i in np.where(near)[0]:
-        sol = _jacobi_along_direction(
-            manifold, base, float(angles[i]), min(valid[i], coarse[i] * 1.1), step
-        )
-        z = sol.first_zero(of=of)
-        if z is not None:
-            best = min(best, float(z))
-    if math.isinf(best):
-        bound = float(np.min(valid))
-        return RadiusValue(bound, NUMERIC, lower_bound_only=True)
-    return RadiusValue(best, NUMERIC)
+    j_zero, jp_zero, valid = _first_zeros_batch(manifold, base.coords, angles, horizon, step)
+    return _smallest_zero(j_zero if of == "value" else jp_zero, valid)
 
 
 def conjugate_radius(
@@ -280,7 +212,7 @@ def conjugate_radius(
     """First zero of j(t) (j(0)=0, j'(0)=1), minimized over sampled directions."""
     if directions < 1:
         raise ValueError("directions must be >= 1")
-    horizon = horizon if horizon is not None else _default_horizon(manifold)
+    horizon = horizon if horizon is not None else manifold.horizon
     return _scan_radius(manifold, base, directions, horizon, step, of="value")
 
 
@@ -294,7 +226,7 @@ def focal_radius(
     """First zero of j'(t), minimized over sampled directions."""
     if directions < 1:
         raise ValueError("directions must be >= 1")
-    horizon = horizon if horizon is not None else _default_horizon(manifold)
+    horizon = horizon if horizon is not None else manifold.horizon
     return _scan_radius(manifold, base, directions, horizon, step, of="derivative")
 
 
@@ -327,14 +259,14 @@ def radii_report(
     irrelevant), takes Jacobi minima over ``directions`` directions at each,
     and requires a certified injectivity bound from the caller.
     """
-    if not isinstance(manifold, SurfaceOfRevolution):
+    if manifold.closed_form:
         return closed_form_radii(manifold)
     if certified_injectivity is None:
         raise ConfigError(
             "numeric manifolds need a certified injectivity bound (config key "
             "injectivity_bound); it is never estimated"
         )
-    horizon = horizon if horizon is not None else _default_horizon(manifold)
+    horizon = horizon if horizon is not None else manifold.horizon
     lo, hi = manifold.profile.u_min, manifold.profile.u_max
     us = lo + (hi - lo) * (np.arange(base_points) + 1.0) / (base_points + 1.0)
     angles = np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False)
@@ -346,10 +278,8 @@ def radii_report(
         j_zero, jp_zero, valid = _first_zeros_batch(
             manifold, base.coords, angles, horizon, step
         )
-        c = _refine_scan(manifold, base, angles, j_zero, valid, step, "value")
-        f = _refine_scan(manifold, base, angles, jp_zero, valid, step, "derivative")
-        conj_best = _merge_min(conj_best, c)
-        foc_best = _merge_min(foc_best, f)
+        conj_best = _merge_min(conj_best, _smallest_zero(j_zero, valid))
+        foc_best = _merge_min(foc_best, _smallest_zero(jp_zero, valid))
     inj = RadiusValue(float(certified_injectivity), CERTIFIED)
     loop = (
         RadiusValue(float(certified_loop_length), CERTIFIED)

@@ -23,10 +23,9 @@ from geolens.lens import (
     sample_intersection,
     w_profile,
 )
-from geolens.radii import closed_form_radii, conjugate_radius, focal_radius, radii_report
+from geolens.radii import conjugate_radius, focal_radius, radii_report
 from geolens.sets import (
     PointCloud,
-    diameter,
     diameter_lipschitz_check,
     hausdorff,
     monotone_limit_check,
@@ -327,15 +326,12 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
     )
     residuals = [v for v in report.identity_residuals().values() if not math.isnan(v)]
     radii_margin = tol.radii - max(residuals) if residuals else tol.radii
-    if manifold.kind == "sphere":
-        foc = focal_radius(manifold, directions=1)
-        conj = conjugate_radius(manifold, directions=1)
-        a = manifold.radius
-        radii_margin = min(
-            radii_margin,
-            tol.radii - abs(foc.value - 0.5 * math.pi * a),
-            tol.radii - abs(conj.value - math.pi * a),
-        )
+    if manifold.closed_form:
+        # the Jacobi scans against the closed forms, where they are finite
+        for scan, exact in ((focal_radius, report.focal), (conjugate_radius, report.conjugate)):
+            if math.isfinite(exact.value):
+                found = scan(manifold, directions=1).value
+                radii_margin = min(radii_margin, tol.radii - abs(found - exact.value))
     per_claim["convexity_radius_identity"]["model"] = float(radii_margin)
 
     entries = []
@@ -433,7 +429,7 @@ def run_speculation_probe(config: RunConfig) -> VerificationReport:
     onset, one-sided derivative agreement); never fails.
     """
     manifold = config.manifold.build()
-    if manifold.kind == "surface_of_revolution":
+    if not manifold.closed_form:
         raise ConfigError("the probes are defined for constant-curvature models")
     report = run_verification_suite(config)
     entries = []

@@ -2,11 +2,13 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from geolens.cli import main
+from geolens.config import load_config
 
 EUCLID_CFG = """
 [manifold]
@@ -135,6 +137,41 @@ def test_profile_config_round_trip_reproduces_output(euclid_config, tmp_path):
     out2 = str(tmp_path / "b.csv")
     assert main(["profile", "--config", rebuilt, "--out", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def _profile_table(path):
+    # the cosine bump 2 + cos u as a sampled profile
+    u = np.linspace(-0.6, 0.6, 61)
+    rows = np.column_stack([u, 2.0 + np.cos(u), -np.sin(u), -np.cos(u)])
+    np.savetxt(path, rows, delimiter=",", header="u,f,df,d2f", comments="")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["euclid", "sphere", "counterexample", "surface"])
+def test_config_echo_rebuilds_an_equal_config(name, tmp_path):
+    text = {
+        "euclid": EUCLID_CFG,
+        "sphere": SPHERE_CFG,
+        "counterexample": COUNTEREXAMPLE_CFG,
+        "surface": f"""
+[manifold]
+kind = surface_of_revolution
+profile_file = {_profile_table(tmp_path / "bump.csv")}
+step = 1e-3
+injectivity_bound = 1.0
+
+[lens]
+R = 0.3
+r = 0.2
+""",
+    }[name]
+    cfg = tmp_path / "original.ini"
+    cfg.write_text(text)
+    overrides = {"expect_counterexample": True} if name == "counterexample" else None
+    original = load_config(str(cfg), overrides)
+    echo = "\n".join(f"# {line}" for line in original.resolved_lines())
+    rebuilt = load_config(_rebuild_ini_from_embedded(echo, tmp_path))
+    assert replace(rebuilt, out=None) == replace(original, out=None)
 
 
 def _read_profile_csv(path):

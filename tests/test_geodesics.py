@@ -19,6 +19,7 @@ from geolens import (
     integrate_jacobi,
     length,
 )
+from geolens._ode import rk4_trajectory
 from geolens.manifolds import ManifoldPoint, TangentVector
 
 
@@ -232,6 +233,29 @@ def test_jacobi_residual_on_surface(surface):
     sol = integrate_jacobi(surface, seg, step=2e-3)
     assert sol.j[0] == 0.0 and sol.jp[0] == 1.0
     assert sol.residual_max() < 1e-5
+
+
+def test_surface_jacobi_matches_the_scalar_system(surface):
+    # the shape-generic right-hand side against a scalar copy of the joint
+    # geodesic + Jacobi system, bit for bit
+    profile = surface.profile
+
+    def rhs(state):
+        u, du, dv, j, jp = state[0], state[2], state[3], state[4], state[5]
+        f = float(profile.f(u))
+        fp = float(profile.df(u))
+        k = -float(profile.d2f(u)) / f
+        return np.array([du, dv, f * fp * dv * dv, -2.0 * (fp / f) * du * dv, jp, -k * j])
+
+    base = surface.point(0.1, 0.0)
+    for angle in (1.4, 1.6, 1.8):
+        d = TangentVector(base, surface.unit_tangent(base.coords, angle))
+        seg = GeodesicSegment(manifold=surface, base=base, direction=d, length=3.0)
+        sol = integrate_jacobi(surface, seg, step=2e-3)
+        state0 = np.concatenate([base.coords, d.components, [0.0, 1.0]])
+        _, ys = rk4_trajectory(rhs, state0, 3.0, len(sol.ts) - 1)
+        assert sol.j.tobytes() == ys[:, 4].tobytes()
+        assert sol.jp.tobytes() == ys[:, 5].tobytes()
 
 
 def test_jacobi_comparison_bounds_first_zero(surface):

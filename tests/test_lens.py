@@ -234,7 +234,8 @@ def test_surface_sample_block_matches_per_ring_reference():
 def test_sample_makes_a_fixed_number_of_model_calls(monkeypatch):
     # one block about each center, the corners and the chord; the two frames
     sphere = Sphere(2, 1.0)
-    lens = BallPair.create(sphere, 1.2, 0.6).with_separation(1.0)
+    pair = BallPair.create(sphere, 1.2, 0.6)
+    lens = pair.with_separation(1.0)
     calls = {"exp_many": 0, "dist_many": 0, "tangent_basis": 0}
     for name in calls:
         method = getattr(sphere, name)
@@ -249,6 +250,13 @@ def test_sample_makes_a_fixed_number_of_model_calls(monkeypatch):
     assert calls["exp_many"] <= 4
     assert calls["tangent_basis"] <= 2
     assert calls["dist_many"] <= 6
+    # the diameter reuses the sampled extremes: only the scan subset's
+    # margins are new
+    calls.update(dict.fromkeys(calls, 0))
+    lens_diameter(pair.with_separation(1.0), budget=4096, seed=0)
+    assert calls["exp_many"] <= 4
+    assert calls["tangent_basis"] <= 2
+    assert calls["dist_many"] <= 8
 
 
 # ------------------------------------------------------------- diameter

@@ -18,7 +18,9 @@ from geolens import (
     radii_report,
 )
 from geolens.errors import ConfigError
-from geolens.radii import CERTIFIED, CLOSED_FORM, NUMERIC, RadiusValue
+from geolens.geodesics import GeodesicSegment, integrate_jacobi
+from geolens.manifolds import ManifoldPoint, TangentVector
+from geolens.radii import CERTIFIED, CLOSED_FORM, NUMERIC, RadiusValue, _first_zeros_batch
 
 
 def test_conjugate_radius_euclidean_is_lower_bound():
@@ -74,6 +76,22 @@ def test_convexity_euclidean_infinite():
     assert all(r == 0.0 for r in residuals.values())
 
 
+@pytest.mark.parametrize("k", [0.25, 1.0, 2.0, 4.0])
+def test_closed_form_sphere_radii_are_the_textbook_floats(k):
+    sphere = Sphere(2, k)
+    a = sphere.radius
+    report = closed_form_radii(sphere)
+    assert report.focal.value == report.convexity.value == 0.5 * math.pi * a
+    assert report.injectivity.value == report.conjugate.value == math.pi * a
+    assert report.loop_length.value == 2.0 * math.pi * a
+
+
+@pytest.mark.parametrize("model", [Euclidean(2), Hyperbolic(2, -1.0), Hyperbolic(3, -0.5)])
+def test_closed_form_radii_infinite_without_positive_curvature(model):
+    report = closed_form_radii(model)
+    assert all(math.isinf(value.value) for _, value in report.fields())
+
+
 @pytest.mark.parametrize(
     "model",
     [Euclidean(3), Sphere(2, 1.0), Sphere(3, 2.0), Hyperbolic(2, -1.0), Hyperbolic(2, -0.5)],
@@ -116,6 +134,33 @@ def test_surface_equator_conjugate_value():
         sor, certified_injectivity=1.0, base_points=1, directions=4, horizon=7.0
     )
     assert report.conjugate.value <= math.pi * math.sqrt(3) + 1e-5
+
+
+@pytest.mark.parametrize("u", [-0.3, 0.0, 0.25])
+def test_batch_zeros_match_scalar_jacobi_integration(u):
+    # each direction of the batched scan against its own integrate_jacobi
+    # over the length it stayed in the chart; the directions near the
+    # v-axis are the ones that stay in it past their zeros
+    sor = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    base = ManifoldPoint(np.array([u, 0.0]))
+    angles = np.append(
+        np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False),
+        0.5 * math.pi + np.array([-0.2, -0.1, 0.1, 0.2]),
+    )
+    j_zero, jp_zero, valid = _first_zeros_batch(sor, base.coords, angles, 6.5, 2e-3)
+    found = 0
+    for angle, zeros, span in zip(angles, zip(j_zero, jp_zero), valid):
+        direction = TangentVector(base, sor.unit_tangent(base.coords, angle))
+        seg = GeodesicSegment(manifold=sor, base=base, direction=direction, length=span)
+        sol = integrate_jacobi(sor, seg, step=2e-3)
+        for zero, of in zip(zeros, ("value", "derivative")):
+            expected = sol.first_zero(of)
+            if expected is None:
+                assert np.isnan(zero)
+            else:
+                assert abs(zero - expected) <= 1e-9
+                found += 1
+    assert found == 12
 
 
 def test_surface_requires_certified_injectivity():
