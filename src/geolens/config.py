@@ -222,6 +222,12 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         default_R, default_r = pairs[0] if pairs else (1.0, 1.0)
         R = float(lens_sec.get("R", default_R))
         r = float(lens_sec.get("r", default_r))
+        if pairs and (R, r) != pairs[0]:
+            # profile runs (R, r) but the config echo writes only the pairs
+            raise ConfigError(
+                f"lens.R, lens.r = ({R:g}, {r:g}) disagree with the first of "
+                f"lens.pairs ({pairs[0][0]:g}, {pairs[0][1]:g})"
+            )
         config = RunConfig(
             manifold=spec,
             R=R,

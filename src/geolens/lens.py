@@ -2,8 +2,8 @@
 
 A :class:`BallPair` holds a big ball of radius R about gamma(0) and a small
 ball of radius r <= R about gamma(t) for an arclength geodesic gamma.  The
-module classifies membership in the overlap ("lens"), samples it as a point
-cloud, maximizes the diameter over it, profiles the width
+module classifies membership in the overlap ("lens"), measures its diameter,
+profiles the width
 
     w(t) = diam( D_R(gamma(0)) ∩ D_r(gamma(t)) )
 
@@ -14,30 +14,36 @@ over a separation grid, and estimates two thresholds of that profile:
 * ``full_width_end`` (printed as S_est): the largest separation at which the
   lens still achieves the full diameter 2r.
 
-A lens cloud is a polar grid over the small ball plus both boundary arcs,
-rejected against the other ball.  The center, the interior rings and the
-small arc form one tangent block about gamma(t), pushed forward by a single
-``exp_many``; the big arc is one more call about gamma(0).  Each candidate
-gets one distance for its rejection test, and only the kept points get the
-other distance.  The numeric surface integrates a whole block with the step
-count of its longest vector, which leaves the points unchanged while
-r <= 16 RK4 steps and moves them at the level of rounding beyond that.
-
-The diameter is the best of two sources.  A scan of a boundary-biased subset
-of the sampled cloud gives the farthest sampled pair, and three
-deterministic candidates are evaluated exactly: the axis extremes, the
-boundary-circle corner pair and the perpendicular diametral chord.  The
+Three deterministic candidates carry the geometry: the axis ends, the
+corners where the boundary circles meet and the ends of the small ball's
+diametral chord perpendicular to the axis (:meth:`BallPair.extremes`).  The
 circle, disk and corner formulas come from the model (``Manifold``).
 
-On a model whose geodesics and formulas are exact (``Manifold.closed_form``)
-with R below the convexity radius, both balls are convex and the candidates
-attain the diameter in every configuration audited: over Euclidean,
-spherical and hyperbolic lenses in dimensions 2 and 3 the ascent below
-never beat them, and a test keeps that audit.  Elsewhere -- on the numeric surface, whose corner is
-a leading-order flat estimate, and for balls at or beyond the convexity
-radius (the sphere counterexample) -- a projected geodesic ascent polishes
-the sampled pair first: each witness moves along the distance gradient and
-is retracted into whichever ball it violates.
+On an *exact* pair -- a model whose geodesics and formulas are closed forms
+(``Manifold.closed_form``) with R below its convexity radius -- both balls are
+convex and the candidates are the answers:
+
+* the width is the best admissible candidate, with slack ``EXACT_SLACK``;
+* on a circle centred on the axis the distance to an axis point is monotone
+  in the angle (law of cosines of the model), so the lens point farthest
+  from gamma(s) is an axis end or a corner: the nesting onset and flags test
+  those points only;
+* the lens keeps the full width 2r exactly while the perpendicular chord
+  lies in the big ball, so the plateau end bisects on that chord's margin
+  (the Pythagorean theorem of the model at the end).
+
+Elsewhere -- on the numeric surface, whose corner is a leading-order flat
+estimate, and for balls at or beyond the convexity radius (the sphere
+counterexample) -- the lens is sampled as a point cloud.  A cloud is a polar
+grid over the small ball plus both boundary arcs, rejected against the other
+ball; the center, the interior rings and the small arc form one tangent
+block about gamma(t), pushed forward by a single ``exp_many``, and the big
+arc is one more call about gamma(0).  The width is then the best of the
+candidates and the farthest sampled pair, which a projected geodesic ascent
+polishes first: each witness moves along the distance gradient and is
+retracted into whichever ball it violates.  The sampled path stays as a
+cross-check on exact pairs: tests and the verification suite compare it
+with the candidates.
 
 On the rotationally symmetric models every check is carried out in an axial
 2-plane section, which contains witnesses for widths, Hausdorff gaps, and
@@ -59,6 +65,8 @@ from geolens.sets import PointCloud, diameter_with_witness
 DEFAULT_GRID = 200
 DEFAULT_BUDGET = 4096
 BOUNDARY_TOL = 1e-9
+# upper minus lower bound of a width computed exactly, in floating point
+EXACT_SLACK = 1e-12
 SCAN_CAP = 1600
 ASCENT_IMPROVE_TOL = 1e-10
 
@@ -119,6 +127,18 @@ class BallPair:
         line.cover(-float(r), float(R) + float(r))
         return cls(manifold, line, float(R), float(r), float(t), float(conv))
 
+    @property
+    def exact(self) -> bool:
+        """Closed-form model with R below its convexity radius: the
+        candidates of :meth:`extremes` give the width, the nesting and the
+        plateau end exactly."""
+        return self.manifold.closed_form and self.R < self.manifold.convexity_radius()
+
+    @property
+    def touching(self) -> bool:
+        """t = R + r up to rounding: the balls meet in the one point gamma(R)."""
+        return self.R + self.r - self.t < 1e-12 * (self.R + self.r)
+
     def with_separation(self, t: float) -> "BallPair":
         if not 0.0 <= t <= self.R + self.r + 1e-12:
             raise ValueError(f"separation t={t:g} outside [0, R+r]")
@@ -178,6 +198,26 @@ class BallPair:
         d_big = self.manifold.dist_many(self.center_big(), pts)
         d_small = self.manifold.dist_many(self.center_small(), pts)
         return np.minimum(self.R - d_big, self.r - d_small)
+
+    def chord_margin(self) -> float:
+        """R minus the distance from gamma(0) to the farther end of the
+        perpendicular chord; on an exact pair the lens has width 2r exactly
+        when this is >= 0."""
+        d_big = self.manifold.dist_many(self.center_big(), _perp_chord(self))
+        return self.R - float(np.max(d_big))
+
+
+def check_witnesses(bp: BallPair, res: LensDiameter, row: str) -> None:
+    """Raise ``DefectError`` naming ``row`` unless both witnesses lie in the
+    lens (margin >= -``BOUNDARY_TOL``) and d(a, b) matches the width to
+    ``EXACT_SLACK``."""
+    margins = bp.margins(np.array([res.witness_a, res.witness_b]))
+    gap = abs(bp.manifold.dist_coords(res.witness_a, res.witness_b) - res.value)
+    if not (np.all(margins >= -BOUNDARY_TOL) and gap <= EXACT_SLACK):
+        raise DefectError(
+            f"{row}: witness margins {margins[0]:.3g}, {margins[1]:.3g}; "
+            f"|d(a, b) - w| = {gap:.3g}"
+        )
 
 
 def membership(bp: BallPair, x, tol: float = BOUNDARY_TOL):
@@ -266,10 +306,8 @@ def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 
     if budget < 1:
         raise ValueError("budget must be >= 1")
     m, R, r, t = bp.manifold, bp.R, bp.r, bp.t
-    edge = R + r - t
-    if edge < 1e-12 * (R + r):
-        contact = bp.line.coords_at(R)
-        return PointCloud(m, contact[None, :], 0.0)
+    if bp.touching:
+        return PointCloud(m, bp.line.coords_at(R)[None, :], 0.0)
 
     rng = np.random.default_rng([seed, budget])
     center_small = bp.center_small()
@@ -394,9 +432,9 @@ class LensDiameter:
     value: float
     witness_a: np.ndarray
     witness_b: np.ndarray
-    fill_radius: float
-    slack: float  # upper bound minus lower bound: 2 * fill_radius
-    n_samples: int
+    # upper bound minus lower bound: EXACT_SLACK on an exact pair, else
+    # twice the fill radius of the sampled cloud
+    slack: float
 
 
 def _sampled_pair(bp: BallPair, cloud: PointCloud):
@@ -420,26 +458,40 @@ def lens_diameter(
     cloud: PointCloud | None = None,
     refine: bool = True,
 ) -> LensDiameter:
-    """Lower-bound the lens diameter by a witness pair; slack = 2 * fill.
+    """The lens diameter as a witness pair, with its slack.
 
-    The value is the best of the sampled farthest pair and the deterministic
-    candidates (axis extremes, corners, perpendicular chord).  With
-    ``refine`` the projected ascent first polishes the sampled pair, but only
-    where the candidates are not known to attain the diameter: on a model
-    without closed forms, or for R at or beyond the convexity radius.
-    ``refine=False`` never runs the ascent and returns the sampled and
-    candidate value alone, an independent cross-check of the refined one.
-    On a model without closed forms the farthest-pair scan of
-    :mod:`geolens._kernels` shoots one geodesic per pair, so it fails fast
-    with ``ValueError`` on a subset over ``SLOW_PAIR_LIMIT`` pairs.
+    On an exact pair (:attr:`BallPair.exact`) with no ``cloud`` given, the
+    value is the best admissible candidate (axis ends, corners,
+    perpendicular chord) and its slack ``EXACT_SLACK``; no cloud is drawn.
+
+    Otherwise the value is the best of the candidates and the farthest pair
+    of the sampled cloud (``cloud``, or one drawn at ``budget`` and
+    ``seed``), a lower bound with slack 2 * fill.  With ``refine`` the
+    projected ascent first polishes the sampled pair where the candidates
+    are not known to attain the diameter: on a model without closed forms,
+    or for R at or beyond the convexity radius.  ``refine=False`` never
+    runs the ascent and returns the sampled and candidate value alone, an
+    independent cross-check of the refined one.  On a model without closed
+    forms the farthest-pair scan of :mod:`geolens._kernels` shoots one
+    geodesic per pair, so it fails fast with ``ValueError`` on a subset over
+    ``SLOW_PAIR_LIMIT`` pairs.
     """
     m = bp.manifold
-    if bp.R + bp.r - bp.t < 1e-12 * (bp.R + bp.r):
+    if bp.touching:
         contact = bp.line.coords_at(bp.R)
-        return LensDiameter(0.0, contact, contact, 0.0, 0.0, 1)
-    if cloud is None:
-        cloud = sample_intersection(bp, budget, seed)
-    best_pair = _sampled_pair(bp, cloud)
+        return LensDiameter(0.0, contact, contact, 0.0)
+    if bp.exact and cloud is None:
+        best_d, best_pair, slack = -math.inf, None, EXACT_SLACK
+    else:
+        if cloud is None:
+            cloud = sample_intersection(bp, budget, seed)
+        best_pair = _sampled_pair(bp, cloud)
+        if refine and not bp.exact:
+            p, q, best_d = _ascend_pair(bp, best_pair[0].copy(), best_pair[1].copy())
+            best_pair = (p, q)
+        else:
+            best_d = m.dist_coords(best_pair[0], best_pair[1])
+        slack = 2.0 * cloud.fill_radius
 
     ends, end_margin, lead = bp.extremes()
     candidates = [ends[:2]]
@@ -447,25 +499,11 @@ def lens_diameter(
         candidates.append(ends[2:lead])
     if np.all(end_margin[lead:] >= -1e-9):
         candidates.append(ends[lead:])
-
-    exact = m.closed_form and bp.R < m.convexity_radius()
-    if refine and not exact:
-        p, q, best_d = _ascend_pair(bp, best_pair[0].copy(), best_pair[1].copy())
-        best_pair = (p, q)
-    else:
-        best_d = m.dist_coords(best_pair[0], best_pair[1])
     for pair in candidates:
         d = m.dist_coords(pair[0], pair[1])
         if d > best_d:
             best_d, best_pair = d, (pair[0], pair[1])
-    return LensDiameter(
-        value=float(best_d),
-        witness_a=best_pair[0],
-        witness_b=best_pair[1],
-        fill_radius=cloud.fill_radius,
-        slack=2.0 * cloud.fill_radius,
-        n_samples=len(cloud),
-    )
+    return LensDiameter(float(best_d), best_pair[0], best_pair[1], slack)
 
 
 @dataclass(frozen=True)
@@ -520,13 +558,25 @@ class WProfile:
         atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _far_points(bp: BallPair) -> np.ndarray:
+    """The lens points that can be farthest from an axis point of an exact
+    pair: the axis ends and corners inside the lens, or the contact point."""
+    if bp.touching:
+        return bp.line.coords_at(bp.R)[None, :]
+    ends, margins, lead = bp.extremes()
+    return ends[:lead][margins[:lead] >= -BOUNDARY_TOL]
+
+
 def _nesting_scan(bp: BallPair, ts: np.ndarray, budget: int, seed: int):
-    """Sampled lens clouds over a separation grid, concatenated for scanning."""
+    """Per grid separation, the lens points the nesting test reads,
+    concatenated for scanning: the axis ends and corners of an exact pair,
+    else the sampled cloud at ``budget`` and ``seed``."""
     blocks, owners = [], []
     for idx, t in enumerate(ts):
-        cloud = sample_intersection(bp.with_separation(float(t)), budget, seed)
-        blocks.append(cloud.points)
-        owners.append(np.full(len(cloud), idx))
+        lens = bp.with_separation(float(t))
+        points = _far_points(lens) if bp.exact else sample_intersection(lens, budget, seed).points
+        blocks.append(points)
+        owners.append(np.full(len(points), idx))
     return np.vstack(blocks), np.concatenate(owners)
 
 
@@ -540,8 +590,10 @@ def estimate_nesting_onset(
 ) -> ThresholdEstimate:
     """Smallest separation s after which all later lenses nest into D_r(gamma(s)).
 
-    Sampled form of the defining test: for every grid t >= s, every sample of
-    the lens at t must lie within r + slack of gamma(s).  The flip index is
+    Grid form of the defining test: for every grid t >= s, the lens at t must
+    lie within r + slack of gamma(s).  On an exact pair the test reads the
+    axis ends and corners of each lens, where the distance to gamma(s) peaks;
+    elsewhere every point of a cloud sampled at ``budget``.  The flip index is
     located by bisection over the grid (the passing set is an interval up to
     sampling noise, which a local fix-up absorbs), then refined continuously
     between the last failing and first passing grid values.  Reported with
@@ -589,25 +641,42 @@ def estimate_full_width_end(
     tol: float = 1e-7,
     evaluator=None,
     refine_to: float | None = None,
+    full_width=None,
 ) -> ThresholdEstimate:
-    """Largest separation with w >= 2r - tol, optionally bisection-refined.
+    """Largest separation at which the lens keeps its full width 2r.
 
-    Works from the profile's refined width values (witness lower bounds);
-    ``evaluator(t) -> w`` enables continuous bisection between grid points.
+    ``full_width(t) -> bool`` decides full width at a separation; on an exact
+    pair it is ``BallPair.chord_margin() >= 0``, which holds up to the
+    model's Pythagorean end S.  It decides every grid point and every
+    bisection step.  Without it the grid points pass where the profile's
+    width is >= 2r - tol, and ``evaluator(t) -> w`` (if given) decides the
+    bisection steps the same way.  Because w leaves 2r quadratically at S,
+    that sampled test passes for about sqrt(tol / c) past S.  The last
+    passing grid point and its successor bracket a bisection refined to
+    ``refine_to`` (default 1e-4 (R + r)), reported as the uncertainty.
     """
-    threshold = 2.0 * profile.r - tol
-    passing = np.where(profile.w >= threshold)[0]
-    if len(passing) == 0:
-        return ThresholdEstimate(0.0, profile.ts[1] - profile.ts[0])
-    i = int(passing[-1])
     h = profile.ts[1] - profile.ts[0]
-    if i == len(profile.ts) - 1 or evaluator is None:
+    if full_width is not None:
+        passing = [full_width(float(t)) for t in profile.ts]
+    else:
+        threshold = 2.0 * profile.r - tol
+        passing = profile.w >= threshold
+        if evaluator is not None:
+
+            def full_width(t):
+                return evaluator(t) >= threshold
+
+    passing = np.flatnonzero(passing)
+    if len(passing) == 0:
+        return ThresholdEstimate(0.0, h)
+    i = int(passing[-1])
+    if i == len(profile.ts) - 1 or full_width is None:
         return ThresholdEstimate(float(profile.ts[i]), h)
     lo, hi = profile.ts[i], profile.ts[i + 1]
     target = refine_to if refine_to is not None else max(1e-4 * (profile.R + profile.r), 1e-12)
     while hi - lo > target:
         mid = 0.5 * (lo + hi)
-        if evaluator(mid) >= threshold:
+        if full_width(mid):
             lo = mid
         else:
             hi = mid
@@ -622,10 +691,12 @@ def w_profile(
 ) -> WProfile:
     """Profile the lens width over a uniform separation grid.
 
-    Evaluates the refined diameter at each grid separation, estimates the
-    nesting onset on the same grid (refined by continuous bisection), locates
-    the end of the full-width plateau with bisection between grid points, and
-    flags which grid points nest into the lens at the onset.
+    Evaluates the diameter at each grid separation and checks its witnesses
+    (``check_witnesses``), estimates the nesting onset on the same grid
+    (refined by continuous bisection), locates the end of the full-width
+    plateau with bisection between grid points, and flags which grid points
+    nest into the lens at the onset.  An exact pair draws no cloud; elsewhere
+    each width, the onset scan and the plateau bisection sample the lens.
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
@@ -638,7 +709,9 @@ def w_profile(
     wa = np.empty((grid, d))
     wb = np.empty((grid, d))
     for i, t in enumerate(ts):
-        res = lens_diameter(bp.with_separation(float(t)), budget, seed)
+        lens = bp.with_separation(float(t))
+        res = lens_diameter(lens, budget, seed)
+        check_witnesses(lens, res, f"row {i} (t={t!r})")
         w[i] = res.value
         slack[i] = res.slack
         wa[i] = res.witness_a
@@ -649,11 +722,6 @@ def w_profile(
     onset = estimate_nesting_onset(
         bp, n_grid=grid, budget=probe_budget, seed=seed, scan=scan
     )
-
-    eval_budget = max(512, budget // 8)
-
-    def evaluator(t):
-        return lens_diameter(bp.with_separation(float(t)), eval_budget, seed).value
 
     stub = WProfile(
         manifold_label=m.describe(),
@@ -670,10 +738,22 @@ def w_profile(
         seed=seed,
         budget=budget,
     )
-    full_end = estimate_full_width_end(stub, evaluator=evaluator)
+    if bp.exact:
+
+        def full_width(t):
+            return bp.with_separation(t).chord_margin() >= 0.0
+
+        full_end = estimate_full_width_end(stub, full_width=full_width)
+    else:
+        eval_budget = max(512, budget // 8)
+
+        def evaluator(t):
+            return lens_diameter(bp.with_separation(float(t)), eval_budget, seed).value
+
+        full_end = estimate_full_width_end(stub, evaluator=evaluator)
 
     # nesting flags against the first grid point at or after the onset, on
-    # the clouds of the onset scan
+    # the points of the onset scan
     points, owners = scan
     flags = np.zeros(grid, dtype=int)
     anchor_idx = int(np.searchsorted(ts, onset.value - 1e-12))

@@ -5,6 +5,10 @@ Entries with status "report" never gate a run: they cover the exploratory
 probes (plateau-end versus nesting-onset agreement, discrete concavity,
 derivative continuity) and, in standard runs, the large-ball counterexample
 scenario, which has its own runner.
+
+``sampled_width_matches_exact`` is the labelled cross-check of the exact
+widths of convex closed-form pairs against the diameters of sampled clouds;
+where no width is exact it reports no admissible data.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ import numpy as np
 from geolens.config import RunConfig, convexity_bound_for
 from geolens.errors import ConfigError
 from geolens.lens import (
+    EXACT_SLACK,
     BallPair,
+    check_witnesses,
     estimate_nesting_onset,
     lens_diameter,
     sample_intersection,
@@ -26,6 +32,7 @@ from geolens.lens import (
 from geolens.radii import conjugate_radius, focal_radius, radii_report
 from geolens.sets import (
     PointCloud,
+    diameter,
     diameter_lipschitz_check,
     hausdorff,
     monotone_limit_check,
@@ -45,6 +52,7 @@ CLAIM_REGISTRY = [
     "width_strictly_decreasing",
     "nested_after_onset",
     "diameter_hausdorff_lipschitz",
+    "sampled_width_matches_exact",
     "monotone_set_limits",
     "convexity_radius_identity",
     "counterexample_large_balls",
@@ -275,6 +283,25 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
             lip_ok &= diameter_lipschitz_check(cs, ct)
         per_claim["diameter_hausdorff_lipschitz"][key] = 1.0 if lip_ok else -1.0
 
+        # labelled cross-check of the exact widths against sampled clouds:
+        # sampled <= exact + EXACT_SLACK and exact - sampled <= 2 * fill
+        if bp.exact:
+            cross_rng = np.random.default_rng([config.seed, 31])
+            worst, excess = math.inf, -math.inf
+            for i in cross_rng.choice(len(ts), size=min(3, len(ts)), replace=False):
+                cloud = cloud_at(ts[i], probe_budget)
+                sampled = diameter(cloud)
+                excess = max(excess, sampled - w[i])
+                worst = min(
+                    worst,
+                    w[i] + EXACT_SLACK - sampled,
+                    2.0 * cloud.fill_radius - (w[i] - sampled),
+                )
+            per_claim["sampled_width_matches_exact"][key] = float(worst)
+            notes["sampled_width_matches_exact"].append(
+                f"{key}: largest sampled excess {excess:.3g}"
+            )
+
         # shrinking concentric balls D_{l+delta_k} converge to D_l; on ideal
         # shared-angle clouds the sampled Hausdorff gap equals delta_k exactly
         l_base = 0.8 * r
@@ -365,7 +392,8 @@ def run_counterexample(config: RunConfig) -> VerificationReport:
 
     With both radii at or above the convexity radius, the sampled overlap
     diameter stays at the model diameter pi / sqrt(k) for every separation,
-    so the width profile is not eventually decreasing.  Gates only on the
+    so the width profile is not eventually decreasing.  Every width's
+    witnesses are checked (``check_witnesses``).  Gates only on the
     counterexample entry; the standard claims are marked not-run.
     """
     manifold = config.manifold.build()
@@ -388,7 +416,9 @@ def run_counterexample(config: RunConfig) -> VerificationReport:
         )
         t_hi = min(R + r, 0.8 * math.pi * a)
         for t in np.linspace(0.25 * t_hi, t_hi, 4):
-            res = lens_diameter(bp.with_separation(float(t)), config.budget, config.seed)
+            lens = bp.with_separation(float(t))
+            res = lens_diameter(lens, config.budget, config.seed)
+            check_witnesses(lens, res, f"pair ({R:g}, {r:g}) at t={t!r}")
             observed.append((R, r, float(t), res.value))
             worst = min(worst, 0.05 - abs(res.value - target))
     spread = max(v for *_ , v in observed) - min(v for *_, v in observed)

@@ -9,6 +9,8 @@ import pytest
 
 from geolens.cli import main
 from geolens.config import load_config
+from geolens.errors import ConfigError
+from geolens.suite import CLAIM_REGISTRY
 
 EUCLID_CFG = """
 [manifold]
@@ -174,6 +176,21 @@ r = 0.2
     assert replace(rebuilt, out=None) == replace(original, out=None)
 
 
+@pytest.mark.parametrize("radii", ["R = 2.0\nr = 1.0", "R = 2.0", "r = 0.4"])
+def test_radii_that_disagree_with_the_first_pair_are_rejected(radii, tmp_path):
+    # profile runs lens.R/lens.r while the config echo writes only the pairs,
+    # so a disagreement would echo a different lens than the one profiled
+    cfg = tmp_path / "mixed.ini"
+    cfg.write_text(EUCLID_CFG.replace("R = 1.0\nr = 1.0", f"{radii}\npairs = 1.0,0.5"))
+    with pytest.raises(ConfigError, match="disagree"):
+        load_config(str(cfg))
+    out = str(tmp_path / "mixed.csv")
+    assert main(["profile", "--config", str(cfg), "--out", out]) == 2
+    agreeing = tmp_path / "agreeing.ini"
+    agreeing.write_text(EUCLID_CFG.replace("R = 1.0\nr = 1.0", "R = 1.0\npairs = 1.0,0.5"))
+    assert load_config(str(agreeing)).r == 0.5
+
+
 def _read_profile_csv(path):
     rows = [ln for ln in open(path).read().strip().split("\n") if not ln.startswith("#")]
     header = rows[0].split(",")
@@ -257,7 +274,7 @@ def test_verify_records_out(euclid_config, tmp_path):
     assert main(["verify", "--config", euclid_config, "--out", out]) == 0
     rows = open(out).read().strip().split("\n")
     assert rows[0] == "claim,status,margin,summary"
-    assert len(rows) == 16  # header + full claim registry
+    assert len(rows) == 1 + len(CLAIM_REGISTRY)  # header + full claim registry
 
 
 def test_surface_focal_scan_runs_once_per_config(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Ball-pair overlap: membership, sampling, diameter, profile, thresholds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,12 +21,17 @@ from geolens import (
     w_profile,
 )
 from geolens import lens as lens_module
+from geolens.errors import DefectError
+from geolens.sets import diameter
 from geolens.lens import (
     BOUNDARY,
+    EXACT_SLACK,
     INSIDE,
     OUTSIDE,
     _ascend_pair,
+    _axis_points,
     _corner_points,
+    _nesting_scan,
     _sampled_pair,
 )
 
@@ -122,8 +128,6 @@ def test_membership_outside(plane):
 def test_sample_concentric_covers_small_ball(plane):
     bp = BallPair.create(plane, 2.0, 1.0, t=0.0)
     cloud = sample_intersection(bp, budget=4096, seed=0)
-    from geolens.sets import diameter
-
     assert diameter(cloud) == pytest.approx(2.0, abs=2 * cloud.fill_radius)
 
 
@@ -335,6 +339,145 @@ def test_lens_diameter_witnesses_admissible(plane):
         res = lens_diameter(bp, budget=2048, seed=5)
         assert np.all(bp.margins(np.array([res.witness_a, res.witness_b])) >= -1e-9)
         assert res.value <= 2.0 * 1.0 + 1e-12
+
+
+def test_exact_width_draws_no_cloud_and_matches_the_sampled_path(monkeypatch):
+    # on exact pairs the width is the best candidate; the sampled path on the
+    # same lens never beats it beyond rounding
+    calls = []
+    sample = lens_module.sample_intersection
+    monkeypatch.setattr(
+        lens_module, "sample_intersection", lambda *a, **k: calls.append(a) or sample(*a, **k)
+    )
+    for model, pairs in CONVEX_CASES:
+        for R, r in pairs:
+            bp = BallPair.create(model, R, r)
+            assert bp.exact
+            for t in np.linspace(0.0, R + r, 9)[1:-1]:
+                lens = bp.with_separation(float(t))
+                exact = lens_diameter(lens, budget=512, seed=0)
+                assert exact.slack == EXACT_SLACK
+                assert not calls
+                cloud = sample(lens, 512, 0)
+                sampled = diameter(cloud)
+                assert sampled <= exact.value + EXACT_SLACK, (R, r, t)
+                assert exact.value - sampled <= 2.0 * cloud.fill_radius, (R, r, t)
+                assert lens_diameter(lens, cloud=cloud).value <= exact.value + EXACT_SLACK
+
+
+def test_exact_profile_samples_nothing_but_the_other_paths_do(monkeypatch):
+    calls = []
+    sample = lens_module.sample_intersection
+
+    def counted(bp, *args, **kwargs):
+        calls.append(bp.manifold.kind)
+        return sample(bp, *args, **kwargs)
+
+    monkeypatch.setattr(lens_module, "sample_intersection", counted)
+    for model, pairs in CONVEX_CASES:
+        w_profile(BallPair.create(model, *pairs[0]), grid=30, budget=30000, seed=0)
+    assert calls == []
+    # the counterexample (R at the convexity radius) and the numeric surface
+    # still sample: the width, and the nesting scan
+    s = Sphere(2, 1.0)
+    big = BallPair.create(
+        s, math.pi / 2, math.pi / 2, t=1.0, convexity_bound=math.inf, enforce_convexity=False
+    )
+    assert not big.exact
+    lens_diameter(big, budget=512, seed=0)
+    assert calls == ["sphere"]
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    bp = BallPair.create(surface, 0.05, 0.03, convexity_bound=1.0)
+    assert not bp.exact
+    _nesting_scan(bp, np.array([0.04]), 16, 0)
+    assert calls == ["sphere", surface.kind]
+
+
+def _cloud_nesting_scan(bp, ts, budget, seed):
+    """The nesting scan over sampled clouds: the reference for the exact one."""
+    blocks, owners = [], []
+    for idx, t in enumerate(ts):
+        cloud = sample_intersection(bp.with_separation(float(t)), budget, seed)
+        blocks.append(cloud.points)
+        owners.append(np.full(len(cloud), idx))
+    return np.vstack(blocks), np.concatenate(owners)
+
+
+@pytest.mark.parametrize("model,pairs", CONVEX_CASES, ids=[m.describe() for m, _ in CONVEX_CASES])
+def test_exact_nesting_matches_the_cloud_scan(model, pairs, monkeypatch):
+    # the farthest lens point from gamma(s) is an axis end or a corner, so
+    # the exact scan decides the onset and the flags as the clouds do
+    for R, r in pairs:
+        bp = BallPair.create(model, R, r)
+        exact = w_profile(bp, grid=80, budget=2048, seed=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(lens_module, "_nesting_scan", _cloud_nesting_scan)
+            sampled = w_profile(bp, grid=80, budget=2048, seed=3)
+        assert exact.nesting_onset == sampled.nesting_onset, (R, r)
+        assert exact.nested_after_onset.tobytes() == sampled.nested_after_onset.tobytes()
+
+
+def _closed_form_plateau_end(model, R, r):
+    """The separation S at which the perpendicular chord reaches the big
+    circle: the Pythagorean theorem of the model."""
+    k = model.curvature if model.kind != "euclidean" else 0.0
+    if k == 0.0:
+        return math.sqrt(R * R - r * r)
+    if k > 0:
+        a = math.sqrt(k)
+        return math.acos(math.cos(a * R) / math.cos(a * r)) / a
+    a = math.sqrt(-k)
+    return math.acosh(math.cosh(a * R) / math.cosh(a * r)) / a
+
+
+PLATEAU_CASES = [
+    (model, R, r)
+    for dim in (2, 3)
+    for model, R, r in [
+        (Euclidean(dim), 2.0, 1.0),
+        (Euclidean(dim), 1.5, 0.7),
+        (Sphere(dim, 0.25), 2.0, 1.0),
+        (Sphere(dim, 1.0), 1.2, 0.6),
+        (Sphere(dim, 4.0), 0.6, 0.3),
+        (Hyperbolic(dim, -0.3), 2.0, 1.0),
+        (Hyperbolic(dim, -1.0), 2.0, 1.0),
+        (Hyperbolic(dim, -1.0), 1.2, 0.6),
+    ]
+]
+
+
+@pytest.mark.parametrize(
+    "model,R,r", PLATEAU_CASES, ids=[f"{m.describe()}-{R}-{r}" for m, R, r in PLATEAU_CASES]
+)
+def test_plateau_end_matches_the_closed_form(model, R, r):
+    prof = w_profile(BallPair.create(model, R, r), grid=60, budget=512, seed=0)
+    est = prof.full_width_end
+    assert abs(est.value - _closed_form_plateau_end(model, R, r)) <= est.uncertainty
+
+
+def test_witness_check_rejects_an_axis_end_outside_the_lens(monkeypatch):
+    def pushed(bp):
+        ends = _axis_points(bp)
+        ends[0] = bp.line.coords_at(bp.t - bp.r - 1e-6)
+        return ends
+
+    bp = BallPair.create(Euclidean(2), 2.0, 1.0)
+    w_profile(bp, grid=12, budget=512, seed=0)
+    monkeypatch.setattr(lens_module, "_axis_points", pushed)
+    with pytest.raises(DefectError, match="row 0"):
+        w_profile(bp, grid=12, budget=512, seed=0)
+
+
+def test_witness_check_rejects_an_inflated_width(monkeypatch):
+    diameter = lens_module.lens_diameter
+
+    def inflated(*args, **kwargs):
+        res = diameter(*args, **kwargs)
+        return replace(res, value=res.value + 1e-9)
+
+    monkeypatch.setattr(lens_module, "lens_diameter", inflated)
+    with pytest.raises(DefectError, match="row 0"):
+        w_profile(BallPair.create(Sphere(2, 1.0), 1.2, 0.6), grid=12, budget=512, seed=0)
 
 
 def test_surface_pair_samples_do_not_depend_on_history():

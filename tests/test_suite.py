@@ -1,11 +1,14 @@
 """Verification-suite orchestration: registry, gating, determinism."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from geolens import lens as lens_module
+from geolens import suite as suite_module
 from geolens.config import ManifoldSpec, RunConfig
-from geolens.errors import ConfigError
+from geolens.errors import ConfigError, DefectError
 from geolens.suite import (
     CLAIM_REGISTRY,
     REPORT_ONLY,
@@ -74,6 +77,58 @@ def test_nesting_claim_draws_above_onset_band():
     )
     entry = {e.claim_id: e for e in run_verification_suite(cfg).entries}
     assert entry["nested_after_onset"].status == "pass", entry["nested_after_onset"].render()
+
+
+SPHERE_PAIR = RunConfig(
+    manifold=ManifoldSpec(kind="sphere", curvature=1.0),
+    pairs=((1.2, 0.6),),
+    grid=40,
+    budget=1024,
+    seed=9,
+)
+
+
+def test_cross_check_fails_on_a_deflated_exact_width(monkeypatch):
+    # the clouds contain the candidates, so their sampled diameter exceeds a
+    # width 1e-6 below the exact one
+    entry = {e.claim_id: e for e in run_verification_suite(SPHERE_PAIR).entries}
+    assert entry["sampled_width_matches_exact"].status == "pass"
+    profile = suite_module.w_profile
+
+    def deflated(*args, **kwargs):
+        prof = profile(*args, **kwargs)
+        return replace(prof, w=prof.w - 1e-6)
+
+    monkeypatch.setattr(suite_module, "w_profile", deflated)
+    entry = {e.claim_id: e for e in run_verification_suite(SPHERE_PAIR).entries}
+    assert entry["sampled_width_matches_exact"].status == "fail"
+
+
+def test_cross_check_reports_no_data_without_exact_widths(monkeypatch):
+    monkeypatch.setattr(lens_module.BallPair, "exact", property(lambda self: False))
+    cfg = replace(SPHERE_PAIR, grid=12, budget=256)
+    entry = {e.claim_id: e for e in run_verification_suite(cfg).entries}
+    cross = entry["sampled_width_matches_exact"]
+    assert (cross.status, cross.summary) == ("report", "no admissible data")
+
+
+def test_counterexample_checks_its_witnesses(monkeypatch):
+    diameter = suite_module.lens_diameter
+
+    def inflated(*args, **kwargs):
+        res = diameter(*args, **kwargs)
+        return replace(res, value=res.value + 1e-9)
+
+    monkeypatch.setattr(suite_module, "lens_diameter", inflated)
+    cfg = RunConfig(
+        manifold=ManifoldSpec(kind="sphere", curvature=1.0),
+        pairs=((math.pi / 2, math.pi / 2),),
+        budget=512,
+        seed=9,
+        expect_counterexample=True,
+    )
+    with pytest.raises(DefectError, match="pair"):
+        run_counterexample(cfg)
 
 
 def test_radius_at_convexity_rejected():
