@@ -8,16 +8,20 @@ map only the reduced values to distances (:meth:`Manifold.scan_dist`).
 Blocks are chunked to bound memory.
 
 A model without closed forms (the numeric surface) has no pre-metric: there
-each row goes through :meth:`Manifold.dist_many`, one Newton shoot per
-distance, and a scan over more than ``SLOW_PAIR_LIMIT`` pairs raises
-``ValueError`` instead of running for hours.
+every pair of the scan is shot in one lockstep Newton batch
+(:meth:`Manifold.dist_pairs`), chunked by ``_SHOOT_CHUNK`` pairs to bound
+the integration state, and a scan over more than ``SLOW_PAIR_LIMIT`` pairs
+raises ``ConfigError`` before any shoot instead of running for hours.
 """
 
 import numpy as np
 
+from geolens.errors import ConfigError
+
 SLOW_PAIR_LIMIT = 250_000
 
 _CHUNK = 512
+_SHOOT_CHUNK = 4096
 
 
 def pairwise_max(points, manifold):
@@ -61,20 +65,32 @@ def min_dist_to(points, targets, manifold):
     return manifold.scan_dist(out)
 
 
+def _shoot_pairs(sources, targets, manifold):
+    out = np.empty(len(sources))
+    for k in range(0, len(sources), _SHOOT_CHUNK):
+        chunk = slice(k, k + _SHOOT_CHUNK)
+        out[chunk] = manifold.dist_pairs(sources[chunk], targets[chunk])
+    return out
+
+
 def _pairwise_max_rows(pts, manifold):
     n = len(pts)
     if n * n > SLOW_PAIR_LIMIT:
-        raise ValueError("cloud too large for the numeric-manifold pairwise scan")
-    best, bi, bj = 0.0, 0, 0
-    for i in range(n - 1):
-        d = manifold.dist_many(pts[i], pts[i + 1 :])
-        j = int(np.argmax(d))
-        if d[j] > best:
-            best, bi, bj = float(d[j]), i, i + 1 + j
-    return best, bi, bj
+        raise ConfigError("cloud too large for the numeric-manifold pairwise scan")
+    if n < 2:
+        return 0.0, 0, 0
+    i, j = np.triu_indices(n, k=1)  # row-major, so argmax keeps the first farthest pair
+    d = _shoot_pairs(pts[i], pts[j], manifold)
+    k = int(np.argmax(d))
+    if not d[k] > 0.0:
+        return 0.0, 0, 0
+    return float(d[k]), int(i[k]), int(j[k])
 
 
 def _min_dist_rows(pts, targets, manifold):
     if len(pts) * len(targets) > SLOW_PAIR_LIMIT:
-        raise ValueError("clouds too large for the numeric-manifold scan")
-    return np.array([np.min(manifold.dist_many(p, targets)) for p in pts])
+        raise ConfigError("clouds too large for the numeric-manifold scan")
+    sources = np.repeat(pts, len(targets), axis=0)
+    ends = np.tile(targets, (len(pts), 1))
+    d = _shoot_pairs(sources, ends, manifold)
+    return d.reshape(len(pts), len(targets)).min(axis=1)

@@ -189,16 +189,11 @@ def integrate_geodesic(
     manifold.check_point(start.coords)
     n = max(2, int(math.ceil(length / step)))
     d = manifold.ambient_dim
-
-    def rhs(state):
-        pos, vel = state[:d], state[d:]
-        return np.concatenate([vel, manifold.geodesic_acceleration(pos, vel)])
-
     state0 = np.concatenate([start.coords, direction.components])
-    ts, ys = rk4_trajectory(rhs, state0, length, n)
+    ts, ys = rk4_trajectory(manifold.geodesic_rhs, state0, length, n)
     if not manifold.closed_form:
         manifold.profile.check_domain(ys[:, 0])
-    coarse = rk4_endpoint(rhs, state0, length, max(1, n // 2))
+    coarse = rk4_endpoint(manifold.geodesic_rhs, state0, length, max(1, n // 2))
     err = float(np.linalg.norm(coarse[:d] - ys[-1, :d])) / 15.0
     return GeodesicSegment(
         manifold=manifold,

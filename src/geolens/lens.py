@@ -53,6 +53,7 @@ nesting margins.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -140,9 +141,18 @@ class BallPair:
         return self.R + self.r - self.t < 1e-12 * (self.R + self.r)
 
     def with_separation(self, t: float) -> "BallPair":
+        """The pair at separation t.  While a caller holds the pair at t, it
+        is the one returned, so passes over one grid of separations share
+        each lens with its memoised centres, frames and extremes."""
         if not 0.0 <= t <= self.R + self.r + 1e-12:
             raise ValueError(f"separation t={t:g} outside [0, R+r]")
-        return replace(self, t=float(min(t, self.R + self.r)))
+        t = float(min(t, self.R + self.r))
+        live = self._memo("_separations", weakref.WeakValueDictionary)
+        lens = live.get(t)
+        if lens is None:
+            lens = replace(self, t=t)
+            live[t] = lens
+        return lens
 
     def _memo(self, name, compute):
         value = self.__dict__.get(name)
@@ -186,7 +196,7 @@ class BallPair:
             corners = _corner_points(self)
             if corners is not None:
                 ends.append(corners)
-            ends.append(_perp_chord(self))
+            ends.append(self.chord())
             ends = np.vstack(ends)
             return ends, self.margins(ends), len(ends) - 2
 
@@ -199,11 +209,15 @@ class BallPair:
         d_small = self.manifold.dist_many(self.center_small(), pts)
         return np.minimum(self.R - d_big, self.r - d_small)
 
+    def chord(self) -> np.ndarray:
+        """Endpoints of the small ball's diametral chord perpendicular to the axis."""
+        return self._memo("_chord", lambda: _perp_chord(self))
+
     def chord_margin(self) -> float:
         """R minus the distance from gamma(0) to the farther end of the
         perpendicular chord; on an exact pair the lens has width 2r exactly
         when this is >= 0."""
-        d_big = self.manifold.dist_many(self.center_big(), _perp_chord(self))
+        d_big = self.manifold.dist_many(self.center_big(), self.chord())
         return self.R - float(np.max(d_big))
 
 
@@ -473,7 +487,7 @@ def lens_diameter(
     runs the ascent and returns the sampled and candidate value alone, an
     independent cross-check of the refined one.  On a model without closed
     forms the farthest-pair scan of :mod:`geolens._kernels` shoots one
-    geodesic per pair, so it fails fast with ``ValueError`` on a subset over
+    geodesic per pair, so it fails fast with ``ConfigError`` on a subset over
     ``SLOW_PAIR_LIMIT`` pairs.
     """
     m = bp.manifold
@@ -708,8 +722,10 @@ def w_profile(
     d = m.ambient_dim
     wa = np.empty((grid, d))
     wb = np.empty((grid, d))
-    for i, t in enumerate(ts):
-        lens = bp.with_separation(float(t))
+    # held to the end: the nesting scan and the plateau pass get these lenses
+    # back from ``with_separation``
+    lenses = [bp.with_separation(float(t)) for t in ts]
+    for i, (t, lens) in enumerate(zip(ts, lenses)):
         res = lens_diameter(lens, budget, seed)
         check_witnesses(lens, res, f"row {i} (t={t!r})")
         w[i] = res.value

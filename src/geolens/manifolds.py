@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from geolens._ode import rk4_endpoint
+from geolens._ode import rk4_endpoint, rk4_step
 from geolens.errors import (
     ChartError,
     InjectivityError,
@@ -31,6 +31,8 @@ from geolens.errors import (
 
 ON_MANIFOLD_TOL = 1e-10
 ROUNDTRIP_TOL = 1e-8
+# Newton iterations a surface shoot may take before it raises ShootingError
+SHOOT_ITERATIONS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +173,22 @@ class Manifold(ABC):
     def dist_many(self, x_coords, points) -> np.ndarray:
         """Distances from one point to each row of an (n, ambient_dim) block."""
 
+    def dist_pairs(self, sources, targets) -> np.ndarray:
+        """Distance between matching rows of two (n, ambient_dim) blocks."""
+        return np.array([self.dist_coords(p, q) for p, q in zip(sources, targets)])
+
     @abstractmethod
     def geodesic_acceleration(self, pos, vel) -> np.ndarray:
         """Right-hand side of the geodesic equation in chart coordinates."""
+
+    def geodesic_rhs(self, state) -> np.ndarray:
+        """The geodesic equation as a first-order system, on a state
+        (..., 2 * ambient_dim) of positions followed by velocities."""
+        d = self.ambient_dim
+        out = np.empty_like(state)
+        out[..., :d] = state[..., d:]
+        out[..., d:] = self.geodesic_acceleration(state[..., :d], state[..., d:])
+        return out
 
     def exp(self, v: TangentVector) -> ManifoldPoint:
         return ManifoldPoint(self.exp_many(v.base.coords, v.components[None, :])[0])
@@ -647,8 +662,16 @@ class SurfaceOfRevolution(Manifold):
     """Numeric 2D surface of revolution with metric du^2 + f(u)^2 dv^2.
 
     Gauss curvature is K(u) = -f''(u)/f(u).  The exponential map integrates
-    the geodesic equations with fixed-step RK4; the logarithm map solves the
-    two-point problem by Newton shooting on (direction angle, length).
+    the geodesic equations with fixed-step RK4.  The logarithm map and every
+    distance solve the two-point problem by Newton shooting on (direction
+    angle, arclength L), many (source, target) rows in lockstep: each
+    iteration integrates the joint geodesic + Jacobi system
+    (:meth:`jacobi_rhs`) of every row once, at unit speed over [0, L] in the
+    row's own ``_n_steps(L)`` steps, and reads the exact Newton Jacobian off
+    the end state.  The derivative of the endpoint along the direction angle
+    is the Jacobi field j(L) n(L) (n the unit normal), and along L the unit
+    end velocity.  Rows are independent: a distance has the same bits
+    whichever batch it is shot in.
     """
 
     kind = "surface_of_revolution"
@@ -699,14 +722,6 @@ class SurfaceOfRevolution(Manifold):
         acc[..., 1] = -2.0 * (fp / f) * du * dv
         return acc
 
-    def _rhs(self, state):
-        # state (..., 4): u, v, du, dv
-        pos, vel = state[..., :2], state[..., 2:]
-        out = np.empty_like(state)
-        out[..., :2] = vel
-        out[..., 2:] = self.geodesic_acceleration(pos, vel)
-        return out
-
     def jacobi_rhs(self, state):
         """The geodesic equation joined with the scalar Jacobi equation
         j'' = -K j, on a state (..., 6) of u, v, du, dv, j, j'.
@@ -725,7 +740,8 @@ class SurfaceOfRevolution(Manifold):
         return out
 
     def _n_steps(self, span):
-        return max(16, int(math.ceil(abs(span) / self.step)))
+        """RK4 steps over an arclength span; elementwise over arrays."""
+        return np.maximum(16, np.ceil(np.abs(span) / self.step).astype(int))
 
     def exp_many(self, base_coords, tangents):
         base = np.asarray(base_coords, dtype=np.float64)
@@ -739,7 +755,7 @@ class SurfaceOfRevolution(Manifold):
         if span > self.horizon:
             raise ChartError(f"requested length {span:g} exceeds horizon {self.horizon:g}")
         state0 = np.concatenate([np.tile(base, (tg.shape[0], 1)), tg], axis=1)
-        end = rk4_endpoint(self._rhs, state0, 1.0, self._n_steps(span))
+        end = rk4_endpoint(self.geodesic_rhs, state0, 1.0, self._n_steps(span))
         self.profile.check_domain(end[:, 0])
         return end[:, :2]
 
@@ -750,7 +766,7 @@ class SurfaceOfRevolution(Manifold):
         speed = math.sqrt(self.inner_coords(base, c, c))
         if speed < 1e-300:
             return base.copy(), c.copy()
-        end = rk4_endpoint(self._rhs, state0, t, self._n_steps(abs(t) * speed))
+        end = rk4_endpoint(self.geodesic_rhs, state0, t, self._n_steps(abs(t) * speed))
         self.profile.check_domain(end[0])
         return end[:2], end[2:]
 
@@ -760,66 +776,116 @@ class SurfaceOfRevolution(Manifold):
         fu = float(self.profile.f(u))
         return np.array([math.cos(angle), math.sin(angle) / fu])
 
-    def log_coords(self, p, q):
-        p = np.asarray(p, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
-        du, dv = q[0] - p[0], q[1] - p[1]
-        fbar = float(self.profile.f(0.5 * (p[0] + q[0])))
-        length = math.hypot(du, fbar * dv)
-        if length < 1e-14:
-            return np.zeros(2)
-        angle = math.atan2(fbar * dv, du)
-        x = np.array([angle, length])
-        scale = max(1.0, length)
+    def _shoot_ends(self, p, angle, length):
+        """End states (u, v, du, dv, j, j') of the unit-speed geodesics that
+        leave the rows of p at the given angles, after arclength ``length``
+        per row, with j(0) = 0 and j'(0) = 1.  Each row takes its own
+        ``_n_steps(length)`` RK4 steps, so its bits do not depend on the
+        other rows of the batch."""
+        n = self._n_steps(length)
+        order = np.argsort(-n, kind="stable")
+        n, p, angle, length = n[order], p[order], angle[order], length[order]
+        state = np.zeros((len(n), 6))
+        state[:, :2] = p
+        state[:, 2] = np.cos(angle)
+        state[:, 3] = np.sin(angle) / np.asarray(self.profile.f(p[:, 0]))
+        state[:, 5] = 1.0
+        h = (length / n)[:, None]
+        rows = len(n)
+        for i in range(n[0] if rows else 0):
+            while n[rows - 1] <= i:  # rows are sorted by step count, longest first
+                rows -= 1
+            state[:rows] = rk4_step(self.jacobi_rhs, state[:rows], h[:rows])
+        out = np.empty_like(state)
+        out[order] = state
+        return out
 
-        def residual(ang, ln):
-            end = rk4_endpoint(
-                self._rhs,
-                np.concatenate([p, ln * self.unit_tangent(p, ang)]),
-                1.0,
-                self._n_steps(ln),
+    def _residual(self, p, q, fbar, x):
+        """Shooting residuals (u miss, v miss scaled by f at the mean u) of
+        the (angle, length) rows x, and their (n, 2, 2) Jacobians."""
+        end = self._shoot_ends(p, x[:, 0], x[:, 1])
+        u, v, du, dv, j = end[:, 0], end[:, 1], end[:, 2], end[:, 3], end[:, 4]
+        f = np.asarray(self.profile.f(u))
+        res = np.column_stack([u - q[:, 0], (v - q[:, 1]) * fbar])
+        # d end / d angle = j(L) n(L) with the unit normal n = (-f dv, du / f);
+        # d end / d L = (du, dv), the unit end velocity
+        jac = np.empty((len(x), 2, 2))
+        jac[:, 0, 0] = -j * f * dv
+        jac[:, 1, 0] = j * du / f * fbar
+        jac[:, 0, 1] = du
+        jac[:, 1, 1] = dv * fbar
+        return res, jac
+
+    def _shoot(self, p, q):
+        """Newton shooting from each row of p to the same row of q, all rows
+        in lockstep; a row leaves the batch once it converges.  Returns the
+        (angle, length) rows of the initial unit direction and the arclength,
+        (0, 0) where the points coincide."""
+        p = np.asarray(p, dtype=np.float64).reshape(-1, 2)
+        q = np.asarray(q, dtype=np.float64).reshape(-1, 2)
+        fbar = np.asarray(self.profile.f(0.5 * (p[:, 0] + q[:, 0])), dtype=np.float64)
+        du, dv = q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]
+        length = np.hypot(du, fbar * dv)
+        out = np.zeros((len(p), 2))
+        rows = np.flatnonzero(length >= 1e-14)
+        p, q, fbar = p[rows], q[rows], fbar[rows]
+        x = np.column_stack([np.arctan2(fbar * dv[rows], du[rows]), length[rows]])
+        tol = 1e-11 * np.maximum(1.0, length[rows])
+        res, jac = self._residual(p, q, fbar, x)
+        for _ in range(SHOOT_ITERATIONS):
+            norm = np.linalg.norm(res, axis=1)
+            done = norm < tol
+            out[rows[done]] = x[done]
+            live = ~done
+            rows, p, q, fbar, tol, x, res, jac, norm = (
+                a[live] for a in (rows, p, q, fbar, tol, x, res, jac, norm)
             )
-            return np.array([end[0] - q[0], (end[1] - q[1]) * fbar])
-
-        res = residual(x[0], x[1])
-        for _ in range(60):
-            if np.linalg.norm(res) < 1e-11 * scale:
-                return x[1] * self.unit_tangent(p, x[0])
-            h = 1e-7
-            j0 = (residual(x[0] + h, x[1]) - res) / h
-            j1 = (residual(x[0], x[1] + h) - res) / h
-            jac = np.column_stack([j0, j1])
+            if not len(rows):
+                return out
             try:
-                delta = np.linalg.solve(jac, -res)
+                delta = np.linalg.solve(jac, -res[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError as exc:
-                raise ShootingError("singular shooting Jacobian") from exc
+                bad = rows[np.argmin(np.abs(np.linalg.det(jac)))]
+                raise ShootingError(f"singular shooting Jacobian in row {bad}") from exc
             # damp long steps; the chart is small and Newton overshoots hurt
-            step_cap = 0.5 * max(0.2, x[1])
-            norm = np.linalg.norm(delta)
-            if norm > step_cap:
-                delta *= step_cap / norm
+            cap = 0.5 * np.maximum(0.2, x[:, 1])
+            size = np.linalg.norm(delta, axis=1)
+            long = size > cap
+            delta[long] *= (cap[long] / size[long])[:, None]
             trial = x + delta
-            if trial[1] <= 0:
-                trial[1] = 0.5 * x[1]
-            trial_res = residual(trial[0], trial[1])
-            shrink = 0
-            while np.linalg.norm(trial_res) > np.linalg.norm(res) and shrink < 8:
-                delta *= 0.5
-                trial = x + delta
-                trial_res = residual(trial[0], trial[1])
-                shrink += 1
-            x, res = trial, trial_res
+            trial[:, 1] = np.where(trial[:, 1] <= 0, 0.5 * x[:, 1], trial[:, 1])
+            trial_res, trial_jac = self._residual(p, q, fbar, trial)
+            # halve the step of each row that got worse, up to 8 times
+            worse = np.flatnonzero(np.linalg.norm(trial_res, axis=1) > norm)
+            for _ in range(8):
+                if not len(worse):
+                    break
+                delta[worse] *= 0.5
+                trial[worse] = x[worse] + delta[worse]
+                trial_res[worse], trial_jac[worse] = self._residual(
+                    p[worse], q[worse], fbar[worse], trial[worse]
+                )
+                worse = worse[np.linalg.norm(trial_res[worse], axis=1) > norm[worse]]
+            x, res, jac = trial, trial_res, trial_jac
         raise ShootingError(
-            f"no convergence for endpoint {q} (residual {np.linalg.norm(res):.3e})"
+            f"no convergence in row {rows[0]} for endpoint {q[0]} "
+            f"(residual {np.linalg.norm(res[0]):.3e})"
         )
 
+    def log_coords(self, p, q):
+        p = np.asarray(p, dtype=np.float64)
+        angle, length = self._shoot(p, q)[0]
+        return length * self.unit_tangent(p, angle)
+
     def dist_coords(self, p, q):
-        comp = self.log_coords(p, q)
-        return math.sqrt(self.inner_coords(p, comp, comp))
+        return float(abs(self._shoot(p, q)[0, 1]))
 
     def dist_many(self, x, points):
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.array([self.dist_coords(x, row) for row in pts])
+        return self.dist_pairs(np.broadcast_to(np.asarray(x, dtype=np.float64), pts.shape), pts)
+
+    def dist_pairs(self, sources, targets):
+        return np.abs(self._shoot(sources, targets)[:, 1])
 
     def tangent_basis(self, base_coords, primary=None):
         u = np.asarray(base_coords)[0]

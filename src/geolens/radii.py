@@ -130,51 +130,64 @@ def closed_form_radii(manifold: Manifold) -> RadiiReport:
 
 
 def _first_zeros_batch(manifold, base_coords, angles, horizon, step):
-    """First zeros of j and j' along geodesics in the given directions.
+    """First zeros of j and j' along geodesics in the given directions from
+    one base point (2,) or from each of a block of them (..., 2).
 
-    Returns (j_zero, jp_zero, valid_length) arrays with nan for "no zero
-    found"; valid_length is where a direction left the chart (else horizon).
-    Integrates the surface's joint geodesic + Jacobi system over all
-    directions at once, on the grid :func:`integrate_jacobi` uses, and
-    places each zero inside its bracketing step with the cubic Hermite
-    interpolant of the RK4 states, as ``JacobiSolution.first_zero`` does.
+    Returns (j_zero, jp_zero, valid_length) arrays of shape
+    ``base_coords.shape[:-1] + (len(angles),)``, with nan for "no zero
+    found"; valid_length is where a direction left the chart before both its
+    zeros were found (else horizon).  Integrates the surface's joint geodesic
+    + Jacobi system over every base point and direction at once, on the grid
+    :func:`integrate_jacobi` uses, and places each zero inside its bracketing
+    step with the cubic Hermite interpolant of the RK4 states, as
+    ``JacobiSolution.first_zero`` does.  A row stops once it leaves the chart
+    or has both zeros, so its results do not depend on the other rows.
     """
     profile = manifold.profile
-    m = len(angles)
-    state = np.zeros((m, 6))
-    state[:, 0] = base_coords[0]
-    state[:, 1] = base_coords[1]
-    state[:, 2] = np.cos(angles)
-    state[:, 3] = np.sin(angles) / float(profile.f(base_coords[0]))
-    state[:, 5] = 1.0
+    base = np.asarray(base_coords, dtype=np.float64)
+    shape = base.shape[:-1] + (len(angles),)
+    base = base.reshape(-1, 2)
+    state = np.zeros((len(base), len(angles), 6))
+    state[..., 0] = base[:, None, 0]
+    state[..., 1] = base[:, None, 1]
+    state[..., 2] = np.cos(angles)
+    state[..., 3] = np.sin(angles) / np.asarray(profile.f(base[:, 0]))[:, None]
+    state[..., 5] = 1.0
+    state = state.reshape(-1, 6)
 
     n = max(2, int(math.ceil(horizon / step)))
     ts = np.linspace(0.0, horizon, n + 1)
     h = horizon / n
-    alive = np.ones(m, dtype=bool)
-    valid_length = np.full(m, horizon)
-    zeros = np.full((m, 2), np.nan)  # columns: j, j'
+    valid_length = np.full(len(state), horizon)
+    zeros = np.full((len(state), 2), np.nan)  # columns: j, j'
+    live = np.arange(len(state))  # rows in the chart with a zero to find
     for i in range(n):
         new = rk4_step(manifold.jacobi_rhs, state, h)
-        exited = alive & ((new[:, 0] < profile.u_min) | (new[:, 0] > profile.u_max))
-        valid_length[exited] = ts[i]
-        alive &= ~exited
-        pending = alive[:, None] & np.isnan(zeros)
+        exited = (new[:, 0] < profile.u_min) | (new[:, 0] > profile.u_max)
+        valid_length[live[exited]] = ts[i]
+        found = zeros[live]
+        pending = ~exited[:, None] & np.isnan(found)
         before, after = state[:, 4:], new[:, 4:]
         at_start = pending & (before == 0.0) & (ts[i] > 0)
-        zeros[at_start] = ts[i]
+        found[at_start] = ts[i]
         rows, cols = np.nonzero(pending & ~at_start & (before * after < 0))
         if len(rows):
             # the derivatives of (j, j') are columns 4 and 5 of the system
             d0 = manifold.jacobi_rhs(state[rows])[np.arange(len(rows)), 4 + cols]
             d1 = manifold.jacobi_rhs(new[rows])[np.arange(len(rows)), 4 + cols]
-            zeros[rows, cols] = hermite_zero(
+            found[rows, cols] = hermite_zero(
                 ts[i], ts[i + 1], before[rows, cols], after[rows, cols], d0, d1
             )
-        state = new
-        if np.all(~alive | ~np.isnan(zeros).any(axis=1)):
+        zeros[live] = found
+        keep = ~exited & np.isnan(found).any(axis=1)
+        live, state = live[keep], new[keep]
+        if not len(live):
             break
-    return zeros[:, 0], zeros[:, 1], valid_length
+    return (
+        zeros[:, 0].reshape(shape),
+        zeros[:, 1].reshape(shape),
+        valid_length.reshape(shape),
+    )
 
 
 def _smallest_zero(zeros, valid) -> RadiusValue:
@@ -256,8 +269,10 @@ def radii_report(
 
     Constant-curvature models are closed-form.  The numeric surface samples
     ``base_points`` points along its u-interval (rotational symmetry makes v
-    irrelevant), takes Jacobi minima over ``directions`` directions at each,
-    and requires a certified injectivity bound from the caller.
+    irrelevant), integrates the Jacobi equation along ``directions``
+    directions at every one of them in a single batch (base points times
+    directions rows), takes the minima, and requires a certified injectivity
+    bound from the caller.
     """
     if manifold.closed_form:
         return closed_form_radii(manifold)
@@ -270,16 +285,14 @@ def radii_report(
     lo, hi = manifold.profile.u_min, manifold.profile.u_max
     us = lo + (hi - lo) * (np.arange(base_points) + 1.0) / (base_points + 1.0)
     angles = np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False)
+    bases = np.column_stack([us, np.zeros(base_points)])
+    # one batched integration serves both scans at every base point
+    j_zero, jp_zero, valid = _first_zeros_batch(manifold, bases, angles, horizon, step)
     conj_best: RadiusValue | None = None
     foc_best: RadiusValue | None = None
-    for u in us:
-        base = ManifoldPoint(np.array([u, 0.0]))
-        # one batched integration serves both scans at this base point
-        j_zero, jp_zero, valid = _first_zeros_batch(
-            manifold, base.coords, angles, horizon, step
-        )
-        conj_best = _merge_min(conj_best, _smallest_zero(j_zero, valid))
-        foc_best = _merge_min(foc_best, _smallest_zero(jp_zero, valid))
+    for j_row, jp_row, valid_row in zip(j_zero, jp_zero, valid):
+        conj_best = _merge_min(conj_best, _smallest_zero(j_row, valid_row))
+        foc_best = _merge_min(foc_best, _smallest_zero(jp_row, valid_row))
     inj = RadiusValue(float(certified_injectivity), CERTIFIED)
     loop = (
         RadiusValue(float(certified_loop_length), CERTIFIED)

@@ -36,6 +36,38 @@ def surface():
 # ---------------------------------------------------------- integration
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        Euclidean(3),
+        Sphere(2, 1.0),
+        Hyperbolic(3, -0.5),
+        SurfaceOfRevolution(RevolutionProfile.cosine_bump()),
+    ],
+    ids=lambda m: m.kind,
+)
+def test_geodesic_rhs_gives_the_bits_of_the_per_call_closure(model):
+    # Manifold.geodesic_rhs replaced a closure of integrate_geodesic (and a
+    # copy on the surface); the integration must not move by a bit
+    d = model.ambient_dim
+
+    def closure(state):
+        pos, vel = state[:d], state[d:]
+        return np.concatenate([vel, model.geodesic_acceleration(pos, vel)])
+
+    base = model.basepoint()
+    frame = model.tangent_basis(base.coords)
+    direction = TangentVector(base, 0.6 * frame[0] + 0.8 * frame[1])
+    seg = integrate_geodesic(model, base, direction, 0.4)
+    state0 = np.concatenate([base.coords, direction.components])
+    _, ys = rk4_trajectory(closure, state0, 0.4, len(seg.ts) - 1)
+    assert seg.points.tobytes() == ys[:, :d].tobytes()
+    assert seg.velocities.tobytes() == ys[:, d:].tobytes()
+    block = np.vstack([ys[::50], ys[-1:]])
+    rows = np.array([closure(row) for row in block])
+    assert model.geodesic_rhs(block).tobytes() == rows.tobytes()
+
+
 def test_euclidean_integration_is_exact_line():
     e = Euclidean(2)
     p = e.point(1.0, -2.0)

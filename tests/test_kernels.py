@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from geolens import _kernels
+from geolens.errors import ConfigError
 from geolens.manifolds import Euclidean, Hyperbolic, RevolutionProfile, Sphere, SurfaceOfRevolution
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -95,3 +96,47 @@ def test_surface_scans_take_the_row_loop_and_match_dist_many():
     assert full[i, j] == pytest.approx(d, abs=1e-12)
     nearest = _kernels.min_dist_to(pts[:5], pts[10:], surface)
     np.testing.assert_allclose(nearest, full[:5, 10:].min(axis=1), rtol=0, atol=1e-12)
+
+
+def _count_pair_batches(monkeypatch, surface):
+    batches = []
+    shoot = surface.dist_pairs
+
+    def counted(sources, targets):
+        batches.append(len(sources))
+        return shoot(sources, targets)
+
+    monkeypatch.setattr(surface, "dist_pairs", counted)
+    return batches
+
+
+def test_surface_scans_shoot_every_pair_in_one_batch(monkeypatch):
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    rng = np.random.default_rng(6)
+    pts = np.column_stack([rng.uniform(-0.2, 0.2, 20), rng.uniform(-0.1, 0.1, 20)])
+    full = _brute_force(surface, pts, pts)
+    batches = _count_pair_batches(monkeypatch, surface)
+    d, i, j = _kernels.pairwise_max(pts, surface)
+    assert batches == [190]
+    # rows do not depend on their batch, so the scans give the row loop's bits
+    upper = np.where(np.triu(np.ones_like(full), k=1) > 0, full, -1.0)
+    assert (d, i, j) == (upper.max(), *divmod(int(np.argmax(upper)), 20))
+    nearest = _kernels.min_dist_to(pts[:5], pts[10:], surface)
+    assert batches == [190, 50]
+    assert nearest.tobytes() == full[:5, 10:].min(axis=1).tobytes()
+    # chunks of the batch leave every distance as it was
+    monkeypatch.setattr(_kernels, "_SHOOT_CHUNK", 64)
+    assert _kernels.pairwise_max(pts, surface) == (d, i, j)
+    assert batches[2:] == [64, 64, 62]
+    assert _kernels.pairwise_max(pts[:1], surface) == (0.0, 0, 0)
+    assert _kernels.pairwise_max(np.zeros((3, 2)), surface) == (0.0, 0, 0)
+
+
+def test_surface_scan_guard_fails_before_any_shoot(monkeypatch):
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    batches = _count_pair_batches(monkeypatch, surface)
+    with pytest.raises(ConfigError):
+        _kernels.pairwise_max(np.zeros((501, 2)), surface)
+    with pytest.raises(ConfigError):
+        _kernels.min_dist_to(np.zeros((501, 2)), np.zeros((500, 2)), surface)
+    assert batches == []

@@ -14,7 +14,9 @@ from geolens import (
     Sphere,
     SurfaceOfRevolution,
 )
-from geolens.errors import ChartError, InjectivityError, OffManifoldError
+from geolens import manifolds as manifolds_module
+from geolens._ode import rk4_endpoint
+from geolens.errors import ChartError, InjectivityError, OffManifoldError, ShootingError
 from geolens.manifolds import ManifoldPoint, TangentVector
 
 
@@ -340,3 +342,140 @@ def test_surface_uses_flat_formulas():
     assert sor.disk_area(0.2) == flat.disk_area(0.2)
     assert sor.circle_circumference(0.2) == flat.circle_circumference(0.2)
     assert sor.corner_cosine(0.3, 0.2, 0.25) == flat.corner_cosine(0.3, 0.2, 0.25)
+
+
+# ------------------------------------------------------- surface shooting
+
+
+def _finite_difference_log(sor, p, q):
+    """The scalar shooter the lockstep one replaced, kept as its reference:
+    one Newton shoot per target over [0, 1] with velocity length * unit
+    tangent, and a forward-difference Jacobian (three RK4 runs a step)."""
+
+    def n_steps(span):
+        return max(16, int(math.ceil(abs(span) / sor.step)))
+
+    du, dv = q[0] - p[0], q[1] - p[1]
+    fbar = float(sor.profile.f(0.5 * (p[0] + q[0])))
+    length = math.hypot(du, fbar * dv)
+    if length < 1e-14:
+        return np.zeros(2)
+    x = np.array([math.atan2(fbar * dv, du), length])
+    scale = max(1.0, length)
+
+    def residual(ang, ln):
+        state = np.concatenate([p, ln * sor.unit_tangent(p, ang)])
+        end = rk4_endpoint(sor.geodesic_rhs, state, 1.0, n_steps(ln))
+        return np.array([end[0] - q[0], (end[1] - q[1]) * fbar])
+
+    res = residual(x[0], x[1])
+    for _ in range(60):
+        if np.linalg.norm(res) < 1e-11 * scale:
+            return x[1] * sor.unit_tangent(p, x[0])
+        h = 1e-7
+        j0 = (residual(x[0] + h, x[1]) - res) / h
+        j1 = (residual(x[0], x[1] + h) - res) / h
+        delta = np.linalg.solve(np.column_stack([j0, j1]), -res)
+        step_cap = 0.5 * max(0.2, x[1])
+        norm = np.linalg.norm(delta)
+        if norm > step_cap:
+            delta *= step_cap / norm
+        trial = x + delta
+        if trial[1] <= 0:
+            trial[1] = 0.5 * x[1]
+        trial_res = residual(trial[0], trial[1])
+        shrink = 0
+        while np.linalg.norm(trial_res) > np.linalg.norm(res) and shrink < 8:
+            delta *= 0.5
+            trial = x + delta
+            trial_res = residual(trial[0], trial[1])
+            shrink += 1
+        x, res = trial, trial_res
+    raise AssertionError("reference shooter did not converge")
+
+
+# off the equator u = 0 too; every target within 0.5 stays in u in [-0.6, 0.6]
+SHOOT_SOURCES = [(0.0, 0.0), (0.08, -0.2), (-0.06, 0.4)]
+SHOOT_LENGTHS = [1e-6, 1e-4, 1e-2, 0.05, 0.1, 0.2, 0.35, 0.5]
+
+
+def _targets(sor, p, lengths, seed):
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2.0 * math.pi, len(lengths))
+    tangents = np.array([ln * sor.unit_tangent(p, a) for ln, a in zip(lengths, angles)])
+    return np.array([sor.exp_many(p, v[None, :])[0] for v in tangents])
+
+
+def test_surface_batched_distances_match_the_finite_difference_shooter():
+    sor = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    for k, source in enumerate(SHOOT_SOURCES):
+        p = np.array(source)
+        targets = _targets(sor, p, SHOOT_LENGTHS, seed=k)
+        batch = sor.dist_many(p, targets)
+        for q, d in zip(targets, batch):
+            v = _finite_difference_log(sor, p, q)
+            assert abs(d - math.sqrt(sor.inner_coords(p, v, v))) <= 1e-9
+        np.testing.assert_allclose(batch, SHOOT_LENGTHS, rtol=1e-9, atol=1e-12)
+
+
+def test_surface_distance_rows_do_not_depend_on_their_batch():
+    sor = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    rng = np.random.default_rng(21)
+    for k, source in enumerate(SHOOT_SOURCES):
+        p = np.array(source)
+        targets = _targets(sor, p, SHOOT_LENGTHS, seed=10 + k)
+        batch = sor.dist_many(p, targets)
+        alone = np.array([sor.dist_coords(p, q) for q in targets])
+        assert batch.tobytes() == alone.tobytes()
+        perm = rng.permutation(len(targets))
+        assert sor.dist_many(p, targets[perm]).tobytes() == batch[perm].tobytes()
+        pairs = sor.dist_pairs(np.tile(p, (len(targets), 1)), targets)
+        assert pairs.tobytes() == batch.tobytes()
+        for q, d in zip(targets, batch):
+            v = sor.log_coords(p, q)
+            assert math.sqrt(sor.inner_coords(p, v, v)) == pytest.approx(d, rel=1e-14, abs=0)
+
+
+def test_surface_shots_keep_clairauts_relation():
+    # f(u)^2 dv is constant along a geodesic (Clairaut).  On the integrated
+    # shot it drifts by the integration error: no more than the Richardson
+    # estimate of the endpoint error (a half-step rerun), carried into the
+    # constant by its gradient (2 f f' dv, 0, 0, f^2).  A coarse step puts
+    # that error well above rounding.
+    profile = RevolutionProfile.cosine_bump()
+    sor = SurfaceOfRevolution(profile, step=0.05)
+    lengths = [0.1, 0.2, 0.3, 0.4, 0.5]
+    checked = 0
+    for k, source in enumerate(SHOOT_SOURCES):
+        p = np.array(source)
+        targets = _targets(sor, p, lengths, seed=30 + k)
+        for q in targets:
+            v = sor.log_coords(p, q)
+            f0 = float(profile.f(p[0]))
+            angle, length = math.atan2(f0 * v[1], v[0]), math.hypot(v[0], f0 * v[1])
+            shot = sor._shoot_ends(p[None, :], np.array([angle]), np.array([length]))[0]
+            assert np.linalg.norm(shot[:2] - q) < 1e-9
+            state0 = np.array([p[0], p[1], math.cos(angle), math.sin(angle) / f0, 0.0, 1.0])
+            fine = rk4_endpoint(sor.jacobi_rhs, state0, length, 2 * int(sor._n_steps(length)))
+            error = np.linalg.norm(shot[:4] - fine[:4]) * 16.0 / 15.0
+            u, dv = shot[0], shot[3]
+            f, fp = float(profile.f(u)), float(profile.df(u))
+            drift = abs(f * f * dv - f0 * math.sin(angle))
+            assert error > 1e-14
+            assert drift <= math.hypot(2.0 * f * fp * dv, f * f) * error
+            checked += 1
+    assert checked == 15
+
+
+def test_surface_shooting_failure_names_the_row(monkeypatch):
+    sor = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    p = np.array([0.1, 0.0])
+    # along a meridian (a geodesic) the first guess is already the answer;
+    # the off-axis target needs Newton steps the patched cap does not allow
+    targets = np.array([[0.3, 0.0], [0.2, 0.15], [0.1, 0.0]])
+    monkeypatch.setattr(manifolds_module, "SHOOT_ITERATIONS", 1)
+    with pytest.raises(ShootingError, match=r"row 1 for endpoint \[0\.2 +0\.15\]"):
+        sor.dist_many(p, targets)
+    assert sor.dist_coords(p, targets[0]) == pytest.approx(0.2, abs=1e-12)
+    with pytest.raises(ShootingError, match="row 0"):
+        sor.log_coords(p, targets[1])

@@ -163,6 +163,24 @@ def test_batch_zeros_match_scalar_jacobi_integration(u):
     assert found == 12
 
 
+@pytest.mark.parametrize("base_points", [3, 16])
+def test_zeros_of_all_base_points_match_one_base_point_at_a_time(base_points):
+    # radii_report integrates every base point in one batch; each row stops
+    # on its own, so every base point gets the bits of its own batch
+    sor = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    us = np.linspace(-0.5, 0.5, base_points)
+    bases = np.column_stack([us, np.zeros(base_points)])
+    angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    j_zero, jp_zero, valid = _first_zeros_batch(sor, bases, angles, 6.0, 2e-3)
+    assert j_zero.shape == jp_zero.shape == valid.shape == (base_points, 16)
+    for k, base in enumerate(bases):
+        one = _first_zeros_batch(sor, base, angles, 6.0, 2e-3)
+        assert j_zero[k].tobytes() == one[0].tobytes()
+        assert jp_zero[k].tobytes() == one[1].tobytes()
+        assert valid[k].tobytes() == one[2].tobytes()
+    assert np.any(~np.isnan(j_zero)) and np.any(~np.isnan(jp_zero))
+
+
 def test_surface_requires_certified_injectivity():
     sor = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     with pytest.raises(ConfigError):

@@ -20,7 +20,7 @@ from geolens import (
     monotone_limit_check,
     sample_intersection,
 )
-from geolens.errors import NestingError
+from geolens.errors import ConfigError, NestingError
 
 
 @pytest.fixture(scope="module")
@@ -215,5 +215,5 @@ def test_numeric_manifold_pairwise_scan_fails_fast():
     # the one non-kernel scan (also behind lens_diameter on the surface)
     # refuses a cloud whose pairwise scan would shoot for hours
     surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         diameter(PointCloud(surface, np.zeros((501, 2)), 0.0))
