@@ -351,3 +351,13 @@ class GeodesicLine:
 
     def coords_at(self, t: float) -> np.ndarray:
         return self._eval(t)[0]
+
+    def coords_many(self, ts) -> np.ndarray:
+        """``coords_at`` of each parameter in ``ts`` as one (n, ambient_dim)
+        block, with the same bits; closed-form models evaluate it at once."""
+        if self.manifold.closed_form:
+            column = np.asarray(ts, dtype=np.float64)[:, None]
+            return self.manifold.exp_velocity_coords(
+                self.base.coords, self.direction.components, column
+            )[0]
+        return np.array([self.coords_at(float(t)) for t in ts])

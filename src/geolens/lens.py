@@ -27,7 +27,7 @@ convex and the candidates are the answers:
 * on a circle centred on the axis the distance to an axis point is monotone
   in the angle (law of cosines of the model), so the lens point farthest
   from gamma(s) is an axis end or a corner: the nesting onset and flags test
-  those points only;
+  those points only, computed for the whole separation grid at once;
 * the lens keeps the full width 2r exactly while the perpendicular chord
   lies in the big ball, so the plateau end bisects on that chord's margin
   (the Pythagorean theorem of the model at the end).
@@ -250,26 +250,43 @@ def _axis_points(bp: BallPair) -> np.ndarray:
 
 
 def _corner_points(bp: BallPair) -> np.ndarray | None:
-    """The two intersection points of the boundary circles, if they exist.
+    """The two intersection points of the boundary circles, if they exist."""
+    found, corners = _corners_at(bp, [bp.t])
+    return corners[0] if len(found) else None
+
+
+_CORNER_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _corners_at(bp: BallPair, ts):
+    """The two intersection points of the boundary circles at each
+    separation of ``ts`` where they meet: (indices into ``ts``, a (k, 2,
+    ambient_dim) block).  The corners of one separation do not depend on the
+    others.
 
     Solved in the axial section through the law of cosines of the model; the
     corner sits at angle phi off the axis at distance R from the big center.
     """
-    m, R, r, t = bp.manifold, bp.R, bp.r, bp.t
-    if t < 1e-12:
-        return None
-    cos_phi = m.corner_cosine(R, r, t)
-    if cos_phi is None or not -1.0 <= cos_phi <= 1.0:
-        return None
-    phi = math.acos(cos_phi)
+    m, R, r = bp.manifold, bp.R, bp.r
+    found, cos, sin = [], [], []
+    for i, t in enumerate(ts):
+        cos_phi = m.corner_cosine(R, r, float(t)) if t >= 1e-12 else None
+        if cos_phi is None or not -1.0 <= cos_phi <= 1.0:
+            continue
+        phi = math.acos(cos_phi)
+        found.append(i)
+        cos.append(math.cos(phi))
+        sin.append(math.sin(phi))
+    found, d = np.array(found, dtype=int), m.ambient_dim
+    if not len(found):
+        return found, np.empty((0, 2, d))
     frame = bp.frame_big()
-    vecs = np.array(
-        [
-            R * (math.cos(phi) * frame[0] + math.sin(phi) * frame[1]),
-            R * (math.cos(phi) * frame[0] - math.sin(phi) * frame[1]),
-        ]
-    )
-    return m.exp_many(bp.center_big(), vecs)
+    # R (cos phi e0 +- sin phi e1); negation is exact, so the lower corner
+    # has the bits of R (cos phi e0 - sin phi e1)
+    cos = np.array(cos)[:, None, None]
+    sin = np.array(sin)[:, None, None] * _CORNER_SIGNS
+    vecs = R * (cos * frame[0] + sin * frame[1])
+    return found, m.exp_many(bp.center_big(), vecs.reshape(-1, d)).reshape(-1, 2, d)
 
 
 def _perp_chord(bp: BallPair) -> np.ndarray:
@@ -392,7 +409,7 @@ def _project_into_lens(bp: BallPair, coords: np.ndarray):
         if d_big > bp.R:
             v = m.log_coords(bp.center_big(), x)
             x = m.exp_many(bp.center_big(), (bp.R / d_big) * v[None, :])[0]
-        d_small = m.dist_coords(bp.center_small(), x)
+            d_small = m.dist_coords(bp.center_small(), x)
         if d_small > bp.r:
             v = m.log_coords(bp.center_small(), x)
             x = m.exp_many(bp.center_small(), (bp.r / d_small) * v[None, :])[0]
@@ -572,26 +589,52 @@ class WProfile:
         atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _far_points(bp: BallPair) -> np.ndarray:
-    """The lens points that can be farthest from an axis point of an exact
-    pair: the axis ends and corners inside the lens, or the contact point."""
-    if bp.touching:
-        return bp.line.coords_at(bp.R)[None, :]
-    ends, margins, lead = bp.extremes()
-    return ends[:lead][margins[:lead] >= -BOUNDARY_TOL]
-
-
 def _nesting_scan(bp: BallPair, ts: np.ndarray, budget: int, seed: int):
     """Per grid separation, the lens points the nesting test reads,
-    concatenated for scanning: the axis ends and corners of an exact pair,
-    else the sampled cloud at ``budget`` and ``seed``."""
+    concatenated for scanning with the index of their separation: on an
+    exact pair the points that can be farthest from an axis point (the axis
+    ends and corners inside the lens, or the contact point), else the
+    sampled cloud at ``budget`` and ``seed``."""
+    if bp.exact:
+        return _far_points(bp, ts)
     blocks, owners = [], []
     for idx, t in enumerate(ts):
-        lens = bp.with_separation(float(t))
-        points = _far_points(lens) if bp.exact else sample_intersection(lens, budget, seed).points
+        points = sample_intersection(bp.with_separation(float(t)), budget, seed).points
         blocks.append(points)
         owners.append(np.full(len(points), idx))
     return np.vstack(blocks), np.concatenate(owners)
+
+
+def _far_points(bp: BallPair, ts: np.ndarray):
+    """The exact nesting scan of the whole grid at once, with the bits and
+    the order of the lens-by-lens one: the axis ends and the small centers
+    of all separations, the corners through one ``exp_many`` about
+    gamma(0), whose frame is the same for every separation, and the margins
+    through one row-wise distance per ball."""
+    m, R, r, line = bp.manifold, bp.R, bp.r, bp.line
+    ts = np.minimum(np.asarray(ts, dtype=np.float64), R + r)
+    # one line evaluation: the axis ends, the small centers, the contact point
+    on_line = line.coords_many(np.concatenate([ts - r, np.minimum(ts + r, R), ts, [R]]))
+    lo, hi, centres = on_line[:-1].reshape(3, len(ts), -1)
+    # axis ends, then corners, per separation; the contact point alone at
+    # the touching end
+    ends = np.empty((len(ts), 4, m.ambient_dim))
+    present = np.zeros((len(ts), 4), dtype=bool)
+    ends[:, 0], ends[:, 1] = lo, hi
+    present[:, :2] = True
+    found, corners = _corners_at(bp, ts)
+    ends[found, 2:] = corners
+    present[found, 2:] = True
+    touching = R + r - ts < 1e-12 * (R + r)
+    ends[touching, 0] = on_line[-1]
+    present[touching] = [True, False, False, False]
+    owners, slot = np.nonzero(present)
+    points = ends[owners, slot]
+    d_big = m.dist_many(bp.center_big(), points)
+    d_small = m.dist_pairs(centres[owners], points)
+    # the contact point of a touching lens lies on both circles: kept
+    keep = np.minimum(R - d_big, r - d_small) >= -BOUNDARY_TOL
+    return points[keep], owners[keep]
 
 
 def estimate_nesting_onset(

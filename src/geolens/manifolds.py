@@ -79,12 +79,35 @@ def _gram_schmidt(vectors, inner, count):
     return np.array(basis)
 
 
+def _libm(fn, x):
+    """The ``math`` function ``fn`` of a scalar, or of each element of an array.
+
+    NumPy's own cosh and sinh differ from libm in the last bit on some
+    inputs, so array paths that must give the bits of a scalar path call
+    libm too.
+    """
+    if isinstance(x, float):
+        return fn(x)
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _diff_block(a, b):
+    """``a[:, None, :] - b[None, :, :]`` for row blocks a (m, d) and b (n, d),
+    built one coordinate at a time: each outer subtraction is a contiguous
+    (m, n) loop, and every value is the same."""
+    diff = np.empty((a.shape[0], b.shape[0], a.shape[1]))
+    for k in range(a.shape[1]):
+        np.subtract.outer(a[:, k], b[:, k], out=diff[:, :, k])
+    return diff
+
+
 class Manifold(ABC):
     """Common surface for the model spaces.
 
     Typed single-point operations (``exp``, ``log``, ``distance``, ...) wrap
     coordinate-level routines; the coordinate layer also exposes vectorized
-    variants (``dist_many``, ``exp_many``) used by the sampling machinery.
+    variants (``exp_many``, the pair batch ``dist_pairs`` and its one-source
+    form ``dist_many``) used by the sampling machinery.
     """
 
     kind: str = ""
@@ -159,7 +182,10 @@ class Manifold(ABC):
     @abstractmethod
     def exp_velocity_coords(self, base_coords, components, t: float):
         """Point and velocity at parameter ``t`` of the geodesic with the
-        given initial velocity (not necessarily unit)."""
+        given initial velocity (not necessarily unit).  On a closed-form
+        model and a nonzero velocity ``t`` may also be an (n, 1) column of
+        parameters, giving (n, ambient_dim) blocks whose rows have the bits
+        of scalar calls."""
 
     @abstractmethod
     def log_coords(self, p_coords, q_coords) -> np.ndarray:
@@ -170,12 +196,15 @@ class Manifold(ABC):
         ...
 
     @abstractmethod
-    def dist_many(self, x_coords, points) -> np.ndarray:
-        """Distances from one point to each row of an (n, ambient_dim) block."""
-
     def dist_pairs(self, sources, targets) -> np.ndarray:
-        """Distance between matching rows of two (n, ambient_dim) blocks."""
-        return np.array([self.dist_coords(p, q) for p, q in zip(sources, targets)])
+        """Distance between matching rows of two (n, ambient_dim) blocks,
+        which broadcast: a single point (ambient_dim,) stands for every row.
+        A row's value does not depend on the other rows."""
+
+    def dist_many(self, x_coords, points) -> np.ndarray:
+        """Distances from one point to each row of an (n, ambient_dim) block:
+        the pair batch with ``x_coords`` broadcast over the rows."""
+        return self.dist_pairs(np.asarray(x_coords, dtype=np.float64), points)
 
     @abstractmethod
     def geodesic_acceleration(self, pos, vel) -> np.ndarray:
@@ -258,8 +287,9 @@ class Manifold(ABC):
     # the scans use these only where ``closed_form`` is True.
 
     def scan_sq(self, a, b) -> np.ndarray:
-        """Squared pre-metric between row blocks a (m, d) and b (n, d)."""
-        diff = a[:, None, :] - b[None, :, :]
+        """Squared pre-metric between row blocks a (m, d) and b (n, d).
+        ``scan_sq(a, b)[i, j] == scan_sq(b, a)[j, i]`` bit for bit."""
+        diff = _diff_block(a, b)
         return np.einsum("ijk,ijk->ij", diff, diff)
 
     def scan_dist(self, sq):
@@ -294,7 +324,10 @@ class Euclidean(Manifold):
 
     def exp_velocity_coords(self, base_coords, components, t):
         c = np.asarray(components, dtype=np.float64)
-        return np.asarray(base_coords) + t * c, c.copy()
+        pt = np.asarray(base_coords) + t * c
+        vel = np.empty_like(pt)
+        vel[...] = c
+        return pt, vel
 
     def log_coords(self, p, q):
         return np.asarray(q, dtype=np.float64) - np.asarray(p, dtype=np.float64)
@@ -302,8 +335,8 @@ class Euclidean(Manifold):
     def dist_coords(self, p, q):
         return float(np.linalg.norm(np.asarray(q) - np.asarray(p)))
 
-    def dist_many(self, x, points):
-        return np.linalg.norm(np.asarray(points) - np.asarray(x), axis=1)
+    def dist_pairs(self, sources, targets):
+        return np.linalg.norm(np.asarray(targets) - np.asarray(sources), axis=1)
 
     def geodesic_acceleration(self, pos, vel):
         return np.zeros_like(np.asarray(vel, dtype=np.float64))
@@ -386,16 +419,17 @@ class Sphere(Manifold):
             return base.copy(), c.copy()
         unit = c / speed
         theta = t * speed / self.radius
-        pt = math.cos(theta) * base + self.radius * math.sin(theta) * unit
-        vel = speed * (-math.sin(theta) * base / self.radius + math.cos(theta) * unit)
+        cos, sin = _libm(math.cos, theta), _libm(math.sin, theta)
+        pt = cos * base + self.radius * sin * unit
+        vel = speed * (-sin * base / self.radius + cos * unit)
         return pt, vel
 
     def dist_coords(self, p, q):
         chord = np.linalg.norm(np.asarray(q) - np.asarray(p))
         return 2.0 * self.radius * math.asin(min(chord / (2.0 * self.radius), 1.0))
 
-    def dist_many(self, x, points):
-        chord = np.linalg.norm(np.asarray(points) - np.asarray(x), axis=1)
+    def dist_pairs(self, sources, targets):
+        chord = np.linalg.norm(np.asarray(targets) - np.asarray(sources), axis=1)
         return 2.0 * self.radius * np.arcsin(np.clip(chord / (2.0 * self.radius), 0.0, 1.0))
 
     def log_coords(self, p, q):
@@ -527,8 +561,9 @@ class Hyperbolic(Manifold):
             return base.copy(), c.copy()
         unit = c / speed
         theta = t * speed / self.radius
-        pt = math.cosh(theta) * base + self.radius * math.sinh(theta) * unit
-        vel = speed * (math.sinh(theta) * base / self.radius + math.cosh(theta) * unit)
+        cosh, sinh = _libm(math.cosh, theta), _libm(math.sinh, theta)
+        pt = cosh * base + self.radius * sinh * unit
+        vel = speed * (sinh * base / self.radius + cosh * unit)
         return pt, vel
 
     def dist_coords(self, p, q):
@@ -536,8 +571,8 @@ class Hyperbolic(Manifold):
         m = max(float(self.minkowski(diff, diff)), 0.0)
         return 2.0 * self.radius * math.asinh(math.sqrt(m) / (2.0 * self.radius))
 
-    def dist_many(self, x, points):
-        diff = np.asarray(points) - np.asarray(x)
+    def dist_pairs(self, sources, targets):
+        diff = np.asarray(targets) - np.asarray(sources)
         m = np.clip(self.minkowski(diff, diff), 0.0, None)
         return 2.0 * self.radius * np.arcsinh(np.sqrt(m) / (2.0 * self.radius))
 
@@ -592,7 +627,7 @@ class Hyperbolic(Manifold):
         return (math.cosh(R / a) * math.cosh(t / a) - math.cosh(r / a)) / denom
 
     def scan_sq(self, a, b):
-        diff = a[:, None, :] - b[None, :, :]
+        diff = _diff_block(a, b)
         sq = np.einsum("ijk,ijk->ij", diff[:, :, 1:], diff[:, :, 1:]) - diff[:, :, 0] ** 2
         return np.clip(sq, 0.0, None)
 
@@ -880,12 +915,12 @@ class SurfaceOfRevolution(Manifold):
     def dist_coords(self, p, q):
         return float(abs(self._shoot(p, q)[0, 1]))
 
-    def dist_many(self, x, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return self.dist_pairs(np.broadcast_to(np.asarray(x, dtype=np.float64), pts.shape), pts)
-
     def dist_pairs(self, sources, targets):
-        return np.abs(self._shoot(sources, targets)[:, 1])
+        p, q = np.broadcast_arrays(
+            np.asarray(sources, dtype=np.float64),
+            np.atleast_2d(np.asarray(targets, dtype=np.float64)),
+        )
+        return np.abs(self._shoot(p, q)[:, 1])
 
     def tangent_basis(self, base_coords, primary=None):
         u = np.asarray(base_coords)[0]

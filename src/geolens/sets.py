@@ -3,14 +3,17 @@
 Compact sets are represented by nonempty finite point clouds carrying an
 explicit fill radius: every point of the represented set lies within
 ``fill_radius`` of some sample.  Set-level statements then hold up to
-quantified slack.  Every distance comes from the two brute-force scans of
+quantified slack.  Every distance comes from the brute-force scans of
 :mod:`geolens._kernels`, O(|Y| * |Z|); desk-scale clouds make clarity worth
-more than an index.
+more than an index.  A Hausdorff distance reads both directions off one
+block scan (``min_dist_both``).  A cloud's points are read-only, so its
+diameter is scanned once and memoised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,15 +31,22 @@ class PointCloud:
     fill_radius: float
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
+        # an own read-only copy: the memoised diameter stays the points'
+        pts = np.array(self.points, dtype=np.float64, order="C")
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("cloud must be a nonempty (n, d) array")
         if self.fill_radius < 0:
             raise ValueError("fill_radius must be >= 0")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     def __len__(self):
         return self.points.shape[0]
+
+    @cached_property
+    def _diameter(self):
+        d, i, j = _kernels.pairwise_max(self.points, self.manifold)
+        return float(d), (i, j)
 
 
 def _same_manifold(y: PointCloud, z: PointCloud):
@@ -45,9 +55,9 @@ def _same_manifold(y: PointCloud, z: PointCloud):
 
 
 def diameter_with_witness(cloud: PointCloud):
-    """(max pairwise distance, index pair); exact on the samples."""
-    d, i, j = _kernels.pairwise_max(cloud.points, cloud.manifold)
-    return float(d), (i, j)
+    """(max pairwise distance, index pair); exact on the samples, and
+    scanned once per cloud."""
+    return cloud._diameter
 
 
 def diameter(cloud: PointCloud) -> float:
@@ -68,9 +78,8 @@ def hausdorff(y: PointCloud, z: PointCloud) -> float:
     most y.fill_radius + z.fill_radius.
     """
     _same_manifold(y, z)
-    forward = float(min_distances(y, z).max())
-    backward = float(min_distances(z, y).max())
-    return max(forward, backward)
+    forward, backward = _kernels.min_dist_both(y.points, z.points, y.manifold)
+    return max(float(forward.max()), float(backward.max()))
 
 
 def diameter_lipschitz_check(y: PointCloud, z: PointCloud, extra_slack: float = 1e-12) -> bool:

@@ -7,6 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from geolens import lens as lens_module
+from geolens import sets as sets_module
+from geolens import suite as suite_module
 from geolens.cli import main
 from geolens.config import load_config
 from geolens.errors import ConfigError
@@ -275,6 +278,84 @@ def test_verify_records_out(euclid_config, tmp_path):
     rows = open(out).read().strip().split("\n")
     assert rows[0] == "claim,status,margin,summary"
     assert len(rows) == 1 + len(CLAIM_REGISTRY)  # header + full claim registry
+
+
+VERIFY_S2_CFG = """
+[manifold]
+kind = sphere
+dimension = 2
+curvature = 1.0
+
+[lens]
+pairs = 1.2,0.6; 1.0,1.0
+
+[run]
+grid = 8
+budget = 1024
+seed = 7
+"""
+
+
+def _per_lens_nesting_scan(bp, ts, budget, seed):
+    """The nesting scan lens by lens: far points from each exact lens's
+    extremes, else its sampled cloud."""
+    blocks, owners = [], []
+    for idx, t in enumerate(ts):
+        lens = bp.with_separation(float(t))
+        if not bp.exact:
+            points = lens_module.sample_intersection(lens, budget, seed).points
+        elif lens.touching:
+            points = lens.line.coords_at(lens.R)[None, :]
+        else:
+            ends, margins, lead = lens.extremes()
+            points = ends[:lead][margins[:lead] >= -lens_module.BOUNDARY_TOL]
+        blocks.append(points)
+        owners.append(np.full(len(points), idx))
+    return np.vstack(blocks), np.concatenate(owners)
+
+
+def _broadcast_sq(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _two_way_hausdorff(y, z):
+    """Two one-way nearest scans over whole broadcast blocks (sphere)."""
+    forward = y.manifold.scan_dist(_broadcast_sq(y.points, z.points).min(axis=1))
+    backward = y.manifold.scan_dist(_broadcast_sq(z.points, y.points).min(axis=1))
+    return max(float(forward.max()), float(backward.max()))
+
+
+def _unmemoised_diameter(cloud):
+    sq = _broadcast_sq(cloud.points, cloud.points)
+    return float(cloud.manifold.scan_dist(np.asarray(sq.max())))
+
+
+def test_verify_records_match_the_per_lens_two_way_unmemoised_run(tmp_path, monkeypatch):
+    # the batched exact nesting scan, the one-block Hausdorff scan and the
+    # memoised diameters leave every record byte for byte as it was
+    cfg = tmp_path / "verify_s2.ini"
+    cfg.write_text(VERIFY_S2_CFG)
+    fast, slow = str(tmp_path / "fast.csv"), str(tmp_path / "slow.csv")
+    assert main(["verify", "--config", str(cfg), "--out", fast]) == 0
+    used = set()
+
+    def recorded(fn):
+        def call(*args):
+            used.add(fn.__name__)
+            return fn(*args)
+
+        return call
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lens_module, "_nesting_scan", recorded(_per_lens_nesting_scan))
+        for module in (sets_module, suite_module):
+            patch.setattr(module, "hausdorff", recorded(_two_way_hausdorff))
+            patch.setattr(module, "diameter", recorded(_unmemoised_diameter))
+        assert main(["verify", "--config", str(cfg), "--out", slow]) == 0
+    assert len(used) == 3
+    with open(fast, "rb") as a, open(slow, "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_surface_focal_scan_runs_once_per_config(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from geolens import (
     Euclidean,
+    GeodesicLine,
     GeodesicSegment,
     Hyperbolic,
     RevolutionProfile,
@@ -66,6 +67,36 @@ def test_geodesic_rhs_gives_the_bits_of_the_per_call_closure(model):
     block = np.vstack([ys[::50], ys[-1:]])
     rows = np.array([closure(row) for row in block])
     assert model.geodesic_rhs(block).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Euclidean(3), Sphere(2, 1.0), Sphere(3, 2.5), Hyperbolic(2, -1.0), Hyperbolic(3, -0.5)],
+    ids=lambda m: m.describe(),
+)
+def test_line_blocks_give_the_bits_of_scalar_calls(model):
+    # a column of parameters evaluates the closed forms at once, calling
+    # libm per element: NumPy's cosh and sinh would move some points by a bit
+    base = model.basepoint()
+    frame = model.tangent_basis(base.coords)
+    direction = TangentVector(base, 0.6 * frame[0] + 0.8 * frame[1])
+    line = GeodesicLine(model, base, direction)
+    ts = np.concatenate([np.linspace(-3.0, 3.0, 2001), np.random.default_rng(7).uniform(0, 2, 500)])
+    points = np.array([line.coords_at(float(t)) for t in ts])
+    assert line.coords_many(ts).tobytes() == points.tobytes()
+    pts, vels = model.exp_velocity_coords(base.coords, 1.5 * direction.components, ts[:, None])
+    scalar = [model.exp_velocity_coords(base.coords, 1.5 * direction.components, t) for t in ts]
+    assert pts.tobytes() == np.array([p for p, _ in scalar]).tobytes()
+    assert vels.tobytes() == np.array([v for _, v in scalar]).tobytes()
+
+
+def test_numeric_line_blocks_read_the_integrated_trajectory(surface):
+    base = surface.basepoint()
+    line = GeodesicLine(surface, base, TangentVector(base, surface.unit_tangent(base.coords, 0.3)))
+    line.cover(-0.2, 0.3)
+    ts = np.linspace(-0.2, 0.3, 7)
+    points = np.array([line.coords_at(float(t)) for t in ts])
+    assert line.coords_many(ts).tobytes() == points.tobytes()
 
 
 def test_euclidean_integration_is_exact_line():

@@ -140,3 +140,63 @@ def test_surface_scan_guard_fails_before_any_shoot(monkeypatch):
     with pytest.raises(ConfigError):
         _kernels.min_dist_to(np.zeros((501, 2)), np.zeros((500, 2)), surface)
     assert batches == []
+
+
+CLOSED_FORM_MODELS = [
+    Euclidean(2),
+    Euclidean(3),
+    Sphere(2, 2.5),
+    Sphere(3, 2.5),
+    Hyperbolic(2, -0.3),
+    Hyperbolic(3, -0.3),
+]
+
+
+def _broadcast_scan_sq(model, a, b):
+    """The squared pre-metric block in its broadcast form: the reference for
+    the coordinate-by-coordinate one."""
+    diff = a[:, None, :] - b[None, :, :]
+    if isinstance(model, Hyperbolic):
+        sq = np.einsum("ijk,ijk->ij", diff[:, :, 1:], diff[:, :, 1:]) - diff[:, :, 0] ** 2
+        return np.clip(sq, 0.0, None)
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+@pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=lambda m: m.describe())
+def test_scan_sq_matches_the_broadcast_form_bit_for_bit(model):
+    rng = np.random.default_rng(40 + model.dim)
+    a = _random_cloud(model, rng, 300)
+    b = _random_cloud(model, rng, 170)
+    sq = model.scan_sq(a, b)
+    assert sq.tobytes() == _broadcast_scan_sq(model, a, b).tobytes()
+    # the symmetry that lets one block serve both Hausdorff directions
+    assert model.scan_sq(b, a).tobytes() == np.ascontiguousarray(sq.T).tobytes()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Euclidean(2), Sphere(2, 2.5), Hyperbolic(2, -0.3), Hyperbolic(3, -0.3)],
+    ids=lambda m: m.describe(),
+)
+def test_min_dist_both_gives_the_bits_of_two_one_way_scans(model):
+    # 700 x 530 crosses the 512 chunk boundary in both directions
+    rng = np.random.default_rng(50 + model.dim)
+    a = _random_cloud(model, rng, 700)
+    b = _random_cloud(model, rng, 530)
+    forward, backward = _kernels.min_dist_both(a, b, model)
+    assert forward.tobytes() == _kernels.min_dist_to(a, b, model).tobytes()
+    assert backward.tobytes() == _kernels.min_dist_to(b, a, model).tobytes()
+    # and the one-way scan gives the bits of the unchunked broadcast block
+    reference = model.scan_dist(_broadcast_scan_sq(model, a, b).min(axis=1))
+    assert forward.tobytes() == reference.tobytes()
+
+
+def test_surface_min_dist_both_shoots_each_direction(monkeypatch):
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    rng = np.random.default_rng(6)
+    pts = np.column_stack([rng.uniform(-0.01, 0.01, 12), rng.uniform(-0.004, 0.004, 12)])
+    batches = _count_pair_batches(monkeypatch, surface)
+    forward, backward = _kernels.min_dist_both(pts[:5], pts[5:], surface)
+    assert batches == [35, 35]
+    assert forward.tobytes() == _kernels.min_dist_to(pts[:5], pts[5:], surface).tobytes()
+    assert backward.tobytes() == _kernels.min_dist_to(pts[5:], pts[:5], surface).tobytes()

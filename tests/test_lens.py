@@ -25,6 +25,7 @@ from geolens.errors import DefectError
 from geolens.sets import diameter
 from geolens.lens import (
     BOUNDARY,
+    BOUNDARY_TOL,
     EXACT_SLACK,
     INSIDE,
     OUTSIDE,
@@ -415,6 +416,63 @@ def test_exact_nesting_matches_the_cloud_scan(model, pairs, monkeypatch):
             sampled = w_profile(bp, grid=80, budget=2048, seed=3)
         assert exact.nesting_onset == sampled.nesting_onset, (R, r)
         assert exact.nested_after_onset.tobytes() == sampled.nested_after_onset.tobytes()
+
+
+def _per_lens_far_points(bp, ts):
+    """The exact nesting scan lens by lens, from each lens's extremes: the
+    reference for the batched scan."""
+    blocks, owners = [], []
+    for idx, t in enumerate(ts):
+        lens = bp.with_separation(float(t))
+        if lens.touching:
+            points = lens.line.coords_at(lens.R)[None, :]
+        else:
+            ends, margins, lead = lens.extremes()
+            points = ends[:lead][margins[:lead] >= -BOUNDARY_TOL]
+        blocks.append(points)
+        owners.append(np.full(len(points), idx))
+    return np.vstack(blocks), np.concatenate(owners)
+
+
+@pytest.mark.parametrize("model,pairs", CONVEX_CASES, ids=[m.describe() for m, _ in CONVEX_CASES])
+def test_batched_exact_scan_gives_the_bits_of_the_per_lens_scan(model, pairs):
+    for R, r in pairs:
+        bp = BallPair.create(model, R, r)
+        # the grids hold t = 0, t = R + r and, for R > r, a stretch of
+        # separations without corners (the small ball inside the big one)
+        for n in (2, 13, 777, 1001):
+            ts = np.linspace(0.0, R + r, n)
+            points, owners = _nesting_scan(bp, ts, 256, 0)
+            ref_points, ref_owners = _per_lens_far_points(bp, ts)
+            assert points.tobytes() == ref_points.tobytes(), (R, r, n)
+            assert owners.dtype == ref_owners.dtype
+            assert owners.tobytes() == ref_owners.tobytes(), (R, r, n)
+        corners = [_corner_points(bp.with_separation(float(t))) is not None for t in ts]
+        assert any(corners) and not corners[0]
+        assert bp.with_separation(float(ts[-1])).touching
+
+
+def test_exact_onset_makes_a_fixed_number_of_frames_and_exps(monkeypatch):
+    # the batched scan pushes every corner through one exp_many about
+    # gamma(0) with one frame; the line points are closed forms
+    sphere = Sphere(2, 1.0)
+    calls = {"exp_many": 0, "tangent_basis": 0}
+    for name in calls:
+        method = getattr(sphere, name)
+
+        def counted(*args, _method=method, _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(sphere, name, counted)
+    counts = []
+    for n_grid in (11, 101, 1001):
+        calls.update(dict.fromkeys(calls, 0))
+        estimate_nesting_onset(BallPair.create(sphere, 1.2, 0.6), n_grid=n_grid)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[2]["exp_many"] <= 1
+    assert counts[2]["tangent_basis"] <= 2
 
 
 def _closed_form_plateau_end(model, R, r):

@@ -228,6 +228,22 @@ def test_hyperbolic_distance_against_ode_oracle():
     assert worst < 1e-8
 
 
+def test_dist_many_is_the_pair_batch_with_the_point_tiled(models):
+    # dist_many broadcasts its point over dist_pairs: the bits of the
+    # explicitly tiled batch, on every model; each row is the pair distance
+    rng = np.random.default_rng(61)
+    for name, model in models.items():
+        x = _random_point(model, rng).coords
+        if name == "surface":
+            points = x + rng.uniform(-0.1, 0.1, size=(5, 2))
+        else:
+            points = np.array([_random_point(model, rng).coords for _ in range(40)])
+        many = model.dist_many(x, points)
+        assert many.tobytes() == model.dist_pairs(np.tile(x, (len(points), 1)), points).tobytes()
+        for q, d in zip(points, many):
+            assert d == pytest.approx(model.dist_coords(x, q), rel=0, abs=1e-12), name
+
+
 # ------------------------------------------------- invariants & properties
 
 

@@ -20,7 +20,9 @@ from geolens import (
     monotone_limit_check,
     sample_intersection,
 )
+from geolens import _kernels
 from geolens.errors import ConfigError, NestingError
+from geolens.sets import diameter_with_witness
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +117,38 @@ def test_diameter_union_dominates(plane):
     z = _random_cloud(plane, rng)
     union = PointCloud(plane, np.vstack([y.points, z.points]), 0.0)
     assert diameter(union) >= max(diameter(y), diameter(z))
+
+
+def test_diameter_is_scanned_once_per_cloud(plane, monkeypatch):
+    rng = np.random.default_rng(59)
+    y, z = _random_cloud(plane, rng), _random_cloud(plane, rng)
+    scans = []
+    scan = _kernels.pairwise_max
+
+    def counted(points, manifold):
+        scans.append(len(points))
+        return scan(points, manifold)
+
+    monkeypatch.setattr(_kernels, "pairwise_max", counted)
+    first = [diameter(y), diameter(z)]
+    for _ in range(3):
+        assert [diameter(y), diameter(z)] == first
+        assert diameter_lipschitz_check(y, z)
+    assert diameter_with_witness(y) == (first[0], diameter_with_witness(y)[1])
+    assert scans == [len(y), len(z)]
+
+
+def test_cloud_points_are_a_read_only_copy(plane):
+    # the memoised diameter stays sound: nothing can move the points
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    cloud = PointCloud(plane, pts, 0.0)
+    before = diameter(cloud)
+    pts[2] = [0.0, 9.0]
+    assert cloud.points[2].tolist() == [0.0, 2.0]
+    assert diameter(cloud) == before == math.sqrt(5.0)
+    with pytest.raises(ValueError):
+        cloud.points[0, 0] = 5.0
+    assert pts.flags.writeable
 
 
 # ------------------------------------------------- diameter vs hausdorff
