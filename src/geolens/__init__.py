@@ -46,6 +46,7 @@ from geolens.radii import (
     conjugate_radius,
     convexity_from,
     focal_radius,
+    jacobi_radii,
     radii_report,
 )
 from geolens.sets import (
@@ -85,6 +86,7 @@ __all__ = [
     "closed_form_radii",
     "conjugate_radius",
     "focal_radius",
+    "jacobi_radii",
     "convexity_from",
     "radii_report",
     "PointCloud",

@@ -1,16 +1,35 @@
 """The distance scans behind every width, Hausdorff gap and nesting margin.
 
-``pairwise_max`` finds the farthest pair of one cloud and ``min_dist_to``
-the distance from each point of a cloud to its nearest target;
-``min_dist_both`` gives the nearest distances both ways, for a Hausdorff
-distance.  On a model with closed forms the scans work on row blocks of the
-model's squared pre-metric (:meth:`Manifold.scan_sq`), which is monotone in
-the distance, and map only the reduced values to distances
-(:meth:`Manifold.scan_dist`).  Blocks are chunked to bound memory.  One
-block scan serves both directions: its row minima are the nearest targets of
-the points and its column minima the nearest points of the targets, with the
-bits of a scan the other way because ``scan_sq(a, b)[i, j] == scan_sq(b,
-a)[j, i]``.
+``pairwise_max`` finds the farthest pair of one cloud, ``max_nearest`` the
+largest nearest distance (sup over p of inf over q of d(p, q)) one or both
+ways, ``min_dist_to`` the distance from each point of a cloud to its nearest
+target and ``min_dist_both`` those distances both ways.  On a model with
+closed forms the scans work on row blocks of the model's squared pre-metric
+(:meth:`Manifold.scan_sq`), which is monotone in the distance, and map only
+the reduced values to distances (:meth:`Manifold.scan_dist`).  Blocks are
+chunked to bound memory.  One block scan serves both directions: its row
+minima are the nearest targets of the points and its column minima the
+nearest points of the targets, with the bits of a scan the other way because
+``scan_sq(a, b)[i, j] == scan_sq(b, a)[j, i]``.
+
+Few pairs decide a maximum, so the closed-form maxima first find the rows
+that can hold it and then scan only those rows exactly (after Taha &
+Hanbury, *An efficient algorithm for calculating the exact Hausdorff
+distance*, 2015).  Every reported value still comes from ``scan_sq`` blocks,
+whose element bits do not depend on the block's shape, so the pruned scans
+return the bits, and the witnesses, of the full ones:
+
+* ``max_nearest``, where ``scan_sq`` is the squared ambient Euclidean
+  distance (``Manifold.euclidean_scan``): a k-d tree (scipy's ``cKDTree``)
+  gives every row's nearest distance to a few ulps, and only the rows within
+  a relative ``_TREE_RTOL`` of the largest are rescored against every
+  target.  Elsewhere (the hyperboloid's Minkowski form) it reduces the
+  one-block two-way scan.
+* ``pairwise_max``: by the triangle inequality through a central point c, a
+  farthest pair (x, y) has d(x, c) >= diam - max d(., c); with the lower
+  bound of one exact row, the points below that radius (less the rounding
+  margin ``_PRUNE_RTOL``) cannot end a farthest pair, and the chunked loop
+  skips their rows and columns in place, keeping its scan order.
 
 A model without closed forms (the numeric surface) has no pre-metric: there
 every pair of the scan is shot in one lockstep Newton batch
@@ -28,6 +47,14 @@ SLOW_PAIR_LIMIT = 250_000
 _CHUNK = 512
 _SHOOT_CHUNK = 4096
 
+# The tree's distances agree with sqrt(scan_sq) to a few ulps; a row more
+# than this far below the largest cannot hold the exact maximum.  (When
+# every distance is 0, every row is kept.)
+_TREE_RTOL = 1e-9
+# Covers the rounding of the distance formulas against each other, up to
+# arcsin near the antipode (about sqrt(eps) times the radius).
+_PRUNE_RTOL = 1e-7
+
 
 def pairwise_max(points, manifold):
     """Largest pairwise distance in one cloud; returns (dist, i, j)."""
@@ -37,20 +64,70 @@ def pairwise_max(points, manifold):
     n = pts.shape[0]
     if n < 2:
         return 0.0, 0, 0
+    # the kept indices of each chunk, in order: the loop below visits the
+    # kept pairs in the order of a full scan, so its strict ">" across
+    # blocks and the first argmax within one pick the same first maximum
+    keep = _diameter_candidates(pts, manifold)
+    parts = np.split(keep, np.searchsorted(keep, np.arange(_CHUNK, n, _CHUNK)))
     best = -1.0
     bi = bj = 0
-    for i0 in range(0, n, _CHUNK):
-        a = pts[i0 : i0 + _CHUNK]
-        for j0 in range(i0, n, _CHUNK):
-            sq = manifold.scan_sq(a, pts[j0 : j0 + _CHUNK])
-            if j0 == i0:
-                sq = np.triu(sq, k=1)
+    for c, rows in enumerate(parts):
+        if not len(rows):
+            continue
+        a = pts[rows]
+        for c2, cols in enumerate(parts[c:], c):
+            if not len(cols):
+                continue
+            sq = manifold.scan_sq(a, pts[cols])
+            if c2 == c:
+                sq = np.where(cols > rows[:, None], sq, 0.0)  # np.triu(k=1) of the full block
             k = int(np.argmax(sq))
             i, j = divmod(k, sq.shape[1])
             if sq[i, j] > best:
                 best = float(sq[i, j])
-                bi, bj = i0 + i, j0 + j
+                bi, bj = int(rows[i]), int(cols[j])
     return float(manifold.scan_dist(np.asarray(best))), bi, bj
+
+
+def _diameter_candidates(pts, manifold):
+    """Sorted indices of the points that can end a farthest pair.
+
+    For the cloud point c nearest the ambient mean, a farthest pair (x, y)
+    has diam <= d(x, c) + d(c, y), so d(x, c) >= lb - max d(., c) for any
+    lower bound lb of the diameter; lb is the exact row of the point
+    farthest from c.
+    """
+    dev = pts - pts.mean(axis=0)
+    center = pts[int(np.argmin(np.einsum("ij,ij->i", dev, dev)))]
+    rad = manifold.dist_many(center, pts)
+    far = int(np.argmax(rad))
+    lb = float(manifold.scan_dist(manifold.scan_sq(pts[far : far + 1], pts).max()))
+    cut = lb - float(rad[far]) - _PRUNE_RTOL * lb
+    return np.flatnonzero(rad >= cut)
+
+
+def max_nearest(points, targets, manifold, both=True):
+    """``(max(min_dist_to(points, targets)), max(min_dist_to(targets,
+    points)))`` with their bits; only the first with ``both=False``."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    tgt = np.ascontiguousarray(targets, dtype=np.float64)
+    if manifold.closed_form and manifold.euclidean_scan:
+        pairs = ((pts, tgt), (tgt, pts)) if both else ((pts, tgt),)
+        return tuple(_tree_max_nearest(p, q, manifold) for p, q in pairs)
+    if both:
+        forward, backward = min_dist_both(pts, tgt, manifold)
+        return float(forward.max()), float(backward.max())
+    return (float(min_dist_to(pts, tgt, manifold).max()),)
+
+
+def _tree_max_nearest(pts, tgt, manifold):
+    """Largest nearest distance from pts to tgt: k-d tree candidates, then
+    the exact ``scan_sq`` rows of those that can hold the maximum."""
+    from scipy.spatial import cKDTree  # only here: keeps scipy off start-up
+
+    near = cKDTree(tgt).query(pts, k=1)[0]
+    rows = pts[near >= (1.0 - _TREE_RTOL) * near.max()]
+    return float(manifold.scan_dist(_nearest_sq(rows, tgt, manifold)[0]).max())
 
 
 def min_dist_to(points, targets, manifold):

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from geolens._ode import rk4_endpoint, rk4_trajectory
 from geolens.errors import ChartError
@@ -155,6 +154,8 @@ class SampledCurve:
 
 def energy(curve: SampledCurve | GeodesicSegment) -> float:
     """Integral of squared speed over the curve's parameter interval."""
+    from scipy.integrate import simpson  # here, not at import: no CLI path needs it
+
     if isinstance(curve, GeodesicSegment):
         curve = curve.as_curve()
     sp = curve.speeds()
@@ -163,6 +164,8 @@ def energy(curve: SampledCurve | GeodesicSegment) -> float:
 
 def length(curve: SampledCurve | GeodesicSegment) -> float:
     """Integral of speed over the curve's parameter interval."""
+    from scipy.integrate import simpson
+
     if isinstance(curve, GeodesicSegment):
         curve = curve.as_curve()
     return float(simpson(curve.speeds(), x=curve.ts))

@@ -286,6 +286,10 @@ class Manifold(ABC):
     # the reduced values to distances.  The base class holds the flat pair;
     # the scans use these only where ``closed_form`` is True.
 
+    # True where ``scan_sq`` is the squared ambient Euclidean distance, so a
+    # Euclidean k-d tree on the coordinates finds the same nearest points.
+    euclidean_scan: bool = True
+
     def scan_sq(self, a, b) -> np.ndarray:
         """Squared pre-metric between row blocks a (m, d) and b (n, d).
         ``scan_sq(a, b)[i, j] == scan_sq(b, a)[j, i]`` bit for bit."""
@@ -514,6 +518,13 @@ class Hyperbolic(Manifold):
     def minkowski(self, x, y):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
+        if x.ndim == 1 and x.shape == y.shape and len(x) <= 8:
+            # np.sum's order on fewer than 8 terms: from +0.0, left to right
+            xs, ys = x.tolist(), y.tolist()
+            acc = 0.0
+            for a, b in zip(xs[1:], ys[1:]):
+                acc += a * b
+            return acc - xs[0] * ys[0]
         return np.sum(x[..., 1:] * y[..., 1:], axis=-1) - x[..., 0] * y[..., 0]
 
     def normalize(self, spatial) -> np.ndarray:
@@ -625,6 +636,8 @@ class Hyperbolic(Manifold):
         if abs(denom) < 1e-300:
             return None
         return (math.cosh(R / a) * math.cosh(t / a) - math.cosh(r / a)) / denom
+
+    euclidean_scan = False
 
     def scan_sq(self, a, b):
         diff = _diff_block(a, b)

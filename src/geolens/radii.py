@@ -197,7 +197,19 @@ def _smallest_zero(zeros, valid) -> RadiusValue:
     return RadiusValue(float(np.nanmin(zeros)), NUMERIC)
 
 
-def _scan_radius(manifold, base, directions, horizon, step, of: str) -> RadiusValue:
+def jacobi_radii(
+    manifold: Manifold,
+    base: ManifoldPoint | None = None,
+    directions: int = DEFAULT_DIRECTIONS,
+    horizon: float | None = None,
+    step: float = DEFAULT_STEP,
+) -> tuple[RadiusValue, RadiusValue]:
+    """(conjugate radius, focal radius), both read off one Jacobi integration:
+    the first zeros of j(t) and of j'(t) (j(0)=0, j'(0)=1), minimized over
+    sampled directions."""
+    if directions < 1:
+        raise ValueError("directions must be >= 1")
+    horizon = horizon if horizon is not None else manifold.horizon
     base = manifold.basepoint() if base is None else base
     if manifold.closed_form:
         # constant curvature: the scalar equation is direction-independent
@@ -205,14 +217,18 @@ def _scan_radius(manifold, base, directions, horizon, step, of: str) -> RadiusVa
         seg = GeodesicSegment(
             manifold=manifold, base=base, direction=TangentVector(base, frame[0]), length=horizon
         )
-        zero = integrate_jacobi(manifold, seg, step=step).first_zero(of=of)
-        if zero is None:
-            return RadiusValue(horizon, NUMERIC, lower_bound_only=True)
-        return RadiusValue(float(zero), NUMERIC)
+        solution = integrate_jacobi(manifold, seg, step=step)
+        zeros = (solution.first_zero(of="value"), solution.first_zero(of="derivative"))
+        return tuple(
+            RadiusValue(horizon, NUMERIC, lower_bound_only=True)
+            if zero is None
+            else RadiusValue(float(zero), NUMERIC)
+            for zero in zeros
+        )
 
     angles = np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False)
     j_zero, jp_zero, valid = _first_zeros_batch(manifold, base.coords, angles, horizon, step)
-    return _smallest_zero(j_zero if of == "value" else jp_zero, valid)
+    return _smallest_zero(j_zero, valid), _smallest_zero(jp_zero, valid)
 
 
 def conjugate_radius(
@@ -223,10 +239,7 @@ def conjugate_radius(
     step: float = DEFAULT_STEP,
 ) -> RadiusValue:
     """First zero of j(t) (j(0)=0, j'(0)=1), minimized over sampled directions."""
-    if directions < 1:
-        raise ValueError("directions must be >= 1")
-    horizon = horizon if horizon is not None else manifold.horizon
-    return _scan_radius(manifold, base, directions, horizon, step, of="value")
+    return jacobi_radii(manifold, base, directions, horizon, step)[0]
 
 
 def focal_radius(
@@ -237,10 +250,7 @@ def focal_radius(
     step: float = DEFAULT_STEP,
 ) -> RadiusValue:
     """First zero of j'(t), minimized over sampled directions."""
-    if directions < 1:
-        raise ValueError("directions must be >= 1")
-    horizon = horizon if horizon is not None else manifold.horizon
-    return _scan_radius(manifold, base, directions, horizon, step, of="derivative")
+    return jacobi_radii(manifold, base, directions, horizon, step)[1]
 
 
 def convexity_from(focal: RadiusValue, injectivity: RadiusValue) -> RadiusValue:

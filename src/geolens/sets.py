@@ -3,10 +3,13 @@
 Compact sets are represented by nonempty finite point clouds carrying an
 explicit fill radius: every point of the represented set lies within
 ``fill_radius`` of some sample.  Set-level statements then hold up to
-quantified slack.  Every distance comes from the brute-force scans of
-:mod:`geolens._kernels`, O(|Y| * |Z|); desk-scale clouds make clarity worth
-more than an index.  A Hausdorff distance reads both directions off one
-block scan (``min_dist_both``).  A cloud's points are read-only, so its
+quantified slack.  Every distance comes from the scans of
+:mod:`geolens._kernels`.  A Hausdorff distance and a nesting gap are
+largest nearest distances (``max_nearest``): on the sphere and in Euclidean
+space a k-d tree picks the few rows that can hold the maximum and only those
+are scanned exactly, so the value has the bits of the full O(|Y| * |Z|)
+scan; the hyperboloid reads both directions off one block scan and the
+numeric surface shoots every pair.  A cloud's points are read-only, so its
 diameter is scanned once and memoised.
 """
 
@@ -66,11 +69,6 @@ def diameter(cloud: PointCloud) -> float:
     return diameter_with_witness(cloud)[0]
 
 
-def min_distances(cloud: PointCloud, target: PointCloud) -> np.ndarray:
-    """Distance from each sample of ``cloud`` to its nearest sample of ``target``."""
-    return _kernels.min_dist_to(cloud.points, target.points, cloud.manifold)
-
-
 def hausdorff(y: PointCloud, z: PointCloud) -> float:
     """Hausdorff distance of the samples (max of the two sup-inf scans).
 
@@ -78,8 +76,7 @@ def hausdorff(y: PointCloud, z: PointCloud) -> float:
     most y.fill_radius + z.fill_radius.
     """
     _same_manifold(y, z)
-    forward, backward = _kernels.min_dist_both(y.points, z.points, y.manifold)
-    return max(float(forward.max()), float(backward.max()))
+    return max(_kernels.max_nearest(y.points, z.points, y.manifold))
 
 
 def diameter_lipschitz_check(y: PointCloud, z: PointCloud, extra_slack: float = 1e-12) -> bool:
@@ -120,7 +117,7 @@ def monotone_limit_check(
             if direction == "nested-decreasing"
             else (clouds[i], clouds[i + 1])
         )
-        gap = float(min_distances(inner, outer).max())
+        (gap,) = _kernels.max_nearest(inner.points, outer.points, inner.manifold, both=False)
         if gap > outer.fill_radius + slack:
             raise NestingError(
                 f"nesting violated between elements {i} and {i + 1}: "

@@ -29,7 +29,7 @@ from geolens.lens import (
     sample_intersection,
     w_profile,
 )
-from geolens.radii import conjugate_radius, focal_radius, radii_report
+from geolens.radii import jacobi_radii, radii_report
 from geolens.sets import (
     PointCloud,
     diameter,
@@ -353,12 +353,12 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
     )
     residuals = [v for v in report.identity_residuals().values() if not math.isnan(v)]
     radii_margin = tol.radii - max(residuals) if residuals else tol.radii
-    if manifold.closed_form:
+    exact = (report.conjugate, report.focal)
+    if manifold.closed_form and any(math.isfinite(e.value) for e in exact):
         # the Jacobi scans against the closed forms, where they are finite
-        for scan, exact in ((focal_radius, report.focal), (conjugate_radius, report.conjugate)):
-            if math.isfinite(exact.value):
-                found = scan(manifold, directions=1).value
-                radii_margin = min(radii_margin, tol.radii - abs(found - exact.value))
+        for found, e in zip(jacobi_radii(manifold, directions=1), exact):
+            if math.isfinite(e.value):
+                radii_margin = min(radii_margin, tol.radii - abs(found.value - e.value))
     per_claim["convexity_radius_identity"]["model"] = float(radii_margin)
 
     entries = []

@@ -377,3 +377,19 @@ def test_surface_focal_scan_runs_once_per_config(tmp_path, monkeypatch):
     bound = config.convexity_bound_for(loaded, loaded.manifold.build())
     assert directions == [16]
     assert bound == 0.5
+
+
+def test_start_up_loads_no_scipy():
+    # scipy is imported where it is used (the k-d tree candidates, Simpson
+    # rules, splines), so the CLI starts without it
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, geolens, geolens.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -200,3 +200,222 @@ def test_surface_min_dist_both_shoots_each_direction(monkeypatch):
     assert batches == [35, 35]
     assert forward.tobytes() == _kernels.min_dist_to(pts[:5], pts[5:], surface).tobytes()
     assert backward.tobytes() == _kernels.min_dist_to(pts[5:], pts[:5], surface).tobytes()
+
+
+# -- pruned maxima against the full scans ------------------------------------
+# The closed-form maxima scan only the rows (max_nearest) or the points
+# (pairwise_max) that can decide them; these tests hold them to the bits,
+# and the witnesses, of the full scans.
+
+
+def _full_max_nearest(a, b, model):
+    """Both largest nearest distances from the full two-way block scan."""
+    forward, backward = _kernels.min_dist_both(a, b, model)
+    return float(forward.max()), float(backward.max())
+
+
+def _assert_max_nearest_is_full(a, b, model):
+    full = _full_max_nearest(a, b, model)
+    assert _kernels.max_nearest(a, b, model) == full
+    assert _kernels.max_nearest(a, b, model, both=False) == full[:1]
+    assert _kernels.max_nearest(b, a, model) == full[::-1]
+
+
+def _concentric_sequence(model, center, l_base=0.48, deltas=(0.072, 0.036, 0.018, 0.009, 0.0045)):
+    """The suite's shrinking concentric clouds and their limit."""
+    from geolens.suite import _concentric_cloud
+
+    frame = model.tangent_basis(center)
+    seq = [_concentric_cloud(model, center, frame, l_base + d).points for d in deltas]
+    return seq, _concentric_cloud(model, center, frame, l_base).points
+
+
+EUCLIDEAN_SCAN_MODELS = [Euclidean(2), Euclidean(3), Sphere(2, 2.5), Sphere(3, 2.5)]
+
+
+@pytest.mark.parametrize("model", EUCLIDEAN_SCAN_MODELS, ids=lambda m: m.describe())
+def test_max_nearest_gives_the_bits_of_the_full_scan(model):
+    # 700 x 530 crosses the 512 chunk boundary in both directions
+    rng = np.random.default_rng(60 + model.dim)
+    a = _random_cloud(model, rng, 700)
+    b = _random_cloud(model, rng, 530)
+    _assert_max_nearest_is_full(a, b, model)
+    # identical clouds (every nearest distance 0), duplicates, single points
+    assert _kernels.max_nearest(a, a, model) == (0.0, 0.0) == _full_max_nearest(a, a, model)
+    _assert_max_nearest_is_full(np.vstack([a, a[:200]]), a[100:400], model)
+    _assert_max_nearest_is_full(a[:1], b, model)
+    _assert_max_nearest_is_full(a[:1], b[:1], model)
+    assert _kernels.max_nearest(a[:1], a[:1], model) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("model", EUCLIDEAN_SCAN_MODELS, ids=lambda m: m.describe())
+def test_max_nearest_on_the_concentric_tie_clouds(model):
+    # shared angles make whole rings tie in exact arithmetic: which row holds
+    # the rounded maximum is decided in the last bits
+    center = model.basepoint().coords
+    seq, limit = _concentric_sequence(model, center)
+    for outer, inner in zip(seq[:-1], seq[1:]):
+        _assert_max_nearest_is_full(inner, outer, model)
+    _assert_max_nearest_is_full(seq[-1], limit, model)
+    _assert_max_nearest_is_full(seq[0], limit, model)
+
+
+@pytest.mark.parametrize("model", EUCLIDEAN_SCAN_MODELS, ids=lambda m: m.describe())
+def test_max_nearest_with_one_far_outlier(model):
+    center = model.basepoint().coords
+    seq, limit = _concentric_sequence(model, center)
+    outlier = -center if isinstance(model, Sphere) else center + 40.0
+    a = np.vstack([seq[2], outlier])
+    _assert_max_nearest_is_full(a, limit, model)
+    _assert_max_nearest_is_full(limit, a, model)
+
+
+def test_max_nearest_rescores_rows_the_tree_ranks_lower():
+    # the tree and scan_sq sum these squared distances to the origin in
+    # different orders and rank them oppositely, one ulp apart: the tree puts
+    # the first row above the second, scan_sq the second above the first
+    pts = np.array(
+        [
+            [-0.07905711255738863, 0.054924163347465464, 0.02707968306072497],
+            [-0.007563029660434345, -0.09917850634511347, -0.01031622321916692],
+        ]
+    )
+    model = Euclidean(3)
+    origin = np.zeros((1, 3))
+    _assert_max_nearest_is_full(pts, origin, model)
+    _assert_max_nearest_is_full(np.vstack([pts, 0.5 * pts]), origin, model)
+
+
+@pytest.mark.parametrize("model", [Hyperbolic(2, -0.3), Hyperbolic(3, -0.3)], ids=lambda m: m.describe())
+def test_max_nearest_falls_back_to_the_block_scan_on_the_hyperboloid(model, monkeypatch):
+    rng = np.random.default_rng(70 + model.dim)
+    a = _random_cloud(model, rng, 700)
+    b = _random_cloud(model, rng, 530)
+    full = _full_max_nearest(a, b, model)
+    assert _kernels.max_nearest(a, b, model) == full
+    assert _kernels.max_nearest(a, b, model, both=False) == full[:1]
+    seq, limit = _concentric_sequence(model, model.basepoint().coords)
+    _assert_max_nearest_is_full(seq[-1], limit, model)
+    # the Minkowski form is no Euclidean distance: no tree is asked
+    import scipy.spatial
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", None)
+    assert _kernels.max_nearest(a, b, model) == full
+
+
+def test_max_nearest_scans_few_pairs_of_a_lens_hausdorff(monkeypatch):
+    from geolens import BallPair, sample_intersection
+
+    sphere = Sphere(2, 1.0)
+    bp = BallPair.create(sphere, 1.2, 0.6)
+    y = sample_intersection(bp.with_separation(0.9), 1300, 7).points
+    z = sample_intersection(bp.with_separation(0.93), 1300, 7).points
+    assert 700 <= len(y) <= 900 and 700 <= len(z) <= 900
+    full = _full_max_nearest(y, z, sphere)
+    seen = []
+    scan_sq = sphere.scan_sq
+
+    def counted(a, b):
+        seen.append(a.shape[0] * b.shape[0])
+        return scan_sq(a, b)
+
+    monkeypatch.setattr(sphere, "scan_sq", counted)
+    assert _kernels.max_nearest(y, z, sphere) == full
+    assert 0 < sum(seen) < 0.05 * len(y) * len(z)
+
+
+def _unpruned_pairwise_max(pts, model, chunk=512):
+    """The full chunked farthest-pair loop: every pair, first maximum kept."""
+    n = len(pts)
+    best = -1.0
+    bi = bj = 0
+    for i0 in range(0, n, chunk):
+        a = pts[i0 : i0 + chunk]
+        for j0 in range(i0, n, chunk):
+            sq = model.scan_sq(a, pts[j0 : j0 + chunk])
+            if j0 == i0:
+                sq = np.triu(sq, k=1)
+            k = int(np.argmax(sq))
+            i, j = divmod(k, sq.shape[1])
+            if sq[i, j] > best:
+                best = float(sq[i, j])
+                bi, bj = i0 + i, j0 + j
+    return float(model.scan_dist(np.asarray(best))), bi, bj
+
+
+LENS_MODELS = [Euclidean(2), Euclidean(3), Sphere(2, 1.0), Sphere(3, 1.0), Hyperbolic(2, -1.0), Hyperbolic(3, -1.0)]
+
+
+@pytest.mark.parametrize("model", LENS_MODELS, ids=lambda m: m.describe())
+def test_pairwise_max_gives_the_value_and_witness_of_the_full_loop(model):
+    from geolens import BallPair, sample_intersection
+
+    for R, r in ((1.2, 0.6), (1.0, 1.0)):
+        bp = BallPair.create(model, R, r)
+        for frac in (0.0, 0.3, 0.5, 0.7):
+            pts = sample_intersection(bp.with_separation(frac * (R + r)), 4096, 11).points
+            assert len(pts) > 512
+            assert _kernels.pairwise_max(pts, model) == _unpruned_pairwise_max(pts, model)
+
+
+@pytest.mark.parametrize("model", [Euclidean(2), Sphere(2, 1.0), Sphere(3, 1.0)], ids=lambda m: m.describe())
+def test_pairwise_max_keeps_the_first_of_tied_antipodal_pairs(model):
+    # a regular 1000-gon (on the sphere: the equator, where every farthest
+    # pair is antipodal): the tied pairs (i, i + 500) sit in the first
+    # diagonal block for i < 12 and straddle the 512 boundary after
+    ang = np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False)
+    pts = np.zeros((1000, model.ambient_dim))
+    pts[:, 0], pts[:, 1] = np.cos(ang), np.sin(ang)
+    for shift in (0, 5, 12, 300):
+        rolled = np.roll(pts, shift, axis=0)
+        assert _kernels.pairwise_max(rolled, model) == _unpruned_pairwise_max(rolled, model)
+    # and with duplicated rows, which tie bit for bit
+    doubled = np.vstack([pts[::2], pts[::2]])
+    assert _kernels.pairwise_max(doubled, model) == _unpruned_pairwise_max(doubled, model)
+
+
+@pytest.mark.parametrize("model", [Euclidean(2), Sphere(2, 1.0), Hyperbolic(2, -1.0)], ids=lambda m: m.describe())
+def test_pairwise_max_keeps_the_first_of_exact_ties_across_chunks(model):
+    # two farthest pairs with the same bits: (400, 450) in the first diagonal
+    # block, scanned first, and (10, 700), whose row comes first but whose
+    # column lies in the next chunk
+    rng = np.random.default_rng(90)
+    small = 0.05 * rng.normal(size=(1000, 2))
+    if isinstance(model, Euclidean):
+        pts, ends = small, 5.0 * np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+    else:
+        base = model.basepoint().coords
+        frame = model.tangent_basis(base)
+        pts = model.exp_many(base, small @ frame[:2])
+        reach = 0.5 * math.pi if isinstance(model, Sphere) else 2.0
+        ends = model.exp_many(base, reach * np.array([[-1, 0], [1, 0], [0, -1], [0, 1]]) @ frame[:2])
+    pts[[400, 450, 10, 700]] = ends
+    tie = model.scan_sq(pts[[400, 10]], pts[[450, 700]])
+    assert tie[0, 0] == tie[1, 1]
+    best = _unpruned_pairwise_max(pts, model)
+    assert best[1:] == (400, 450)
+    assert _kernels.pairwise_max(pts, model) == best
+
+
+def test_pairwise_max_on_the_antipodal_hemisphere_lens():
+    # R = r = pi/2: the lens spans antipodal points, where arcsin's rounding
+    # is about sqrt(eps) and the prune's margin must cover it
+    from geolens import BallPair, sample_intersection
+
+    sphere = Sphere(2, 1.0)
+    bp = BallPair.create(sphere, math.pi / 2, math.pi / 2, enforce_convexity=False)
+    for t in (0.0, 1e-9, 0.05, 0.3):
+        for seed in (1, 2):
+            pts = sample_intersection(bp.with_separation(t), 1024, seed).points
+            assert len(pts) > 512
+            assert _kernels.pairwise_max(pts, sphere) == _unpruned_pairwise_max(pts, sphere)
+
+
+@pytest.mark.parametrize("model", LENS_MODELS[:4], ids=lambda m: m.describe())
+def test_pairwise_max_of_degenerate_clouds(model):
+    rng = np.random.default_rng(80 + model.dim)
+    a = _random_cloud(model, rng, 600)
+    same = np.repeat(a[:1], 600, axis=0)
+    assert _kernels.pairwise_max(same, model) == _unpruned_pairwise_max(same, model)
+    assert _kernels.pairwise_max(a[:2], model) == _unpruned_pairwise_max(a[:2], model)
+    assert _kernels.pairwise_max(a, model) == _unpruned_pairwise_max(a, model)

@@ -15,6 +15,7 @@ from geolens import (
     conjugate_radius,
     convexity_from,
     focal_radius,
+    jacobi_radii,
     radii_report,
 )
 from geolens.errors import ConfigError
@@ -198,3 +199,51 @@ def test_convexity_from_rejects_uninformative_bound():
 def test_directions_precondition():
     with pytest.raises(ValueError):
         conjugate_radius(Sphere(2, 1.0), directions=0)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Sphere(2, 1.0), Sphere(3, 4.0), Euclidean(2), Hyperbolic(2, -1.0)],
+    ids=lambda m: m.describe(),
+)
+def test_jacobi_radii_reads_both_zeros_off_one_integration(model, monkeypatch):
+    import geolens.radii
+
+    horizon = 6.0
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate_jacobi(*args, **kwargs)
+
+    monkeypatch.setattr(geolens.radii, "integrate_jacobi", counted)
+    conj, foc = jacobi_radii(model, directions=1, horizon=horizon)
+    assert len(calls) == 1
+    # the zeros of one solution integrated here
+    base = model.basepoint()
+    seg = GeodesicSegment(
+        manifold=model,
+        base=base,
+        direction=TangentVector(base, model.tangent_basis(base.coords)[0]),
+        length=horizon,
+    )
+    solution = integrate_jacobi(model, seg)
+    for value, of in ((conj, "value"), (foc, "derivative")):
+        zero = solution.first_zero(of=of)
+        if zero is None:
+            assert value == RadiusValue(horizon, NUMERIC, lower_bound_only=True)
+        else:
+            assert value == RadiusValue(zero, NUMERIC)
+    assert (conj, foc) == (
+        conjugate_radius(model, directions=1, horizon=horizon),
+        focal_radius(model, directions=1, horizon=horizon),
+    )
+
+
+def test_jacobi_radii_on_the_surface_match_the_single_scans():
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    both = jacobi_radii(surface, directions=8, horizon=4.0)
+    assert both == (
+        conjugate_radius(surface, directions=8, horizon=4.0),
+        focal_radius(surface, directions=8, horizon=4.0),
+    )
