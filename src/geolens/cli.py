@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 
-from geolens.config import RunConfig, atomic_write, load_config
+from geolens.config import RunConfig, atomic_write, convexity_bound_for, load_config
 from geolens.errors import ConfigError, GeolensError
 from geolens.lens import BallPair, w_profile
 from geolens.radii import radii_report
@@ -49,35 +49,20 @@ def _build_parser():
 
 
 def _resolve(args) -> RunConfig:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.grid is not None:
-        overrides["grid"] = args.grid
-    if args.budget is not None:
-        overrides["budget"] = args.budget
-    if args.out is not None:
-        overrides["out"] = args.out
+    overrides = {
+        key: getattr(args, key)
+        for key in ("seed", "grid", "budget", "out")
+        if getattr(args, key) is not None
+    }
     if args.expect_counterexample or args.command == "counterexample":
         overrides["expect_counterexample"] = True
     return load_config(args.config, overrides)
 
 
 def _cmd_profile(config: RunConfig) -> int:
-    from geolens.config import convexity_bound_for
-
     manifold = config.manifold.build()
-    if config.expect_counterexample:
-        conv, enforce = math.inf, False
-    else:
-        conv, enforce = convexity_bound_for(config, manifold), True
-    bp = BallPair.create(
-        manifold,
-        config.R,
-        config.r,
-        convexity_bound=conv,
-        enforce_convexity=enforce,
-    )
+    conv = math.inf if config.expect_counterexample else convexity_bound_for(config, manifold)
+    bp = BallPair.create(manifold, config.R, config.r, convexity_bound=conv)
     profile = w_profile(bp, grid=config.grid, budget=config.budget, seed=config.seed)
     out = config.out or "profile.csv"
     profile.to_csv(out, config_lines=config.resolved_lines())

@@ -1,17 +1,19 @@
 """Run configuration: plain-text INI with sections, resolved and validated.
 
-Sections:
+Sections and the keys each one reads:
 
-    [manifold]  kind, dimension, curvature; surface models add either
-                profile = bump (built-in f(u) = offset + cos u) with
-                u_min/u_max/offset, or profile_file = CSV with columns
-                u, f[, df, d2f]; numeric models also take
-                injectivity_bound and optional loop_length.
-    [lens]      R, r, and optionally pairs = "R1,r1; R2,r2; ..." for verify.
-    [run]       grid, budget, seed, out, expect_counterexample.
-    [tolerances] optional overrides, see Tolerances fields.
+    [manifold]   kind, dimension, curvature; surface models add either
+                 profile = bump (built-in f(u) = offset + cos u) with
+                 u_min, u_max, offset, or profile_file = CSV with columns
+                 u, f[, df, d2f]; then step, injectivity_bound (required
+                 on the surface) and loop_length.
+    [lens]       R, r, and optionally pairs = "R1,r1; R2,r2; ..." for verify.
+    [run]        grid, budget, seed, out, expect_counterexample.
+    [tolerances] nesting, radii, monotone_slack (see :class:`Tolerances`).
 
-Every parsed value is checked against the module preconditions before any
+Any other section or key raises :class:`ConfigError` naming it.  A key left
+out takes the default of its ``ManifoldSpec``/``RunConfig`` field.  Every
+parsed value is checked against the module preconditions before any
 computation starts; violations raise :class:`ConfigError`.
 """
 
@@ -21,11 +23,12 @@ import configparser
 import functools
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from geolens.errors import ConfigError
+from geolens.lens import DEFAULT_BUDGET, DEFAULT_GRID
 from geolens.manifolds import (
     Euclidean,
     Hyperbolic,
@@ -52,21 +55,17 @@ def atomic_write(path, text: str):
 
 @dataclass(frozen=True)
 class Tolerances:
-    on_manifold: float = 1e-10
-    roundtrip: float = 1e-8
-    boundary: float = 1e-9
     nesting: float = 1e-9
     radii: float = 1e-6
-    width_threshold: float = 1e-7
     monotone_slack: float = 1e-7
 
 
 @dataclass(frozen=True)
 class ManifoldSpec:
-    kind: str
+    kind: str = "euclidean"
     dimension: int = 2
     curvature: float = 0.0
-    profile_name: str | None = None
+    profile: str | None = None
     profile_file: str | None = None
     u_min: float = -0.6
     u_max: float = 0.6
@@ -98,10 +97,10 @@ class ManifoldSpec:
                     table[:, 2] if cols > 2 else None,
                     table[:, 3] if cols > 3 else None,
                 )
-            elif self.profile_name in (None, "bump"):
+            elif self.profile in (None, "bump"):
                 profile = RevolutionProfile.cosine_bump(self.u_min, self.u_max, self.offset)
             else:
-                raise ConfigError(f"unknown built-in profile '{self.profile_name}'")
+                raise ConfigError(f"unknown built-in profile '{self.profile}'")
             return SurfaceOfRevolution(profile, step=self.step)
         raise ConfigError(f"unknown manifold kind '{self.kind}'")
 
@@ -112,8 +111,8 @@ class RunConfig:
     R: float = 1.0
     r: float = 1.0
     pairs: tuple = ()
-    grid: int = 200
-    budget: int = 4096
+    grid: int = DEFAULT_GRID
+    budget: int = DEFAULT_BUDGET
     seed: int = 0
     out: str | None = None
     expect_counterexample: bool = False
@@ -136,7 +135,7 @@ class RunConfig:
         ]
         if ms.kind == "surface_of_revolution":
             lines += [
-                f"manifold.profile={ms.profile_name or ''}",
+                f"manifold.profile={ms.profile or ''}",
                 f"manifold.profile_file={ms.profile_file or ''}",
                 f"manifold.u_min={_num(ms.u_min)}",
                 f"manifold.u_max={_num(ms.u_max)}",
@@ -181,6 +180,57 @@ def _parse_pairs(text: str):
     return tuple(pairs)
 
 
+# the parser of a setting, by the annotation of its field (a string, as this
+# module postpones annotations)
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "str | None": lambda text: text or None,
+    "float | None": lambda text: float(text) if text.strip() else None,
+    "bool": lambda text: text.strip() in ("1", "true", "yes"),
+}
+
+
+def _parsers(cls, names=None) -> dict:
+    return {f.name: _PARSERS[f.type] for f in fields(cls) if names is None or f.name in names}
+
+
+# The keys each section understands, with their parsers.  A key names the
+# field it sets: of ManifoldSpec, of RunConfig (lens and run) or of
+# Tolerances.
+_KEYS = {
+    "manifold": {**_parsers(ManifoldSpec), "kind": str.lower},
+    "lens": {"R": float, "r": float, "pairs": _parse_pairs},
+    "run": _parsers(RunConfig, ("grid", "budget", "seed", "out", "expect_counterexample")),
+    "tolerances": _parsers(Tolerances),
+}
+
+# curvature of a model whose [manifold] sets none
+_DEFAULT_CURVATURE = {"sphere": 1.0, "hyperbolic": -1.0}
+
+
+def _read_sections(parser: configparser.ConfigParser) -> dict:
+    """``{section: {key: value}}`` for every section of ``_KEYS``, holding
+    the keys the file sets; raises ConfigError naming an unknown section or
+    key, or a value its parser rejects."""
+    values = {section: {} for section in _KEYS}
+    for section in parser.sections():
+        known = _KEYS.get(section)
+        if known is None:
+            raise ConfigError(f"unknown section [{section}]; known: {', '.join(_KEYS)}")
+        for key, text in parser[section].items():
+            if key not in known:
+                raise ConfigError(
+                    f"unknown key {section}.{key}; [{section}] reads {', '.join(known)}"
+                )
+            try:
+                values[section][key] = known[key](text)
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for {section}.{key}: {exc}") from exc
+    return values
+
+
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a run configuration.
 
@@ -195,74 +245,33 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    sections = _read_sections(parser)
 
-    try:
-        man = parser["manifold"] if parser.has_section("manifold") else {}
-        spec = ManifoldSpec(
-            kind=man.get("kind", "euclidean").strip().lower(),
-            dimension=int(man.get("dimension", 2)),
-            curvature=float(man.get("curvature", _default_curvature(man.get("kind", "euclidean")))),
-            profile_name=man.get("profile") or None,
-            profile_file=man.get("profile_file") or None,
-            u_min=float(man.get("u_min", -0.6)),
-            u_max=float(man.get("u_max", 0.6)),
-            offset=float(man.get("offset", 2.0)),
-            step=float(man.get("step", 2e-3)),
-            injectivity_bound=_opt_float(man.get("injectivity_bound")),
-            loop_length=_opt_float(man.get("loop_length")),
+    man = sections["manifold"]
+    kind = man.get("kind", ManifoldSpec.kind)
+    man.setdefault("curvature", _DEFAULT_CURVATURE.get(kind, ManifoldSpec.curvature))
+    lens = sections["lens"]
+    pairs = lens.pop("pairs", ())
+    R, r = pairs[0] if pairs else (RunConfig.R, RunConfig.r)
+    R, r = lens.get("R", R), lens.get("r", r)
+    if pairs and (R, r) != pairs[0]:
+        # profile runs (R, r) but the config echo writes only the pairs
+        raise ConfigError(
+            f"lens.R, lens.r = ({R:g}, {r:g}) disagree with the first of "
+            f"lens.pairs ({pairs[0][0]:g}, {pairs[0][1]:g})"
         )
-        lens_sec = parser["lens"] if parser.has_section("lens") else {}
-        run_sec = parser["run"] if parser.has_section("run") else {}
-        tol_sec = parser["tolerances"] if parser.has_section("tolerances") else {}
-        tol_kwargs = {
-            f.name: float(tol_sec[f.name]) if f.name in tol_sec else f.default
-            for f in fields(Tolerances)
-        }
-        pairs = _parse_pairs(lens_sec.get("pairs", ""))
-        default_R, default_r = pairs[0] if pairs else (1.0, 1.0)
-        R = float(lens_sec.get("R", default_R))
-        r = float(lens_sec.get("r", default_r))
-        if pairs and (R, r) != pairs[0]:
-            # profile runs (R, r) but the config echo writes only the pairs
-            raise ConfigError(
-                f"lens.R, lens.r = ({R:g}, {r:g}) disagree with the first of "
-                f"lens.pairs ({pairs[0][0]:g}, {pairs[0][1]:g})"
-            )
-        config = RunConfig(
-            manifold=spec,
-            R=R,
-            r=r,
-            pairs=pairs or ((R, r),),
-            grid=int(run_sec.get("grid", 200)),
-            budget=int(run_sec.get("budget", 4096)),
-            seed=int(run_sec.get("seed", 0)),
-            out=run_sec.get("out", None),
-            expect_counterexample=str(run_sec.get("expect_counterexample", "0")).strip()
-            in ("1", "true", "yes"),
-            tolerances=Tolerances(**tol_kwargs),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
-
+    config = RunConfig(
+        manifold=ManifoldSpec(**man),
+        R=R,
+        r=r,
+        pairs=pairs or ((R, r),),
+        tolerances=Tolerances(**sections["tolerances"]),
+        **sections["run"],
+    )
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
     validate_config(config)
     return config
-
-
-def _default_curvature(kind):
-    kind = (kind or "euclidean").strip().lower()
-    if kind == "sphere":
-        return 1.0
-    if kind == "hyperbolic":
-        return -1.0
-    return 0.0
-
-
-def _opt_float(value):
-    return None if value is None or str(value).strip() == "" else float(value)
 
 
 def validate_config(config: RunConfig):

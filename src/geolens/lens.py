@@ -70,6 +70,9 @@ BOUNDARY_TOL = 1e-9
 EXACT_SLACK = 1e-12
 SCAN_CAP = 1600
 ASCENT_IMPROVE_TOL = 1e-10
+ASCENT_MAX_ITER = 400
+# below 2r by at most this, a sampled width counts as full
+FULL_WIDTH_TOL = 1e-7
 
 INSIDE = "inside"
 BOUNDARY = "boundary"
@@ -97,12 +100,11 @@ class BallPair:
         base: ManifoldPoint | None = None,
         direction: TangentVector | None = None,
         convexity_bound: float | None = None,
-        enforce_convexity: bool = True,
     ) -> "BallPair":
         """Validate radii against the convexity bound and anchor the geodesic.
 
-        ``enforce_convexity=False`` admits configurations outside the convex
-        regime (used by the large-ball counterexample scenario only).
+        ``convexity_bound=math.inf`` admits configurations outside the convex
+        regime (the large-ball counterexample scenario).
         """
         if not (0 < r <= R):
             raise ValueError(f"radii must satisfy 0 < r <= R (got R={R}, r={r})")
@@ -111,7 +113,7 @@ class BallPair:
             if convexity_bound is not None
             else manifold.convexity_radius()
         )
-        if enforce_convexity and not R < conv:
+        if not R < conv:
             raise ValueError(
                 f"R={R:g} must lie strictly below the convexity radius {conv:g}"
             )
@@ -234,11 +236,12 @@ def check_witnesses(bp: BallPair, res: LensDiameter, row: str) -> None:
         )
 
 
-def membership(bp: BallPair, x, tol: float = BOUNDARY_TOL):
-    """Classify a point against the lens; returns (label, margin)."""
+def membership(bp: BallPair, x):
+    """Classify a point against the lens, with ``BOUNDARY_TOL`` as the
+    boundary band; returns (label, margin)."""
     coords = x.coords if isinstance(x, ManifoldPoint) else np.asarray(x, dtype=np.float64)
     margin = float(bp.margins(coords[None, :])[0])
-    if abs(margin) <= tol:
+    if abs(margin) <= BOUNDARY_TOL:
         return BOUNDARY, margin
     return (INSIDE if margin > 0 else OUTSIDE), margin
 
@@ -416,13 +419,14 @@ def _project_into_lens(bp: BallPair, coords: np.ndarray):
     return x, bool(bp.margins(x[None, :])[0] >= -1e-12)
 
 
-def _ascend_pair(bp: BallPair, p: np.ndarray, q: np.ndarray, max_iter: int = 400):
+def _ascend_pair(bp: BallPair, p: np.ndarray, q: np.ndarray):
     """Projected geodesic ascent of d(p, q) within the lens.
 
     Each endpoint moves along the outward unit tangent of the connecting
     minimizing geodesic (the distance gradient), then is retracted into the
     lens; the step halves whenever no endpoint improves, and ascent stops at
-    improvement below ``ASCENT_IMPROVE_TOL``.
+    improvement below ``ASCENT_IMPROVE_TOL`` or after ``ASCENT_MAX_ITER``
+    rounds.
     """
     m = bp.manifold
     if m.dist_coords(bp.center_big(), p) > bp.convexity_bound + 1e-6:
@@ -431,7 +435,7 @@ def _ascend_pair(bp: BallPair, p: np.ndarray, q: np.ndarray, max_iter: int = 400
     step = 0.05 * bp.r
     cap = 0.25 * bp.r
     floor = 1e-7 * bp.r  # quadratic blocking makes smaller steps sub-1e-10 gains
-    for _ in range(max_iter):
+    for _ in range(ASCENT_MAX_ITER):
         if step < floor:
             break
         improved = False
@@ -693,44 +697,24 @@ def estimate_nesting_onset(
     return ThresholdEstimate(0.5 * (lo + hi), h)
 
 
-def estimate_full_width_end(
-    profile: WProfile,
-    tol: float = 1e-7,
-    evaluator=None,
-    refine_to: float | None = None,
-    full_width=None,
-) -> ThresholdEstimate:
+def estimate_full_width_end(ts: np.ndarray, passing, full_width) -> ThresholdEstimate:
     """Largest separation at which the lens keeps its full width 2r.
 
-    ``full_width(t) -> bool`` decides full width at a separation; on an exact
-    pair it is ``BallPair.chord_margin() >= 0``, which holds up to the
-    model's Pythagorean end S.  It decides every grid point and every
-    bisection step.  Without it the grid points pass where the profile's
-    width is >= 2r - tol, and ``evaluator(t) -> w`` (if given) decides the
-    bisection steps the same way.  Because w leaves 2r quadratically at S,
-    that sampled test passes for about sqrt(tol / c) past S.  The last
-    passing grid point and its successor bracket a bisection refined to
-    ``refine_to`` (default 1e-4 (R + r)), reported as the uncertainty.
+    ``ts`` is the uniform grid over [0, R + r], ``passing`` says per grid
+    point whether the lens has full width there, and ``full_width(t) ->
+    bool`` decides the bisection steps.  The last passing grid point and its
+    successor bracket a bisection refined to 1e-4 (R + r), reported as the
+    uncertainty.
     """
-    h = profile.ts[1] - profile.ts[0]
-    if full_width is not None:
-        passing = [full_width(float(t)) for t in profile.ts]
-    else:
-        threshold = 2.0 * profile.r - tol
-        passing = profile.w >= threshold
-        if evaluator is not None:
-
-            def full_width(t):
-                return evaluator(t) >= threshold
-
+    h = ts[1] - ts[0]
     passing = np.flatnonzero(passing)
     if len(passing) == 0:
         return ThresholdEstimate(0.0, h)
     i = int(passing[-1])
-    if i == len(profile.ts) - 1 or full_width is None:
-        return ThresholdEstimate(float(profile.ts[i]), h)
-    lo, hi = profile.ts[i], profile.ts[i + 1]
-    target = refine_to if refine_to is not None else max(1e-4 * (profile.R + profile.r), 1e-12)
+    if i == len(ts) - 1:
+        return ThresholdEstimate(float(ts[i]), h)
+    lo, hi = ts[i], ts[i + 1]
+    target = max(1e-4 * float(ts[-1]), 1e-12)
     while hi - lo > target:
         mid = 0.5 * (lo + hi)
         if full_width(mid):
@@ -782,34 +766,25 @@ def w_profile(
         bp, n_grid=grid, budget=probe_budget, seed=seed, scan=scan
     )
 
-    stub = WProfile(
-        manifold_label=m.describe(),
-        R=bp.R,
-        r=bp.r,
-        ts=ts,
-        w=w,
-        slack=slack,
-        witness_a=wa,
-        witness_b=wb,
-        nested_after_onset=np.zeros(grid, dtype=int),
-        nesting_onset=onset,
-        full_width_end=ThresholdEstimate(0.0, 0.0),
-        seed=seed,
-        budget=budget,
-    )
     if bp.exact:
+        # the lens keeps width 2r exactly while the perpendicular chord lies
+        # in the big ball, which holds up to the model's Pythagorean end
 
         def full_width(t):
             return bp.with_separation(t).chord_margin() >= 0.0
 
-        full_end = estimate_full_width_end(stub, full_width=full_width)
+        passing = [full_width(float(t)) for t in ts]
     else:
+        # w leaves 2r quadratically at the end, so the sampled test passes
+        # for about sqrt(FULL_WIDTH_TOL / c) past it
         eval_budget = max(512, budget // 8)
 
-        def evaluator(t):
-            return lens_diameter(bp.with_separation(float(t)), eval_budget, seed).value
+        def full_width(t):
+            res = lens_diameter(bp.with_separation(float(t)), eval_budget, seed)
+            return res.value >= 2.0 * bp.r - FULL_WIDTH_TOL
 
-        full_end = estimate_full_width_end(stub, evaluator=evaluator)
+        passing = w >= 2.0 * bp.r - FULL_WIDTH_TOL
+    full_end = estimate_full_width_end(ts, passing, full_width)
 
     # nesting flags against the first grid point at or after the onset, on
     # the points of the onset scan
@@ -821,4 +796,18 @@ def w_profile(
     for i in range(anchor_idx + 1, grid):
         dmax = float(np.max(m.dist_many(anchor, points[owners == i])))
         flags[i] = int(dmax <= bp.r + 1e-9)
-    return replace(stub, nested_after_onset=flags, full_width_end=full_end)
+    return WProfile(
+        manifold_label=m.describe(),
+        R=bp.R,
+        r=bp.r,
+        ts=ts,
+        w=w,
+        slack=slack,
+        witness_a=wa,
+        witness_b=wb,
+        nested_after_onset=flags,
+        nesting_onset=onset,
+        full_width_end=full_end,
+        seed=seed,
+        budget=budget,
+    )

@@ -30,7 +30,6 @@ from geolens.errors import (
 )
 
 ON_MANIFOLD_TOL = 1e-10
-ROUNDTRIP_TOL = 1e-8
 # Newton iterations a surface shoot may take before it raises ShootingError
 SHOOT_ITERATIONS = 60
 
@@ -132,9 +131,9 @@ class Manifold(ABC):
     def project_tangent(self, base_coords, components) -> np.ndarray:
         """Project raw components onto the tangent space at the base point."""
 
-    def check_point(self, coords, tol=ON_MANIFOLD_TOL):
+    def check_point(self, coords):
         v = self.point_violation(_as_coords(coords))
-        if v > tol:
+        if v > ON_MANIFOLD_TOL:
             raise OffManifoldError(f"point violates {self.kind} constraint by {v:.3e}")
 
     def point(self, *coords) -> ManifoldPoint:

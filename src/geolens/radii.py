@@ -18,8 +18,8 @@ import numpy as np
 
 from geolens._ode import rk4_step
 from geolens.errors import ConfigError
-from geolens.geodesics import GeodesicSegment, hermite_zero, integrate_jacobi
-from geolens.manifolds import Manifold, ManifoldPoint, TangentVector
+from geolens.geodesics import DEFAULT_STEP, GeodesicSegment, hermite_zero, integrate_jacobi
+from geolens.manifolds import Manifold, TangentVector
 
 CLOSED_FORM = "closed-form"
 NUMERIC = "numeric-estimate"
@@ -27,7 +27,6 @@ CERTIFIED = "user-certified"
 
 DEFAULT_DIRECTIONS = 64
 DEFAULT_BASE_POINTS = 16
-DEFAULT_STEP = 2e-3
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,8 @@ class RadiiReport:
         * injectivity/2 = min(conjugate/2, loop_length/4)  (all finite only)
         * focal <= conjugate/2  (one-sided; negative slack clipped to 0)
 
-        Identities involving a lower-bound-only radius are skipped (nan).
+        Identities involving a lower-bound-only radius are skipped (nan),
+        except that focal <= conjugate/2 still reads a lower-bound conjugate.
         """
         out = {}
         foc, inj = self.focal, self.injectivity
@@ -90,12 +90,9 @@ class RadiiReport:
         else:
             target = min(conj.value / 2, loop.value / 4)
             out["injectivity_min"] = _residual(inj.value / 2, target)
-        if conj.lower_bound_only and not foc.lower_bound_only:
-            out["focal_vs_conjugate"] = max(0.0, foc.value - conj.value / 2)
-        elif foc.lower_bound_only:
-            out["focal_vs_conjugate"] = math.nan
-        else:
-            out["focal_vs_conjugate"] = max(0.0, foc.value - conj.value / 2)
+        out["focal_vs_conjugate"] = (
+            math.nan if foc.lower_bound_only else max(0.0, foc.value - conj.value / 2)
+        )
         return out
 
 
@@ -199,25 +196,23 @@ def _smallest_zero(zeros, valid) -> RadiusValue:
 
 def jacobi_radii(
     manifold: Manifold,
-    base: ManifoldPoint | None = None,
     directions: int = DEFAULT_DIRECTIONS,
     horizon: float | None = None,
-    step: float = DEFAULT_STEP,
 ) -> tuple[RadiusValue, RadiusValue]:
     """(conjugate radius, focal radius), both read off one Jacobi integration:
     the first zeros of j(t) and of j'(t) (j(0)=0, j'(0)=1), minimized over
-    sampled directions."""
+    sampled directions from the model's base point."""
     if directions < 1:
         raise ValueError("directions must be >= 1")
     horizon = horizon if horizon is not None else manifold.horizon
-    base = manifold.basepoint() if base is None else base
+    base = manifold.basepoint()
     if manifold.closed_form:
         # constant curvature: the scalar equation is direction-independent
         frame = manifold.tangent_basis(base.coords)
         seg = GeodesicSegment(
             manifold=manifold, base=base, direction=TangentVector(base, frame[0]), length=horizon
         )
-        solution = integrate_jacobi(manifold, seg, step=step)
+        solution = integrate_jacobi(manifold, seg)
         zeros = (solution.first_zero(of="value"), solution.first_zero(of="derivative"))
         return tuple(
             RadiusValue(horizon, NUMERIC, lower_bound_only=True)
@@ -227,30 +222,28 @@ def jacobi_radii(
         )
 
     angles = np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False)
-    j_zero, jp_zero, valid = _first_zeros_batch(manifold, base.coords, angles, horizon, step)
+    j_zero, jp_zero, valid = _first_zeros_batch(
+        manifold, base.coords, angles, horizon, DEFAULT_STEP
+    )
     return _smallest_zero(j_zero, valid), _smallest_zero(jp_zero, valid)
 
 
 def conjugate_radius(
     manifold: Manifold,
-    base: ManifoldPoint | None = None,
     directions: int = DEFAULT_DIRECTIONS,
     horizon: float | None = None,
-    step: float = DEFAULT_STEP,
 ) -> RadiusValue:
     """First zero of j(t) (j(0)=0, j'(0)=1), minimized over sampled directions."""
-    return jacobi_radii(manifold, base, directions, horizon, step)[0]
+    return jacobi_radii(manifold, directions, horizon)[0]
 
 
 def focal_radius(
     manifold: Manifold,
-    base: ManifoldPoint | None = None,
     directions: int = DEFAULT_DIRECTIONS,
     horizon: float | None = None,
-    step: float = DEFAULT_STEP,
 ) -> RadiusValue:
     """First zero of j'(t), minimized over sampled directions."""
-    return jacobi_radii(manifold, base, directions, horizon, step)[1]
+    return jacobi_radii(manifold, directions, horizon)[1]
 
 
 def convexity_from(focal: RadiusValue, injectivity: RadiusValue) -> RadiusValue:
@@ -273,7 +266,6 @@ def radii_report(
     base_points: int = DEFAULT_BASE_POINTS,
     directions: int = DEFAULT_DIRECTIONS,
     horizon: float | None = None,
-    step: float = DEFAULT_STEP,
 ) -> RadiiReport:
     """Assemble the radii of a model.
 
@@ -297,7 +289,7 @@ def radii_report(
     angles = np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False)
     bases = np.column_stack([us, np.zeros(base_points)])
     # one batched integration serves both scans at every base point
-    j_zero, jp_zero, valid = _first_zeros_batch(manifold, bases, angles, horizon, step)
+    j_zero, jp_zero, valid = _first_zeros_batch(manifold, bases, angles, horizon, DEFAULT_STEP)
     conj_best: RadiusValue | None = None
     foc_best: RadiusValue | None = None
     for j_row, jp_row, valid_row in zip(j_zero, jp_zero, valid):

@@ -24,6 +24,9 @@ from geolens import _kernels
 from geolens.errors import NestingError
 from geolens.manifolds import Manifold
 
+# rounding slack of diameter_lipschitz_check
+LIPSCHITZ_SLACK = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
@@ -79,15 +82,16 @@ def hausdorff(y: PointCloud, z: PointCloud) -> float:
     return max(_kernels.max_nearest(y.points, z.points, y.manifold))
 
 
-def diameter_lipschitz_check(y: PointCloud, z: PointCloud, extra_slack: float = 1e-12) -> bool:
+def diameter_lipschitz_check(y: PointCloud, z: PointCloud) -> bool:
     """|diam(Y) - diam(Z)| <= 2 H(Y, Z) + slack on the sampled quantities.
 
     The slack 4 * (fill_Y + fill_Z) covers both the diameter and the
-    Hausdorff sampling errors relative to the represented sets.
+    Hausdorff sampling errors relative to the represented sets, and
+    ``LIPSCHITZ_SLACK`` the rounding.
     """
     _same_manifold(y, z)
     lhs = abs(diameter(y) - diameter(z))
-    rhs = 2.0 * hausdorff(y, z) + 4.0 * (y.fill_radius + z.fill_radius) + extra_slack
+    rhs = 2.0 * hausdorff(y, z) + 4.0 * (y.fill_radius + z.fill_radius) + LIPSCHITZ_SLACK
     return lhs <= rhs
 
 

@@ -23,6 +23,7 @@ from geolens.errors import ConfigError
 from geolens.lens import (
     EXACT_SLACK,
     BallPair,
+    _circles,
     check_witnesses,
     estimate_nesting_onset,
     lens_diameter,
@@ -127,34 +128,82 @@ def _pair_key(R, r):
     return f"R={R:g},r={r:g}"
 
 
-def _concentric_cloud(manifold, center, frame, radius, n_rings=16, n_ang=64):
+def _concentric_cloud(manifold, center, frame, radius):
     """Ideal polar cloud of a metric ball: shared angles across radii make
     the Hausdorff gap between two concentric clouds exactly their radius gap."""
-    angles = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
-    ca, sa = np.cos(angles)[:, None], np.sin(angles)[:, None]
-    chunks = [center[None, :]]
-    for i in range(1, n_rings + 1):
-        rho = radius * i / n_rings
-        vecs = rho * (ca * frame[0] + sa * frame[1])
-        chunks.append(manifold.exp_many(center, vecs))
+    n_rings, n_ang = 16, 64
+    rhos = [0.0] + [radius * i / n_rings for i in range(1, n_rings + 1)]
+    points = _circles(
+        manifold, center, frame, rhos, [1] + [n_ang] * n_rings, np.zeros(n_rings + 1)
+    )
+    points[0] = center  # the zero vector, pinned exactly
     cell = math.hypot(radius / n_rings, 2.0 * math.pi * radius / n_ang)
-    return PointCloud(manifold, np.vstack(chunks), 0.5 * cell)
+    return PointCloud(manifold, points, 0.5 * cell)
 
 
-def _agg(results: dict[str, float]) -> float:
-    return min(results.values())
-
-
-def run_verification_suite(config: RunConfig) -> VerificationReport:
-    """Run every claim on the configured manifold and radius matrix."""
-    manifold = config.manifold.build()
+def _checked_convexity_bound(config: RunConfig, manifold) -> float:
+    """The convexity bound of the configured model; raises ConfigError
+    unless every pair satisfies 0 < r <= R below it."""
     conv = convexity_bound_for(config, manifold)
     for R, r in config.all_pairs():
         if not (0 < r <= R < conv):
             raise ConfigError(
                 f"pair ({R:g}, {r:g}) violates 0 < r <= R < convexity radius {conv:g}"
             )
+    return conv
 
+
+def _record_probes(profile, key, per_claim, notes):
+    """The report-only probes of one width profile: plateau end against
+    nesting onset, discrete concavity past the onset and the one-sided
+    slopes at it.  They read nothing but the profile."""
+    ts, w = profile.ts, profile.w
+    span = profile.R + profile.r
+    h = ts[1] - ts[0]
+    onset = profile.nesting_onset.value
+    s_end = profile.full_width_end.value
+    per_claim["probe_plateau_end_matches_onset"][key] = float(
+        2 * h - abs(s_end - onset)
+    )
+    inner = (ts >= onset - 1e-12) & (ts <= span + 1e-12)
+    ii = np.where(inner)[0]
+    if len(ii) >= 3:
+        second = w[ii][2:] - 2 * w[ii][1:-1] + w[ii][:-2]
+        per_claim["probe_concavity"][key] = float(1e-4 - np.max(second))
+        notes["probe_concavity"].append(
+            f"{key}: max second difference {np.max(second):.3g}"
+        )
+    else:
+        per_claim["probe_concavity"][key] = 0.0
+    k = int(np.searchsorted(ts, onset))
+    if 1 <= k < len(ts) - 1:
+        d_minus = (w[k] - w[k - 1]) / h
+        d_plus = (w[k + 1] - w[k]) / h
+        per_claim["probe_derivative_continuity"][key] = float(-abs(d_plus - d_minus))
+        notes["probe_derivative_continuity"].append(
+            f"{key}: one-sided slope jump {abs(d_plus - d_minus):.4g}"
+        )
+    else:
+        per_claim["probe_derivative_continuity"][key] = 0.0
+
+
+def _claim_entry(claim: str, results: dict[str, float], notes: list) -> ClaimResult:
+    """One claim's entry: its smallest margin over the pairs, gating unless
+    the claim is report-only, with the first notes and every pair's margin."""
+    if not results:
+        return ClaimResult(claim, REPORT, None, "no admissible data")
+    margin = min(results.values())
+    status = REPORT if claim in REPORT_ONLY else (PASS if margin >= 0 else FAIL)
+    detail = "; ".join(notes[:3])
+    per_pair = " ".join(f"{k}:{v:.4g}" for k, v in sorted(results.items()))
+    summary = (detail + ("  " if detail else "") + per_pair).strip()
+    return ClaimResult(claim, status, margin, summary, dict(results))
+
+
+def run_verification_suite(config: RunConfig) -> VerificationReport:
+    """Run every claim on the configured manifold and radius matrix."""
+    manifold = config.manifold.build()
+    conv = _checked_convexity_bound(config, manifold)
     tol = config.tolerances
     per_claim: dict[str, dict[str, float]] = {c: {} for c in CLAIM_REGISTRY}
     notes: dict[str, list] = {c: [] for c in CLAIM_REGISTRY}
@@ -317,31 +366,7 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
         per_claim["monotone_set_limits"][key] = float(1e-2 * max(1.0, r) - gap_final)
         notes["monotone_set_limits"].append(f"{key}: final Hausdorff gap {gap_final:.4g}")
 
-        # probes (report-only)
-        s_end = profile.full_width_end.value
-        per_claim["probe_plateau_end_matches_onset"][key] = float(
-            2 * h - abs(s_end - onset)
-        )
-        inner = (ts >= onset - 1e-12) & (ts <= span + 1e-12)
-        ii = np.where(inner)[0]
-        if len(ii) >= 3:
-            second = w[ii][2:] - 2 * w[ii][1:-1] + w[ii][:-2]
-            per_claim["probe_concavity"][key] = float(1e-4 - np.max(second))
-            notes["probe_concavity"].append(
-                f"{key}: max second difference {np.max(second):.3g}"
-            )
-        else:
-            per_claim["probe_concavity"][key] = 0.0
-        k = int(np.searchsorted(ts, onset))
-        if 1 <= k < len(ts) - 1:
-            d_minus = (w[k] - w[k - 1]) / h
-            d_plus = (w[k + 1] - w[k]) / h
-            per_claim["probe_derivative_continuity"][key] = float(-abs(d_plus - d_minus))
-            notes["probe_derivative_continuity"].append(
-                f"{key}: one-sided slope jump {abs(d_plus - d_minus):.4g}"
-            )
-        else:
-            per_claim["probe_derivative_continuity"][key] = 0.0
+        _record_probes(profile, key, per_claim, notes)
 
     # radii identity (manifold-level, not per-pair)
     report = radii_report(
@@ -373,16 +398,7 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
                 )
             )
             continue
-        results = per_claim[claim]
-        if not results:
-            entries.append(ClaimResult(claim, REPORT, None, "no admissible data"))
-            continue
-        margin = _agg(results)
-        status = REPORT if claim in REPORT_ONLY else (PASS if margin >= 0 else FAIL)
-        detail = "; ".join(notes[claim][:3])
-        per_pair = " ".join(f"{k}:{v:.4g}" for k, v in sorted(results.items()))
-        summary = (detail + ("  " if detail else "") + per_pair).strip()
-        entries.append(ClaimResult(claim, status, margin, summary, dict(results)))
+        entries.append(_claim_entry(claim, per_claim[claim], notes[claim]))
 
     return VerificationReport(manifold.describe(), config.resolved_lines(), entries)
 
@@ -411,9 +427,7 @@ def run_counterexample(config: RunConfig) -> VerificationReport:
     worst = math.inf
     observed = []
     for R, r in pairs:
-        bp = BallPair.create(
-            manifold, R, r, convexity_bound=math.inf, enforce_convexity=False
-        )
+        bp = BallPair.create(manifold, R, r, convexity_bound=math.inf)
         t_hi = min(R + r, 0.8 * math.pi * a)
         for t in np.linspace(0.25 * t_hi, t_hi, 4):
             lens = bp.with_separation(float(t))
@@ -454,22 +468,25 @@ def run_counterexample(config: RunConfig) -> VerificationReport:
 def run_speculation_probe(config: RunConfig) -> VerificationReport:
     """Report-only probes of the extra regularity seen in constant curvature.
 
-    Runs the standard suite machinery but reports only the three probe
+    Profiles each pair with ``w_profile`` and reports only the three probe
     entries (plateau-end vs onset agreement, discrete concavity past the
-    onset, one-sided derivative agreement); never fails.
+    onset, one-sided derivative agreement), with the margins ``geolens
+    verify`` gives them; never fails.
     """
     manifold = config.manifold.build()
     if not manifold.closed_form:
         raise ConfigError("the probes are defined for constant-curvature models")
-    report = run_verification_suite(config)
-    entries = []
-    for entry in report.entries:
-        if entry.claim_id in REPORT_ONLY:
-            entries.append(
-                ClaimResult(entry.claim_id, REPORT, entry.margin, entry.summary, entry.data)
-            )
-        else:
-            entries.append(
-                ClaimResult(entry.claim_id, REPORT, None, "suppressed in probe-only run")
-            )
-    return VerificationReport(report.manifold_label, report.config_lines, entries)
+    conv = _checked_convexity_bound(config, manifold)
+    per_claim = {c: {} for c in REPORT_ONLY}
+    notes = {c: [] for c in REPORT_ONLY}
+    for R, r in config.all_pairs():
+        bp = BallPair.create(manifold, R, r, convexity_bound=conv)
+        profile = w_profile(bp, grid=config.grid, budget=config.budget, seed=config.seed)
+        _record_probes(profile, _pair_key(R, r), per_claim, notes)
+    entries = [
+        _claim_entry(c, per_claim[c], notes[c])
+        if c in REPORT_ONLY
+        else ClaimResult(c, REPORT, None, "suppressed in probe-only run")
+        for c in CLAIM_REGISTRY
+    ]
+    return VerificationReport(manifold.describe(), config.resolved_lines(), entries)

@@ -203,7 +203,7 @@ def test_criterion_06_counterexample_diameter_pi():
     assert all(abs(v - math.pi) <= 0.05 for v in entry.data.values())
     # the spec example separation for the (2.0, 1.8) pair
     s = Sphere(2, 1.0)
-    bp = BallPair.create(s, 2.0, 1.8, t=1.0, convexity_bound=math.inf, enforce_convexity=False)
+    bp = BallPair.create(s, 2.0, 1.8, t=1.0, convexity_bound=math.inf)
     res = lens_diameter(bp, budget=6000, seed=SEED)
     assert res.value == pytest.approx(math.pi, abs=0.05)
     print("[PASS] criterion 6: large-ball sphere overlaps have diameter pi +- 0.05 "

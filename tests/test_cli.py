@@ -2,6 +2,8 @@
 
 import math
 import os
+import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +13,11 @@ from geolens import lens as lens_module
 from geolens import sets as sets_module
 from geolens import suite as suite_module
 from geolens.cli import main
-from geolens.config import load_config
+from geolens.config import ManifoldSpec, RunConfig, load_config
 from geolens.errors import ConfigError
 from geolens.suite import CLAIM_REGISTRY
+
+PERFBENCH_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 EUCLID_CFG = """
 [manifold]
@@ -194,6 +198,40 @@ def test_radii_that_disagree_with_the_first_pair_are_rejected(radii, tmp_path):
     assert load_config(str(agreeing)).r == 0.5
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (EUCLID_CFG + "\n[tolerances]\nboundary = 1e-6\n", "tolerances.boundary"),
+        (EUCLID_CFG + "\n[tolerances]\nwidth_threshold = 1e-7\n", "tolerances.width_threshold"),
+        (EUCLID_CFG.replace("seed = 11", "seed = 11\ngrid_size = 10"), "run.grid_size"),
+        (EUCLID_CFG + "\n[solver]\nstep = 1e-3\n", "[solver]"),
+    ],
+)
+def test_unknown_settings_are_rejected_by_name(text, named, tmp_path, capsys):
+    cfg = tmp_path / "unknown.ini"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_config(str(cfg))
+    out = str(tmp_path / "unknown.csv")
+    assert main(["profile", "--config", str(cfg), "--out", out]) == 2
+    assert named in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_benchmark_configs_load():
+    configs = sorted(PERFBENCH_CONFIGS.glob("*.ini"))
+    assert configs
+    for path in configs:
+        load_config(str(path))
+
+
+def test_missing_keys_take_the_field_defaults(tmp_path):
+    cfg = tmp_path / "minimal.ini"
+    cfg.write_text("[manifold]\nkind = Sphere\n")
+    expected = RunConfig(manifold=ManifoldSpec(kind="sphere", curvature=1.0), pairs=((1.0, 1.0),))
+    assert load_config(str(cfg)) == expected
+
+
 def _read_profile_csv(path):
     rows = [ln for ln in open(path).read().strip().split("\n") if not ln.startswith("#")]
     header = rows[0].split(",")
@@ -208,6 +246,29 @@ def test_profile_sphere_rows_respect_width_cap(tmp_path):
     assert main(["profile", "--config", str(cfg), "--out", out]) == 0
     data = _read_profile_csv(out)
     assert np.all(data["w"] <= 2 * 0.6 + data["slack"] + 1e-12)
+
+
+def test_profile_counterexample_keeps_the_model_diameter(tmp_path):
+    # R = r = pi / 2 on the unit sphere: every lens but the touching one
+    # holds a pair of antipodes
+    cfg = tmp_path / "ce.ini"
+    cfg.write_text(COUNTEREXAMPLE_CFG)
+    out = str(tmp_path / "ce.csv")
+    argv = ["profile", "--config", str(cfg), "--expect-counterexample", "--grid", "20"]
+    assert main(argv + ["--out", out]) == 0
+    data = _read_profile_csv(out)
+    assert len(data["w"]) == 20 and data["t"][-1] == math.pi
+    assert np.all(data["w"][:-1] == math.pi)
+    assert data["w"][-1] == 0.0
+
+
+def test_grid_and_budget_flags_reach_the_config_echo(euclid_config, tmp_path):
+    out = str(tmp_path / "flags.csv")
+    argv = ["profile", "--config", euclid_config, "--grid", "12", "--budget", "256"]
+    assert main(argv + ["--out", out]) == 0
+    text = open(out).read()
+    assert "# run.grid=12\n" in text and "# run.budget=256\n" in text
+    assert len(_read_profile_csv(out)["t"]) == 12
 
 
 def test_missing_config_is_usage_error(tmp_path):
@@ -251,6 +312,19 @@ def test_radii_unit_sphere(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "convexity" in out
     assert f"{math.pi / 2:.9g}" in out
+
+
+def test_radii_out_writes_every_radius_with_its_provenance(tmp_path):
+    cfg = tmp_path / "sphere.ini"
+    cfg.write_text(SPHERE_CFG)
+    out = str(tmp_path / "radii.csv")
+    assert main(["radii", "--config", str(cfg), "--out", out]) == 0
+    rows = [row.split(",") for row in open(out).read().strip().split("\n")]
+    assert rows[0] == ["field", "value", "lower_bound_only", "provenance"]
+    names = ["injectivity", "conjugate", "focal", "loop_length", "convexity"]
+    assert [row[0] for row in rows[1:]] == names
+    assert all(row[2:] == ["0", "closed-form"] for row in rows[1:])
+    assert float(rows[5][1]) == math.pi / 2
 
 
 def test_radii_euclidean_all_infinite(euclid_config, capsys):

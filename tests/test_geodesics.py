@@ -257,6 +257,26 @@ def test_first_variation_sphere_random_families(sphere):
         assert first_variation_check(sphere, family, fd_step=1e-4) < 1e-5
 
 
+def test_surface_velocity_exp_matches_the_point_batch(surface):
+    # exp_velocity_coords integrates one vector alone; its point has the
+    # bits of the same vector's row of exp_many
+    rng = np.random.default_rng(41)
+    base = surface.basepoint()
+    for v in rng.uniform(-0.4, 0.4, size=(40, 2)):
+        point, _ = surface.exp_velocity_coords(base.coords, v, 1.0)
+        assert point.tobytes() == surface.exp_many(base.coords, v[None, :])[0].tobytes()
+
+
+def test_first_variation_surface_family(surface):
+    base = surface.point(0.1, 0.0)
+    a, b = np.array([0.3, 0.1]), np.array([-0.2, 0.15])
+
+    def family(s):
+        return TangentVector(base, a + s * b)
+
+    assert first_variation_check(surface, family) < 1e-7
+
+
 # ------------------------------------------------------------- jacobi
 
 

@@ -403,7 +403,7 @@ def test_pairwise_max_on_the_antipodal_hemisphere_lens():
     from geolens import BallPair, sample_intersection
 
     sphere = Sphere(2, 1.0)
-    bp = BallPair.create(sphere, math.pi / 2, math.pi / 2, enforce_convexity=False)
+    bp = BallPair.create(sphere, math.pi / 2, math.pi / 2, convexity_bound=math.inf)
     for t in (0.0, 1e-9, 0.05, 0.3):
         for seed in (1, 2):
             pts = sample_intersection(bp.with_separation(t), 1024, seed).points

@@ -293,7 +293,7 @@ def test_lens_diameter_sphere_counterexample_configuration(monkeypatch):
     monkeypatch.setattr(lens_module, "_ascend_pair", counted)
     s = Sphere(2, 1.0)
     bp = BallPair.create(
-        s, math.pi / 2, math.pi / 2, t=1.0, convexity_bound=math.inf, enforce_convexity=False
+        s, math.pi / 2, math.pi / 2, t=1.0, convexity_bound=math.inf
     )
     res = lens_diameter(bp, budget=4096, seed=1)
     assert res.value == pytest.approx(math.pi, abs=1e-9)
@@ -382,7 +382,7 @@ def test_exact_profile_samples_nothing_but_the_other_paths_do(monkeypatch):
     # still sample: the width, and the nesting scan
     s = Sphere(2, 1.0)
     big = BallPair.create(
-        s, math.pi / 2, math.pi / 2, t=1.0, convexity_bound=math.inf, enforce_convexity=False
+        s, math.pi / 2, math.pi / 2, t=1.0, convexity_bound=math.inf
     )
     assert not big.exact
     lens_diameter(big, budget=512, seed=0)

@@ -21,7 +21,15 @@ from geolens import (
 from geolens.errors import ConfigError
 from geolens.geodesics import GeodesicSegment, integrate_jacobi
 from geolens.manifolds import ManifoldPoint, TangentVector
-from geolens.radii import CERTIFIED, CLOSED_FORM, NUMERIC, RadiusValue, _first_zeros_batch
+from geolens.radii import (
+    CERTIFIED,
+    CLOSED_FORM,
+    NUMERIC,
+    RadiiReport,
+    RadiusValue,
+    _first_zeros_batch,
+    _merge_min,
+)
 
 
 def test_conjugate_radius_euclidean_is_lower_bound():
@@ -102,6 +110,44 @@ def test_identities_hold_closed_form(model):
     for name, res in report.identity_residuals().items():
         assert not math.isnan(res)
         assert res <= 1e-6, name
+
+
+def _report(conjugate, focal):
+    inj = RadiusValue(1.0, CERTIFIED)
+    loop = RadiusValue(8.0, CERTIFIED, lower_bound_only=True)
+    return RadiiReport("test", inj, conjugate, focal, loop, convexity_from(focal, inj))
+
+
+def test_focal_vs_conjugate_reads_a_lower_bound_conjugate():
+    # conjugate >= 1.5 still bounds a found focal radius: 1.0 - 1.5 / 2
+    found = _report(RadiusValue(1.5, NUMERIC, lower_bound_only=True), RadiusValue(1.0, NUMERIC))
+    assert found.identity_residuals()["focal_vs_conjugate"] == 0.25
+    within = _report(RadiusValue(3.0, NUMERIC, lower_bound_only=True), RadiusValue(1.0, NUMERIC))
+    assert within.identity_residuals()["focal_vs_conjugate"] == 0.0
+    bound = _report(RadiusValue(3.0, NUMERIC), RadiusValue(2.0, NUMERIC, lower_bound_only=True))
+    assert math.isnan(bound.identity_residuals()["focal_vs_conjugate"])
+
+
+@pytest.mark.parametrize(
+    "acc, new, merged",
+    [
+        # both lower bounds: the smaller bound
+        ((0.7, True), (0.5, True), (0.5, True)),
+        ((0.5, True), (0.7, True), (0.5, True)),
+        # a found value below a new lower bound stands, else the bound does
+        ((0.4, False), (0.5, True), (0.4, False)),
+        ((0.6, False), (0.5, True), (0.5, True)),
+        # a lower bound above a new found value gives way, else it stays
+        ((0.5, True), (0.4, False), (0.4, False)),
+        ((0.5, True), (0.6, False), (0.5, True)),
+    ],
+)
+def test_merge_min_with_lower_bounds(acc, new, merged):
+    result = _merge_min(
+        RadiusValue(acc[0], NUMERIC, lower_bound_only=acc[1]),
+        RadiusValue(new[0], NUMERIC, lower_bound_only=new[1]),
+    )
+    assert result == RadiusValue(merged[0], NUMERIC, lower_bound_only=merged[1])
 
 
 def test_numeric_sphere_radii_match_closed_form():

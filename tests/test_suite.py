@@ -3,8 +3,10 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from geolens import Euclidean, Hyperbolic, Sphere
 from geolens import lens as lens_module
 from geolens import suite as suite_module
 from geolens.config import ManifoldSpec, RunConfig
@@ -12,6 +14,7 @@ from geolens.errors import ConfigError, DefectError
 from geolens.suite import (
     CLAIM_REGISTRY,
     REPORT_ONLY,
+    _concentric_cloud,
     run_counterexample,
     run_speculation_probe,
     run_verification_suite,
@@ -206,3 +209,63 @@ def test_probe_rejects_numeric_manifold():
     )
     with pytest.raises(ConfigError):
         run_speculation_probe(cfg)
+
+
+SPHERE_PAIRS = RunConfig(
+    manifold=ManifoldSpec(kind="sphere", curvature=1.0),
+    pairs=((1.2, 0.6), (1.0, 1.0)),
+    grid=8,
+    budget=1024,
+    seed=7,
+)
+
+
+def test_speculation_margins_are_the_verify_probe_entries():
+    verify = {e.claim_id: e for e in run_verification_suite(SPHERE_PAIRS).entries}
+    probes = {e.claim_id: e for e in run_speculation_probe(SPHERE_PAIRS).entries}
+    for claim in REPORT_ONLY:
+        ours, theirs = probes[claim], verify[claim]
+        assert (ours.margin, ours.summary, ours.data) == (theirs.margin, theirs.summary, theirs.data)
+    suppressed = [e for c, e in probes.items() if c not in REPORT_ONLY]
+    assert all(e.summary == "suppressed in probe-only run" for e in suppressed)
+
+
+def test_speculation_on_exact_pairs_samples_no_cloud(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled a cloud")
+
+    monkeypatch.setattr(lens_module, "sample_intersection", refuse)
+    monkeypatch.setattr(suite_module, "sample_intersection", refuse)
+    assert run_speculation_probe(SPHERE_PAIRS).passed
+
+
+def _per_ring_concentric_cloud(manifold, center, frame, radius, n_rings=16, n_ang=64):
+    """The concentric cloud ring by ring, one ``exp_many`` per ring."""
+    angles = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
+    ca, sa = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    chunks = [center[None, :]]
+    for i in range(1, n_rings + 1):
+        rho = radius * i / n_rings
+        chunks.append(manifold.exp_many(center, rho * (ca * frame[0] + sa * frame[1])))
+    return np.vstack(chunks)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        Euclidean(2),
+        Euclidean(3),
+        Sphere(2, 1.0),
+        Sphere(3, 2.0),
+        Hyperbolic(2, -1.0),
+        Hyperbolic(3, -0.5),
+    ],
+    ids=lambda m: m.describe(),
+)
+def test_concentric_cloud_has_the_bits_of_the_per_ring_cloud(model):
+    center = model.basepoint().coords
+    frame = model.tangent_basis(center)
+    for radius in (0.48, 0.552, 0.9):
+        cloud = _concentric_cloud(model, center, frame, radius)
+        reference = _per_ring_concentric_cloud(model, center, frame, radius)
+        assert cloud.points.tobytes() == reference.tobytes()
