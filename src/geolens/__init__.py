@@ -11,12 +11,9 @@ from geolens.geodesics import (
     GeodesicLine,
     GeodesicSegment,
     JacobiSolution,
-    SampledCurve,
-    energy,
     first_variation_check,
     integrate_geodesic,
     integrate_jacobi,
-    length,
 )
 from geolens.lens import (
     BallPair,
@@ -25,7 +22,6 @@ from geolens.lens import (
     estimate_full_width_end,
     estimate_nesting_onset,
     lens_diameter,
-    membership,
     sample_intersection,
     w_profile,
 )
@@ -74,12 +70,9 @@ __all__ = [
     "RevolutionProfile",
     "GeodesicSegment",
     "GeodesicLine",
-    "SampledCurve",
     "JacobiSolution",
     "integrate_geodesic",
     "integrate_jacobi",
-    "energy",
-    "length",
     "first_variation_check",
     "RadiusValue",
     "RadiiReport",
@@ -97,7 +90,6 @@ __all__ = [
     "BallPair",
     "LensDiameter",
     "WProfile",
-    "membership",
     "sample_intersection",
     "lens_diameter",
     "w_profile",

@@ -1,7 +1,8 @@
 """Fixed-step classical Runge-Kutta integration for autonomous systems.
 
 Fixed steps keep runs reproducible; accuracy is controlled by the step size
-and checked downstream with Richardson comparisons against a half-step run.
+and checked by the tests against closed forms, invariants and finer-step
+runs.
 """
 
 import numpy as np

@@ -62,7 +62,8 @@ def _resolve(args) -> RunConfig:
 def _cmd_profile(config: RunConfig) -> int:
     manifold = config.manifold.build()
     conv = math.inf if config.expect_counterexample else convexity_bound_for(config, manifold)
-    bp = BallPair.create(manifold, config.R, config.r, convexity_bound=conv)
+    R, r = config.pairs[0]
+    bp = BallPair.create(manifold, R, r, convexity_bound=conv)
     profile = w_profile(bp, grid=config.grid, budget=config.budget, seed=config.seed)
     out = config.out or "profile.csv"
     profile.to_csv(out, config_lines=config.resolved_lines())

@@ -5,11 +5,13 @@ Sections and the keys each one reads:
     [manifold]   kind, dimension, curvature; surface models add either
                  profile = bump (built-in f(u) = offset + cos u) with
                  u_min, u_max, offset, or profile_file = CSV with columns
-                 u, f[, df, d2f]; then step, injectivity_bound (required
+                 u, f[, df, d2f]; then step, the RK4 step of every
+                 integration on the surface (exp and shooting, the geodesic
+                 line, the Jacobi radii scans), injectivity_bound (required
                  on the surface) and loop_length.
-    [lens]       R, r, and optionally pairs = "R1,r1; R2,r2; ..." for verify.
+    [lens]       pairs = "R1,r1; R2,r2; ..."; R and r name the first pair
+                 (profile runs it, verify runs every pair).
     [run]        grid, budget, seed, out, expect_counterexample.
-    [tolerances] nesting, radii, monotone_slack (see :class:`Tolerances`).
 
 Any other section or key raises :class:`ConfigError` naming it.  A key left
 out takes the default of its ``ManifoldSpec``/``RunConfig`` field.  Every
@@ -23,13 +25,16 @@ import configparser
 import functools
 import os
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from geolens.errors import ConfigError
 from geolens.lens import DEFAULT_BUDGET, DEFAULT_GRID
 from geolens.manifolds import (
+    BUMP_OFFSET,
+    BUMP_U_MAX,
+    BUMP_U_MIN,
     Euclidean,
     Hyperbolic,
     Manifold,
@@ -54,23 +59,16 @@ def atomic_write(path, text: str):
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    nesting: float = 1e-9
-    radii: float = 1e-6
-    monotone_slack: float = 1e-7
-
-
-@dataclass(frozen=True)
 class ManifoldSpec:
     kind: str = "euclidean"
     dimension: int = 2
     curvature: float = 0.0
     profile: str | None = None
     profile_file: str | None = None
-    u_min: float = -0.6
-    u_max: float = 0.6
-    offset: float = 2.0
-    step: float = 2e-3
+    u_min: float = BUMP_U_MIN
+    u_max: float = BUMP_U_MAX
+    offset: float = BUMP_OFFSET
+    step: float = Manifold.step
     injectivity_bound: float | None = None
     loop_length: float | None = None
 
@@ -108,18 +106,24 @@ class ManifoldSpec:
 @dataclass(frozen=True)
 class RunConfig:
     manifold: ManifoldSpec
-    R: float = 1.0
-    r: float = 1.0
-    pairs: tuple = ()
+    # the (R, r) lenses; profile runs the first
+    pairs: tuple = ((1.0, 1.0),)
     grid: int = DEFAULT_GRID
     budget: int = DEFAULT_BUDGET
     seed: int = 0
     out: str | None = None
     expect_counterexample: bool = False
-    tolerances: Tolerances = field(default_factory=Tolerances)
+
+    @property
+    def R(self) -> float:
+        return self.pairs[0][0]
+
+    @property
+    def r(self) -> float:
+        return self.pairs[0][1]
 
     def all_pairs(self):
-        return self.pairs if self.pairs else ((self.R, self.r),)
+        return self.pairs
 
     def resolved_lines(self):
         """Deterministic ``section.key=value`` echo embedded in reports.
@@ -152,8 +156,6 @@ class RunConfig:
         ]
         if self.expect_counterexample:
             lines.append("run.expect_counterexample=1")
-        tol = self.tolerances
-        lines += [f"tolerances.{f.name}={_num(getattr(tol, f.name))}" for f in fields(tol)]
         return lines
 
 
@@ -197,13 +199,12 @@ def _parsers(cls, names=None) -> dict:
 
 
 # The keys each section understands, with their parsers.  A key names the
-# field it sets: of ManifoldSpec, of RunConfig (lens and run) or of
-# Tolerances.
+# field it sets, of ManifoldSpec or of RunConfig; lens.R and lens.r set the
+# first of the pairs.
 _KEYS = {
     "manifold": {**_parsers(ManifoldSpec), "kind": str.lower},
     "lens": {"R": float, "r": float, "pairs": _parse_pairs},
     "run": _parsers(RunConfig, ("grid", "budget", "seed", "out", "expect_counterexample")),
-    "tolerances": _parsers(Tolerances),
 }
 
 # curvature of a model whose [manifold] sets none
@@ -251,22 +252,16 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     kind = man.get("kind", ManifoldSpec.kind)
     man.setdefault("curvature", _DEFAULT_CURVATURE.get(kind, ManifoldSpec.curvature))
     lens = sections["lens"]
-    pairs = lens.pop("pairs", ())
-    R, r = pairs[0] if pairs else (RunConfig.R, RunConfig.r)
+    pairs = lens.get("pairs")
+    R, r = pairs[0] if pairs else RunConfig.pairs[0]
     R, r = lens.get("R", R), lens.get("r", r)
     if pairs and (R, r) != pairs[0]:
-        # profile runs (R, r) but the config echo writes only the pairs
         raise ConfigError(
             f"lens.R, lens.r = ({R:g}, {r:g}) disagree with the first of "
             f"lens.pairs ({pairs[0][0]:g}, {pairs[0][1]:g})"
         )
     config = RunConfig(
-        manifold=ManifoldSpec(**man),
-        R=R,
-        r=r,
-        pairs=pairs or ((R, r),),
-        tolerances=Tolerances(**sections["tolerances"]),
-        **sections["run"],
+        manifold=ManifoldSpec(**man), pairs=pairs or ((R, r),), **sections["run"]
     )
     if overrides:
         config = replace(config, **overrides)
@@ -276,6 +271,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 def validate_config(config: RunConfig):
     """Check module preconditions up front; raises ConfigError."""
+    if not config.pairs:
+        raise ConfigError("no lens: lens.pairs is empty")
     spec = config.manifold
     if spec.dimension < 2:
         raise ConfigError("dimension must be at least 2")

@@ -1,10 +1,9 @@
-"""Geodesic integration, energy and length functionals, and scalar Jacobi fields.
+"""Geodesic integration and scalar Jacobi fields.
 
-Geodesics integrate with fixed-step classical RK4 (order 4); the endpoint
-error is estimated by Richardson comparison against a double-step run.
-Jacobi machinery is scalar: on two-dimensional or constant-curvature models
-every normal Jacobi field is j(t) times a parallel normal frame, and j solves
-j'' + K(c(t)) j = 0.
+Geodesics integrate with fixed-step classical RK4 (order 4) at the model's
+``step``.  Jacobi machinery is scalar: on two-dimensional or
+constant-curvature models every normal Jacobi field is j(t) times a parallel
+normal frame, and j solves j'' + K(c(t)) j = 0.
 """
 
 from __future__ import annotations
@@ -14,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geolens._ode import rk4_endpoint, rk4_trajectory
+from geolens._ode import rk4_trajectory
 from geolens.errors import ChartError
 from geolens.manifolds import Manifold, ManifoldPoint, TangentVector
 
 UNIT_SPEED_TOL = 1e-10
-DEFAULT_STEP = 2e-3
 
 
 def _hermite(t, t0, t1, p0, p1, v0, v1):
@@ -58,8 +56,8 @@ def hermite_zero(t0, t1, v0, v1, d0, d1):
 class GeodesicSegment:
     """Arclength-parameterized geodesic segment on [0, length].
 
-    Constant-curvature segments evaluate through closed-form exponentials and
-    carry no samples; numeric segments store their integration trajectory and
+    Constant-curvature segments carry no samples: they only anchor a Jacobi
+    integration.  Numeric segments store their integration trajectory and
     interpolate it (cubic Hermite, matching the integrator's order).
     """
 
@@ -70,7 +68,6 @@ class GeodesicSegment:
     ts: np.ndarray | None = None
     points: np.ndarray | None = None
     velocities: np.ndarray | None = None
-    endpoint_error: float | None = None
 
     @classmethod
     def from_exp(cls, manifold, base, direction, length):
@@ -80,18 +77,7 @@ class GeodesicSegment:
             raise ValueError(f"direction must be unit (speed {speed!r})")
         return cls(manifold=manifold, base=base, direction=direction, length=float(length))
 
-    def point_at(self, t: float) -> ManifoldPoint:
-        return ManifoldPoint(self._eval(t)[0])
-
-    def velocity_at(self, t: float) -> TangentVector:
-        pos, vel = self._eval(t)
-        return TangentVector(ManifoldPoint(pos), vel)
-
     def _eval(self, t: float):
-        if self.ts is None:
-            return self.manifold.exp_velocity_coords(
-                self.base.coords, self.direction.components, t
-            )
         if t < self.ts[0] - 1e-12 or t > self.ts[-1] + 1e-12:
             raise ChartError(
                 f"parameter {t:g} outside sampled range [{self.ts[0]:g}, {self.ts[-1]:g}]"
@@ -110,80 +96,22 @@ class GeodesicSegment:
         )
         return pos, vel
 
-    def endpoint(self) -> ManifoldPoint:
-        return self.point_at(self.length)
-
-    def as_curve(self, n: int = 129, domain=None) -> "SampledCurve":
-        """Sample the segment as a curve, optionally affinely reparameterized.
-
-        ``domain=(a, b)`` yields c(s) = segment(L * (s - a)/(b - a)).
-        """
-        a, b = (0.0, self.length) if domain is None else domain
-        ss = np.linspace(a, b, n)
-        rate = self.length / (b - a)
-        pts, vels = [], []
-        for s in ss:
-            pos, vel = self._eval((s - a) * rate)
-            pts.append(pos)
-            vels.append(rate * vel)
-        return SampledCurve(self.manifold, ss, np.array(pts), np.array(vels))
-
-
-@dataclass(frozen=True, eq=False)
-class SampledCurve:
-    """A (piecewise smooth) curve given by samples; velocities optional."""
-
-    manifold: Manifold
-    ts: np.ndarray
-    points: np.ndarray
-    velocities: np.ndarray | None = None
-
-    def speeds(self) -> np.ndarray:
-        if len(self.ts) < 2:
-            raise ValueError("curve needs at least 2 samples")
-        if self.velocities is not None:
-            vels = self.velocities
-        else:
-            vels = np.gradient(self.points, self.ts, axis=0)
-        out = np.empty(len(self.ts))
-        for i, (p, v) in enumerate(zip(self.points, vels)):
-            v = self.manifold.project_tangent(p, v)
-            out[i] = math.sqrt(max(self.manifold.inner_coords(p, v, v), 0.0))
-        return out
-
-
-def energy(curve: SampledCurve | GeodesicSegment) -> float:
-    """Integral of squared speed over the curve's parameter interval."""
-    from scipy.integrate import simpson  # here, not at import: no CLI path needs it
-
-    if isinstance(curve, GeodesicSegment):
-        curve = curve.as_curve()
-    sp = curve.speeds()
-    return float(simpson(sp * sp, x=curve.ts))
-
-
-def length(curve: SampledCurve | GeodesicSegment) -> float:
-    """Integral of speed over the curve's parameter interval."""
-    from scipy.integrate import simpson
-
-    if isinstance(curve, GeodesicSegment):
-        curve = curve.as_curve()
-    return float(simpson(curve.speeds(), x=curve.ts))
-
 
 def integrate_geodesic(
     manifold: Manifold,
     start: ManifoldPoint,
     direction: TangentVector,
     length: float,
-    step: float = DEFAULT_STEP,
+    step: float | None = None,
 ) -> GeodesicSegment:
     """Numerically integrate the geodesic equation and return a sampled segment.
 
-    The initial velocity must be unit; samples land every ``step`` (the last
-    step is shortened to hit ``length`` exactly).  ``endpoint_error`` holds a
-    Richardson estimate from a double-step comparison run.
+    The initial velocity must be unit; ``length`` is split into equal steps
+    of at most ``step`` (default: the model's).  Only the numeric surface's
+    geodesic lines run this; on the closed-form models the tests keep it as
+    an integrator checked against the exact exponential.
     """
+    step = manifold.step if step is None else step
     if step <= 0:
         raise ValueError("step must be positive")
     speed = manifold.norm(direction)
@@ -196,8 +124,6 @@ def integrate_geodesic(
     ts, ys = rk4_trajectory(manifold.geodesic_rhs, state0, length, n)
     if not manifold.closed_form:
         manifold.profile.check_domain(ys[:, 0])
-    coarse = rk4_endpoint(manifold.geodesic_rhs, state0, length, max(1, n // 2))
-    err = float(np.linalg.norm(coarse[:d] - ys[-1, :d])) / 15.0
     return GeodesicSegment(
         manifold=manifold,
         base=start,
@@ -206,7 +132,6 @@ def integrate_geodesic(
         ts=ts,
         points=ys[:, :d].copy(),
         velocities=ys[:, d:].copy(),
-        endpoint_error=err,
     )
 
 
@@ -217,7 +142,8 @@ def first_variation_check(manifold: Manifold, family, fd_step: float = 1e-4) -> 
     the geodesic variation f(t, s) = exp_p(t V(s)).  The s-derivative of the
     energy of f(., s) at s = 0 is evaluated by central differences and
     compared against 2 g(sigma'(0), c'(1)) where sigma(s) = f(1, s) and
-    c = f(., 0).  Returns the absolute difference.
+    c = f(., 0).  Returns the absolute difference.  No command runs it: the
+    tests use it as an invariant check of ``exp`` and ``exp_with_velocity``.
     """
     v0 = family(0.0)
     vp, vm = family(fd_step), family(-fd_step)
@@ -242,7 +168,11 @@ class JacobiSolution:
     curvature: np.ndarray  # K(c(t)) at the sample times
 
     def first_zero(self, of: str = "value") -> float | None:
-        """First positive zero of j ("value") or of j' ("derivative")."""
+        """First positive zero of j ("value") or of j' ("derivative").
+
+        The closed-form radii scans read their zeros here.  The surface's
+        scans batch the search in ``radii._first_zeros_batch``, and the
+        tests keep this one as its reference."""
         if of == "value":
             vals, ders = self.j, self.jp
         elif of == "derivative":
@@ -262,22 +192,28 @@ class JacobiSolution:
         return None
 
     def residual_max(self) -> float:
-        """Max residual of j'' + K j = 0 via second differences (order h^2)."""
+        """Max residual of j'' + K j = 0 via second differences (order h^2);
+        a test invariant of the surface integration."""
         h = self.ts[1] - self.ts[0]
         jpp = (self.j[2:] - 2 * self.j[1:-1] + self.j[:-2]) / (h * h)
         return float(np.max(np.abs(jpp + self.curvature[1:-1] * self.j[1:-1])))
 
 
 def integrate_jacobi(
-    manifold: Manifold, geodesic: GeodesicSegment, step: float = DEFAULT_STEP
+    manifold: Manifold, geodesic: GeodesicSegment, step: float | None = None
 ) -> JacobiSolution:
-    """Integrate j'' + K j = 0 along the geodesic with j(0)=0, j'(0)=1.
+    """Integrate j'' + K j = 0 along the geodesic with j(0)=0, j'(0)=1, in
+    equal steps of at most ``step`` (default: the model's).
 
-    Constant-curvature models use their constant K in any dimension; a model
-    without closed forms (the surface of revolution) re-integrates the
-    geodesic jointly with (j, j') through its ``jacobi_rhs``, so the
-    curvature is evaluated exactly at the RK4 substeps.
+    Constant-curvature models use their constant K in any dimension; the
+    radii scans of those models run this.  A model without closed forms (the
+    surface of revolution) re-integrates the geodesic jointly with (j, j')
+    through its ``jacobi_rhs``, so the curvature is evaluated exactly at the
+    RK4 substeps; the surface's radii scans batch that system in
+    ``radii._first_zeros_batch``, and the tests keep this branch as its
+    reference.
     """
+    step = manifold.step if step is None else step
     n = max(2, int(math.ceil(geodesic.length / step)))
     if not manifold.closed_form:
         base = geodesic.base.coords
@@ -344,9 +280,6 @@ class GeodesicLine:
             return self._fwd._eval(t)
         pos, vel = self._bwd._eval(-t)
         return pos, -vel
-
-    def point_at(self, t: float) -> ManifoldPoint:
-        return ManifoldPoint(self._eval(t)[0])
 
     def velocity_at(self, t: float) -> TangentVector:
         pos, vel = self._eval(t)

@@ -2,8 +2,8 @@
 
 A :class:`BallPair` holds a big ball of radius R about gamma(0) and a small
 ball of radius r <= R about gamma(t) for an arclength geodesic gamma.  The
-module classifies membership in the overlap ("lens"), measures its diameter,
-profiles the width
+module measures the diameter of their overlap (the "lens"), profiles the
+width
 
     w(t) = diam( D_R(gamma(0)) ∩ D_r(gamma(t)) )
 
@@ -65,6 +65,7 @@ from geolens.sets import PointCloud, diameter_with_witness
 
 DEFAULT_GRID = 200
 DEFAULT_BUDGET = 4096
+# a point whose margin is below 0 by at most this still counts as in the lens
 BOUNDARY_TOL = 1e-9
 # upper minus lower bound of a width computed exactly, in floating point
 EXACT_SLACK = 1e-12
@@ -73,10 +74,8 @@ ASCENT_IMPROVE_TOL = 1e-10
 ASCENT_MAX_ITER = 400
 # below 2r by at most this, a sampled width counts as full
 FULL_WIDTH_TOL = 1e-7
-
-INSIDE = "inside"
-BOUNDARY = "boundary"
-OUTSIDE = "outside"
+# within r plus this of gamma(s), a lens point counts as nested at s
+NESTING_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,16 +233,6 @@ def check_witnesses(bp: BallPair, res: LensDiameter, row: str) -> None:
             f"{row}: witness margins {margins[0]:.3g}, {margins[1]:.3g}; "
             f"|d(a, b) - w| = {gap:.3g}"
         )
-
-
-def membership(bp: BallPair, x):
-    """Classify a point against the lens, with ``BOUNDARY_TOL`` as the
-    boundary band; returns (label, margin)."""
-    coords = x.coords if isinstance(x, ManifoldPoint) else np.asarray(x, dtype=np.float64)
-    margin = float(bp.margins(coords[None, :])[0])
-    if abs(margin) <= BOUNDARY_TOL:
-        return BOUNDARY, margin
-    return (INSIDE if margin > 0 else OUTSIDE), margin
 
 
 def _axis_points(bp: BallPair) -> np.ndarray:
@@ -530,9 +519,9 @@ def lens_diameter(
 
     ends, end_margin, lead = bp.extremes()
     candidates = [ends[:2]]
-    if lead > 2 and np.all(end_margin[2:lead] >= -1e-9):
+    if lead > 2 and np.all(end_margin[2:lead] >= -BOUNDARY_TOL):
         candidates.append(ends[2:lead])
-    if np.all(end_margin[lead:] >= -1e-9):
+    if np.all(end_margin[lead:] >= -BOUNDARY_TOL):
         candidates.append(ends[lead:])
     for pair in candidates:
         d = m.dist_coords(pair[0], pair[1])
@@ -646,20 +635,20 @@ def estimate_nesting_onset(
     n_grid: int = 1001,
     budget: int = 512,
     seed: int = 0,
-    slack: float = 1e-9,
     scan: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ThresholdEstimate:
     """Smallest separation s after which all later lenses nest into D_r(gamma(s)).
 
     Grid form of the defining test: for every grid t >= s, the lens at t must
-    lie within r + slack of gamma(s).  On an exact pair the test reads the
-    axis ends and corners of each lens, where the distance to gamma(s) peaks;
-    elsewhere every point of a cloud sampled at ``budget``.  The flip index is
-    located by bisection over the grid (the passing set is an interval up to
-    sampling noise, which a local fix-up absorbs), then refined continuously
-    between the last failing and first passing grid values.  Reported with
-    the grid resolution as its uncertainty.  ``scan`` is the
-    ``_nesting_scan`` of this grid, budget and seed, when the caller has it.
+    lie within r + ``NESTING_SLACK`` of gamma(s).  On an exact pair the test
+    reads the axis ends and corners of each lens, where the distance to
+    gamma(s) peaks; elsewhere every point of a cloud sampled at ``budget``.
+    The flip index is located by bisection over the grid (the passing set is
+    an interval up to sampling noise, which a local fix-up absorbs), then
+    refined continuously between the last failing and first passing grid
+    values.  Reported with the grid resolution as its uncertainty.  ``scan``
+    is the ``_nesting_scan`` of this grid, budget and seed, when the caller
+    has it.
     """
     if n_grid < 2:
         raise ValueError("n_grid must have at least 2 points")
@@ -674,7 +663,7 @@ def estimate_nesting_onset(
         if not np.any(sel):
             return True
         d = m.dist_many(bp.line.coords_at(s), points[sel])
-        return bool(np.max(d) <= bp.r + slack)
+        return bool(np.max(d) <= bp.r + NESTING_SLACK)
 
     lo_idx, hi_idx = 0, n_grid - 1
     if ok(ts[0]):
@@ -795,7 +784,7 @@ def w_profile(
     anchor = bp.line.coords_at(ts[anchor_idx])
     for i in range(anchor_idx + 1, grid):
         dmax = float(np.max(m.dist_many(anchor, points[owners == i])))
-        flags[i] = int(dmax <= bp.r + 1e-9)
+        flags[i] = int(dmax <= bp.r + NESTING_SLACK)
     return WProfile(
         manifold_label=m.describe(),
         R=bp.R,

@@ -32,6 +32,8 @@ from geolens.errors import (
 ON_MANIFOLD_TOL = 1e-10
 # Newton iterations a surface shoot may take before it raises ShootingError
 SHOOT_ITERATIONS = 60
+# the built-in profile f(u) = offset + cos u on [u_min, u_max]
+BUMP_U_MIN, BUMP_U_MAX, BUMP_OFFSET = -0.6, 0.6, 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +105,12 @@ def _diff_block(a, b):
 class Manifold(ABC):
     """Common surface for the model spaces.
 
-    Typed single-point operations (``exp``, ``log``, ``distance``, ...) wrap
-    coordinate-level routines; the coordinate layer also exposes vectorized
-    variants (``exp_many``, the pair batch ``dist_pairs`` and its one-source
-    form ``dist_many``) used by the sampling machinery.
+    The sampling machinery runs on the coordinate layer: ``exp_many``, the
+    pair batch ``dist_pairs`` and its one-source form ``dist_many``.  The
+    typed single-point operations (``point``, ``exp``, ``exp_with_velocity``,
+    ``log``, ``distance``) wrap the coordinate routines one point at a time;
+    no command reaches them, and the tests keep them as the reference the
+    batches are checked against.
     """
 
     kind: str = ""
@@ -144,16 +148,6 @@ class Manifold(ABC):
             )
         self.check_point(arr)
         return ManifoldPoint(arr)
-
-    def tangent(self, base, *components) -> TangentVector:
-        base_pt = base if isinstance(base, ManifoldPoint) else self.point(base)
-        arr = np.asarray(
-            components if len(components) > 1 else components[0], dtype=np.float64
-        )
-        tangency = np.linalg.norm(arr - self.project_tangent(base_pt.coords, arr))
-        if tangency > 1e-8 * max(1.0, np.linalg.norm(arr)):
-            raise OffManifoldError(f"components not tangent (violation {tangency:.3e})")
-        return TangentVector(base_pt, arr)
 
     # -- metric ------------------------------------------------------------
 
@@ -246,6 +240,8 @@ class Manifold(ABC):
 
     # Length of the Jacobi scans of geolens.radii when the caller gives none.
     horizon: float = 8.0
+    # RK4 step of every numeric geodesic and Jacobi integration on the model.
+    step: float = 2e-3
 
     def convexity_radius(self) -> float:
         """Closed-form convexity radius; numeric models have none."""
@@ -383,6 +379,7 @@ class Sphere(Manifold):
         return ManifoldPoint(c)
 
     def normalize(self, coords) -> np.ndarray:
+        """Scale coords onto the sphere (a test helper for building points)."""
         c = np.asarray(coords, dtype=np.float64)
         return self.radius * c / np.linalg.norm(c)
 
@@ -527,7 +524,8 @@ class Hyperbolic(Manifold):
         return np.sum(x[..., 1:] * y[..., 1:], axis=-1) - x[..., 0] * y[..., 0]
 
     def normalize(self, spatial) -> np.ndarray:
-        """Lift spatial coordinates onto the sheet."""
+        """Lift spatial coordinates onto the sheet (a test helper for
+        building points)."""
         s = np.asarray(spatial, dtype=np.float64)
         x0 = math.sqrt(self.radius**2 + float(np.dot(s, s)))
         return np.concatenate(([x0], s))
@@ -694,7 +692,7 @@ class RevolutionProfile:
         return cls(f=spl, df=df, d2f=d2f, u_min=float(u[0]), u_max=float(u[-1]))
 
     @classmethod
-    def cosine_bump(cls, u_min=-0.6, u_max=0.6, offset=2.0):
+    def cosine_bump(cls, u_min=BUMP_U_MIN, u_max=BUMP_U_MAX, offset=BUMP_OFFSET):
         """Built-in analytic profile f(u) = offset + cos(u)."""
         return cls(
             f=lambda u: offset + np.cos(u),
@@ -723,7 +721,9 @@ class SurfaceOfRevolution(Manifold):
 
     kind = "surface_of_revolution"
 
-    def __init__(self, profile: RevolutionProfile, step: float = 2e-3, horizon: float = 16.0):
+    def __init__(
+        self, profile: RevolutionProfile, step: float = Manifold.step, horizon: float = 16.0
+    ):
         super().__init__(2)
         probe = np.linspace(profile.u_min, profile.u_max, 64)
         if np.any(np.asarray(profile.f(probe)) <= 0):

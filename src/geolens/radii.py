@@ -18,7 +18,7 @@ import numpy as np
 
 from geolens._ode import rk4_step
 from geolens.errors import ConfigError
-from geolens.geodesics import DEFAULT_STEP, GeodesicSegment, hermite_zero, integrate_jacobi
+from geolens.geodesics import GeodesicSegment, hermite_zero, integrate_jacobi
 from geolens.manifolds import Manifold, TangentVector
 
 CLOSED_FORM = "closed-form"
@@ -126,9 +126,10 @@ def closed_form_radii(manifold: Manifold) -> RadiiReport:
     )
 
 
-def _first_zeros_batch(manifold, base_coords, angles, horizon, step):
+def _first_zeros_batch(manifold, base_coords, angles, horizon, step=None):
     """First zeros of j and j' along geodesics in the given directions from
-    one base point (2,) or from each of a block of them (..., 2).
+    one base point (2,) or from each of a block of them (..., 2), in steps of
+    at most ``step`` (default: the model's).
 
     Returns (j_zero, jp_zero, valid_length) arrays of shape
     ``base_coords.shape[:-1] + (len(angles),)``, with nan for "no zero
@@ -141,6 +142,7 @@ def _first_zeros_batch(manifold, base_coords, angles, horizon, step):
     or has both zeros, so its results do not depend on the other rows.
     """
     profile = manifold.profile
+    step = manifold.step if step is None else step
     base = np.asarray(base_coords, dtype=np.float64)
     shape = base.shape[:-1] + (len(angles),)
     base = base.reshape(-1, 2)
@@ -222,9 +224,7 @@ def jacobi_radii(
         )
 
     angles = np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False)
-    j_zero, jp_zero, valid = _first_zeros_batch(
-        manifold, base.coords, angles, horizon, DEFAULT_STEP
-    )
+    j_zero, jp_zero, valid = _first_zeros_batch(manifold, base.coords, angles, horizon)
     return _smallest_zero(j_zero, valid), _smallest_zero(jp_zero, valid)
 
 
@@ -233,7 +233,10 @@ def conjugate_radius(
     directions: int = DEFAULT_DIRECTIONS,
     horizon: float | None = None,
 ) -> RadiusValue:
-    """First zero of j(t) (j(0)=0, j'(0)=1), minimized over sampled directions."""
+    """First zero of j(t) (j(0)=0, j'(0)=1), minimized over sampled directions.
+
+    The commands read both radii off one ``jacobi_radii`` scan; the tests
+    call this half of it alone."""
     return jacobi_radii(manifold, directions, horizon)[0]
 
 
@@ -289,7 +292,7 @@ def radii_report(
     angles = np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False)
     bases = np.column_stack([us, np.zeros(base_points)])
     # one batched integration serves both scans at every base point
-    j_zero, jp_zero, valid = _first_zeros_batch(manifold, bases, angles, horizon, DEFAULT_STEP)
+    j_zero, jp_zero, valid = _first_zeros_batch(manifold, bases, angles, horizon)
     conj_best: RadiusValue | None = None
     foc_best: RadiusValue | None = None
     for j_row, jp_row, valid_row in zip(j_zero, jp_zero, valid):

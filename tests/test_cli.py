@@ -12,9 +12,10 @@ import pytest
 from geolens import lens as lens_module
 from geolens import sets as sets_module
 from geolens import suite as suite_module
-from geolens.cli import main
-from geolens.config import ManifoldSpec, RunConfig, load_config
+from geolens.cli import _cmd_profile, main
+from geolens.config import ManifoldSpec, RunConfig, load_config, validate_config
 from geolens.errors import ConfigError
+from geolens.manifolds import RevolutionProfile, SurfaceOfRevolution
 from geolens.suite import CLAIM_REGISTRY
 
 PERFBENCH_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs"
@@ -201,8 +202,8 @@ def test_radii_that_disagree_with_the_first_pair_are_rejected(radii, tmp_path):
 @pytest.mark.parametrize(
     "text, named",
     [
-        (EUCLID_CFG + "\n[tolerances]\nboundary = 1e-6\n", "tolerances.boundary"),
-        (EUCLID_CFG + "\n[tolerances]\nwidth_threshold = 1e-7\n", "tolerances.width_threshold"),
+        (EUCLID_CFG + "\n[tolerances]\nboundary = 1e-6\n", "[tolerances]"),
+        (EUCLID_CFG + "\n[tolerances]\nwidth_threshold = 1e-7\n", "[tolerances]"),
         (EUCLID_CFG.replace("seed = 11", "seed = 11\ngrid_size = 10"), "run.grid_size"),
         (EUCLID_CFG + "\n[solver]\nstep = 1e-3\n", "[solver]"),
     ],
@@ -230,6 +231,34 @@ def test_missing_keys_take_the_field_defaults(tmp_path):
     cfg.write_text("[manifold]\nkind = Sphere\n")
     expected = RunConfig(manifold=ManifoldSpec(kind="sphere", curvature=1.0), pairs=((1.0, 1.0),))
     assert load_config(str(cfg)) == expected
+
+
+def test_profile_runs_the_first_pair_it_echoes(tmp_path):
+    # a config built in code has one lens: the first of its pairs
+    out = str(tmp_path / "profile.csv")
+    config = RunConfig(
+        manifold=ManifoldSpec(kind="euclidean"), pairs=((1.0, 0.5),), grid=4, out=out
+    )
+    assert _cmd_profile(config) == 0
+    assert "# lens.pairs=1,0.5\n" in open(out).read()
+    assert _read_profile_csv(out)["w"][0] == 1.0
+
+
+def test_empty_pairs_are_rejected():
+    with pytest.raises(ConfigError, match="pairs"):
+        validate_config(RunConfig(manifold=ManifoldSpec(), pairs=()))
+
+
+def test_surface_spec_defaults_build_the_built_in_surface():
+    built = ManifoldSpec(kind="surface_of_revolution").build()
+    direct = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    assert built.step == direct.step
+    assert (built.profile.u_min, built.profile.u_max) == (
+        direct.profile.u_min,
+        direct.profile.u_max,
+    )
+    us = np.linspace(direct.profile.u_min, direct.profile.u_max, 25)
+    assert built.profile.f(us).tobytes() == direct.profile.f(us).tobytes()
 
 
 def _read_profile_csv(path):
@@ -454,8 +483,8 @@ def test_surface_focal_scan_runs_once_per_config(tmp_path, monkeypatch):
 
 
 def test_start_up_loads_no_scipy():
-    # scipy is imported where it is used (the k-d tree candidates, Simpson
-    # rules, splines), so the CLI starts without it
+    # scipy is imported where it is used (the k-d tree candidates, splines),
+    # so the CLI starts without it
     import subprocess
     import sys
 

@@ -1,4 +1,4 @@
-"""Geodesic integration, energy/length, first variation, Jacobi fields."""
+"""Geodesic integration, first variation, Jacobi fields."""
 
 import math
 
@@ -6,21 +6,20 @@ import numpy as np
 import pytest
 
 from geolens import (
+    BallPair,
     Euclidean,
     GeodesicLine,
     GeodesicSegment,
     Hyperbolic,
     RevolutionProfile,
-    SampledCurve,
     Sphere,
     SurfaceOfRevolution,
-    energy,
     first_variation_check,
     integrate_geodesic,
     integrate_jacobi,
-    length,
 )
 from geolens._ode import rk4_trajectory
+from geolens.config import ManifoldSpec
 from geolens.manifolds import ManifoldPoint, TangentVector
 
 
@@ -152,71 +151,24 @@ def test_integrator_is_fourth_order(sphere):
     assert errs[0] / errs[1] >= 8.0
 
 
+def test_configured_step_reaches_the_line_and_the_jacobi_integration():
+    # [manifold] step sets the spacing of every surface integration, the
+    # geodesic line of a ball pair and a Jacobi field left at its default
+    surface = ManifoldSpec(kind="surface_of_revolution", step=1e-3).build()
+    bp = BallPair.create(surface, 0.3, 0.2, convexity_bound=0.5)
+    for seg in (bp.line._fwd, bp.line._bwd):
+        assert np.max(np.diff(seg.ts)) <= 1e-3 * (1 + 1e-12)
+    base = surface.basepoint()
+    d = TangentVector(base, surface.unit_tangent(base.coords, 1.3))
+    sol = integrate_jacobi(surface, GeodesicSegment(surface, base, d, 0.5))
+    assert np.max(np.diff(sol.ts)) <= 1e-3 * (1 + 1e-12)
+
+
 def test_non_unit_direction_rejected():
     e = Euclidean(2)
     p = e.point(0.0, 0.0)
     with pytest.raises(ValueError):
         integrate_geodesic(e, p, TangentVector(p, np.array([2.0, 0.0])), 1.0)
-
-
-# ------------------------------------------------------- energy / length
-
-
-def test_constant_curve_zero_energy():
-    e = Euclidean(2)
-    ts = np.linspace(0.0, 1.0, 33)
-    pts = np.zeros((33, 2))
-    curve = SampledCurve(e, ts, pts, np.zeros((33, 2)))
-    assert energy(curve) == 0.0
-    assert length(curve) == 0.0
-
-
-def test_euclidean_segment_energy_length():
-    e = Euclidean(2)
-    ts = np.linspace(0.0, 1.0, 65)
-    pts = np.outer(ts, [3.0, 4.0])
-    vels = np.tile([3.0, 4.0], (65, 1))
-    curve = SampledCurve(e, ts, pts, vels)
-    assert energy(curve) == pytest.approx(25.0, abs=1e-10)
-    assert length(curve) == pytest.approx(5.0, abs=1e-10)
-
-
-def test_reparameterization_keeps_length_raises_energy():
-    # quadratic reparameterization tau -> tau^2 of the same Euclidean path
-    e = Euclidean(2)
-    ts = np.linspace(0.0, 1.0, 201)
-    pts = np.outer(ts**2, [3.0, 4.0])
-    vels = np.outer(2.0 * ts, [3.0, 4.0])
-    curve = SampledCurve(e, ts, pts, vels)
-    assert length(curve) == pytest.approx(5.0, abs=1e-6)
-    assert energy(curve) > 25.0 + 1.0
-
-
-def test_cauchy_schwarz_energy_length(sphere):
-    north = sphere.point(0.0, 0.0, 1.0)
-    v = TangentVector(north, np.array([1.0, 0.0, 0.0]))
-    seg = integrate_geodesic(sphere, north, v, 1.2, step=2e-3)
-    curve = seg.as_curve(n=201)
-    interval = curve.ts[-1] - curve.ts[0]
-    assert length(curve) ** 2 <= interval * energy(curve) + 1e-9
-    # constant speed: equality within quadrature tolerance
-    assert length(curve) ** 2 == pytest.approx(interval * energy(curve), rel=1e-10)
-
-
-def test_minimizing_unit_interval_geodesic_energy_is_squared_distance(sphere):
-    north = sphere.point(0.0, 0.0, 1.0)
-    v = TangentVector(north, np.array([1.0, 0.0, 0.0]))
-    seg = GeodesicSegment.from_exp(sphere, north, v, 1.3)
-    curve = seg.as_curve(n=301, domain=(0.0, 1.0))
-    d = sphere.distance(north.coords, seg.endpoint().coords)
-    assert energy(curve) == pytest.approx(d * d, abs=1e-9)
-
-
-def test_energy_needs_two_samples():
-    e = Euclidean(2)
-    curve = SampledCurve(e, np.array([0.0]), np.zeros((1, 2)), np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        energy(curve)
 
 
 # ------------------------------------------------------ first variation

@@ -16,7 +16,6 @@ from geolens import (
     estimate_full_width_end,
     estimate_nesting_onset,
     lens_diameter,
-    membership,
     sample_intersection,
     w_profile,
 )
@@ -24,11 +23,8 @@ from geolens import lens as lens_module
 from geolens.errors import DefectError
 from geolens.sets import diameter
 from geolens.lens import (
-    BOUNDARY,
     BOUNDARY_TOL,
     EXACT_SLACK,
-    INSIDE,
-    OUTSIDE,
     _ascend_pair,
     _axis_points,
     _corner_points,
@@ -92,19 +88,18 @@ def euclid_closed_form_width(R, r, t):
 
 
 # ----------------------------------------------------------- membership
+# a point lies in the lens when its margin is at least -BOUNDARY_TOL
 
 
 def test_membership_center_of_small_ball(plane):
     bp = BallPair.create(plane, 2.0, 1.0, t=0.5)
-    label, margin = membership(bp, np.array([0.5, 0.0]))
-    assert label == INSIDE
+    margin = bp.margins(np.array([0.5, 0.0]))[0]
     assert margin == pytest.approx(min(2.0 - 0.5, 1.0), abs=1e-12)
 
 
 def test_membership_tangency_point(plane):
     bp = BallPair.create(plane, 2.0, 1.0, t=3.0)
-    label, margin = membership(bp, np.array([2.0, 0.0]))
-    assert label == BOUNDARY
+    margin = bp.margins(np.array([2.0, 0.0]))[0]
     assert margin == pytest.approx(0.0, abs=1e-12)
 
 
@@ -112,15 +107,14 @@ def test_membership_corner_point_boundary(plane):
     R, r, t = 2.0, 1.0, 1.8
     a = (t * t + R * R - r * r) / (2 * t)
     corner = np.array([a, math.sqrt(R * R - a * a)])
-    label, margin = membership(bp := BallPair.create(plane, R, r, t=t), corner)
-    assert label == BOUNDARY
+    margin = BallPair.create(plane, R, r, t=t).margins(corner)[0]
     assert abs(margin) < 1e-10
 
 
 def test_membership_outside(plane):
     bp = BallPair.create(plane, 2.0, 1.0, t=1.0)
-    label, margin = membership(bp, np.array([5.0, 5.0]))
-    assert label == OUTSIDE and margin < 0
+    margin = bp.margins(np.array([5.0, 5.0]))[0]
+    assert margin < -BOUNDARY_TOL
 
 
 # ------------------------------------------------------------- sampling

@@ -18,6 +18,8 @@ from geolens import (
     jacobi_radii,
     radii_report,
 )
+from geolens import radii as radii_module
+from geolens.config import ManifoldSpec
 from geolens.errors import ConfigError
 from geolens.geodesics import GeodesicSegment, integrate_jacobi
 from geolens.manifolds import ManifoldPoint, TangentVector
@@ -226,6 +228,20 @@ def test_zeros_of_all_base_points_match_one_base_point_at_a_time(base_points):
         assert jp_zero[k].tobytes() == one[1].tobytes()
         assert valid[k].tobytes() == one[2].tobytes()
     assert np.any(~np.isnan(j_zero)) and np.any(~np.isnan(jp_zero))
+
+
+def test_configured_step_reaches_the_batched_radii_scan(monkeypatch):
+    steps = []
+    rk4_step = radii_module.rk4_step
+
+    def spy(rhs, y, h):
+        steps.append(h)
+        return rk4_step(rhs, y, h)
+
+    monkeypatch.setattr(radii_module, "rk4_step", spy)
+    surface = ManifoldSpec(kind="surface_of_revolution", step=1e-3).build()
+    jacobi_radii(surface, directions=4, horizon=0.5)
+    assert steps and max(steps) <= 1e-3 * (1 + 1e-12)
 
 
 def test_surface_requires_certified_injectivity():
