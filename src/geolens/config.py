@@ -13,7 +13,8 @@ Sections and the keys each one reads:
                  (profile runs it, verify runs every pair).
     [run]        grid, budget, seed, out, expect_counterexample.
 
-Any other section or key raises :class:`ConfigError` naming it.  A key left
+Any other section or key raises :class:`ConfigError` naming it, and so
+does a surface-only ``[manifold]`` key on another kind.  A key left
 out takes the default of its ``ManifoldSpec``/``RunConfig`` field.  Every
 parsed value is checked against the module preconditions before any
 computation starts; violations raise :class:`ConfigError`.
@@ -207,6 +208,9 @@ _KEYS = {
     "run": _parsers(RunConfig, ("grid", "budget", "seed", "out", "expect_counterexample")),
 }
 
+# the [manifold] keys only the surface reads; the other kinds reject them
+_SURFACE_KEYS = frozenset(_KEYS["manifold"]) - {"kind", "dimension", "curvature"}
+
 # curvature of a model whose [manifold] sets none
 _DEFAULT_CURVATURE = {"sphere": 1.0, "hyperbolic": -1.0}
 
@@ -250,6 +254,12 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
     man = sections["manifold"]
     kind = man.get("kind", ManifoldSpec.kind)
+    surface_only = [f"manifold.{key}" for key in man if key in _SURFACE_KEYS]
+    if surface_only and kind != "surface_of_revolution":
+        raise ConfigError(
+            f"{', '.join(surface_only)}: only kind = surface_of_revolution reads "
+            f"{'this key' if len(surface_only) == 1 else 'these keys'}, not kind = {kind}"
+        )
     man.setdefault("curvature", _DEFAULT_CURVATURE.get(kind, ManifoldSpec.curvature))
     lens = sections["lens"]
     pairs = lens.get("pairs")

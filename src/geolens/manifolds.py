@@ -652,15 +652,25 @@ class Hyperbolic(Manifold):
 class RevolutionProfile:
     """Profile f > 0 of a surface of revolution, with first two derivatives.
 
-    The evaluators must accept NumPy arrays.  Queries outside
-    [u_min, u_max] raise :class:`ChartError`.
+    ``jet(u)`` evaluates the profile once: it takes a NumPy array (or a
+    scalar) u and returns the three arrays (f(u), f'(u), f''(u)), each of
+    u's shape.  :meth:`f`, :meth:`df` and :meth:`d2f` read one part of it,
+    so each profile formula is written once.  ``check_domain`` raises
+    :class:`ChartError` on queries outside [u_min, u_max].
     """
 
-    f: Callable
-    df: Callable
-    d2f: Callable
+    jet: Callable
     u_min: float
     u_max: float
+
+    def f(self, u):
+        return self.jet(u)[0]
+
+    def df(self, u):
+        return self.jet(u)[1]
+
+    def d2f(self, u):
+        return self.jet(u)[2]
 
     def check_domain(self, u):
         u = np.asarray(u)
@@ -675,7 +685,7 @@ class RevolutionProfile:
 
     @classmethod
     def from_table(cls, u, f_values, df_values=None, d2f_values=None):
-        """Build evaluators from a sampled table via cubic splines."""
+        """Build the jet from a sampled table via cubic splines."""
         from scipy.interpolate import CubicSpline
 
         u = np.asarray(u, dtype=np.float64)
@@ -689,18 +699,19 @@ class RevolutionProfile:
             if d2f_values is not None
             else spl.derivative(2)
         )
-        return cls(f=spl, df=df, d2f=d2f, u_min=float(u[0]), u_max=float(u[-1]))
+        return cls(
+            jet=lambda x: (spl(x), df(x), d2f(x)), u_min=float(u[0]), u_max=float(u[-1])
+        )
 
     @classmethod
     def cosine_bump(cls, u_min=BUMP_U_MIN, u_max=BUMP_U_MAX, offset=BUMP_OFFSET):
         """Built-in analytic profile f(u) = offset + cos(u)."""
-        return cls(
-            f=lambda u: offset + np.cos(u),
-            df=lambda u: -np.sin(u),
-            d2f=lambda u: -np.cos(u),
-            u_min=float(u_min),
-            u_max=float(u_max),
-        )
+
+        def jet(u):
+            c = np.cos(u)
+            return offset + c, -np.sin(u), -c
+
+        return cls(jet=jet, u_min=float(u_min), u_max=float(u_max))
 
 
 class SurfaceOfRevolution(Manifold):
@@ -757,33 +768,37 @@ class SurfaceOfRevolution(Manifold):
         fu = float(self.profile.f(u))
         return float(a[0] * b[0] + fu * fu * a[1] * b[1])
 
+    @staticmethod
+    def _acceleration(out, f, fp, du, dv):
+        """Write the geodesic acceleration (u'', v'') of velocity (du, dv),
+        from f and f' at u, into the last axis of ``out``."""
+        out[..., 0] = f * fp * dv * dv
+        out[..., 1] = -2.0 * (fp / f) * du * dv
+
     def geodesic_acceleration(self, pos, vel):
         pos = np.asarray(pos, dtype=np.float64)
         vel = np.asarray(vel, dtype=np.float64)
-        u = pos[..., 0]
-        f = np.asarray(self.profile.f(u))
-        fp = np.asarray(self.profile.df(u))
-        du, dv = vel[..., 0], vel[..., 1]
+        f, fp, _ = self.profile.jet(pos[..., 0])
         acc = np.empty_like(vel)
-        acc[..., 0] = f * fp * dv * dv
-        acc[..., 1] = -2.0 * (fp / f) * du * dv
+        self._acceleration(acc, f, fp, vel[..., 0], vel[..., 1])
         return acc
 
     def jacobi_rhs(self, state):
         """The geodesic equation joined with the scalar Jacobi equation
         j'' = -K j, on a state (..., 6) of u, v, du, dv, j, j'.
 
-        u is clamped to the profile's domain, which leaves rows inside it
+        One profile jet at u gives both the geodesic acceleration and the
+        Gauss curvature K = -f''/f, so j'' is written (f''/f) j.  u is
+        clamped to the profile's domain, which leaves rows inside it
         unchanged; rows that leave it are the caller's to detect.
         """
         p = self.profile
-        u = np.clip(state[..., 0], p.u_min, p.u_max)
-        k = -np.asarray(p.d2f(u)) / np.asarray(p.f(u))
+        f, fp, fpp = p.jet(np.minimum(np.maximum(state[..., 0], p.u_min), p.u_max))
         out = np.empty_like(state)
         out[..., :2] = state[..., 2:4]
-        out[..., 2:4] = self.geodesic_acceleration(u[..., None], state[..., 2:4])
+        self._acceleration(out[..., 2:4], f, fp, state[..., 2], state[..., 3])
         out[..., 4] = state[..., 5]
-        out[..., 5] = -k * state[..., 4]
+        out[..., 5] = fpp / f * state[..., 4]
         return out
 
     def _n_steps(self, span):
@@ -945,14 +960,12 @@ class SurfaceOfRevolution(Manifold):
         return np.array([[a, b], [-b * fu, a / fu]])
 
     def curvature_at(self, coords):
-        u = np.asarray(coords)[0]
-        self.profile.check_domain(u)
-        return float(-self.profile.d2f(u) / self.profile.f(u))
+        return float(self.curvature_of_u(np.asarray(coords)[0]))
 
     def curvature_of_u(self, u):
         self.profile.check_domain(u)
-        u = np.asarray(u)
-        return -np.asarray(self.profile.d2f(u)) / np.asarray(self.profile.f(u))
+        f, _, fpp = self.profile.jet(np.asarray(u))
+        return -fpp / f
 
     def describe(self):
         return (

@@ -126,20 +126,31 @@ def closed_form_radii(manifold: Manifold) -> RadiiReport:
     )
 
 
-def _first_zeros_batch(manifold, base_coords, angles, horizon, step=None):
+def _first_zeros_batch(
+    manifold, base_coords, angles, horizon, step=None, _of=("value", "derivative")
+):
     """First zeros of j and j' along geodesics in the given directions from
     one base point (2,) or from each of a block of them (..., 2), in steps of
     at most ``step`` (default: the model's).
 
     Returns (j_zero, jp_zero, valid_length) arrays of shape
     ``base_coords.shape[:-1] + (len(angles),)``, with nan for "no zero
-    found"; valid_length is where a direction left the chart before both its
+    found"; valid_length is where a direction left the chart before its
     zeros were found (else horizon).  Integrates the surface's joint geodesic
     + Jacobi system over every base point and direction at once, on the grid
-    :func:`integrate_jacobi` uses, and places each zero inside its bracketing
-    step with the cubic Hermite interpolant of the RK4 states, as
-    ``JacobiSolution.first_zero`` does.  A row stops once it leaves the chart
-    or has both zeros, so its results do not depend on the other rows.
+    :func:`integrate_jacobi` uses.  A row stops once it leaves the chart or
+    has the zeros it needs, so its results do not depend on the other rows.
+    ``_of`` names the zeros needed, "value" (j) and "derivative" (j'); a
+    zero not named stays nan.
+
+    Most steps change nothing but the state: every new u is inside
+    [u_min, u_max] and no searched column of a live row crosses or touches
+    zero (one ``min``/``max`` each, which a nan fails).  Only the other
+    steps run the exit and zero bookkeeping.  A sign change keeps its
+    bracket (step, row, column, both end values and both end derivatives
+    from :meth:`jacobi_rhs`), and after the loop one :func:`hermite_zero`
+    call places every zero inside its step with the cubic Hermite
+    interpolant of the RK4 states, as ``JacobiSolution.first_zero`` does.
     """
     profile = manifold.profile
     step = manifold.step if step is None else step
@@ -154,34 +165,48 @@ def _first_zeros_batch(manifold, base_coords, angles, horizon, step=None):
     state[..., 5] = 1.0
     state = state.reshape(-1, 6)
 
+    # the searched columns first:last of the zeros (j, j')
+    first = 0 if "value" in _of else 1
+    last = 2 if "derivative" in _of else 1
+    searched = slice(4 + first, 4 + last)
     n = max(2, int(math.ceil(horizon / step)))
     ts = np.linspace(0.0, horizon, n + 1)
     h = horizon / n
     valid_length = np.full(len(state), horizon)
     zeros = np.full((len(state), 2), np.nan)  # columns: j, j'
     live = np.arange(len(state))  # rows in the chart with a zero to find
+    brackets = []
     for i in range(n):
-        new = rk4_step(manifold.jacobi_rhs, state, h)
-        exited = (new[:, 0] < profile.u_min) | (new[:, 0] > profile.u_max)
-        valid_length[live[exited]] = ts[i]
-        found = zeros[live]
-        pending = ~exited[:, None] & np.isnan(found)
-        before, after = state[:, 4:], new[:, 4:]
-        at_start = pending & (before == 0.0) & (ts[i] > 0)
-        found[at_start] = ts[i]
-        rows, cols = np.nonzero(pending & ~at_start & (before * after < 0))
-        if len(rows):
-            # the derivatives of (j, j') are columns 4 and 5 of the system
-            d0 = manifold.jacobi_rhs(state[rows])[np.arange(len(rows)), 4 + cols]
-            d1 = manifold.jacobi_rhs(new[rows])[np.arange(len(rows)), 4 + cols]
-            found[rows, cols] = hermite_zero(
-                ts[i], ts[i + 1], before[rows, cols], after[rows, cols], d0, d1
-            )
-        zeros[live] = found
-        keep = ~exited & np.isnan(found).any(axis=1)
-        live, state = live[keep], new[keep]
         if not len(live):
             break
+        new = rk4_step(manifold.jacobi_rhs, state, h)
+        u = new[:, 0]
+        before, after = state[:, searched], new[:, searched]
+        product = before * after
+        if u.min() >= profile.u_min and u.max() <= profile.u_max and product.min() > 0:
+            state = new
+            continue
+        exited = (u < profile.u_min) | (u > profile.u_max)
+        valid_length[live[exited]] = ts[i]
+        found = zeros[live, first:last]
+        pending = ~exited[:, None] & np.isnan(found)
+        at_start = pending & (before == 0.0) & (ts[i] > 0)
+        found[at_start] = ts[i]
+        rows, cols = np.nonzero(pending & ~at_start & (product < 0))
+        if len(rows):
+            # the derivatives of (j, j') are columns 4 and 5 of the system
+            at = np.arange(len(rows)), 4 + first + cols
+            d0 = manifold.jacobi_rhs(state[rows])[at]
+            d1 = manifold.jacobi_rhs(new[rows])[at]
+            bracket = (np.full(len(rows), i), live[rows], first + cols)
+            brackets.append(bracket + (before[rows, cols], after[rows, cols], d0, d1))
+            found[rows, cols] = np.inf  # placed after the loop
+        zeros[live, first:last] = found
+        keep = ~exited & np.isnan(found).any(axis=1)
+        live, state = live[keep], new[keep]
+    if brackets:
+        steps, rows, cols, v0, v1, d0, d1 = (np.concatenate(part) for part in zip(*brackets))
+        zeros[rows, cols] = hermite_zero(ts[steps], ts[steps + 1], v0, v1, d0, d1)
     return (
         zeros[:, 0].reshape(shape),
         zeros[:, 1].reshape(shape),
@@ -196,14 +221,10 @@ def _smallest_zero(zeros, valid) -> RadiusValue:
     return RadiusValue(float(np.nanmin(zeros)), NUMERIC)
 
 
-def jacobi_radii(
-    manifold: Manifold,
-    directions: int = DEFAULT_DIRECTIONS,
-    horizon: float | None = None,
-) -> tuple[RadiusValue, RadiusValue]:
-    """(conjugate radius, focal radius), both read off one Jacobi integration:
-    the first zeros of j(t) and of j'(t) (j(0)=0, j'(0)=1), minimized over
-    sampled directions from the model's base point."""
+def _jacobi_zeros(manifold, directions, horizon, of) -> tuple[RadiusValue, ...]:
+    """The first zeros named by ``of`` ("value": j, "derivative": j'), with
+    j(0)=0 and j'(0)=1, each minimized over sampled directions from the
+    model's base point; one Jacobi integration serves them all."""
     if directions < 1:
         raise ValueError("directions must be >= 1")
     horizon = horizon if horizon is not None else manifold.horizon
@@ -215,7 +236,7 @@ def jacobi_radii(
             manifold=manifold, base=base, direction=TangentVector(base, frame[0]), length=horizon
         )
         solution = integrate_jacobi(manifold, seg)
-        zeros = (solution.first_zero(of="value"), solution.first_zero(of="derivative"))
+        zeros = [solution.first_zero(of=name) for name in of]
         return tuple(
             RadiusValue(horizon, NUMERIC, lower_bound_only=True)
             if zero is None
@@ -224,8 +245,20 @@ def jacobi_radii(
         )
 
     angles = np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False)
-    j_zero, jp_zero, valid = _first_zeros_batch(manifold, base.coords, angles, horizon)
-    return _smallest_zero(j_zero, valid), _smallest_zero(jp_zero, valid)
+    j_zero, jp_zero, valid = _first_zeros_batch(manifold, base.coords, angles, horizon, _of=of)
+    columns = {"value": j_zero, "derivative": jp_zero}
+    return tuple(_smallest_zero(columns[name], valid) for name in of)
+
+
+def jacobi_radii(
+    manifold: Manifold,
+    directions: int = DEFAULT_DIRECTIONS,
+    horizon: float | None = None,
+) -> tuple[RadiusValue, RadiusValue]:
+    """(conjugate radius, focal radius), both read off one Jacobi integration:
+    the first zeros of j(t) and of j'(t) (j(0)=0, j'(0)=1), minimized over
+    sampled directions from the model's base point."""
+    return _jacobi_zeros(manifold, directions, horizon, ("value", "derivative"))
 
 
 def conjugate_radius(
@@ -245,8 +278,12 @@ def focal_radius(
     directions: int = DEFAULT_DIRECTIONS,
     horizon: float | None = None,
 ) -> RadiusValue:
-    """First zero of j'(t), minimized over sampled directions."""
-    return jacobi_radii(manifold, directions, horizon)[1]
+    """First zero of j'(t), minimized over sampled directions.
+
+    Its scan drops each direction once j' has its zero, so it stops before
+    the conjugate zero that ``jacobi_radii`` waits for; both give the same
+    focal radius."""
+    return _jacobi_zeros(manifold, directions, horizon, ("derivative",))[0]
 
 
 def convexity_from(focal: RadiusValue, injectivity: RadiusValue) -> RadiusValue:

@@ -219,6 +219,35 @@ def test_unknown_settings_are_rejected_by_name(text, named, tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "kind, keys",
+    [
+        ("sphere", "step = 0.5\noffset = -7"),
+        ("sphere", "u_min = 3"),
+        ("sphere", "u_max = 0.6"),
+        ("euclidean", "profile = bump"),
+        ("euclidean", "profile_file = profile.csv"),
+        ("hyperbolic", "injectivity_bound = 1.0"),
+        ("hyperbolic", "loop_length = 2.0"),
+    ],
+)
+def test_surface_keys_on_closed_form_kinds_are_rejected_by_name(kind, keys, tmp_path, capsys):
+    curvature = {"sphere": 1.0, "euclidean": 0.0, "hyperbolic": -1.0}[kind]
+    cfg = tmp_path / "closed.ini"
+    cfg.write_text(
+        SPHERE_CFG.replace("kind = sphere", f"kind = {kind}").replace(
+            "curvature = 1.0", f"curvature = {curvature}\n{keys}"
+        )
+    )
+    named = ", ".join(f"manifold.{line.split(' = ')[0]}" for line in keys.splitlines())
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_config(str(cfg))
+    out = str(tmp_path / "closed.csv")
+    assert main(["profile", "--config", str(cfg), "--out", out]) == 2
+    assert named in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_benchmark_configs_load():
     configs = sorted(PERFBENCH_CONFIGS.glob("*.ini"))
     assert configs

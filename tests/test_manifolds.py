@@ -497,6 +497,53 @@ def test_surface_shooting_failure_names_the_row(monkeypatch):
         sor.log_coords(p, targets[1])
 
 
+def test_bump_profile_parts_give_the_bits_of_their_formulas():
+    profile = RevolutionProfile.cosine_bump()
+    u = np.concatenate([np.linspace(-0.7, 0.7, 101), [0.0, -0.0, np.nan]])
+    assert profile.f(u).tobytes() == (2.0 + np.cos(u)).tobytes()
+    assert profile.df(u).tobytes() == (-np.sin(u)).tobytes()
+    assert profile.d2f(u).tobytes() == (-np.cos(u)).tobytes()
+
+
+def _jacobi_rhs_oracle(surface, state):
+    """The joint geodesic + Jacobi right-hand side from separate profile
+    parts: K = -f''/f, the geodesic acceleration from f and f', and u
+    clamped by np.clip."""
+    p = surface.profile
+    u = np.clip(state[..., 0], p.u_min, p.u_max)
+    k = -np.asarray(p.d2f(u)) / np.asarray(p.f(u))
+    out = np.empty_like(state)
+    out[..., :2] = state[..., 2:4]
+    out[..., 2:4] = surface.geodesic_acceleration(u[..., None], state[..., 2:4])
+    out[..., 4] = state[..., 5]
+    out[..., 5] = -k * state[..., 4]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["bump", "table"])
+def test_fused_jacobi_rhs_gives_the_bits_of_the_separate_formulas(kind):
+    if kind == "bump":
+        profile = RevolutionProfile.cosine_bump()
+    else:
+        us = np.linspace(-0.5, 0.7, 31)
+        profile = RevolutionProfile.from_table(us, 2.0 + np.cos(us) + 0.1 * us**3)
+        inner = us[3:-3]
+        assert profile.df(inner) == pytest.approx(-np.sin(inner) + 0.3 * inner**2, abs=1e-4)
+        assert profile.d2f(inner) == pytest.approx(-np.cos(inner) + 0.6 * inner, abs=1e-2)
+    surface = SurfaceOfRevolution(profile)
+    rng = np.random.default_rng(5)
+    state = rng.normal(size=(64, 6))
+    lo, hi = profile.u_min, profile.u_max
+    state[:, 0] = rng.uniform(lo, hi, 64)  # inside
+    state[:4, 0] = [lo, hi, lo, hi]  # on the ends
+    state[4:8, 0] = [lo - 0.3, hi + 0.3, lo - 1e-12, hi + 1e-12]  # outside
+    state[8] = np.nan
+    state[9, 0] = np.nan
+    for block in (state, state[:1], state[11], state.reshape(8, 8, 6)):
+        expected = _jacobi_rhs_oracle(surface, block)
+        assert surface.jacobi_rhs(block).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_minkowski_of_vectors_gives_the_bits_of_the_numpy_sum(dim):
     model = Hyperbolic(dim, -1.0)

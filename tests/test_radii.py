@@ -309,3 +309,52 @@ def test_jacobi_radii_on_the_surface_match_the_single_scans():
         conjugate_radius(surface, directions=8, horizon=4.0),
         focal_radius(surface, directions=8, horizon=4.0),
     )
+
+
+def test_surface_radii_keep_the_bits_of_the_benchmark_fingerprint():
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    report = radii_report(surface, certified_injectivity=1.0, base_points=3, directions=64)
+    assert repr(report.conjugate.value) == "5.441398092702734"
+    assert repr(report.focal.value) == "2.720699046351368"
+    # at the default horizon the joint scan runs on to the conjugate zero
+    # pi * sqrt(3) that the focal scan stops before
+    focal = focal_radius(surface, directions=16)
+    assert focal == jacobi_radii(surface, directions=16)[1]
+    assert repr(focal.value) == "2.720699046351368"
+
+
+def test_one_root_solve_places_every_zero_of_a_batch(monkeypatch):
+    solves = []
+    hermite_zero = radii_module.hermite_zero
+
+    def spy(t0, t1, v0, v1, d0, d1):
+        solves.append(len(v0))
+        return hermite_zero(t0, t1, v0, v1, d0, d1)
+
+    monkeypatch.setattr(radii_module, "hermite_zero", spy)
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    bases = np.column_stack([np.linspace(-0.5, 0.5, 5), np.zeros(5)])
+    angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    j_zero, jp_zero, _ = _first_zeros_batch(surface, bases, angles, 7.0)
+    found = np.count_nonzero(~np.isnan(j_zero)) + np.count_nonzero(~np.isnan(jp_zero))
+    assert found > 1
+    assert solves == [found]
+
+
+def test_the_focal_scan_stops_at_its_zeros(monkeypatch):
+    steps = []
+    rk4_step = radii_module.rk4_step
+
+    def spy(rhs, y, h):
+        steps.append(len(y))
+        return rk4_step(rhs, y, h)
+
+    monkeypatch.setattr(radii_module, "rk4_step", spy)
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    focal_radius(surface, directions=16)
+    focal_steps = len(steps)
+    steps.clear()
+    conj, _ = jacobi_radii(surface, directions=16)
+    assert focal_steps < len(steps)
+    # no direction of the focal scan integrates on to the conjugate zero
+    assert focal_steps * surface.step < conj.value
