@@ -213,6 +213,9 @@ _SURFACE_KEYS = frozenset(_KEYS["manifold"]) - {"kind", "dimension", "curvature"
 
 # curvature of a model whose [manifold] sets none
 _DEFAULT_CURVATURE = {"sphere": 1.0, "hyperbolic": -1.0}
+# kinds that read no curvature: they reject one by name, but accept the 0
+# their echo writes for the unread field
+_UNCURVED_KINDS = ("euclidean", "surface_of_revolution")
 
 
 def _read_sections(parser: configparser.ConfigParser) -> dict:
@@ -259,6 +262,11 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(
             f"{', '.join(surface_only)}: only kind = surface_of_revolution reads "
             f"{'this key' if len(surface_only) == 1 else 'these keys'}, not kind = {kind}"
+        )
+    if kind in _UNCURVED_KINDS and man.get("curvature", 0.0) != 0.0:
+        raise ConfigError(
+            f"manifold.curvature = {man['curvature']:g}: kind = {kind} reads no "
+            "curvature; only kind = sphere or hyperbolic reads this key"
         )
     man.setdefault("curvature", _DEFAULT_CURVATURE.get(kind, ManifoldSpec.curvature))
     lens = sections["lens"]

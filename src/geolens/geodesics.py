@@ -288,12 +288,19 @@ class GeodesicLine:
     def coords_at(self, t: float) -> np.ndarray:
         return self._eval(t)[0]
 
-    def coords_many(self, ts) -> np.ndarray:
-        """``coords_at`` of each parameter in ``ts`` as one (n, ambient_dim)
-        block, with the same bits; closed-form models evaluate it at once."""
+    def states_many(self, ts):
+        """Points and velocities at each parameter in ``ts`` as two (n,
+        ambient_dim) blocks, with the bits of ``coords_at`` and
+        ``velocity_at``; closed-form models evaluate them in one call."""
         if self.manifold.closed_form:
             column = np.asarray(ts, dtype=np.float64)[:, None]
             return self.manifold.exp_velocity_coords(
                 self.base.coords, self.direction.components, column
-            )[0]
-        return np.array([self.coords_at(float(t)) for t in ts])
+            )
+        states = [self._eval(float(t)) for t in ts]
+        return np.array([s[0] for s in states]), np.array([s[1] for s in states])
+
+    def coords_many(self, ts) -> np.ndarray:
+        """``coords_at`` of each parameter in ``ts`` as one (n, ambient_dim)
+        block, with the same bits."""
+        return self.states_many(ts)[0]

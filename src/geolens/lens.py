@@ -27,10 +27,18 @@ convex and the candidates are the answers:
 * on a circle centred on the axis the distance to an axis point is monotone
   in the angle (law of cosines of the model), so the lens point farthest
   from gamma(s) is an axis end or a corner: the nesting onset and flags test
-  those points only, computed for the whole separation grid at once;
+  those points only;
 * the lens keeps the full width 2r exactly while the perpendicular chord
   lies in the big ball, so the plateau end bisects on that chord's margin
   (the Pythagorean theorem of the model at the end).
+
+A profile builds the candidates of every grid separation in one pass
+(``_candidates_at``: a few model calls for the whole grid, one tangent frame
+per separation), and the widths, the plateau test at the grid points and
+the nesting scan all read it; a single lens is the one-row case.  Each row's
+values do not depend on the others, and each width is the scalar
+``dist_coords`` of its pair, so the numbers are those of a lens-by-lens
+pass.
 
 Elsewhere -- on the numeric surface, whose corner is a leading-order flat
 estimate, and for balls at or beyond the convexity radius (the sphere
@@ -186,22 +194,23 @@ class BallPair:
             ),
         )
 
+    def candidates(self) -> "_Candidates":
+        """The candidates of :func:`_candidates_at` at this separation alone,
+        with the chord along the second vector of :meth:`frame_small`."""
+        return self._memo(
+            "_candidates",
+            lambda: _candidates_at(self, [self.t], chord_dirs=self.frame_small()[1:2]),
+        )
+
     def extremes(self):
         """(ends, margins, lead): the axis ends, the corners of the boundary
         circles when they meet and the ends of the perpendicular chord,
         stacked in that order; their margins; and the number of axis and
-        corner rows, which the two chord rows follow."""
-
-        def compute():
-            ends = [_axis_points(self)]
-            corners = _corner_points(self)
-            if corners is not None:
-                ends.append(corners)
-            ends.append(self.chord())
-            ends = np.vstack(ends)
-            return ends, self.margins(ends), len(ends) - 2
-
-        return self._memo("_extremes", compute)
+        corner rows, which the two chord rows follow.  The one-row case of
+        the grid pass (:meth:`candidates`)."""
+        c = self.candidates()
+        keep = c.present[0]
+        return c.ends[0][keep], c.margins[0][keep], int(np.count_nonzero(keep[:_CHORD.start]))
 
     def margins(self, points) -> np.ndarray:
         """min(R - d(gamma(0), x), r - d(gamma(t), x)) per row; >= 0 inside."""
@@ -212,7 +221,10 @@ class BallPair:
 
     def chord(self) -> np.ndarray:
         """Endpoints of the small ball's diametral chord perpendicular to the axis."""
-        return self._memo("_chord", lambda: _perp_chord(self))
+        return self._memo(
+            "_chord",
+            lambda: _chords_at(self, self.center_small()[None], self.frame_small()[1:2])[0],
+        )
 
     def chord_margin(self) -> float:
         """R minus the distance from gamma(0) to the farther end of the
@@ -222,29 +234,116 @@ class BallPair:
         return self.R - float(np.max(d_big))
 
 
-def check_witnesses(bp: BallPair, res: LensDiameter, row: str) -> None:
-    """Raise ``DefectError`` naming ``row`` unless both witnesses lie in the
-    lens (margin >= -``BOUNDARY_TOL``) and d(a, b) matches the width to
-    ``EXACT_SLACK``."""
-    margins = bp.margins(np.array([res.witness_a, res.witness_b]))
-    gap = abs(bp.manifold.dist_coords(res.witness_a, res.witness_b) - res.value)
-    if not (np.all(margins >= -BOUNDARY_TOL) and gap <= EXACT_SLACK):
+def check_witnesses(bp: BallPair, ts, w, witness_a, witness_b, label=None) -> None:
+    """Raise ``DefectError`` naming the first bad row unless, at every
+    separation ``ts[i]``, both witnesses lie in the lens (margin >=
+    -``BOUNDARY_TOL``) and d(a, b) matches the width ``w[i]`` to
+    ``EXACT_SLACK``.
+
+    One pass over the rows, independent of how the widths were found: the
+    margins come from one ``dist_many`` about gamma(0) and one
+    ``dist_pairs`` against the small centres, d(a, b) from one
+    ``dist_pairs`` (which may differ from a scalar ``dist_coords`` width in
+    the last bit, far below ``EXACT_SLACK``).  ``label(i)`` names row i in
+    the error, by default ``row i (t=...)``.
+    """
+    m = bp.manifold
+    ts = np.minimum(np.asarray(ts, dtype=np.float64), bp.R + bp.r)
+    centres = bp.line.coords_many(ts)
+    pts = np.concatenate([witness_a, witness_b])
+    d_big = m.dist_many(bp.center_big(), pts)
+    d_small = m.dist_pairs(np.concatenate([centres, centres]), pts)
+    margins = np.minimum(bp.R - d_big, bp.r - d_small).reshape(2, len(ts))
+    gap = np.abs(m.dist_pairs(witness_a, witness_b) - w)
+    bad = ~(np.all(margins >= -BOUNDARY_TOL, axis=0) & (gap <= EXACT_SLACK))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        row = label(i) if label is not None else f"row {i} (t={ts[i]!r})"
         raise DefectError(
-            f"{row}: witness margins {margins[0]:.3g}, {margins[1]:.3g}; "
-            f"|d(a, b) - w| = {gap:.3g}"
+            f"{row}: witness margins {margins[0, i]:.3g}, {margins[1, i]:.3g}; "
+            f"|d(a, b) - w| = {gap[i]:.3g}"
         )
 
 
-def _axis_points(bp: BallPair) -> np.ndarray:
-    lo = bp.t - bp.r
-    hi = min(bp.t + bp.r, bp.R)
-    return np.array([bp.line.coords_at(lo), bp.line.coords_at(hi)])
+# slots of one separation's candidates: the axis ends, the corners where the
+# boundary circles meet, the ends of the perpendicular chord
+_AXIS, _CORNERS, _CHORD = slice(0, 2), slice(2, 4), slice(4, 6)
+_SLOTS = 6
 
 
-def _corner_points(bp: BallPair) -> np.ndarray | None:
-    """The two intersection points of the boundary circles, if they exist."""
-    found, corners = _corners_at(bp, [bp.t])
-    return corners[0] if len(found) else None
+@dataclass(frozen=True, eq=False)
+class _Candidates:
+    """The candidates of each separation of a grid (see
+    :func:`_candidates_at`); absent slots have margin -inf."""
+
+    ts: np.ndarray  # (n,) separations, clamped to R + r
+    ends: np.ndarray  # (n, _SLOTS, ambient_dim)
+    present: np.ndarray  # (n, _SLOTS) bool
+    margins: np.ndarray  # (n, _SLOTS)
+    d_big: np.ndarray  # (n, _SLOTS) distances to gamma(0); nan where absent
+    touching: np.ndarray  # (n,) bool: t = R + r up to rounding
+
+
+def _candidates_at(bp: BallPair, ts, chords: bool = True, chord_dirs=None) -> _Candidates:
+    """The candidates of every separation of ``ts`` in one pass, with the
+    bits of a lens-by-lens evaluation (each row's values do not depend on
+    the others):
+
+    * the axis ends, the small centres, their velocities and the contact
+      point gamma(R) from one evaluation of the line;
+    * the corners through one ``exp_many`` about gamma(0) (``_corners_at``);
+    * with ``chords``, the chord ends through one ``exp_pairs`` about the
+      small centres, along ``chord_dirs`` (an (n, ambient_dim) block; by
+      default the second vector of each centre's tangent frame);
+    * the margins from one ``dist_many`` about gamma(0) and one
+      ``dist_pairs`` against each row's small centre.
+
+    At a touching separation the contact point stands alone in the axis
+    and corner slots.
+    """
+    m, R, r = bp.manifold, bp.R, bp.r
+    ts = np.minimum(np.asarray(ts, dtype=np.float64), R + r)
+    n, d = len(ts), m.ambient_dim
+    on_line, velocity = bp.line.states_many(
+        np.concatenate([ts - r, np.minimum(ts + r, R), ts, [R]])
+    )
+    lo, hi, centres = on_line[:-1].reshape(3, n, d)
+    ends = np.empty((n, _SLOTS, d))
+    present = np.zeros((n, _SLOTS), dtype=bool)
+    ends[:, 0], ends[:, 1] = lo, hi
+    present[:, _AXIS] = True
+    found, corners = _corners_at(bp, ts)
+    ends[found, _CORNERS] = corners
+    present[found, _CORNERS] = True
+    if chords:
+        if chord_dirs is None:
+            chord_dirs = np.array([
+                m.tangent_basis(c, primary=v)[1]
+                for c, v in zip(centres, velocity[2 * n : 3 * n])
+            ])
+        ends[:, _CHORD] = _chords_at(bp, centres, chord_dirs)
+        present[:, _CHORD] = True
+    touching = R + r - ts < 1e-12 * (R + r)
+    ends[touching, 0] = on_line[-1]
+    present[touching, 1 : _CHORD.start] = False
+    owners, slot = np.nonzero(present)
+    points = ends[owners, slot]
+    d_big = np.full((n, _SLOTS), np.nan)
+    d_big[owners, slot] = m.dist_many(bp.center_big(), points)
+    margins = np.full((n, _SLOTS), -np.inf)
+    margins[owners, slot] = np.minimum(
+        R - d_big[owners, slot], r - m.dist_pairs(centres[owners], points)
+    )
+    return _Candidates(ts, ends, present, margins, d_big, touching)
+
+
+def _chords_at(bp: BallPair, centres, dirs) -> np.ndarray:
+    """Ends of the small ball's diametral chords through the rows of
+    ``centres`` along the rows of ``dirs``: an (n, 2, ambient_dim) block
+    from one ``exp_pairs``."""
+    m = bp.manifold
+    vecs = np.stack([bp.r * dirs, -bp.r * dirs], axis=1).reshape(-1, m.ambient_dim)
+    return m.exp_pairs(np.repeat(centres, 2, axis=0), vecs).reshape(len(centres), 2, -1)
 
 
 _CORNER_SIGNS = np.array([[1.0], [-1.0]])
@@ -281,11 +380,42 @@ def _corners_at(bp: BallPair, ts):
     return found, m.exp_many(bp.center_big(), vecs.reshape(-1, d)).reshape(-1, 2, d)
 
 
-def _perp_chord(bp: BallPair) -> np.ndarray:
-    """Endpoints of the small ball's diametral chord perpendicular to the axis."""
-    frame = bp.frame_small()
-    vecs = np.array([bp.r * frame[1], -bp.r * frame[1]])
-    return bp.manifold.exp_many(bp.center_small(), vecs)
+def _admissible(margins) -> np.ndarray:
+    """(n, 3) per separation: whether its axis, corner and chord pairs are
+    width candidates.  The axis ends always are; the corners and the chord
+    when both ends lie in the lens."""
+    out = np.ones((len(margins), 3), dtype=bool)
+    out[:, 1] = np.all(margins[:, _CORNERS] >= -BOUNDARY_TOL, axis=1)
+    out[:, 2] = np.all(margins[:, _CHORD] >= -BOUNDARY_TOL, axis=1)
+    return out
+
+
+def _best_pair(m: Manifold, ends, admissible, best_d=-math.inf, best_pair=None):
+    """The farthest of ``best_pair`` (at distance ``best_d``) and the
+    admissible candidate pairs of one separation, in slot order; a later
+    pair wins only when strictly farther.  Each distance is the scalar
+    ``dist_coords``, so a width has the same bits in every pass."""
+    for k in np.flatnonzero(admissible):
+        a, b = ends[2 * k], ends[2 * k + 1]
+        d = m.dist_coords(a, b)
+        if d > best_d:
+            best_d, best_pair = d, (a, b)
+    return best_d, best_pair
+
+
+def _exact_widths(m: Manifold, c: _Candidates):
+    """(w, slack, witness_a, witness_b) of every separation of the
+    candidates ``c`` of an exact pair: the farthest admissible candidate
+    pair with slack ``EXACT_SLACK``; at a touching separation the contact
+    point, width 0 and slack 0."""
+    w = np.zeros(len(c.ts))
+    slack = np.where(c.touching, 0.0, EXACT_SLACK)
+    wa = c.ends[:, 0].copy()
+    wb = wa.copy()
+    admissible = _admissible(c.margins)
+    for i in np.flatnonzero(~c.touching):
+        w[i], (wa[i], wb[i]) = _best_pair(m, c.ends[i], admissible[i])
+    return w, slack, wa, wb
 
 
 def _circles(m: Manifold, center, frame, radii, counts, phases) -> np.ndarray:
@@ -487,6 +617,8 @@ def lens_diameter(
     On an exact pair (:attr:`BallPair.exact`) with no ``cloud`` given, the
     value is the best admissible candidate (axis ends, corners,
     perpendicular chord) and its slack ``EXACT_SLACK``; no cloud is drawn.
+    This is the one-row case of the grid pass of :func:`w_profile`
+    (``_exact_widths`` over :meth:`BallPair.candidates`).
 
     Otherwise the value is the best of the candidates and the farthest pair
     of the sampled cloud (``cloud``, or one drawn at ``budget`` and
@@ -505,29 +637,19 @@ def lens_diameter(
         contact = bp.line.coords_at(bp.R)
         return LensDiameter(0.0, contact, contact, 0.0)
     if bp.exact and cloud is None:
-        best_d, best_pair, slack = -math.inf, None, EXACT_SLACK
+        w, slack, wa, wb = _exact_widths(m, bp.candidates())
+        return LensDiameter(float(w[0]), wa[0], wb[0], float(slack[0]))
+    if cloud is None:
+        cloud = sample_intersection(bp, budget, seed)
+    best_pair = _sampled_pair(bp, cloud)
+    if refine and not bp.exact:
+        p, q, best_d = _ascend_pair(bp, best_pair[0].copy(), best_pair[1].copy())
+        best_pair = (p, q)
     else:
-        if cloud is None:
-            cloud = sample_intersection(bp, budget, seed)
-        best_pair = _sampled_pair(bp, cloud)
-        if refine and not bp.exact:
-            p, q, best_d = _ascend_pair(bp, best_pair[0].copy(), best_pair[1].copy())
-            best_pair = (p, q)
-        else:
-            best_d = m.dist_coords(best_pair[0], best_pair[1])
-        slack = 2.0 * cloud.fill_radius
-
-    ends, end_margin, lead = bp.extremes()
-    candidates = [ends[:2]]
-    if lead > 2 and np.all(end_margin[2:lead] >= -BOUNDARY_TOL):
-        candidates.append(ends[2:lead])
-    if np.all(end_margin[lead:] >= -BOUNDARY_TOL):
-        candidates.append(ends[lead:])
-    for pair in candidates:
-        d = m.dist_coords(pair[0], pair[1])
-        if d > best_d:
-            best_d, best_pair = d, (pair[0], pair[1])
-    return LensDiameter(float(best_d), best_pair[0], best_pair[1], slack)
+        best_d = m.dist_coords(best_pair[0], best_pair[1])
+    c = bp.candidates()
+    best_d, best_pair = _best_pair(m, c.ends[0], _admissible(c.margins)[0], best_d, best_pair)
+    return LensDiameter(float(best_d), best_pair[0], best_pair[1], 2.0 * cloud.fill_radius)
 
 
 @dataclass(frozen=True)
@@ -589,7 +711,7 @@ def _nesting_scan(bp: BallPair, ts: np.ndarray, budget: int, seed: int):
     ends and corners inside the lens, or the contact point), else the
     sampled cloud at ``budget`` and ``seed``."""
     if bp.exact:
-        return _far_points(bp, ts)
+        return _far_points(_candidates_at(bp, ts, chords=False))
     blocks, owners = [], []
     for idx, t in enumerate(ts):
         points = sample_intersection(bp.with_separation(float(t)), budget, seed).points
@@ -598,36 +720,13 @@ def _nesting_scan(bp: BallPair, ts: np.ndarray, budget: int, seed: int):
     return np.vstack(blocks), np.concatenate(owners)
 
 
-def _far_points(bp: BallPair, ts: np.ndarray):
-    """The exact nesting scan of the whole grid at once, with the bits and
-    the order of the lens-by-lens one: the axis ends and the small centers
-    of all separations, the corners through one ``exp_many`` about
-    gamma(0), whose frame is the same for every separation, and the margins
-    through one row-wise distance per ball."""
-    m, R, r, line = bp.manifold, bp.R, bp.r, bp.line
-    ts = np.minimum(np.asarray(ts, dtype=np.float64), R + r)
-    # one line evaluation: the axis ends, the small centers, the contact point
-    on_line = line.coords_many(np.concatenate([ts - r, np.minimum(ts + r, R), ts, [R]]))
-    lo, hi, centres = on_line[:-1].reshape(3, len(ts), -1)
-    # axis ends, then corners, per separation; the contact point alone at
-    # the touching end
-    ends = np.empty((len(ts), 4, m.ambient_dim))
-    present = np.zeros((len(ts), 4), dtype=bool)
-    ends[:, 0], ends[:, 1] = lo, hi
-    present[:, :2] = True
-    found, corners = _corners_at(bp, ts)
-    ends[found, 2:] = corners
-    present[found, 2:] = True
-    touching = R + r - ts < 1e-12 * (R + r)
-    ends[touching, 0] = on_line[-1]
-    present[touching] = [True, False, False, False]
-    owners, slot = np.nonzero(present)
-    points = ends[owners, slot]
-    d_big = m.dist_many(bp.center_big(), points)
-    d_small = m.dist_pairs(centres[owners], points)
-    # the contact point of a touching lens lies on both circles: kept
-    keep = np.minimum(R - d_big, r - d_small) >= -BOUNDARY_TOL
-    return points[keep], owners[keep]
+def _far_points(c: _Candidates):
+    """The exact nesting scan of a whole grid from its candidates: the axis
+    ends and corners inside each lens, or the contact point of a touching
+    one, in the order of a lens-by-lens scan, with their owners."""
+    near = slice(0, _CHORD.start)
+    owners, slot = np.nonzero(c.present[:, near] & (c.margins[:, near] >= -BOUNDARY_TOL))
+    return c.ends[owners, slot], owners
 
 
 def estimate_nesting_onset(
@@ -721,49 +820,46 @@ def w_profile(
 ) -> WProfile:
     """Profile the lens width over a uniform separation grid.
 
-    Evaluates the diameter at each grid separation and checks its witnesses
-    (``check_witnesses``), estimates the nesting onset on the same grid
-    (refined by continuous bisection), locates the end of the full-width
-    plateau with bisection between grid points, and flags which grid points
-    nest into the lens at the onset.  An exact pair draws no cloud; elsewhere
-    each width, the onset scan and the plateau bisection sample the lens.
+    Evaluates the diameter at each grid separation and checks the witnesses
+    of every row at once (``check_witnesses``), estimates the nesting onset
+    on the same grid (refined by continuous bisection), locates the end of
+    the full-width plateau with bisection between grid points, and flags
+    which grid points nest into the lens at the onset.
+
+    An exact pair draws no cloud and runs one grid pass
+    (``_candidates_at``): the candidates of every separation, their margins
+    and each row's best pair give the widths, the chords' distances to
+    gamma(0) give the plateau test at the grid points, and the axis ends
+    and corners inside the lenses are the nesting scan.  Elsewhere each
+    width, the onset scan and the plateau bisection sample the lens.  The
+    flags read the scan's distances to the anchor in one call.
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     m = bp.manifold
-    span = bp.R + bp.r
-    ts = np.linspace(0.0, span, grid)
-    w = np.empty(grid)
-    slack = np.empty(grid)
-    d = m.ambient_dim
-    wa = np.empty((grid, d))
-    wb = np.empty((grid, d))
-    # held to the end: the nesting scan and the plateau pass get these lenses
-    # back from ``with_separation``
-    lenses = [bp.with_separation(float(t)) for t in ts]
-    for i, (t, lens) in enumerate(zip(ts, lenses)):
-        res = lens_diameter(lens, budget, seed)
-        check_witnesses(lens, res, f"row {i} (t={t!r})")
-        w[i] = res.value
-        slack[i] = res.slack
-        wa[i] = res.witness_a
-        wb[i] = res.witness_b
-
+    ts = np.linspace(0.0, bp.R + bp.r, grid)
     probe_budget = max(256, budget // 8)
-    scan = _nesting_scan(bp, ts, probe_budget, seed)
-    onset = estimate_nesting_onset(
-        bp, n_grid=grid, budget=probe_budget, seed=seed, scan=scan
-    )
-
     if bp.exact:
+        c = _candidates_at(bp, ts)
+        w, slack, wa, wb = _exact_widths(m, c)
+        scan = _far_points(c)
         # the lens keeps width 2r exactly while the perpendicular chord lies
         # in the big ball, which holds up to the model's Pythagorean end
+        passing = bp.R - np.max(c.d_big[:, _CHORD], axis=1) >= 0.0
 
         def full_width(t):
             return bp.with_separation(t).chord_margin() >= 0.0
 
-        passing = [full_width(float(t)) for t in ts]
     else:
+        # held to the end: the nesting scan and the plateau pass get these
+        # lenses back from ``with_separation``
+        lenses = [bp.with_separation(float(t)) for t in ts]
+        rows = [lens_diameter(lens, budget, seed) for lens in lenses]
+        w = np.array([res.value for res in rows])
+        slack = np.array([res.slack for res in rows])
+        wa = np.array([res.witness_a for res in rows])
+        wb = np.array([res.witness_b for res in rows])
+        scan = _nesting_scan(bp, ts, probe_budget, seed)
         # w leaves 2r quadratically at the end, so the sampled test passes
         # for about sqrt(FULL_WIDTH_TOL / c) past it
         eval_budget = max(512, budget // 8)
@@ -773,18 +869,25 @@ def w_profile(
             return res.value >= 2.0 * bp.r - FULL_WIDTH_TOL
 
         passing = w >= 2.0 * bp.r - FULL_WIDTH_TOL
+    check_witnesses(bp, ts, w, wa, wb)
+
+    onset = estimate_nesting_onset(
+        bp, n_grid=grid, budget=probe_budget, seed=seed, scan=scan
+    )
     full_end = estimate_full_width_end(ts, passing, full_width)
 
     # nesting flags against the first grid point at or after the onset, on
-    # the points of the onset scan
+    # the points of the onset scan: one distance call, then a max per owner
     points, owners = scan
-    flags = np.zeros(grid, dtype=int)
     anchor_idx = int(np.searchsorted(ts, onset.value - 1e-12))
     anchor_idx = min(anchor_idx, grid - 1)
-    anchor = bp.line.coords_at(ts[anchor_idx])
-    for i in range(anchor_idx + 1, grid):
-        dmax = float(np.max(m.dist_many(anchor, points[owners == i])))
-        flags[i] = int(dmax <= bp.r + NESTING_SLACK)
+    later = owners > anchor_idx
+    dmax = np.full(grid, -np.inf)
+    if np.any(later):
+        anchor = bp.line.coords_at(ts[anchor_idx])
+        np.maximum.at(dmax, owners[later], m.dist_many(anchor, points[later]))
+    flags = np.zeros(grid, dtype=int)
+    flags[anchor_idx + 1 :] = dmax[anchor_idx + 1 :] <= bp.r + NESTING_SLACK
     return WProfile(
         manifold_label=m.describe(),
         R=bp.R,

@@ -83,13 +83,20 @@ def _gram_schmidt(vectors, inner, count):
 def _libm(fn, x):
     """The ``math`` function ``fn`` of a scalar, or of each element of an array.
 
-    NumPy's own cosh and sinh differ from libm in the last bit on some
-    inputs, so array paths that must give the bits of a scalar path call
-    libm too.
+    NumPy's array ufuncs (cos, cosh, arcsinh, ...) and the scalar libm
+    functions of ``math`` differ in the last bit on some inputs (np.arcsinh
+    and math.asinh on about one input in six), while a ufunc gives an
+    element the same bits whatever the length of its array.  So array paths
+    that must give the bits of a scalar path call libm too.
     """
     if isinstance(x, float):
         return fn(x)
     return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _rows(base, mask):
+    """The rows ``mask`` of a base block; a single point stands for every row."""
+    return base if base.ndim == 1 else base[mask]
 
 
 def _diff_block(a, b):
@@ -105,12 +112,12 @@ def _diff_block(a, b):
 class Manifold(ABC):
     """Common surface for the model spaces.
 
-    The sampling machinery runs on the coordinate layer: ``exp_many``, the
-    pair batch ``dist_pairs`` and its one-source form ``dist_many``.  The
-    typed single-point operations (``point``, ``exp``, ``exp_with_velocity``,
-    ``log``, ``distance``) wrap the coordinate routines one point at a time;
-    no command reaches them, and the tests keep them as the reference the
-    batches are checked against.
+    The sampling machinery runs on the coordinate layer: the pair batches
+    ``exp_pairs`` and ``dist_pairs`` and their one-source forms ``exp_many``
+    and ``dist_many``.  The typed single-point operations (``point``,
+    ``exp``, ``exp_with_velocity``, ``log``, ``distance``) wrap the
+    coordinate routines one point at a time; no command reaches them, and
+    the tests keep them as the reference the batches are checked against.
     """
 
     kind: str = ""
@@ -169,8 +176,15 @@ class Manifold(ABC):
     # -- geodesic calculus ---------------------------------------------------
 
     @abstractmethod
+    def exp_pairs(self, bases, tangents) -> np.ndarray:
+        """Exponential map at each row of ``bases`` of the same row of an
+        (n, ambient_dim) block of tangents; a single base point
+        (ambient_dim,) stands for every row."""
+
     def exp_many(self, base_coords, tangents) -> np.ndarray:
-        """Exponential map applied to an (n, ambient_dim) block of tangents."""
+        """Exponential map at one point of each row of an (n, ambient_dim)
+        block of tangents: the pair batch with ``base_coords`` broadcast."""
+        return self.exp_pairs(np.asarray(base_coords, dtype=np.float64), tangents)
 
     @abstractmethod
     def exp_velocity_coords(self, base_coords, components, t: float):
@@ -192,7 +206,10 @@ class Manifold(ABC):
     def dist_pairs(self, sources, targets) -> np.ndarray:
         """Distance between matching rows of two (n, ambient_dim) blocks,
         which broadcast: a single point (ambient_dim,) stands for every row.
-        A row's value does not depend on the other rows."""
+        A row's value does not depend on the other rows.  On the closed-form
+        models it may differ in the last bit from ``dist_coords`` of the same
+        pair, which takes its norm and its inverse trigonometric function in
+        scalar form (see ``_libm``)."""
 
     def dist_many(self, x_coords, points) -> np.ndarray:
         """Distances from one point to each row of an (n, ambient_dim) block:
@@ -318,8 +335,8 @@ class Euclidean(Manifold):
     def inner_coords(self, base_coords, a, b):
         return float(np.dot(a, b))
 
-    def exp_many(self, base_coords, tangents):
-        return np.asarray(base_coords) + np.asarray(tangents, dtype=np.float64)
+    def exp_pairs(self, bases, tangents):
+        return np.asarray(bases) + np.asarray(tangents, dtype=np.float64)
 
     def exp_velocity_coords(self, base_coords, components, t):
         c = np.asarray(components, dtype=np.float64)
@@ -394,19 +411,19 @@ class Sphere(Manifold):
     def inner_coords(self, base_coords, a, b):
         return float(np.dot(a, b))
 
-    def exp_many(self, base_coords, tangents):
-        base = np.asarray(base_coords)
+    def exp_pairs(self, bases, tangents):
+        base = np.asarray(bases)
         tg = np.atleast_2d(np.asarray(tangents, dtype=np.float64))
         norms = np.linalg.norm(tg, axis=1)
         theta = norms / self.radius
         out = np.empty_like(tg)
         small = norms < 1e-300
         safe = ~small
-        out[small] = base
+        out[small] = _rows(base, small)
         if np.any(safe):
             unit = tg[safe] / norms[safe, None]
             out[safe] = (
-                np.cos(theta[safe])[:, None] * base
+                np.cos(theta[safe])[:, None] * _rows(base, safe)
                 + self.radius * np.sin(theta[safe])[:, None] * unit
             )
         return out
@@ -544,19 +561,19 @@ class Hyperbolic(Manifold):
     def inner_coords(self, base_coords, a, b):
         return float(self.minkowski(a, b))
 
-    def exp_many(self, base_coords, tangents):
-        base = np.asarray(base_coords)
+    def exp_pairs(self, bases, tangents):
+        base = np.asarray(bases)
         tg = np.atleast_2d(np.asarray(tangents, dtype=np.float64))
         norms = np.sqrt(np.clip(self.minkowski(tg, tg), 0.0, None))
         theta = norms / self.radius
         out = np.empty_like(tg)
         small = norms < 1e-300
         safe = ~small
-        out[small] = base
+        out[small] = _rows(base, small)
         if np.any(safe):
             unit = tg[safe] / norms[safe, None]
             out[safe] = (
-                np.cosh(theta[safe])[:, None] * base
+                np.cosh(theta[safe])[:, None] * _rows(base, safe)
                 + self.radius * np.sinh(theta[safe])[:, None] * unit
             )
         return out
@@ -805,18 +822,21 @@ class SurfaceOfRevolution(Manifold):
         """RK4 steps over an arclength span; elementwise over arrays."""
         return np.maximum(16, np.ceil(np.abs(span) / self.step).astype(int))
 
-    def exp_many(self, base_coords, tangents):
-        base = np.asarray(base_coords, dtype=np.float64)
+    def exp_pairs(self, bases, tangents):
+        """RK4 integration of every row at once, in the step count of the
+        longest tangent of the batch."""
+        base = np.asarray(bases, dtype=np.float64)
         tg = np.atleast_2d(np.asarray(tangents, dtype=np.float64))
         speeds = np.sqrt(
-            tg[:, 0] ** 2 + np.asarray(self.profile.f(base[0])) ** 2 * tg[:, 1] ** 2
+            tg[:, 0] ** 2 + np.asarray(self.profile.f(base[..., 0])) ** 2 * tg[:, 1] ** 2
         )
         span = float(np.max(speeds, initial=0.0))
+        start = np.array(np.broadcast_to(base, tg.shape))
         if span < 1e-300:
-            return np.tile(base, (tg.shape[0], 1))
+            return start
         if span > self.horizon:
             raise ChartError(f"requested length {span:g} exceeds horizon {self.horizon:g}")
-        state0 = np.concatenate([np.tile(base, (tg.shape[0], 1)), tg], axis=1)
+        state0 = np.concatenate([start, tg], axis=1)
         end = rk4_endpoint(self.geodesic_rhs, state0, 1.0, self._n_steps(span))
         self.profile.check_domain(end[:, 0])
         return end[:, :2]

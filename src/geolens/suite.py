@@ -433,10 +433,14 @@ def run_counterexample(config: RunConfig) -> VerificationReport:
     for R, r in pairs:
         bp = BallPair.create(manifold, R, r, convexity_bound=math.inf)
         t_hi = min(R + r, 0.8 * math.pi * a)
-        for t in np.linspace(0.25 * t_hi, t_hi, 4):
-            lens = bp.with_separation(float(t))
-            res = lens_diameter(lens, config.budget, config.seed)
-            check_witnesses(lens, res, f"pair ({R:g}, {r:g}) at t={t!r}")
+        ts = np.linspace(0.25 * t_hi, t_hi, 4)
+        rows = [lens_diameter(bp.with_separation(float(t)), config.budget, config.seed) for t in ts]
+        check_witnesses(
+            bp, ts, np.array([res.value for res in rows]),
+            np.array([res.witness_a for res in rows]), np.array([res.witness_b for res in rows]),
+            label=lambda i: f"pair ({R:g}, {r:g}) at t={ts[i]!r}",
+        )
+        for t, res in zip(ts, rows):
             observed.append((R, r, float(t), res.value))
             worst = min(worst, 0.05 - abs(res.value - target))
     spread = max(v for *_ , v in observed) - min(v for *_, v in observed)

@@ -30,6 +30,7 @@ from geolens.config import ManifoldSpec, RunConfig
 from geolens.lens import estimate_nesting_onset
 from geolens.sets import hausdorff
 from geolens.suite import REPORT_ONLY, run_counterexample, run_speculation_probe
+from lens_oracles import Hyperboloid2, Plane, Sphere2, brute_width, witness_excess
 
 GRID = 200
 PROFILE_BUDGET = 30000
@@ -45,6 +46,12 @@ CONFIGS = [
     ("hyperbolic", 2.0, 1.0),
     ("hyperbolic", 1.2, 0.6),
 ]
+
+
+PLANE = Plane()
+# the same models written independently of geolens, placed where
+# BallPair.create puts the line
+ORACLES = {"euclidean": PLANE, "sphere": Sphere2(1.0), "hyperbolic": Hyperboloid2(1.0)}
 
 
 def _manifold(kind):
@@ -143,36 +150,13 @@ def test_criterion_04_monotone_and_continuity(profiles):
           "|w(s)-w(t)| <= 2 H(lens(s),lens(t)) + slack on 50 random pairs per config")
 
 
-def _brute_force_width(R, r, t, n=3000):
-    ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    big = np.column_stack([R * np.cos(ang), R * np.sin(ang)])
-    small = np.column_stack([t + r * np.cos(ang), r * np.sin(ang)])
-    pts = [
-        big[np.hypot(big[:, 0] - t, big[:, 1]) <= r + 1e-12],
-        small[np.hypot(small[:, 0], small[:, 1]) <= R + 1e-12],
-    ]
-    if abs(R - r) <= t <= R + r and t > 0:
-        a = (t * t + R * R - r * r) / (2.0 * t)
-        if R * R >= a * a:
-            h = math.sqrt(R * R - a * a)
-            pts.append(np.array([[a, h], [a, -h]]))
-    pts = np.vstack([p for p in pts if len(p)])
-    if len(pts) < 2:
-        return 0.0
-    best = 0.0
-    for i in range(len(pts) - 1):
-        d = np.hypot(pts[i + 1 :, 0] - pts[i, 0], pts[i + 1 :, 1] - pts[i, 1])
-        best = max(best, float(d.max()))
-    return best
-
-
 def test_criterion_05_euclidean_closed_form_oracle(profiles):
     R, r = 2.0, 1.0
     _, prof = profiles[("euclidean", R, r)]
     s_break = math.sqrt(R * R - r * r)
     worst = 0.0
     for t, w in zip(prof.ts, prof.w):
-        oracle = _brute_force_width(R, r, float(t))
+        oracle = brute_width(PLANE, R, r, float(t))
         assert abs(w - oracle) <= 5e-3, f"t={t:.4f}: w={w:.6f} oracle={oracle:.6f}"
         worst = max(worst, abs(w - oracle))
         if t <= s_break:
@@ -187,6 +171,29 @@ def test_criterion_05_euclidean_closed_form_oracle(profiles):
     assert prof.full_width_end.value == pytest.approx(s_break, abs=1e-3)
     print(f"[PASS] criterion 5: 200-point grid matches the brute-force oracle "
           f"(worst {worst:.2e}); S_est = sqrt(3) +- 1e-3")
+
+
+def test_every_width_is_backed_by_the_independent_oracle(profiles):
+    # every row's witnesses lie in both balls and realise its width, by the
+    # oracle's own distances; on seeded rows the width matches the dense
+    # boundary-arc brute force within its slack
+    rng = np.random.default_rng(SEED + 2)
+    worst = 0.0
+    for (kind, R, r), (bp, prof) in profiles.items():
+        model = ORACLES[kind]
+        np.testing.assert_array_equal(bp.line.base.coords, model.base)
+        np.testing.assert_array_equal(bp.line.direction.components, model.unit)
+        for i, t in enumerate(prof.ts):
+            wa, wb = prof.witness_a[i], prof.witness_b[i]
+            excess = witness_excess(model, R, r, float(t), prof.w[i], wa, wb)
+            assert excess <= 1e-9, f"{kind} ({R},{r}) t={t:.6g}: witness excess {excess:.3g}"
+        for i in sorted(rng.choice(len(prof.ts), size=4, replace=False)):
+            t = float(prof.ts[i])
+            gap = abs(prof.w[i] - brute_width(model, R, r, t))
+            assert gap <= prof.slack[i], f"{kind} ({R},{r}) t={t:.6g}: |w - brute| {gap:.3g}"
+            worst = max(worst, gap)
+    print(f"[PASS] witness oracle: every width backed by witnesses in both balls on "
+          f"E, S and H; seeded rows match the brute force (worst {worst:.2e})")
 
 
 def test_criterion_06_counterexample_diameter_pi():

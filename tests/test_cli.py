@@ -248,6 +248,23 @@ def test_surface_keys_on_closed_form_kinds_are_rejected_by_name(kind, keys, tmp_
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("kind", ["surface", "euclidean"])
+@pytest.mark.parametrize("value", ["5", "-1.0", "1e-9"])
+def test_curvature_on_a_kind_without_one_is_rejected_by_name(kind, value, tmp_path, capsys):
+    text = SURFACE_CFG if kind == "surface" else EUCLID_CFG
+    cfg = tmp_path / "flat.ini"
+    cfg.write_text(text.replace("[manifold]", f"[manifold]\ncurvature = {value}"))
+    with pytest.raises(ConfigError, match=re.escape("manifold.curvature")):
+        load_config(str(cfg))
+    out = str(tmp_path / "flat.csv")
+    assert main(["profile", "--config", str(cfg), "--out", out]) == 2
+    assert "manifold.curvature" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    # 0, which the echo writes for the unread field, loads and echoes as before
+    cfg.write_text(text.replace("[manifold]", "[manifold]\ncurvature = 0"))
+    assert "manifold.curvature=0" in load_config(str(cfg)).resolved_lines()
+
+
 def test_benchmark_configs_load():
     configs = sorted(PERFBENCH_CONFIGS.glob("*.ini"))
     assert configs

@@ -25,12 +25,13 @@ from geolens.sets import diameter
 from geolens.lens import (
     BOUNDARY_TOL,
     EXACT_SLACK,
+    NESTING_SLACK,
     _ascend_pair,
-    _axis_points,
-    _corner_points,
+    _corners_at,
     _nesting_scan,
     _sampled_pair,
 )
+from lens_oracles import Plane, brute_width
 
 CONVEX_CASES = [
     # (model, (R, r) pairs below its convexity radius)
@@ -46,32 +47,6 @@ CONVEX_CASES = [
 @pytest.fixture(scope="module")
 def plane():
     return Euclidean(2)
-
-
-def brute_force_lens_diameter(R, r, t, n=3000):
-    """Independent oracle: the diameter of a planar lens is attained on its
-    boundary, so scan dense samples of both boundary arcs plus the corners."""
-    ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    big = np.column_stack([R * np.cos(ang), R * np.sin(ang)])
-    small = np.column_stack([t + r * np.cos(ang), r * np.sin(ang)])
-    pts = [
-        big[np.hypot(big[:, 0] - t, big[:, 1]) <= r + 1e-12],
-        small[np.hypot(small[:, 0], small[:, 1]) <= R + 1e-12],
-    ]
-    if abs(R - r) <= t <= R + r and t > 0:
-        a = (t * t + R * R - r * r) / (2.0 * t)
-        h2 = R * R - a * a
-        if h2 >= 0:
-            h = math.sqrt(h2)
-            pts.append(np.array([[a, h], [a, -h]]))
-    pts = np.vstack([p for p in pts if len(p)])
-    if len(pts) == 0:
-        return 0.0
-    best = 0.0
-    for i in range(len(pts) - 1):
-        d = np.hypot(pts[i + 1 :, 0] - pts[i, 0], pts[i + 1 :, 1] - pts[i, 1])
-        best = max(best, float(d.max()))
-    return best
 
 
 def euclid_closed_form_width(R, r, t):
@@ -269,7 +244,7 @@ def test_lens_diameter_contained_ball(plane):
 
 def test_lens_diameter_matches_brute_force_oracle(plane):
     R, r, t = 2.0, 1.0, 1.8
-    oracle = brute_force_lens_diameter(R, r, t)
+    oracle = brute_width(Plane(), R, r, t)
     # the oracle itself must agree with the corner-chord closed form
     assert oracle == pytest.approx(euclid_closed_form_width(R, r, t), abs=1e-5)
     res = lens_diameter(BallPair.create(plane, R, r, t=t), budget=4096, seed=1)
@@ -322,8 +297,9 @@ def test_corner_points_lie_on_both_circles(model):
     for R, r, t in [(1.2, 0.6, 1.0), (1.0, 1.0, 0.7), (0.9, 0.5, 0.6)]:
         R, r, t = scale * R, scale * r, scale * t
         bp = BallPair.create(model, R, r, t=t)
-        corners = _corner_points(bp)
-        assert corners is not None
+        found, corners = _corners_at(bp, [t])
+        assert list(found) == [0]
+        corners = corners[0]
         np.testing.assert_allclose(model.dist_many(bp.center_big(), corners), R, rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.dist_many(bp.center_small(), corners), r, rtol=0, atol=1e-12)
 
@@ -412,6 +388,31 @@ def test_exact_nesting_matches_the_cloud_scan(model, pairs, monkeypatch):
         assert exact.nested_after_onset.tobytes() == sampled.nested_after_onset.tobytes()
 
 
+def _per_lens_extremes(lens):
+    """One lens's candidates built on their own, the reference for the grid
+    pass: the axis ends, the corners from the law of cosines (one exp_many
+    about gamma(0)) and the perpendicular chord (one exp_many about
+    gamma(t)), stacked in that order, their margins and the number of axis
+    and corner rows."""
+    m, R, r, t, line = lens.manifold, lens.R, lens.r, lens.t, lens.line
+    ends = [np.array([line.coords_at(t - r), line.coords_at(min(t + r, R))])]
+    cos_phi = m.corner_cosine(R, r, t) if t >= 1e-12 else None
+    if cos_phi is not None and -1.0 <= cos_phi <= 1.0:
+        phi = math.acos(cos_phi)
+        frame = m.tangent_basis(line.coords_at(0.0), primary=line.velocity_at(0.0).components)
+        vecs = [
+            R * (math.cos(phi) * frame[0] + sign * math.sin(phi) * frame[1]) for sign in (1.0, -1.0)
+        ]
+        ends.append(m.exp_many(line.coords_at(0.0), np.array(vecs)))
+    frame = m.tangent_basis(line.coords_at(t), primary=line.velocity_at(t).components)
+    ends.append(m.exp_many(line.coords_at(t), np.array([r * frame[1], -r * frame[1]])))
+    ends = np.vstack(ends)
+    margins = np.minimum(
+        R - m.dist_many(line.coords_at(0.0), ends), r - m.dist_many(line.coords_at(t), ends)
+    )
+    return ends, margins, len(ends) - 2
+
+
 def _per_lens_far_points(bp, ts):
     """The exact nesting scan lens by lens, from each lens's extremes: the
     reference for the batched scan."""
@@ -421,11 +422,88 @@ def _per_lens_far_points(bp, ts):
         if lens.touching:
             points = lens.line.coords_at(lens.R)[None, :]
         else:
-            ends, margins, lead = lens.extremes()
+            ends, margins, lead = _per_lens_extremes(lens)
             points = ends[:lead][margins[:lead] >= -BOUNDARY_TOL]
         blocks.append(points)
         owners.append(np.full(len(points), idx))
     return np.vstack(blocks), np.concatenate(owners)
+
+
+def _per_lens_profile(bp, grid):
+    """The exact profile lens by lens, the reference for the grid pass: per
+    lens the best admissible candidate by scalar distances, its witness
+    check, the chord margin of the plateau test, and one distance call per
+    flagged row.  Returns the arrays and estimates that
+    ``w_profile`` reports, and the plateau's grid flags."""
+    m, R, r = bp.manifold, bp.R, bp.r
+    ts = np.linspace(0.0, R + r, grid)
+    d = m.ambient_dim
+    w, slack, wa, wb = np.empty(grid), np.empty(grid), np.empty((grid, d)), np.empty((grid, d))
+
+    def chord_margin(lens):
+        ends, _, lead = _per_lens_extremes(lens)
+        return R - float(np.max(m.dist_many(lens.line.coords_at(0.0), ends[lead:])))
+
+    for i, t in enumerate(ts):
+        lens = bp.with_separation(float(t))
+        if lens.touching:
+            contact = lens.line.coords_at(R)
+            w[i], slack[i], wa[i], wb[i] = 0.0, 0.0, contact, contact
+        else:
+            ends, margins, lead = _per_lens_extremes(lens)
+            candidates = [ends[:2]]
+            if lead > 2 and np.all(margins[2:lead] >= -BOUNDARY_TOL):
+                candidates.append(ends[2:lead])
+            if np.all(margins[lead:] >= -BOUNDARY_TOL):
+                candidates.append(ends[lead:])
+            best = -math.inf
+            for a, b in candidates:
+                dist = m.dist_coords(a, b)
+                if dist > best:
+                    best, wa[i], wb[i] = dist, a, b
+            w[i], slack[i] = best, EXACT_SLACK
+        check = lens.margins(np.array([wa[i], wb[i]]))
+        assert np.all(check >= -BOUNDARY_TOL)
+        assert abs(m.dist_coords(wa[i], wb[i]) - w[i]) <= EXACT_SLACK
+    scan = _per_lens_far_points(bp, ts)
+    onset = estimate_nesting_onset(bp, n_grid=grid, scan=scan)
+    passing = np.array([chord_margin(bp.with_separation(float(t))) >= 0.0 for t in ts])
+    full_end = estimate_full_width_end(
+        ts, passing, lambda t: chord_margin(bp.with_separation(t)) >= 0.0
+    )
+    points, owners = scan
+    flags = np.zeros(grid, dtype=int)
+    anchor_idx = min(int(np.searchsorted(ts, onset.value - 1e-12)), grid - 1)
+    anchor = bp.line.coords_at(ts[anchor_idx])
+    for i in range(anchor_idx + 1, grid):
+        dmax = float(np.max(m.dist_many(anchor, points[owners == i])))
+        flags[i] = int(dmax <= r + NESTING_SLACK)
+    return (w, slack, wa, wb, passing, flags), onset, full_end
+
+
+@pytest.mark.parametrize("model,pairs", CONVEX_CASES, ids=[m.describe() for m, _ in CONVEX_CASES])
+def test_grid_pass_gives_the_bits_of_the_per_lens_profile(model, pairs, monkeypatch):
+    # the grids hold t = 0 and the touching end t = R + r; the pairs
+    # include R = r
+    seen = []
+    plateau = lens_module.estimate_full_width_end
+
+    def recorded(ts, passing, full_width):
+        seen.append(np.asarray(passing, dtype=bool))
+        return plateau(ts, passing, full_width)
+
+    monkeypatch.setattr(lens_module, "estimate_full_width_end", recorded)
+    for R, r in pairs:
+        bp = BallPair.create(model, R, r)
+        for grid in (2, 13, 41, 201):
+            prof = w_profile(bp, grid=grid, budget=512, seed=0)
+            arrays, onset, full_end = _per_lens_profile(bp, grid)
+            got = (prof.w, prof.slack, prof.witness_a, prof.witness_b)
+            got += (seen[-1], prof.nested_after_onset)
+            for name, a, b in zip(("w", "slack", "wa", "wb", "passing", "flags"), got, arrays):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (R, r, grid, name)
+            assert prof.nesting_onset == onset, (R, r, grid)
+            assert prof.full_width_end == full_end, (R, r, grid)
 
 
 @pytest.mark.parametrize("model,pairs", CONVEX_CASES, ids=[m.describe() for m, _ in CONVEX_CASES])
@@ -441,8 +519,8 @@ def test_batched_exact_scan_gives_the_bits_of_the_per_lens_scan(model, pairs):
             assert points.tobytes() == ref_points.tobytes(), (R, r, n)
             assert owners.dtype == ref_owners.dtype
             assert owners.tobytes() == ref_owners.tobytes(), (R, r, n)
-        corners = [_corner_points(bp.with_separation(float(t))) is not None for t in ts]
-        assert any(corners) and not corners[0]
+        found = _corners_at(bp, ts)[0]
+        assert len(found) and found[0] != 0
         assert bp.with_separation(float(ts[-1])).touching
 
 
@@ -467,6 +545,42 @@ def test_exact_onset_makes_a_fixed_number_of_frames_and_exps(monkeypatch):
     assert counts[0] == counts[1] == counts[2]
     assert counts[2]["exp_many"] <= 1
     assert counts[2]["tangent_basis"] <= 2
+
+
+def test_exact_profile_makes_a_fixed_number_of_exps_and_distance_calls(monkeypatch):
+    # one grid pass: outside the two bisections, the exp_many and dist_many
+    # calls of a profile do not grow with its grid
+    sphere = Sphere(2, 1.0)
+    calls = {"exp_many": 0, "dist_many": 0}
+    bisecting = []
+    for name in calls:
+        method = getattr(sphere, name)
+
+        def counted(*args, _method=method, _name=name, **kwargs):
+            if not bisecting:
+                calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(sphere, name, counted)
+    for name in ("estimate_nesting_onset", "estimate_full_width_end"):
+        stage = getattr(lens_module, name)
+
+        def apart(*args, _stage=stage, **kwargs):
+            bisecting.append(True)
+            try:
+                return _stage(*args, **kwargs)
+            finally:
+                bisecting.pop()
+
+        monkeypatch.setattr(lens_module, name, apart)
+    counts = []
+    for grid in (11, 41, 201):
+        calls.update(dict.fromkeys(calls, 0))
+        w_profile(BallPair.create(sphere, 1.2, 0.6), grid=grid, budget=512, seed=0)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[2]["exp_many"] <= 1
+    assert counts[2]["dist_many"] <= 3
 
 
 def _closed_form_plateau_end(model, R, r):
@@ -508,26 +622,28 @@ def test_plateau_end_matches_the_closed_form(model, R, r):
 
 
 def test_witness_check_rejects_an_axis_end_outside_the_lens(monkeypatch):
-    def pushed(bp):
-        ends = _axis_points(bp)
-        ends[0] = bp.line.coords_at(bp.t - bp.r - 1e-6)
-        return ends
+    candidates = lens_module._candidates_at
+
+    def pushed(bp, ts, *args, **kwargs):
+        c = candidates(bp, ts, *args, **kwargs)
+        c.ends[0, 0] = bp.line.coords_at(float(c.ts[0]) - bp.r - 1e-6)
+        return c
 
     bp = BallPair.create(Euclidean(2), 2.0, 1.0)
     w_profile(bp, grid=12, budget=512, seed=0)
-    monkeypatch.setattr(lens_module, "_axis_points", pushed)
+    monkeypatch.setattr(lens_module, "_candidates_at", pushed)
     with pytest.raises(DefectError, match="row 0"):
         w_profile(bp, grid=12, budget=512, seed=0)
 
 
 def test_witness_check_rejects_an_inflated_width(monkeypatch):
-    diameter = lens_module.lens_diameter
+    widths = lens_module._exact_widths
 
     def inflated(*args, **kwargs):
-        res = diameter(*args, **kwargs)
-        return replace(res, value=res.value + 1e-9)
+        w, slack, wa, wb = widths(*args, **kwargs)
+        return w + 1e-9, slack, wa, wb
 
-    monkeypatch.setattr(lens_module, "lens_diameter", inflated)
+    monkeypatch.setattr(lens_module, "_exact_widths", inflated)
     with pytest.raises(DefectError, match="row 0"):
         w_profile(BallPair.create(Sphere(2, 1.0), 1.2, 0.6), grid=12, budget=512, seed=0)
 
@@ -551,7 +667,7 @@ def test_profile_unit_balls_matches_chord_closed_form(plane):
     R = r = 1.0
     for t in (0.3, 0.9, 1.5):
         chord = 2.0 * math.sqrt(r * r - (t / 2.0) ** 2)
-        assert brute_force_lens_diameter(R, r, t) == pytest.approx(chord, abs=1e-5)
+        assert brute_width(Plane(), R, r, t) == pytest.approx(chord, abs=1e-5)
     bp = BallPair.create(plane, R, r)
     prof = w_profile(bp, grid=60, budget=2048, seed=2)
     expect = 2.0 * np.sqrt(np.clip(r * r - (prof.ts / 2.0) ** 2, 0.0, None))
