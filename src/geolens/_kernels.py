@@ -20,11 +20,12 @@ whose element bits do not depend on the block's shape, so the pruned scans
 return the bits, and the witnesses, of the full ones:
 
 * ``max_nearest``, where ``scan_sq`` is the squared ambient Euclidean
-  distance (``Manifold.euclidean_scan``): a k-d tree (scipy's ``cKDTree``)
-  gives every row's nearest distance to a few ulps, and only the rows within
-  a relative ``_TREE_RTOL`` of the largest are rescored against every
-  target.  Elsewhere (the hyperboloid's Minkowski form) it reduces the
-  one-block two-way scan.
+  distance (``uses_trees``): a k-d tree (``kd_tree``) gives every row's
+  nearest distance to a few ulps, and only the rows within a relative
+  ``_TREE_RTOL`` of the largest are rescored against every target.  A
+  caller that holds the trees of its clouds hands them in; otherwise each
+  call builds its own.  Elsewhere (the hyperboloid's Minkowski form) it
+  reduces the one-block two-way scan.
 * ``pairwise_max``: by the triangle inequality through a central point c, a
   farthest pair (x, y) has d(x, c) >= diam - max d(., c); with the lower
   bound of one exact row, the points below that radius (less the rounding
@@ -106,26 +107,47 @@ def _diameter_candidates(pts, manifold):
     return np.flatnonzero(rad >= cut)
 
 
-def max_nearest(points, targets, manifold, both=True):
+def uses_trees(manifold):
+    """Whether ``max_nearest`` ranks rows with k-d trees on this model:
+    where ``scan_sq`` is the squared ambient Euclidean distance."""
+    return manifold.closed_form and manifold.euclidean_scan
+
+
+def kd_tree(points):
+    """scipy's ``cKDTree`` of the rows of ``points``."""
+    from scipy.spatial import cKDTree  # only here: keeps scipy off start-up
+
+    return cKDTree(points)
+
+
+def max_nearest(points, targets, manifold, both=True, trees=None):
     """``(max(min_dist_to(points, targets)), max(min_dist_to(targets,
-    points)))`` with their bits; only the first with ``both=False``."""
+    points)))`` with their bits; only the first with ``both=False``.
+
+    Where ``uses_trees`` holds, ``trees`` may give the k-d trees of
+    ``points`` and ``targets`` (``kd_tree``); a missing one is built here.
+    """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     tgt = np.ascontiguousarray(targets, dtype=np.float64)
-    if manifold.closed_form and manifold.euclidean_scan:
-        pairs = ((pts, tgt), (tgt, pts)) if both else ((pts, tgt),)
-        return tuple(_tree_max_nearest(p, q, manifold) for p, q in pairs)
+    if uses_trees(manifold):
+        point_tree, target_tree = trees or (None, None)
+        out = (_tree_max_nearest(pts, tgt, target_tree, manifold),)
+        if both:
+            out += (_tree_max_nearest(tgt, pts, point_tree, manifold),)
+        return out
     if both:
         forward, backward = min_dist_both(pts, tgt, manifold)
         return float(forward.max()), float(backward.max())
     return (float(min_dist_to(pts, tgt, manifold).max()),)
 
 
-def _tree_max_nearest(pts, tgt, manifold):
-    """Largest nearest distance from pts to tgt: k-d tree candidates, then
-    the exact ``scan_sq`` rows of those that can hold the maximum."""
-    from scipy.spatial import cKDTree  # only here: keeps scipy off start-up
-
-    near = cKDTree(tgt).query(pts, k=1)[0]
+def _tree_max_nearest(pts, tgt, tree, manifold):
+    """Largest nearest distance from pts to tgt: candidates from the k-d
+    tree of tgt (built when ``tree`` is None), then the exact ``scan_sq``
+    rows of those that can hold the maximum."""
+    if tree is None:
+        tree = kd_tree(tgt)
+    near = tree.query(pts, k=1)[0]
     rows = pts[near >= (1.0 - _TREE_RTOL) * near.max()]
     return float(manifold.scan_dist(_nearest_sq(rows, tgt, manifold)[0]).max())
 

@@ -44,12 +44,16 @@ Elsewhere -- on the numeric surface, whose corner is a leading-order flat
 estimate, and for balls at or beyond the convexity radius (the sphere
 counterexample) -- the lens is sampled as a point cloud.  A cloud is a polar
 grid over the small ball plus both boundary arcs, rejected against the other
-ball; the center, the interior rings and the small arc form one tangent
-block about gamma(t), pushed forward by a single ``exp_many``, and the big
-arc is one more call about gamma(0).  The width is then the best of the
-candidates and the farthest sampled pair, which a projected geodesic ascent
-polishes first: each witness moves along the distance gradient and is
-retracted into whichever ball it violates.  The sampled path stays as a
+ball.  Everything but a lens's tangent frame depends on (R, r, budget,
+seed) alone, so the clouds of many separations come from one grid pass
+(``_sample_lenses``): the big arc about gamma(0) is built once, the blocks
+of the center, the interior rings and the small arc of every lens go
+through one ``exp_pairs`` about their small centres, and the extremes are
+one ``_candidates_at``; a single cloud (``sample_intersection``) is the
+one-row case.  The width is then the best of the candidates and the
+farthest sampled pair, which a projected geodesic ascent polishes first:
+each witness moves along the distance gradient and is retracted into
+whichever ball it violates.  The sampled path stays as a
 cross-check on exact pairs: tests and the verification suite compare it
 with the candidates.
 
@@ -418,22 +422,37 @@ def _exact_widths(m: Manifold, c: _Candidates):
     return w, slack, wa, wb
 
 
-def _circles(m: Manifold, center, frame, radii, counts, phases) -> np.ndarray:
-    """exp at ``center`` of circles in the plane of ``frame[0], frame[1]``.
+def _circle_vectors(frames, radii, counts, phases) -> np.ndarray:
+    """Tangent vectors of circles in the plane of the first two vectors of
+    a frame: a (k, ambient_dim) block for one (dim, ambient_dim) frame, or
+    an (n, k, ambient_dim) block for a stack of n frames.
 
     Circle j has radius ``radii[j]`` and ``counts[j]`` equally spaced angles
     ``phases[j] + k * 2 pi / counts[j]`` (the values of ``phases[j] +
-    np.linspace(0, 2 pi, counts[j], endpoint=False)``); all circles go
-    through one ``exp_many`` call.
+    np.linspace(0, 2 pi, counts[j], endpoint=False)``).  Each vector is
+    (cos * e0 + sin * e1) * radius of its own frame, so a frame's rows have
+    the same bits in a stack as alone.
     """
     counts = np.asarray(counts)
     starts = np.cumsum(counts) - counts
     k = np.arange(int(counts.sum()), dtype=np.float64) - np.repeat(starts, counts)
     ang = np.repeat(phases, counts) + k * np.repeat(2.0 * math.pi / counts, counts)
-    vecs = np.cos(ang)[:, None] * frame[0]
-    vecs += np.sin(ang)[:, None] * frame[1]
+    frames = np.asarray(frames)
+    vecs = np.cos(ang)[:, None] * frames[..., 0, None, :]
+    vecs += np.sin(ang)[:, None] * frames[..., 1, None, :]
     vecs *= np.repeat(radii, counts)[:, None]
-    return m.exp_many(center, vecs)
+    return vecs
+
+
+def _circles(m: Manifold, center, frame, radii, counts, phases) -> np.ndarray:
+    """exp at ``center`` of the circles of :func:`_circle_vectors` in the
+    plane of ``frame[0], frame[1]``, through one ``exp_many`` call."""
+    return m.exp_many(center, _circle_vectors(frame, radii, counts, phases))
+
+
+# rows (block and big-arc points) of the lenses one step of the sampling
+# pass builds at once: bounds its temporaries
+_SAMPLE_ROWS = 8192
 
 
 def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 0) -> PointCloud:
@@ -444,75 +463,129 @@ def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 
     deterministic extreme points (axis endpoints, corners, perpendicular
     chord) when they are admissible.  The fill radius is the half-diagonal of
     the interior grid cell; it is an estimate tied to the grid pitch, not a
-    certificate near the corner cusps.
+    certificate near the corner cusps.  The one-row case of the grid pass
+    :func:`_sample_lenses`.
+    """
+    return _sample_lenses(bp, [bp.t], budget, seed)[0]
 
-    The center, the interior rings and the small boundary circle form one
-    tangent block about gamma(t), pushed forward by one ``exp_many`` call;
-    the big boundary circle is a second call about gamma(0).  Each rejection
-    test computes one distance per candidate, and the inside test then adds
-    only the other distance of the kept points.  On the numeric surface
-    ``exp_many`` takes its RK4 step count from the longest vector of the
-    batch, so the inner rings integrate with the step count of the outer
-    circle: the points are the same while r <= 16 steps, and move at the
-    level of rounding beyond that.
+
+def _sample_lenses(bp: BallPair, ts, budget: int, seed: int) -> list[PointCloud]:
+    """The cloud of :func:`sample_intersection` at every separation of
+    ``ts``, in one pass over the grid, with the bits of a lens-by-lens
+    evaluation (each row's values do not depend on the others).
+
+    Everything but a lens's frame depends only on (R, r, budget, seed): the
+    phases, rings and counts, the tangent coefficients of the small-ball
+    block (the center, a zero vector pinned exactly, the interior rings and
+    the small circle) and the whole big circle.  So the big circle and its
+    distances to gamma(0) are built once; the blocks of the lenses go
+    through one ``exp_pairs`` about their small centres, rejected against
+    the big ball by one ``dist_many``; one ``dist_pairs`` gives the
+    small-ball distances of the kept block points and of the big circle
+    (rejected against each small ball); and the extremes are one
+    :func:`_candidates_at` along each lens's frame.  A touching row is the
+    contact point alone, with fill 0.
+
+    Lenses go in steps of at most ``_SAMPLE_ROWS`` rows.  On a model without
+    closed forms each step is one lens: the surface's ``exp_pairs`` takes
+    one RK4 step count from the longest tangent of its batch, so the blocks
+    of two lenses must not share a call.  Within a lens the inner rings
+    integrate with the step count of the small circle: the points are the
+    same while r <= 16 steps, and move at the level of rounding beyond that.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    m, R, r, t = bp.manifold, bp.R, bp.r, bp.t
-    if bp.touching:
-        return PointCloud(m, bp.line.coords_at(R)[None, :], 0.0)
+    m, R, r = bp.manifold, bp.R, bp.r
+    ts = np.minimum(np.asarray(ts, dtype=np.float64), R + r)
+    touching = R + r - ts < 1e-12 * (R + r)
+    clouds: list = [None] * len(ts)
+    if np.any(touching):
+        contact = bp.line.coords_at(R)[None, :]
+        for i in np.flatnonzero(touching):
+            clouds[i] = PointCloud(m, contact, 0.0)
+    live = np.flatnonzero(~touching)
+    if not len(live):
+        return clouds
 
     rng = np.random.default_rng([seed, budget])
-    center_small = bp.center_small()
-    center_big = bp.center_big()
-
     interior_budget = max(16, int(0.6 * budget))
-    area = m.disk_area(r)
-    pitch = math.sqrt(area / interior_budget)
+    pitch = math.sqrt(m.disk_area(r) / interior_budget)
     n_rad = max(2, int(math.ceil(r / pitch)))
     drho = r / n_rad
-
     # one phase per ring, then the small circle's, then the big circle's
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_rad + 2)
     rhos = [i * drho for i in range(1, n_rad + 1)]
     counts = [max(6, int(math.ceil(m.circle_circumference(rho) / drho))) for rho in rhos]
     counts.append(max(64, int(math.ceil(m.circle_circumference(r) / drho))))
     n_arc_big = max(64, int(math.ceil(m.circle_circumference(R) / drho)))
+    block_plan = ([0.0] + rhos + [r], [1] + counts, np.concatenate([[0.0], phases[:-1]]))
+    arc = _circles(m, bp.center_big(), bp.frame_big(), [R], [n_arc_big], phases[-1:])
+    arc_big = m.dist_many(bp.center_big(), arc)
+    fill = 0.5 * math.hypot(drho, drho)
 
-    # the center (a zero vector, pinned exactly), the interior rings and the
-    # small circle, rejected against the big ball
-    block = _circles(
-        m, center_small, bp.frame_small(), [0.0] + rhos + [r], [1] + counts,
-        np.concatenate([[0.0], phases[:-1]]),
+    step = max(1, _SAMPLE_ROWS // (sum(counts) + 1 + n_arc_big)) if m.closed_form else 1
+    for k in range(0, len(live), step):
+        rows = live[k : k + step]
+        for i, points in zip(rows, _lens_points(bp, ts[rows], block_plan, arc, arc_big)):
+            clouds[i] = PointCloud(m, points, fill)
+    return clouds
+
+
+def _lens_points(bp: BallPair, ts, block_plan, arc, arc_big):
+    """One step of :func:`_sample_lenses`: the points of each (non-touching)
+    lens of ``ts`` inside it, in the order axis ends and corners, block,
+    big circle, chord ends."""
+    m, R, r = bp.manifold, bp.R, bp.r
+    n, d = len(ts), m.ambient_dim
+    centres, velocity = bp.line.states_many(ts)
+    if n == 1 and ts[0] == bp.t:
+        # a lone lens at the pair's own separation reads its memoised frame
+        # and candidates, which lens_diameter then shares
+        frames, c = bp.frame_small()[None], bp.candidates()
+    else:
+        frames = np.array([m.tangent_basis(x, primary=v) for x, v in zip(centres, velocity)])
+        c = _candidates_at(bp, ts, chord_dirs=frames[:, 1])
+    vecs = _circle_vectors(frames, *block_plan)
+    size = vecs.shape[1]
+    block = m.exp_pairs(np.repeat(centres, size, axis=0), vecs.reshape(-1, d))
+    block[::size] = centres
+    block_owner = np.repeat(np.arange(n), size)
+    # the block rejected against the big ball, the big circle against each
+    # small ball: one distance per candidate, then the other distance of
+    # the kept block points
+    d_big = m.dist_many(bp.center_big(), block)
+    inner = d_big <= R + 1e-12
+    arcs = np.tile(arc, (n, 1))
+    arc_owner = np.repeat(np.arange(n), len(arc))
+    d_small = m.dist_pairs(
+        np.concatenate([centres[block_owner[inner]], centres[arc_owner]]),
+        np.concatenate([block[inner], arcs]),
     )
-    block[0] = center_small
-    d_big = m.dist_many(center_big, block)
-    keep = d_big <= R + 1e-12
-    inner = block[keep]
-    inner_margin = np.minimum(R - d_big[keep], r - m.dist_many(center_small, inner))
+    d_inner, d_arc = np.split(d_small, [int(np.count_nonzero(inner))])
+    outer = d_arc <= r + 1e-12
+    near_owner, near_slot = np.nonzero(c.present[:, : _CHORD.start])
+    chord_owner, chord_slot = np.nonzero(c.margins[:, _CHORD] >= -1e-12)
+    chord_slot += _CHORD.start
 
-    # the big circle, rejected against the small ball
-    arc = _circles(m, center_big, bp.frame_big(), [R], [n_arc_big], phases[-1:])
-    d_small = m.dist_many(center_small, arc)
-    keep = d_small <= r + 1e-12
-    outer = arc[keep]
-    outer_margin = np.minimum(R - m.dist_many(center_big, outer), r - d_small[keep])
-
-    ends, end_margin, lead = bp.extremes()
-    chord_keep = end_margin[lead:] >= -1e-12
-
-    points = np.vstack([ends[:lead], inner, outer, ends[lead:][chord_keep]])
-    margins = np.concatenate(
-        [end_margin[:lead], inner_margin, outer_margin, end_margin[lead:][chord_keep]]
+    owners = np.concatenate([near_owner, block_owner[inner], arc_owner[outer], chord_owner])
+    points = np.concatenate(
+        [c.ends[near_owner, near_slot], block[inner], arcs[outer], c.ends[chord_owner, chord_slot]]
     )
+    margins = np.concatenate([
+        c.margins[near_owner, near_slot],
+        np.minimum(R - d_big[inner], r - d_inner),
+        np.minimum(R - np.tile(arc_big, n)[outer], r - d_arc[outer]),
+        c.margins[chord_owner, chord_slot],
+    ])
     inside = margins >= -BOUNDARY_TOL
-    if not np.any(inside):
+    order = np.argsort(owners[inside], kind="stable")
+    counts = np.bincount(owners[inside], minlength=n)
+    if not np.all(counts):
         raise TangencyError(
             "no lens samples found although t <= R + r; either a tangency "
             "or an integration defect"
         )
-    fill = 0.5 * math.hypot(drho, drho)
-    return PointCloud(m, points[inside], fill)
+    return np.split(points[inside][order], np.cumsum(counts)[:-1])
 
 
 def _project_into_lens(bp: BallPair, coords: np.ndarray):

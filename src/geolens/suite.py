@@ -24,10 +24,11 @@ from geolens.lens import (
     EXACT_SLACK,
     BallPair,
     _circles,
+    _sample_lenses,
     check_witnesses,
     estimate_nesting_onset,
     lens_diameter,
-    sample_intersection,
+    sample_intersection,  # noqa: F401  (the one-lens case of the pass, kept importable here)
     w_profile,
 )
 from geolens.radii import jacobi_radii, radii_report
@@ -207,7 +208,14 @@ def _claim_entry(claim: str, results: dict[str, float], notes: list) -> ClaimRes
 
 
 def run_verification_suite(config: RunConfig) -> VerificationReport:
-    """Run every claim on the configured manifold and radius matrix."""
+    """Run every claim on the configured manifold and radius matrix.
+
+    Per pair, the sampled claims (the continuity moduli, nesting after the
+    onset, the diameter-Hausdorff check and the exact-width cross-check)
+    first draw every probe separation from their seeded rngs; the clouds of
+    those separations then come from one sampling pass (``_sample_lenses``)
+    at the probe budget, and each claim reads them by separation.
+    """
     manifold = config.manifold.build()
     conv = _checked_convexity_bound(config, manifold)
     per_claim: dict[str, dict[str, float]] = {c: {} for c in CLAIM_REGISTRY}
@@ -277,72 +285,68 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
             f"{key}: min decrease over {gap * h:.3g}-separated pairs = {strict_min:.4g}"
         )
 
-        # the probe clouds of the claims below, drawn once per separation
-        clouds: dict[tuple[float, int], PointCloud] = {}
-
-        def cloud_at(t, budget):
-            key = (float(t), budget)
-            if key not in clouds:
-                clouds[key] = sample_intersection(bp.with_separation(key[0]), budget, config.seed)
-            return clouds[key]
-
-        # continuity via the diameter-Hausdorff modulus:
-        # |w(s) - w(t)| <= 2 H(lens(s), lens(t)) + sampling slack
-        rng = np.random.default_rng([config.seed, 17])
+        # the probe separations of the claims below, each drawn from its own
+        # rng; their clouds then come from one sampling pass
         probe_budget = max(512, config.budget // 4)
-
-        def modulus_margin(pairs):
-            worst = math.inf
-            for i, j in pairs:
-                cs = cloud_at(ts[i], probe_budget)
-                ct = cloud_at(ts[j], probe_budget)
-                dh = hausdorff(cs, ct)
-                slack_ij = 4.0 * (cs.fill_radius + ct.fill_radius)
-                worst = min(worst, 2.0 * dh + slack_ij - abs(w[i] - w[j]))
-            return worst
-
         n_mod = 25
+        rng = np.random.default_rng([config.seed, 17])
         anchors = rng.integers(1, len(ts), size=n_mod)
         gaps = rng.integers(1, 6, size=n_mod)
         left_pairs = [(max(0, a - g), a) for a, g in zip(anchors, gaps)]
         anchors = rng.integers(0, len(ts) - 1, size=n_mod)
         gaps = rng.integers(1, 6, size=n_mod)
         right_pairs = [(a, min(len(ts) - 1, a + g)) for a, g in zip(anchors, gaps)]
+        # the bisected onset lands on or below the first fully nesting grid
+        # point, so it can sit up to its uncertainty below the true onset:
+        # draw s from above that band
+        nest_rng = np.random.default_rng([config.seed, 23])
+        nest_lo = fine.value + fine.uncertainty
+        nest_pairs = [np.sort(nest_rng.uniform(nest_lo, span, size=2)) for _ in range(20)]
+        nest_pairs = [(s, t) for s, t in nest_pairs if t - s >= 1e-9]
+        lip_rng = np.random.default_rng([config.seed, 29])
+        lip_pairs = [lip_rng.integers(0, len(ts), size=2) for _ in range(15)]
+        cross_rows = []
+        if bp.exact:
+            cross_rng = np.random.default_rng([config.seed, 31])
+            cross_rows = cross_rng.choice(len(ts), size=min(3, len(ts)), replace=False)
+        rows = {int(i) for pairs in (left_pairs, right_pairs, lip_pairs) for p in pairs for i in p}
+        rows.update(int(i) for i in cross_rows)
+        probe_ts = sorted({float(ts[i]) for i in rows} | {float(t) for _, t in nest_pairs})
+        clouds = dict(zip(probe_ts, _sample_lenses(bp, probe_ts, probe_budget, config.seed)))
+
+        # continuity via the diameter-Hausdorff modulus:
+        # |w(s) - w(t)| <= 2 H(lens(s), lens(t)) + sampling slack
+        def modulus_margin(pairs):
+            worst = math.inf
+            for i, j in pairs:
+                cs, ct = clouds[float(ts[i])], clouds[float(ts[j])]
+                dh = hausdorff(cs, ct)
+                slack_ij = 4.0 * (cs.fill_radius + ct.fill_radius)
+                worst = min(worst, 2.0 * dh + slack_ij - abs(w[i] - w[j]))
+            return worst
+
         per_claim["width_left_continuous"][key] = float(modulus_margin(left_pairs))
         per_claim["width_right_continuous"][key] = float(modulus_margin(right_pairs))
 
-        # definitional nesting after the onset.  The bisected onset lands on
-        # or below the first fully nesting grid point, so it can sit up to its
-        # uncertainty below the true onset: draw s from above that band.
-        nest_rng = np.random.default_rng([config.seed, 23])
-        nest_lo = fine.value + fine.uncertainty
+        # definitional nesting after the onset
         worst = math.inf
-        for _ in range(20):
-            s, t = np.sort(nest_rng.uniform(nest_lo, span, size=2))
-            if t - s < 1e-9:
-                continue
-            cloud = cloud_at(t, probe_budget)
-            d = manifold.dist_many(bp.line.coords_at(float(s)), cloud.points)
+        for s, t in nest_pairs:
+            d = manifold.dist_many(bp.line.coords_at(float(s)), clouds[float(t)].points)
             worst = min(worst, float(r + 1e-6 - np.max(d)))
         per_claim["nested_after_onset"][key] = worst
 
         # diameter is 2-Lipschitz against the Hausdorff distance
-        lip_rng = np.random.default_rng([config.seed, 29])
         lip_ok = True
-        for _ in range(15):
-            i, j = lip_rng.integers(0, len(ts), size=2)
-            cs = cloud_at(ts[i], probe_budget)
-            ct = cloud_at(ts[j], probe_budget)
-            lip_ok &= diameter_lipschitz_check(cs, ct)
+        for i, j in lip_pairs:
+            lip_ok &= diameter_lipschitz_check(clouds[float(ts[i])], clouds[float(ts[j])])
         per_claim["diameter_hausdorff_lipschitz"][key] = 1.0 if lip_ok else -1.0
 
         # labelled cross-check of the exact widths against sampled clouds:
         # sampled <= exact + EXACT_SLACK and exact - sampled <= 2 * fill
         if bp.exact:
-            cross_rng = np.random.default_rng([config.seed, 31])
             worst, excess = math.inf, -math.inf
-            for i in cross_rng.choice(len(ts), size=min(3, len(ts)), replace=False):
-                cloud = cloud_at(ts[i], probe_budget)
+            for i in cross_rows:
+                cloud = clouds[float(ts[i])]
                 sampled = diameter(cloud)
                 excess = max(excess, sampled - w[i])
                 worst = min(

@@ -507,6 +507,86 @@ def test_verify_records_match_the_per_lens_two_way_unmemoised_run(tmp_path, monk
         assert a.read() == b.read()
 
 
+VERIFY_H2_CFG = """
+[manifold]
+kind = hyperbolic
+dimension = 2
+curvature = -1.0
+
+[lens]
+R = 2.0
+r = 1.0
+
+[run]
+grid = 8
+budget = 1024
+seed = 7
+"""
+
+
+def _counted_trees(monkeypatch):
+    """Patch scipy's cKDTree to record the bytes of every cloud it is built on."""
+    import scipy.spatial
+
+    built = []
+    tree = scipy.spatial.cKDTree
+
+    def counted(data, *args, **kwargs):
+        built.append(np.asarray(data).tobytes())
+        return tree(data, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counted)
+    return built
+
+
+def test_verify_records_match_the_per_lens_fresh_tree_run(tmp_path, monkeypatch):
+    # one sampling pass over the probe separations and one k-d tree per
+    # cloud leave every record byte for byte as per-lens sampling and a
+    # fresh tree per scan give it
+    from geolens import _kernels
+
+    cfg = tmp_path / "verify_s2.ini"
+    cfg.write_text(VERIFY_S2_CFG)
+    fast, slow = str(tmp_path / "fast.csv"), str(tmp_path / "slow.csv")
+    scanned = set()
+    max_nearest = _kernels.max_nearest
+
+    def recorded(points, targets, manifold, both=True, trees=None):
+        scanned.update({points.tobytes(), targets.tobytes()} if both else {targets.tobytes()})
+        return max_nearest(points, targets, manifold, both, trees)
+
+    with monkeypatch.context() as patch:
+        built = _counted_trees(patch)
+        patch.setattr(_kernels, "max_nearest", recorded)
+        assert main(["verify", "--config", str(cfg), "--out", fast]) == 0
+    # one build per distinct cloud that a Hausdorff or nesting gap reads
+    assert len(built) == len(set(built)) == len(scanned) > 0
+
+    def per_lens(bp, ts, budget, seed):
+        return [lens_module.sample_intersection(bp.with_separation(t), budget, seed) for t in ts]
+
+    def fresh_trees(points, targets, manifold, both=True, trees=None):
+        return max_nearest(points, targets, manifold, both)
+
+    with monkeypatch.context() as patch:
+        rebuilt = _counted_trees(patch)
+        patch.setattr(suite_module, "_sample_lenses", per_lens)
+        patch.setattr(_kernels, "max_nearest", fresh_trees)
+        assert main(["verify", "--config", str(cfg), "--out", slow]) == 0
+    assert len(rebuilt) > len(built)
+    with open(fast, "rb") as a, open(slow, "rb") as b:
+        assert a.read() == b.read()
+
+
+def test_verify_on_the_hyperboloid_builds_no_tree(tmp_path, monkeypatch):
+    # the Minkowski form is no Euclidean distance: the scans read no tree
+    cfg = tmp_path / "verify_h2.ini"
+    cfg.write_text(VERIFY_H2_CFG)
+    built = _counted_trees(monkeypatch)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "h2.csv")]) == 0
+    assert built == []
+
+
 def test_surface_focal_scan_runs_once_per_config(tmp_path, monkeypatch):
     import geolens.radii
     from geolens import config

@@ -205,6 +205,59 @@ def test_surface_sample_block_matches_per_ring_reference():
     assert cloud.fill_radius == fill
 
 
+PASS_CASES = [(model, *pairs[0]) for model, pairs in CONVEX_CASES] + [
+    (Sphere(2, 1.0), math.pi / 2, math.pi / 2)  # the counterexample, beyond convexity
+]
+
+
+@pytest.mark.parametrize("model,R,r", PASS_CASES, ids=[m.describe() for m, _, _ in PASS_CASES])
+def test_sample_pass_gives_each_lens_the_bits_of_its_one_row_case(model, R, r, monkeypatch):
+    # no corners below R - r, a near-zero separation, the middle of the
+    # range and a touching row, in one step and straddling step boundaries
+    bp = BallPair.create(model, R, r, convexity_bound=math.inf)
+    ts = [0.0, 1e-9, 0.5 * (R - r), 0.5 * (R + r), 0.8 * (R + r), R + r]
+    alone = [sample_intersection(bp.with_separation(t), 512, 3) for t in ts]
+    assert len(alone[-1]) == 1 and alone[-1].fill_radius == 0.0
+    steps = []
+    lens_points = lens_module._lens_points
+
+    def spy(bp, ts, block_plan, arc, arc_big):
+        steps.append((len(ts), sum(block_plan[1]) + len(arc)))
+        return lens_points(bp, ts, block_plan, arc, arc_big)
+
+    monkeypatch.setattr(lens_module, "_lens_points", spy)
+    whole = lens_module._sample_lenses(bp, ts, 512, 3)
+    [(lenses, rows)] = steps
+    assert lenses == 5
+    monkeypatch.setattr(lens_module, "_SAMPLE_ROWS", 2 * rows)
+    steps.clear()
+    chunked = lens_module._sample_lenses(bp, ts, 512, 3)
+    assert [n for n, _ in steps] == [2, 2, 1]
+    for clouds in (whole, chunked):
+        for t, cloud, one in zip(ts, clouds, alone):
+            assert cloud.points.tobytes() == one.points.tobytes(), t
+            assert cloud.fill_radius == one.fill_radius
+
+
+def test_surface_sample_pass_takes_one_lens_per_step(monkeypatch):
+    # the surface's exp_pairs takes one RK4 step count per batch, so no two
+    # lenses share one
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    bp = BallPair.create(surface, 0.05, 0.03, convexity_bound=1.0)
+    ts = [0.01, 0.04, 0.08]
+    alone = [sample_intersection(bp.with_separation(t), 16, 0) for t in ts]
+    steps = []
+    lens_points = lens_module._lens_points
+    monkeypatch.setattr(
+        lens_module, "_lens_points", lambda bp, ts, *a: steps.append(len(ts)) or lens_points(bp, ts, *a)
+    )
+    clouds = lens_module._sample_lenses(bp, ts, 16, 0)
+    assert steps == [1, 1]
+    for cloud, one in zip(clouds, alone):
+        assert cloud.points.tobytes() == one.points.tobytes()
+        assert cloud.fill_radius == one.fill_radius
+
+
 def test_sample_makes_a_fixed_number_of_model_calls(monkeypatch):
     # one block about each center, the corners and the chord; the two frames
     sphere = Sphere(2, 1.0)
