@@ -33,12 +33,15 @@ convex and the candidates are the answers:
   (the Pythagorean theorem of the model at the end).
 
 A profile builds the candidates of every grid separation in one pass
-(``_candidates_at``: a few model calls for the whole grid, one tangent frame
-per separation), and the widths, the plateau test at the grid points and
-the nesting scan all read it; a single lens is the one-row case.  Each row's
-values do not depend on the others, and each width is the scalar
-``dist_coords`` of its pair, so the numbers are those of a lens-by-lens
-pass.
+(``_candidates_at``: a few model calls for the whole grid, the tangent
+frames of all separations from one ``tangent_frames``), and the widths, the
+plateau test at the grid points and the nesting scan all read it; a single
+lens is the one-row case.  Each row's values do not depend on the others,
+and each width has the bits of the scalar ``dist_coords`` of its pair, so
+the numbers are those of a lens-by-lens pass.  The nesting onset and the
+plateau end bisect in lockstep rounds (``_bisect``): each round tests the
+next levels of the bisection tree in one batch and walks it, with the
+floats and tests of a step-by-step loop.
 
 Elsewhere -- on the numeric surface, whose corner is a leading-order flat
 estimate, and for balls at or beyond the convexity radius (the sphere
@@ -72,7 +75,7 @@ import numpy as np
 
 from geolens.errors import DefectError, InjectivityError, TangencyError
 from geolens.geodesics import GeodesicLine
-from geolens.manifolds import Manifold, ManifoldPoint, TangentVector
+from geolens.manifolds import Manifold, ManifoldPoint, TangentVector, _libm
 from geolens.sets import PointCloud, diameter_with_witness
 
 DEFAULT_GRID = 200
@@ -223,20 +226,6 @@ class BallPair:
         d_small = self.manifold.dist_many(self.center_small(), pts)
         return np.minimum(self.R - d_big, self.r - d_small)
 
-    def chord(self) -> np.ndarray:
-        """Endpoints of the small ball's diametral chord perpendicular to the axis."""
-        return self._memo(
-            "_chord",
-            lambda: _chords_at(self, self.center_small()[None], self.frame_small()[1:2])[0],
-        )
-
-    def chord_margin(self) -> float:
-        """R minus the distance from gamma(0) to the farther end of the
-        perpendicular chord; on an exact pair the lens has width 2r exactly
-        when this is >= 0."""
-        d_big = self.manifold.dist_many(self.center_big(), self.chord())
-        return self.R - float(np.max(d_big))
-
 
 def check_witnesses(bp: BallPair, ts, w, witness_a, witness_b, label=None) -> None:
     """Raise ``DefectError`` naming the first bad row unless, at every
@@ -298,7 +287,8 @@ def _candidates_at(bp: BallPair, ts, chords: bool = True, chord_dirs=None) -> _C
     * the corners through one ``exp_many`` about gamma(0) (``_corners_at``);
     * with ``chords``, the chord ends through one ``exp_pairs`` about the
       small centres, along ``chord_dirs`` (an (n, ambient_dim) block; by
-      default the second vector of each centre's tangent frame);
+      default the second vector of each centre's tangent frame, all from
+      one ``tangent_frames``);
     * the margins from one ``dist_many`` about gamma(0) and one
       ``dist_pairs`` against each row's small centre.
 
@@ -321,10 +311,7 @@ def _candidates_at(bp: BallPair, ts, chords: bool = True, chord_dirs=None) -> _C
     present[found, _CORNERS] = True
     if chords:
         if chord_dirs is None:
-            chord_dirs = np.array([
-                m.tangent_basis(c, primary=v)[1]
-                for c, v in zip(centres, velocity[2 * n : 3 * n])
-            ])
+            chord_dirs = m.tangent_frames(centres, velocity[2 * n : 3 * n])[:, 1]
         ends[:, _CHORD] = _chords_at(bp, centres, chord_dirs)
         present[:, _CHORD] = True
     touching = R + r - ts < 1e-12 * (R + r)
@@ -350,6 +337,19 @@ def _chords_at(bp: BallPair, centres, dirs) -> np.ndarray:
     return m.exp_pairs(np.repeat(centres, 2, axis=0), vecs).reshape(len(centres), 2, -1)
 
 
+def _chord_margins(bp: BallPair, ts) -> np.ndarray:
+    """R minus the distance from gamma(0) to the farther end of the
+    perpendicular chord, at each separation of ``ts``; on an exact pair the
+    lens has width 2r exactly where this is >= 0.  One pass: the centres
+    and their frames, one ``exp_pairs`` and one ``dist_many``, with the bits
+    of :func:`_candidates_at`'s chords."""
+    m = bp.manifold
+    centres, velocity = bp.line.states_many(ts)
+    chords = _chords_at(bp, centres, m.tangent_frames(centres, velocity)[:, 1])
+    d_big = m.dist_many(bp.center_big(), chords.reshape(-1, m.ambient_dim))
+    return bp.R - np.max(d_big.reshape(len(centres), 2), axis=1)
+
+
 _CORNER_SIGNS = np.array([[1.0], [-1.0]])
 
 
@@ -361,64 +361,60 @@ def _corners_at(bp: BallPair, ts):
 
     Solved in the axial section through the law of cosines of the model; the
     corner sits at angle phi off the axis at distance R from the big center.
+    One array pass; phi, its cosine and its sine go through the scalar libm
+    (``_libm``), so every corner has the bits of a lens-by-lens evaluation.
     """
     m, R, r = bp.manifold, bp.R, bp.r
-    found, cos, sin = [], [], []
-    for i, t in enumerate(ts):
-        cos_phi = m.corner_cosine(R, r, float(t)) if t >= 1e-12 else None
-        if cos_phi is None or not -1.0 <= cos_phi <= 1.0:
-            continue
-        phi = math.acos(cos_phi)
-        found.append(i)
-        cos.append(math.cos(phi))
-        sin.append(math.sin(phi))
-    found, d = np.array(found, dtype=int), m.ambient_dim
+    ts = np.asarray(ts, dtype=np.float64)
+    found = np.flatnonzero(ts >= 1e-12)
+    cos_phi = m.corner_cosine(R, r, ts[found])
+    meet = (cos_phi >= -1.0) & (cos_phi <= 1.0)
+    found, cos_phi, d = found[meet], cos_phi[meet], m.ambient_dim
     if not len(found):
         return found, np.empty((0, 2, d))
+    phi = _libm(math.acos, cos_phi)
     frame = bp.frame_big()
     # R (cos phi e0 +- sin phi e1); negation is exact, so the lower corner
     # has the bits of R (cos phi e0 - sin phi e1)
-    cos = np.array(cos)[:, None, None]
-    sin = np.array(sin)[:, None, None] * _CORNER_SIGNS
+    cos = _libm(math.cos, phi)[:, None, None]
+    sin = _libm(math.sin, phi)[:, None, None] * _CORNER_SIGNS
     vecs = R * (cos * frame[0] + sin * frame[1])
     return found, m.exp_many(bp.center_big(), vecs.reshape(-1, d)).reshape(-1, 2, d)
 
 
-def _admissible(margins) -> np.ndarray:
-    """(n, 3) per separation: whether its axis, corner and chord pairs are
-    width candidates.  The axis ends always are; the corners and the chord
-    when both ends lie in the lens."""
-    out = np.ones((len(margins), 3), dtype=bool)
-    out[:, 1] = np.all(margins[:, _CORNERS] >= -BOUNDARY_TOL, axis=1)
-    out[:, 2] = np.all(margins[:, _CHORD] >= -BOUNDARY_TOL, axis=1)
+def _pair_distances(m: Manifold, ends, margins) -> np.ndarray:
+    """(n, 3) per separation of candidate ``ends`` and ``margins`` (as in
+    :class:`_Candidates`): the distances of its axis, corner and chord pairs
+    where they are width candidates, else -inf.  The axis ends always are;
+    the corners and the chord when both ends lie in the lens.  One
+    ``dist_rows``, so each distance has the bits of the scalar
+    ``dist_coords`` in every pass."""
+    admissible = np.ones((len(ends), 3), dtype=bool)
+    admissible[:, 1] = np.all(margins[:, _CORNERS] >= -BOUNDARY_TOL, axis=1)
+    admissible[:, 2] = np.all(margins[:, _CHORD] >= -BOUNDARY_TOL, axis=1)
+    rows, pair = np.nonzero(admissible)
+    d = m.dist_rows(ends[rows, 2 * pair], ends[rows, 2 * pair + 1])
+    out = np.full((len(ends), 3), -np.inf)
+    # a nan distance never wins, as in a scan that keeps a strictly farther pair
+    out[rows, pair] = np.where(np.isnan(d), -np.inf, d)
     return out
-
-
-def _best_pair(m: Manifold, ends, admissible, best_d=-math.inf, best_pair=None):
-    """The farthest of ``best_pair`` (at distance ``best_d``) and the
-    admissible candidate pairs of one separation, in slot order; a later
-    pair wins only when strictly farther.  Each distance is the scalar
-    ``dist_coords``, so a width has the same bits in every pass."""
-    for k in np.flatnonzero(admissible):
-        a, b = ends[2 * k], ends[2 * k + 1]
-        d = m.dist_coords(a, b)
-        if d > best_d:
-            best_d, best_pair = d, (a, b)
-    return best_d, best_pair
 
 
 def _exact_widths(m: Manifold, c: _Candidates):
     """(w, slack, witness_a, witness_b) of every separation of the
-    candidates ``c`` of an exact pair: the farthest admissible candidate
-    pair with slack ``EXACT_SLACK``; at a touching separation the contact
-    point, width 0 and slack 0."""
+    candidates ``c`` of an exact pair: the farthest candidate pair, the
+    first in slot order on a tie, with slack ``EXACT_SLACK``; at a touching
+    separation the contact point, width 0 and slack 0."""
+    live = np.flatnonzero(~c.touching)
+    d = _pair_distances(m, c.ends[live], c.margins[live])
+    best = np.argmax(d, axis=1)
     w = np.zeros(len(c.ts))
+    w[live] = d[np.arange(len(live)), best]
     slack = np.where(c.touching, 0.0, EXACT_SLACK)
     wa = c.ends[:, 0].copy()
     wb = wa.copy()
-    admissible = _admissible(c.margins)
-    for i in np.flatnonzero(~c.touching):
-        w[i], (wa[i], wb[i]) = _best_pair(m, c.ends[i], admissible[i])
+    wa[live] = c.ends[live, 2 * best]
+    wb[live] = c.ends[live, 2 * best + 1]
     return w, slack, wa, wb
 
 
@@ -543,7 +539,7 @@ def _lens_points(bp: BallPair, ts, block_plan, arc, arc_big):
         # and candidates, which lens_diameter then shares
         frames, c = bp.frame_small()[None], bp.candidates()
     else:
-        frames = np.array([m.tangent_basis(x, primary=v) for x, v in zip(centres, velocity)])
+        frames = m.tangent_frames(centres, velocity)
         c = _candidates_at(bp, ts, chord_dirs=frames[:, 1])
     vecs = _circle_vectors(frames, *block_plan)
     size = vecs.shape[1]
@@ -721,7 +717,10 @@ def lens_diameter(
     else:
         best_d = m.dist_coords(best_pair[0], best_pair[1])
     c = bp.candidates()
-    best_d, best_pair = _best_pair(m, c.ends[0], _admissible(c.margins)[0], best_d, best_pair)
+    d = _pair_distances(m, c.ends, c.margins)[0]
+    k = int(np.argmax(d))
+    if d[k] > best_d:
+        best_d, best_pair = d[k], (c.ends[0, 2 * k], c.ends[0, 2 * k + 1])
     return LensDiameter(float(best_d), best_pair[0], best_pair[1], 2.0 * cloud.fill_radius)
 
 
@@ -767,13 +766,9 @@ class WProfile:
         )
         lines = [f"# {line}" for line in (config_lines or [])]
         lines.append(",".join(header))
-        for i in range(len(self.ts)):
-            row = (
-                [self.ts[i], self.w[i], self.slack[i]]
-                + list(self.witness_a[i])
-                + list(self.witness_b[i])
-            )
-            lines.append(",".join(repr(float(x)) for x in row) + f",{int(self.nested_after_onset[i])}")
+        table = np.column_stack([self.ts, self.w, self.slack, self.witness_a, self.witness_b])
+        for row, flag in zip(table.tolist(), self.nested_after_onset.tolist()):
+            lines.append(",".join(map(repr, row)) + f",{int(flag)}")
         atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -782,15 +777,13 @@ def _nesting_scan(bp: BallPair, ts: np.ndarray, budget: int, seed: int):
     concatenated for scanning with the index of their separation: on an
     exact pair the points that can be farthest from an axis point (the axis
     ends and corners inside the lens, or the contact point), else the
-    sampled cloud at ``budget`` and ``seed``."""
+    sampled cloud at ``budget`` and ``seed``, all from one sampling pass
+    (``_sample_lenses``)."""
     if bp.exact:
         return _far_points(_candidates_at(bp, ts, chords=False))
-    blocks, owners = [], []
-    for idx, t in enumerate(ts):
-        points = sample_intersection(bp.with_separation(float(t)), budget, seed).points
-        blocks.append(points)
-        owners.append(np.full(len(points), idx))
-    return np.vstack(blocks), np.concatenate(owners)
+    clouds = _sample_lenses(bp, ts, budget, seed)
+    owners = np.repeat(np.arange(len(ts)), [len(cloud) for cloud in clouds])
+    return np.vstack([cloud.points for cloud in clouds]), owners
 
 
 def _far_points(c: _Candidates):
@@ -800,6 +793,90 @@ def _far_points(c: _Candidates):
     near = slice(0, _CHORD.start)
     owners, slot = np.nonzero(c.present[:, near] & (c.margins[:, near] >= -BOUNDARY_TOL))
     return c.ends[owners, slot], owners
+
+
+# (separation, point) rows that one round of a lockstep bisection tests at
+# most: bounds its temporaries and the tests it makes off the loop's path
+_BISECT_ROWS = 512
+# levels one round lays out at most: each test also evaluates the line
+# through the scalar libm, which past about 31 tests per round costs more
+# than the rounds it saves
+_BISECT_LEVELS = 5
+# relative rounding of distances, far below any bracket's width, that the
+# pruning of the onset's continuous phase allows for
+_PRUNE_ROUNDING = 1e-9
+
+
+def _levels(tests: int, depth: int) -> int:
+    """Levels of the bisection tree per round for a bisection of about
+    ``depth`` steps whose rounds make at most ``tests`` tests (a round of k
+    levels makes 2**k - 1): as few rounds as that allows, of nearly equal
+    sizes."""
+    most = min(_BISECT_LEVELS, max(1, (max(1, tests) + 1).bit_length() - 1))
+    depth = max(1, depth)
+    rounds = -(-depth // most)
+    return -(-depth // rounds)
+
+
+def _bisect(lo, hi, midpoint, goes_low, levels: int, more=None, steps=math.inf):
+    """The bracket [lo, hi] that the loop
+
+        while more(lo, hi) and steps are left:
+            mid = midpoint(lo, hi)
+            lo, hi = (lo, mid) if goes_low(mid) else (mid, hi)
+
+    ends with, run in lockstep rounds.  A round lays out the next
+    ``levels`` levels of the loop's tree of brackets, calls ``goes_low``
+    once on all their midpoints (an array in, a bool array out) and then
+    walks the tree.  Each midpoint is the loop's number and each test the
+    loop's, so the bracket is the loop's.  ``more`` (by default always
+    true) and ``midpoint`` take arrays of brackets as well.
+    """
+    while steps > 0 and (more is None or more(lo, hi)):
+        # level by level, the low children of a level's brackets and then
+        # the high ones: bracket i of m has children i and i + m
+        los, his = np.array([lo]), np.array([hi])
+        tree = []
+        for _ in range(int(min(levels, steps))):
+            live = None if more is None else more(los, his)
+            if live is not None and not live.any():
+                break
+            mids = midpoint(los, his)
+            tree.append((mids, live))
+            los, his = np.concatenate([los, mids]), np.concatenate([mids, his])
+        low = goes_low(np.concatenate([mids for mids, _ in tree]))
+        node = first = 0
+        for mids, live in tree:
+            if live is not None and not live[node]:
+                break
+            if low[first + node]:
+                hi = mids[node]
+            else:
+                lo = mids[node]
+                node += len(mids)
+            first += len(mids)
+            steps -= 1
+    return lo, hi
+
+
+def _halve(lo, hi):
+    return 0.5 * (lo + hi)
+
+
+def _later_distances(bp: BallPair, s, points, point_ts) -> np.ndarray:
+    """(len(s), len(points)): the distance from gamma(s) to each scan point
+    of a later lens (``point_ts > s + 1e-15``), -inf for the others.  One
+    ``coords_many`` and one ``dist_pairs`` over every (separation, point)
+    pair, each with the bits of a ``dist_many`` from gamma(s)."""
+    d = bp.manifold.dist_pairs(bp.line.coords_many(s)[:, None, :], points)
+    return np.where(point_ts > (s + 1e-15)[:, None], d, -np.inf)
+
+
+def _nested(bp: BallPair, d) -> np.ndarray:
+    """The nesting test of each row of :func:`_later_distances`: every
+    point of a later lens lies within r + ``NESTING_SLACK`` of gamma(s);
+    true where there is none."""
+    return np.max(d, axis=1, initial=-np.inf) <= bp.r + NESTING_SLACK
 
 
 def estimate_nesting_onset(
@@ -815,57 +892,84 @@ def estimate_nesting_onset(
     lie within r + ``NESTING_SLACK`` of gamma(s).  On an exact pair the test
     reads the axis ends and corners of each lens, where the distance to
     gamma(s) peaks; elsewhere every point of a cloud sampled at ``budget``.
-    The flip index is located by bisection over the grid (the passing set is
-    an interval up to sampling noise, which a local fix-up absorbs), then
-    refined continuously between the last failing and first passing grid
-    values.  Reported with the grid resolution as its uncertainty.  ``scan``
-    is the ``_nesting_scan`` of this grid, budget and seed, when the caller
-    has it.
+    The flip index is located by bisection over the grid, then refined by
+    30 continuous bisection steps between the last failing and first
+    passing grid values.  Reported with the grid resolution as its
+    uncertainty.  ``scan`` is the ``_nesting_scan`` of this grid, budget and
+    seed, when the caller has it.
+
+    Both bisections run in lockstep rounds (``_bisect``) of tests batched
+    by ``_later_distances`` and sized by ``_BISECT_ROWS``, with the bits of
+    the step-by-step loops.  In the continuous phase d(gamma(s), p) is
+    1-Lipschitz in s: before each round, a point more than twice the
+    bracket below the farthest point that every test reads, seen from the
+    bracket's low end, can never be the farthest and is dropped.  So the
+    rounds stay few however fine the grid.
     """
     if n_grid < 2:
         raise ValueError("n_grid must have at least 2 points")
-    m = bp.manifold
-    span = bp.R + bp.r
-    ts = np.linspace(0.0, span, n_grid)
+    ts = np.linspace(0.0, bp.R + bp.r, n_grid)
     h = ts[1] - ts[0]
     points, owners = _nesting_scan(bp, ts, budget, seed) if scan is None else scan
+    point_ts = ts[owners]
 
-    def ok(s: float) -> bool:
-        sel = ts[owners] > s + 1e-15
-        if not np.any(sel):
-            return True
-        d = m.dist_many(bp.line.coords_at(s), points[sel])
-        return bool(np.max(d) <= bp.r + NESTING_SLACK)
+    def nested(s):
+        return _nested(bp, _later_distances(bp, s, points, point_ts))
 
-    lo_idx, hi_idx = 0, n_grid - 1
-    if ok(ts[0]):
+    if nested(ts[:1])[0]:
         return ThresholdEstimate(0.0, h)
-    while hi_idx - lo_idx > 1:
-        mid = (lo_idx + hi_idx) // 2
-        if ok(ts[mid]):
-            hi_idx = mid
-        else:
-            lo_idx = mid
-    while hi_idx > 1 and ok(ts[hi_idx - 1]):  # fix-up against non-monotone noise
-        hi_idx -= 1
+    _, hi_idx = _bisect(
+        0,
+        n_grid - 1,
+        lambda lo, hi: (lo + hi) // 2,
+        lambda mids: nested(ts[mids]),
+        _levels(_BISECT_ROWS // max(1, len(points)), (n_grid - 2).bit_length()),
+        more=lambda lo, hi: hi - lo > 1,
+    )
     lo, hi = ts[hi_idx - 1], ts[hi_idx]
+    # every test of the 30 steps reads part of the points after lo, and all
+    # of those after the last midpoint of the path that always goes high,
+    # which is the largest midpoint of any path
+    last = lo
     for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
+        last = _halve(last, hi)
+    later = point_ts > lo + 1e-15
+    points, point_ts = points[later], point_ts[later]
+    always = point_ts > last + 1e-15
+    d_lo = bp.manifold.dist_many(bp.line.coords_at(lo), points)
+    steps = 30
+    while steps:
+        if np.any(always):
+            top = np.max(d_lo[always])
+            keep = ~(d_lo < top - 2.0 * (hi - lo) - _PRUNE_ROUNDING * (1.0 + top))
+            points, point_ts, always, d_lo = points[keep], point_ts[keep], always[keep], d_lo[keep]
+        tested = {}
+
+        def test(mids):
+            d = _later_distances(bp, mids, points, point_ts)
+            tested.update(zip(mids.tolist(), d))
+            return _nested(bp, d)
+
+        levels = _levels(_BISECT_ROWS // max(1, len(points)), steps)
+        lo, hi = _bisect(lo, hi, _halve, test, levels, steps=levels)
+        # the next round prunes from the distances of its low end, tested
+        # in this round unless the low end stayed
+        d_lo = tested.get(float(lo), d_lo)
+        steps -= levels
     return ThresholdEstimate(0.5 * (lo + hi), h)
 
 
-def estimate_full_width_end(ts: np.ndarray, passing, full_width) -> ThresholdEstimate:
+def estimate_full_width_end(ts: np.ndarray, passing, full_width, batch: int = 1) -> ThresholdEstimate:
     """Largest separation at which the lens keeps its full width 2r.
 
     ``ts`` is the uniform grid over [0, R + r], ``passing`` says per grid
-    point whether the lens has full width there, and ``full_width(t) ->
-    bool`` decides the bisection steps.  The last passing grid point and its
-    successor bracket a bisection refined to 1e-4 (R + r), reported as the
-    uncertainty.
+    point whether the lens has full width there, and ``full_width(mids) ->
+    bools`` decides the bisection steps at an array of separations (it
+    takes an array even when ``batch`` is 1).  The last passing grid point
+    and its successor bracket a bisection refined to 1e-4 (R + r), reported
+    as the uncertainty.  The bisection runs in lockstep rounds
+    (``_bisect``) that call ``full_width`` on at most ``batch``
+    separations; with ``batch`` 1 it is the step-by-step loop.
     """
     h = ts[1] - ts[0]
     passing = np.flatnonzero(passing)
@@ -874,14 +978,16 @@ def estimate_full_width_end(ts: np.ndarray, passing, full_width) -> ThresholdEst
     i = int(passing[-1])
     if i == len(ts) - 1:
         return ThresholdEstimate(float(ts[i]), h)
-    lo, hi = ts[i], ts[i + 1]
     target = max(1e-4 * float(ts[-1]), 1e-12)
-    while hi - lo > target:
-        mid = 0.5 * (lo + hi)
-        if full_width(mid):
-            lo = mid
-        else:
-            hi = mid
+    depth = max(1, math.ceil(math.log2((ts[i + 1] - ts[i]) / target)))
+    lo, hi = _bisect(
+        ts[i],
+        ts[i + 1],
+        _halve,
+        lambda mids: ~np.asarray(full_width(mids), dtype=bool),
+        _levels(batch, depth),
+        more=lambda lo, hi: hi - lo > target,
+    )
     return ThresholdEstimate(0.5 * (lo + hi), max(target, 0.5 * (hi - lo)))
 
 
@@ -900,12 +1006,16 @@ def w_profile(
     which grid points nest into the lens at the onset.
 
     An exact pair draws no cloud and runs one grid pass
-    (``_candidates_at``): the candidates of every separation, their margins
-    and each row's best pair give the widths, the chords' distances to
-    gamma(0) give the plateau test at the grid points, and the axis ends
-    and corners inside the lenses are the nesting scan.  Elsewhere each
-    width, the onset scan and the plateau bisection sample the lens.  The
-    flags read the scan's distances to the anchor in one call.
+    (``_candidates_at``): the candidates of every separation (their frames
+    from one ``tangent_frames``), their margins and each row's best pair
+    (one ``dist_rows``) give the widths, the chords' distances to gamma(0)
+    give the plateau test at the grid points, and the axis ends and corners
+    inside the lenses are the nesting scan.  Both bisections then run in
+    lockstep rounds, the plateau's on chord passes (``_chord_margins``), so
+    no stage loops in Python per row or per step.  Elsewhere each width and
+    each plateau step sample the lens, and the onset scan is one sampling
+    pass.  The flags read the scan's distances to the anchor in one call.
+    Every number has the bits of a lens-by-lens, step-by-step evaluation.
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
@@ -919,9 +1029,10 @@ def w_profile(
         # the lens keeps width 2r exactly while the perpendicular chord lies
         # in the big ball, which holds up to the model's Pythagorean end
         passing = bp.R - np.max(c.d_big[:, _CHORD], axis=1) >= 0.0
+        batch = _BISECT_ROWS // 2
 
-        def full_width(t):
-            return bp.with_separation(t).chord_margin() >= 0.0
+        def full_width(mids):
+            return _chord_margins(bp, mids) >= 0.0
 
     else:
         # held to the end: the nesting scan and the plateau pass get these
@@ -937,17 +1048,18 @@ def w_profile(
         # for about sqrt(FULL_WIDTH_TOL / c) past it
         eval_budget = max(512, budget // 8)
 
-        def full_width(t):
-            res = lens_diameter(bp.with_separation(float(t)), eval_budget, seed)
-            return res.value >= 2.0 * bp.r - FULL_WIDTH_TOL
+        def full_width(mids):
+            width = [lens_diameter(bp.with_separation(float(t)), eval_budget, seed).value for t in mids]
+            return np.array(width) >= 2.0 * bp.r - FULL_WIDTH_TOL
 
         passing = w >= 2.0 * bp.r - FULL_WIDTH_TOL
+        batch = 1
     check_witnesses(bp, ts, w, wa, wb)
 
     onset = estimate_nesting_onset(
         bp, n_grid=grid, budget=probe_budget, seed=seed, scan=scan
     )
-    full_end = estimate_full_width_end(ts, passing, full_width)
+    full_end = estimate_full_width_end(ts, passing, full_width, batch)
 
     # nesting flags against the first grid point at or after the onset, on
     # the points of the onset scan: one distance call, then a max per owner

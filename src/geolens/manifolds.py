@@ -63,21 +63,16 @@ def _as_coords(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _gram_schmidt(vectors, inner, count):
-    """Metric Gram-Schmidt; returns ``count`` orthonormal rows."""
-    basis = []
-    for v in vectors:
-        w = np.array(v, dtype=np.float64)
-        for b in basis:
-            w = w - inner(w, b) * b
-        norm = math.sqrt(max(inner(w, w), 0.0))
-        if norm > 1e-12:
-            basis.append(w / norm)
-        if len(basis) == count:
-            break
-    if len(basis) != count:
-        raise ValueError("could not complete a tangent basis")
-    return np.array(basis)
+def _dot_rows(a, b):
+    """``np.dot`` of each row of a with the same row of b, with its bits.
+
+    ``np.dot`` of two vectors calls the BLAS dot, whose order of addition
+    differs from an elementwise sum (``einsum``, ``np.sum``) in the last bit
+    on about a third of random 3-vectors.  A stacked product of (n, 1, d)
+    by (n, d, 1) blocks calls that same BLAS dot on each row.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _libm(fn, x):
@@ -92,6 +87,12 @@ def _libm(fn, x):
     if isinstance(x, float):
         return fn(x)
     return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _degenerate_nan(num, denom):
+    """num / denom, elementwise over arrays; nan where |denom| < 1e-300."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(denom) < 1e-300, np.nan, np.divide(num, denom))[()]
 
 
 def _rows(base, mask):
@@ -140,7 +141,8 @@ class Manifold(ABC):
 
     @abstractmethod
     def project_tangent(self, base_coords, components) -> np.ndarray:
-        """Project raw components onto the tangent space at the base point."""
+        """Project raw components onto the tangent space at the base point,
+        or each row of a block at the same row of a block of points."""
 
     def check_point(self, coords):
         v = self.point_violation(_as_coords(coords))
@@ -198,18 +200,26 @@ class Manifold(ABC):
     def log_coords(self, p_coords, q_coords) -> np.ndarray:
         ...
 
-    @abstractmethod
     def dist_coords(self, p_coords, q_coords) -> float:
-        ...
+        """The distance between two points: the one-row case of
+        :meth:`dist_rows`."""
+        return float(self.dist_rows(np.asarray(p_coords)[None], np.asarray(q_coords)[None])[0])
 
     @abstractmethod
     def dist_pairs(self, sources, targets) -> np.ndarray:
         """Distance between matching rows of two (n, ambient_dim) blocks,
-        which broadcast: a single point (ambient_dim,) stands for every row.
-        A row's value does not depend on the other rows.  On the closed-form
-        models it may differ in the last bit from ``dist_coords`` of the same
-        pair, which takes its norm and its inverse trigonometric function in
-        scalar form (see ``_libm``)."""
+        which broadcast: a single point (ambient_dim,) stands for every row,
+        and (k, 1, ambient_dim) against (n, ambient_dim) gives all k * n
+        pairs.  A row's value does not depend on the other rows.  On the closed-form
+        models it may differ in the last bit from ``dist_rows`` of the same
+        pair, which takes its norm as a BLAS dot and its inverse
+        trigonometric function from the scalar libm (see ``_libm``)."""
+
+    @abstractmethod
+    def dist_rows(self, sources, targets) -> np.ndarray:
+        """Distance between matching rows of two (n, ambient_dim) blocks,
+        each row with the bits of that pair alone: the widths and witness
+        distances of the lens code, and (one row) ``dist_coords``."""
 
     def dist_many(self, x_coords, points) -> np.ndarray:
         """Distances from one point to each row of an (n, ambient_dim) block:
@@ -247,9 +257,60 @@ class Manifold(ABC):
 
     # -- frames and invariants ----------------------------------------------
 
-    @abstractmethod
     def tangent_basis(self, base_coords, primary=None) -> np.ndarray:
-        """(dim, ambient_dim) metric-orthonormal frame; ``primary`` first."""
+        """(dim, ambient_dim) metric-orthonormal frame at a point, ``primary``
+        first: the one-row case of :meth:`tangent_frames`."""
+        base = np.asarray(base_coords, dtype=np.float64)[None]
+        if primary is not None:
+            primary = np.asarray(primary, dtype=np.float64)[None]
+        return self.tangent_frames(base, primary)[0]
+
+    def tangent_frames(self, bases, primaries=None) -> np.ndarray:
+        """Metric-orthonormal frames at the rows of ``bases``: an (n, dim,
+        ambient_dim) block whose row i starts along ``primaries[i]``.
+
+        Metric Gram-Schmidt over all rows at once.  The candidates are the
+        primary, then the chart axes (``_frame_axes``), each projected onto
+        the tangent space.  A row skips a candidate whose remainder has norm
+        1e-12 or less and stops at ``dim`` vectors.  Every inner product has
+        the bits of the model's scalar one (``_inner_rows``), so a row's frame
+        does not depend on the other rows.
+        """
+        bases = np.atleast_2d(np.asarray(bases, dtype=np.float64))
+        dim = self.dim
+        axes = list(self._frame_axes())
+        candidates = axes if primaries is None else [primaries] + axes
+        # unfilled slots stay zero, so every row can take every step and
+        # np.where keeps the rows that skip it
+        frames = np.zeros((len(bases), dim, self.ambient_dim))
+        size = np.zeros(len(bases), dtype=int)
+        for v in candidates:
+            w = np.broadcast_to(self.project_tangent(bases, v), bases.shape)
+            for k in range(size.max()):
+                e = frames[:, k]
+                step = w - self._inner_rows(w, e)[:, None] * e
+                w = step if size.min() > k else np.where((size > k)[:, None], step, w)
+            norm = np.sqrt(np.maximum(self._inner_rows(w, w), 0.0))
+            take = (norm > 1e-12) & (size < dim)
+            if np.all(take) and size.min() == size.max():
+                frames[:, size[0]] = w / norm[:, None]
+            else:
+                frames[take, size[take]] = w[take] / norm[take, None]
+            size += take
+            if size.min() == dim:
+                return frames
+        raise ValueError("could not complete a tangent basis")
+
+    def _frame_axes(self) -> np.ndarray:
+        """The chart directions the frames try after the primary."""
+        return np.eye(self.ambient_dim)
+
+    def _inner_rows(self, a, b) -> np.ndarray:
+        """The metric inner product of matching rows of two tangent blocks,
+        with the bits of ``inner_coords`` on each row alone.  Here the dot
+        product of the chart, the metric of the plane and the sphere; a
+        model with another metric overrides this or :meth:`tangent_frames`."""
+        return _dot_rows(a, b)
 
     def basepoint(self) -> ManifoldPoint:
         """A canonical point usable as a default geodesic anchor."""
@@ -286,11 +347,13 @@ class Manifold(ABC):
         """Area of the geodesic disk of radius rho in a 2-plane."""
         return math.pi * rho * rho
 
-    def corner_cosine(self, R: float, r: float, t: float) -> float | None:
+    def corner_cosine(self, R: float, r: float, t):
         """Law of cosines: cos of the angle at a center of the circle of radius
         R between the line to the other center (at distance t > 0) and a point
-        where the two circles, of radii R and r, meet.  A value outside [-1, 1]
-        means the circles do not meet; None means the formula degenerates."""
+        where the two circles, of radii R and r, meet; elementwise over an
+        array of separations t, each with the bits of its scalar call.  A
+        value outside [-1, 1] means the circles do not meet; nan means the
+        formula degenerates."""
         return (t * t + R * R - r * r) / (2.0 * t * R)
 
     # -- distance scans ------------------------------------------------------
@@ -348,21 +411,16 @@ class Euclidean(Manifold):
     def log_coords(self, p, q):
         return np.asarray(q, dtype=np.float64) - np.asarray(p, dtype=np.float64)
 
-    def dist_coords(self, p, q):
-        return float(np.linalg.norm(np.asarray(q) - np.asarray(p)))
+    def dist_rows(self, sources, targets):
+        # the square root of the BLAS dot: the bits of np.linalg.norm of one row
+        diff = np.asarray(targets) - np.asarray(sources)
+        return np.sqrt(_dot_rows(diff, diff))
 
     def dist_pairs(self, sources, targets):
-        return np.linalg.norm(np.asarray(targets) - np.asarray(sources), axis=1)
+        return np.linalg.norm(np.asarray(targets) - np.asarray(sources), axis=-1)
 
     def geodesic_acceleration(self, pos, vel):
         return np.zeros_like(np.asarray(vel, dtype=np.float64))
-
-    def tangent_basis(self, base_coords, primary=None):
-        cands = []
-        if primary is not None:
-            cands.append(np.asarray(primary, dtype=np.float64))
-        cands.extend(np.eye(self.dim))
-        return _gram_schmidt(cands, lambda a, b: float(np.dot(a, b)), self.dim)
 
     def convexity_radius(self):
         return math.inf
@@ -406,7 +464,7 @@ class Sphere(Manifold):
     def project_tangent(self, base_coords, components):
         b = np.asarray(base_coords)
         c = np.asarray(components, dtype=np.float64)
-        return c - (np.dot(c, b) / self.radius**2) * b
+        return c - (_dot_rows(c, b) / self.radius**2)[..., None] * b
 
     def inner_coords(self, base_coords, a, b):
         return float(np.dot(a, b))
@@ -441,12 +499,13 @@ class Sphere(Manifold):
         vel = speed * (-sin * base / self.radius + cos * unit)
         return pt, vel
 
-    def dist_coords(self, p, q):
-        chord = np.linalg.norm(np.asarray(q) - np.asarray(p))
-        return 2.0 * self.radius * math.asin(min(chord / (2.0 * self.radius), 1.0))
+    def dist_rows(self, sources, targets):
+        diff = np.asarray(targets) - np.asarray(sources)
+        x = np.sqrt(_dot_rows(diff, diff)) / (2.0 * self.radius)
+        return 2.0 * self.radius * _libm(math.asin, np.where(x > 1.0, 1.0, x))
 
     def dist_pairs(self, sources, targets):
-        chord = np.linalg.norm(np.asarray(targets) - np.asarray(sources), axis=1)
+        chord = np.linalg.norm(np.asarray(targets) - np.asarray(sources), axis=-1)
         return 2.0 * self.radius * np.arcsin(np.clip(chord / (2.0 * self.radius), 0.0, 1.0))
 
     def log_coords(self, p, q):
@@ -466,15 +525,6 @@ class Sphere(Manifold):
         speed_sq = np.sum(vel * vel, axis=-1, keepdims=True)
         return -(speed_sq / self.radius**2) * pos
 
-    def tangent_basis(self, base_coords, primary=None):
-        base = np.asarray(base_coords)
-        cands = []
-        if primary is not None:
-            cands.append(self.project_tangent(base, primary))
-        for e in np.eye(self.ambient_dim):
-            cands.append(self.project_tangent(base, e))
-        return _gram_schmidt(cands, lambda a, b: float(np.dot(a, b)), self.dim)
-
     def convexity_radius(self):
         return 0.5 * math.pi * self.radius
 
@@ -490,10 +540,10 @@ class Sphere(Manifold):
 
     def corner_cosine(self, R, r, t):
         a = self.radius
-        denom = math.sin(R / a) * math.sin(t / a)
-        if abs(denom) < 1e-300:
-            return None
-        return (math.cos(r / a) - math.cos(R / a) * math.cos(t / a)) / denom
+        return _degenerate_nan(
+            math.cos(r / a) - math.cos(R / a) * _libm(math.cos, t / a),
+            math.sin(R / a) * _libm(math.sin, t / a),
+        )
 
     def scan_dist(self, sq):
         return 2.0 * self.radius * np.arcsin(np.clip(np.sqrt(sq) / (2.0 * self.radius), 0.0, 1.0))
@@ -554,9 +604,9 @@ class Hyperbolic(Manifold):
         return abs(float(self.minkowski(coords, coords)) + self.radius**2) / self.radius**2
 
     def project_tangent(self, base_coords, components):
-        b = np.asarray(base_coords)
+        b = np.asarray(base_coords, dtype=np.float64)
         c = np.asarray(components, dtype=np.float64)
-        return c + (float(self.minkowski(c, b)) / self.radius**2) * b
+        return c + (self._inner_rows(c, b) / self.radius**2)[..., None] * b
 
     def inner_coords(self, base_coords, a, b):
         return float(self.minkowski(a, b))
@@ -591,10 +641,10 @@ class Hyperbolic(Manifold):
         vel = speed * (sinh * base / self.radius + cosh * unit)
         return pt, vel
 
-    def dist_coords(self, p, q):
-        diff = np.asarray(q) - np.asarray(p)
-        m = max(float(self.minkowski(diff, diff)), 0.0)
-        return 2.0 * self.radius * math.asinh(math.sqrt(m) / (2.0 * self.radius))
+    def dist_rows(self, sources, targets):
+        diff = np.asarray(targets) - np.asarray(sources)
+        m = self._inner_rows(diff, diff)
+        return 2.0 * self.radius * _libm(math.asinh, np.sqrt(np.where(m < 0.0, 0.0, m)) / (2.0 * self.radius))
 
     def dist_pairs(self, sources, targets):
         diff = np.asarray(targets) - np.asarray(sources)
@@ -618,18 +668,13 @@ class Hyperbolic(Manifold):
         speed_sq = self.minkowski(vel, vel)
         return (np.asarray(speed_sq)[..., None] / self.radius**2) * pos
 
-    def tangent_basis(self, base_coords, primary=None):
-        base = np.asarray(base_coords)
-        cands = []
-        if primary is not None:
-            cands.append(self.project_tangent(base, primary))
-        for e in np.eye(self.ambient_dim)[1:]:
-            cands.append(self.project_tangent(base, e))
+    def _frame_axes(self):
+        # the spatial axes: their projections span every tangent space
+        return np.eye(self.ambient_dim)[1:]
 
-        def inner(a, b):
-            return float(self.minkowski(a, b))
-
-        return _gram_schmidt(cands, inner, self.dim)
+    def _inner_rows(self, a, b):
+        # a block's rows sum in the order of a pair of vectors
+        return np.asarray(self.minkowski(a, b))
 
     def convexity_radius(self):
         return math.inf
@@ -646,10 +691,10 @@ class Hyperbolic(Manifold):
 
     def corner_cosine(self, R, r, t):
         a = self.radius
-        denom = math.sinh(R / a) * math.sinh(t / a)
-        if abs(denom) < 1e-300:
-            return None
-        return (math.cosh(R / a) * math.cosh(t / a) - math.cosh(r / a)) / denom
+        return _degenerate_nan(
+            math.cosh(R / a) * _libm(math.cosh, t / a) - math.cosh(r / a),
+            math.sinh(R / a) * _libm(math.sinh, t / a),
+        )
 
     euclidean_scan = False
 
@@ -959,25 +1004,33 @@ class SurfaceOfRevolution(Manifold):
         angle, length = self._shoot(p, q)[0]
         return length * self.unit_tangent(p, angle)
 
-    def dist_coords(self, p, q):
-        return float(abs(self._shoot(p, q)[0, 1]))
+    def dist_rows(self, sources, targets):
+        # each row of the pair batch is its own shot
+        return self.dist_pairs(sources, targets)
 
     def dist_pairs(self, sources, targets):
         p, q = np.broadcast_arrays(
             np.asarray(sources, dtype=np.float64),
             np.atleast_2d(np.asarray(targets, dtype=np.float64)),
         )
-        return np.abs(self._shoot(p, q)[:, 1])
+        return np.abs(self._shoot(p, q)[:, 1]).reshape(p.shape[:-1])
 
-    def tangent_basis(self, base_coords, primary=None):
-        u = np.asarray(base_coords)[0]
-        fu = float(self.profile.f(u))
-        if primary is None:
-            return np.array([[1.0, 0.0], [0.0, 1.0 / fu]])
-        a, b = np.asarray(primary, dtype=np.float64)
-        norm = math.sqrt(a * a + fu * fu * b * b)
+    def tangent_frames(self, bases, primaries=None):
+        """The frames in closed form: (du, dv) along the primary, normalised,
+        then its rotation by a quarter turn; (1, 0), (0, 1/f) without one."""
+        bases = np.atleast_2d(np.asarray(bases, dtype=np.float64))
+        fu = np.asarray(self.profile.f(bases[:, 0]), dtype=np.float64)
+        frames = np.zeros((len(bases), 2, 2))
+        if primaries is None:
+            frames[:, 0, 0] = 1.0
+            frames[:, 1, 1] = 1.0 / fu
+            return frames
+        a, b = np.asarray(primaries, dtype=np.float64).T
+        norm = np.sqrt(a * a + fu * fu * b * b)
         a, b = a / norm, b / norm
-        return np.array([[a, b], [-b * fu, a / fu]])
+        frames[:, 0] = np.column_stack([a, b])
+        frames[:, 1] = np.column_stack([-b * fu, a / fu])
+        return frames
 
     def curvature_at(self, coords):
         return float(self.curvature_of_u(np.asarray(coords)[0]))

@@ -13,7 +13,6 @@ from geolens import (
     RevolutionProfile,
     Sphere,
     SurfaceOfRevolution,
-    estimate_full_width_end,
     estimate_nesting_onset,
     lens_diameter,
     sample_intersection,
@@ -26,6 +25,7 @@ from geolens.lens import (
     BOUNDARY_TOL,
     EXACT_SLACK,
     NESTING_SLACK,
+    ThresholdEstimate,
     _ascend_pair,
     _corners_at,
     _nesting_scan,
@@ -263,7 +263,7 @@ def test_sample_makes_a_fixed_number_of_model_calls(monkeypatch):
     sphere = Sphere(2, 1.0)
     pair = BallPair.create(sphere, 1.2, 0.6)
     lens = pair.with_separation(1.0)
-    calls = {"exp_many": 0, "dist_many": 0, "tangent_basis": 0}
+    calls = {"exp_many": 0, "dist_many": 0, "tangent_basis": 0, "tangent_frames": 0}
     for name in calls:
         method = getattr(sphere, name)
 
@@ -276,6 +276,7 @@ def test_sample_makes_a_fixed_number_of_model_calls(monkeypatch):
     assert len(cloud) > 1000
     assert calls["exp_many"] <= 4
     assert calls["tangent_basis"] <= 2
+    assert calls["tangent_frames"] <= 2
     assert calls["dist_many"] <= 6
     # the diameter reuses the sampled extremes: only the scan subset's
     # margins are new
@@ -283,6 +284,7 @@ def test_sample_makes_a_fixed_number_of_model_calls(monkeypatch):
     lens_diameter(pair.with_separation(1.0), budget=4096, seed=0)
     assert calls["exp_many"] <= 4
     assert calls["tangent_basis"] <= 2
+    assert calls["tangent_frames"] <= 2
     assert calls["dist_many"] <= 8
 
 
@@ -390,14 +392,16 @@ def test_exact_width_draws_no_cloud_and_matches_the_sampled_path(monkeypatch):
 
 
 def test_exact_profile_samples_nothing_but_the_other_paths_do(monkeypatch):
+    # watches the sampling pass, which sample_intersection and the nesting
+    # scan of a non-exact pair both run
     calls = []
-    sample = lens_module.sample_intersection
+    sample = lens_module._sample_lenses
 
     def counted(bp, *args, **kwargs):
         calls.append(bp.manifold.kind)
         return sample(bp, *args, **kwargs)
 
-    monkeypatch.setattr(lens_module, "sample_intersection", counted)
+    monkeypatch.setattr(lens_module, "_sample_lenses", counted)
     for model, pairs in CONVEX_CASES:
         w_profile(BallPair.create(model, *pairs[0]), grid=30, budget=30000, seed=0)
     assert calls == []
@@ -482,12 +486,81 @@ def _per_lens_far_points(bp, ts):
     return np.vstack(blocks), np.concatenate(owners)
 
 
+def _sequential_onset(bp, ts, scan):
+    """The nesting onset's step-by-step loops, one ``ok(s)`` per step with
+    the grid fix-up: the reference for the lockstep rounds."""
+    m = bp.manifold
+    points, owners = scan
+    h = ts[1] - ts[0]
+
+    def ok(s):
+        sel = ts[owners] > s + 1e-15
+        if not np.any(sel):
+            return True
+        d = m.dist_many(bp.line.coords_at(s), points[sel])
+        return bool(np.max(d) <= bp.r + NESTING_SLACK)
+
+    lo_idx, hi_idx = 0, len(ts) - 1
+    if ok(ts[0]):
+        return ThresholdEstimate(0.0, h)
+    while hi_idx - lo_idx > 1:
+        mid = (lo_idx + hi_idx) // 2
+        if ok(ts[mid]):
+            hi_idx = mid
+        else:
+            lo_idx = mid
+    while hi_idx > 1 and ok(ts[hi_idx - 1]):
+        hi_idx -= 1
+    lo, hi = ts[hi_idx - 1], ts[hi_idx]
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return ThresholdEstimate(0.5 * (lo + hi), h)
+
+
+def _sequential_full_width_end(ts, passing, full_width):
+    """The plateau end's step-by-step bisection, one ``full_width(t)`` per
+    step: the reference for the lockstep rounds."""
+    h = ts[1] - ts[0]
+    passing = np.flatnonzero(passing)
+    if len(passing) == 0:
+        return ThresholdEstimate(0.0, h)
+    i = int(passing[-1])
+    if i == len(ts) - 1:
+        return ThresholdEstimate(float(ts[i]), h)
+    lo, hi = ts[i], ts[i + 1]
+    target = max(1e-4 * float(ts[-1]), 1e-12)
+    while hi - lo > target:
+        mid = 0.5 * (lo + hi)
+        if full_width(mid):
+            lo = mid
+        else:
+            hi = mid
+    return ThresholdEstimate(0.5 * (lo + hi), max(target, 0.5 * (hi - lo)))
+
+
+def _reference_csv(ts, w, slack, wa, wb, flags):
+    """The profile CSV body written row by row, one ``repr`` per value."""
+    d = wa.shape[1]
+    header = ["t", "w", "slack"] + [f"witness_a_{k}" for k in range(d)]
+    header += [f"witness_b_{k}" for k in range(d)] + ["nested_after_T"]
+    lines = [",".join(header)]
+    for i in range(len(ts)):
+        row = [ts[i], w[i], slack[i]] + list(wa[i]) + list(wb[i])
+        lines.append(",".join(repr(float(x)) for x in row) + f",{int(flags[i])}")
+    return "\n".join(lines) + "\n"
+
+
 def _per_lens_profile(bp, grid):
     """The exact profile lens by lens, the reference for the grid pass: per
     lens the best admissible candidate by scalar distances, its witness
-    check, the chord margin of the plateau test, and one distance call per
-    flagged row.  Returns the arrays and estimates that
-    ``w_profile`` reports, and the plateau's grid flags."""
+    check, the chord margin of the plateau test, one distance call per
+    flagged row, and the two thresholds by step-by-step bisection.  Returns
+    the arrays and estimates that ``w_profile`` reports, and the plateau's
+    grid flags."""
     m, R, r = bp.manifold, bp.R, bp.r
     ts = np.linspace(0.0, R + r, grid)
     d = m.ambient_dim
@@ -519,9 +592,9 @@ def _per_lens_profile(bp, grid):
         assert np.all(check >= -BOUNDARY_TOL)
         assert abs(m.dist_coords(wa[i], wb[i]) - w[i]) <= EXACT_SLACK
     scan = _per_lens_far_points(bp, ts)
-    onset = estimate_nesting_onset(bp, n_grid=grid, scan=scan)
+    onset = _sequential_onset(bp, ts, scan)
     passing = np.array([chord_margin(bp.with_separation(float(t))) >= 0.0 for t in ts])
-    full_end = estimate_full_width_end(
+    full_end = _sequential_full_width_end(
         ts, passing, lambda t: chord_margin(bp.with_separation(t)) >= 0.0
     )
     points, owners = scan
@@ -535,15 +608,15 @@ def _per_lens_profile(bp, grid):
 
 
 @pytest.mark.parametrize("model,pairs", CONVEX_CASES, ids=[m.describe() for m, _ in CONVEX_CASES])
-def test_grid_pass_gives_the_bits_of_the_per_lens_profile(model, pairs, monkeypatch):
+def test_grid_pass_gives_the_bits_of_the_per_lens_profile(model, pairs, monkeypatch, tmp_path):
     # the grids hold t = 0 and the touching end t = R + r; the pairs
     # include R = r
     seen = []
     plateau = lens_module.estimate_full_width_end
 
-    def recorded(ts, passing, full_width):
+    def recorded(ts, passing, full_width, batch):
         seen.append(np.asarray(passing, dtype=bool))
-        return plateau(ts, passing, full_width)
+        return plateau(ts, passing, full_width, batch)
 
     monkeypatch.setattr(lens_module, "estimate_full_width_end", recorded)
     for R, r in pairs:
@@ -555,8 +628,13 @@ def test_grid_pass_gives_the_bits_of_the_per_lens_profile(model, pairs, monkeypa
             got += (seen[-1], prof.nested_after_onset)
             for name, a, b in zip(("w", "slack", "wa", "wb", "passing", "flags"), got, arrays):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (R, r, grid, name)
-            assert prof.nesting_onset == onset, (R, r, grid)
-            assert prof.full_width_end == full_end, (R, r, grid)
+            for got_est, ref in ((prof.nesting_onset, onset), (prof.full_width_end, full_end)):
+                assert repr(float(got_est.value)) == repr(float(ref.value)), (R, r, grid)
+                assert repr(float(got_est.uncertainty)) == repr(float(ref.uncertainty)), (R, r, grid)
+            prof.to_csv(tmp_path / "profile.csv")
+            w, slack, wa, wb, _, flags = arrays
+            expected = _reference_csv(prof.ts, w, slack, wa, wb, flags)
+            assert (tmp_path / "profile.csv").read_text() == expected, (R, r, grid)
 
 
 @pytest.mark.parametrize("model,pairs", CONVEX_CASES, ids=[m.describe() for m, _ in CONVEX_CASES])
@@ -581,7 +659,7 @@ def test_exact_onset_makes_a_fixed_number_of_frames_and_exps(monkeypatch):
     # the batched scan pushes every corner through one exp_many about
     # gamma(0) with one frame; the line points are closed forms
     sphere = Sphere(2, 1.0)
-    calls = {"exp_many": 0, "tangent_basis": 0}
+    calls = {"exp_many": 0, "tangent_basis": 0, "tangent_frames": 0}
     for name in calls:
         method = getattr(sphere, name)
 
@@ -598,6 +676,63 @@ def test_exact_onset_makes_a_fixed_number_of_frames_and_exps(monkeypatch):
     assert counts[0] == counts[1] == counts[2]
     assert counts[2]["exp_many"] <= 1
     assert counts[2]["tangent_basis"] <= 2
+    assert counts[2]["tangent_frames"] <= 2
+
+
+ONSET_CASES = [
+    (Sphere(2, 1.0), 1.2, 0.6, 1001),  # the fine onsets of geolens verify
+    (Sphere(2, 1.0), 1.0, 1.0, 1001),
+    (Hyperbolic(2, -1.0), 2.0, 1.0, 1001),
+    (Sphere(2, 1.0), math.pi / 2, math.pi / 2, 13),  # sampled clouds
+    (Sphere(2, 1.0), math.pi / 2, math.pi / 2, 41),
+    # numeric shooting distances, from (k, 1, 2) against (n, 2) blocks
+    (SurfaceOfRevolution(RevolutionProfile.cosine_bump()), 0.05, 0.03, 13),
+]
+
+
+@pytest.mark.parametrize(
+    "model,R,r,grid", ONSET_CASES, ids=[f"{m.describe()}-{R:.3g}-{g}" for m, R, _, g in ONSET_CASES]
+)
+def test_onset_rounds_give_the_sequential_estimate(model, R, r, grid):
+    bp = BallPair.create(model, R, r, convexity_bound=math.inf)
+    ts = np.linspace(0.0, R + r, grid)
+    scan = _nesting_scan(bp, ts, 256, 0)
+    est = estimate_nesting_onset(bp, n_grid=grid, scan=scan)
+    ref = _sequential_onset(bp, ts, scan)
+    assert repr(float(est.value)) == repr(float(ref.value))
+    assert repr(float(est.uncertainty)) == repr(float(ref.uncertainty))
+
+
+@pytest.mark.parametrize("model,R,r", [(Sphere(2, 1.0), 1.2, 0.6), (Hyperbolic(2, -1.0), 2.0, 1.0)])
+def test_bisection_rounds_do_not_grow_with_the_grid(model, R, r, monkeypatch):
+    # a round is one batched test: of the onset at grid separations (t = 0,
+    # then the grid phase) or between two of them (its 30 continuous
+    # steps), or of the plateau (one chord pass); the step-by-step loops
+    # made one test per step
+    tests = []
+    for name in ("_later_distances", "_chord_margins"):
+        fn = getattr(lens_module, name)
+
+        def counted(bp, s, *args, _fn=fn, _name=name):
+            tests.append((_name, np.array(s)))
+            return _fn(bp, s, *args)
+
+        monkeypatch.setattr(lens_module, name, counted)
+    per_grid = {}
+    for grid in (11, 41, 201, 1001):
+        ts = np.linspace(0.0, R + r, grid)
+        tests.clear()
+        w_profile(BallPair.create(model, R, r), grid=grid, budget=512, seed=0)
+        on_grid = [bool(np.isin(s, ts).all()) for name, s in tests if name == "_later_distances"]
+        plateau = sum(name == "_chord_margins" for name, _ in tests)
+        per_grid[grid] = (sum(on_grid), len(on_grid) - sum(on_grid), plateau)
+    # the grid phase takes at most its log2(grid) steps; the 30 continuous
+    # steps and the plateau's steps stay under round counts that do not
+    # depend on the grid
+    for grid, (grid_phase, continuous, plateau) in per_grid.items():
+        assert grid_phase <= 1 + (grid - 2).bit_length(), per_grid
+        assert continuous <= 8, per_grid
+        assert plateau <= 2, per_grid
 
 
 def test_exact_profile_makes_a_fixed_number_of_exps_and_distance_calls(monkeypatch):

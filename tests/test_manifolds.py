@@ -230,7 +230,9 @@ def test_hyperbolic_distance_against_ode_oracle():
 
 def test_dist_many_is_the_pair_batch_with_the_point_tiled(models):
     # dist_many broadcasts its point over dist_pairs: the bits of the
-    # explicitly tiled batch, on every model; each row is the pair distance
+    # explicitly tiled batch, on every model; each row is the pair distance.
+    # (k, 1, d) sources against the block give the (k, n) block of the
+    # sources' dist_many rows
     rng = np.random.default_rng(61)
     for name, model in models.items():
         x = _random_point(model, rng).coords
@@ -242,6 +244,11 @@ def test_dist_many_is_the_pair_batch_with_the_point_tiled(models):
         assert many.tobytes() == model.dist_pairs(np.tile(x, (len(points), 1)), points).tobytes()
         for q, d in zip(points, many):
             assert d == pytest.approx(model.dist_coords(x, q), rel=0, abs=1e-12), name
+        sources = np.vstack([x, points[:2]])
+        for k in (1, 3):
+            block = model.dist_pairs(sources[:k, None, :], points)
+            rows = np.array([model.dist_many(s, points) for s in sources[:k]])
+            assert block.shape == rows.shape and block.tobytes() == rows.tobytes(), (name, k)
 
 
 # ------------------------------------------------- invariants & properties
@@ -560,3 +567,146 @@ def test_minkowski_of_vectors_gives_the_bits_of_the_numpy_sum(dim):
     block = np.array(vectors)
     rows = model.minkowski(block, block[::-1])
     assert rows.tobytes() == np.array([model.minkowski(a, b) for a, b in zip(block, block[::-1])]).tobytes()
+
+
+# ------------------------------------------------------- batched frames
+
+
+def _scalar_frame(model, base, primary):
+    """The frame one point at a time, as the models built it before the
+    batch: metric Gram-Schmidt on the primary and then the chart axes
+    (the spatial ones on the hyperboloid), projected onto the tangent
+    space; the surface's frame in closed form."""
+    base = np.asarray(base)
+    if model.kind == "surface_of_revolution":
+        fu = float(model.profile.f(base[0]))
+        if primary is None:
+            return np.array([[1.0, 0.0], [0.0, 1.0 / fu]])
+        a, b = np.asarray(primary, dtype=np.float64)
+        norm = math.sqrt(a * a + fu * fu * b * b)
+        a, b = a / norm, b / norm
+        return np.array([[a, b], [-b * fu, a / fu]])
+    if model.kind == "hyperbolic":
+
+        def inner(a, b):
+            return float(model.minkowski(a, b))
+
+        def project(c):
+            return c + (float(model.minkowski(c, base)) / model.radius**2) * base
+
+        axes = np.eye(model.ambient_dim)[1:]
+    else:
+
+        def inner(a, b):
+            return float(np.dot(a, b))
+
+        if model.kind == "sphere":
+
+            def project(c):
+                return c - (np.dot(c, base) / model.radius**2) * base
+
+        else:
+
+            def project(c):
+                return c
+
+        axes = np.eye(model.ambient_dim)
+    candidates = ([] if primary is None else [project(np.asarray(primary, dtype=np.float64))])
+    candidates += [project(e) for e in axes]
+    basis = []
+    for v in candidates:
+        w = np.array(v, dtype=np.float64)
+        for b in basis:
+            w = w - inner(w, b) * b
+        norm = math.sqrt(max(inner(w, w), 0.0))
+        if norm > 1e-12:
+            basis.append(w / norm)
+        if len(basis) == model.dim:
+            break
+    return np.array(basis)
+
+
+FRAME_MODELS = [
+    Euclidean(2),
+    Euclidean(3),
+    Sphere(2, 1.0),
+    Sphere(3, 4.0),
+    Hyperbolic(2, -1.0),
+    Hyperbolic(3, -0.3),
+    Hyperbolic(9, -1.0),
+    SurfaceOfRevolution(RevolutionProfile.cosine_bump()),
+]
+
+
+@pytest.mark.parametrize("model", FRAME_MODELS, ids=lambda m: m.describe())
+def test_frame_rows_give_the_bits_of_the_one_point_frame(model):
+    rng = np.random.default_rng(model.ambient_dim)
+    bases = np.array([_random_point(model, rng, spread=1.5).coords for _ in range(300)])
+    primaries = rng.normal(size=bases.shape) * 10.0 ** rng.integers(-3, 3, size=(len(bases), 1))
+    # rows whose primary leaves the first tried axis no remainder, so the
+    # Gram-Schmidt skips it: on the sphere the first axis is normal at the
+    # basepoint, on the plane and the hyperboloid the primary lies along it
+    first = 0 if model.kind in ("euclidean", "sphere") else 1
+    bases[::7] = model.basepoint().coords
+    primaries[::7] = 3.0 * np.eye(model.ambient_dim)[first]
+    if model.kind == "sphere":
+        primaries[::7] = np.eye(model.ambient_dim)[1]
+    frames = model.tangent_frames(bases, primaries)
+    for i, (x, v) in enumerate(zip(bases, primaries)):
+        assert frames[i].tobytes() == model.tangent_basis(x, v).tobytes(), i
+        assert frames[i].tobytes() == _scalar_frame(model, x, v).tobytes(), i
+    for x in bases[:20]:
+        assert model.tangent_basis(x).tobytes() == _scalar_frame(model, x, None).tobytes()
+
+
+DIST_MODELS = [Euclidean(2), Euclidean(3), Sphere(2, 1.0), Sphere(3, 4.0), Hyperbolic(2, -1.0), Hyperbolic(3, -0.3)]
+
+
+def _scalar_distance(model, p, q):
+    """The closed-form distance of one pair in scalar form: a norm through
+    ``np.linalg.norm`` or the Minkowski form, and the scalar libm."""
+    if model.kind == "euclidean":
+        return float(np.linalg.norm(q - p))
+    if model.kind == "sphere":
+        chord = np.linalg.norm(q - p)
+        return 2.0 * model.radius * math.asin(min(chord / (2.0 * model.radius), 1.0))
+    m = max(float(model.minkowski(q - p, q - p)), 0.0)
+    return 2.0 * model.radius * math.asinh(math.sqrt(m) / (2.0 * model.radius))
+
+
+@pytest.mark.parametrize("model", DIST_MODELS, ids=lambda m: m.describe())
+def test_distance_rows_give_the_bits_of_the_scalar_distance(model):
+    # dist_rows and its one-row case dist_coords against the scalar formulas
+    rng = np.random.default_rng(model.ambient_dim + 7)
+    p = np.array([_random_point(model, rng, spread=1.5).coords for _ in range(400)])
+    q = np.array([_random_point(model, rng, spread=1.5).coords for _ in range(400)])
+    q[::9] = p[::9]  # coincident points
+    if model.kind == "sphere":
+        q[1::9] = -p[1::9]  # antipodes, where the chord may round past the diameter
+    expected = np.array([_scalar_distance(model, a, b) for a, b in zip(p, q)])
+    assert model.dist_rows(p, q).tobytes() == expected.tobytes()
+    alone = np.array([model.dist_coords(a, b) for a, b in zip(p, q)])
+    assert alone.tobytes() == expected.tobytes()
+    assert all(type(model.dist_coords(a, b)) is float for a, b in zip(p[:3], q[:3]))
+
+
+@pytest.mark.parametrize("model", DIST_MODELS, ids=lambda m: m.describe())
+def test_corner_cosines_of_an_array_give_the_bits_of_the_scalar_law(model):
+    R, r = 0.6 * min(1.0, model.convexity_radius()), 0.35 * min(1.0, model.convexity_radius())
+    ts = np.linspace(1e-9, R + r, 97)
+    got = model.corner_cosine(R, r, ts)
+    for t, value in zip(ts.tolist(), got):
+        if model.kind == "euclidean":
+            expected = (t * t + R * R - r * r) / (2.0 * t * R)
+        elif model.kind == "sphere":
+            a = model.radius
+            expected = (math.cos(r / a) - math.cos(R / a) * math.cos(t / a)) / (
+                math.sin(R / a) * math.sin(t / a)
+            )
+        else:
+            a = model.radius
+            expected = (math.cosh(R / a) * math.cosh(t / a) - math.cosh(r / a)) / (
+                math.sinh(R / a) * math.sinh(t / a)
+            )
+        assert repr(float(value)) == repr(expected), t
+        assert repr(float(model.corner_cosine(R, r, t))) == repr(expected), t
