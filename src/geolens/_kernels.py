@@ -12,25 +12,20 @@ minima are the nearest targets of the points and its column minima the
 nearest points of the targets, with the bits of a scan the other way because
 ``scan_sq(a, b)[i, j] == scan_sq(b, a)[j, i]``.
 
-Few pairs decide a maximum, so the closed-form maxima first find the rows
-that can hold it and then scan only those rows exactly (after Taha &
-Hanbury, *An efficient algorithm for calculating the exact Hausdorff
-distance*, 2015).  Every reported value still comes from ``scan_sq`` blocks,
-whose element bits do not depend on the block's shape, so the pruned scans
-return the bits, and the witnesses, of the full ones:
-
-* ``max_nearest``, where ``scan_sq`` is the squared ambient Euclidean
-  distance (``uses_trees``): a k-d tree (``kd_tree``) gives every row's
-  nearest distance to a few ulps, and only the rows within a relative
-  ``_TREE_RTOL`` of the largest are rescored against every target.  A
-  caller that holds the trees of its clouds hands them in; otherwise each
-  call builds its own.  Elsewhere (the hyperboloid's Minkowski form) it
-  reduces the one-block two-way scan.
-* ``pairwise_max``: by the triangle inequality through a central point c, a
-  farthest pair (x, y) has d(x, c) >= diam - max d(., c); with the lower
-  bound of one exact row, the points below that radius (less the rounding
-  margin ``_PRUNE_RTOL``) cannot end a farthest pair, and the chunked loop
-  skips their rows and columns in place, keeping its scan order.
+``pairwise_max`` scans every pair: a lens cloud holds the lens boundary
+alone, a few hundred points.  Few rows decide a
+largest nearest distance, so ``max_nearest`` first finds the rows that can
+hold it and then scans only those rows exactly (after Taha & Hanbury, *An
+efficient algorithm for calculating the exact Hausdorff distance*, 2015),
+where ``scan_sq`` is the squared ambient Euclidean distance
+(``uses_trees``): a k-d tree (``kd_tree``) gives every row's nearest
+distance to a few ulps, and only the rows within a relative ``_TREE_RTOL``
+of the largest are rescored against every target.  The reported value
+still comes from ``scan_sq`` blocks, whose element bits do not depend on the
+block's shape, so it has the bits of the full scan.  A caller that holds
+the trees of its clouds hands them in; otherwise each call builds its own.
+Elsewhere (the hyperboloid's Minkowski form) it reduces the one-block
+two-way scan.
 
 A model without closed forms (the numeric surface) has no pre-metric: there
 every pair of the scan is shot in one lockstep Newton batch
@@ -52,9 +47,6 @@ _SHOOT_CHUNK = 4096
 # than this far below the largest cannot hold the exact maximum.  (When
 # every distance is 0, every row is kept.)
 _TREE_RTOL = 1e-9
-# Covers the rounding of the distance formulas against each other, up to
-# arcsin near the antipode (about sqrt(eps) times the radius).
-_PRUNE_RTOL = 1e-7
 
 
 def pairwise_max(points, manifold):
@@ -63,48 +55,20 @@ def pairwise_max(points, manifold):
     if not manifold.closed_form:
         return _pairwise_max_rows(pts, manifold)
     n = pts.shape[0]
-    if n < 2:
-        return 0.0, 0, 0
-    # the kept indices of each chunk, in order: the loop below visits the
-    # kept pairs in the order of a full scan, so its strict ">" across
-    # blocks and the first argmax within one pick the same first maximum
-    keep = _diameter_candidates(pts, manifold)
-    parts = np.split(keep, np.searchsorted(keep, np.arange(_CHUNK, n, _CHUNK)))
     best = -1.0
     bi = bj = 0
-    for c, rows in enumerate(parts):
-        if not len(rows):
-            continue
-        a = pts[rows]
-        for c2, cols in enumerate(parts[c:], c):
-            if not len(cols):
-                continue
-            sq = manifold.scan_sq(a, pts[cols])
-            if c2 == c:
-                sq = np.where(cols > rows[:, None], sq, 0.0)  # np.triu(k=1) of the full block
+    for i0 in range(0, n, _CHUNK):
+        a = pts[i0 : i0 + _CHUNK]
+        for j0 in range(i0, n, _CHUNK):
+            sq = manifold.scan_sq(a, pts[j0 : j0 + _CHUNK])
+            if j0 == i0:
+                sq = np.triu(sq, k=1)
             k = int(np.argmax(sq))
             i, j = divmod(k, sq.shape[1])
             if sq[i, j] > best:
                 best = float(sq[i, j])
-                bi, bj = int(rows[i]), int(cols[j])
+                bi, bj = i0 + i, j0 + j
     return float(manifold.scan_dist(np.asarray(best))), bi, bj
-
-
-def _diameter_candidates(pts, manifold):
-    """Sorted indices of the points that can end a farthest pair.
-
-    For the cloud point c nearest the ambient mean, a farthest pair (x, y)
-    has diam <= d(x, c) + d(c, y), so d(x, c) >= lb - max d(., c) for any
-    lower bound lb of the diameter; lb is the exact row of the point
-    farthest from c.
-    """
-    dev = pts - pts.mean(axis=0)
-    center = pts[int(np.argmin(np.einsum("ij,ij->i", dev, dev)))]
-    rad = manifold.dist_many(center, pts)
-    far = int(np.argmax(rad))
-    lb = float(manifold.scan_dist(manifold.scan_sq(pts[far : far + 1], pts).max()))
-    cut = lb - float(rad[far]) - _PRUNE_RTOL * lb
-    return np.flatnonzero(rad >= cut)
 
 
 def uses_trees(manifold):

@@ -26,7 +26,7 @@ class NestingError(GeolensError):
 
 
 class TangencyError(GeolensError):
-    """An intersection expected to have interior points came back (near) empty."""
+    """A lens expected to have sample points came back empty."""
 
 
 class DefectError(GeolensError):

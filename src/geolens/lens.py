@@ -45,20 +45,22 @@ floats and tests of a step-by-step loop.
 
 Elsewhere -- on the numeric surface, whose corner is a leading-order flat
 estimate, and for balls at or beyond the convexity radius (the sphere
-counterexample) -- the lens is sampled as a point cloud.  A cloud is a polar
-grid over the small ball plus both boundary arcs, rejected against the other
-ball.  Everything but a lens's tangent frame depends on (R, r, budget,
-seed) alone, so the clouds of many separations come from one grid pass
-(``_sample_lenses``): the big arc about gamma(0) is built once, the blocks
-of the center, the interior rings and the small arc of every lens go
-through one ``exp_pairs`` about their small centres, and the extremes are
-one ``_candidates_at``; a single cloud (``sample_intersection``) is the
-one-row case.  The width is then the best of the candidates and the
-farthest sampled pair, which a projected geodesic ascent polishes first:
-each witness moves along the distance gradient and is retracted into
-whichever ball it violates.  The sampled path stays as a
-cross-check on exact pairs: tests and the verification suite compare it
-with the candidates.
+counterexample) -- the lens is sampled as a point cloud of its boundary.
+Inside the convexity chart d(., q) has a non-zero gradient away from q, so
+the diameter of the lens and its farthest point from any gamma(s) lie on
+the boundary: the small circle inside the big ball and the big circle
+inside the small one.  A cloud holds both arcs at one spacing, which bounds
+its fill radius, plus the candidates on them.  Everything but a lens's
+tangent frame depends on (R, r, budget, seed) alone, so the clouds of many
+separations come from one grid pass (``_sample_lenses``): the big arc about
+gamma(0) is built once, the small circles of every lens go through one
+``exp_pairs`` about their small centres, and the extremes are one
+``_candidates_at``; a single cloud (``sample_intersection``) is the one-row
+case.  The width is then the best of the candidates and the farthest
+sampled pair, which a projected geodesic ascent polishes first: each
+witness moves along the distance gradient and is retracted into whichever
+ball it violates.  The sampled path stays as a cross-check on exact pairs:
+tests and the verification suite compare it with the candidates.
 
 On the rotationally symmetric models every check is carried out in an axial
 2-plane section, which contains witnesses for widths, Hausdorff gaps, and
@@ -84,7 +86,6 @@ DEFAULT_BUDGET = 4096
 BOUNDARY_TOL = 1e-9
 # upper minus lower bound of a width computed exactly, in floating point
 EXACT_SLACK = 1e-12
-SCAN_CAP = 1600
 ASCENT_IMPROVE_TOL = 1e-10
 ASCENT_MAX_ITER = 400
 # below 2r by at most this, a sampled width counts as full
@@ -236,9 +237,11 @@ def check_witnesses(bp: BallPair, ts, w, witness_a, witness_b, label=None) -> No
     One pass over the rows, independent of how the widths were found: the
     margins come from one ``dist_many`` about gamma(0) and one
     ``dist_pairs`` against the small centres, d(a, b) from one
-    ``dist_pairs`` (which may differ from a scalar ``dist_coords`` width in
-    the last bit, far below ``EXACT_SLACK``).  ``label(i)`` names row i in
-    the error, by default ``row i (t=...)``.
+    ``dist_rows``, the distance of every width path.  (``dist_pairs`` may
+    differ from it in the last bit of the chord, and near the antipode the
+    slope of arcsin turns that bit into about sqrt(eps), far above
+    ``EXACT_SLACK``.)  ``label(i)`` names row i in the error, by default
+    ``row i (t=...)``.
     """
     m = bp.manifold
     ts = np.minimum(np.asarray(ts, dtype=np.float64), bp.R + bp.r)
@@ -247,7 +250,7 @@ def check_witnesses(bp: BallPair, ts, w, witness_a, witness_b, label=None) -> No
     d_big = m.dist_many(bp.center_big(), pts)
     d_small = m.dist_pairs(np.concatenate([centres, centres]), pts)
     margins = np.minimum(bp.R - d_big, bp.r - d_small).reshape(2, len(ts))
-    gap = np.abs(m.dist_pairs(witness_a, witness_b) - w)
+    gap = np.abs(m.dist_rows(witness_a, witness_b) - w)
     bad = ~(np.all(margins >= -BOUNDARY_TOL, axis=0) & (gap <= EXACT_SLACK))
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -446,21 +449,28 @@ def _circles(m: Manifold, center, frame, radii, counts, phases) -> np.ndarray:
     return m.exp_many(center, _circle_vectors(frame, radii, counts, phases))
 
 
-# rows (block and big-arc points) of the lenses one step of the sampling
-# pass builds at once: bounds its temporaries
+# rows (small-circle and big-arc points) of the lenses one step of the
+# sampling pass builds at once: bounds its temporaries
 _SAMPLE_ROWS = 8192
 
 
 def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 0) -> PointCloud:
-    """Sample the lens as a point cloud with an estimated fill radius.
+    """Sample the boundary of the lens as a point cloud whose fill radius
+    bounds its gaps.
 
-    Deterministic given (budget, seed): a polar rejection grid over the small
-    ball (seeded per-ring phases), boundary arcs of both circles, and the
-    deterministic extreme points (axis endpoints, corners, perpendicular
-    chord) when they are admissible.  The fill radius is the half-diagonal of
-    the interior grid cell; it is an estimate tied to the grid pitch, not a
-    certificate near the corner cusps.  The one-row case of the grid pass
-    :func:`_sample_lenses`.
+    Deterministic given (budget, seed): the small circle about gamma(t) kept
+    where it lies in the big ball, the big circle about gamma(0) kept where
+    it lies in the small ball, both at one spacing with one seeded phase
+    each, and the candidates of :meth:`BallPair.extremes` on the boundary
+    (the axis ends, the corners, and the perpendicular chord's ends when
+    they lie in the lens).  On the closed-form models every point of the
+    boundary lies within ``fill_radius``, half the larger arc spacing in arc
+    length, of a sample: along each kept arc the samples are at most one
+    spacing apart, and the corners close the arcs.  (On the numeric surface
+    the circumference is the flat estimate, and so is the fill radius.)
+    Inside the convexity chart the boundary holds the diameter of the lens
+    and its farthest point from any gamma(s), so every lens claim reads it.
+    The one-row case of :func:`_sample_lenses`.
     """
     return _sample_lenses(bp, [bp.t], budget, seed)[0]
 
@@ -470,24 +480,22 @@ def _sample_lenses(bp: BallPair, ts, budget: int, seed: int) -> list[PointCloud]
     ``ts``, in one pass over the grid, with the bits of a lens-by-lens
     evaluation (each row's values do not depend on the others).
 
-    Everything but a lens's frame depends only on (R, r, budget, seed): the
-    phases, rings and counts, the tangent coefficients of the small-ball
-    block (the center, a zero vector pinned exactly, the interior rings and
-    the small circle) and the whole big circle.  So the big circle and its
-    distances to gamma(0) are built once; the blocks of the lenses go
-    through one ``exp_pairs`` about their small centres, rejected against
-    the big ball by one ``dist_many``; one ``dist_pairs`` gives the
-    small-ball distances of the kept block points and of the big circle
-    (rejected against each small ball); and the extremes are one
-    :func:`_candidates_at` along each lens's frame.  A touching row is the
-    contact point alone, with fill 0.
+    The spacing drho is the pitch of a polar grid of 0.6 * ``budget``
+    points over the small disk.  Everything but a lens's frame depends only
+    on (R, r, budget, seed): the two phases, the angles of the small circle
+    and the whole big circle.  So the big circle and its distances to
+    gamma(0) are built once; the small circles of the lenses go through one
+    ``exp_pairs`` about their small centres, rejected against the big ball
+    by one ``dist_many``; one ``dist_pairs`` gives the small-ball distances
+    of the kept small-circle points and of the big circle (rejected against
+    each small ball); and the extremes are one :func:`_candidates_at` along
+    each lens's frame.  A touching row is the contact point alone, with
+    fill 0.
 
     Lenses go in steps of at most ``_SAMPLE_ROWS`` rows.  On a model without
     closed forms each step is one lens: the surface's ``exp_pairs`` takes
-    one RK4 step count from the longest tangent of its batch, so the blocks
-    of two lenses must not share a call.  Within a lens the inner rings
-    integrate with the step count of the small circle: the points are the
-    same while r <= 16 steps, and move at the level of rounding beyond that.
+    one RK4 step count from the longest tangent of its batch, so the small
+    circles of two lenses must not share a call.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -504,33 +512,29 @@ def _sample_lenses(bp: BallPair, ts, budget: int, seed: int) -> list[PointCloud]
         return clouds
 
     rng = np.random.default_rng([seed, budget])
-    interior_budget = max(16, int(0.6 * budget))
-    pitch = math.sqrt(m.disk_area(r) / interior_budget)
-    n_rad = max(2, int(math.ceil(r / pitch)))
-    drho = r / n_rad
-    # one phase per ring, then the small circle's, then the big circle's
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=n_rad + 2)
-    rhos = [i * drho for i in range(1, n_rad + 1)]
-    counts = [max(6, int(math.ceil(m.circle_circumference(rho) / drho))) for rho in rhos]
-    counts.append(max(64, int(math.ceil(m.circle_circumference(r) / drho))))
-    n_arc_big = max(64, int(math.ceil(m.circle_circumference(R) / drho)))
-    block_plan = ([0.0] + rhos + [r], [1] + counts, np.concatenate([[0.0], phases[:-1]]))
-    arc = _circles(m, bp.center_big(), bp.frame_big(), [R], [n_arc_big], phases[-1:])
+    pitch = math.sqrt(m.disk_area(r) / max(16, int(0.6 * budget)))
+    drho = r / max(2, int(math.ceil(r / pitch)))
+    # the small circle's phase, then the big circle's
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=2)
+    lengths = [m.circle_circumference(r), m.circle_circumference(R)]
+    n_small, n_big = (max(64, int(math.ceil(length / drho))) for length in lengths)
+    fill = 0.5 * max(lengths[0] / n_small, lengths[1] / n_big)
+    small_plan = ([r], [n_small], phases[:1])
+    arc = _circles(m, bp.center_big(), bp.frame_big(), [R], [n_big], phases[1:])
     arc_big = m.dist_many(bp.center_big(), arc)
-    fill = 0.5 * math.hypot(drho, drho)
 
-    step = max(1, _SAMPLE_ROWS // (sum(counts) + 1 + n_arc_big)) if m.closed_form else 1
+    step = max(1, _SAMPLE_ROWS // (n_small + n_big)) if m.closed_form else 1
     for k in range(0, len(live), step):
         rows = live[k : k + step]
-        for i, points in zip(rows, _lens_points(bp, ts[rows], block_plan, arc, arc_big)):
+        for i, points in zip(rows, _lens_points(bp, ts[rows], small_plan, arc, arc_big)):
             clouds[i] = PointCloud(m, points, fill)
     return clouds
 
 
-def _lens_points(bp: BallPair, ts, block_plan, arc, arc_big):
-    """One step of :func:`_sample_lenses`: the points of each (non-touching)
-    lens of ``ts`` inside it, in the order axis ends and corners, block,
-    big circle, chord ends."""
+def _lens_points(bp: BallPair, ts, small_plan, arc, arc_big):
+    """One step of :func:`_sample_lenses`: the boundary points of each
+    (non-touching) lens of ``ts``, in the order axis ends and corners,
+    small circle, big circle, chord ends."""
     m, R, r = bp.manifold, bp.R, bp.r
     n, d = len(ts), m.ambient_dim
     centres, velocity = bp.line.states_many(ts)
@@ -541,21 +545,20 @@ def _lens_points(bp: BallPair, ts, block_plan, arc, arc_big):
     else:
         frames = m.tangent_frames(centres, velocity)
         c = _candidates_at(bp, ts, chord_dirs=frames[:, 1])
-    vecs = _circle_vectors(frames, *block_plan)
+    vecs = _circle_vectors(frames, *small_plan)
     size = vecs.shape[1]
-    block = m.exp_pairs(np.repeat(centres, size, axis=0), vecs.reshape(-1, d))
-    block[::size] = centres
-    block_owner = np.repeat(np.arange(n), size)
-    # the block rejected against the big ball, the big circle against each
-    # small ball: one distance per candidate, then the other distance of
-    # the kept block points
-    d_big = m.dist_many(bp.center_big(), block)
+    small = m.exp_pairs(np.repeat(centres, size, axis=0), vecs.reshape(-1, d))
+    small_owner = np.repeat(np.arange(n), size)
+    # the small circles rejected against the big ball, the big circle
+    # against each small ball: one distance per candidate, then the other
+    # distance of the kept small-circle points
+    d_big = m.dist_many(bp.center_big(), small)
     inner = d_big <= R + 1e-12
     arcs = np.tile(arc, (n, 1))
     arc_owner = np.repeat(np.arange(n), len(arc))
     d_small = m.dist_pairs(
-        np.concatenate([centres[block_owner[inner]], centres[arc_owner]]),
-        np.concatenate([block[inner], arcs]),
+        np.concatenate([centres[small_owner[inner]], centres[arc_owner]]),
+        np.concatenate([small[inner], arcs]),
     )
     d_inner, d_arc = np.split(d_small, [int(np.count_nonzero(inner))])
     outer = d_arc <= r + 1e-12
@@ -563,9 +566,9 @@ def _lens_points(bp: BallPair, ts, block_plan, arc, arc_big):
     chord_owner, chord_slot = np.nonzero(c.margins[:, _CHORD] >= -1e-12)
     chord_slot += _CHORD.start
 
-    owners = np.concatenate([near_owner, block_owner[inner], arc_owner[outer], chord_owner])
+    owners = np.concatenate([near_owner, small_owner[inner], arc_owner[outer], chord_owner])
     points = np.concatenate(
-        [c.ends[near_owner, near_slot], block[inner], arcs[outer], c.ends[chord_owner, chord_slot]]
+        [c.ends[near_owner, near_slot], small[inner], arcs[outer], c.ends[chord_owner, chord_slot]]
     )
     margins = np.concatenate([
         c.margins[near_owner, near_slot],
@@ -660,20 +663,6 @@ class LensDiameter:
     slack: float
 
 
-def _sampled_pair(bp: BallPair, cloud: PointCloud):
-    """Farthest pair over a boundary-biased subset of the cloud."""
-    pts = cloud.points
-    band = max(3.0 * cloud.fill_radius, 0.05 * bp.r)
-    subset = pts[bp.margins(pts) <= band]
-    if len(subset) < min(64, len(pts)):
-        subset = pts
-    if len(subset) > SCAN_CAP:
-        stride = int(math.ceil(len(subset) / SCAN_CAP))
-        subset = subset[::stride]
-    _, (i, j) = diameter_with_witness(PointCloud(bp.manifold, subset, cloud.fill_radius))
-    return subset[i], subset[j]
-
-
 def lens_diameter(
     bp: BallPair,
     budget: int = DEFAULT_BUDGET,
@@ -691,14 +680,15 @@ def lens_diameter(
 
     Otherwise the value is the best of the candidates and the farthest pair
     of the sampled cloud (``cloud``, or one drawn at ``budget`` and
-    ``seed``), a lower bound with slack 2 * fill.  With ``refine`` the
-    projected ascent first polishes the sampled pair where the candidates
-    are not known to attain the diameter: on a model without closed forms,
-    or for R at or beyond the convexity radius.  ``refine=False`` never
+    ``seed``; the cloud's memoised ``diameter_with_witness``), a lower bound
+    with slack 2 * fill.  With ``refine`` the projected ascent first
+    polishes the sampled pair where the candidates are not known to attain
+    the diameter: on a model without closed forms, or for R at or beyond
+    the convexity radius.  ``refine=False`` never
     runs the ascent and returns the sampled and candidate value alone, an
     independent cross-check of the refined one.  On a model without closed
     forms the farthest-pair scan of :mod:`geolens._kernels` shoots one
-    geodesic per pair, so it fails fast with ``ConfigError`` on a subset over
+    geodesic per pair, so it fails fast with ``ConfigError`` on a cloud over
     ``SLOW_PAIR_LIMIT`` pairs.
     """
     m = bp.manifold
@@ -710,7 +700,8 @@ def lens_diameter(
         return LensDiameter(float(w[0]), wa[0], wb[0], float(slack[0]))
     if cloud is None:
         cloud = sample_intersection(bp, budget, seed)
-    best_pair = _sampled_pair(bp, cloud)
+    _, (i, j) = diameter_with_witness(cloud)
+    best_pair = (cloud.points[i], cloud.points[j])
     if refine and not bp.exact:
         p, q, best_d = _ascend_pair(bp, best_pair[0].copy(), best_pair[1].copy())
         best_pair = (p, q)
@@ -896,7 +887,7 @@ def estimate_nesting_onset(
     30 continuous bisection steps between the last failing and first
     passing grid values.  Reported with the grid resolution as its
     uncertainty.  ``scan`` is the ``_nesting_scan`` of this grid, budget and
-    seed, when the caller has it.
+    seed (points sorted by owner), when the caller has it.
 
     Both bisections run in lockstep rounds (``_bisect``) of tests batched
     by ``_later_distances`` and sized by ``_BISECT_ROWS``, with the bits of
@@ -914,7 +905,10 @@ def estimate_nesting_onset(
     point_ts = ts[owners]
 
     def nested(s):
-        return _nested(bp, _later_distances(bp, s, points, point_ts))
+        # the scan is sorted by owner: only the points after the smallest s
+        # can enter a test
+        k = np.searchsorted(point_ts, np.min(s) + 1e-15, side="right")
+        return _nested(bp, _later_distances(bp, s, points[k:], point_ts[k:]))
 
     if nested(ts[:1])[0]:
         return ThresholdEstimate(0.0, h)

@@ -3,16 +3,24 @@
 Compact sets are represented by nonempty finite point clouds carrying an
 explicit fill radius: every point of the represented set lies within
 ``fill_radius`` of some sample.  Set-level statements then hold up to
-quantified slack.  Every distance comes from the scans of
-:mod:`geolens._kernels`.  A Hausdorff distance and a nesting gap are
-largest nearest distances (``max_nearest``): on the sphere and in Euclidean
-space a k-d tree picks the few rows that can hold the maximum and only those
-are scanned exactly, so the value has the bits of the full O(|Y| * |Z|)
-scan; the hyperboloid reads both directions off one block scan and the
-numeric surface shoots every pair.  A cloud's points are read-only, so its
-diameter is scanned once and memoised, and so is its k-d tree where the
-nearest scans read one (``_kernels.uses_trees``): each cloud's tree is
-built once, however many gaps it enters, and lives as long as the cloud.
+quantified slack.  A lens cloud (``lens.sample_intersection``) represents
+the boundary of the lens in its axial section, and its fill radius, half
+the larger arc spacing in arc length, bounds the gaps along both arcs on
+the closed-form models (on the numeric surface it is an estimate).  The
+boundary has the lens's diameter, and the diameter is 2-Lipschitz in the
+Hausdorff distance of any compact sets, so the width claims hold of the
+boundary clouds as they do of the lenses.
+
+Every distance comes from the scans of :mod:`geolens._kernels`.  A
+Hausdorff distance and a nesting gap are largest nearest distances
+(``max_nearest``): on the sphere and in Euclidean space a k-d tree picks
+the few rows that can hold the maximum and only those are scanned exactly,
+so the value has the bits of the full O(|Y| * |Z|) scan; the hyperboloid
+reads both directions off one block scan and the numeric surface shoots
+every pair.  A cloud's points are read-only, so its diameter is scanned
+once and memoised, and so is its k-d tree where the nearest scans read one
+(``_kernels.uses_trees``): each cloud's tree is built once, however many
+gaps it enters, and lives as long as the cloud.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from geolens.lens import (
     check_witnesses,
     estimate_nesting_onset,
     lens_diameter,
-    sample_intersection,  # noqa: F401  (the one-lens case of the pass, kept importable here)
     w_profile,
 )
 from geolens.radii import jacobi_radii, radii_report
@@ -314,8 +313,10 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
         probe_ts = sorted({float(ts[i]) for i in rows} | {float(t) for _, t in nest_pairs})
         clouds = dict(zip(probe_ts, _sample_lenses(bp, probe_ts, probe_budget, config.seed)))
 
-        # continuity via the diameter-Hausdorff modulus:
-        # |w(s) - w(t)| <= 2 H(lens(s), lens(t)) + sampling slack
+        # continuity via the diameter-Hausdorff modulus on the lens
+        # boundaries, whose diameters are the widths: |w(s) - w(t)| <=
+        # 2 H(boundary(s), boundary(t)) + sampling slack, each cloud's fill
+        # radius bounding its gaps along the boundary
         def modulus_margin(pairs):
             worst = math.inf
             for i, j in pairs:

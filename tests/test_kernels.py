@@ -8,6 +8,7 @@ import pytest
 from geolens import _kernels
 from geolens.errors import ConfigError
 from geolens.manifolds import Euclidean, Hyperbolic, RevolutionProfile, Sphere, SurfaceOfRevolution
+from lens_clouds import polar_lens_cloud
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -202,10 +203,11 @@ def test_surface_min_dist_both_shoots_each_direction(monkeypatch):
     assert backward.tobytes() == _kernels.min_dist_to(pts[5:], pts[:5], surface).tobytes()
 
 
-# -- pruned maxima against the full scans ------------------------------------
-# The closed-form maxima scan only the rows (max_nearest) or the points
-# (pairwise_max) that can decide them; these tests hold them to the bits,
-# and the witnesses, of the full scans.
+# -- maxima against the full scans --------------------------------------------
+# max_nearest scans only the rows that can decide it, and pairwise_max scans
+# in chunked blocks; these tests hold them to the bits, and the witnesses, of
+# references that scan every pair.  Lens clouds of over 512 rows, which cross
+# a chunk, are the filled polar clouds of the test oracle.
 
 
 def _full_max_nearest(a, b, model):
@@ -304,12 +306,12 @@ def test_max_nearest_falls_back_to_the_block_scan_on_the_hyperboloid(model, monk
 
 
 def test_max_nearest_scans_few_pairs_of_a_lens_hausdorff(monkeypatch):
-    from geolens import BallPair, sample_intersection
+    from geolens import BallPair
 
     sphere = Sphere(2, 1.0)
     bp = BallPair.create(sphere, 1.2, 0.6)
-    y = sample_intersection(bp.with_separation(0.9), 1300, 7).points
-    z = sample_intersection(bp.with_separation(0.93), 1300, 7).points
+    y = polar_lens_cloud(bp.with_separation(0.9), 1300, 7).points
+    z = polar_lens_cloud(bp.with_separation(0.93), 1300, 7).points
     assert 700 <= len(y) <= 900 and 700 <= len(z) <= 900
     full = _full_max_nearest(y, z, sphere)
     seen = []
@@ -324,22 +326,21 @@ def test_max_nearest_scans_few_pairs_of_a_lens_hausdorff(monkeypatch):
     assert 0 < sum(seen) < 0.05 * len(y) * len(z)
 
 
-def _unpruned_pairwise_max(pts, model, chunk=512):
-    """The full chunked farthest-pair loop: every pair, first maximum kept."""
+def _full_pairwise_max(pts, model, chunk=512):
+    """The farthest-pair loop over chunks of pair indices: every pair, the
+    first maximum of the chunk order kept."""
     n = len(pts)
     best = -1.0
     bi = bj = 0
     for i0 in range(0, n, chunk):
-        a = pts[i0 : i0 + chunk]
+        rows = np.arange(i0, min(n, i0 + chunk))
         for j0 in range(i0, n, chunk):
-            sq = model.scan_sq(a, pts[j0 : j0 + chunk])
-            if j0 == i0:
-                sq = np.triu(sq, k=1)
+            i, j = np.meshgrid(rows, np.arange(j0, min(n, j0 + chunk)), indexing="ij")
+            sq = np.where(j > i, model.scan_sq(pts[rows], pts[j0 : j0 + chunk]), 0.0)
             k = int(np.argmax(sq))
-            i, j = divmod(k, sq.shape[1])
-            if sq[i, j] > best:
-                best = float(sq[i, j])
-                bi, bj = i0 + i, j0 + j
+            if sq.flat[k] > best:
+                best = float(sq.flat[k])
+                bi, bj = int(i.flat[k]), int(j.flat[k])
     return float(model.scan_dist(np.asarray(best))), bi, bj
 
 
@@ -348,14 +349,14 @@ LENS_MODELS = [Euclidean(2), Euclidean(3), Sphere(2, 1.0), Sphere(3, 1.0), Hyper
 
 @pytest.mark.parametrize("model", LENS_MODELS, ids=lambda m: m.describe())
 def test_pairwise_max_gives_the_value_and_witness_of_the_full_loop(model):
-    from geolens import BallPair, sample_intersection
+    from geolens import BallPair
 
     for R, r in ((1.2, 0.6), (1.0, 1.0)):
         bp = BallPair.create(model, R, r)
         for frac in (0.0, 0.3, 0.5, 0.7):
-            pts = sample_intersection(bp.with_separation(frac * (R + r)), 4096, 11).points
+            pts = polar_lens_cloud(bp.with_separation(frac * (R + r)), 4096, 11).points
             assert len(pts) > 512
-            assert _kernels.pairwise_max(pts, model) == _unpruned_pairwise_max(pts, model)
+            assert _kernels.pairwise_max(pts, model) == _full_pairwise_max(pts, model)
 
 
 @pytest.mark.parametrize("model", [Euclidean(2), Sphere(2, 1.0), Sphere(3, 1.0)], ids=lambda m: m.describe())
@@ -368,10 +369,10 @@ def test_pairwise_max_keeps_the_first_of_tied_antipodal_pairs(model):
     pts[:, 0], pts[:, 1] = np.cos(ang), np.sin(ang)
     for shift in (0, 5, 12, 300):
         rolled = np.roll(pts, shift, axis=0)
-        assert _kernels.pairwise_max(rolled, model) == _unpruned_pairwise_max(rolled, model)
+        assert _kernels.pairwise_max(rolled, model) == _full_pairwise_max(rolled, model)
     # and with duplicated rows, which tie bit for bit
     doubled = np.vstack([pts[::2], pts[::2]])
-    assert _kernels.pairwise_max(doubled, model) == _unpruned_pairwise_max(doubled, model)
+    assert _kernels.pairwise_max(doubled, model) == _full_pairwise_max(doubled, model)
 
 
 @pytest.mark.parametrize("model", [Euclidean(2), Sphere(2, 1.0), Hyperbolic(2, -1.0)], ids=lambda m: m.describe())
@@ -392,23 +393,23 @@ def test_pairwise_max_keeps_the_first_of_exact_ties_across_chunks(model):
     pts[[400, 450, 10, 700]] = ends
     tie = model.scan_sq(pts[[400, 10]], pts[[450, 700]])
     assert tie[0, 0] == tie[1, 1]
-    best = _unpruned_pairwise_max(pts, model)
+    best = _full_pairwise_max(pts, model)
     assert best[1:] == (400, 450)
     assert _kernels.pairwise_max(pts, model) == best
 
 
 def test_pairwise_max_on_the_antipodal_hemisphere_lens():
     # R = r = pi/2: the lens spans antipodal points, where arcsin's rounding
-    # is about sqrt(eps) and the prune's margin must cover it
-    from geolens import BallPair, sample_intersection
+    # is about sqrt(eps)
+    from geolens import BallPair
 
     sphere = Sphere(2, 1.0)
     bp = BallPair.create(sphere, math.pi / 2, math.pi / 2, convexity_bound=math.inf)
     for t in (0.0, 1e-9, 0.05, 0.3):
         for seed in (1, 2):
-            pts = sample_intersection(bp.with_separation(t), 1024, seed).points
+            pts = polar_lens_cloud(bp.with_separation(t), 1024, seed).points
             assert len(pts) > 512
-            assert _kernels.pairwise_max(pts, sphere) == _unpruned_pairwise_max(pts, sphere)
+            assert _kernels.pairwise_max(pts, sphere) == _full_pairwise_max(pts, sphere)
 
 
 @pytest.mark.parametrize("model", LENS_MODELS[:4], ids=lambda m: m.describe())
@@ -416,6 +417,6 @@ def test_pairwise_max_of_degenerate_clouds(model):
     rng = np.random.default_rng(80 + model.dim)
     a = _random_cloud(model, rng, 600)
     same = np.repeat(a[:1], 600, axis=0)
-    assert _kernels.pairwise_max(same, model) == _unpruned_pairwise_max(same, model)
-    assert _kernels.pairwise_max(a[:2], model) == _unpruned_pairwise_max(a[:2], model)
-    assert _kernels.pairwise_max(a, model) == _unpruned_pairwise_max(a, model)
+    assert _kernels.pairwise_max(same, model) == _full_pairwise_max(same, model)
+    assert _kernels.pairwise_max(a[:2], model) == _full_pairwise_max(a[:2], model)
+    assert _kernels.pairwise_max(a, model) == _full_pairwise_max(a, model)

@@ -20,7 +20,8 @@ from geolens import (
 )
 from geolens import lens as lens_module
 from geolens.errors import DefectError
-from geolens.sets import diameter
+from geolens._kernels import min_dist_to
+from geolens.sets import diameter, diameter_with_witness, hausdorff
 from geolens.lens import (
     BOUNDARY_TOL,
     EXACT_SLACK,
@@ -29,8 +30,8 @@ from geolens.lens import (
     _ascend_pair,
     _corners_at,
     _nesting_scan,
-    _sampled_pair,
 )
+from lens_clouds import polar_lens_cloud
 from lens_oracles import Plane, brute_width
 
 CONVEX_CASES = [
@@ -124,10 +125,11 @@ def test_sample_deterministic_given_seed(plane):
 
 
 def _per_ring_reference(bp, budget, seed):
-    """The sampler as one model call per ring: the reference for the block.
+    """The sampler as one model call per ring, the small circle and the big
+    one: the reference for the pass.
 
-    Same rings, arcs, extreme points, phase draws, filters and point order
-    as ``sample_intersection``, built one circle at a time.
+    Same spacing, arcs, extreme points, phase draws, filters and point
+    order as ``sample_intersection``, built one circle at a time.
     """
     m, R, r, t = bp.manifold, bp.R, bp.r, bp.t
     if R + r - t < 1e-12 * (R + r):
@@ -137,8 +139,7 @@ def _per_ring_reference(bp, budget, seed):
     frame_small = m.tangent_basis(center_small, primary=bp.line.velocity_at(t).components)
     frame_big = m.tangent_basis(center_big, primary=bp.line.velocity_at(0.0).components)
     pitch = math.sqrt(m.disk_area(r) / max(16, int(0.6 * budget)))
-    n_rad = max(2, int(math.ceil(r / pitch)))
-    drho = r / n_rad
+    drho = r / max(2, int(math.ceil(r / pitch)))
 
     def circle(center, frame, rho, n):
         ang = rng.uniform(0.0, 2.0 * math.pi) + np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
@@ -153,22 +154,16 @@ def _per_ring_reference(bp, budget, seed):
             vec = R * (math.cos(phi) * frame_big[0] + sign * math.sin(phi) * frame_big[1])
             chunks.append(m.exp_many(center_big, vec[None, :]))
     chord = m.exp_many(center_small, np.array([r * frame_small[1], -r * frame_small[1]]))
-    for i in range(n_rad + 1):
-        if i == 0:
-            ring = center_small[None, :]
-        else:
-            n_ang = max(6, int(math.ceil(m.circle_circumference(i * drho) / drho)))
-            ring = circle(center_small, frame_small, i * drho, n_ang)
-        chunks.append(ring[m.dist_many(center_big, ring) <= R + 1e-12])
-    n_arc = max(64, int(math.ceil(m.circle_circumference(r) / drho)))
-    arc = circle(center_small, frame_small, r, n_arc)
+    n_small = max(64, int(math.ceil(m.circle_circumference(r) / drho)))
+    arc = circle(center_small, frame_small, r, n_small)
     chunks.append(arc[m.dist_many(center_big, arc) <= R + 1e-12])
-    n_arc = max(64, int(math.ceil(m.circle_circumference(R) / drho)))
-    arc = circle(center_big, frame_big, R, n_arc)
+    n_big = max(64, int(math.ceil(m.circle_circumference(R) / drho)))
+    arc = circle(center_big, frame_big, R, n_big)
     chunks.append(arc[m.dist_many(center_small, arc) <= r + 1e-12])
     chunks.append(chord[bp.margins(chord) >= -1e-12])
     points = np.vstack(chunks)
-    return points[bp.margins(points) >= -1e-9], 0.5 * math.hypot(drho, drho)
+    fill = 0.5 * max(m.circle_circumference(r) / n_small, m.circle_circumference(R) / n_big)
+    return points[bp.margins(points) >= -1e-9], fill
 
 
 ORACLE_CASES = [
@@ -205,6 +200,61 @@ def test_surface_sample_block_matches_per_ring_reference():
     assert cloud.fill_radius == fill
 
 
+def _dense_boundary(lens, n=20000):
+    """The lens boundary in its axial section at ``n`` angles per circle,
+    each circle point kept where it lies in the other ball."""
+    m = lens.manifold
+    ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    circles = []
+    for center, frame, rho in (
+        (lens.center_small(), lens.frame_small(), lens.r),
+        (lens.center_big(), lens.frame_big(), lens.R),
+    ):
+        vecs = rho * (np.cos(ang)[:, None] * frame[0] + np.sin(ang)[:, None] * frame[1])
+        circles.append(m.exp_many(center, vecs))
+    points = np.vstack(circles)
+    return points[lens.margins(points) >= 0.0]
+
+
+@pytest.mark.parametrize("model,R,r", ORACLE_CASES, ids=[m.describe() for m, _, _ in ORACLE_CASES])
+def test_sample_lies_on_the_boundary_within_its_fill_radius(model, R, r):
+    # every sample lies on one of the two circles, and every boundary point
+    # lies within the fill radius (half the larger arc spacing) of a sample
+    bp = BallPair.create(model, R, r)
+    for t in [*np.linspace(0.0, R + r, 7)[:-1], R - r, (R + r) * (1 - 1e-6)]:
+        lens = bp.with_separation(float(t))
+        dense = _dense_boundary(lens)
+        for budget in (256, 4096):
+            for seed in (0, 5):
+                cloud = sample_intersection(lens, budget, seed)
+                d_big = model.dist_many(lens.center_big(), cloud.points)
+                d_small = model.dist_many(lens.center_small(), cloud.points)
+                off = np.minimum(np.abs(d_big - R), np.abs(d_small - r))
+                assert np.max(off) <= BOUNDARY_TOL, (t, budget, seed)
+                gap = np.max(min_dist_to(dense, cloud.points, model))
+                assert gap <= cloud.fill_radius, (t, budget, seed, gap / cloud.fill_radius)
+
+
+def test_boundary_hausdorff_matches_the_polar_clouds():
+    # the verify_s2 pairs at its probe budget: between nearby lenses the
+    # Hausdorff distance of the boundary clouds lies within the polar
+    # oracle clouds' fill radii of theirs
+    sphere = Sphere(2, 1.0)
+    for R, r in ((1.2, 0.6), (1.0, 1.0)):
+        bp = BallPair.create(sphere, R, r)
+        ts = np.linspace(0.0, R + r, 40)
+        for seed in (1, 7):
+            rng = np.random.default_rng([seed, 41])
+            for _ in range(12):
+                i = int(rng.integers(0, len(ts) - 1))
+                j = min(len(ts) - 1, i + int(rng.integers(1, 6)))
+                s, t = bp.with_separation(float(ts[i])), bp.with_separation(float(ts[j]))
+                xs, xt = sample_intersection(s, 1024, seed), sample_intersection(t, 1024, seed)
+                ys, yt = polar_lens_cloud(s, 1024, seed), polar_lens_cloud(t, 1024, seed)
+                gap = abs(hausdorff(xs, xt) - hausdorff(ys, yt))
+                assert gap <= ys.fill_radius + yt.fill_radius, (R, r, i, j)
+
+
 PASS_CASES = [(model, *pairs[0]) for model, pairs in CONVEX_CASES] + [
     (Sphere(2, 1.0), math.pi / 2, math.pi / 2)  # the counterexample, beyond convexity
 ]
@@ -221,9 +271,9 @@ def test_sample_pass_gives_each_lens_the_bits_of_its_one_row_case(model, R, r, m
     steps = []
     lens_points = lens_module._lens_points
 
-    def spy(bp, ts, block_plan, arc, arc_big):
-        steps.append((len(ts), sum(block_plan[1]) + len(arc)))
-        return lens_points(bp, ts, block_plan, arc, arc_big)
+    def spy(bp, ts, small_plan, arc, arc_big):
+        steps.append((len(ts), sum(small_plan[1]) + len(arc)))
+        return lens_points(bp, ts, small_plan, arc, arc_big)
 
     monkeypatch.setattr(lens_module, "_lens_points", spy)
     whole = lens_module._sample_lenses(bp, ts, 512, 3)
@@ -259,7 +309,7 @@ def test_surface_sample_pass_takes_one_lens_per_step(monkeypatch):
 
 
 def test_sample_makes_a_fixed_number_of_model_calls(monkeypatch):
-    # one block about each center, the corners and the chord; the two frames
+    # one circle about each center, the corners and the chord; the two frames
     sphere = Sphere(2, 1.0)
     pair = BallPair.create(sphere, 1.2, 0.6)
     lens = pair.with_separation(1.0)
@@ -273,13 +323,12 @@ def test_sample_makes_a_fixed_number_of_model_calls(monkeypatch):
 
         monkeypatch.setattr(sphere, name, counted)
     cloud = sample_intersection(lens, budget=4096, seed=0)
-    assert len(cloud) > 1000
+    assert len(cloud) > 100
     assert calls["exp_many"] <= 4
     assert calls["tangent_basis"] <= 2
     assert calls["tangent_frames"] <= 2
     assert calls["dist_many"] <= 6
-    # the diameter reuses the sampled extremes: only the scan subset's
-    # margins are new
+    # the diameter reuses the sampled lens's memoised extremes
     calls.update(dict.fromkeys(calls, 0))
     lens_diameter(pair.with_separation(1.0), budget=4096, seed=0)
     assert calls["exp_many"] <= 4
@@ -341,7 +390,8 @@ def test_ascent_cross_check_never_beats_candidates(model, pairs):
             for seed in (0, 9):
                 cloud = sample_intersection(lens, budget=512, seed=seed)
                 value = lens_diameter(lens, cloud=cloud).value
-                p, q = _sampled_pair(lens, cloud)
+                _, (i, j) = diameter_with_witness(cloud)
+                p, q = cloud.points[i], cloud.points[j]
                 _, _, ascended = _ascend_pair(lens, p.copy(), q.copy())
                 assert ascended <= value, (R, r, t, seed, ascended - value)
 
@@ -834,6 +884,16 @@ def test_witness_check_rejects_an_inflated_width(monkeypatch):
     monkeypatch.setattr(lens_module, "_exact_widths", inflated)
     with pytest.raises(DefectError, match="row 0"):
         w_profile(BallPair.create(Sphere(2, 1.0), 1.2, 0.6), grid=12, budget=512, seed=0)
+
+
+@pytest.mark.parametrize("R,r,grid", [(2.0, 1.8, 8), (1.9, 1.7, 8), (1.9, 1.7, 12), (1.6, 1.6, 12)])
+def test_witness_check_near_the_antipode(R, r, grid):
+    # beyond the convexity radius the witnesses come close to antipodal; the
+    # check recomputes d(a, b) with dist_rows, as the widths are computed,
+    # where np.arcsin of a chord one ulp off would miss by about sqrt(eps)
+    bp = BallPair.create(Sphere(2, 1.0), R, r, convexity_bound=math.inf)
+    prof = w_profile(bp, grid=grid, budget=2048, seed=9)
+    assert np.max(prof.w) > 3.0
 
 
 def test_surface_pair_samples_do_not_depend_on_history():

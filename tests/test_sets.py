@@ -18,11 +18,11 @@ from geolens import (
     diameter_lipschitz_check,
     hausdorff,
     monotone_limit_check,
-    sample_intersection,
 )
 from geolens import _kernels
 from geolens.errors import ConfigError, NestingError
 from geolens.sets import diameter_with_witness
+from lens_clouds import polar_lens_cloud
 
 
 @pytest.fixture(scope="module")
@@ -227,12 +227,13 @@ def test_monotone_nesting_violation_detected(plane):
 
 
 def test_monotone_shrinking_lens_clouds(plane):
-    # lenses with small-ball radii r + delta_k shrink onto the limit lens
+    # lenses with small-ball radii r + delta_k shrink onto the limit lens;
+    # their filled polar clouds nest, as boundary clouds do not
     R, r, t = 2.0, 1.0, 1.6
 
     def lens_cloud(radius):
         bp = BallPair.create(plane, R, radius, t)
-        return sample_intersection(bp, budget=4096, seed=9)
+        return polar_lens_cloud(bp, budget=4096, seed=9)
 
     limit = lens_cloud(r)
     deltas = [0.12 / 2**k for k in range(5)]

@@ -161,6 +161,23 @@ def test_counterexample_passes_at_half_pi():
     assert all(abs(v - math.pi) <= 0.05 for v in entry.data.values())
 
 
+@pytest.mark.parametrize(
+    "pairs,budget", [(((1.9, 1.7), (1.6, 1.6)), 2048), (((1.8, 1.8), (1.7, 1.6)), 1024)]
+)
+def test_counterexample_witnesses_near_the_antipode(pairs, budget):
+    # the widths near pi come from dist_rows (libm asin); checked against a
+    # d(a, b) from NumPy's arcsin, a one-ulp chord difference read as about
+    # sqrt(eps) and raised a false DefectError
+    cfg = RunConfig(
+        manifold=ManifoldSpec(kind="sphere", curvature=1.0),
+        pairs=pairs,
+        budget=budget,
+        seed=9,
+        expect_counterexample=True,
+    )
+    assert run_counterexample(cfg).passed
+
+
 def test_counterexample_requires_large_radii():
     cfg = RunConfig(
         manifold=ManifoldSpec(kind="sphere", curvature=1.0),
@@ -234,8 +251,10 @@ def test_speculation_on_exact_pairs_samples_no_cloud(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled a cloud")
 
-    monkeypatch.setattr(lens_module, "sample_intersection", refuse)
-    monkeypatch.setattr(suite_module, "sample_intersection", refuse)
+    # every cloud, one lens's or the suite's probe clouds, comes from the
+    # sampling pass
+    monkeypatch.setattr(lens_module, "_sample_lenses", refuse)
+    monkeypatch.setattr(suite_module, "_sample_lenses", refuse)
     assert run_speculation_probe(SPHERE_PAIRS).passed
 
 
