@@ -6,7 +6,10 @@ ways, ``min_dist_to`` the distance from each point of a cloud to its nearest
 target and ``min_dist_both`` those distances both ways.  On a model with
 closed forms the scans work on row blocks of the model's squared pre-metric
 (:meth:`Manifold.scan_sq`), which is monotone in the distance, and map only
-the reduced values to distances (:meth:`Manifold.scan_dist`).  Blocks are
+the reduced values to distances (:meth:`Manifold.scan_dist`).  The model's
+distance is those two formulas (:meth:`Manifold.dist_pairs`), and a
+pre-metric element has the same bits in a block as alone, so every value a
+scan reports is the ``dist_pairs`` value of its pair.  Blocks are
 chunked to bound memory.  One block scan serves both directions: its row
 minima are the nearest targets of the points and its column minima the
 nearest points of the targets, with the bits of a scan the other way because
@@ -53,7 +56,7 @@ def pairwise_max(points, manifold):
     """Largest pairwise distance in one cloud; returns (dist, i, j)."""
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if not manifold.closed_form:
-        return _pairwise_max_rows(pts, manifold)
+        return _pairwise_max_shot(pts, manifold)
     n = pts.shape[0]
     best = -1.0
     bi = bj = 0
@@ -121,7 +124,7 @@ def min_dist_to(points, targets, manifold):
     pts = np.ascontiguousarray(points, dtype=np.float64)
     tgt = np.ascontiguousarray(targets, dtype=np.float64)
     if not manifold.closed_form:
-        return _min_dist_rows(pts, tgt, manifold)
+        return _min_dist_shot(pts, tgt, manifold)
     return manifold.scan_dist(_nearest_sq(pts, tgt, manifold)[0])
 
 
@@ -132,7 +135,7 @@ def min_dist_both(points, targets, manifold):
     tgt = np.ascontiguousarray(targets, dtype=np.float64)
     if not manifold.closed_form:
         # shooting p -> q and q -> p agree only to the shooting tolerance
-        return _min_dist_rows(pts, tgt, manifold), _min_dist_rows(tgt, pts, manifold)
+        return _min_dist_shot(pts, tgt, manifold), _min_dist_shot(tgt, pts, manifold)
     row_min, col_min = _nearest_sq(pts, tgt, manifold)
     return manifold.scan_dist(row_min), manifold.scan_dist(col_min)
 
@@ -159,7 +162,7 @@ def _shoot_pairs(sources, targets, manifold):
     return out
 
 
-def _pairwise_max_rows(pts, manifold):
+def _pairwise_max_shot(pts, manifold):
     n = len(pts)
     if n * n > SLOW_PAIR_LIMIT:
         raise ConfigError("cloud too large for the numeric-manifold pairwise scan")
@@ -173,7 +176,7 @@ def _pairwise_max_rows(pts, manifold):
     return float(d[k]), int(i[k]), int(j[k])
 
 
-def _min_dist_rows(pts, targets, manifold):
+def _min_dist_shot(pts, targets, manifold):
     if len(pts) * len(targets) > SLOW_PAIR_LIMIT:
         raise ConfigError("clouds too large for the numeric-manifold scan")
     sources = np.repeat(pts, len(targets), axis=0)

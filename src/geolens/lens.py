@@ -37,8 +37,8 @@ A profile builds the candidates of every grid separation in one pass
 frames of all separations from one ``tangent_frames``), and the widths, the
 plateau test at the grid points and the nesting scan all read it; a single
 lens is the one-row case.  Each row's values do not depend on the others,
-and each width has the bits of the scalar ``dist_coords`` of its pair, so
-the numbers are those of a lens-by-lens pass.  The nesting onset and the
+so the numbers are those of a lens-by-lens pass, and each width is the
+``dist_coords`` of its pair.  The nesting onset and the
 plateau end bisect in lockstep rounds (``_bisect``): each round tests the
 next levels of the bisection tree in one batch and walks it, with the
 floats and tests of a step-by-step loop.
@@ -77,7 +77,7 @@ import numpy as np
 
 from geolens.errors import DefectError, InjectivityError, TangencyError
 from geolens.geodesics import GeodesicLine
-from geolens.manifolds import Manifold, ManifoldPoint, TangentVector, _libm
+from geolens.manifolds import Manifold, ManifoldPoint, TangentVector
 from geolens.sets import PointCloud, diameter_with_witness
 
 DEFAULT_GRID = 200
@@ -236,12 +236,12 @@ def check_witnesses(bp: BallPair, ts, w, witness_a, witness_b, label=None) -> No
 
     One pass over the rows, independent of how the widths were found: the
     margins come from one ``dist_many`` about gamma(0) and one
-    ``dist_pairs`` against the small centres, d(a, b) from one
-    ``dist_rows``, the distance of every width path.  (``dist_pairs`` may
-    differ from it in the last bit of the chord, and near the antipode the
-    slope of arcsin turns that bit into about sqrt(eps), far above
-    ``EXACT_SLACK``.)  ``label(i)`` names row i in the error, by default
-    ``row i (t=...)``.
+    ``dist_pairs`` against the small centres, d(a, b) from one more
+    ``dist_pairs``.  Every width path reads that same distance (the scans
+    of :mod:`geolens._kernels` give each pair its ``dist_pairs`` bits), so
+    near the antipode, where the slope of arcsin turns one ulp of the chord
+    into about sqrt(eps), a width still matches its witnesses exactly.
+    ``label(i)`` names row i in the error, by default ``row i (t=...)``.
     """
     m = bp.manifold
     ts = np.minimum(np.asarray(ts, dtype=np.float64), bp.R + bp.r)
@@ -250,7 +250,7 @@ def check_witnesses(bp: BallPair, ts, w, witness_a, witness_b, label=None) -> No
     d_big = m.dist_many(bp.center_big(), pts)
     d_small = m.dist_pairs(np.concatenate([centres, centres]), pts)
     margins = np.minimum(bp.R - d_big, bp.r - d_small).reshape(2, len(ts))
-    gap = np.abs(m.dist_rows(witness_a, witness_b) - w)
+    gap = np.abs(m.dist_pairs(witness_a, witness_b) - w)
     bad = ~(np.all(margins >= -BOUNDARY_TOL, axis=0) & (gap <= EXACT_SLACK))
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -364,8 +364,8 @@ def _corners_at(bp: BallPair, ts):
 
     Solved in the axial section through the law of cosines of the model; the
     corner sits at angle phi off the axis at distance R from the big center.
-    One array pass; phi, its cosine and its sine go through the scalar libm
-    (``_libm``), so every corner has the bits of a lens-by-lens evaluation.
+    One array pass of ufuncs, so every corner has the bits of a lens-by-lens
+    evaluation.
     """
     m, R, r = bp.manifold, bp.R, bp.r
     ts = np.asarray(ts, dtype=np.float64)
@@ -375,12 +375,12 @@ def _corners_at(bp: BallPair, ts):
     found, cos_phi, d = found[meet], cos_phi[meet], m.ambient_dim
     if not len(found):
         return found, np.empty((0, 2, d))
-    phi = _libm(math.acos, cos_phi)
+    phi = np.arccos(cos_phi)
     frame = bp.frame_big()
     # R (cos phi e0 +- sin phi e1); negation is exact, so the lower corner
     # has the bits of R (cos phi e0 - sin phi e1)
-    cos = _libm(math.cos, phi)[:, None, None]
-    sin = _libm(math.sin, phi)[:, None, None] * _CORNER_SIGNS
+    cos = np.cos(phi)[:, None, None]
+    sin = np.sin(phi)[:, None, None] * _CORNER_SIGNS
     vecs = R * (cos * frame[0] + sin * frame[1])
     return found, m.exp_many(bp.center_big(), vecs.reshape(-1, d)).reshape(-1, 2, d)
 
@@ -390,13 +390,13 @@ def _pair_distances(m: Manifold, ends, margins) -> np.ndarray:
     :class:`_Candidates`): the distances of its axis, corner and chord pairs
     where they are width candidates, else -inf.  The axis ends always are;
     the corners and the chord when both ends lie in the lens.  One
-    ``dist_rows``, so each distance has the bits of the scalar
-    ``dist_coords`` in every pass."""
+    ``dist_pairs``, so each distance is the ``dist_coords`` of its pair in
+    every pass."""
     admissible = np.ones((len(ends), 3), dtype=bool)
     admissible[:, 1] = np.all(margins[:, _CORNERS] >= -BOUNDARY_TOL, axis=1)
     admissible[:, 2] = np.all(margins[:, _CHORD] >= -BOUNDARY_TOL, axis=1)
     rows, pair = np.nonzero(admissible)
-    d = m.dist_rows(ends[rows, 2 * pair], ends[rows, 2 * pair + 1])
+    d = m.dist_pairs(ends[rows, 2 * pair], ends[rows, 2 * pair + 1])
     out = np.full((len(ends), 3), -np.inf)
     # a nan distance never wins, as in a scan that keeps a strictly farther pair
     out[rows, pair] = np.where(np.isnan(d), -np.inf, d)
@@ -700,13 +700,11 @@ def lens_diameter(
         return LensDiameter(float(w[0]), wa[0], wb[0], float(slack[0]))
     if cloud is None:
         cloud = sample_intersection(bp, budget, seed)
-    _, (i, j) = diameter_with_witness(cloud)
+    best_d, (i, j) = diameter_with_witness(cloud)
     best_pair = (cloud.points[i], cloud.points[j])
     if refine and not bp.exact:
         p, q, best_d = _ascend_pair(bp, best_pair[0].copy(), best_pair[1].copy())
         best_pair = (p, q)
-    else:
-        best_d = m.dist_coords(best_pair[0], best_pair[1])
     c = bp.candidates()
     d = _pair_distances(m, c.ends, c.margins)[0]
     k = int(np.argmax(d))
@@ -789,9 +787,9 @@ def _far_points(c: _Candidates):
 # (separation, point) rows that one round of a lockstep bisection tests at
 # most: bounds its temporaries and the tests it makes off the loop's path
 _BISECT_ROWS = 512
-# levels one round lays out at most: each test also evaluates the line
-# through the scalar libm, which past about 31 tests per round costs more
-# than the rounds it saves
+# levels one round lays out at most: a level doubles a round's tests and
+# saves one step, and past 31 tests a step costs more (on 8 points, 2 vCPU:
+# 9.7 us a step at 31 tests, 10.4 at 63, 11.8 at 127)
 _BISECT_LEVELS = 5
 # relative rounding of distances, far below any bracket's width, that the
 # pruning of the onset's continuous phase allows for
@@ -1002,7 +1000,7 @@ def w_profile(
     An exact pair draws no cloud and runs one grid pass
     (``_candidates_at``): the candidates of every separation (their frames
     from one ``tangent_frames``), their margins and each row's best pair
-    (one ``dist_rows``) give the widths, the chords' distances to gamma(0)
+    (one ``dist_pairs``) give the widths, the chords' distances to gamma(0)
     give the plateau test at the grid points, and the axis ends and corners
     inside the lenses are the nesting scan.  Both bisections then run in
     lockstep rounds, the plateau's on chord passes (``_chord_margins``), so

@@ -63,30 +63,10 @@ def _as_coords(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _dot_rows(a, b):
-    """``np.dot`` of each row of a with the same row of b, with its bits.
-
-    ``np.dot`` of two vectors calls the BLAS dot, whose order of addition
-    differs from an elementwise sum (``einsum``, ``np.sum``) in the last bit
-    on about a third of random 3-vectors.  A stacked product of (n, 1, d)
-    by (n, d, 1) blocks calls that same BLAS dot on each row.
-    """
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _libm(fn, x):
-    """The ``math`` function ``fn`` of a scalar, or of each element of an array.
-
-    NumPy's array ufuncs (cos, cosh, arcsinh, ...) and the scalar libm
-    functions of ``math`` differ in the last bit on some inputs (np.arcsinh
-    and math.asinh on about one input in six), while a ufunc gives an
-    element the same bits whatever the length of its array.  So array paths
-    that must give the bits of a scalar path call libm too.
-    """
-    if isinstance(x, float):
-        return fn(x)
-    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+def _dot(a, b):
+    """The dot product over the last axis, broadcast over the others.  An
+    element has the same bits alone, in a row block or in a pair block."""
+    return np.einsum("...k,...k->...", a, b)
 
 
 def _degenerate_nan(num, denom):
@@ -119,6 +99,11 @@ class Manifold(ABC):
     ``exp``, ``exp_with_velocity``, ``log``, ``distance``) wrap the
     coordinate routines one point at a time; no command reaches them, and
     the tests keep them as the reference the batches are checked against.
+
+    Every closed-form formula is written once, with NumPy ufuncs and
+    ``einsum``, which give an element the same bits alone or at any place
+    of any array: so a batch, its one-row case and a lens-by-lens pass
+    agree bit for bit.
     """
 
     kind: str = ""
@@ -160,9 +145,10 @@ class Manifold(ABC):
 
     # -- metric ------------------------------------------------------------
 
-    @abstractmethod
     def inner_coords(self, base_coords, a_components, b_components) -> float:
-        """Riemannian inner product of two tangent component vectors."""
+        """Riemannian inner product of two tangent component vectors: the
+        one-row case of :meth:`_inner_rows`."""
+        return float(self._inner_rows(np.asarray(a_components), np.asarray(b_components)))
 
     def metric_inner(self, a: TangentVector, b: TangentVector) -> float:
         if a.base.coords is not b.base.coords and not np.array_equal(
@@ -202,24 +188,19 @@ class Manifold(ABC):
 
     def dist_coords(self, p_coords, q_coords) -> float:
         """The distance between two points: the one-row case of
-        :meth:`dist_rows`."""
-        return float(self.dist_rows(np.asarray(p_coords)[None], np.asarray(q_coords)[None])[0])
+        :meth:`dist_pairs`."""
+        return float(self.dist_pairs(np.asarray(p_coords)[None], np.asarray(q_coords)[None])[0])
 
-    @abstractmethod
     def dist_pairs(self, sources, targets) -> np.ndarray:
         """Distance between matching rows of two (n, ambient_dim) blocks,
         which broadcast: a single point (ambient_dim,) stands for every row,
         and (k, 1, ambient_dim) against (n, ambient_dim) gives all k * n
-        pairs.  A row's value does not depend on the other rows.  On the closed-form
-        models it may differ in the last bit from ``dist_rows`` of the same
-        pair, which takes its norm as a BLAS dot and its inverse
-        trigonometric function from the scalar libm (see ``_libm``)."""
-
-    @abstractmethod
-    def dist_rows(self, sources, targets) -> np.ndarray:
-        """Distance between matching rows of two (n, ambient_dim) blocks,
-        each row with the bits of that pair alone: the widths and witness
-        distances of the lens code, and (one row) ``dist_coords``."""
+        pairs.  On a closed-form model, the distance of the pre-metric of
+        the chart difference (:meth:`pre_sq`, :meth:`scan_dist`): a row's
+        value does not depend on the other rows, and is the value the scans
+        of :mod:`geolens._kernels` give its pair."""
+        diff = np.asarray(targets, dtype=np.float64) - np.asarray(sources, dtype=np.float64)
+        return self.scan_dist(self.pre_sq(diff))
 
     def dist_many(self, x_coords, points) -> np.ndarray:
         """Distances from one point to each row of an (n, ambient_dim) block:
@@ -272,9 +253,9 @@ class Manifold(ABC):
         Metric Gram-Schmidt over all rows at once.  The candidates are the
         primary, then the chart axes (``_frame_axes``), each projected onto
         the tangent space.  A row skips a candidate whose remainder has norm
-        1e-12 or less and stops at ``dim`` vectors.  Every inner product has
-        the bits of the model's scalar one (``_inner_rows``), so a row's frame
-        does not depend on the other rows.
+        1e-12 or less and stops at ``dim`` vectors.  Every inner product is
+        a row of ``_inner_rows``, so a row's frame does not depend on the
+        other rows.
         """
         bases = np.atleast_2d(np.asarray(bases, dtype=np.float64))
         dim = self.dim
@@ -307,10 +288,10 @@ class Manifold(ABC):
 
     def _inner_rows(self, a, b) -> np.ndarray:
         """The metric inner product of matching rows of two tangent blocks,
-        with the bits of ``inner_coords`` on each row alone.  Here the dot
-        product of the chart, the metric of the plane and the sphere; a
-        model with another metric overrides this or :meth:`tangent_frames`."""
-        return _dot_rows(a, b)
+        which broadcast.  Here the dot product of the chart, the metric of
+        the plane and the sphere; a model with another metric overrides this
+        or :meth:`tangent_frames`."""
+        return _dot(a, b)
 
     def basepoint(self) -> ManifoldPoint:
         """A canonical point usable as a default geodesic anchor."""
@@ -356,20 +337,26 @@ class Manifold(ABC):
         formula degenerates."""
         return (t * t + R * R - r * r) / (2.0 * t * R)
 
-    # -- distance scans ------------------------------------------------------
-    # The scans of geolens._kernels reduce a squared pre-metric and map only
-    # the reduced values to distances.  The base class holds the flat pair;
-    # the scans use these only where ``closed_form`` is True.
+    # -- distance ------------------------------------------------------------
+    # A closed-form distance is a monotone function (``scan_dist``) of a
+    # squared pre-metric of the chart difference (``pre_sq``).  The scans of
+    # geolens._kernels reduce the pre-metric and map only the reduced values
+    # to distances; ``dist_pairs`` maps every value.  The base class holds
+    # the flat pair; the scans use these only where ``closed_form`` is True.
 
-    # True where ``scan_sq`` is the squared ambient Euclidean distance, so a
+    # True where ``pre_sq`` is the squared ambient Euclidean distance, so a
     # Euclidean k-d tree on the coordinates finds the same nearest points.
     euclidean_scan: bool = True
+
+    def pre_sq(self, diff) -> np.ndarray:
+        """Squared pre-metric of chart differences on the last axis; the
+        same bits for a difference and its negation."""
+        return _dot(diff, diff)
 
     def scan_sq(self, a, b) -> np.ndarray:
         """Squared pre-metric between row blocks a (m, d) and b (n, d).
         ``scan_sq(a, b)[i, j] == scan_sq(b, a)[j, i]`` bit for bit."""
-        diff = _diff_block(a, b)
-        return np.einsum("ijk,ijk->ij", diff, diff)
+        return self.pre_sq(_diff_block(a, b))
 
     def scan_dist(self, sq):
         """Distance from the squared pre-metric (monotone increasing)."""
@@ -395,9 +382,6 @@ class Euclidean(Manifold):
     def project_tangent(self, base_coords, components):
         return np.asarray(components, dtype=np.float64)
 
-    def inner_coords(self, base_coords, a, b):
-        return float(np.dot(a, b))
-
     def exp_pairs(self, bases, tangents):
         return np.asarray(bases) + np.asarray(tangents, dtype=np.float64)
 
@@ -410,14 +394,6 @@ class Euclidean(Manifold):
 
     def log_coords(self, p, q):
         return np.asarray(q, dtype=np.float64) - np.asarray(p, dtype=np.float64)
-
-    def dist_rows(self, sources, targets):
-        # the square root of the BLAS dot: the bits of np.linalg.norm of one row
-        diff = np.asarray(targets) - np.asarray(sources)
-        return np.sqrt(_dot_rows(diff, diff))
-
-    def dist_pairs(self, sources, targets):
-        return np.linalg.norm(np.asarray(targets) - np.asarray(sources), axis=-1)
 
     def geodesic_acceleration(self, pos, vel):
         return np.zeros_like(np.asarray(vel, dtype=np.float64))
@@ -464,10 +440,7 @@ class Sphere(Manifold):
     def project_tangent(self, base_coords, components):
         b = np.asarray(base_coords)
         c = np.asarray(components, dtype=np.float64)
-        return c - (_dot_rows(c, b) / self.radius**2)[..., None] * b
-
-    def inner_coords(self, base_coords, a, b):
-        return float(np.dot(a, b))
+        return c - (_dot(c, b) / self.radius**2)[..., None] * b
 
     def exp_pairs(self, bases, tangents):
         base = np.asarray(bases)
@@ -494,19 +467,10 @@ class Sphere(Manifold):
             return base.copy(), c.copy()
         unit = c / speed
         theta = t * speed / self.radius
-        cos, sin = _libm(math.cos, theta), _libm(math.sin, theta)
+        cos, sin = np.cos(theta), np.sin(theta)
         pt = cos * base + self.radius * sin * unit
         vel = speed * (-sin * base / self.radius + cos * unit)
         return pt, vel
-
-    def dist_rows(self, sources, targets):
-        diff = np.asarray(targets) - np.asarray(sources)
-        x = np.sqrt(_dot_rows(diff, diff)) / (2.0 * self.radius)
-        return 2.0 * self.radius * _libm(math.asin, np.where(x > 1.0, 1.0, x))
-
-    def dist_pairs(self, sources, targets):
-        chord = np.linalg.norm(np.asarray(targets) - np.asarray(sources), axis=-1)
-        return 2.0 * self.radius * np.arcsin(np.clip(chord / (2.0 * self.radius), 0.0, 1.0))
 
     def log_coords(self, p, q):
         p = np.asarray(p, dtype=np.float64)
@@ -541,8 +505,8 @@ class Sphere(Manifold):
     def corner_cosine(self, R, r, t):
         a = self.radius
         return _degenerate_nan(
-            math.cos(r / a) - math.cos(R / a) * _libm(math.cos, t / a),
-            math.sin(R / a) * _libm(math.sin, t / a),
+            math.cos(r / a) - math.cos(R / a) * np.cos(t / a),
+            math.sin(R / a) * np.sin(t / a),
         )
 
     def scan_dist(self, sq):
@@ -581,13 +545,6 @@ class Hyperbolic(Manifold):
     def minkowski(self, x, y):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if x.ndim == 1 and x.shape == y.shape and len(x) <= 8:
-            # np.sum's order on fewer than 8 terms: from +0.0, left to right
-            xs, ys = x.tolist(), y.tolist()
-            acc = 0.0
-            for a, b in zip(xs[1:], ys[1:]):
-                acc += a * b
-            return acc - xs[0] * ys[0]
         return np.sum(x[..., 1:] * y[..., 1:], axis=-1) - x[..., 0] * y[..., 0]
 
     def normalize(self, spatial) -> np.ndarray:
@@ -607,9 +564,6 @@ class Hyperbolic(Manifold):
         b = np.asarray(base_coords, dtype=np.float64)
         c = np.asarray(components, dtype=np.float64)
         return c + (self._inner_rows(c, b) / self.radius**2)[..., None] * b
-
-    def inner_coords(self, base_coords, a, b):
-        return float(self.minkowski(a, b))
 
     def exp_pairs(self, bases, tangents):
         base = np.asarray(bases)
@@ -636,20 +590,10 @@ class Hyperbolic(Manifold):
             return base.copy(), c.copy()
         unit = c / speed
         theta = t * speed / self.radius
-        cosh, sinh = _libm(math.cosh, theta), _libm(math.sinh, theta)
+        cosh, sinh = np.cosh(theta), np.sinh(theta)
         pt = cosh * base + self.radius * sinh * unit
         vel = speed * (sinh * base / self.radius + cosh * unit)
         return pt, vel
-
-    def dist_rows(self, sources, targets):
-        diff = np.asarray(targets) - np.asarray(sources)
-        m = self._inner_rows(diff, diff)
-        return 2.0 * self.radius * _libm(math.asinh, np.sqrt(np.where(m < 0.0, 0.0, m)) / (2.0 * self.radius))
-
-    def dist_pairs(self, sources, targets):
-        diff = np.asarray(targets) - np.asarray(sources)
-        m = np.clip(self.minkowski(diff, diff), 0.0, None)
-        return 2.0 * self.radius * np.arcsinh(np.sqrt(m) / (2.0 * self.radius))
 
     def log_coords(self, p, q):
         p = np.asarray(p, dtype=np.float64)
@@ -673,8 +617,7 @@ class Hyperbolic(Manifold):
         return np.eye(self.ambient_dim)[1:]
 
     def _inner_rows(self, a, b):
-        # a block's rows sum in the order of a pair of vectors
-        return np.asarray(self.minkowski(a, b))
+        return self.minkowski(a, b)
 
     def convexity_radius(self):
         return math.inf
@@ -692,16 +635,15 @@ class Hyperbolic(Manifold):
     def corner_cosine(self, R, r, t):
         a = self.radius
         return _degenerate_nan(
-            math.cosh(R / a) * _libm(math.cosh, t / a) - math.cosh(r / a),
-            math.sinh(R / a) * _libm(math.sinh, t / a),
+            math.cosh(R / a) * np.cosh(t / a) - math.cosh(r / a),
+            math.sinh(R / a) * np.sinh(t / a),
         )
 
     euclidean_scan = False
 
-    def scan_sq(self, a, b):
-        diff = _diff_block(a, b)
-        sq = np.einsum("ijk,ijk->ij", diff[:, :, 1:], diff[:, :, 1:]) - diff[:, :, 0] ** 2
-        return np.clip(sq, 0.0, None)
+    def pre_sq(self, diff):
+        # the Minkowski square, clipped at 0: rounding can take it below
+        return np.clip(_dot(diff[..., 1:], diff[..., 1:]) - diff[..., 0] ** 2, 0.0, None)
 
     def scan_dist(self, sq):
         return 2.0 * self.radius * np.arcsinh(np.sqrt(sq) / (2.0 * self.radius))
@@ -1003,10 +945,6 @@ class SurfaceOfRevolution(Manifold):
         p = np.asarray(p, dtype=np.float64)
         angle, length = self._shoot(p, q)[0]
         return length * self.unit_tangent(p, angle)
-
-    def dist_rows(self, sources, targets):
-        # each row of the pair batch is its own shot
-        return self.dist_pairs(sources, targets)
 
     def dist_pairs(self, sources, targets):
         p, q = np.broadcast_arrays(

@@ -15,7 +15,8 @@ Every distance comes from the scans of :mod:`geolens._kernels`.  A
 Hausdorff distance and a nesting gap are largest nearest distances
 (``max_nearest``): on the sphere and in Euclidean space a k-d tree picks
 the few rows that can hold the maximum and only those are scanned exactly,
-so the value has the bits of the full O(|Y| * |Z|) scan; the hyperboloid
+so the value has the bits of the full O(|Y| * |Z|) scan, which are those of
+the model's ``dist_pairs`` of the pair that holds it; the hyperboloid
 reads both directions off one block scan and the numeric surface shoots
 every pair.  A cloud's points are read-only, so its diameter is scanned
 once and memoised, and so is its k-d tree where the nearest scans read one

@@ -422,22 +422,22 @@ def run_counterexample(config: RunConfig) -> VerificationReport:
     counterexample entry; the standard claims are marked not-run.
     """
     manifold = config.manifold.build()
-    if manifold.kind != "sphere":
+    conv = manifold.convexity_radius() if manifold.closed_form else math.inf
+    if not math.isfinite(conv):
         raise ConfigError("the counterexample scenario runs on a sphere model")
-    conv = manifold.convexity_radius()
-    pairs = [p for p in config.all_pairs()]
+    pairs = config.all_pairs()
     for R, r in pairs:
         if r < conv - 1e-12:
             raise ConfigError(
                 f"counterexample needs both radii >= the convexity radius {conv:g}"
             )
-    a = manifold.radius
-    target = math.pi * a
+    # the model diameter, twice the convexity radius (scaling by 2 is exact)
+    target = 2.0 * conv
     worst = math.inf
     observed = []
     for R, r in pairs:
         bp = BallPair.create(manifold, R, r, convexity_bound=math.inf)
-        t_hi = min(R + r, 0.8 * math.pi * a)
+        t_hi = min(R + r, 0.8 * target)
         ts = np.linspace(0.25 * t_hi, t_hi, 4)
         rows = [lens_diameter(bp.with_separation(float(t)), config.budget, config.seed) for t in ts]
         check_witnesses(

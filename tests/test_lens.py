@@ -149,9 +149,9 @@ def _per_ring_reference(bp, budget, seed):
     chunks = [np.array([bp.line.coords_at(t - r), bp.line.coords_at(min(t + r, R))])]
     cos_phi = m.corner_cosine(R, r, t) if t >= 1e-12 else None
     if cos_phi is not None and -1.0 <= cos_phi <= 1.0:
-        phi = math.acos(cos_phi)
+        phi = np.arccos(cos_phi)
         for sign in (1.0, -1.0):
-            vec = R * (math.cos(phi) * frame_big[0] + sign * math.sin(phi) * frame_big[1])
+            vec = R * (np.cos(phi) * frame_big[0] + sign * np.sin(phi) * frame_big[1])
             chunks.append(m.exp_many(center_big, vec[None, :]))
     chord = m.exp_many(center_small, np.array([r * frame_small[1], -r * frame_small[1]]))
     n_small = max(64, int(math.ceil(m.circle_circumference(r) / drho)))
@@ -187,6 +187,27 @@ def test_sample_block_matches_per_ring_reference(model, R, r):
                 points, fill = _per_ring_reference(lens, budget, seed)
                 assert cloud.points.tobytes() == points.tobytes(), (t, budget, seed)
                 assert cloud.fill_radius == fill
+
+
+SCAN_CASES = ORACLE_CASES + [(Sphere(2, 1.0), 2.0, 1.8)]  # beyond convexity, near the antipode
+
+
+@pytest.mark.parametrize("model,R,r", SCAN_CASES, ids=[f"{m.describe()}-{R:g}" for m, R, _ in SCAN_CASES])
+def test_scans_give_the_pair_distances_of_their_witnesses(model, R, r):
+    # every scan value is the model's distance of its pair, bit for bit: the
+    # diameter is dist_coords of its witnesses, and each nearest distance
+    # the row minimum of dist_many
+    bp = BallPair.create(model, R, r, convexity_bound=math.inf)
+    clouds = [
+        sample_intersection(bp.with_separation(float(t)), budget, seed)
+        for t in np.linspace(0.0, R + r, 10)[:-1]
+        for budget, seed in ((256, 0), (1024, 3), (4096, 5))
+    ]
+    for cloud, other in zip(clouds, clouds[3:] + clouds[:3]):
+        d, (i, j) = diameter_with_witness(cloud)
+        assert repr(d) == repr(model.dist_coords(cloud.points[i], cloud.points[j]))
+        rows = np.array([np.min(model.dist_many(p, other.points)) for p in cloud.points])
+        assert min_dist_to(cloud.points, other.points, model).tobytes() == rows.tobytes()
 
 
 def test_surface_sample_block_matches_per_ring_reference():
@@ -505,10 +526,10 @@ def _per_lens_extremes(lens):
     ends = [np.array([line.coords_at(t - r), line.coords_at(min(t + r, R))])]
     cos_phi = m.corner_cosine(R, r, t) if t >= 1e-12 else None
     if cos_phi is not None and -1.0 <= cos_phi <= 1.0:
-        phi = math.acos(cos_phi)
+        phi = np.arccos(cos_phi)
         frame = m.tangent_basis(line.coords_at(0.0), primary=line.velocity_at(0.0).components)
         vecs = [
-            R * (math.cos(phi) * frame[0] + sign * math.sin(phi) * frame[1]) for sign in (1.0, -1.0)
+            R * (np.cos(phi) * frame[0] + sign * np.sin(phi) * frame[1]) for sign in (1.0, -1.0)
         ]
         ends.append(m.exp_many(line.coords_at(0.0), np.array(vecs)))
     frame = m.tangent_basis(line.coords_at(t), primary=line.velocity_at(t).components)
@@ -889,7 +910,7 @@ def test_witness_check_rejects_an_inflated_width(monkeypatch):
 @pytest.mark.parametrize("R,r,grid", [(2.0, 1.8, 8), (1.9, 1.7, 8), (1.9, 1.7, 12), (1.6, 1.6, 12)])
 def test_witness_check_near_the_antipode(R, r, grid):
     # beyond the convexity radius the witnesses come close to antipodal; the
-    # check recomputes d(a, b) with dist_rows, as the widths are computed,
+    # check recomputes d(a, b) with dist_pairs, as the widths are computed,
     # where np.arcsin of a chord one ulp off would miss by about sqrt(eps)
     bp = BallPair.create(Sphere(2, 1.0), R, r, convexity_bound=math.inf)
     prof = w_profile(bp, grid=grid, budget=2048, seed=9)

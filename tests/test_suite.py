@@ -165,9 +165,9 @@ def test_counterexample_passes_at_half_pi():
     "pairs,budget", [(((1.9, 1.7), (1.6, 1.6)), 2048), (((1.8, 1.8), (1.7, 1.6)), 1024)]
 )
 def test_counterexample_witnesses_near_the_antipode(pairs, budget):
-    # the widths near pi come from dist_rows (libm asin); checked against a
-    # d(a, b) from NumPy's arcsin, a one-ulp chord difference read as about
-    # sqrt(eps) and raised a false DefectError
+    # near pi the slope of arcsin reads a one-ulp chord difference as about
+    # sqrt(eps): when the widths and the witness check took the chord from
+    # two formulas, this raised a false DefectError
     cfg = RunConfig(
         manifold=ManifoldSpec(kind="sphere", curvature=1.0),
         pairs=pairs,
@@ -187,6 +187,23 @@ def test_counterexample_requires_large_radii():
         expect_counterexample=True,
     )
     with pytest.raises(ConfigError):
+        run_counterexample(cfg)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ManifoldSpec(kind="euclidean"),
+        ManifoldSpec(kind="hyperbolic", curvature=-1.0),
+        ManifoldSpec(kind="surface_of_revolution"),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_counterexample_needs_a_model_of_finite_convexity_radius(spec):
+    # the scenario asks the model, not its class: neither a closed-form model
+    # with an infinite convexity radius nor the numeric surface qualifies
+    cfg = RunConfig(manifold=spec, pairs=((0.4, 0.3),), budget=512, seed=9, expect_counterexample=True)
+    with pytest.raises(ConfigError, match="runs on a sphere model"):
         run_counterexample(cfg)
 
 
