@@ -11,7 +11,6 @@ from geolens.geodesics import (
     GeodesicLine,
     GeodesicSegment,
     JacobiSolution,
-    first_variation_check,
     integrate_geodesic,
     integrate_jacobi,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "JacobiSolution",
     "integrate_geodesic",
     "integrate_jacobi",
-    "first_variation_check",
     "RadiusValue",
     "RadiiReport",
     "closed_form_radii",

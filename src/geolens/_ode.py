@@ -2,7 +2,9 @@
 
 Fixed steps keep runs reproducible; accuracy is controlled by the step size
 and checked by the tests against closed forms, invariants and finer-step
-runs.
+runs.  The constant-curvature Jacobi scan (``geodesics.integrate_jacobi``)
+writes :func:`rk4_step`'s operations out on two Python floats, in the same
+order, so any change to the order here must be made there too.
 """
 
 import numpy as np

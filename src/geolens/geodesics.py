@@ -135,28 +135,6 @@ def integrate_geodesic(
     )
 
 
-def first_variation_check(manifold: Manifold, family, fd_step: float = 1e-4) -> float:
-    """Mismatch between dE/ds(0) and twice the endpoint inner product.
-
-    ``family`` maps s to a tangent vector V(s) at one fixed point p, defining
-    the geodesic variation f(t, s) = exp_p(t V(s)).  The s-derivative of the
-    energy of f(., s) at s = 0 is evaluated by central differences and
-    compared against 2 g(sigma'(0), c'(1)) where sigma(s) = f(1, s) and
-    c = f(., 0).  Returns the absolute difference.  No command runs it: the
-    tests use it as an invariant check of ``exp`` and ``exp_with_velocity``.
-    """
-    v0 = family(0.0)
-    vp, vm = family(fd_step), family(-fd_step)
-    # a geodesic's energy over [0,1] equals its squared initial speed
-    lhs = (manifold.norm(vp) ** 2 - manifold.norm(vm) ** 2) / (2.0 * fd_step)
-    end, end_vel = manifold.exp_with_velocity(v0, 1.0)
-    sp = manifold.exp(vp).coords
-    sm = manifold.exp(vm).coords
-    sigma_dot = manifold.project_tangent(end.coords, (sp - sm) / (2.0 * fd_step))
-    rhs = 2.0 * manifold.inner_coords(end.coords, sigma_dot, end_vel.components)
-    return abs(lhs - rhs)
-
-
 @dataclass(frozen=True, eq=False)
 class JacobiSolution:
     """Scalar normal Jacobi data j(t) along a geodesic, with j(0)=0, j'(0)=1."""
@@ -170,9 +148,13 @@ class JacobiSolution:
     def first_zero(self, of: str = "value") -> float | None:
         """First positive zero of j ("value") or of j' ("derivative").
 
-        The closed-form radii scans read their zeros here.  The surface's
-        scans batch the search in ``radii._first_zeros_batch``, and the
-        tests keep this one as its reference."""
+        One pass finds the first step [t_i, t_i+1] whose start is an exact
+        zero at t_i > 0 or whose ends change sign (j(0) = 0 is skipped); an
+        exact zero is returned as is, a sign change is placed with
+        :func:`hermite_zero`.  The closed-form radii scans read their zeros
+        here.  The surface's scans batch the search in
+        ``radii._first_zeros_batch``, and the tests keep this one as its
+        reference."""
         if of == "value":
             vals, ders = self.j, self.jp
         elif of == "derivative":
@@ -180,23 +162,16 @@ class JacobiSolution:
         else:
             raise ValueError("of must be 'value' or 'derivative'")
         start = 1 if of == "value" else 0
-        for i in range(start, len(self.ts) - 1):
-            if vals[i] == 0.0 and self.ts[i] > 0:
-                return float(self.ts[i])
-            if vals[i] * vals[i + 1] < 0:
-                return float(
-                    hermite_zero(
-                        self.ts[i], self.ts[i + 1], vals[i], vals[i + 1], ders[i], ders[i + 1]
-                    )
-                )
-        return None
-
-    def residual_max(self) -> float:
-        """Max residual of j'' + K j = 0 via second differences (order h^2);
-        a test invariant of the surface integration."""
-        h = self.ts[1] - self.ts[0]
-        jpp = (self.j[2:] - 2 * self.j[1:-1] + self.j[:-2]) / (h * h)
-        return float(np.max(np.abs(jpp + self.curvature[1:-1] * self.j[1:-1])))
+        head, tail = vals[start:-1], vals[start + 1 :]
+        hits = np.flatnonzero(((head == 0.0) & (self.ts[start:-1] > 0)) | (head * tail < 0))
+        if not len(hits):
+            return None
+        i = start + int(hits[0])
+        if vals[i] == 0.0:
+            return float(self.ts[i])
+        return float(
+            hermite_zero(self.ts[i], self.ts[i + 1], vals[i], vals[i + 1], ders[i], ders[i + 1])
+        )
 
 
 def integrate_jacobi(
@@ -206,10 +181,14 @@ def integrate_jacobi(
     equal steps of at most ``step`` (default: the model's).
 
     Constant-curvature models use their constant K in any dimension; the
-    radii scans of those models run this.  A model without closed forms (the
-    surface of revolution) re-integrates the geodesic jointly with (j, j')
-    through its ``jacobi_rhs``, so the curvature is evaluated exactly at the
-    RK4 substeps; the surface's radii scans batch that system in
+    radii scans of those models run this.  There the state is two floats,
+    and a NumPy call on a 2-vector costs about a microsecond, so the steps
+    run on Python floats: each makes the operations of
+    :func:`geolens._ode.rk4_step` on (j', -K j) in the same order, and so
+    gives its bits.  A model without closed forms (the surface of
+    revolution) re-integrates the geodesic jointly with (j, j') through its
+    ``jacobi_rhs``, so the curvature is evaluated exactly at the RK4
+    substeps; the surface's radii scans batch that system in
     ``radii._first_zeros_batch``, and the tests keep this branch as its
     reference.
     """
@@ -224,13 +203,26 @@ def integrate_jacobi(
         return JacobiSolution(geodesic, ts, ys[:, 4].copy(), ys[:, 5].copy(), curv)
 
     k = manifold.curvature_at(geodesic.base.coords)
-
-    def rhs(state):
-        return np.array([state[1], -k * state[0]])
-
-    ts, ys = rk4_trajectory(rhs, np.array([0.0, 1.0]), geodesic.length, n)
-    curv = np.full(len(ts), k)
-    return JacobiSolution(geodesic, ts, ys[:, 0].copy(), ys[:, 1].copy(), curv)
+    h = geodesic.length / n
+    a, b, mk = 0.5 * h, h / 6.0, -k
+    j, jp = 0.0, 1.0
+    js, jps = np.empty(n + 1), np.empty(n + 1)
+    js[0], jps[0] = j, jp
+    for i in range(1, n + 1):
+        # the stages of rk4_step: j' at the substeps (jp, p2, p3, p4) for j,
+        # and -K j there (q1 to q4) for j'
+        q1 = mk * j
+        p2 = jp + a * q1
+        q2 = mk * (j + a * jp)
+        p3 = jp + a * q2
+        q3 = mk * (j + a * p2)
+        p4 = jp + h * q3
+        q4 = mk * (j + h * p3)
+        j = j + b * (jp + 2.0 * p2 + 2.0 * p3 + p4)
+        jp = jp + b * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        js[i], jps[i] = j, jp
+    ts = np.linspace(0.0, geodesic.length, n + 1)
+    return JacobiSolution(geodesic, ts, js, jps, np.full(n + 1, k))
 
 
 class GeodesicLine:

@@ -545,7 +545,7 @@ class Hyperbolic(Manifold):
     def minkowski(self, x, y):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        return np.sum(x[..., 1:] * y[..., 1:], axis=-1) - x[..., 0] * y[..., 0]
+        return _dot(x[..., 1:], y[..., 1:]) - x[..., 0] * y[..., 0]
 
     def normalize(self, spatial) -> np.ndarray:
         """Lift spatial coordinates onto the sheet (a test helper for
@@ -643,7 +643,7 @@ class Hyperbolic(Manifold):
 
     def pre_sq(self, diff):
         # the Minkowski square, clipped at 0: rounding can take it below
-        return np.clip(_dot(diff[..., 1:], diff[..., 1:]) - diff[..., 0] ** 2, 0.0, None)
+        return np.clip(self.minkowski(diff, diff), 0.0, None)
 
     def scan_dist(self, sq):
         return 2.0 * self.radius * np.arcsinh(np.sqrt(sq) / (2.0 * self.radius))

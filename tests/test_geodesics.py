@@ -1,26 +1,33 @@
-"""Geodesic integration, first variation, Jacobi fields."""
+"""Geodesic integration, first variation, Jacobi fields.
+
+The first-variation identity and the Jacobi residual are test oracles:
+no command runs them."""
 
 import math
 
 import numpy as np
 import pytest
 
+import geolens.geodesics as geodesics_module
 from geolens import (
     BallPair,
     Euclidean,
     GeodesicLine,
     GeodesicSegment,
     Hyperbolic,
+    JacobiSolution,
     RevolutionProfile,
     Sphere,
     SurfaceOfRevolution,
-    first_variation_check,
     integrate_geodesic,
     integrate_jacobi,
+    jacobi_radii,
 )
 from geolens._ode import rk4_trajectory
 from geolens.config import ManifoldSpec
+from geolens.geodesics import hermite_zero
 from geolens.manifolds import ManifoldPoint, TangentVector
+from geolens.suite import RADII_TOL
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +181,28 @@ def test_non_unit_direction_rejected():
 # ------------------------------------------------------ first variation
 
 
+def first_variation_check(manifold, family, fd_step: float = 1e-4) -> float:
+    """Mismatch between dE/ds(0) and twice the endpoint inner product.
+
+    ``family`` maps s to a tangent vector V(s) at one fixed point p, defining
+    the geodesic variation f(t, s) = exp_p(t V(s)).  The s-derivative of the
+    energy of f(., s) at s = 0 is evaluated by central differences and
+    compared against 2 g(sigma'(0), c'(1)) where sigma(s) = f(1, s) and
+    c = f(., 0).  Returns the absolute difference: an invariant check of
+    ``exp`` and ``exp_with_velocity``.
+    """
+    v0 = family(0.0)
+    vp, vm = family(fd_step), family(-fd_step)
+    # a geodesic's energy over [0,1] equals its squared initial speed
+    lhs = (manifold.norm(vp) ** 2 - manifold.norm(vm) ** 2) / (2.0 * fd_step)
+    end, end_vel = manifold.exp_with_velocity(v0, 1.0)
+    sp = manifold.exp(vp).coords
+    sm = manifold.exp(vm).coords
+    sigma_dot = manifold.project_tangent(end.coords, (sp - sm) / (2.0 * fd_step))
+    rhs = 2.0 * manifold.inner_coords(end.coords, sigma_dot, end_vel.components)
+    return abs(lhs - rhs)
+
+
 def test_first_variation_constant_family_vanishes(sphere):
     north = sphere.point(0.0, 0.0, 1.0)
 
@@ -232,6 +261,97 @@ def test_first_variation_surface_family(surface):
 # ------------------------------------------------------------- jacobi
 
 
+def residual_max(sol) -> float:
+    """Max residual of j'' + K j = 0 via second differences (order h^2)."""
+    h = sol.ts[1] - sol.ts[0]
+    jpp = (sol.j[2:] - 2 * sol.j[1:-1] + sol.j[:-2]) / (h * h)
+    return float(np.max(np.abs(jpp + sol.curvature[1:-1] * sol.j[1:-1])))
+
+
+def _numpy_jacobi(model, length, step):
+    """(j, j') of the constant-curvature scan through ``rk4_trajectory`` and
+    a NumPy right-hand side: the integration before it ran on floats."""
+    k = model.curvature_at(model.basepoint().coords)
+
+    def rhs(state):
+        return np.array([state[1], -k * state[0]])
+
+    n = max(2, int(math.ceil(length / step)))
+    ts, ys = rk4_trajectory(rhs, np.array([0.0, 1.0]), length, n)
+    return ts, ys[:, 0].copy(), ys[:, 1].copy()
+
+
+def _loop_first_zero(sol, of):
+    """``JacobiSolution.first_zero`` as a loop over the steps."""
+    vals, ders = (sol.j, sol.jp) if of == "value" else (sol.jp, -sol.curvature * sol.j)
+    for i in range(1 if of == "value" else 0, len(sol.ts) - 1):
+        if vals[i] == 0.0 and sol.ts[i] > 0:
+            return float(sol.ts[i])
+        if vals[i] * vals[i + 1] < 0:
+            return float(
+                hermite_zero(sol.ts[i], sol.ts[i + 1], vals[i], vals[i + 1], ders[i], ders[i + 1])
+            )
+    return None
+
+
+@pytest.mark.parametrize("step", [None, 1e-3], ids=["default", "1e-3"])
+@pytest.mark.parametrize(
+    "model",
+    [Sphere(2, 1.0), Sphere(3, 4.0), Euclidean(2), Hyperbolic(2, -0.3)],
+    ids=lambda m: m.describe(),
+)
+def test_float_jacobi_gives_the_bits_of_the_numpy_trajectory(model, step):
+    # the constant-curvature scan steps on floats; its samples and zeros
+    # must be those of rk4_trajectory and of the loop over the steps
+    base = model.basepoint()
+    seg = GeodesicSegment(
+        model, base, TangentVector(base, model.tangent_basis(base.coords)[0]), model.horizon
+    )
+    sol = integrate_jacobi(model, seg, step=step)
+    ts, j, jp = _numpy_jacobi(model, model.horizon, model.step if step is None else step)
+    assert sol.ts.tobytes() == ts.tobytes()
+    assert sol.j.tobytes() == j.tobytes()
+    assert sol.jp.tobytes() == jp.tobytes()
+    for of in ("value", "derivative"):
+        assert repr(sol.first_zero(of)) == repr(_loop_first_zero(sol, of))
+
+
+@pytest.mark.parametrize(
+    "of, vals, bracket",
+    [
+        ("value", [0.0, 0.5, 0.0, -0.5, 0.2], (0.5, 0.5)),  # exact zero at a sample
+        ("value", [0.0, -0.5, -1.0, -0.5, -0.2], None),  # j(0) = 0 is skipped
+        ("derivative", [1.0, 0.5, 0.0, -0.5, -1.0], (0.5, 0.5)),
+        ("derivative", [0.0, 0.5, 0.7, 0.8, 0.9], None),  # t = 0 is not positive
+        ("value", [0.0, 0.5, 0.7, 0.8, -0.1], (0.75, 1.0)),  # sign change in the last step
+        ("derivative", [1.0, 0.5, 0.4, 0.3, 0.2], None),  # no zero
+    ],
+)
+def test_first_zero_gives_the_loop_answer_on_hand_built_arrays(of, vals, bracket):
+    ts = np.linspace(0.0, 1.0, 5)
+    vals = np.array(vals)
+    other = np.array([0.0, 1.0, -1.0, 2.0, 0.5])
+    j, jp = (vals, other) if of == "value" else (other, vals)
+    sol = JacobiSolution(None, ts, j, jp, np.full(5, 2.0))
+    got = sol.first_zero(of)
+    assert repr(got) == repr(_loop_first_zero(sol, of))
+    if bracket is None:
+        assert got is None
+    else:
+        assert bracket[0] <= got <= bracket[1]
+
+
+def test_constant_curvature_radii_take_no_numpy_trajectory(monkeypatch):
+    # the per-step NumPy integration must not come back on the radii scan
+    def refuse(*args, **kwargs):
+        raise AssertionError("rk4_trajectory called")
+
+    monkeypatch.setattr(geodesics_module, "rk4_trajectory", refuse)
+    conjugate, focal = jacobi_radii(Sphere(2, 1.0), directions=1)
+    assert abs(conjugate.value - math.pi) < RADII_TOL
+    assert abs(focal.value - math.pi / 2) < RADII_TOL
+
+
 def test_jacobi_euclidean_linear():
     e = Euclidean(2)
     p = e.point(0.0, 0.0)
@@ -267,7 +387,7 @@ def test_jacobi_residual_on_surface(surface):
     seg = GeodesicSegment(manifold=surface, base=base, direction=d, length=4.0)
     sol = integrate_jacobi(surface, seg, step=2e-3)
     assert sol.j[0] == 0.0 and sol.jp[0] == 1.0
-    assert sol.residual_max() < 1e-5
+    assert residual_max(sol) < 1e-5
 
 
 def test_surface_jacobi_matches_the_scalar_system(surface):

@@ -552,18 +552,18 @@ def test_fused_jacobi_rhs_gives_the_bits_of_the_separate_formulas(kind):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
-def test_minkowski_of_vectors_gives_the_bits_of_the_numpy_sum(dim):
+def test_minkowski_of_vectors_gives_the_bits_of_the_einsum_form(dim):
     model = Hyperbolic(dim, -1.0)
     rng = np.random.default_rng(dim)
     vectors = list(rng.normal(size=(200, dim + 1)) * 10.0 ** rng.integers(-8, 8, size=(200, 1)))
-    # signed zeros: NumPy starts its sum from +0.0
+    # signed zeros
     vectors += [np.zeros(dim + 1), -np.zeros(dim + 1), np.array([0.0] + [-0.0] * dim)]
     for x in vectors:
         for y in vectors[::7] + vectors[-3:]:
-            expected = np.sum(x[1:] * y[1:], axis=-1) - x[0] * y[0]
+            expected = np.einsum("k,k->", x[1:], y[1:]) - x[0] * y[0]
             got = model.minkowski(x, y)
             assert np.array(got).tobytes() == np.array(expected).tobytes()
-    # blocks keep the NumPy form
+    # a row of a block has the bits of the row alone
     block = np.array(vectors)
     rows = model.minkowski(block, block[::-1])
     assert rows.tobytes() == np.array([model.minkowski(a, b) for a, b in zip(block, block[::-1])]).tobytes()
