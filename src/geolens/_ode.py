@@ -2,9 +2,11 @@
 
 Fixed steps keep runs reproducible; accuracy is controlled by the step size
 and checked by the tests against closed forms, invariants and finer-step
-runs.  The constant-curvature Jacobi scan (``geodesics.integrate_jacobi``)
-writes :func:`rk4_step`'s operations out on two Python floats, in the same
-order, so any change to the order here must be made there too.
+runs.  The numeric surface integrates its batches with :func:`rk4_rows`,
+whose rows each take their own steps, so a row has the bits it has alone.
+The constant-curvature Jacobi scan (``geodesics.integrate_jacobi``) writes
+:func:`rk4_step`'s operations out on two Python floats, in the same order,
+so any change to the order here must be made there too.
 """
 
 import numpy as np
@@ -46,3 +48,26 @@ def rk4_endpoint(rhs, y0, span, n_steps):
     for _ in range(n_steps):
         y = rk4_step(rhs, y, h)
     return y
+
+
+def rk4_rows(rhs, y, h, n):
+    """Integrate each row of an (m, k) block of states over its own
+    ``n[i]`` steps of ``h[i]`` and return the end states, in row order.
+
+    The rows step in lockstep, sorted by step count, longest first; a row
+    leaves the batch after its last step.  With an ``rhs`` that treats the
+    rows independently, each row gets the bits it has alone.
+    """
+    n = np.asarray(n)
+    order = np.argsort(-n, kind="stable")
+    n = n[order]
+    state = np.asarray(y, dtype=np.float64)[order]
+    h = np.asarray(h, dtype=np.float64)[order][:, None]
+    rows = len(n)
+    for i in range(n[0] if rows else 0):
+        while n[rows - 1] <= i:
+            rows -= 1
+        state[:rows] = rk4_step(rhs, state[:rows], h[:rows])
+    out = np.empty_like(state)
+    out[order] = state
+    return out

@@ -1,9 +1,11 @@
-"""Geodesic integration and scalar Jacobi fields.
+"""Geodesic lines, geodesic integration and scalar Jacobi fields.
 
-Geodesics integrate with fixed-step classical RK4 (order 4) at the model's
-``step``.  Jacobi machinery is scalar: on two-dimensional or
-constant-curvature models every normal Jacobi field is j(t) times a parallel
-normal frame, and j solves j'' + K(c(t)) j = 0.
+A :class:`GeodesicLine` is the model's exponential map along one unit
+direction.  :func:`integrate_geodesic` samples a geodesic with fixed-step
+classical RK4 (order 4) at the model's ``step``.  Jacobi machinery is
+scalar: on two-dimensional or constant-curvature models every normal Jacobi
+field is j(t) times a parallel normal frame, and j solves
+j'' + K(c(t)) j = 0.
 """
 
 from __future__ import annotations
@@ -14,27 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from geolens._ode import rk4_trajectory
-from geolens.errors import ChartError
 from geolens.manifolds import Manifold, ManifoldPoint, TangentVector
 
 UNIT_SPEED_TOL = 1e-10
 
 
 def _hermite(t, t0, t1, p0, p1, v0, v1):
-    """Cubic Hermite interpolation of position (and derivative) at t."""
+    """Cubic Hermite interpolant at t of values p and derivatives v at the
+    ends of [t0, t1]."""
     h = t1 - t0
     s = (t - t0) / h
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
-    pos = h00 * p0 + h10 * h * v0 + h01 * p1 + h11 * h * v1
-    d00 = 6 * s * (s - 1) / h
-    d10 = (1 - s) * (1 - 3 * s)
-    d01 = -d00
-    d11 = s * (3 * s - 2)
-    vel = d00 * p0 + d10 * v0 + d01 * p1 + d11 * v1
-    return pos, vel
+    return h00 * p0 + h10 * h * v0 + h01 * p1 + h11 * h * v1
 
 
 def hermite_zero(t0, t1, v0, v1, d0, d1):
@@ -45,7 +41,7 @@ def hermite_zero(t0, t1, v0, v1, d0, d1):
     lo_positive = np.asarray(v0) > 0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        f_mid, _ = _hermite(mid, t0, t1, v0, v1, d0, d1)
+        f_mid = _hermite(mid, t0, t1, v0, v1, d0, d1)
         same = (f_mid > 0) == lo_positive
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
@@ -56,9 +52,9 @@ def hermite_zero(t0, t1, v0, v1, d0, d1):
 class GeodesicSegment:
     """Arclength-parameterized geodesic segment on [0, length].
 
-    Constant-curvature segments carry no samples: they only anchor a Jacobi
-    integration.  Numeric segments store their integration trajectory and
-    interpolate it (cubic Hermite, matching the integrator's order).
+    A segment anchors a Jacobi integration (:func:`integrate_jacobi`).  One
+    from :func:`integrate_geodesic` also holds its RK4 trajectory: the
+    sample times, points and velocities.
     """
 
     manifold: Manifold
@@ -71,30 +67,11 @@ class GeodesicSegment:
 
     @classmethod
     def from_exp(cls, manifold, base, direction, length):
-        """Closed-form segment; valid for constant-curvature models."""
+        """A segment without samples; the direction must be unit."""
         speed = manifold.norm(direction)
         if abs(speed - 1.0) > UNIT_SPEED_TOL:
             raise ValueError(f"direction must be unit (speed {speed!r})")
         return cls(manifold=manifold, base=base, direction=direction, length=float(length))
-
-    def _eval(self, t: float):
-        if t < self.ts[0] - 1e-12 or t > self.ts[-1] + 1e-12:
-            raise ChartError(
-                f"parameter {t:g} outside sampled range [{self.ts[0]:g}, {self.ts[-1]:g}]"
-            )
-        t = min(max(t, self.ts[0]), self.ts[-1])
-        i = int(np.searchsorted(self.ts, t, side="right")) - 1
-        i = min(max(i, 0), len(self.ts) - 2)
-        pos, vel = _hermite(
-            t,
-            self.ts[i],
-            self.ts[i + 1],
-            self.points[i],
-            self.points[i + 1],
-            self.velocities[i],
-            self.velocities[i + 1],
-        )
-        return pos, vel
 
 
 def integrate_geodesic(
@@ -107,9 +84,10 @@ def integrate_geodesic(
     """Numerically integrate the geodesic equation and return a sampled segment.
 
     The initial velocity must be unit; ``length`` is split into equal steps
-    of at most ``step`` (default: the model's).  Only the numeric surface's
-    geodesic lines run this; on the closed-form models the tests keep it as
-    an integrator checked against the exact exponential.
+    of at most ``step`` (default: the model's).  No command runs this: the
+    tests keep it as the reference trajectory, checked against the exact
+    exponential and Clairaut's relation, that the models' exponential maps
+    and the surface's shooting are compared with.
     """
     step = manifold.step if step is None else step
     if step <= 0:
@@ -226,13 +204,10 @@ def integrate_jacobi(
 
 
 class GeodesicLine:
-    """A complete geodesic through a base point, evaluable at any parameter.
-
-    Closed-form models evaluate directly; the numeric model lazily integrates
-    and caches forward/backward segments out to the requested parameter.
-    A request beyond the cached span re-integrates with another step count,
-    which moves every sample; :meth:`cover` fixes the span up front.
-    """
+    """A complete geodesic through a base point, evaluable at any parameter:
+    the model's ``exp_velocity_coords`` of the unit direction.  The line
+    keeps no state, so a parameter has the same bits whatever was evaluated
+    before."""
 
     def __init__(self, manifold: Manifold, base: ManifoldPoint, direction: TangentVector):
         speed = manifold.norm(direction)
@@ -241,37 +216,9 @@ class GeodesicLine:
         self.manifold = manifold
         self.base = base
         self.direction = direction
-        self._fwd: GeodesicSegment | None = None
-        self._bwd: GeodesicSegment | None = None
 
-    def _extend(self, t: float):
-        if t >= 0 and (self._fwd is None or self._fwd.length < t):
-            self._fwd = integrate_geodesic(
-                self.manifold, self.base, self.direction, max(t * 1.05, 1e-6)
-            )
-        if t < 0 and (self._bwd is None or self._bwd.length < -t):
-            rev = TangentVector(self.base, -self.direction.components)
-            self._bwd = integrate_geodesic(
-                self.manifold, self.base, rev, max(-t * 1.05, 1e-6)
-            )
-
-    def cover(self, lo: float, hi: float):
-        """Integrate the numeric line over [lo, hi] now, so that every later
-        evaluation inside that span reads the same trajectory."""
-        if not self.manifold.closed_form:
-            self._extend(hi)
-            self._extend(lo)
-
-    def _eval(self, t: float):
-        if self.manifold.closed_form:
-            return self.manifold.exp_velocity_coords(
-                self.base.coords, self.direction.components, t
-            )
-        self._extend(t)
-        if t >= 0:
-            return self._fwd._eval(t)
-        pos, vel = self._bwd._eval(-t)
-        return pos, -vel
+    def _eval(self, t):
+        return self.manifold.exp_velocity_coords(self.base.coords, self.direction.components, t)
 
     def velocity_at(self, t: float) -> TangentVector:
         pos, vel = self._eval(t)
@@ -282,15 +229,9 @@ class GeodesicLine:
 
     def states_many(self, ts):
         """Points and velocities at each parameter in ``ts`` as two (n,
-        ambient_dim) blocks, with the bits of ``coords_at`` and
-        ``velocity_at``; closed-form models evaluate them in one call."""
-        if self.manifold.closed_form:
-            column = np.asarray(ts, dtype=np.float64)[:, None]
-            return self.manifold.exp_velocity_coords(
-                self.base.coords, self.direction.components, column
-            )
-        states = [self._eval(float(t)) for t in ts]
-        return np.array([s[0] for s in states]), np.array([s[1] for s in states])
+        ambient_dim) blocks, in one call, with the bits of ``coords_at`` and
+        ``velocity_at``."""
+        return self._eval(np.asarray(ts, dtype=np.float64)[:, None])
 
     def coords_many(self, ts) -> np.ndarray:
         """``coords_at`` of each parameter in ``ts`` as one (n, ambient_dim)

@@ -56,11 +56,13 @@ separations come from one grid pass (``_sample_lenses``): the big arc about
 gamma(0) is built once, the small circles of every lens go through one
 ``exp_pairs`` about their small centres, and the extremes are one
 ``_candidates_at``; a single cloud (``sample_intersection``) is the one-row
-case.  The width is then the best of the candidates and the farthest
-sampled pair, which a projected geodesic ascent polishes first: each
-witness moves along the distance gradient and is retracted into whichever
-ball it violates.  The sampled path stays as a cross-check on exact pairs:
-tests and the verification suite compare it with the candidates.
+case, with the same bits on every model (the surface integrates each row
+of a batch in its own steps).  The width is then the best of the
+candidates and the farthest sampled pair, which a projected geodesic
+ascent polishes first: each witness moves along the distance gradient and
+is retracted into whichever ball it violates.  The sampled path stays as a
+cross-check on exact pairs: tests and the verification suite compare it
+with the candidates.
 
 On the rotationally symmetric models every check is carried out in an axial
 2-plane section, which contains witnesses for widths, Hausdorff gaps, and
@@ -140,9 +142,8 @@ class BallPair:
             frame = manifold.tangent_basis(base.coords)
             direction = TangentVector(base, frame[0])
         line = GeodesicLine(manifold, base, direction)
-        # every separation in [0, R + r] and axis point down to -r then reads
-        # one integration of a numeric line, whatever was evaluated before
-        line.cover(-float(r), float(R) + float(r))
+        # a line that leaves the chart before -r or R + r fails here
+        line.states_many([-float(r), float(R) + float(r)])
         return cls(manifold, line, float(R), float(r), float(t), float(conv))
 
     @property
@@ -483,19 +484,14 @@ def _sample_lenses(bp: BallPair, ts, budget: int, seed: int) -> list[PointCloud]
     The spacing drho is the pitch of a polar grid of 0.6 * ``budget``
     points over the small disk.  Everything but a lens's frame depends only
     on (R, r, budget, seed): the two phases, the angles of the small circle
-    and the whole big circle.  So the big circle and its distances to
-    gamma(0) are built once; the small circles of the lenses go through one
-    ``exp_pairs`` about their small centres, rejected against the big ball
-    by one ``dist_many``; one ``dist_pairs`` gives the small-ball distances
-    of the kept small-circle points and of the big circle (rejected against
-    each small ball); and the extremes are one :func:`_candidates_at` along
-    each lens's frame.  A touching row is the contact point alone, with
-    fill 0.
-
-    Lenses go in steps of at most ``_SAMPLE_ROWS`` rows.  On a model without
-    closed forms each step is one lens: the surface's ``exp_pairs`` takes
-    one RK4 step count from the longest tangent of its batch, so the small
-    circles of two lenses must not share a call.
+    and the whole big circle.  So the big circle is built once; the small
+    circles of the lenses go through one ``exp_pairs`` about their small
+    centres, rejected against the big ball by one ``dist_many``; one
+    ``dist_pairs`` rejects the big circle against each small ball; and the
+    extremes are one :func:`_candidates_at` along each lens's frame.  A
+    circle point is tested against the other ball only: it lies on its own.
+    A touching row is the contact point alone, with fill 0.  Lenses go in
+    steps of at most ``_SAMPLE_ROWS`` rows.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -521,17 +517,16 @@ def _sample_lenses(bp: BallPair, ts, budget: int, seed: int) -> list[PointCloud]
     fill = 0.5 * max(lengths[0] / n_small, lengths[1] / n_big)
     small_plan = ([r], [n_small], phases[:1])
     arc = _circles(m, bp.center_big(), bp.frame_big(), [R], [n_big], phases[1:])
-    arc_big = m.dist_many(bp.center_big(), arc)
 
-    step = max(1, _SAMPLE_ROWS // (n_small + n_big)) if m.closed_form else 1
+    step = max(1, _SAMPLE_ROWS // (n_small + n_big))
     for k in range(0, len(live), step):
         rows = live[k : k + step]
-        for i, points in zip(rows, _lens_points(bp, ts[rows], small_plan, arc, arc_big)):
+        for i, points in zip(rows, _lens_points(bp, ts[rows], small_plan, arc)):
             clouds[i] = PointCloud(m, points, fill)
     return clouds
 
 
-def _lens_points(bp: BallPair, ts, small_plan, arc, arc_big):
+def _lens_points(bp: BallPair, ts, small_plan, arc):
     """One step of :func:`_sample_lenses`: the boundary points of each
     (non-touching) lens of ``ts``, in the order axis ends and corners,
     small circle, big circle, chord ends."""
@@ -550,19 +545,13 @@ def _lens_points(bp: BallPair, ts, small_plan, arc, arc_big):
     small = m.exp_pairs(np.repeat(centres, size, axis=0), vecs.reshape(-1, d))
     small_owner = np.repeat(np.arange(n), size)
     # the small circles rejected against the big ball, the big circle
-    # against each small ball: one distance per candidate, then the other
-    # distance of the kept small-circle points
-    d_big = m.dist_many(bp.center_big(), small)
-    inner = d_big <= R + 1e-12
+    # against each small ball; the candidates keep their own margins
+    inner = m.dist_many(bp.center_big(), small) <= R + 1e-12
     arcs = np.tile(arc, (n, 1))
     arc_owner = np.repeat(np.arange(n), len(arc))
-    d_small = m.dist_pairs(
-        np.concatenate([centres[small_owner[inner]], centres[arc_owner]]),
-        np.concatenate([small[inner], arcs]),
-    )
-    d_inner, d_arc = np.split(d_small, [int(np.count_nonzero(inner))])
-    outer = d_arc <= r + 1e-12
-    near_owner, near_slot = np.nonzero(c.present[:, : _CHORD.start])
+    outer = m.dist_pairs(centres[arc_owner], arcs) <= r + 1e-12
+    near = c.present[:, : _CHORD.start] & (c.margins[:, : _CHORD.start] >= -BOUNDARY_TOL)
+    near_owner, near_slot = np.nonzero(near)
     chord_owner, chord_slot = np.nonzero(c.margins[:, _CHORD] >= -1e-12)
     chord_slot += _CHORD.start
 
@@ -570,21 +559,14 @@ def _lens_points(bp: BallPair, ts, small_plan, arc, arc_big):
     points = np.concatenate(
         [c.ends[near_owner, near_slot], small[inner], arcs[outer], c.ends[chord_owner, chord_slot]]
     )
-    margins = np.concatenate([
-        c.margins[near_owner, near_slot],
-        np.minimum(R - d_big[inner], r - d_inner),
-        np.minimum(R - np.tile(arc_big, n)[outer], r - d_arc[outer]),
-        c.margins[chord_owner, chord_slot],
-    ])
-    inside = margins >= -BOUNDARY_TOL
-    order = np.argsort(owners[inside], kind="stable")
-    counts = np.bincount(owners[inside], minlength=n)
+    order = np.argsort(owners, kind="stable")
+    counts = np.bincount(owners, minlength=n)
     if not np.all(counts):
         raise TangencyError(
             "no lens samples found although t <= R + r; either a tangency "
             "or an integration defect"
         )
-    return np.split(points[inside][order], np.cumsum(counts)[:-1])
+    return np.split(points[order], np.cumsum(counts)[:-1])
 
 
 def _project_into_lens(bp: BallPair, coords: np.ndarray):

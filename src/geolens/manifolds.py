@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from geolens._ode import rk4_endpoint, rk4_step
+from geolens._ode import rk4_rows
 from geolens.errors import (
     ChartError,
     InjectivityError,
@@ -177,10 +177,9 @@ class Manifold(ABC):
     @abstractmethod
     def exp_velocity_coords(self, base_coords, components, t: float):
         """Point and velocity at parameter ``t`` of the geodesic with the
-        given initial velocity (not necessarily unit).  On a closed-form
-        model and a nonzero velocity ``t`` may also be an (n, 1) column of
-        parameters, giving (n, ambient_dim) blocks whose rows have the bits
-        of scalar calls."""
+        given initial velocity (not necessarily unit).  For a nonzero
+        velocity ``t`` may also be an (n, 1) column of parameters, giving
+        (n, ambient_dim) blocks whose rows have the bits of scalar calls."""
 
     @abstractmethod
     def log_coords(self, p_coords, q_coords) -> np.ndarray:
@@ -726,12 +725,13 @@ class SurfaceOfRevolution(Manifold):
     distance solve the two-point problem by Newton shooting on (direction
     angle, arclength L), many (source, target) rows in lockstep: each
     iteration integrates the joint geodesic + Jacobi system
-    (:meth:`jacobi_rhs`) of every row once, at unit speed over [0, L] in the
-    row's own ``_n_steps(L)`` steps, and reads the exact Newton Jacobian off
-    the end state.  The derivative of the endpoint along the direction angle
-    is the Jacobi field j(L) n(L) (n the unit normal), and along L the unit
-    end velocity.  Rows are independent: a distance has the same bits
-    whichever batch it is shot in.
+    (:meth:`jacobi_rhs`) of every row once, at unit speed over [0, L], and
+    reads the exact Newton Jacobian off the end state.  The derivative of
+    the endpoint along the direction angle is the Jacobi field j(L) n(L) (n
+    the unit normal), and along L the unit end velocity.  Every batch, of
+    exponentials, line points or shots, integrates each row in the row's own
+    ``_n_steps`` (:func:`geolens._ode.rk4_rows`): a row has the same bits
+    whichever batch it is in.
     """
 
     kind = "surface_of_revolution"
@@ -810,34 +810,38 @@ class SurfaceOfRevolution(Manifold):
         return np.maximum(16, np.ceil(np.abs(span) / self.step).astype(int))
 
     def exp_pairs(self, bases, tangents):
-        """RK4 integration of every row at once, in the step count of the
-        longest tangent of the batch."""
+        """RK4 integration of every row over [0, 1] in the ``_n_steps`` of
+        its tangent's length (:func:`rk4_rows`), so a row has the bits it has
+        alone; a zero tangent takes no step."""
         base = np.asarray(bases, dtype=np.float64)
         tg = np.atleast_2d(np.asarray(tangents, dtype=np.float64))
         speeds = np.sqrt(
             tg[:, 0] ** 2 + np.asarray(self.profile.f(base[..., 0])) ** 2 * tg[:, 1] ** 2
         )
         span = float(np.max(speeds, initial=0.0))
-        start = np.array(np.broadcast_to(base, tg.shape))
-        if span < 1e-300:
-            return start
         if span > self.horizon:
             raise ChartError(f"requested length {span:g} exceeds horizon {self.horizon:g}")
-        state0 = np.concatenate([start, tg], axis=1)
-        end = rk4_endpoint(self.geodesic_rhs, state0, 1.0, self._n_steps(span))
+        n = np.where(speeds < 1e-300, 0, self._n_steps(speeds))
+        state0 = np.concatenate([np.broadcast_to(base, tg.shape), tg], axis=1)
+        end = rk4_rows(self.geodesic_rhs, state0, 1.0 / np.maximum(n, 1), n)
         self.profile.check_domain(end[:, 0])
         return end[:, :2]
 
     def exp_velocity_coords(self, base_coords, components, t):
+        """RK4 integration over [0, t] in ``_n_steps(|t| speed)`` steps; the
+        rows of a column of ``t`` each take their own (:func:`rk4_rows`)."""
         base = np.asarray(base_coords, dtype=np.float64)
         c = np.asarray(components, dtype=np.float64)
-        state0 = np.concatenate([base, c])
+        ts = np.reshape(np.asarray(t, dtype=np.float64), -1)
+        state = np.tile(np.concatenate([base, c]), (len(ts), 1))
         speed = math.sqrt(self.inner_coords(base, c, c))
-        if speed < 1e-300:
-            return base.copy(), c.copy()
-        end = rk4_endpoint(self.geodesic_rhs, state0, t, self._n_steps(abs(t) * speed))
-        self.profile.check_domain(end[0])
-        return end[:2], end[2:]
+        if speed >= 1e-300:
+            n = self._n_steps(np.abs(ts) * speed)
+            state = rk4_rows(self.geodesic_rhs, state, ts / n, n)
+            self.profile.check_domain(state[:, 0])
+        if np.ndim(t) == 0:
+            state = state[0]
+        return state[..., :2], state[..., 2:]
 
     def unit_tangent(self, base_coords, angle: float) -> np.ndarray:
         """Unit tangent making the given angle with the u-axis."""
@@ -849,25 +853,15 @@ class SurfaceOfRevolution(Manifold):
         """End states (u, v, du, dv, j, j') of the unit-speed geodesics that
         leave the rows of p at the given angles, after arclength ``length``
         per row, with j(0) = 0 and j'(0) = 1.  Each row takes its own
-        ``_n_steps(length)`` RK4 steps, so its bits do not depend on the
-        other rows of the batch."""
-        n = self._n_steps(length)
-        order = np.argsort(-n, kind="stable")
-        n, p, angle, length = n[order], p[order], angle[order], length[order]
-        state = np.zeros((len(n), 6))
+        ``_n_steps(length)`` RK4 steps (:func:`rk4_rows`), so its bits do not
+        depend on the other rows of the batch."""
+        state = np.zeros((len(p), 6))
         state[:, :2] = p
         state[:, 2] = np.cos(angle)
         state[:, 3] = np.sin(angle) / np.asarray(self.profile.f(p[:, 0]))
         state[:, 5] = 1.0
-        h = (length / n)[:, None]
-        rows = len(n)
-        for i in range(n[0] if rows else 0):
-            while n[rows - 1] <= i:  # rows are sorted by step count, longest first
-                rows -= 1
-            state[:rows] = rk4_step(self.jacobi_rhs, state[:rows], h[:rows])
-        out = np.empty_like(state)
-        out[order] = state
-        return out
+        n = self._n_steps(length)
+        return rk4_rows(self.jacobi_rhs, state, length / n, n)
 
     def _residual(self, p, q, fbar, x):
         """Shooting residuals (u miss, v miss scaled by f at the mean u) of

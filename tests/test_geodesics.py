@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import geolens._ode as ode_module
 import geolens.geodesics as geodesics_module
 from geolens import (
     BallPair,
@@ -99,10 +100,23 @@ def test_line_blocks_give_the_bits_of_scalar_calls(model):
 def test_numeric_line_blocks_read_the_integrated_trajectory(surface):
     base = surface.basepoint()
     line = GeodesicLine(surface, base, TangentVector(base, surface.unit_tangent(base.coords, 0.3)))
-    line.cover(-0.2, 0.3)
     ts = np.linspace(-0.2, 0.3, 7)
     points = np.array([line.coords_at(float(t)) for t in ts])
     assert line.coords_many(ts).tobytes() == points.tobytes()
+
+
+def test_numeric_line_points_do_not_depend_on_earlier_evaluations(surface):
+    # the line keeps no trajectory: a point has the same bits before and
+    # after a farther one is evaluated, and in any block
+    base = surface.basepoint()
+    direction = TangentVector(base, surface.unit_tangent(base.coords, 0.3))
+    line = GeodesicLine(surface, base, direction)
+    first = line.coords_at(0.1).tobytes()
+    line.coords_at(0.5)
+    assert line.coords_at(0.1).tobytes() == first
+    assert line.coords_many([0.5, -0.3, 0.1])[2].tobytes() == first
+    fresh = GeodesicLine(surface, base, direction)
+    assert fresh.coords_at(0.1).tobytes() == first
 
 
 def test_euclidean_integration_is_exact_line():
@@ -158,13 +172,21 @@ def test_integrator_is_fourth_order(sphere):
     assert errs[0] / errs[1] >= 8.0
 
 
-def test_configured_step_reaches_the_line_and_the_jacobi_integration():
+def test_configured_step_reaches_the_line_and_the_jacobi_integration(monkeypatch):
     # [manifold] step sets the spacing of every surface integration, the
     # geodesic line of a ball pair and a Jacobi field left at its default
     surface = ManifoldSpec(kind="surface_of_revolution", step=1e-3).build()
+    steps = []
+    rk4_step = ode_module.rk4_step
+
+    def spy(rhs, y, h):
+        steps.append(np.max(np.abs(h)))
+        return rk4_step(rhs, y, h)
+
+    monkeypatch.setattr(ode_module, "rk4_step", spy)
     bp = BallPair.create(surface, 0.3, 0.2, convexity_bound=0.5)
-    for seg in (bp.line._fwd, bp.line._bwd):
-        assert np.max(np.diff(seg.ts)) <= 1e-3 * (1 + 1e-12)
+    bp.line.states_many([-0.2, 0.1, 0.5])
+    assert steps and max(steps) <= 1e-3 * (1 + 1e-12)
     base = surface.basepoint()
     d = TangentVector(base, surface.unit_tangent(base.coords, 1.3))
     sol = integrate_jacobi(surface, GeodesicSegment(surface, base, d, 0.5))

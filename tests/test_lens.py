@@ -19,7 +19,7 @@ from geolens import (
     w_profile,
 )
 from geolens import lens as lens_module
-from geolens.errors import DefectError
+from geolens.errors import ChartError, DefectError
 from geolens._kernels import min_dist_to
 from geolens.sets import diameter, diameter_with_witness, hausdorff
 from geolens.lens import (
@@ -292,9 +292,9 @@ def test_sample_pass_gives_each_lens_the_bits_of_its_one_row_case(model, R, r, m
     steps = []
     lens_points = lens_module._lens_points
 
-    def spy(bp, ts, small_plan, arc, arc_big):
+    def spy(bp, ts, small_plan, arc):
         steps.append((len(ts), sum(small_plan[1]) + len(arc)))
-        return lens_points(bp, ts, small_plan, arc, arc_big)
+        return lens_points(bp, ts, small_plan, arc)
 
     monkeypatch.setattr(lens_module, "_lens_points", spy)
     whole = lens_module._sample_lenses(bp, ts, 512, 3)
@@ -310,9 +310,9 @@ def test_sample_pass_gives_each_lens_the_bits_of_its_one_row_case(model, R, r, m
             assert cloud.fill_radius == one.fill_radius
 
 
-def test_surface_sample_pass_takes_one_lens_per_step(monkeypatch):
-    # the surface's exp_pairs takes one RK4 step count per batch, so no two
-    # lenses share one
+def test_surface_sample_pass_takes_the_lenses_in_one_step(monkeypatch):
+    # the surface's exp_pairs and shots integrate each row in its own RK4
+    # steps, so the lenses share one step with the bits of each alone
     surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     bp = BallPair.create(surface, 0.05, 0.03, convexity_bound=1.0)
     ts = [0.01, 0.04, 0.08]
@@ -323,10 +323,21 @@ def test_surface_sample_pass_takes_one_lens_per_step(monkeypatch):
         lens_module, "_lens_points", lambda bp, ts, *a: steps.append(len(ts)) or lens_points(bp, ts, *a)
     )
     clouds = lens_module._sample_lenses(bp, ts, 16, 0)
-    assert steps == [1, 1]
+    assert steps == [2]  # R + r = 0.08 is the contact point
     for cloud, one in zip(clouds, alone):
         assert cloud.points.tobytes() == one.points.tobytes()
         assert cloud.fill_radius == one.fill_radius
+
+
+def test_surface_pair_whose_line_leaves_the_chart_fails_at_creation():
+    # on the bump (|u| <= 0.6) the line along the meridian reaches
+    # u = R + r > 0.6: the pair fails when built, not mid-run
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    with pytest.raises(ChartError):
+        BallPair.create(surface, 0.45, 0.4, convexity_bound=1.0)
+    with pytest.raises(ChartError):
+        BallPair.create(surface, 0.35, 0.3, t=0.1, convexity_bound=1.0)
+    BallPair.create(surface, 0.3, 0.25, convexity_bound=1.0)
 
 
 def test_sample_makes_a_fixed_number_of_model_calls(monkeypatch):

@@ -441,6 +441,24 @@ def test_surface_batched_distances_match_the_finite_difference_shooter():
         np.testing.assert_allclose(batch, SHOOT_LENGTHS, rtol=1e-9, atol=1e-12)
 
 
+def test_surface_exp_rows_do_not_depend_on_their_batch():
+    # each row integrates in the step count of its own tangent: a batch of
+    # mixed lengths (and zero tangents) gives every row its one-row bits
+    sor = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    rng = np.random.default_rng(23)
+    for source in SHOOT_SOURCES:
+        p = np.array(source)
+        scale = np.array([1e-6, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.0])
+        angles = rng.uniform(0.0, 2.0 * math.pi, len(scale))
+        tangents = np.array([ln * sor.unit_tangent(p, a) for ln, a in zip(scale, angles)])
+        batch = sor.exp_many(p, tangents)
+        alone = np.array([sor.exp_many(p, v[None, :])[0] for v in tangents])
+        assert batch.tobytes() == alone.tobytes()
+        assert batch[-1].tobytes() == p.tobytes()
+        bases = np.tile(p, (len(scale), 1))
+        assert sor.exp_pairs(bases, tangents).tobytes() == batch.tobytes()
+
+
 def test_surface_distance_rows_do_not_depend_on_their_batch():
     sor = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     rng = np.random.default_rng(21)
