@@ -33,8 +33,11 @@ two-way scan.
 A model without closed forms (the numeric surface) has no pre-metric: there
 every pair of the scan is shot in one lockstep Newton batch
 (:meth:`Manifold.dist_pairs`), chunked by ``_SHOOT_CHUNK`` pairs to bound
-the integration state, and a scan over more than ``SLOW_PAIR_LIMIT`` pairs
-raises ``ConfigError`` before any shoot instead of running for hours.
+the integration state.  A scan raises ``ConfigError`` before any shoot,
+instead of running for hours, when the product of its cloud sizes exceeds
+``SLOW_PAIR_LIMIT``: n * n for the farthest pair of n points (though it
+shoots only the n(n - 1)/2 distinct pairs), so that scan takes at most 500
+points.
 """
 
 import numpy as np

@@ -16,9 +16,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from geolens._ode import rk4_trajectory
-from geolens.manifolds import Manifold, ManifoldPoint, TangentVector
+from geolens.errors import OffManifoldError
+from geolens.manifolds import ON_MANIFOLD_TOL, Manifold, ManifoldPoint, TangentVector
 
 UNIT_SPEED_TOL = 1e-10
+
+
+def _check_unit_direction(manifold: Manifold, base: ManifoldPoint, direction: TangentVector) -> None:
+    """Raise ``ValueError`` unless ``direction`` is a unit tangent vector at
+    ``base``: attached to a point with the coordinates of ``base`` (the rule
+    of :meth:`Manifold.metric_inner`), ``base`` on the model, components
+    that ``project_tangent`` moves by at most ``ON_MANIFOLD_TOL``, and speed
+    1 to ``UNIT_SPEED_TOL``."""
+    if not np.array_equal(direction.base.coords, base.coords):
+        raise ValueError("direction is not attached to the base point")
+    try:
+        manifold.check_point(base.coords)
+    except OffManifoldError as exc:
+        raise ValueError(f"base point off the model: {exc}") from None
+    c = np.asarray(direction.components, dtype=np.float64)
+    moved = np.max(np.abs(manifold.project_tangent(base.coords, c) - c))
+    if moved > ON_MANIFOLD_TOL:
+        raise ValueError(f"direction is not tangent at the base point (off by {moved:.3e})")
+    speed = manifold.norm(direction)
+    if abs(speed - 1.0) > UNIT_SPEED_TOL:
+        raise ValueError(f"direction must be unit (speed {speed!r})")
 
 
 def _hermite(t, t0, t1, p0, p1, v0, v1):
@@ -67,10 +89,9 @@ class GeodesicSegment:
 
     @classmethod
     def from_exp(cls, manifold, base, direction, length):
-        """A segment without samples; the direction must be unit."""
-        speed = manifold.norm(direction)
-        if abs(speed - 1.0) > UNIT_SPEED_TOL:
-            raise ValueError(f"direction must be unit (speed {speed!r})")
+        """A segment without samples; the direction must be a unit tangent
+        vector at ``base``."""
+        _check_unit_direction(manifold, base, direction)
         return cls(manifold=manifold, base=base, direction=direction, length=float(length))
 
 
@@ -83,19 +104,17 @@ def integrate_geodesic(
 ) -> GeodesicSegment:
     """Numerically integrate the geodesic equation and return a sampled segment.
 
-    The initial velocity must be unit; ``length`` is split into equal steps
-    of at most ``step`` (default: the model's).  No command runs this: the
-    tests keep it as the reference trajectory, checked against the exact
-    exponential and Clairaut's relation, that the models' exponential maps
-    and the surface's shooting are compared with.
+    The initial velocity must be a unit tangent vector at ``start``;
+    ``length`` is split into equal steps of at most ``step`` (default: the
+    model's).  No command runs this: the tests keep it as the reference
+    trajectory, checked against the exact exponential and Clairaut's
+    relation, that the models' exponential maps and the surface's shooting
+    are compared with.
     """
     step = manifold.step if step is None else step
     if step <= 0:
         raise ValueError("step must be positive")
-    speed = manifold.norm(direction)
-    if abs(speed - 1.0) > UNIT_SPEED_TOL:
-        raise ValueError(f"direction must be unit (speed {speed!r})")
-    manifold.check_point(start.coords)
+    _check_unit_direction(manifold, start, direction)
     n = max(2, int(math.ceil(length / step)))
     d = manifold.ambient_dim
     state0 = np.concatenate([start.coords, direction.components])
@@ -207,12 +226,10 @@ class GeodesicLine:
     """A complete geodesic through a base point, evaluable at any parameter:
     the model's ``exp_velocity_coords`` of the unit direction.  The line
     keeps no state, so a parameter has the same bits whatever was evaluated
-    before."""
+    before.  The direction must be a unit tangent vector at the base."""
 
     def __init__(self, manifold: Manifold, base: ManifoldPoint, direction: TangentVector):
-        speed = manifold.norm(direction)
-        if abs(speed - 1.0) > UNIT_SPEED_TOL:
-            raise ValueError(f"direction must be unit (speed {speed!r})")
+        _check_unit_direction(manifold, base, direction)
         self.manifold = manifold
         self.base = base
         self.direction = direction

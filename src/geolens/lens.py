@@ -16,7 +16,7 @@ over a separation grid, and estimates two thresholds of that profile:
 
 Three deterministic candidates carry the geometry: the axis ends, the
 corners where the boundary circles meet and the ends of the small ball's
-diametral chord perpendicular to the axis (:meth:`BallPair.extremes`).  The
+diametral chord perpendicular to the axis (``_candidates_at``).  The
 circle, disk and corner formulas come from the model (``Manifold``).
 
 On an *exact* pair -- a model whose geodesics and formulas are closed forms
@@ -54,15 +54,15 @@ its fill radius, plus the candidates on them.  Everything but a lens's
 tangent frame depends on (R, r, budget, seed) alone, so the clouds of many
 separations come from one grid pass (``_sample_lenses``): the big arc about
 gamma(0) is built once, the small circles of every lens go through one
-``exp_pairs`` about their small centres, and the extremes are one
+``exp_pairs`` about their small centres, and the candidates are one
 ``_candidates_at``; a single cloud (``sample_intersection``) is the one-row
 case, with the same bits on every model (the surface integrates each row
-of a batch in its own steps).  The width is then the best of the
-candidates and the farthest sampled pair, which a projected geodesic
-ascent polishes first: each witness moves along the distance gradient and
-is retracted into whichever ball it violates.  The sampled path stays as a
-cross-check on exact pairs: tests and the verification suite compare it
-with the candidates.
+of a batch in its own steps).  A cloud holds every admissible candidate, so
+its farthest pair is never below one.  The width is that pair, which a
+projected geodesic ascent polishes: each witness moves along the distance
+gradient and is retracted into whichever ball it violates.  The sampled
+path stays as a cross-check on exact pairs: tests and the verification
+suite compare it with the candidates.
 
 On the rotationally symmetric models every check is carried out in an axial
 2-plane section, which contains witnesses for widths, Hausdorff gaps, and
@@ -72,7 +72,6 @@ nesting margins.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,8 +119,10 @@ class BallPair:
     ) -> "BallPair":
         """Validate radii against the convexity bound and anchor the geodesic.
 
-        ``convexity_bound=math.inf`` admits configurations outside the convex
-        regime (the large-ball counterexample scenario).
+        A given ``direction`` must be a unit tangent vector at ``base``
+        (``ValueError`` otherwise).  ``convexity_bound=math.inf`` admits
+        configurations outside the convex regime (the large-ball
+        counterexample scenario).
         """
         if not (0 < r <= R):
             raise ValueError(f"radii must satisfy 0 < r <= R (got R={R}, r={r})")
@@ -149,8 +150,8 @@ class BallPair:
     @property
     def exact(self) -> bool:
         """Closed-form model with R below its convexity radius: the
-        candidates of :meth:`extremes` give the width, the nesting and the
-        plateau end exactly."""
+        candidates of :func:`_candidates_at` give the width, the nesting and
+        the plateau end exactly."""
         return self.manifold.closed_form and self.R < self.manifold.convexity_radius()
 
     @property
@@ -159,18 +160,10 @@ class BallPair:
         return self.R + self.r - self.t < 1e-12 * (self.R + self.r)
 
     def with_separation(self, t: float) -> "BallPair":
-        """The pair at separation t.  While a caller holds the pair at t, it
-        is the one returned, so passes over one grid of separations share
-        each lens with its memoised centres, frames and extremes."""
+        """The pair at separation t."""
         if not 0.0 <= t <= self.R + self.r + 1e-12:
             raise ValueError(f"separation t={t:g} outside [0, R+r]")
-        t = float(min(t, self.R + self.r))
-        live = self._memo("_separations", weakref.WeakValueDictionary)
-        lens = live.get(t)
-        if lens is None:
-            lens = replace(self, t=t)
-            live[t] = lens
-        return lens
+        return replace(self, t=float(min(t, self.R + self.r)))
 
     def _memo(self, name, compute):
         value = self.__dict__.get(name)
@@ -193,33 +186,6 @@ class BallPair:
                 self.center_big(), primary=self.line.velocity_at(0.0).components
             ),
         )
-
-    def frame_small(self) -> np.ndarray:
-        """Orthonormal tangent frame at gamma(t) whose first vector is gamma'(t)."""
-        return self._memo(
-            "_frame_small",
-            lambda: self.manifold.tangent_basis(
-                self.center_small(), primary=self.line.velocity_at(self.t).components
-            ),
-        )
-
-    def candidates(self) -> "_Candidates":
-        """The candidates of :func:`_candidates_at` at this separation alone,
-        with the chord along the second vector of :meth:`frame_small`."""
-        return self._memo(
-            "_candidates",
-            lambda: _candidates_at(self, [self.t], chord_dirs=self.frame_small()[1:2]),
-        )
-
-    def extremes(self):
-        """(ends, margins, lead): the axis ends, the corners of the boundary
-        circles when they meet and the ends of the perpendicular chord,
-        stacked in that order; their margins; and the number of axis and
-        corner rows, which the two chord rows follow.  The one-row case of
-        the grid pass (:meth:`candidates`)."""
-        c = self.candidates()
-        keep = c.present[0]
-        return c.ends[0][keep], c.margins[0][keep], int(np.count_nonzero(keep[:_CHORD.start]))
 
     def margins(self, points) -> np.ndarray:
         """min(R - d(gamma(0), x), r - d(gamma(t), x)) per row; >= 0 inside."""
@@ -462,12 +428,14 @@ def sample_intersection(bp: BallPair, budget: int = DEFAULT_BUDGET, seed: int = 
     Deterministic given (budget, seed): the small circle about gamma(t) kept
     where it lies in the big ball, the big circle about gamma(0) kept where
     it lies in the small ball, both at one spacing with one seeded phase
-    each, and the candidates of :meth:`BallPair.extremes` on the boundary
-    (the axis ends, the corners, and the perpendicular chord's ends when
-    they lie in the lens).  On the closed-form models every point of the
-    boundary lies within ``fill_radius``, half the larger arc spacing in arc
-    length, of a sample: along each kept arc the samples are at most one
-    spacing apart, and the corners close the arcs.  (On the numeric surface
+    each, and the candidates of :func:`_candidates_at` (the axis ends, the
+    corners and the perpendicular chord's ends) at margin >=
+    -``BOUNDARY_TOL``, the margin at which a candidate pair is admissible:
+    so the cloud's farthest pair is never below an admissible candidate
+    pair.  On the closed-form models every point of the boundary lies
+    within ``fill_radius``, half the larger arc spacing in arc length, of a
+    sample: along each kept arc the samples are at most one spacing apart,
+    and the corners close the arcs.  (On the numeric surface
     the circumference is the flat estimate, and so is the fill radius.)
     Inside the convexity chart the boundary holds the diameter of the lens
     and its farthest point from any gamma(s), so every lens claim reads it.
@@ -488,7 +456,7 @@ def _sample_lenses(bp: BallPair, ts, budget: int, seed: int) -> list[PointCloud]
     circles of the lenses go through one ``exp_pairs`` about their small
     centres, rejected against the big ball by one ``dist_many``; one
     ``dist_pairs`` rejects the big circle against each small ball; and the
-    extremes are one :func:`_candidates_at` along each lens's frame.  A
+    candidates are one :func:`_candidates_at` along each lens's frame.  A
     circle point is tested against the other ball only: it lies on its own.
     A touching row is the contact point alone, with fill 0.  Lenses go in
     steps of at most ``_SAMPLE_ROWS`` rows.
@@ -528,18 +496,14 @@ def _sample_lenses(bp: BallPair, ts, budget: int, seed: int) -> list[PointCloud]
 
 def _lens_points(bp: BallPair, ts, small_plan, arc):
     """One step of :func:`_sample_lenses`: the boundary points of each
-    (non-touching) lens of ``ts``, in the order axis ends and corners,
-    small circle, big circle, chord ends."""
+    (non-touching) lens of ``ts``, in the order axis ends and corners
+    inside the lens (:func:`_far_points`), small circle, big circle, chord
+    ends inside the lens."""
     m, R, r = bp.manifold, bp.R, bp.r
     n, d = len(ts), m.ambient_dim
     centres, velocity = bp.line.states_many(ts)
-    if n == 1 and ts[0] == bp.t:
-        # a lone lens at the pair's own separation reads its memoised frame
-        # and candidates, which lens_diameter then shares
-        frames, c = bp.frame_small()[None], bp.candidates()
-    else:
-        frames = m.tangent_frames(centres, velocity)
-        c = _candidates_at(bp, ts, chord_dirs=frames[:, 1])
+    frames = m.tangent_frames(centres, velocity)
+    c = _candidates_at(bp, ts, chord_dirs=frames[:, 1])
     vecs = _circle_vectors(frames, *small_plan)
     size = vecs.shape[1]
     small = m.exp_pairs(np.repeat(centres, size, axis=0), vecs.reshape(-1, d))
@@ -550,15 +514,12 @@ def _lens_points(bp: BallPair, ts, small_plan, arc):
     arcs = np.tile(arc, (n, 1))
     arc_owner = np.repeat(np.arange(n), len(arc))
     outer = m.dist_pairs(centres[arc_owner], arcs) <= r + 1e-12
-    near = c.present[:, : _CHORD.start] & (c.margins[:, : _CHORD.start] >= -BOUNDARY_TOL)
-    near_owner, near_slot = np.nonzero(near)
-    chord_owner, chord_slot = np.nonzero(c.margins[:, _CHORD] >= -1e-12)
+    near, near_owner = _far_points(c)
+    chord_owner, chord_slot = np.nonzero(c.margins[:, _CHORD] >= -BOUNDARY_TOL)
     chord_slot += _CHORD.start
 
     owners = np.concatenate([near_owner, small_owner[inner], arc_owner[outer], chord_owner])
-    points = np.concatenate(
-        [c.ends[near_owner, near_slot], small[inner], arcs[outer], c.ends[chord_owner, chord_slot]]
-    )
+    points = np.concatenate([near, small[inner], arcs[outer], c.ends[chord_owner, chord_slot]])
     order = np.argsort(owners, kind="stable")
     counts = np.bincount(owners, minlength=n)
     if not np.all(counts):
@@ -658,41 +619,37 @@ def lens_diameter(
     value is the best admissible candidate (axis ends, corners,
     perpendicular chord) and its slack ``EXACT_SLACK``; no cloud is drawn.
     This is the one-row case of the grid pass of :func:`w_profile`
-    (``_exact_widths`` over :meth:`BallPair.candidates`).
+    (``_exact_widths`` over :func:`_candidates_at`).
 
-    Otherwise the value is the best of the candidates and the farthest pair
-    of the sampled cloud (``cloud``, or one drawn at ``budget`` and
-    ``seed``; the cloud's memoised ``diameter_with_witness``), a lower bound
-    with slack 2 * fill.  With ``refine`` the projected ascent first
-    polishes the sampled pair where the candidates are not known to attain
-    the diameter: on a model without closed forms, or for R at or beyond
-    the convexity radius.  ``refine=False`` never
-    runs the ascent and returns the sampled and candidate value alone, an
-    independent cross-check of the refined one.  On a model without closed
-    forms the farthest-pair scan of :mod:`geolens._kernels` shoots one
-    geodesic per pair, so it fails fast with ``ConfigError`` on a cloud over
-    ``SLOW_PAIR_LIMIT`` pairs.
+    Otherwise the value is the farthest pair of the sampled cloud (the
+    cloud's memoised ``diameter_with_witness``), a lower bound with slack
+    2 * fill.  The cloud is ``cloud``, which must be a boundary cloud of
+    :func:`_sample_lenses` (or :func:`sample_intersection`) for this lens,
+    or one drawn at ``budget`` and ``seed``; such a cloud carries every
+    admissible candidate, so its farthest pair is never below one.  With
+    ``refine`` the projected ascent then polishes the pair where the
+    candidates are not known to attain the diameter: on a model without
+    closed forms, or for R at or beyond the convexity radius.  The ascent
+    only keeps moves that lengthen the pair.  ``refine=False`` never runs
+    the ascent and returns the sampled value alone, an independent
+    cross-check of the refined one.  On a model without closed forms the
+    farthest-pair scan of :mod:`geolens._kernels` shoots one geodesic per
+    pair, so it fails fast with ``ConfigError`` on a cloud of n points with
+    n * n over ``SLOW_PAIR_LIMIT``.
     """
-    m = bp.manifold
     if bp.touching:
         contact = bp.line.coords_at(bp.R)
         return LensDiameter(0.0, contact, contact, 0.0)
     if bp.exact and cloud is None:
-        w, slack, wa, wb = _exact_widths(m, bp.candidates())
+        w, slack, wa, wb = _exact_widths(bp.manifold, _candidates_at(bp, [bp.t]))
         return LensDiameter(float(w[0]), wa[0], wb[0], float(slack[0]))
     if cloud is None:
         cloud = sample_intersection(bp, budget, seed)
-    best_d, (i, j) = diameter_with_witness(cloud)
-    best_pair = (cloud.points[i], cloud.points[j])
+    d, (i, j) = diameter_with_witness(cloud)
+    p, q = cloud.points[i], cloud.points[j]
     if refine and not bp.exact:
-        p, q, best_d = _ascend_pair(bp, best_pair[0].copy(), best_pair[1].copy())
-        best_pair = (p, q)
-    c = bp.candidates()
-    d = _pair_distances(m, c.ends, c.margins)[0]
-    k = int(np.argmax(d))
-    if d[k] > best_d:
-        best_d, best_pair = d[k], (c.ends[0, 2 * k], c.ends[0, 2 * k + 1])
-    return LensDiameter(float(best_d), best_pair[0], best_pair[1], 2.0 * cloud.fill_radius)
+        p, q, d = _ascend_pair(bp, p.copy(), q.copy())
+    return LensDiameter(float(d), p, q, 2.0 * cloud.fill_radius)
 
 
 @dataclass(frozen=True)
@@ -758,9 +715,10 @@ def _nesting_scan(bp: BallPair, ts: np.ndarray, budget: int, seed: int):
 
 
 def _far_points(c: _Candidates):
-    """The exact nesting scan of a whole grid from its candidates: the axis
-    ends and corners inside each lens, or the contact point of a touching
-    one, in the order of a lens-by-lens scan, with their owners."""
+    """The axis ends and corners inside each lens of the candidates ``c``,
+    or the contact point of a touching one, in the order of a lens-by-lens
+    scan, with their owners: the exact nesting scan of a grid, and the
+    first rows of each sampled cloud (:func:`_lens_points`)."""
     near = slice(0, _CHORD.start)
     owners, slot = np.nonzero(c.present[:, near] & (c.margins[:, near] >= -BOUNDARY_TOL))
     return c.ends[owners, slot], owners
@@ -986,10 +944,11 @@ def w_profile(
     give the plateau test at the grid points, and the axis ends and corners
     inside the lenses are the nesting scan.  Both bisections then run in
     lockstep rounds, the plateau's on chord passes (``_chord_margins``), so
-    no stage loops in Python per row or per step.  Elsewhere each width and
-    each plateau step sample the lens, and the onset scan is one sampling
-    pass.  The flags read the scan's distances to the anchor in one call.
-    Every number has the bits of a lens-by-lens, step-by-step evaluation.
+    no stage loops in Python per row or per step.  Elsewhere the width
+    clouds are one sampling pass (``_sample_lenses``), as is the onset
+    scan, and each plateau step samples its lens.  The flags read the
+    scan's distances to the anchor in one call.  Every number has the bits
+    of a lens-by-lens, step-by-step evaluation.
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
@@ -1009,10 +968,11 @@ def w_profile(
             return _chord_margins(bp, mids) >= 0.0
 
     else:
-        # held to the end: the nesting scan and the plateau pass get these
-        # lenses back from ``with_separation``
-        lenses = [bp.with_separation(float(t)) for t in ts]
-        rows = [lens_diameter(lens, budget, seed) for lens in lenses]
+        clouds = _sample_lenses(bp, ts, budget, seed)
+        rows = [
+            lens_diameter(bp.with_separation(float(t)), cloud=cloud)
+            for t, cloud in zip(ts, clouds)
+        ]
         w = np.array([res.value for res in rows])
         slack = np.array([res.slack for res in rows])
         wa = np.array([res.witness_a for res in rows])

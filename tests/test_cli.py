@@ -447,7 +447,7 @@ seed = 7
 
 def _per_lens_nesting_scan(bp, ts, budget, seed):
     """The nesting scan lens by lens: far points from each exact lens's
-    extremes, else its sampled cloud."""
+    one-row candidates, else its sampled cloud."""
     blocks, owners = [], []
     for idx, t in enumerate(ts):
         lens = bp.with_separation(float(t))
@@ -456,8 +456,7 @@ def _per_lens_nesting_scan(bp, ts, budget, seed):
         elif lens.touching:
             points = lens.line.coords_at(lens.R)[None, :]
         else:
-            ends, margins, lead = lens.extremes()
-            points = ends[:lead][margins[:lead] >= -lens_module.BOUNDARY_TOL]
+            points, _ = lens_module._far_points(lens_module._candidates_at(lens, [lens.t]))
         blocks.append(points)
         owners.append(np.full(len(points), idx))
     return np.vstack(blocks), np.concatenate(owners)

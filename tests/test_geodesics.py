@@ -200,6 +200,50 @@ def test_non_unit_direction_rejected():
         integrate_geodesic(e, p, TangentVector(p, np.array([2.0, 0.0])), 1.0)
 
 
+def _assert_every_constructor_rejects(model, base, direction):
+    with pytest.raises(ValueError):
+        GeodesicLine(model, base, direction)
+    with pytest.raises(ValueError):
+        GeodesicSegment.from_exp(model, base, direction, 1.0)
+    with pytest.raises(ValueError):
+        integrate_geodesic(model, base, direction, 1.0)
+
+
+def test_sphere_line_rejects_a_direction_that_is_not_tangent_at_its_base(sphere):
+    # each direction below has unit norm at its own base point; only the
+    # base it must be attached to, or its tangent space there, tells
+    base = sphere.point(1.0, 0.0, 0.0)
+    elsewhere = TangentVector(sphere.point(0.0, 1.0, 0.0), np.array([1.0, 0.0, 0.0]))
+    off = ManifoldPoint(np.array([2.0, 0.0, 0.0]))
+    for b, direction in [
+        (base, elsewhere),
+        (base, TangentVector(base, np.array([1.0, 0.0, 0.0]))),  # the normal
+        (base, TangentVector(base, np.array([0.6, 0.8, 0.0]))),
+        (off, TangentVector(off, np.array([0.0, 1.0, 0.0]))),
+    ]:
+        _assert_every_constructor_rejects(sphere, b, direction)
+    with pytest.raises(ValueError):
+        BallPair.create(sphere, 1.0, 0.5, t=0.3, base=base, direction=elsewhere)
+    # an equal copy of the base point is the same base
+    copy = ManifoldPoint(base.coords.copy())
+    GeodesicLine(sphere, base, TangentVector(copy, np.array([0.0, 0.6, 0.8])))
+
+
+def test_hyperboloid_line_rejects_a_direction_that_is_not_tangent_at_its_base():
+    h = Hyperbolic(2, -1.0)
+    base = h.basepoint()
+    other = h.point(math.cosh(1.0), math.sinh(1.0), 0.0)
+    # Minkowski norm 1.25^2 - 0.75^2 = 1, but not orthogonal to the base
+    slanted = TangentVector(base, np.array([0.75, 1.25, 0.0]))
+    assert abs(h.norm(slanted) - 1.0) < 1e-15
+    _assert_every_constructor_rejects(h, base, slanted)
+    _assert_every_constructor_rejects(h, base, TangentVector(other, np.array([0.0, 0.0, 1.0])))
+    with pytest.raises(ValueError):
+        BallPair.create(h, 1.0, 0.5, t=0.3, base=base, direction=slanted)
+    along = TangentVector(base, np.array([0.0, 0.0, 1.0]))
+    BallPair.create(h, 1.0, 0.5, t=0.3, base=base, direction=along)
+
+
 # ------------------------------------------------------ first variation
 
 

@@ -228,7 +228,7 @@ def _dense_boundary(lens, n=20000):
     ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     circles = []
     for center, frame, rho in (
-        (lens.center_small(), lens.frame_small(), lens.r),
+        (lens.center_small(), m.tangent_frames(*lens.line.states_many([lens.t]))[0], lens.r),
         (lens.center_big(), lens.frame_big(), lens.R),
     ):
         vecs = rho * (np.cos(ang)[:, None] * frame[0] + np.sin(ang)[:, None] * frame[1])
@@ -360,7 +360,7 @@ def test_sample_makes_a_fixed_number_of_model_calls(monkeypatch):
     assert calls["tangent_basis"] <= 2
     assert calls["tangent_frames"] <= 2
     assert calls["dist_many"] <= 6
-    # the diameter reuses the sampled lens's memoised extremes
+    # the exact diameter: the one-row grid pass of the candidates
     calls.update(dict.fromkeys(calls, 0))
     lens_diameter(pair.with_separation(1.0), budget=4096, seed=0)
     assert calls["exp_many"] <= 4
@@ -471,6 +471,51 @@ def test_exact_width_draws_no_cloud_and_matches_the_sampled_path(monkeypatch):
                 assert sampled <= exact.value + EXACT_SLACK, (R, r, t)
                 assert exact.value - sampled <= 2.0 * cloud.fill_radius, (R, r, t)
                 assert lens_diameter(lens, cloud=cloud).value <= exact.value + EXACT_SLACK
+
+
+CLOUD_CANDIDATE_CASES = [
+    (model, R, r, 512, 3, math.inf) for model, pairs in CONVEX_CASES for R, r in pairs
+] + [
+    (Sphere(2, 1.0), math.pi / 2, math.pi / 2, 512, 3, math.inf),
+    (Sphere(2, 1.0), 2.0, 1.8, 512, 3, math.inf),
+    (SurfaceOfRevolution(RevolutionProfile.cosine_bump()), 0.05, 0.03, 16, 1, 0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "model,R,r,budget,seed,bound",
+    CLOUD_CANDIDATE_CASES,
+    ids=[f"{c[0].describe()}-{c[1]:g}-{c[2]:g}" for c in CLOUD_CANDIDATE_CASES],
+)
+def test_sampled_cloud_holds_every_admissible_candidate(model, R, r, budget, seed, bound):
+    # lens_diameter reads a sampled width from the cloud alone: every axis
+    # end and corner inside the lens and every chord end at margin >=
+    # -BOUNDARY_TOL is a cloud row, so no admissible candidate pair is
+    # farther apart than the cloud's farthest pair
+    bp = BallPair.create(model, R, r, convexity_bound=bound)
+    for t in np.linspace(0.0, R + r, 10)[:-1]:
+        lens = bp.with_separation(float(t))
+        cloud = sample_intersection(lens, budget, seed)
+        rows = {row.tobytes() for row in cloud.points}
+        c = lens_module._candidates_at(lens, [lens.t])
+        far, _ = lens_module._far_points(c)
+        chord = c.ends[0, lens_module._CHORD][c.margins[0, lens_module._CHORD] >= -BOUNDARY_TOL]
+        for point in np.concatenate([far, chord]):
+            assert point.tobytes() in rows, (R, r, t)
+        pairs = lens_module._pair_distances(model, c.ends, c.margins)
+        assert np.max(pairs) <= diameter(cloud), (R, r, t)
+
+
+def test_sampled_profile_widths_are_the_per_lens_diameters():
+    # the non-exact widths of w_profile come from one sampling pass, with
+    # the bits of a lens_diameter call per grid separation
+    bp = BallPair.create(Sphere(2, 1.0), math.pi / 2, math.pi / 2, convexity_bound=math.inf)
+    profile = w_profile(bp, grid=7, budget=512, seed=3)
+    rows = [lens_diameter(bp.with_separation(float(t)), 512, 3) for t in profile.ts]
+    assert profile.w.tobytes() == np.array([res.value for res in rows]).tobytes()
+    assert profile.slack.tobytes() == np.array([res.slack for res in rows]).tobytes()
+    assert profile.witness_a.tobytes() == np.array([res.witness_a for res in rows]).tobytes()
+    assert profile.witness_b.tobytes() == np.array([res.witness_b for res in rows]).tobytes()
 
 
 def test_exact_profile_samples_nothing_but_the_other_paths_do(monkeypatch):

@@ -1,11 +1,13 @@
 """Conjugate/focal/convexity radii and their structural identities."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from geolens import (
+    BallPair,
     Euclidean,
     Hyperbolic,
     RevolutionProfile,
@@ -17,6 +19,7 @@ from geolens import (
     focal_radius,
     jacobi_radii,
     radii_report,
+    sample_intersection,
 )
 from geolens import radii as radii_module
 from geolens.config import ManifoldSpec
@@ -321,6 +324,16 @@ def test_surface_radii_keep_the_bits_of_the_benchmark_fingerprint():
     focal = focal_radius(surface, directions=16)
     assert focal == jacobi_radii(surface, directions=16)[1]
     assert repr(focal.value) == "2.720699046351368"
+
+
+def test_surface_sample_keeps_the_bits_of_the_benchmark_fingerprint():
+    # the seed-1 cloud_sha256 of the surface_bump benchmark workload
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    bp = BallPair.create(surface, 0.05, 0.03, t=0.04, convexity_bound=0.5)
+    cloud = sample_intersection(bp, 16, 1)
+    assert hashlib.sha256(cloud.points.tobytes()).hexdigest() == (
+        "4d63d93d569dc1baa521c5cdcaad91c9b218a69497ff9ae67404927ae8c64407"
+    )
 
 
 def test_one_root_solve_places_every_zero_of_a_batch(monkeypatch):
