@@ -1,9 +1,10 @@
-"""The distance scans behind every width, Hausdorff gap and nesting margin.
+"""The distance scans behind every sampled width, Hausdorff gap and nesting
+margin.
 
-``pairwise_max`` finds the farthest pair of one cloud, ``max_nearest`` the
-largest nearest distance (sup over p of inf over q of d(p, q)) one or both
-ways, ``min_dist_to`` the distance from each point of a cloud to its nearest
-target and ``min_dist_both`` those distances both ways.  On a model with
+``pairwise_max`` finds the farthest pair of one cloud, ``min_dist_to`` the
+distance from each point of a cloud to its nearest target and
+``min_dist_both`` those distances both ways; a largest nearest distance (a
+one-way Hausdorff gap) is the maximum of one of them.  On a model with
 closed forms the scans work on row blocks of the model's squared pre-metric
 (:meth:`Manifold.scan_sq`), which is monotone in the distance, and map only
 the reduced values to distances (:meth:`Manifold.scan_dist`).  The model's
@@ -13,22 +14,10 @@ scan reports is the ``dist_pairs`` value of its pair.  Blocks are
 chunked to bound memory.  One block scan serves both directions: its row
 minima are the nearest targets of the points and its column minima the
 nearest points of the targets, with the bits of a scan the other way because
-``scan_sq(a, b)[i, j] == scan_sq(b, a)[j, i]``.
-
-``pairwise_max`` scans every pair: a lens cloud holds the lens boundary
-alone, a few hundred points.  Few rows decide a
-largest nearest distance, so ``max_nearest`` first finds the rows that can
-hold it and then scans only those rows exactly (after Taha & Hanbury, *An
-efficient algorithm for calculating the exact Hausdorff distance*, 2015),
-where ``scan_sq`` is the squared ambient Euclidean distance
-(``uses_trees``): a k-d tree (``kd_tree``) gives every row's nearest
-distance to a few ulps, and only the rows within a relative ``_TREE_RTOL``
-of the largest are rescored against every target.  The reported value
-still comes from ``scan_sq`` blocks, whose element bits do not depend on the
-block's shape, so it has the bits of the full scan.  A caller that holds
-the trees of its clouds hands them in; otherwise each call builds its own.
-Elsewhere (the hyperboloid's Minkowski form) it reduces the one-block
-two-way scan.
+``scan_sq(a, b)[i, j] == scan_sq(b, a)[j, i]``.  Every scan reads every
+pair: a lens cloud holds the lens boundary alone, a few hundred points, and
+on exact pairs the verification suite reads its Hausdorff gaps in closed
+form (``lens.lens_gaps``) instead of scanning clouds.
 
 A model without closed forms (the numeric surface) has no pre-metric: there
 every pair of the scan is shot in one lockstep Newton batch
@@ -48,11 +37,6 @@ SLOW_PAIR_LIMIT = 250_000
 
 _CHUNK = 512
 _SHOOT_CHUNK = 4096
-
-# The tree's distances agree with sqrt(scan_sq) to a few ulps; a row more
-# than this far below the largest cannot hold the exact maximum.  (When
-# every distance is 0, every row is kept.)
-_TREE_RTOL = 1e-9
 
 
 def pairwise_max(points, manifold):
@@ -75,51 +59,6 @@ def pairwise_max(points, manifold):
                 best = float(sq[i, j])
                 bi, bj = i0 + i, j0 + j
     return float(manifold.scan_dist(np.asarray(best))), bi, bj
-
-
-def uses_trees(manifold):
-    """Whether ``max_nearest`` ranks rows with k-d trees on this model:
-    where ``scan_sq`` is the squared ambient Euclidean distance."""
-    return manifold.closed_form and manifold.euclidean_scan
-
-
-def kd_tree(points):
-    """scipy's ``cKDTree`` of the rows of ``points``."""
-    from scipy.spatial import cKDTree  # only here: keeps scipy off start-up
-
-    return cKDTree(points)
-
-
-def max_nearest(points, targets, manifold, both=True, trees=None):
-    """``(max(min_dist_to(points, targets)), max(min_dist_to(targets,
-    points)))`` with their bits; only the first with ``both=False``.
-
-    Where ``uses_trees`` holds, ``trees`` may give the k-d trees of
-    ``points`` and ``targets`` (``kd_tree``); a missing one is built here.
-    """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    tgt = np.ascontiguousarray(targets, dtype=np.float64)
-    if uses_trees(manifold):
-        point_tree, target_tree = trees or (None, None)
-        out = (_tree_max_nearest(pts, tgt, target_tree, manifold),)
-        if both:
-            out += (_tree_max_nearest(tgt, pts, point_tree, manifold),)
-        return out
-    if both:
-        forward, backward = min_dist_both(pts, tgt, manifold)
-        return float(forward.max()), float(backward.max())
-    return (float(min_dist_to(pts, tgt, manifold).max()),)
-
-
-def _tree_max_nearest(pts, tgt, tree, manifold):
-    """Largest nearest distance from pts to tgt: candidates from the k-d
-    tree of tgt (built when ``tree`` is None), then the exact ``scan_sq``
-    rows of those that can hold the maximum."""
-    if tree is None:
-        tree = kd_tree(tgt)
-    near = tree.query(pts, k=1)[0]
-    rows = pts[near >= (1.0 - _TREE_RTOL) * near.max()]
-    return float(manifold.scan_dist(_nearest_sq(rows, tgt, manifold)[0]).max())
 
 
 def min_dist_to(points, targets, manifold):

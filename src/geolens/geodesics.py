@@ -58,15 +58,21 @@ def _hermite(t, t0, t1, p0, p1, v0, v1):
 def hermite_zero(t0, t1, v0, v1, d0, d1):
     """Zero in [t0, t1] of the cubic Hermite interpolant of values v and
     derivatives d, by 80 bisection steps; elementwise over arrays.  The
-    values at the ends must have opposite signs."""
+    values at the ends must have opposite signs.
+
+    A step is a function of the brackets alone, so once one leaves every
+    (lo, hi) as it was, so would all the rest: the loop stops there, with
+    the bits of all 80 steps."""
     lo, hi = np.asarray(t0, dtype=np.float64), np.asarray(t1, dtype=np.float64)
     lo_positive = np.asarray(v0) > 0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         f_mid = _hermite(mid, t0, t1, v0, v1, d0, d1)
         same = (f_mid > 0) == lo_positive
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
+        next_lo, next_hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        if np.array_equal(next_lo, lo) and np.array_equal(next_hi, hi):
+            break
+        lo, hi = next_lo, next_hi
     return 0.5 * (lo + hi)
 
 

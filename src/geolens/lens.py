@@ -28,6 +28,9 @@ convex and the candidates are the answers:
   in the angle (law of cosines of the model), so the lens point farthest
   from gamma(s) is an axis end or a corner: the nesting onset and flags test
   those points only;
+* the Hausdorff distance of two lenses is the largest distance from a far
+  point of one (an axis end or a corner) to the other lens
+  (:func:`lens_gaps`);
 * the lens keeps the full width 2r exactly while the perpendicular chord
   lies in the big ball, so the plateau end bisects on that chord's margin
   (the Pythagorean theorem of the model at the end).
@@ -722,6 +725,62 @@ def _far_points(c: _Candidates):
     near = slice(0, _CHORD.start)
     owners, slot = np.nonzero(c.present[:, near] & (c.margins[:, near] >= -BOUNDARY_TOL))
     return c.ends[owners, slot], owners
+
+
+def lens_gaps(bp: BallPair, s, t) -> np.ndarray:
+    """H(L_s, L_t) of the lenses at each pair ``s[i]``, ``t[i]`` of
+    separations of an exact pair, read at the far points
+    (:func:`_far_points`) of both lenses in one pass.
+
+    Both lenses lie in A = D_R(gamma(0)), so the point y of L_t nearest to
+    a point x of A outside L_t is never inside L_t's big arc: it is the
+    radial projection of x onto the circle of L_t's small ball, at distance
+    d(x, gamma(t)) - r, when that projection lies in A, else the corner of
+    L_t on x's side of the axis, the nearer one.
+
+    Why the far points suffice: off L_t, f = d(., L_t) is C^1 with a unit
+    gradient pointing away from y.  So f peaks on the boundary of L_s, and
+    at a point x inside an arc of centre c (gamma(0) or gamma(s)) the
+    gradient is the arc's outward normal: c and y lie on the geodesic
+    through x, behind it.  If y is a radial projection, gamma(t) lies there
+    too; unless it is c (then f is constant along the arc) the geodesic is
+    the axis, and x an axis end.  If y is a corner, strictly on x's side of
+    the axis, it lies short of c, where the geodesic meets the axis:
+    strictly inside the arc's disk.  A corner lies on the circle of D_R, so
+    that is the small arc, and x the arc point nearest y; near x, f =
+    d(., y) (x is off the geodesic from gamma(t) through y, which would be
+    the axis), so f is smallest there along the arc, not largest.  So f
+    peaks on L_s at an axis end or a corner.  A touching lens is its
+    contact point.
+
+    On the closed-form models the geodesic from y to x runs in the plane of
+    y, x and the chart origin (a line in Euclidean space), so the first
+    vector of the tangent frame at y along x - y points at x: the radial
+    projections are one ``tangent_frames`` and one ``exp_pairs``.
+    """
+    m, r = bp.manifold, bp.r
+    s, t = np.asarray(s, dtype=np.float64), np.asarray(t, dtype=np.float64)
+    n = len(s)
+    c = _candidates_at(bp, np.concatenate([s, t]), chords=False)
+    x, owners = _far_points(c)
+    other = (owners + n) % (2 * n)
+    centres = bp.line.coords_many(c.ts)[other]
+    gaps = np.maximum(m.dist_pairs(centres, x) - r, 0.0)
+    corner = c.present[other, _CORNERS.start] & (gaps > 0.0)
+    if np.any(corner):
+        y = centres[corner]
+        toward = m.tangent_frames(y, x[corner] - y)[:, 0]
+        projection = m.exp_pairs(y, r * toward)
+        corner[corner] = m.dist_many(bp.center_big(), projection) > bp.R
+        ends = c.ends[other[corner], _CORNERS]
+        gaps[corner] = np.minimum(
+            m.dist_pairs(ends[:, 0], x[corner]), m.dist_pairs(ends[:, 1], x[corner])
+        )
+    touching = c.touching[other]
+    gaps[touching] = m.dist_pairs(c.ends[other[touching], 0], x[touching])
+    directed = np.zeros(2 * n)
+    np.maximum.at(directed, owners, gaps)
+    return np.maximum(directed[:n], directed[n:])
 
 
 # (separation, point) rows that one round of a lockstep bisection tests at

@@ -343,10 +343,6 @@ class Manifold(ABC):
     # to distances; ``dist_pairs`` maps every value.  The base class holds
     # the flat pair; the scans use these only where ``closed_form`` is True.
 
-    # True where ``pre_sq`` is the squared ambient Euclidean distance, so a
-    # Euclidean k-d tree on the coordinates finds the same nearest points.
-    euclidean_scan: bool = True
-
     def pre_sq(self, diff) -> np.ndarray:
         """Squared pre-metric of chart differences on the last axis; the
         same bits for a difference and its negation."""
@@ -637,8 +633,6 @@ class Hyperbolic(Manifold):
             math.cosh(R / a) * np.cosh(t / a) - math.cosh(r / a),
             math.sinh(R / a) * np.sinh(t / a),
         )
-
-    euclidean_scan = False
 
     def pre_sq(self, diff):
         # the Minkowski square, clipped at 0: rounding can take it below

@@ -12,16 +12,11 @@ Hausdorff distance of any compact sets, so the width claims hold of the
 boundary clouds as they do of the lenses.
 
 Every distance comes from the scans of :mod:`geolens._kernels`.  A
-Hausdorff distance and a nesting gap are largest nearest distances
-(``max_nearest``): on the sphere and in Euclidean space a k-d tree picks
-the few rows that can hold the maximum and only those are scanned exactly,
-so the value has the bits of the full O(|Y| * |Z|) scan, which are those of
-the model's ``dist_pairs`` of the pair that holds it; the hyperboloid
-reads both directions off one block scan and the numeric surface shoots
-every pair.  A cloud's points are read-only, so its diameter is scanned
-once and memoised, and so is its k-d tree where the nearest scans read one
-(``_kernels.uses_trees``): each cloud's tree is built once, however many
-gaps it enters, and lives as long as the cloud.
+Hausdorff distance and a nesting gap are largest nearest distances, read
+off full block scans: on the closed-form models their values have the bits
+of the model's ``dist_pairs`` of the pair that holds them, and the numeric
+surface shoots every pair.  A cloud's points are read-only, so its diameter
+is scanned once and memoised.
 """
 
 from __future__ import annotations
@@ -65,24 +60,10 @@ class PointCloud:
         d, i, j = _kernels.pairwise_max(self.points, self.manifold)
         return float(d), (i, j)
 
-    @cached_property
-    def _tree(self):
-        return _kernels.kd_tree(self.points)
-
 
 def _same_manifold(y: PointCloud, z: PointCloud):
     if y.manifold is not z.manifold:
         raise ValueError("clouds live on different manifolds")
-
-
-def _max_nearest(y: PointCloud, z: PointCloud, both=True):
-    """``_kernels.max_nearest`` of the points of two clouds, with their
-    memoised k-d trees where the scan reads them."""
-    _same_manifold(y, z)
-    trees = None
-    if _kernels.uses_trees(y.manifold):
-        trees = (y._tree if both else None, z._tree)
-    return _kernels.max_nearest(y.points, z.points, y.manifold, both, trees)
 
 
 def diameter_with_witness(cloud: PointCloud):
@@ -103,7 +84,9 @@ def hausdorff(y: PointCloud, z: PointCloud) -> float:
     The Hausdorff distance of the represented sets differs from this by at
     most y.fill_radius + z.fill_radius.
     """
-    return max(_max_nearest(y, z))
+    _same_manifold(y, z)
+    forward, backward = _kernels.min_dist_both(y.points, z.points, y.manifold)
+    return max(float(forward.max()), float(backward.max()))
 
 
 def diameter_lipschitz_check(y: PointCloud, z: PointCloud) -> bool:
@@ -145,7 +128,7 @@ def monotone_limit_check(
             if direction == "nested-decreasing"
             else (clouds[i], clouds[i + 1])
         )
-        (gap,) = _max_nearest(inner, outer, both=False)
+        gap = float(_kernels.min_dist_to(inner.points, outer.points, inner.manifold).max())
         if gap > outer.fill_radius + slack:
             raise NestingError(
                 f"nesting violated between elements {i} and {i + 1}: "

@@ -6,9 +6,18 @@ probes (plateau-end versus nesting-onset agreement, discrete concavity,
 derivative continuity) and, in standard runs, the large-ball counterexample
 scenario, which has its own runner.
 
+Three claims test the paper's continuity argument, |w(s) - w(t)| <=
+2 H(L_s, L_t) for the lenses at separations s and t: on 25 grid pairs
+ending at a random anchor (``width_left_continuous``), 25 starting at one
+(``width_right_continuous``) and 15 random ones, as pass or fail
+(``diameter_hausdorff_lipschitz``).  On an exact pair (``BallPair.exact``)
+w and H are exact (``lens.lens_gaps``), and so is the gap of concentric
+balls in ``monotone_set_limits``; elsewhere both are read on sampled clouds.
+
 ``sampled_width_matches_exact`` is the labelled cross-check of the exact
-widths of convex closed-form pairs against the diameters of sampled clouds;
-where no width is exact it reports no admissible data.
+widths of convex closed-form pairs against the diameters of sampled clouds,
+the only clouds an exact pair draws; where no width is exact it reports no
+admissible data.
 """
 
 from __future__ import annotations
@@ -23,21 +32,18 @@ from geolens.errors import ConfigError
 from geolens.lens import (
     EXACT_SLACK,
     BallPair,
+    _candidates_at,
     _circles,
+    _far_points,
     _sample_lenses,
     check_witnesses,
     estimate_nesting_onset,
     lens_diameter,
+    lens_gaps,
     w_profile,
 )
 from geolens.radii import jacobi_radii, radii_report
-from geolens.sets import (
-    PointCloud,
-    diameter,
-    diameter_lipschitz_check,
-    hausdorff,
-    monotone_limit_check,
-)
+from geolens.sets import PointCloud, diameter, hausdorff, monotone_limit_check
 
 # worst residual of the radii identities and of the Jacobi scans against
 # the closed forms that the radii claim admits
@@ -209,11 +215,13 @@ def _claim_entry(claim: str, results: dict[str, float], notes: list) -> ClaimRes
 def run_verification_suite(config: RunConfig) -> VerificationReport:
     """Run every claim on the configured manifold and radius matrix.
 
-    Per pair, the sampled claims (the continuity moduli, nesting after the
+    Per pair, the probe claims (the continuity moduli, nesting after the
     onset, the diameter-Hausdorff check and the exact-width cross-check)
-    first draw every probe separation from their seeded rngs; the clouds of
-    those separations then come from one sampling pass (``_sample_lenses``)
-    at the probe budget, and each claim reads them by separation.
+    first draw every probe separation from their seeded rngs.  An exact
+    pair reads the Lipschitz-type claims off one ``lens_gaps`` call and
+    nesting off the far points, and draws clouds for the cross-check rows
+    alone; elsewhere the clouds of every probe separation come from one
+    sampling pass (``_sample_lenses``) at the probe budget.
     """
     manifold = config.manifold.build()
     conv = _checked_convexity_bound(config, manifold)
@@ -285,7 +293,7 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
         )
 
         # the probe separations of the claims below, each drawn from its own
-        # rng; their clouds then come from one sampling pass
+        # rng; the clouds they read then come from one sampling pass
         probe_budget = max(512, config.budget // 4)
         n_mod = 25
         rng = np.random.default_rng([config.seed, 17])
@@ -304,43 +312,46 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
         nest_pairs = [(s, t) for s, t in nest_pairs if t - s >= 1e-9]
         lip_rng = np.random.default_rng([config.seed, 29])
         lip_pairs = [lip_rng.integers(0, len(ts), size=2) for _ in range(15)]
-        cross_rows = []
         if bp.exact:
             cross_rng = np.random.default_rng([config.seed, 31])
             cross_rows = cross_rng.choice(len(ts), size=min(3, len(ts)), replace=False)
-        rows = {int(i) for pairs in (left_pairs, right_pairs, lip_pairs) for p in pairs for i in p}
-        rows.update(int(i) for i in cross_rows)
-        probe_ts = sorted({float(ts[i]) for i in rows} | {float(t) for _, t in nest_pairs})
+            probe_ts = sorted({float(ts[i]) for i in cross_rows})
+        else:
+            rows = {int(i) for pairs in (left_pairs, right_pairs, lip_pairs) for p in pairs for i in p}
+            probe_ts = sorted({float(ts[i]) for i in rows} | {float(t) for _, t in nest_pairs})
         clouds = dict(zip(probe_ts, _sample_lenses(bp, probe_ts, probe_budget, config.seed)))
 
-        # continuity via the diameter-Hausdorff modulus on the lens
-        # boundaries, whose diameters are the widths: |w(s) - w(t)| <=
-        # 2 H(boundary(s), boundary(t)) + sampling slack, each cloud's fill
-        # radius bounding its gaps along the boundary
-        def modulus_margin(pairs):
-            worst = math.inf
-            for i, j in pairs:
-                cs, ct = clouds[float(ts[i])], clouds[float(ts[j])]
-                dh = hausdorff(cs, ct)
-                slack_ij = 4.0 * (cs.fill_radius + ct.fill_radius)
-                worst = min(worst, 2.0 * dh + slack_ij - abs(w[i] - w[j]))
-            return worst
+        # the diameter is 2-Lipschitz in the Hausdorff distance: |w(s) - w(t)|
+        # <= 2 H(L_s, L_t) + slack.  On an exact pair H is exact and the
+        # slack is the widths' own; elsewhere H is read on the boundary
+        # clouds, each cloud's fill radius bounding its gaps and its width
+        i, j = np.array(left_pairs + right_pairs + lip_pairs).T
+        if bp.exact:
+            dh, pair_slack = lens_gaps(bp, ts[i], ts[j]), slack[i] + slack[j]
+        else:
+            cs, ct = ([clouds[float(u)] for u in ts[k]] for k in (i, j))
+            dh = np.array([hausdorff(a, b) for a, b in zip(cs, ct)])
+            pair_slack = 4.0 * np.array([a.fill_radius + b.fill_radius for a, b in zip(cs, ct)])
+        lipschitz = 2.0 * dh + pair_slack - np.abs(w[i] - w[j])
+        left, right, lip = np.split(lipschitz, [n_mod, 2 * n_mod])
+        per_claim["width_left_continuous"][key] = float(np.min(left))
+        per_claim["width_right_continuous"][key] = float(np.min(right))
+        per_claim["diameter_hausdorff_lipschitz"][key] = 1.0 if np.all(lip >= 0.0) else -1.0
 
-        per_claim["width_left_continuous"][key] = float(modulus_margin(left_pairs))
-        per_claim["width_right_continuous"][key] = float(modulus_margin(right_pairs))
-
-        # definitional nesting after the onset
-        worst = math.inf
-        for s, t in nest_pairs:
-            d = manifold.dist_many(bp.line.coords_at(float(s)), clouds[float(t)].points)
-            worst = min(worst, float(r + 1e-6 - np.max(d)))
-        per_claim["nested_after_onset"][key] = worst
-
-        # diameter is 2-Lipschitz against the Hausdorff distance
-        lip_ok = True
-        for i, j in lip_pairs:
-            lip_ok &= diameter_lipschitz_check(clouds[float(ts[i])], clouds[float(ts[j])])
-        per_claim["diameter_hausdorff_lipschitz"][key] = 1.0 if lip_ok else -1.0
+        # definitional nesting after the onset: every point of the lens at t
+        # within r of gamma(s), read at the far points on an exact pair
+        if bp.exact:
+            nest_s, nest_t = np.array(nest_pairs).reshape(-1, 2).T
+            points, owners = _far_points(_candidates_at(bp, nest_t, chords=False))
+            d = manifold.dist_pairs(bp.line.coords_many(nest_s)[owners], points)
+            farthest = np.full(len(nest_t), -np.inf)
+            np.maximum.at(farthest, owners, d)
+        else:
+            farthest = np.array([
+                np.max(manifold.dist_many(bp.line.coords_at(float(s)), clouds[float(t)].points))
+                for s, t in nest_pairs
+            ])
+        per_claim["nested_after_onset"][key] = float(np.min(r + 1e-6 - farthest, initial=math.inf))
 
         # labelled cross-check of the exact widths against sampled clouds:
         # sampled <= exact + EXACT_SLACK and exact - sampled <= 2 * fill
@@ -361,17 +372,19 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
             )
 
         # shrinking concentric balls D_{l+delta_k} converge to D_l; on ideal
-        # shared-angle clouds the sampled Hausdorff gap equals delta_k exactly
+        # shared-angle clouds the sampled Hausdorff gap equals delta_k
+        # exactly.  On an exact pair the last gap is read in closed form,
+        # d(x, D_l(c)) = max(0, d(x, c) - l), on the last ball's cloud
         l_base = 0.8 * r
         deltas = [0.12 * r / (2**k) for k in range(5)]
         center, frame = bp.center_big(), bp.frame_big()
-        limit_cloud = _concentric_cloud(manifold, center, frame, l_base)
-        seq = [
-            _concentric_cloud(manifold, center, frame, l_base + dlt) for dlt in deltas
-        ]
-        gap_final = monotone_limit_check(
-            seq, "nested-decreasing", limit_cloud, slack=1e-9
-        )
+        if bp.exact:
+            outer = _concentric_cloud(manifold, center, frame, l_base + deltas[-1])
+            gap_final = max(0.0, float(np.max(manifold.dist_many(center, outer.points))) - l_base)
+        else:
+            seq = [_concentric_cloud(manifold, center, frame, l_base + dlt) for dlt in deltas]
+            limit_cloud = _concentric_cloud(manifold, center, frame, l_base)
+            gap_final = monotone_limit_check(seq, "nested-decreasing", limit_cloud, slack=1e-9)
         per_claim["monotone_set_limits"][key] = float(1e-2 * max(1.0, r) - gap_final)
         notes["monotone_set_limits"].append(f"{key}: final Hausdorff gap {gap_final:.4g}")
 

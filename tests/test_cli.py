@@ -467,11 +467,9 @@ def _broadcast_sq(a, b):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _two_way_hausdorff(y, z):
-    """Two one-way nearest scans over whole broadcast blocks (sphere)."""
-    forward = y.manifold.scan_dist(_broadcast_sq(y.points, z.points).min(axis=1))
-    backward = y.manifold.scan_dist(_broadcast_sq(z.points, y.points).min(axis=1))
-    return max(float(forward.max()), float(backward.max()))
+def _per_pair_lens_gaps(bp, s, t):
+    """The exact lens gaps one pair at a time."""
+    return np.array([lens_module.lens_gaps(bp, [a], [b])[0] for a, b in zip(s, t)])
 
 
 def _unmemoised_diameter(cloud):
@@ -480,7 +478,7 @@ def _unmemoised_diameter(cloud):
 
 
 def test_verify_records_match_the_per_lens_two_way_unmemoised_run(tmp_path, monkeypatch):
-    # the batched exact nesting scan, the one-block Hausdorff scan and the
+    # the batched exact nesting scan, the batched exact lens gaps and the
     # memoised diameters leave every record byte for byte as it was
     cfg = tmp_path / "verify_s2.ini"
     cfg.write_text(VERIFY_S2_CFG)
@@ -497,93 +495,13 @@ def test_verify_records_match_the_per_lens_two_way_unmemoised_run(tmp_path, monk
 
     with monkeypatch.context() as patch:
         patch.setattr(lens_module, "_nesting_scan", recorded(_per_lens_nesting_scan))
+        patch.setattr(suite_module, "lens_gaps", recorded(_per_pair_lens_gaps))
         for module in (sets_module, suite_module):
-            patch.setattr(module, "hausdorff", recorded(_two_way_hausdorff))
             patch.setattr(module, "diameter", recorded(_unmemoised_diameter))
         assert main(["verify", "--config", str(cfg), "--out", slow]) == 0
     assert len(used) == 3
     with open(fast, "rb") as a, open(slow, "rb") as b:
         assert a.read() == b.read()
-
-
-VERIFY_H2_CFG = """
-[manifold]
-kind = hyperbolic
-dimension = 2
-curvature = -1.0
-
-[lens]
-R = 2.0
-r = 1.0
-
-[run]
-grid = 8
-budget = 1024
-seed = 7
-"""
-
-
-def _counted_trees(monkeypatch):
-    """Patch scipy's cKDTree to record the bytes of every cloud it is built on."""
-    import scipy.spatial
-
-    built = []
-    tree = scipy.spatial.cKDTree
-
-    def counted(data, *args, **kwargs):
-        built.append(np.asarray(data).tobytes())
-        return tree(data, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", counted)
-    return built
-
-
-def test_verify_records_match_the_per_lens_fresh_tree_run(tmp_path, monkeypatch):
-    # one sampling pass over the probe separations and one k-d tree per
-    # cloud leave every record byte for byte as per-lens sampling and a
-    # fresh tree per scan give it
-    from geolens import _kernels
-
-    cfg = tmp_path / "verify_s2.ini"
-    cfg.write_text(VERIFY_S2_CFG)
-    fast, slow = str(tmp_path / "fast.csv"), str(tmp_path / "slow.csv")
-    scanned = set()
-    max_nearest = _kernels.max_nearest
-
-    def recorded(points, targets, manifold, both=True, trees=None):
-        scanned.update({points.tobytes(), targets.tobytes()} if both else {targets.tobytes()})
-        return max_nearest(points, targets, manifold, both, trees)
-
-    with monkeypatch.context() as patch:
-        built = _counted_trees(patch)
-        patch.setattr(_kernels, "max_nearest", recorded)
-        assert main(["verify", "--config", str(cfg), "--out", fast]) == 0
-    # one build per distinct cloud that a Hausdorff or nesting gap reads
-    assert len(built) == len(set(built)) == len(scanned) > 0
-
-    def per_lens(bp, ts, budget, seed):
-        return [lens_module.sample_intersection(bp.with_separation(t), budget, seed) for t in ts]
-
-    def fresh_trees(points, targets, manifold, both=True, trees=None):
-        return max_nearest(points, targets, manifold, both)
-
-    with monkeypatch.context() as patch:
-        rebuilt = _counted_trees(patch)
-        patch.setattr(suite_module, "_sample_lenses", per_lens)
-        patch.setattr(_kernels, "max_nearest", fresh_trees)
-        assert main(["verify", "--config", str(cfg), "--out", slow]) == 0
-    assert len(rebuilt) > len(built)
-    with open(fast, "rb") as a, open(slow, "rb") as b:
-        assert a.read() == b.read()
-
-
-def test_verify_on_the_hyperboloid_builds_no_tree(tmp_path, monkeypatch):
-    # the Minkowski form is no Euclidean distance: the scans read no tree
-    cfg = tmp_path / "verify_h2.ini"
-    cfg.write_text(VERIFY_H2_CFG)
-    built = _counted_trees(monkeypatch)
-    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "h2.csv")]) == 0
-    assert built == []
 
 
 def test_surface_focal_scan_runs_once_per_config(tmp_path, monkeypatch):
@@ -607,17 +525,46 @@ def test_surface_focal_scan_runs_once_per_config(tmp_path, monkeypatch):
     assert bound == 0.5
 
 
-def test_start_up_loads_no_scipy():
-    # scipy is imported where it is used (the k-d tree candidates, splines),
-    # so the CLI starts without it
+def _loaded_scipy(code):
+    """The scipy modules loaded by a fresh interpreter that runs ``code``."""
     import subprocess
     import sys
 
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = (
-        "import sys, geolens, geolens.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_start_up_loads_no_scipy():
+    # scipy is imported where it is used (the splines of a tabulated
+    # profile), so the CLI starts without it
+    assert _loaded_scipy("import sys, geolens, geolens.cli") == "[]"
+
+
+VERIFY_E2_CFG = """
+[manifold]
+kind = euclidean
+dimension = 2
+
+[lens]
+R = 2.0
+r = 1.0
+
+[run]
+grid = 8
+budget = 1024
+seed = 7
+"""
+
+
+@pytest.mark.parametrize("text", [VERIFY_S2_CFG, VERIFY_E2_CFG], ids=["sphere", "euclidean"])
+def test_verify_loads_no_scipy_spatial(tmp_path, text):
+    # the exact pairs read their Hausdorff gaps in closed form: no nearest
+    # scan, and no k-d tree
+    cfg = tmp_path / "verify.ini"
+    cfg.write_text(text)
+    argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    code = f"import sys; from geolens.cli import main; assert main({argv!r}) == 0"
+    assert "scipy.spatial" not in _loaded_scipy(code)

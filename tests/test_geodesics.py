@@ -493,3 +493,62 @@ def test_jacobi_comparison_bounds_first_zero(surface):
         zero = sol.first_zero("value")
         assert zero is not None
         assert math.pi / math.sqrt(k_max) - 1e-9 <= zero <= math.pi / math.sqrt(k_min) + 1e-9
+
+
+def _eighty_step_hermite_zero(t0, t1, v0, v1, d0, d1):
+    """``hermite_zero`` with all of its 80 bisection steps."""
+    lo, hi = np.asarray(t0, dtype=np.float64), np.asarray(t1, dtype=np.float64)
+    lo_positive = np.asarray(v0) > 0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        same = (geodesics_module._hermite(mid, t0, t1, v0, v1, d0, d1) > 0) == lo_positive
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _recorded_brackets(monkeypatch, module, run):
+    """The arguments of every ``hermite_zero`` call that ``run()`` makes
+    through ``module``, with the bisection steps each call took."""
+    calls, steps = [], []
+    hermite, solve = geodesics_module._hermite, module.hermite_zero
+
+    def counted(*args):
+        steps[-1] += 1
+        return hermite(*args)
+
+    def spy(*args):
+        calls.append(args)
+        steps.append(0)
+        return solve(*args)
+
+    monkeypatch.setattr(geodesics_module, "_hermite", counted)
+    monkeypatch.setattr(module, "hermite_zero", spy)
+    run()
+    monkeypatch.undo()
+    return calls, steps
+
+
+def test_hermite_zero_stops_at_its_fixed_point_with_the_bits_of_eighty_steps(monkeypatch):
+    import geolens.radii as radii_module
+
+    # 0-d brackets: the sphere's closed-form Jacobi scans
+    sphere = Sphere(2, 1.0)
+    calls, steps = _recorded_brackets(
+        monkeypatch, geodesics_module, lambda: jacobi_radii(sphere, directions=4)
+    )
+    assert calls and all(np.ndim(args[0]) == 0 for args in calls)
+    assert max(steps) < 80
+    for args in calls:
+        assert hermite_zero(*args).tobytes() == _eighty_step_hermite_zero(*args).tobytes()
+    # a batched bracket set of the surface's Jacobi scan
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    bases = np.column_stack([np.linspace(-0.5, 0.5, 5), np.zeros(5)])
+    angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    calls, steps = _recorded_brackets(
+        monkeypatch, radii_module, lambda: radii_module._first_zeros_batch(surface, bases, angles, 7.0)
+    )
+    ((args,), (taken,)) = calls, steps
+    assert len(args[0]) > 1 and taken < 80
+    assert hermite_zero(*args).tobytes() == _eighty_step_hermite_zero(*args).tobytes()
+    # brackets that never settle (nan) take all 80 steps
+    assert np.isnan(hermite_zero(0.0, np.nan, 1.0, -1.0, 0.0, 0.0))

@@ -184,12 +184,16 @@ def test_min_dist_both_gives_the_bits_of_two_one_way_scans(model):
     rng = np.random.default_rng(50 + model.dim)
     a = _random_cloud(model, rng, 700)
     b = _random_cloud(model, rng, 530)
-    forward, backward = _kernels.min_dist_both(a, b, model)
-    assert forward.tobytes() == _kernels.min_dist_to(a, b, model).tobytes()
-    assert backward.tobytes() == _kernels.min_dist_to(b, a, model).tobytes()
-    # and the one-way scan gives the bits of the unchunked broadcast block
-    reference = model.scan_dist(_broadcast_scan_sq(model, a, b).min(axis=1))
-    assert forward.tobytes() == reference.tobytes()
+    # then identical clouds (every nearest distance 0), duplicated rows and
+    # single points
+    for y, z in ((a, b), (a, a), (np.vstack([a, a[:200]]), a[100:400]), (a[:1], b), (a[:1], b[:1])):
+        forward, backward = _kernels.min_dist_both(y, z, model)
+        assert forward.tobytes() == _kernels.min_dist_to(y, z, model).tobytes()
+        assert backward.tobytes() == _kernels.min_dist_to(z, y, model).tobytes()
+        # and the one-way scan gives the bits of the unchunked broadcast block
+        reference = model.scan_dist(_broadcast_scan_sq(model, y, z).min(axis=1))
+        assert forward.tobytes() == reference.tobytes()
+    assert not np.any(_kernels.min_dist_both(a, a, model)[0])
 
 
 def test_surface_min_dist_both_shoots_each_direction(monkeypatch):
@@ -204,126 +208,10 @@ def test_surface_min_dist_both_shoots_each_direction(monkeypatch):
 
 
 # -- maxima against the full scans --------------------------------------------
-# max_nearest scans only the rows that can decide it, and pairwise_max scans
-# in chunked blocks; these tests hold them to the bits, and the witnesses, of
-# references that scan every pair.  Lens clouds of over 512 rows, which cross
-# a chunk, are the filled polar clouds of the test oracle.
-
-
-def _full_max_nearest(a, b, model):
-    """Both largest nearest distances from the full two-way block scan."""
-    forward, backward = _kernels.min_dist_both(a, b, model)
-    return float(forward.max()), float(backward.max())
-
-
-def _assert_max_nearest_is_full(a, b, model):
-    full = _full_max_nearest(a, b, model)
-    assert _kernels.max_nearest(a, b, model) == full
-    assert _kernels.max_nearest(a, b, model, both=False) == full[:1]
-    assert _kernels.max_nearest(b, a, model) == full[::-1]
-
-
-def _concentric_sequence(model, center, l_base=0.48, deltas=(0.072, 0.036, 0.018, 0.009, 0.0045)):
-    """The suite's shrinking concentric clouds and their limit."""
-    from geolens.suite import _concentric_cloud
-
-    frame = model.tangent_basis(center)
-    seq = [_concentric_cloud(model, center, frame, l_base + d).points for d in deltas]
-    return seq, _concentric_cloud(model, center, frame, l_base).points
-
-
-EUCLIDEAN_SCAN_MODELS = [Euclidean(2), Euclidean(3), Sphere(2, 2.5), Sphere(3, 2.5)]
-
-
-@pytest.mark.parametrize("model", EUCLIDEAN_SCAN_MODELS, ids=lambda m: m.describe())
-def test_max_nearest_gives_the_bits_of_the_full_scan(model):
-    # 700 x 530 crosses the 512 chunk boundary in both directions
-    rng = np.random.default_rng(60 + model.dim)
-    a = _random_cloud(model, rng, 700)
-    b = _random_cloud(model, rng, 530)
-    _assert_max_nearest_is_full(a, b, model)
-    # identical clouds (every nearest distance 0), duplicates, single points
-    assert _kernels.max_nearest(a, a, model) == (0.0, 0.0) == _full_max_nearest(a, a, model)
-    _assert_max_nearest_is_full(np.vstack([a, a[:200]]), a[100:400], model)
-    _assert_max_nearest_is_full(a[:1], b, model)
-    _assert_max_nearest_is_full(a[:1], b[:1], model)
-    assert _kernels.max_nearest(a[:1], a[:1], model) == (0.0, 0.0)
-
-
-@pytest.mark.parametrize("model", EUCLIDEAN_SCAN_MODELS, ids=lambda m: m.describe())
-def test_max_nearest_on_the_concentric_tie_clouds(model):
-    # shared angles make whole rings tie in exact arithmetic: which row holds
-    # the rounded maximum is decided in the last bits
-    center = model.basepoint().coords
-    seq, limit = _concentric_sequence(model, center)
-    for outer, inner in zip(seq[:-1], seq[1:]):
-        _assert_max_nearest_is_full(inner, outer, model)
-    _assert_max_nearest_is_full(seq[-1], limit, model)
-    _assert_max_nearest_is_full(seq[0], limit, model)
-
-
-@pytest.mark.parametrize("model", EUCLIDEAN_SCAN_MODELS, ids=lambda m: m.describe())
-def test_max_nearest_with_one_far_outlier(model):
-    center = model.basepoint().coords
-    seq, limit = _concentric_sequence(model, center)
-    outlier = -center if isinstance(model, Sphere) else center + 40.0
-    a = np.vstack([seq[2], outlier])
-    _assert_max_nearest_is_full(a, limit, model)
-    _assert_max_nearest_is_full(limit, a, model)
-
-
-def test_max_nearest_rescores_rows_the_tree_ranks_lower():
-    # the tree and scan_sq sum these squared distances to the origin in
-    # different orders and rank them oppositely, one ulp apart: the tree puts
-    # the first row above the second, scan_sq the second above the first
-    pts = np.array(
-        [
-            [-0.07905711255738863, 0.054924163347465464, 0.02707968306072497],
-            [-0.007563029660434345, -0.09917850634511347, -0.01031622321916692],
-        ]
-    )
-    model = Euclidean(3)
-    origin = np.zeros((1, 3))
-    _assert_max_nearest_is_full(pts, origin, model)
-    _assert_max_nearest_is_full(np.vstack([pts, 0.5 * pts]), origin, model)
-
-
-@pytest.mark.parametrize("model", [Hyperbolic(2, -0.3), Hyperbolic(3, -0.3)], ids=lambda m: m.describe())
-def test_max_nearest_falls_back_to_the_block_scan_on_the_hyperboloid(model, monkeypatch):
-    rng = np.random.default_rng(70 + model.dim)
-    a = _random_cloud(model, rng, 700)
-    b = _random_cloud(model, rng, 530)
-    full = _full_max_nearest(a, b, model)
-    assert _kernels.max_nearest(a, b, model) == full
-    assert _kernels.max_nearest(a, b, model, both=False) == full[:1]
-    seq, limit = _concentric_sequence(model, model.basepoint().coords)
-    _assert_max_nearest_is_full(seq[-1], limit, model)
-    # the Minkowski form is no Euclidean distance: no tree is asked
-    import scipy.spatial
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", None)
-    assert _kernels.max_nearest(a, b, model) == full
-
-
-def test_max_nearest_scans_few_pairs_of_a_lens_hausdorff(monkeypatch):
-    from geolens import BallPair
-
-    sphere = Sphere(2, 1.0)
-    bp = BallPair.create(sphere, 1.2, 0.6)
-    y = polar_lens_cloud(bp.with_separation(0.9), 1300, 7).points
-    z = polar_lens_cloud(bp.with_separation(0.93), 1300, 7).points
-    assert 700 <= len(y) <= 900 and 700 <= len(z) <= 900
-    full = _full_max_nearest(y, z, sphere)
-    seen = []
-    scan_sq = sphere.scan_sq
-
-    def counted(a, b):
-        seen.append(a.shape[0] * b.shape[0])
-        return scan_sq(a, b)
-
-    monkeypatch.setattr(sphere, "scan_sq", counted)
-    assert _kernels.max_nearest(y, z, sphere) == full
-    assert 0 < sum(seen) < 0.05 * len(y) * len(z)
+# pairwise_max scans in chunked blocks; these tests hold it to the bits, and
+# the witnesses, of references that scan every pair.  Lens clouds of over
+# 512 rows, which cross a chunk, are the filled polar clouds of the test
+# oracle.
 
 
 def _full_pairwise_max(pts, model, chunk=512):
