@@ -8,6 +8,7 @@ import pytest
 from geolens import _kernels
 from geolens.errors import ConfigError
 from geolens.manifolds import Euclidean, Hyperbolic, RevolutionProfile, Sphere, SurfaceOfRevolution
+from geolens.sets import PointCloud, hausdorff, monotone_limit_check
 from lens_clouds import polar_lens_cloud
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -205,6 +206,55 @@ def test_surface_min_dist_both_shoots_each_direction(monkeypatch):
     assert batches == [35, 35]
     assert forward.tobytes() == _kernels.min_dist_to(pts[:5], pts[5:], surface).tobytes()
     assert backward.tobytes() == _kernels.min_dist_to(pts[5:], pts[:5], surface).tobytes()
+
+
+# -- the suite's concentric clouds ---------------------------------------------
+# off the exact pairs, monotone_set_limits reads the Hausdorff gaps of shared-
+# angle concentric clouds, where whole rings tie in exact arithmetic: which
+# row holds the rounded maximum is decided in the last bits.
+
+
+def _concentric_sequence(model, center, l_base=0.48, deltas=(0.072, 0.036, 0.018, 0.009, 0.0045)):
+    """The suite's shrinking concentric clouds and their limit."""
+    from geolens.suite import _concentric_cloud
+
+    frame = model.tangent_basis(center)
+    seq = [_concentric_cloud(model, center, frame, l_base + d) for d in deltas]
+    return seq, _concentric_cloud(model, center, frame, l_base), frame
+
+
+def _assert_hausdorff_is_full(y, z):
+    """hausdorff gives the bits of the largest entry of the broadcast blocks."""
+    model = y.manifold
+    forward = model.scan_dist(_broadcast_scan_sq(model, y.points, z.points).min(axis=1))
+    backward = model.scan_dist(_broadcast_scan_sq(model, z.points, y.points).min(axis=1))
+    full = max(float(forward.max()), float(backward.max()))
+    assert hausdorff(y, z) == hausdorff(z, y) == full
+    return full
+
+
+@pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=lambda m: m.describe())
+def test_hausdorff_on_the_concentric_tie_clouds(model):
+    seq, limit, _ = _concentric_sequence(model, model.basepoint().coords)
+    for outer, inner in zip(seq[:-1], seq[1:]):
+        _assert_hausdorff_is_full(inner, outer)
+    _assert_hausdorff_is_full(seq[0], limit)
+    # shared angles: the last gap is the last radius gap, along each ray
+    gap = _assert_hausdorff_is_full(seq[-1], limit)
+    assert gap == pytest.approx(0.0045, abs=1e-12)
+    assert monotone_limit_check(seq, "nested-decreasing", limit, slack=1e-9) == gap
+
+
+@pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=lambda m: m.describe())
+def test_hausdorff_with_one_far_outlier(model):
+    center = model.basepoint().coords
+    seq, limit, frame = _concentric_sequence(model, center)
+    # on the ray of angle 0, 1.5 from the centre (inside the cut locus of
+    # the smallest sphere): by the triangle inequality the limit's nearest
+    # row is that ray's outer ring point, 1.5 - 0.48 away
+    outlier = model.exp_many(center, 1.5 * frame[:1])
+    cloud = PointCloud(model, np.vstack([seq[2].points, outlier]), seq[2].fill_radius)
+    assert _assert_hausdorff_is_full(cloud, limit) == pytest.approx(1.02, abs=1e-12)
 
 
 # -- maxima against the full scans --------------------------------------------
