@@ -11,8 +11,11 @@ Three claims test the paper's continuity argument, |w(s) - w(t)| <=
 ending at a random anchor (``width_left_continuous``), 25 starting at one
 (``width_right_continuous``) and 15 random ones, as pass or fail
 (``diameter_hausdorff_lipschitz``).  On an exact pair (``BallPair.exact``)
-w and H are exact (``lens.lens_gaps``), and so is the gap of concentric
-balls in ``monotone_set_limits``; elsewhere both are read on sampled clouds.
+all three read the exact w and H (``lens.lens_gaps``).  Elsewhere the two
+continuity claims read H on sampled lens clouds, with a fill-radius slack,
+and the random pairs test the inequality on the clouds' own diameters
+(``sets.diameter_lipschitz_check``).  ``monotone_set_limits`` reads the gap
+of concentric balls in closed form on every pair.
 
 ``sampled_width_matches_exact`` is the labelled cross-check of the exact
 widths of convex closed-form pairs against the diameters of sampled clouds,
@@ -28,13 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from geolens.config import RunConfig, convexity_bound_for
-from geolens.errors import ConfigError
+from geolens.errors import ConfigError, NestingError
 from geolens.lens import (
     EXACT_SLACK,
     BallPair,
-    _candidates_at,
     _circles,
-    _far_points,
+    _nesting_scan,
     _sample_lenses,
     check_witnesses,
     estimate_nesting_onset,
@@ -43,7 +45,7 @@ from geolens.lens import (
     w_profile,
 )
 from geolens.radii import jacobi_radii, radii_report
-from geolens.sets import PointCloud, diameter, hausdorff, monotone_limit_check
+from geolens.sets import diameter, diameter_lipschitz_check, hausdorff
 
 # worst residual of the radii identities and of the Jacobi scans against
 # the closed forms that the radii claim admits
@@ -141,16 +143,15 @@ def _pair_key(R, r):
 
 
 def _concentric_cloud(manifold, center, frame, radius):
-    """Ideal polar cloud of a metric ball: shared angles across radii make
-    the Hausdorff gap between two concentric clouds exactly their radius gap."""
+    """Ideal polar cloud of a metric ball, as points: the centre and 16
+    rings of 64 shared angles, the outer ring on the ball's sphere."""
     n_rings, n_ang = 16, 64
     rhos = [0.0] + [radius * i / n_rings for i in range(1, n_rings + 1)]
     points = _circles(
         manifold, center, frame, rhos, [1] + [n_ang] * n_rings, np.zeros(n_rings + 1)
     )
     points[0] = center  # the zero vector, pinned exactly
-    cell = math.hypot(radius / n_rings, 2.0 * math.pi * radius / n_ang)
-    return PointCloud(manifold, points, 0.5 * cell)
+    return points
 
 
 def _checked_convexity_bound(config: RunConfig, manifold) -> float:
@@ -219,9 +220,10 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
     onset, the diameter-Hausdorff check and the exact-width cross-check)
     first draw every probe separation from their seeded rngs.  An exact
     pair reads the Lipschitz-type claims off one ``lens_gaps`` call and
-    nesting off the far points, and draws clouds for the cross-check rows
-    alone; elsewhere the clouds of every probe separation come from one
-    sampling pass (``_sample_lenses``) at the probe budget.
+    draws clouds for the cross-check rows alone; elsewhere the clouds of
+    the Lipschitz-type rows come from one sampling pass (``_sample_lenses``)
+    at the probe budget.  Nesting reads the points of ``_nesting_scan``:
+    the far points of an exact pair, else the sampled clouds.
     """
     manifold = config.manifold.build()
     conv = _checked_convexity_bound(config, manifold)
@@ -315,42 +317,40 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
         if bp.exact:
             cross_rng = np.random.default_rng([config.seed, 31])
             cross_rows = cross_rng.choice(len(ts), size=min(3, len(ts)), replace=False)
-            probe_ts = sorted({float(ts[i]) for i in cross_rows})
+            rows = cross_rows
         else:
             rows = {int(i) for pairs in (left_pairs, right_pairs, lip_pairs) for p in pairs for i in p}
-            probe_ts = sorted({float(ts[i]) for i in rows} | {float(t) for _, t in nest_pairs})
+        probe_ts = sorted({float(ts[i]) for i in rows})
         clouds = dict(zip(probe_ts, _sample_lenses(bp, probe_ts, probe_budget, config.seed)))
 
         # the diameter is 2-Lipschitz in the Hausdorff distance: |w(s) - w(t)|
-        # <= 2 H(L_s, L_t) + slack.  On an exact pair H is exact and the
-        # slack is the widths' own; elsewhere H is read on the boundary
-        # clouds, each cloud's fill radius bounding its gaps and its width
-        i, j = np.array(left_pairs + right_pairs + lip_pairs).T
+        # <= 2 H(L_s, L_t) + slack, exact on an exact pair; elsewhere H is
+        # read on the boundary clouds, each cloud's fill radius bounding its
+        # gaps, and the random pairs test the clouds' own diameters
         if bp.exact:
-            dh, pair_slack = lens_gaps(bp, ts[i], ts[j]), slack[i] + slack[j]
+            i, j = np.array(left_pairs + right_pairs + lip_pairs).T
+            lipschitz = 2.0 * lens_gaps(bp, ts[i], ts[j]) + slack[i] + slack[j] - np.abs(w[i] - w[j])
+            left, right, lip = np.split(lipschitz, [n_mod, 2 * n_mod])
+            lip_ok = bool(np.all(lip >= 0.0))
         else:
+            i, j = np.array(left_pairs + right_pairs).T
             cs, ct = ([clouds[float(u)] for u in ts[k]] for k in (i, j))
             dh = np.array([hausdorff(a, b) for a, b in zip(cs, ct)])
             pair_slack = 4.0 * np.array([a.fill_radius + b.fill_radius for a, b in zip(cs, ct)])
-        lipschitz = 2.0 * dh + pair_slack - np.abs(w[i] - w[j])
-        left, right, lip = np.split(lipschitz, [n_mod, 2 * n_mod])
+            left, right = np.split(2.0 * dh + pair_slack - np.abs(w[i] - w[j]), [n_mod])
+            lip_ok = all(diameter_lipschitz_check(*(clouds[float(ts[k])] for k in p)) for p in lip_pairs)
         per_claim["width_left_continuous"][key] = float(np.min(left))
         per_claim["width_right_continuous"][key] = float(np.min(right))
-        per_claim["diameter_hausdorff_lipschitz"][key] = 1.0 if np.all(lip >= 0.0) else -1.0
+        per_claim["diameter_hausdorff_lipschitz"][key] = 1.0 if lip_ok else -1.0
 
         # definitional nesting after the onset: every point of the lens at t
-        # within r of gamma(s), read at the far points on an exact pair
-        if bp.exact:
-            nest_s, nest_t = np.array(nest_pairs).reshape(-1, 2).T
-            points, owners = _far_points(_candidates_at(bp, nest_t, chords=False))
-            d = manifold.dist_pairs(bp.line.coords_many(nest_s)[owners], points)
-            farthest = np.full(len(nest_t), -np.inf)
-            np.maximum.at(farthest, owners, d)
-        else:
-            farthest = np.array([
-                np.max(manifold.dist_many(bp.line.coords_at(float(s)), clouds[float(t)].points))
-                for s, t in nest_pairs
-            ])
+        # within r of gamma(s), read on the points of the nesting scan (the
+        # far points of an exact pair, else the sampled cloud)
+        nest_s, nest_t = np.array(nest_pairs).reshape(-1, 2).T
+        points, owners = _nesting_scan(bp, nest_t, probe_budget, config.seed)
+        d = manifold.dist_pairs(bp.line.coords_many(nest_s)[owners], points)
+        farthest = np.full(len(nest_t), -np.inf)
+        np.maximum.at(farthest, owners, d)
         per_claim["nested_after_onset"][key] = float(np.min(r + 1e-6 - farthest, initial=math.inf))
 
         # labelled cross-check of the exact widths against sampled clouds:
@@ -371,20 +371,20 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
                 f"{key}: largest sampled excess {excess:.3g}"
             )
 
-        # shrinking concentric balls D_{l+delta_k} converge to D_l; on ideal
-        # shared-angle clouds the sampled Hausdorff gap equals delta_k
-        # exactly.  On an exact pair the last gap is read in closed form,
-        # d(x, D_l(c)) = max(0, d(x, c) - l), on the last ball's cloud
+        # shrinking concentric balls D_{l+delta_k} converge to D_l.  In a
+        # geodesic space d(x, D_l(c)) = max(0, d(x, c) - l), so each ball's
+        # gap to the limit, delta_k, is one dist_many over its cloud; a gap
+        # that grows is a ball reaching past its predecessor
         l_base = 0.8 * r
         deltas = [0.12 * r / (2**k) for k in range(5)]
         center, frame = bp.center_big(), bp.frame_big()
-        if bp.exact:
-            outer = _concentric_cloud(manifold, center, frame, l_base + deltas[-1])
-            gap_final = max(0.0, float(np.max(manifold.dist_many(center, outer.points))) - l_base)
-        else:
-            seq = [_concentric_cloud(manifold, center, frame, l_base + dlt) for dlt in deltas]
-            limit_cloud = _concentric_cloud(manifold, center, frame, l_base)
-            gap_final = monotone_limit_check(seq, "nested-decreasing", limit_cloud, slack=1e-9)
+        set_gaps = [
+            max(0.0, float(np.max(manifold.dist_many(center, points))) - l_base)
+            for points in (_concentric_cloud(manifold, center, frame, l_base + dlt) for dlt in deltas)
+        ]
+        if np.any(np.diff(set_gaps) > 1e-9):
+            raise NestingError(f"concentric balls not nested: gaps {set_gaps} to radius {l_base:g}")
+        gap_final = set_gaps[-1]
         per_claim["monotone_set_limits"][key] = float(1e-2 * max(1.0, r) - gap_final)
         notes["monotone_set_limits"].append(f"{key}: final Hausdorff gap {gap_final:.4g}")
 

@@ -559,10 +559,29 @@ seed = 7
 """
 
 
-@pytest.mark.parametrize("text", [VERIFY_S2_CFG, VERIFY_E2_CFG], ids=["sphere", "euclidean"])
+VERIFY_H2_CFG = """
+[manifold]
+kind = hyperbolic
+dimension = 2
+curvature = -1.0
+
+[lens]
+R = 2.0
+r = 1.0
+
+[run]
+grid = 8
+budget = 1024
+seed = 7
+"""
+
+
+@pytest.mark.parametrize(
+    "text", [VERIFY_S2_CFG, VERIFY_E2_CFG, VERIFY_H2_CFG], ids=["sphere", "euclidean", "hyperbolic"]
+)
 def test_verify_loads_no_scipy_spatial(tmp_path, text):
     # the exact pairs read their Hausdorff gaps in closed form: no nearest
-    # scan, and no k-d tree
+    # scan, and no k-d tree; every gating claim passes
     cfg = tmp_path / "verify.ini"
     cfg.write_text(text)
     argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]

@@ -209,18 +209,23 @@ def test_surface_min_dist_both_shoots_each_direction(monkeypatch):
 
 
 # -- the suite's concentric clouds ---------------------------------------------
-# off the exact pairs, monotone_set_limits reads the Hausdorff gaps of shared-
-# angle concentric clouds, where whole rings tie in exact arithmetic: which
-# row holds the rounded maximum is decided in the last bits.
+# between shared-angle concentric clouds whole rings tie in exact arithmetic:
+# which row holds the rounded maximum of a Hausdorff gap is decided in the
+# last bits.
 
 
 def _concentric_sequence(model, center, l_base=0.48, deltas=(0.072, 0.036, 0.018, 0.009, 0.0045)):
-    """The suite's shrinking concentric clouds and their limit."""
+    """The suite's shrinking concentric clouds and their limit, each with
+    half its polar cell (16 rings, 64 angles) as fill radius."""
     from geolens.suite import _concentric_cloud
 
     frame = model.tangent_basis(center)
-    seq = [_concentric_cloud(model, center, frame, l_base + d) for d in deltas]
-    return seq, _concentric_cloud(model, center, frame, l_base), frame
+
+    def cloud(radius):
+        fill = 0.5 * math.hypot(radius / 16, 2.0 * math.pi * radius / 64)
+        return PointCloud(model, _concentric_cloud(model, center, frame, radius), fill)
+
+    return [cloud(l_base + d) for d in deltas], cloud(l_base), frame
 
 
 def _assert_hausdorff_is_full(y, z):

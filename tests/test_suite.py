@@ -304,4 +304,4 @@ def test_concentric_cloud_has_the_bits_of_the_per_ring_cloud(model):
     for radius in (0.48, 0.552, 0.9):
         cloud = _concentric_cloud(model, center, frame, radius)
         reference = _per_ring_concentric_cloud(model, center, frame, radius)
-        assert cloud.points.tobytes() == reference.tobytes()
+        assert cloud.tobytes() == reference.tobytes()
