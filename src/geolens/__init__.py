@@ -3,17 +3,11 @@
 The package computes, at desk scale, how the diameter of the intersection of
 two closed geodesic balls behaves as their centers separate along a geodesic,
 together with the supporting geometry: exponential/logarithm maps, geodesic
-and Jacobi-field integration, convexity/injectivity/conjugate/focal radii,
-and Hausdorff-distance machinery for finite samples of compact sets.
+lines, Jacobi-field integration, convexity/injectivity/conjugate/focal
+radii, and Hausdorff-distance machinery for finite samples of compact sets.
 """
 
-from geolens.geodesics import (
-    GeodesicLine,
-    GeodesicSegment,
-    JacobiSolution,
-    integrate_geodesic,
-    integrate_jacobi,
-)
+from geolens.geodesics import GeodesicLine, JacobiSolution, integrate_jacobi
 from geolens.lens import (
     BallPair,
     LensDiameter,
@@ -49,7 +43,6 @@ from geolens.sets import (
     diameter,
     diameter_lipschitz_check,
     hausdorff,
-    monotone_limit_check,
 )
 
 __version__ = "0.1.0"
@@ -67,10 +60,8 @@ __all__ = [
     "Hyperbolic",
     "SurfaceOfRevolution",
     "RevolutionProfile",
-    "GeodesicSegment",
     "GeodesicLine",
     "JacobiSolution",
-    "integrate_geodesic",
     "integrate_jacobi",
     "RadiusValue",
     "RadiiReport",
@@ -84,7 +75,6 @@ __all__ = [
     "hausdorff",
     "diameter",
     "diameter_lipschitz_check",
-    "monotone_limit_check",
     "BallPair",
     "LensDiameter",
     "WProfile",

@@ -1,23 +1,19 @@
 """The distance scans behind every sampled width, Hausdorff gap and nesting
 margin.
 
-``pairwise_max`` finds the farthest pair of one cloud, ``min_dist_to`` the
-distance from each point of a cloud to its nearest target and
-``min_dist_both`` those distances both ways; a largest nearest distance (a
-one-way Hausdorff gap) is the maximum of one of them.  On a model with
-closed forms the scans work on row blocks of the model's squared pre-metric
-(:meth:`Manifold.scan_sq`), which is monotone in the distance, and map only
-the reduced values to distances (:meth:`Manifold.scan_dist`).  The model's
-distance is those two formulas (:meth:`Manifold.dist_pairs`), and a
-pre-metric element has the same bits in a block as alone, so every value a
-scan reports is the ``dist_pairs`` value of its pair.  Blocks are
-chunked to bound memory.  One block scan serves both directions: its row
-minima are the nearest targets of the points and its column minima the
-nearest points of the targets, with the bits of a scan the other way because
-``scan_sq(a, b)[i, j] == scan_sq(b, a)[j, i]``.  Every scan reads every
-pair: a lens cloud holds the lens boundary alone, a few hundred points, and
-on exact pairs the verification suite reads its Hausdorff gaps in closed
-form (``lens.lens_gaps``) instead of scanning clouds.
+``pairwise_max`` finds the farthest pair of one cloud and ``min_dist_to``
+the distance from each point of a cloud to its nearest target; a largest
+nearest distance (a one-way Hausdorff gap) is the maximum of the latter.
+On a model with closed forms the scans work on row blocks of the model's
+squared pre-metric (:meth:`Manifold.scan_sq`), which is monotone in the
+distance, and map only the reduced values to distances
+(:meth:`Manifold.scan_dist`).  The model's distance is those two formulas
+(:meth:`Manifold.dist_pairs`), and a pre-metric element has the same bits
+in a block as alone, so every value a scan reports is the ``dist_pairs``
+value of its pair.  Blocks are chunked to bound memory.  Every scan reads
+every pair: a lens cloud holds the lens boundary alone, a few hundred
+points, and on exact pairs the verification suite reads its Hausdorff gaps
+in closed form (``lens.lens_gaps``) instead of scanning clouds.
 
 A model without closed forms (the numeric surface) has no pre-metric: there
 every pair of the scan is shot in one lockstep Newton batch
@@ -67,33 +63,13 @@ def min_dist_to(points, targets, manifold):
     tgt = np.ascontiguousarray(targets, dtype=np.float64)
     if not manifold.closed_form:
         return _min_dist_shot(pts, tgt, manifold)
-    return manifold.scan_dist(_nearest_sq(pts, tgt, manifold)[0])
-
-
-def min_dist_both(points, targets, manifold):
-    """``(min_dist_to(points, targets), min_dist_to(targets, points))``, with
-    their bits, from one block scan on a closed-form model."""
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    tgt = np.ascontiguousarray(targets, dtype=np.float64)
-    if not manifold.closed_form:
-        # shooting p -> q and q -> p agree only to the shooting tolerance
-        return _min_dist_shot(pts, tgt, manifold), _min_dist_shot(tgt, pts, manifold)
-    row_min, col_min = _nearest_sq(pts, tgt, manifold)
-    return manifold.scan_dist(row_min), manifold.scan_dist(col_min)
-
-
-def _nearest_sq(pts, tgt, manifold):
-    """Row and column minima of the squared pre-metric block of pts x tgt."""
-    row_min = np.full(pts.shape[0], np.inf)
-    col_min = np.full(tgt.shape[0], np.inf)
+    nearest = np.full(pts.shape[0], np.inf)
     for i0 in range(0, pts.shape[0], _CHUNK):
-        rows = row_min[i0 : i0 + _CHUNK]
+        rows = nearest[i0 : i0 + _CHUNK]
         for j0 in range(0, tgt.shape[0], _CHUNK):
             sq = manifold.scan_sq(pts[i0 : i0 + _CHUNK], tgt[j0 : j0 + _CHUNK])
             np.minimum(rows, sq.min(axis=1), out=rows)
-            cols = col_min[j0 : j0 + _CHUNK]
-            np.minimum(cols, sq.min(axis=0), out=cols)
-    return row_min, col_min
+    return manifold.scan_dist(nearest)
 
 
 def _shoot_pairs(sources, targets, manifold):

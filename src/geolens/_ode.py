@@ -3,10 +3,13 @@
 Fixed steps keep runs reproducible; accuracy is controlled by the step size
 and checked by the tests against closed forms, invariants and finer-step
 runs.  The numeric surface integrates its batches with :func:`rk4_rows`,
-whose rows each take their own steps, so a row has the bits it has alone.
-The constant-curvature Jacobi scan (``geodesics.integrate_jacobi``) writes
-:func:`rk4_step`'s operations out on two Python floats, in the same order,
-so any change to the order here must be made there too.
+whose rows each take their own steps, so a row has the bits it has alone,
+and its radii scan (``radii._first_zeros_batch``) steps with
+:func:`rk4_step`.  The constant-curvature Jacobi scan
+(``geodesics.integrate_jacobi``) writes :func:`rk4_step`'s operations out on
+two Python floats, in the same order, so any change to the order here must
+be made there too.  The sampled trajectories that the tests compare these
+with are loops of :func:`rk4_step` in ``tests/ode_oracles.py``.
 """
 
 import numpy as np
@@ -19,35 +22,6 @@ def rk4_step(rhs, y, h):
     k3 = rhs(y + 0.5 * h * k2)
     k4 = rhs(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_trajectory(rhs, y0, span, n_steps):
-    """Integrate y' = rhs(y) over [0, span] and return (ts, ys).
-
-    ``y0`` may have any shape; ``rhs`` must accept and return the same shape
-    (vectorized systems integrate in lockstep).  ``ys`` has shape
-    (n_steps + 1,) + y0.shape.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    y = np.array(y0, dtype=np.float64)
-    h = span / n_steps
-    ts = np.linspace(0.0, span, n_steps + 1)
-    ys = np.empty((n_steps + 1,) + y.shape)
-    ys[0] = y
-    for i in range(n_steps):
-        y = rk4_step(rhs, y, h)
-        ys[i + 1] = y
-    return ts, ys
-
-
-def rk4_endpoint(rhs, y0, span, n_steps):
-    """Endpoint-only variant of :func:`rk4_trajectory`."""
-    y = np.array(y0, dtype=np.float64)
-    h = span / n_steps
-    for _ in range(n_steps):
-        y = rk4_step(rhs, y, h)
-    return y
 
 
 def rk4_rows(rhs, y, h, n):

@@ -87,20 +87,31 @@ class ManifoldSpec:
         if self.kind == "surface_of_revolution":
             if self.dimension != 2:
                 raise ConfigError("surface_of_revolution requires dimension = 2")
-            if self.profile_file:
-                table = np.loadtxt(self.profile_file, delimiter=",", skiprows=1, ndmin=2)
-                cols = table.shape[1]
-                profile = RevolutionProfile.from_table(
-                    table[:, 0],
-                    table[:, 1],
-                    table[:, 2] if cols > 2 else None,
-                    table[:, 3] if cols > 3 else None,
-                )
-            elif self.profile in (None, "bump"):
-                profile = RevolutionProfile.cosine_bump(self.u_min, self.u_max, self.offset)
-            else:
+            if not self.profile_file and self.profile not in (None, "bump"):
                 raise ConfigError(f"unknown built-in profile '{self.profile}'")
-            return SurfaceOfRevolution(profile, step=self.step)
+            # a ValueError of the model, or an OSError of the file, leaves as a
+            # ConfigError naming the keys the failing step read
+            keys = (
+                "manifold.profile_file"
+                if self.profile_file
+                else "manifold.u_min, manifold.u_max, manifold.offset"
+            )
+            try:
+                if self.profile_file:
+                    table = np.loadtxt(self.profile_file, delimiter=",", skiprows=1, ndmin=2)
+                    cols = table.shape[1]
+                    profile = RevolutionProfile.from_table(
+                        table[:, 0],
+                        table[:, 1],
+                        table[:, 2] if cols > 2 else None,
+                        table[:, 3] if cols > 3 else None,
+                    )
+                else:
+                    profile = RevolutionProfile.cosine_bump(self.u_min, self.u_max, self.offset)
+                keys = "manifold.step"
+                return SurfaceOfRevolution(profile, step=self.step)
+            except (ValueError, OSError) as exc:
+                raise ConfigError(f"{keys}: {exc}") from exc
         raise ConfigError(f"unknown manifold kind '{self.kind}'")
 
 
@@ -299,6 +310,8 @@ def validate_config(config: RunConfig):
         raise ConfigError("grid must be >= 2")
     if config.budget < 1:
         raise ConfigError("budget must be >= 1")
+    if config.seed < 0:
+        raise ConfigError(f"run.seed = {config.seed} must be >= 0")
     conv = convexity_bound_for(config, manifold)
     for R, r in config.all_pairs():
         if not (0 < r <= R):

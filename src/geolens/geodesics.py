@@ -1,11 +1,14 @@
-"""Geodesic lines, geodesic integration and scalar Jacobi fields.
+"""Geodesic lines and scalar Jacobi fields.
 
 A :class:`GeodesicLine` is the model's exponential map along one unit
-direction.  :func:`integrate_geodesic` samples a geodesic with fixed-step
-classical RK4 (order 4) at the model's ``step``.  Jacobi machinery is
-scalar: on two-dimensional or constant-curvature models every normal Jacobi
-field is j(t) times a parallel normal frame, and j solves
-j'' + K(c(t)) j = 0.
+direction.  Jacobi machinery is scalar: on two-dimensional or
+constant-curvature models every normal Jacobi field is j(t) times a parallel
+normal frame, and j solves j'' + K(c(t)) j = 0.  :func:`integrate_jacobi`
+solves it on the constant-curvature models, where K is one number; the
+numeric surface integrates it jointly with its geodesics in
+``radii._first_zeros_batch``.  The sampled geodesic and surface Jacobi
+integrations that the tests compare these with live in
+``tests/ode_oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geolens._ode import rk4_trajectory
 from geolens.errors import OffManifoldError
 from geolens.manifolds import ON_MANIFOLD_TOL, Manifold, ManifoldPoint, TangentVector
 
@@ -77,72 +79,9 @@ def hermite_zero(t0, t1, v0, v1, d0, d1):
 
 
 @dataclass(frozen=True, eq=False)
-class GeodesicSegment:
-    """Arclength-parameterized geodesic segment on [0, length].
-
-    A segment anchors a Jacobi integration (:func:`integrate_jacobi`).  One
-    from :func:`integrate_geodesic` also holds its RK4 trajectory: the
-    sample times, points and velocities.
-    """
-
-    manifold: Manifold
-    base: ManifoldPoint
-    direction: TangentVector  # unit initial velocity
-    length: float
-    ts: np.ndarray | None = None
-    points: np.ndarray | None = None
-    velocities: np.ndarray | None = None
-
-    @classmethod
-    def from_exp(cls, manifold, base, direction, length):
-        """A segment without samples; the direction must be a unit tangent
-        vector at ``base``."""
-        _check_unit_direction(manifold, base, direction)
-        return cls(manifold=manifold, base=base, direction=direction, length=float(length))
-
-
-def integrate_geodesic(
-    manifold: Manifold,
-    start: ManifoldPoint,
-    direction: TangentVector,
-    length: float,
-    step: float | None = None,
-) -> GeodesicSegment:
-    """Numerically integrate the geodesic equation and return a sampled segment.
-
-    The initial velocity must be a unit tangent vector at ``start``;
-    ``length`` is split into equal steps of at most ``step`` (default: the
-    model's).  No command runs this: the tests keep it as the reference
-    trajectory, checked against the exact exponential and Clairaut's
-    relation, that the models' exponential maps and the surface's shooting
-    are compared with.
-    """
-    step = manifold.step if step is None else step
-    if step <= 0:
-        raise ValueError("step must be positive")
-    _check_unit_direction(manifold, start, direction)
-    n = max(2, int(math.ceil(length / step)))
-    d = manifold.ambient_dim
-    state0 = np.concatenate([start.coords, direction.components])
-    ts, ys = rk4_trajectory(manifold.geodesic_rhs, state0, length, n)
-    if not manifold.closed_form:
-        manifold.profile.check_domain(ys[:, 0])
-    return GeodesicSegment(
-        manifold=manifold,
-        base=start,
-        direction=direction,
-        length=float(length),
-        ts=ts,
-        points=ys[:, :d].copy(),
-        velocities=ys[:, d:].copy(),
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class JacobiSolution:
     """Scalar normal Jacobi data j(t) along a geodesic, with j(0)=0, j'(0)=1."""
 
-    geodesic: GeodesicSegment
     ts: np.ndarray
     j: np.ndarray
     jp: np.ndarray
@@ -156,8 +95,8 @@ class JacobiSolution:
         exact zero is returned as is, a sign change is placed with
         :func:`hermite_zero`.  The closed-form radii scans read their zeros
         here.  The surface's scans batch the search in
-        ``radii._first_zeros_batch``, and the tests keep this one as its
-        reference."""
+        ``radii._first_zeros_batch``, and the tests read this one on the
+        surface's reference integration as its reference."""
         if of == "value":
             vals, ders = self.j, self.jp
         elif of == "derivative":
@@ -178,35 +117,26 @@ class JacobiSolution:
 
 
 def integrate_jacobi(
-    manifold: Manifold, geodesic: GeodesicSegment, step: float | None = None
+    manifold: Manifold, length: float, step: float | None = None
 ) -> JacobiSolution:
-    """Integrate j'' + K j = 0 along the geodesic with j(0)=0, j'(0)=1, in
-    equal steps of at most ``step`` (default: the model's).
+    """Integrate j'' + K j = 0 over [0, length] with j(0)=0, j'(0)=1, in
+    equal steps of at most ``step`` (default: the model's), on a
+    constant-curvature model in any dimension; the radii scans of those
+    models run this.
 
-    Constant-curvature models use their constant K in any dimension; the
-    radii scans of those models run this.  There the state is two floats,
-    and a NumPy call on a 2-vector costs about a microsecond, so the steps
-    run on Python floats: each makes the operations of
-    :func:`geolens._ode.rk4_step` on (j', -K j) in the same order, and so
-    gives its bits.  A model without closed forms (the surface of
-    revolution) re-integrates the geodesic jointly with (j, j') through its
-    ``jacobi_rhs``, so the curvature is evaluated exactly at the RK4
-    substeps; the surface's radii scans batch that system in
-    ``radii._first_zeros_batch``, and the tests keep this branch as its
-    reference.
+    The state is two floats, and a NumPy call on a 2-vector costs about a
+    microsecond, so the steps run on Python floats: each makes the
+    operations of :func:`geolens._ode.rk4_step` on (j', -K j) in the same
+    order, and so gives its bits.  A model without closed forms raises
+    ``ValueError``: its curvature varies along each geodesic, and its radii
+    scans integrate the joint system in ``radii._first_zeros_batch``.
     """
-    step = manifold.step if step is None else step
-    n = max(2, int(math.ceil(geodesic.length / step)))
     if not manifold.closed_form:
-        base = geodesic.base.coords
-        state0 = np.concatenate([base, geodesic.direction.components, [0.0, 1.0]])
-        ts, ys = rk4_trajectory(manifold.jacobi_rhs, state0, geodesic.length, n)
-        manifold.profile.check_domain(ys[:, 0])
-        curv = np.asarray(manifold.curvature_of_u(ys[:, 0]))
-        return JacobiSolution(geodesic, ts, ys[:, 4].copy(), ys[:, 5].copy(), curv)
-
-    k = manifold.curvature_at(geodesic.base.coords)
-    h = geodesic.length / n
+        raise ValueError(f"{manifold.describe()} has no constant curvature to integrate with")
+    step = manifold.step if step is None else step
+    n = max(2, int(math.ceil(length / step)))
+    k = manifold.curvature_at(manifold.basepoint().coords)
+    h = length / n
     a, b, mk = 0.5 * h, h / 6.0, -k
     j, jp = 0.0, 1.0
     js, jps = np.empty(n + 1), np.empty(n + 1)
@@ -224,8 +154,8 @@ def integrate_jacobi(
         j = j + b * (jp + 2.0 * p2 + 2.0 * p3 + p4)
         jp = jp + b * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
         js[i], jps[i] = j, jp
-    ts = np.linspace(0.0, geodesic.length, n + 1)
-    return JacobiSolution(geodesic, ts, js, jps, np.full(n + 1, k))
+    ts = np.linspace(0.0, length, n + 1)
+    return JacobiSolution(ts, js, jps, np.full(n + 1, k))
 
 
 class GeodesicLine:

@@ -653,12 +653,20 @@ class RevolutionProfile:
     scalar) u and returns the three arrays (f(u), f'(u), f''(u)), each of
     u's shape.  :meth:`f`, :meth:`df` and :meth:`d2f` read one part of it,
     so each profile formula is written once.  ``check_domain`` raises
-    :class:`ChartError` on queries outside [u_min, u_max].
+    :class:`ChartError` on queries outside [u_min, u_max].  A profile whose
+    domain is empty, or whose f is not positive on it, raises ``ValueError``.
     """
 
     jet: Callable
     u_min: float
     u_max: float
+
+    def __post_init__(self):
+        if not self.u_min < self.u_max:
+            raise ValueError(f"u_min = {self.u_min:g} must be below u_max = {self.u_max:g}")
+        probe = np.linspace(self.u_min, self.u_max, 64)
+        if np.any(np.asarray(self.f(probe)) <= 0):
+            raise ValueError("profile must be positive on its domain")
 
     def f(self, u):
         return self.jet(u)[0]
@@ -734,9 +742,8 @@ class SurfaceOfRevolution(Manifold):
         self, profile: RevolutionProfile, step: float = Manifold.step, horizon: float = 16.0
     ):
         super().__init__(2)
-        probe = np.linspace(profile.u_min, profile.u_max, 64)
-        if np.any(np.asarray(profile.f(probe)) <= 0):
-            raise ValueError("profile must be positive on its domain")
+        if not (math.isfinite(step) and step > 0):
+            raise ValueError(f"step = {step!r} must be finite and > 0")
         self.profile = profile
         self.step = float(step)
         self.horizon = float(horizon)

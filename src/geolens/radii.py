@@ -1,10 +1,14 @@
 """Convexity, injectivity, conjugate, focal, and loop radii of the models.
 
-Constant-curvature models have closed forms.  Numeric surfaces get conjugate
-and focal radii from scalar Jacobi integration over sampled directions; their
-injectivity radius is never estimated, it must be certified by the user
-(e.g. in the run configuration), and the convexity radius is assembled from
-the identity  conv = min(focal, injectivity / 2).
+Constant-curvature models have closed forms; their Jacobi scans
+(``jacobi_radii``) integrate the one scalar equation on Python floats
+(``geodesics.integrate_jacobi``).  Numeric surfaces get conjugate and focal
+radii from one batched integration of the joint geodesic + Jacobi system
+over sampled directions (:func:`_first_zeros_batch`, whose one-direction
+reference is in ``tests/ode_oracles.py``); their injectivity radius is never
+estimated, it must be certified by the user (e.g. in the run configuration),
+and the convexity radius is assembled from the identity
+conv = min(focal, injectivity / 2).
 
 Horizon-limited searches report a lower bound, never a fabricated value.
 """
@@ -18,8 +22,8 @@ import numpy as np
 
 from geolens._ode import rk4_step
 from geolens.errors import ConfigError
-from geolens.geodesics import GeodesicSegment, hermite_zero, integrate_jacobi
-from geolens.manifolds import Manifold, TangentVector
+from geolens.geodesics import hermite_zero, integrate_jacobi
+from geolens.manifolds import Manifold
 
 CLOSED_FORM = "closed-form"
 NUMERIC = "numeric-estimate"
@@ -151,6 +155,9 @@ def _first_zeros_batch(
     from :meth:`jacobi_rhs`), and after the loop one :func:`hermite_zero`
     call places every zero inside its step with the cubic Hermite
     interpolant of the RK4 states, as ``JacobiSolution.first_zero`` does.
+    Its reference is one direction at a time: ``surface_jacobi`` of
+    ``tests/ode_oracles.py``, a sampled RK4 trajectory of the same system,
+    read by ``first_zero``.
     """
     profile = manifold.profile
     step = manifold.step if step is None else step
@@ -228,14 +235,9 @@ def _jacobi_zeros(manifold, directions, horizon, of) -> tuple[RadiusValue, ...]:
     if directions < 1:
         raise ValueError("directions must be >= 1")
     horizon = horizon if horizon is not None else manifold.horizon
-    base = manifold.basepoint()
     if manifold.closed_form:
         # constant curvature: the scalar equation is direction-independent
-        frame = manifold.tangent_basis(base.coords)
-        seg = GeodesicSegment(
-            manifold=manifold, base=base, direction=TangentVector(base, frame[0]), length=horizon
-        )
-        solution = integrate_jacobi(manifold, seg)
+        solution = integrate_jacobi(manifold, horizon)
         zeros = [solution.first_zero(of=name) for name in of]
         return tuple(
             RadiusValue(horizon, NUMERIC, lower_bound_only=True)
@@ -245,7 +247,8 @@ def _jacobi_zeros(manifold, directions, horizon, of) -> tuple[RadiusValue, ...]:
         )
 
     angles = np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False)
-    j_zero, jp_zero, valid = _first_zeros_batch(manifold, base.coords, angles, horizon, _of=of)
+    base = manifold.basepoint().coords
+    j_zero, jp_zero, valid = _first_zeros_batch(manifold, base, angles, horizon, _of=of)
     columns = {"value": j_zero, "derivative": jp_zero}
     return tuple(_smallest_zero(columns[name], valid) for name in of)
 

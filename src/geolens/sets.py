@@ -12,11 +12,11 @@ Hausdorff distance of any compact sets, so the width claims hold of the
 boundary clouds as they do of the lenses.
 
 Every distance comes from the scans of :mod:`geolens._kernels`.  A
-Hausdorff distance and a nesting gap are largest nearest distances, read
-off full block scans: on the closed-form models their values have the bits
-of the model's ``dist_pairs`` of the pair that holds them, and the numeric
-surface shoots every pair.  A cloud's points are read-only, so its diameter
-is scanned once and memoised.
+Hausdorff distance is the larger of two largest nearest distances, each
+read off one full ``min_dist_to`` scan: on the closed-form models its value
+has the bits of the model's ``dist_pairs`` of the pair that holds it, and
+the numeric surface shoots every pair of each direction.  A cloud's points
+are read-only, so its diameter is scanned once and memoised.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from functools import cached_property
 import numpy as np
 
 from geolens import _kernels
-from geolens.errors import NestingError
 from geolens.manifolds import Manifold
 
 # rounding slack of diameter_lipschitz_check
@@ -85,7 +84,8 @@ def hausdorff(y: PointCloud, z: PointCloud) -> float:
     most y.fill_radius + z.fill_radius.
     """
     _same_manifold(y, z)
-    forward, backward = _kernels.min_dist_both(y.points, z.points, y.manifold)
+    forward = _kernels.min_dist_to(y.points, z.points, y.manifold)
+    backward = _kernels.min_dist_to(z.points, y.points, y.manifold)
     return max(float(forward.max()), float(backward.max()))
 
 
@@ -101,37 +101,3 @@ def diameter_lipschitz_check(y: PointCloud, z: PointCloud) -> bool:
     rhs = 2.0 * hausdorff(y, z) + 4.0 * (y.fill_radius + z.fill_radius) + LIPSCHITZ_SLACK
     return lhs <= rhs
 
-
-def monotone_limit_check(
-    clouds: list[PointCloud],
-    direction: str,
-    limit: PointCloud,
-    slack: float = 1e-9,
-) -> float:
-    """Verify sample-wise nesting of a cloud sequence, then measure the gap
-    between its last element and the limit candidate.
-
-    ``direction`` is "nested-decreasing" (each cloud inside its predecessor)
-    or "nested-increasing".  A point counts as inside another cloud when it
-    is within that cloud's fill radius plus ``slack`` of some sample.
-    Returns hausdorff(clouds[-1], limit).
-    """
-    if direction not in ("nested-decreasing", "nested-increasing"):
-        raise ValueError("direction must be 'nested-decreasing' or 'nested-increasing'")
-    if not clouds:
-        raise ValueError("empty sequence")
-    for c in clouds:
-        _same_manifold(c, limit)
-    for i in range(len(clouds) - 1):
-        inner, outer = (
-            (clouds[i + 1], clouds[i])
-            if direction == "nested-decreasing"
-            else (clouds[i], clouds[i + 1])
-        )
-        gap = float(_kernels.min_dist_to(inner.points, outer.points, inner.manifold).max())
-        if gap > outer.fill_radius + slack:
-            raise NestingError(
-                f"nesting violated between elements {i} and {i + 1}: "
-                f"gap {gap:.3e} > fill {outer.fill_radius:.3e} + slack"
-            )
-    return hausdorff(clouds[-1], limit)

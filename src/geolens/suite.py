@@ -52,6 +52,9 @@ from geolens.sets import diameter, diameter_lipschitz_check, hausdorff
 RADII_TOL = 1e-6
 # rise between consecutive grid widths that still counts as a decrease
 MONOTONE_SLACK = 1e-7
+# grid of the fine nesting-onset estimate that bounds the onset claims: a
+# step of 1e-3 of the span R + r
+FINE_ONSET_GRID = 1001
 
 PASS = "pass"
 FAIL = "fail"
@@ -250,7 +253,7 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
         # onset bounds
         fine = estimate_nesting_onset(
             bp,
-            n_grid=max(2, int(round(span / (1e-3 * span))) + 1),
+            n_grid=FINE_ONSET_GRID,
             budget=max(256, config.budget // 8),
             seed=config.seed,
         )

@@ -265,6 +265,50 @@ def test_curvature_on_a_kind_without_one_is_rejected_by_name(kind, value, tmp_pa
     assert "manifold.curvature=0" in load_config(str(cfg)).resolved_lines()
 
 
+def _with_manifold_settings(text, settings):
+    """``text`` with each ``key = value`` line of ``settings`` set in
+    [manifold]: replacing that key's line, else added after the header."""
+    for line in settings.splitlines():
+        key = line.split(" = ")[0]
+        pattern = re.compile(rf"^{key} = .*$", re.M)
+        if pattern.search(text):
+            text = pattern.sub(line, text)
+        else:
+            text = text.replace("[manifold]", f"[manifold]\n{line}")
+    return text
+
+
+@pytest.mark.parametrize(
+    "settings, named",
+    [
+        ("step = 0", "manifold.step"),
+        ("step = -0.01", "manifold.step"),
+        ("offset = -5", "manifold.offset"),
+        ("u_min = 0.5\nu_max = -0.5", "manifold.u_min"),
+        ("profile_file = {tmp}/absent.csv", "manifold.profile_file"),
+        ("profile_file = {tmp}/decreasing.csv", "manifold.profile_file"),
+    ],
+)
+def test_malformed_surface_settings_are_configuration_errors(settings, named, tmp_path, capsys):
+    # the model's own ValueError (or the file's OSError) leaves as a
+    # configuration error naming the keys, before any computation
+    (tmp_path / "decreasing.csv").write_text("u,f\n0.5,2.0\n0.0,2.5\n-0.5,2.0\n")
+    cfg = tmp_path / "surface.ini"
+    cfg.write_text(_with_manifold_settings(SURFACE_CFG, settings.format(tmp=tmp_path)))
+    out = str(tmp_path / "surface.csv")
+    assert main(["profile", "--config", str(cfg), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err
+    assert not os.path.exists(out)
+
+
+def test_negative_seed_is_a_configuration_error(euclid_config, tmp_path, capsys):
+    out = str(tmp_path / "records.csv")
+    assert main(["verify", "--config", euclid_config, "--seed", "-1", "--out", out]) == 2
+    assert "run.seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_benchmark_configs_load():
     configs = sorted(PERFBENCH_CONFIGS.glob("*.ini"))
     assert configs

@@ -1,7 +1,7 @@
 """Geodesic integration, first variation, Jacobi fields.
 
-The first-variation identity and the Jacobi residual are test oracles:
-no command runs them."""
+The first-variation identity, the Jacobi residual and the sampled RK4
+integrations of ``ode_oracles`` are test oracles: no command runs them."""
 
 import math
 
@@ -14,21 +14,20 @@ from geolens import (
     BallPair,
     Euclidean,
     GeodesicLine,
-    GeodesicSegment,
     Hyperbolic,
     JacobiSolution,
     RevolutionProfile,
     Sphere,
     SurfaceOfRevolution,
-    integrate_geodesic,
     integrate_jacobi,
     jacobi_radii,
 )
-from geolens._ode import rk4_trajectory
+from geolens import radii as radii_module
 from geolens.config import ManifoldSpec
 from geolens.geodesics import hermite_zero
 from geolens.manifolds import ManifoldPoint, TangentVector
 from geolens.suite import RADII_TOL
+from ode_oracles import GeodesicSegment, integrate_geodesic, rk4_trajectory, surface_jacobi
 
 
 @pytest.fixture(scope="module")
@@ -173,8 +172,9 @@ def test_integrator_is_fourth_order(sphere):
 
 
 def test_configured_step_reaches_the_line_and_the_jacobi_integration(monkeypatch):
-    # [manifold] step sets the spacing of every surface integration, the
-    # geodesic line of a ball pair and a Jacobi field left at its default
+    # [manifold] step sets the spacing of every surface integration: the
+    # geodesic line of a ball pair, and the reference Jacobi field left at
+    # its default
     surface = ManifoldSpec(kind="surface_of_revolution", step=1e-3).build()
     steps = []
     rk4_step = ode_module.rk4_step
@@ -189,7 +189,7 @@ def test_configured_step_reaches_the_line_and_the_jacobi_integration(monkeypatch
     assert steps and max(steps) <= 1e-3 * (1 + 1e-12)
     base = surface.basepoint()
     d = TangentVector(base, surface.unit_tangent(base.coords, 1.3))
-    sol = integrate_jacobi(surface, GeodesicSegment(surface, base, d, 0.5))
+    sol = surface_jacobi(surface, base, d, 0.5)
     assert np.max(np.diff(sol.ts)) <= 1e-3 * (1 + 1e-12)
 
 
@@ -369,11 +369,7 @@ def _loop_first_zero(sol, of):
 def test_float_jacobi_gives_the_bits_of_the_numpy_trajectory(model, step):
     # the constant-curvature scan steps on floats; its samples and zeros
     # must be those of rk4_trajectory and of the loop over the steps
-    base = model.basepoint()
-    seg = GeodesicSegment(
-        model, base, TangentVector(base, model.tangent_basis(base.coords)[0]), model.horizon
-    )
-    sol = integrate_jacobi(model, seg, step=step)
+    sol = integrate_jacobi(model, model.horizon, step=step)
     ts, j, jp = _numpy_jacobi(model, model.horizon, model.step if step is None else step)
     assert sol.ts.tobytes() == ts.tobytes()
     assert sol.j.tobytes() == j.tobytes()
@@ -398,7 +394,7 @@ def test_first_zero_gives_the_loop_answer_on_hand_built_arrays(of, vals, bracket
     vals = np.array(vals)
     other = np.array([0.0, 1.0, -1.0, 2.0, 0.5])
     j, jp = (vals, other) if of == "value" else (other, vals)
-    sol = JacobiSolution(None, ts, j, jp, np.full(5, 2.0))
+    sol = JacobiSolution(ts, j, jp, np.full(5, 2.0))
     got = sol.first_zero(of)
     assert repr(got) == repr(_loop_first_zero(sol, of))
     if bracket is None:
@@ -408,50 +404,46 @@ def test_first_zero_gives_the_loop_answer_on_hand_built_arrays(of, vals, bracket
 
 
 def test_constant_curvature_radii_take_no_numpy_trajectory(monkeypatch):
-    # the per-step NumPy integration must not come back on the radii scan
+    # the per-step NumPy integration must not come back on the radii scan:
+    # no binding of rk4_step is called
     def refuse(*args, **kwargs):
-        raise AssertionError("rk4_trajectory called")
+        raise AssertionError("rk4_step called")
 
-    monkeypatch.setattr(geodesics_module, "rk4_trajectory", refuse)
+    for module in (ode_module, radii_module):
+        monkeypatch.setattr(module, "rk4_step", refuse)
     conjugate, focal = jacobi_radii(Sphere(2, 1.0), directions=1)
     assert abs(conjugate.value - math.pi) < RADII_TOL
     assert abs(focal.value - math.pi / 2) < RADII_TOL
 
 
+def test_integrate_jacobi_refuses_the_surface(surface):
+    # the surface's curvature varies along each geodesic: its scans
+    # integrate the joint system, and surface_jacobi is their reference
+    with pytest.raises(ValueError, match="no constant curvature"):
+        integrate_jacobi(surface, 1.0)
+
+
 def test_jacobi_euclidean_linear():
-    e = Euclidean(2)
-    p = e.point(0.0, 0.0)
-    seg = GeodesicSegment.from_exp(e, p, TangentVector(p, np.array([1.0, 0.0])), 3.0)
-    sol = integrate_jacobi(e, seg, step=1e-3)
+    sol = integrate_jacobi(Euclidean(2), 3.0, step=1e-3)
     np.testing.assert_allclose(sol.j, sol.ts, atol=1e-10)
     assert sol.first_zero("value") is None
     assert sol.first_zero("derivative") is None
 
 
 def test_jacobi_sphere_sine(sphere):
-    north = sphere.point(0.0, 0.0, 1.0)
-    seg = GeodesicSegment.from_exp(
-        sphere, north, TangentVector(north, np.array([1.0, 0.0, 0.0])), math.pi
-    )
-    sol = integrate_jacobi(sphere, seg, step=1e-3)
+    sol = integrate_jacobi(sphere, math.pi, step=1e-3)
     assert np.max(np.abs(sol.j - np.sin(sol.ts))) < 1e-9
 
 
 def test_jacobi_hyperbolic_sinh():
-    h = Hyperbolic(2, -1.0)
-    b = h.basepoint()
-    seg = GeodesicSegment.from_exp(
-        h, b, TangentVector(b, np.array([0.0, 1.0, 0.0])), 3.0
-    )
-    sol = integrate_jacobi(h, seg, step=1e-3)
+    sol = integrate_jacobi(Hyperbolic(2, -1.0), 3.0, step=1e-3)
     assert np.max(np.abs(sol.j - np.sinh(sol.ts))) < 1e-9
 
 
 def test_jacobi_residual_on_surface(surface):
     base = surface.point(0.0, 0.0)
     d = TangentVector(base, surface.unit_tangent(base.coords, math.pi / 2))
-    seg = GeodesicSegment(manifold=surface, base=base, direction=d, length=4.0)
-    sol = integrate_jacobi(surface, seg, step=2e-3)
+    sol = surface_jacobi(surface, base, d, 4.0, step=2e-3)
     assert sol.j[0] == 0.0 and sol.jp[0] == 1.0
     assert residual_max(sol) < 1e-5
 
@@ -471,8 +463,7 @@ def test_surface_jacobi_matches_the_scalar_system(surface):
     base = surface.point(0.1, 0.0)
     for angle in (1.4, 1.6, 1.8):
         d = TangentVector(base, surface.unit_tangent(base.coords, angle))
-        seg = GeodesicSegment(manifold=surface, base=base, direction=d, length=3.0)
-        sol = integrate_jacobi(surface, seg, step=2e-3)
+        sol = surface_jacobi(surface, base, d, 3.0, step=2e-3)
         state0 = np.concatenate([base.coords, d.components, [0.0, 1.0]])
         _, ys = rk4_trajectory(rhs, state0, 3.0, len(sol.ts) - 1)
         assert sol.j.tobytes() == ys[:, 4].tobytes()
@@ -489,7 +480,7 @@ def test_jacobi_comparison_bounds_first_zero(surface):
         u_abs = float(np.max(np.abs(seg.points[:, 0])))
         k_min = float(surface.curvature_of_u(u_abs))
         k_max = float(surface.curvature_of_u(0.0))
-        sol = integrate_jacobi(surface, seg, step=2e-3)
+        sol = surface_jacobi(surface, base, d, 6.4, step=2e-3)
         zero = sol.first_zero("value")
         assert zero is not None
         assert math.pi / math.sqrt(k_max) - 1e-9 <= zero <= math.pi / math.sqrt(k_min) + 1e-9
@@ -529,8 +520,6 @@ def _recorded_brackets(monkeypatch, module, run):
 
 
 def test_hermite_zero_stops_at_its_fixed_point_with_the_bits_of_eighty_steps(monkeypatch):
-    import geolens.radii as radii_module
-
     # 0-d brackets: the sphere's closed-form Jacobi scans
     sphere = Sphere(2, 1.0)
     calls, steps = _recorded_brackets(

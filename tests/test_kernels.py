@@ -8,7 +8,7 @@ import pytest
 from geolens import _kernels
 from geolens.errors import ConfigError
 from geolens.manifolds import Euclidean, Hyperbolic, RevolutionProfile, Sphere, SurfaceOfRevolution
-from geolens.sets import PointCloud, hausdorff, monotone_limit_check
+from geolens.sets import PointCloud, hausdorff
 from lens_clouds import polar_lens_cloud
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -171,7 +171,7 @@ def test_scan_sq_matches_the_broadcast_form_bit_for_bit(model):
     b = _random_cloud(model, rng, 170)
     sq = model.scan_sq(a, b)
     assert sq.tobytes() == _broadcast_scan_sq(model, a, b).tobytes()
-    # the symmetry that lets one block serve both Hausdorff directions
+    # the symmetry that gives the nearest scans both ways the bits of one block
     assert model.scan_sq(b, a).tobytes() == np.ascontiguousarray(sq.T).tobytes()
 
 
@@ -180,7 +180,7 @@ def test_scan_sq_matches_the_broadcast_form_bit_for_bit(model):
     [Euclidean(2), Sphere(2, 2.5), Hyperbolic(2, -0.3), Hyperbolic(3, -0.3)],
     ids=lambda m: m.describe(),
 )
-def test_min_dist_both_gives_the_bits_of_two_one_way_scans(model):
+def test_nearest_scans_both_ways_give_the_bits_of_one_broadcast_block(model):
     # 700 x 530 crosses the 512 chunk boundary in both directions
     rng = np.random.default_rng(50 + model.dim)
     a = _random_cloud(model, rng, 700)
@@ -188,24 +188,30 @@ def test_min_dist_both_gives_the_bits_of_two_one_way_scans(model):
     # then identical clouds (every nearest distance 0), duplicated rows and
     # single points
     for y, z in ((a, b), (a, a), (np.vstack([a, a[:200]]), a[100:400]), (a[:1], b), (a[:1], b[:1])):
-        forward, backward = _kernels.min_dist_both(y, z, model)
-        assert forward.tobytes() == _kernels.min_dist_to(y, z, model).tobytes()
-        assert backward.tobytes() == _kernels.min_dist_to(z, y, model).tobytes()
-        # and the one-way scan gives the bits of the unchunked broadcast block
-        reference = model.scan_dist(_broadcast_scan_sq(model, y, z).min(axis=1))
-        assert forward.tobytes() == reference.tobytes()
-    assert not np.any(_kernels.min_dist_both(a, a, model)[0])
+        forward = _kernels.min_dist_to(y, z, model)
+        backward = _kernels.min_dist_to(z, y, model)
+        # the row and column minima of the unchunked broadcast block of y x z
+        block = _broadcast_scan_sq(model, y, z)
+        assert forward.tobytes() == model.scan_dist(block.min(axis=1)).tobytes()
+        assert backward.tobytes() == model.scan_dist(block.min(axis=0)).tobytes()
+        # hausdorff is the larger of the two largest nearest distances
+        gap = hausdorff(PointCloud(model, y, 0.0), PointCloud(model, z, 0.0))
+        assert gap == max(float(forward.max()), float(backward.max()))
+    assert not np.any(_kernels.min_dist_to(a, a, model))
+    assert hausdorff(PointCloud(model, a, 0.0), PointCloud(model, a, 0.0)) == 0.0
 
 
-def test_surface_min_dist_both_shoots_each_direction(monkeypatch):
+def test_surface_hausdorff_shoots_each_direction(monkeypatch):
     surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     rng = np.random.default_rng(6)
     pts = np.column_stack([rng.uniform(-0.01, 0.01, 12), rng.uniform(-0.004, 0.004, 12)])
+    forward = _kernels.min_dist_to(pts[:5], pts[5:], surface)
+    backward = _kernels.min_dist_to(pts[5:], pts[:5], surface)
     batches = _count_pair_batches(monkeypatch, surface)
-    forward, backward = _kernels.min_dist_both(pts[:5], pts[5:], surface)
+    gap = hausdorff(PointCloud(surface, pts[:5], 0.0), PointCloud(surface, pts[5:], 0.0))
+    # shooting p -> q and q -> p agree only to the shooting tolerance
     assert batches == [35, 35]
-    assert forward.tobytes() == _kernels.min_dist_to(pts[:5], pts[5:], surface).tobytes()
-    assert backward.tobytes() == _kernels.min_dist_to(pts[5:], pts[:5], surface).tobytes()
+    assert gap == max(float(forward.max()), float(backward.max()))
 
 
 # -- the suite's concentric clouds ---------------------------------------------
@@ -247,7 +253,10 @@ def test_hausdorff_on_the_concentric_tie_clouds(model):
     # shared angles: the last gap is the last radius gap, along each ray
     gap = _assert_hausdorff_is_full(seq[-1], limit)
     assert gap == pytest.approx(0.0045, abs=1e-12)
-    assert monotone_limit_check(seq, "nested-decreasing", limit, slack=1e-9) == gap
+    # each cloud lies within its predecessor's fill radius
+    for outer, inner in zip(seq[:-1], seq[1:]):
+        nearest = _kernels.min_dist_to(inner.points, outer.points, model)
+        assert nearest.max() <= outer.fill_radius + 1e-9
 
 
 @pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=lambda m: m.describe())

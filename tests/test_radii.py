@@ -24,7 +24,7 @@ from geolens import (
 from geolens import radii as radii_module
 from geolens.config import ManifoldSpec
 from geolens.errors import ConfigError
-from geolens.geodesics import GeodesicSegment, integrate_jacobi
+from geolens.geodesics import integrate_jacobi
 from geolens.manifolds import ManifoldPoint, TangentVector
 from geolens.radii import (
     CERTIFIED,
@@ -35,6 +35,7 @@ from geolens.radii import (
     _first_zeros_batch,
     _merge_min,
 )
+from ode_oracles import surface_jacobi
 
 
 def test_conjugate_radius_euclidean_is_lower_bound():
@@ -190,7 +191,7 @@ def test_surface_equator_conjugate_value():
 
 @pytest.mark.parametrize("u", [-0.3, 0.0, 0.25])
 def test_batch_zeros_match_scalar_jacobi_integration(u):
-    # each direction of the batched scan against its own integrate_jacobi
+    # each direction of the batched scan against its own surface_jacobi
     # over the length it stayed in the chart; the directions near the
     # v-axis are the ones that stay in it past their zeros
     sor = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
@@ -203,8 +204,7 @@ def test_batch_zeros_match_scalar_jacobi_integration(u):
     found = 0
     for angle, zeros, span in zip(angles, zip(j_zero, jp_zero), valid):
         direction = TangentVector(base, sor.unit_tangent(base.coords, angle))
-        seg = GeodesicSegment(manifold=sor, base=base, direction=direction, length=span)
-        sol = integrate_jacobi(sor, seg, step=2e-3)
+        sol = surface_jacobi(sor, base, direction, span, step=2e-3)
         for zero, of in zip(zeros, ("value", "derivative")):
             expected = sol.first_zero(of)
             if expected is None:
@@ -285,14 +285,7 @@ def test_jacobi_radii_reads_both_zeros_off_one_integration(model, monkeypatch):
     conj, foc = jacobi_radii(model, directions=1, horizon=horizon)
     assert len(calls) == 1
     # the zeros of one solution integrated here
-    base = model.basepoint()
-    seg = GeodesicSegment(
-        manifold=model,
-        base=base,
-        direction=TangentVector(base, model.tangent_basis(base.coords)[0]),
-        length=horizon,
-    )
-    solution = integrate_jacobi(model, seg)
+    solution = integrate_jacobi(model, horizon)
     for value, of in ((conj, "value"), (foc, "derivative")):
         zero = solution.first_zero(of=of)
         if zero is None:

@@ -17,10 +17,9 @@ from geolens import (
     diameter,
     diameter_lipschitz_check,
     hausdorff,
-    monotone_limit_check,
 )
 from geolens import _kernels
-from geolens.errors import ConfigError, NestingError
+from geolens.errors import ConfigError
 from geolens.sets import diameter_with_witness
 from lens_clouds import polar_lens_cloud
 
@@ -198,9 +197,17 @@ def _ball_cloud(plane, radius, n_rings=20, n_ang=72):
     return PointCloud(plane, np.vstack(pts), fill)
 
 
+def _assert_nested(inner, outer, slack=1e-9):
+    """Every sample of ``inner`` lies within the fill radius of ``outer``
+    (plus ``slack``) of a sample of ``outer``."""
+    gap = _kernels.min_dist_to(inner.points, outer.points, inner.manifold).max()
+    assert gap <= outer.fill_radius + slack
+
+
 def test_monotone_constant_sequence(plane):
     cloud = _ball_cloud(plane, 1.0)
-    assert monotone_limit_check([cloud] * 4, "nested-decreasing", cloud) == 0.0
+    _assert_nested(cloud, cloud)
+    assert hausdorff(cloud, cloud) == 0.0
 
 
 def test_monotone_shrinking_balls_exact_gap(plane):
@@ -208,22 +215,17 @@ def test_monotone_shrinking_balls_exact_gap(plane):
     limit = _ball_cloud(plane, 1.0)
     for k in (2, 4, 8):
         seq = [_ball_cloud(plane, 1.0 + 1.0 / j) for j in range(1, k + 1)]
-        gap = monotone_limit_check(seq, "nested-decreasing", limit)
-        assert gap == pytest.approx(1.0 / k, abs=1e-12)
+        for outer, inner in zip(seq, seq[1:]):
+            _assert_nested(inner, outer)
+        assert hausdorff(seq[-1], limit) == pytest.approx(1.0 / k, abs=1e-12)
 
 
 def test_monotone_growing_balls(plane):
     limit = _ball_cloud(plane, 1.0)
     seq = [_ball_cloud(plane, 1.0 - 0.2 / 2**j) for j in range(4)]
-    gap = monotone_limit_check(seq, "nested-increasing", limit)
-    assert gap == pytest.approx(0.2 / 8, abs=1e-12)
-
-
-def test_monotone_nesting_violation_detected(plane):
-    a = _ball_cloud(plane, 1.0)
-    b = _ball_cloud(plane, 1.5)
-    with pytest.raises(NestingError):
-        monotone_limit_check([a, b], "nested-decreasing", b, slack=1e-9)
+    for inner, outer in zip(seq, seq[1:]):
+        _assert_nested(inner, outer)
+    assert hausdorff(seq[-1], limit) == pytest.approx(0.2 / 8, abs=1e-12)
 
 
 def test_monotone_shrinking_lens_clouds(plane):
@@ -240,10 +242,9 @@ def test_monotone_shrinking_lens_clouds(plane):
     seq = [lens_cloud(r + d) for d in deltas]
     gaps = [hausdorff(c, limit) for c in seq]
     assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
-    final = monotone_limit_check(
-        seq, "nested-decreasing", limit, slack=2.0 * limit.fill_radius
-    )
-    assert final <= deltas[-1] + 3.0 * limit.fill_radius
+    for outer, inner in zip(seq, seq[1:]):
+        _assert_nested(inner, outer, slack=2.0 * limit.fill_radius)
+    assert hausdorff(seq[-1], limit) <= deltas[-1] + 3.0 * limit.fill_radius
 
 
 def test_numeric_manifold_pairwise_scan_fails_fast():
