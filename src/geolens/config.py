@@ -8,7 +8,10 @@ Sections and the keys each one reads:
                  u, f[, df, d2f]; then step, the RK4 step of every
                  integration on the surface (exp and shooting, the geodesic
                  line, the Jacobi radii scans), injectivity_bound (required
-                 on the surface) and loop_length.
+                 on the surface; > 0, and the focal scan of the convexity
+                 bound stops at half of it once that decides the bound) and
+                 loop_length (> 0).  Every float of [manifold] must be
+                 finite.
     [lens]       pairs = "R1,r1; R2,r2; ..."; R and r name the first pair
                  (profile runs it, verify runs every pair).
     [run]        grid, budget, seed, out, expect_counterexample.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import configparser
 import functools
+import math
 import os
 import tempfile
 from dataclasses import dataclass, fields, replace
@@ -305,6 +309,14 @@ def validate_config(config: RunConfig):
     spec = config.manifold
     if spec.dimension < 2:
         raise ConfigError("dimension must be at least 2")
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"manifold.{field.name} = {value} must be finite")
+    for key in ("injectivity_bound", "loop_length"):
+        value = getattr(spec, key)
+        if value is not None and not value > 0:
+            raise ConfigError(f"manifold.{key} = {value:g} must be > 0")
     manifold = spec.build()  # raises on malformed manifold blocks
     if config.grid < 2:
         raise ConfigError("grid must be >= 2")
@@ -327,8 +339,12 @@ def convexity_bound_for(config: RunConfig, manifold: Manifold) -> float:
     """Radius below which the configured model's balls are convex.
 
     A closed-form model gives its convexity radius.  The numeric surface
-    gives a bound from its focal radius and the configured injectivity
-    bound; that focal scan is computed once per manifold spec.
+    gives min(focal, injectivity_bound / 2), from a 16-direction focal scan
+    computed once per manifold spec (a focal lower bound below
+    injectivity_bound / 2 is returned as it is).  The scan stops at the
+    first grid time at or past injectivity_bound / 2 when no direction has
+    a focal zero or has left the chart by then, as no later outcome can
+    change the bound; the bound has the bits of the full scan's.
     """
     if not manifold.closed_form:
         return _surface_convexity_bound(config.manifold)
@@ -342,7 +358,8 @@ def _surface_convexity_bound(spec: ManifoldSpec) -> float:
         raise ConfigError("surface_of_revolution requires injectivity_bound in [manifold]")
     from geolens.radii import focal_radius
 
-    foc = focal_radius(spec.build(), directions=16)
+    # a focal zero past inj/2 cannot lower the bound, so the scan may stop there
+    foc = focal_radius(spec.build(), directions=16, cap=inj / 2)
     if foc.lower_bound_only and foc.value < inj / 2:
         return foc.value  # conservative: at least this much is convex
     return min(foc.value, inj / 2)

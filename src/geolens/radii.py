@@ -8,7 +8,9 @@ over sampled directions (:func:`_first_zeros_batch`, whose one-direction
 reference is in ``tests/ode_oracles.py``); their injectivity radius is never
 estimated, it must be certified by the user (e.g. in the run configuration),
 and the convexity radius is assembled from the identity
-conv = min(focal, injectivity / 2).
+conv = min(focal, injectivity / 2).  A caller that needs only that minimum
+passes injectivity / 2 as the ``cap`` of :func:`focal_radius`, whose scan
+then stops at the cap when no direction has a zero or has left the chart.
 
 Horizon-limited searches report a lower bound, never a fabricated value.
 """
@@ -131,7 +133,7 @@ def closed_form_radii(manifold: Manifold) -> RadiiReport:
 
 
 def _first_zeros_batch(
-    manifold, base_coords, angles, horizon, step=None, _of=("value", "derivative")
+    manifold, base_coords, angles, horizon, step=None, _of=("value", "derivative"), cap=None
 ):
     """First zeros of j and j' along geodesics in the given directions from
     one base point (2,) or from each of a block of them (..., 2), in steps of
@@ -146,6 +148,12 @@ def _first_zeros_batch(
     has the zeros it needs, so its results do not depend on the other rows.
     ``_of`` names the zeros needed, "value" (j) and "derivative" (j'); a
     zero not named stays nan.
+
+    ``cap`` is for a caller that reads only the smallest zero capped at
+    ``cap``.  At the first grid time t >= cap, if no row has a searched zero
+    and none has left the chart, the scan stops there with every valid
+    length t: any later zero or exit would be capped to ``cap`` as well.
+    Otherwise it runs on as without ``cap``.
 
     Most steps change nothing but the state: every new u is inside
     [u_min, u_max] and no searched column of a live row crosses or touches
@@ -183,8 +191,13 @@ def _first_zeros_batch(
     zeros = np.full((len(state), 2), np.nan)  # columns: j, j'
     live = np.arange(len(state))  # rows in the chart with a zero to find
     brackets = []
+    # the step at whose start the capped search may be decided (n: never)
+    decide = n if cap is None else int(np.searchsorted(ts, cap))
     for i in range(n):
         if not len(live):
+            break
+        if i == decide and len(live) == len(zeros) and np.isnan(zeros).all():
+            valid_length[:] = ts[i]
             break
         new = rk4_step(manifold.jacobi_rhs, state, h)
         u = new[:, 0]
@@ -228,10 +241,11 @@ def _smallest_zero(zeros, valid) -> RadiusValue:
     return RadiusValue(float(np.nanmin(zeros)), NUMERIC)
 
 
-def _jacobi_zeros(manifold, directions, horizon, of) -> tuple[RadiusValue, ...]:
+def _jacobi_zeros(manifold, directions, horizon, of, cap=None) -> tuple[RadiusValue, ...]:
     """The first zeros named by ``of`` ("value": j, "derivative": j'), with
     j(0)=0 and j'(0)=1, each minimized over sampled directions from the
-    model's base point; one Jacobi integration serves them all."""
+    model's base point; one Jacobi integration serves them all.  ``cap`` is
+    that of :func:`_first_zeros_batch`; the closed-form scan ignores it."""
     if directions < 1:
         raise ValueError("directions must be >= 1")
     horizon = horizon if horizon is not None else manifold.horizon
@@ -248,7 +262,9 @@ def _jacobi_zeros(manifold, directions, horizon, of) -> tuple[RadiusValue, ...]:
 
     angles = np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False)
     base = manifold.basepoint().coords
-    j_zero, jp_zero, valid = _first_zeros_batch(manifold, base, angles, horizon, _of=of)
+    j_zero, jp_zero, valid = _first_zeros_batch(
+        manifold, base, angles, horizon, _of=of, cap=cap
+    )
     columns = {"value": j_zero, "derivative": jp_zero}
     return tuple(_smallest_zero(columns[name], valid) for name in of)
 
@@ -280,13 +296,17 @@ def focal_radius(
     manifold: Manifold,
     directions: int = DEFAULT_DIRECTIONS,
     horizon: float | None = None,
+    cap: float | None = None,
 ) -> RadiusValue:
     """First zero of j'(t), minimized over sampled directions.
 
     Its scan drops each direction once j' has its zero, so it stops before
     the conjugate zero that ``jacobi_radii`` waits for; both give the same
-    focal radius."""
-    return _jacobi_zeros(manifold, directions, horizon, ("derivative",))[0]
+    focal radius.  A caller that reads only min(focal, cap) passes ``cap``:
+    once the grid reaches ``cap`` with no zero and no direction out of the
+    chart, the surface scan stops and returns a lower bound >= cap, which
+    gives that minimum the bits of the full scan's."""
+    return _jacobi_zeros(manifold, directions, horizon, ("derivative",), cap)[0]
 
 
 def convexity_from(focal: RadiusValue, injectivity: RadiusValue) -> RadiusValue:

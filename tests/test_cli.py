@@ -287,6 +287,17 @@ def _with_manifold_settings(text, settings):
         ("u_min = 0.5\nu_max = -0.5", "manifold.u_min"),
         ("profile_file = {tmp}/absent.csv", "manifold.profile_file"),
         ("profile_file = {tmp}/decreasing.csv", "manifold.profile_file"),
+        ("step = nan", "manifold.step"),
+        ("u_min = -inf", "manifold.u_min"),
+        ("u_max = nan", "manifold.u_max"),
+        ("offset = inf", "manifold.offset"),
+        ("injectivity_bound = nan", "manifold.injectivity_bound"),
+        ("injectivity_bound = inf", "manifold.injectivity_bound"),
+        ("injectivity_bound = 0", "manifold.injectivity_bound"),
+        ("injectivity_bound = -1", "manifold.injectivity_bound"),
+        ("loop_length = nan", "manifold.loop_length"),
+        ("loop_length = 0", "manifold.loop_length"),
+        ("loop_length = -2", "manifold.loop_length"),
     ],
 )
 def test_malformed_surface_settings_are_configuration_errors(settings, named, tmp_path, capsys):
@@ -299,6 +310,26 @@ def test_malformed_surface_settings_are_configuration_errors(settings, named, tm
     assert main(["profile", "--config", str(cfg), "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and named in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "kind, value", [("sphere", "nan"), ("sphere", "inf"), ("hyperbolic", "nan"), ("hyperbolic", "-inf")]
+)
+def test_non_finite_curvature_is_a_configuration_error(kind, value, tmp_path, capsys):
+    # named by its key, not by the radius check that a nan convexity radius fails
+    cfg = tmp_path / "curved.ini"
+    cfg.write_text(
+        SPHERE_CFG.replace("kind = sphere", f"kind = {kind}").replace(
+            "curvature = 1.0", f"curvature = {value}"
+        )
+    )
+    with pytest.raises(ConfigError, match=re.escape(f"manifold.curvature = {value} must be finite")):
+        load_config(str(cfg))
+    out = str(tmp_path / "curved.csv")
+    assert main(["profile", "--config", str(cfg), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "manifold.curvature" in err and "convexity radius" not in err
     assert not os.path.exists(out)
 
 

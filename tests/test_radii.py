@@ -22,7 +22,7 @@ from geolens import (
     sample_intersection,
 )
 from geolens import radii as radii_module
-from geolens.config import ManifoldSpec
+from geolens.config import ManifoldSpec, _surface_convexity_bound
 from geolens.errors import ConfigError
 from geolens.geodesics import integrate_jacobi
 from geolens.manifolds import ManifoldPoint, TangentVector
@@ -364,3 +364,50 @@ def test_the_focal_scan_stops_at_its_zeros(monkeypatch):
     assert focal_steps < len(steps)
     # no direction of the focal scan integrates on to the conjugate zero
     assert focal_steps * surface.step < conj.value
+
+
+def _bump_spec(**settings):
+    return ManifoldSpec(kind="surface_of_revolution", profile="bump", **settings)
+
+
+# surfaces of the bump profile, the steps of the focal scan of their
+# convexity bound, and the bound: the bump itself, decided at inj/2; a chart
+# that directions leave before inj/2; and a zone of the unit sphere
+# (f = cos u), whose focal zero pi/2 comes before inj/2
+CAPPED_SCANS = {
+    "bump": (_bump_spec(injectivity_bound=1.0), 250, 0.5),
+    "narrow_chart": (_bump_spec(u_min=-0.2, u_max=0.2, injectivity_bound=1.0), 1361, 0.5),
+    "sphere_zone": (
+        _bump_spec(offset=0.0, u_min=-1.2, u_max=1.2, injectivity_bound=4.0),
+        786,
+        1.5707963267951066,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_SCANS))
+def test_convexity_bound_has_the_bits_of_the_full_scan(name):
+    spec, _, expected = CAPPED_SCANS[name]
+    half_inj = spec.injectivity_bound / 2
+    foc = focal_radius(spec.build(), directions=16)
+    if foc.lower_bound_only and foc.value < half_inj:
+        full = foc.value
+    else:
+        full = min(foc.value, half_inj)
+    bound = _surface_convexity_bound.__wrapped__(spec)
+    assert repr(bound) == repr(full) == repr(expected)
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_SCANS))
+def test_convexity_bound_scan_stops_once_decided(name, monkeypatch):
+    spec, expected_steps, _ = CAPPED_SCANS[name]
+    steps = []
+    rk4_step = radii_module.rk4_step
+
+    def spy(rhs, y, h):
+        steps.append(len(y))
+        return rk4_step(rhs, y, h)
+
+    monkeypatch.setattr(radii_module, "rk4_step", spy)
+    _surface_convexity_bound.__wrapped__(spec)
+    assert len(steps) == expected_steps
