@@ -314,7 +314,8 @@ def test_malformed_surface_settings_are_configuration_errors(settings, named, tm
 
 
 @pytest.mark.parametrize(
-    "kind, value", [("sphere", "nan"), ("sphere", "inf"), ("hyperbolic", "nan"), ("hyperbolic", "-inf")]
+    "kind, value",
+    [("sphere", "nan"), ("sphere", "inf"), ("hyperbolic", "nan"), ("hyperbolic", "-inf")],
 )
 def test_non_finite_curvature_is_a_configuration_error(kind, value, tmp_path, capsys):
     # named by its key, not by the radius check that a nan convexity radius fails
@@ -324,7 +325,8 @@ def test_non_finite_curvature_is_a_configuration_error(kind, value, tmp_path, ca
             "curvature = 1.0", f"curvature = {value}"
         )
     )
-    with pytest.raises(ConfigError, match=re.escape(f"manifold.curvature = {value} must be finite")):
+    named = f"manifold.curvature = {value} must be finite"
+    with pytest.raises(ConfigError, match=re.escape(named)):
         load_config(str(cfg))
     out = str(tmp_path / "curved.csv")
     assert main(["profile", "--config", str(cfg), "--out", out]) == 2
