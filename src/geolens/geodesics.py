@@ -58,13 +58,27 @@ def _hermite(t, t0, t1, p0, p1, v0, v1):
 
 
 def hermite_zero(t0, t1, v0, v1, d0, d1):
-    """Zero in [t0, t1] of the cubic Hermite interpolant of values v and
-    derivatives d, by 80 bisection steps; elementwise over arrays.  The
-    values at the ends must have opposite signs.
+    """Zero in [t0, t1], t0 < t1, of the cubic Hermite interpolant of values
+    v and derivatives d, by 80 bisection steps; elementwise over arrays.
+    The values at the ends must have opposite signs.
 
     A step is a function of the brackets alone, so once one leaves every
     (lo, hi) as it was, so would all the rest: the loop stops there, with
-    the bits of all 80 steps."""
+    the bits of all 80 steps.  When every argument is a scalar (the
+    closed-form brackets of :meth:`JacobiSolution.first_zero`) the steps run
+    on Python floats, whose operations are the NumPy scalars', and the zero
+    comes back as an ``np.float64``."""
+    if all(np.ndim(a) == 0 for a in (t0, t1, v0, v1, d0, d1)):
+        t0, t1, v0, v1, d0, d1 = map(float, (t0, t1, v0, v1, d0, d1))
+        lo, hi, lo_positive = t0, t1, v0 > 0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            same = (_hermite(mid, t0, t1, v0, v1, d0, d1) > 0) == lo_positive
+            next_lo, next_hi = (mid, hi) if same else (lo, mid)
+            if next_lo == lo and next_hi == hi:
+                break
+            lo, hi = next_lo, next_hi
+        return np.float64(0.5 * (lo + hi))
     lo, hi = np.asarray(t0, dtype=np.float64), np.asarray(t1, dtype=np.float64)
     lo_positive = np.asarray(v0) > 0
     for _ in range(80):

@@ -75,11 +75,6 @@ def _degenerate_nan(num, denom):
         return np.where(np.abs(denom) < 1e-300, np.nan, np.divide(num, denom))[()]
 
 
-def _rows(base, mask):
-    """The rows ``mask`` of a base block; a single point stands for every row."""
-    return base if base.ndim == 1 else base[mask]
-
-
 def _diff_block(a, b):
     """``a[:, None, :] - b[None, :, :]`` for row blocks a (m, d) and b (n, d),
     built one coordinate at a time: each outer subtraction is a contiguous
@@ -254,31 +249,39 @@ class Manifold(ABC):
         the tangent space.  A row skips a candidate whose remainder has norm
         1e-12 or less and stops at ``dim`` vectors.  Every inner product is
         a row of ``_inner_rows``, so a row's frame does not depend on the
-        other rows.
+        other rows.  While every row has taken the same candidates one count
+        serves them all; from the first candidate that some rows skip and
+        others take, each row keeps its own count.
         """
         bases = np.atleast_2d(np.asarray(bases, dtype=np.float64))
         dim = self.dim
         axes = list(self._frame_axes())
         candidates = axes if primaries is None else [primaries] + axes
-        # unfilled slots stay zero, so every row can take every step and
-        # np.where keeps the rows that skip it
+        # unfilled slots stay zero, so that with counts per row every row can
+        # take every step and np.where keeps the rows that skip it
         frames = np.zeros((len(bases), dim, self.ambient_dim))
-        size = np.zeros(len(bases), dtype=int)
+        size = 0
         for v in candidates:
             w = np.broadcast_to(self.project_tangent(bases, v), bases.shape)
-            for k in range(size.max()):
+            per_row = not isinstance(size, int)
+            for k in range(size.max() if per_row else size):
                 e = frames[:, k]
                 step = w - self._inner_rows(w, e)[:, None] * e
-                w = step if size.min() > k else np.where((size > k)[:, None], step, w)
+                w = np.where((size > k)[:, None], step, w) if per_row else step
             norm = np.sqrt(np.maximum(self._inner_rows(w, w), 0.0))
-            take = (norm > 1e-12) & (size < dim)
-            if np.all(take) and size.min() == size.max():
-                frames[:, size[0]] = w / norm[:, None]
-            else:
+            take = norm > 1e-12
+            if not per_row and take.all():
+                frames[:, size] = w / norm[:, None]
+                size += 1
+                if size == dim:
+                    return frames
+            elif per_row or take.any():
+                size = size if per_row else np.full(len(bases), size)
+                take &= size < dim
                 frames[take, size[take]] = w[take] / norm[take, None]
-            size += take
-            if size.min() == dim:
-                return frames
+                size += take
+                if size.min() == dim:
+                    return frames
         raise ValueError("could not complete a tangent basis")
 
     def _frame_axes(self) -> np.ndarray:
@@ -438,21 +441,15 @@ class Sphere(Manifold):
         return c - (_dot(c, b) / self.radius**2)[..., None] * b
 
     def exp_pairs(self, bases, tangents):
-        base = np.asarray(bases)
+        """cos(theta) x + a sin(theta) v / |v|, theta = |v| / a, for every row
+        at once; a zero tangent's row is its base, bit for bit."""
         tg = np.atleast_2d(np.asarray(tangents, dtype=np.float64))
-        norms = np.linalg.norm(tg, axis=1)
+        norms = np.sqrt(np.add.reduce(tg * tg, axis=1))
         theta = norms / self.radius
-        out = np.empty_like(tg)
-        small = norms < 1e-300
-        safe = ~small
-        out[small] = _rows(base, small)
-        if np.any(safe):
-            unit = tg[safe] / norms[safe, None]
-            out[safe] = (
-                np.cos(theta[safe])[:, None] * _rows(base, safe)
-                + self.radius * np.sin(theta[safe])[:, None] * unit
-            )
-        return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = tg / norms[:, None]
+            out = np.cos(theta)[:, None] * bases + self.radius * np.sin(theta)[:, None] * unit
+        return np.where((norms < 1e-300)[:, None], bases, out)
 
     def exp_velocity_coords(self, base_coords, components, t):
         base = np.asarray(base_coords)
@@ -505,7 +502,8 @@ class Sphere(Manifold):
         )
 
     def scan_dist(self, sq):
-        return 2.0 * self.radius * np.arcsin(np.clip(np.sqrt(sq) / (2.0 * self.radius), 0.0, 1.0))
+        # sq is a sum of squares, so only the upper clip can act
+        return 2.0 * self.radius * np.arcsin(np.minimum(np.sqrt(sq) / (2.0 * self.radius), 1.0))
 
     def describe(self):
         return f"sphere(dim={self.dim}, curvature={self.curvature:g})"
@@ -561,21 +559,15 @@ class Hyperbolic(Manifold):
         return c + (self._inner_rows(c, b) / self.radius**2)[..., None] * b
 
     def exp_pairs(self, bases, tangents):
-        base = np.asarray(bases)
+        """cosh(theta) x + a sinh(theta) v / |v|, theta = |v| / a, for every
+        row at once; a zero tangent's row is its base, bit for bit."""
         tg = np.atleast_2d(np.asarray(tangents, dtype=np.float64))
-        norms = np.sqrt(np.clip(self.minkowski(tg, tg), 0.0, None))
+        norms = np.sqrt(np.maximum(self.minkowski(tg, tg), 0.0))
         theta = norms / self.radius
-        out = np.empty_like(tg)
-        small = norms < 1e-300
-        safe = ~small
-        out[small] = _rows(base, small)
-        if np.any(safe):
-            unit = tg[safe] / norms[safe, None]
-            out[safe] = (
-                np.cosh(theta[safe])[:, None] * _rows(base, safe)
-                + self.radius * np.sinh(theta[safe])[:, None] * unit
-            )
-        return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = tg / norms[:, None]
+            out = np.cosh(theta)[:, None] * bases + self.radius * np.sinh(theta)[:, None] * unit
+        return np.where((norms < 1e-300)[:, None], bases, out)
 
     def exp_velocity_coords(self, base_coords, components, t):
         base = np.asarray(base_coords)
@@ -636,7 +628,7 @@ class Hyperbolic(Manifold):
 
     def pre_sq(self, diff):
         # the Minkowski square, clipped at 0: rounding can take it below
-        return np.clip(self.minkowski(diff, diff), 0.0, None)
+        return np.maximum(self.minkowski(diff, diff), 0.0)
 
     def scan_dist(self, sq):
         return 2.0 * self.radius * np.arcsinh(np.sqrt(sq) / (2.0 * self.radius))

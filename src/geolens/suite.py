@@ -15,7 +15,9 @@ all three read the exact w and H (``lens.lens_gaps``).  Elsewhere the two
 continuity claims read H on sampled lens clouds, with a fill-radius slack,
 and the random pairs test the inequality on the clouds' own diameters
 (``sets.diameter_lipschitz_check``).  ``monotone_set_limits`` reads the gap
-of concentric balls in closed form on every pair.
+of each of five shrinking concentric balls to their limit on the ball's
+bounding circle: the gap is the largest distance to the centre less the
+limit's radius, and that maximum lies on the ball's boundary.
 
 ``sampled_width_matches_exact`` is the labelled cross-check of the exact
 widths of convex closed-form pairs against the diameters of sampled clouds,
@@ -145,16 +147,27 @@ def _pair_key(R, r):
     return f"R={R:g},r={r:g}"
 
 
-def _concentric_cloud(manifold, center, frame, radius):
-    """Ideal polar cloud of a metric ball, as points: the centre and 16
-    rings of 64 shared angles, the outer ring on the ball's sphere."""
-    n_rings, n_ang = 16, 64
-    rhos = [0.0] + [radius * i / n_rings for i in range(1, n_rings + 1)]
-    points = _circles(
-        manifold, center, frame, rhos, [1] + [n_ang] * n_rings, np.zeros(n_rings + 1)
-    )
-    points[0] = center  # the zero vector, pinned exactly
-    return points
+def _concentric_limit(manifold, center, frame, r):
+    """Margin and final gap of ``monotone_set_limits``: the balls
+    D_{l + delta_k}(center), delta_k = 0.12 r / 2^k for k < 5, shrink to
+    D_l, l = 0.8 r; a gap that grows (a ball reaching past its predecessor)
+    raises ``NestingError``.
+
+    In a geodesic space d(x, D_l(c)) = max(0, d(x, c) - l), so a ball's gap
+    is its largest d(x, c) less l, which lies on its bounding circle: on
+    the polar cloud of the tests' reference (16 rings of these 64 angles)
+    the next ring in sits radius/16 lower, far more than any rounding.  All
+    five circles go through one ``_circles`` call and one ``dist_many``.
+    """
+    n_balls, n_ang = 5, 64
+    l_base = 0.8 * r
+    radii = [l_base + 0.12 * r / (2**k) for k in range(n_balls)]
+    rims = _circles(manifold, center, frame, radii, [n_ang] * n_balls, np.zeros(n_balls))
+    far = manifold.dist_many(center, rims).reshape(n_balls, n_ang).max(axis=1)
+    gaps = [max(0.0, float(d) - l_base) for d in far]
+    if np.any(np.diff(gaps) > 1e-9):
+        raise NestingError(f"concentric balls not nested: gaps {gaps} to radius {l_base:g}")
+    return float(1e-2 * max(1.0, r) - gaps[-1]), gaps[-1]
 
 
 def _checked_convexity_bound(config: RunConfig, manifold) -> float:
@@ -374,21 +387,10 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
                 f"{key}: largest sampled excess {excess:.3g}"
             )
 
-        # shrinking concentric balls D_{l+delta_k} converge to D_l.  In a
-        # geodesic space d(x, D_l(c)) = max(0, d(x, c) - l), so each ball's
-        # gap to the limit, delta_k, is one dist_many over its cloud; a gap
-        # that grows is a ball reaching past its predecessor
-        l_base = 0.8 * r
-        deltas = [0.12 * r / (2**k) for k in range(5)]
-        center, frame = bp.center_big(), bp.frame_big()
-        set_gaps = [
-            max(0.0, float(np.max(manifold.dist_many(center, points))) - l_base)
-            for points in (_concentric_cloud(manifold, center, frame, l_base + dlt) for dlt in deltas)
-        ]
-        if np.any(np.diff(set_gaps) > 1e-9):
-            raise NestingError(f"concentric balls not nested: gaps {set_gaps} to radius {l_base:g}")
-        gap_final = set_gaps[-1]
-        per_claim["monotone_set_limits"][key] = float(1e-2 * max(1.0, r) - gap_final)
+        # shrinking concentric balls D_{l+delta_k} converge to D_l, each
+        # ball's gap read on its bounding circle
+        margin, gap_final = _concentric_limit(manifold, bp.center_big(), bp.frame_big(), r)
+        per_claim["monotone_set_limits"][key] = margin
         notes["monotone_set_limits"].append(f"{key}: final Hausdorff gap {gap_final:.4g}")
 
         _record_probes(profile, key, per_claim, notes)

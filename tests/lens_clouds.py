@@ -8,13 +8,30 @@ seeded phase per ring), both boundary arcs and the candidates on them, each
 kept where it lies in the lens.  Its fill radius, the half-diagonal of a
 grid cell, is an estimate tied to the grid pitch, not a bound near the
 corners.
+
+``concentric_cloud`` is the ideal polar cloud of a metric ball, the
+reference reading of the suite's ``monotone_set_limits`` claim.
 """
 
 import math
 
 import numpy as np
 
+from geolens.lens import _circles
 from geolens.sets import PointCloud
+
+
+def concentric_cloud(manifold, center, frame, radius):
+    """Ideal polar cloud of a metric ball, as points: the centre and 16
+    rings of 64 shared angles, the outer ring on the ball's sphere, through
+    one ``_circles`` call."""
+    n_rings, n_ang = 16, 64
+    rhos = [0.0] + [radius * i / n_rings for i in range(1, n_rings + 1)]
+    points = _circles(
+        manifold, center, frame, rhos, [1] + [n_ang] * n_rings, np.zeros(n_rings + 1)
+    )
+    points[0] = center  # the zero vector, pinned exactly
+    return points
 
 
 def polar_lens_cloud(bp, budget, seed) -> PointCloud:

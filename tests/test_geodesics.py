@@ -541,3 +541,25 @@ def test_hermite_zero_stops_at_its_fixed_point_with_the_bits_of_eighty_steps(mon
     assert hermite_zero(*args).tobytes() == _eighty_step_hermite_zero(*args).tobytes()
     # brackets that never settle (nan) take all 80 steps
     assert np.isnan(hermite_zero(0.0, np.nan, 1.0, -1.0, 0.0, 0.0))
+
+
+def test_scalar_hermite_zero_has_the_bits_of_eighty_steps():
+    rng = np.random.default_rng(24)
+    brackets = []
+    for _ in range(1000):
+        t0 = rng.uniform(0.0, 6.0)
+        t1 = t0 + 10.0 ** rng.uniform(-4.0, 0.5)
+        v0 = rng.normal() * 10.0 ** rng.integers(-6, 2)
+        v1 = -math.copysign(abs(rng.normal()), v0)
+        d0, d1 = rng.normal(scale=3.0, size=2)
+        brackets.append((t0, t1, v0, v1, d0, d1))
+    # NumPy scalars and 0-d arrays, as the closed-form scans pass them
+    brackets += [tuple(np.float64(a) for a in b) for b in brackets[:50]]
+    brackets += [tuple(np.asarray(a) for a in b) for b in brackets[:50]]
+    # an exact zero at either end, and brackets of nan
+    brackets += [(0.5, 0.7, 0.0, -1.0, 2.0, 1.0), (0.5, 0.7, 1.0, 0.0, -1.0, 3.0)]
+    brackets += [(0.0, math.nan, 1.0, -1.0, 0.0, 0.0), (0.0, 1.0, math.nan, -1.0, 0.0, 0.0)]
+    for args in brackets:
+        got = hermite_zero(*args)
+        assert type(got) is np.float64
+        assert got.tobytes() == _eighty_step_hermite_zero(*args).tobytes(), args

@@ -9,7 +9,7 @@ from geolens import _kernels
 from geolens.errors import ConfigError
 from geolens.manifolds import Euclidean, Hyperbolic, RevolutionProfile, Sphere, SurfaceOfRevolution
 from geolens.sets import PointCloud, hausdorff
-from lens_clouds import polar_lens_cloud
+from lens_clouds import concentric_cloud, polar_lens_cloud
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -221,15 +221,14 @@ def test_surface_hausdorff_shoots_each_direction(monkeypatch):
 
 
 def _concentric_sequence(model, center, l_base=0.48, deltas=(0.072, 0.036, 0.018, 0.009, 0.0045)):
-    """The suite's shrinking concentric clouds and their limit, each with
-    half its polar cell (16 rings, 64 angles) as fill radius."""
-    from geolens.suite import _concentric_cloud
-
+    """The shrinking concentric clouds of the suite's monotone claim and
+    their limit, each with half its polar cell (16 rings, 64 angles) as fill
+    radius."""
     frame = model.tangent_basis(center)
 
     def cloud(radius):
         fill = 0.5 * math.hypot(radius / 16, 2.0 * math.pi * radius / 64)
-        return PointCloud(model, _concentric_cloud(model, center, frame, radius), fill)
+        return PointCloud(model, concentric_cloud(model, center, frame, radius), fill)
 
     return [cloud(l_base + d) for d in deltas], cloud(l_base), frame
 

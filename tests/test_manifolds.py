@@ -1,6 +1,7 @@
 """Model manifolds: metric, exponential/logarithm maps, distance axioms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -686,6 +687,16 @@ def test_frame_rows_give_the_bits_of_the_one_point_frame(model):
         assert frames[i].tobytes() == _scalar_frame(model, x, v).tobytes(), i
     for x in bases[:20]:
         assert model.tangent_basis(x).tobytes() == _scalar_frame(model, x, None).tobytes()
+    if model.describe() == "sphere(dim=2, curvature=1)":
+        # points of the equator with primary = velocity: every row takes the
+        # primary, skips both equatorial axes and takes the pole, so one
+        # count serves every row
+        s = np.linspace(0.0, 2.0 * math.pi, 97)
+        bases = np.column_stack([np.cos(s), np.sin(s), np.zeros_like(s)])
+        primaries = np.column_stack([-np.sin(s), np.cos(s), np.zeros_like(s)])
+        frames = model.tangent_frames(bases, primaries)
+        for i, (x, v) in enumerate(zip(bases, primaries)):
+            assert frames[i].tobytes() == _scalar_frame(model, x, v).tobytes(), i
 
 
 DIST_MODELS = [Euclidean(2), Euclidean(3), Sphere(2, 1.0), Sphere(3, 4.0), Hyperbolic(2, -1.0), Hyperbolic(3, -0.3)]
@@ -741,3 +752,34 @@ def test_corner_cosines_of_an_array_give_the_bits_of_the_scalar_law(model):
             )
         assert repr(float(value)) == repr(float(expected)), t
         assert repr(float(model.corner_cosine(R, r, t))) == repr(float(expected)), t
+
+
+EXP_MODELS = [Sphere(2, 1.0), Sphere(3, 4.0), Hyperbolic(2, -1.0), Hyperbolic(3, -0.3)]
+
+
+@pytest.mark.parametrize("model", EXP_MODELS, ids=lambda m: m.describe())
+def test_exp_rows_give_the_bits_of_the_one_row_exp(model):
+    rng = np.random.default_rng(model.ambient_dim + 24)
+    bases = np.array([_random_point(model, rng, spread=1.5).coords for _ in range(60)])
+    bases[0] = model.basepoint().coords
+    bases[0, 1] = -0.0
+    scales = rng.uniform(0.1, 2.0, size=len(bases))
+    tangents = np.array(
+        [_random_tangent(model, ManifoldPoint(x), rng, a).components for x, a in zip(bases, scales)]
+    )
+    zero = np.zeros(len(bases), dtype=bool)
+    zero[::3] = True
+    tangents[zero] = 0.0
+    tangents[3] = -0.0
+    # squares that underflow: a nonzero tangent of norm 0 maps to its base
+    tangents[6] = 1e-200 * model.project_tangent(bases[6], np.ones(model.ambient_dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = model.exp_pairs(bases, tangents)
+        many = model.exp_many(bases[0], tangents)
+    for i, (x, v) in enumerate(zip(bases, tangents)):
+        assert block[i].tobytes() == model.exp_pairs(x, v[None])[0].tobytes(), i
+        assert many[i].tobytes() == model.exp_pairs(bases[0], v[None])[0].tobytes(), i
+    assert block[zero].tobytes() == bases[zero].tobytes()
+    assert many[zero].tobytes() == np.tile(bases[0], (zero.sum(), 1)).tobytes()
+    assert np.signbit(block[0, 1]) and np.signbit(many[3, 1])

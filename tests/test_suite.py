@@ -6,19 +6,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from geolens import Euclidean, Hyperbolic, Sphere
+from geolens import Euclidean, Hyperbolic, RevolutionProfile, Sphere, SurfaceOfRevolution
 from geolens import lens as lens_module
 from geolens import suite as suite_module
 from geolens.config import ManifoldSpec, RunConfig
 from geolens.errors import ConfigError, DefectError
+from geolens.lens import BallPair
 from geolens.suite import (
     CLAIM_REGISTRY,
     REPORT_ONLY,
-    _concentric_cloud,
+    _concentric_limit,
     run_counterexample,
     run_speculation_probe,
     run_verification_suite,
 )
+from lens_clouds import concentric_cloud
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +304,76 @@ def test_concentric_cloud_has_the_bits_of_the_per_ring_cloud(model):
     center = model.basepoint().coords
     frame = model.tangent_basis(center)
     for radius in (0.48, 0.552, 0.9):
-        cloud = _concentric_cloud(model, center, frame, radius)
+        cloud = concentric_cloud(model, center, frame, radius)
         reference = _per_ring_concentric_cloud(model, center, frame, radius)
         assert cloud.tobytes() == reference.tobytes()
+
+
+# -- the monotone claim on the bounding circles ---------------------------------
+# monotone_set_limits reads each ball on its bounding circle; the reference
+# reads each ball over its whole polar cloud, the centre and all 16 rings
+
+
+def _full_cloud_limit(manifold, center, frame, r):
+    """The claim's margin and final gap over the full polar clouds."""
+    l_base = 0.8 * r
+    radii = [l_base + 0.12 * r / (2**k) for k in range(5)]
+    clouds = [concentric_cloud(manifold, center, frame, radius) for radius in radii]
+    gaps = [max(0.0, float(np.max(manifold.dist_many(center, c))) - l_base) for c in clouds]
+    return float(1e-2 * max(1.0, r) - gaps[-1]), gaps[-1]
+
+
+class _RowCounter:
+    """A model whose ``exp_many`` and ``dist_many`` calls record their rows."""
+
+    def __init__(self, model):
+        self.model, self.exp_rows, self.dist_rows = model, [], []
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def exp_many(self, base, tangents):
+        self.exp_rows.append(len(tangents))
+        return self.model.exp_many(base, tangents)
+
+    def dist_many(self, x, points):
+        self.dist_rows.append(len(points))
+        return self.model.dist_many(x, points)
+
+
+MONOTONE_PAIRS = [
+    (Euclidean(2), 2.0, 1.0),
+    (Sphere(2, 1.0), 1.2, 0.6),
+    (Sphere(2, 1.0), 1.0, 1.0),
+    (Sphere(3, 4.0), 0.6, 0.3),
+    (Hyperbolic(2, -1.0), 2.0, 1.0),
+    (Hyperbolic(3, -0.3), 2.0, 1.0),
+    (SurfaceOfRevolution(RevolutionProfile.cosine_bump()), 0.05, 0.03),
+]
+
+
+@pytest.mark.parametrize(
+    "model, R, r", MONOTONE_PAIRS, ids=[f"{m.describe()}-{R}-{r}" for m, R, r in MONOTONE_PAIRS]
+)
+def test_monotone_claim_has_the_bits_of_the_full_clouds(model, R, r):
+    bp = BallPair.create(model, R, r, convexity_bound=math.inf)
+    center, frame = bp.center_big(), bp.frame_big()
+    counter = _RowCounter(model)
+    margin, gap = _concentric_limit(counter, center, frame, r)
+    ref_margin, ref_gap = _full_cloud_limit(model, center, frame, r)
+    assert (repr(margin), repr(gap)) == (repr(ref_margin), repr(ref_gap))
+    assert f"{gap:.4g}" == f"{ref_gap:.4g}"  # the note
+    # five balls of 64 circle points, in one call each
+    assert (counter.exp_rows, counter.dist_rows) == ([5 * 64], [5 * 64])
+
+
+def test_suite_monotone_entry_is_the_full_cloud_reading(euclid_report):
+    cfg, report = euclid_report
+    entry = next(e for e in report.entries if e.claim_id == "monotone_set_limits")
+    model = cfg.manifold.build()
+    for R, r in cfg.all_pairs():
+        bp = BallPair.create(model, R, r)
+        margin, gap = _full_cloud_limit(model, bp.center_big(), bp.frame_big(), r)
+        key = f"R={R:g},r={r:g}"
+        assert repr(entry.data[key]) == repr(margin)
+        assert f"{key}: final Hausdorff gap {gap:.4g}" in entry.summary
