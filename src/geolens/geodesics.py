@@ -131,7 +131,7 @@ class JacobiSolution:
 
 
 def integrate_jacobi(
-    manifold: Manifold, length: float, step: float | None = None
+    manifold: Manifold, length: float, step: float | None = None, _of=()
 ) -> JacobiSolution:
     """Integrate j'' + K j = 0 over [0, length] with j(0)=0, j'(0)=1, in
     equal steps of at most ``step`` (default: the model's), on a
@@ -144,6 +144,12 @@ def integrate_jacobi(
     order, and so gives its bits.  A model without closed forms raises
     ``ValueError``: its curvature varies along each geodesic, and its radii
     scans integrate the joint system in ``radii._first_zeros_batch``.
+
+    ``_of`` names the zeros a radii scan reads, "value" (j) and
+    "derivative" (j'), as in :meth:`JacobiSolution.first_zero`.  The grid
+    stays that of ``length``, but the solution ends one step after each
+    named zero's step: the first sign change, or an exact zero at t > 0.
+    Its first zeros are those of the whole integration.
     """
     if not manifold.closed_form:
         raise ValueError(f"{manifold.describe()} has no constant curvature to integrate with")
@@ -155,6 +161,9 @@ def integrate_jacobi(
     j, jp = 0.0, 1.0
     js, jps = np.empty(n + 1), np.empty(n + 1)
     js[0], jps[0] = j, jp
+    # the zeros still to bracket; the start j(0) = 0 is no zero
+    watch_j, watch_jp = "value" in _of, "derivative" in _of
+    stop, last = False, n  # last: the last grid index of the solution
     for i in range(1, n + 1):
         # the stages of rk4_step: j' at the substeps (jp, p2, p3, p4) for j,
         # and -K j there (q1 to q4) for j'
@@ -165,11 +174,22 @@ def integrate_jacobi(
         q3 = mk * (j + a * p2)
         p4 = jp + h * q3
         q4 = mk * (j + h * p3)
-        j = j + b * (jp + 2.0 * p2 + 2.0 * p3 + p4)
-        jp = jp + b * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-        js[i], jps[i] = j, jp
-    ts = np.linspace(0.0, length, n + 1)
-    return JacobiSolution(ts, js, jps, np.full(n + 1, k))
+        j_next = j + b * (jp + 2.0 * p2 + 2.0 * p3 + p4)
+        jp_next = jp + b * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        js[i], jps[i] = j_next, jp_next
+        # a product <= 0 is rare: only then is the bracket test made
+        if watch_j and j * j_next <= 0.0 and (j * j_next < 0.0 or (j == 0.0 and i > 1)):
+            watch_j = False
+            stop = not watch_jp
+        if watch_jp and jp * jp_next <= 0.0 and (jp * jp_next < 0.0 or (jp == 0.0 and i > 1)):
+            watch_jp = False
+            stop = not watch_j
+        if stop:
+            last = i
+            break
+        j, jp = j_next, jp_next
+    ts = np.linspace(0.0, length, n + 1)[: last + 1]
+    return JacobiSolution(ts, js[: last + 1], jps[: last + 1], np.full(last + 1, k))
 
 
 class GeodesicLine:

@@ -57,10 +57,11 @@ its fill radius, plus the candidates on them.  Everything but a lens's
 tangent frame depends on (R, r, budget, seed) alone, so the clouds of many
 separations come from one grid pass (``_sample_lenses``): the big arc about
 gamma(0) is built once, the small circles of every lens go through one
-``exp_pairs`` about their small centres, and the candidates are one
-``_candidates_at``; a single cloud (``sample_intersection``) is the one-row
-case, with the same bits on every model (the surface integrates each row
-of a batch in its own steps).  A cloud holds every admissible candidate, so
+``exp_pairs`` about their small centres, and the candidates' margins and
+both circles' rejections are one ``dist_pairs`` (on the surface, one Newton
+loop); a single cloud (``sample_intersection``) is the one-row case, with
+the same bits on every model (the surface integrates each row of a batch
+in its own steps).  A cloud holds every admissible candidate, so
 its farthest pair is never below one.  The width is that pair, which a
 projected geodesic ascent polishes: each witness moves along the distance
 gradient and is retracted into whichever ball it violates.  The sampled
@@ -253,7 +254,19 @@ class _Candidates:
 def _candidates_at(bp: BallPair, ts, chords: bool = True, chord_dirs=None) -> _Candidates:
     """The candidates of every separation of ``ts`` in one pass, with the
     bits of a lens-by-lens evaluation (each row's values do not depend on
-    the others):
+    the others): the points of :func:`_candidate_points`, scored from one
+    ``dist_many`` about gamma(0) and one ``dist_pairs`` against each row's
+    small centre."""
+    cands = _candidate_points(bp, ts, chords, chord_dirs)
+    _, ends, present, centres, _ = cands
+    owners, slot = np.nonzero(present)
+    m, x = bp.manifold, ends[owners, slot]
+    return _scored(bp, cands, m.dist_many(bp.center_big(), x), m.dist_pairs(centres[owners], x))
+
+
+def _candidate_points(bp: BallPair, ts, chords: bool = True, chord_dirs=None):
+    """(ts, ends, present, small centres, touching) of the candidates of
+    :func:`_candidates_at`, before their distances:
 
     * the axis ends, the small centres, their velocities and the contact
       point gamma(R) from one evaluation of the line;
@@ -261,9 +274,7 @@ def _candidates_at(bp: BallPair, ts, chords: bool = True, chord_dirs=None) -> _C
     * with ``chords``, the chord ends through one ``exp_pairs`` about the
       small centres, along ``chord_dirs`` (an (n, ambient_dim) block; by
       default the second vector of each centre's tangent frame, all from
-      one ``tangent_frames``);
-    * the margins from one ``dist_many`` about gamma(0) and one
-      ``dist_pairs`` against each row's small centre.
+      one ``tangent_frames``).
 
     At a touching separation the contact point stands alone in the axis
     and corner slots.
@@ -290,15 +301,20 @@ def _candidates_at(bp: BallPair, ts, chords: bool = True, chord_dirs=None) -> _C
     touching = R + r - ts < 1e-12 * (R + r)
     ends[touching, 0] = on_line[-1]
     present[touching, 1 : _CHORD.start] = False
+    return ts, ends, present, centres, touching
+
+
+def _scored(bp: BallPair, cands, d_big, d_small) -> _Candidates:
+    """The candidates of the :func:`_candidate_points` tuple ``cands``,
+    given the distances of the present ends, in ``np.nonzero(present)``
+    order, to gamma(0) and to their small centres."""
+    ts, ends, present, _, touching = cands
     owners, slot = np.nonzero(present)
-    points = ends[owners, slot]
-    d_big = np.full((n, _SLOTS), np.nan)
-    d_big[owners, slot] = m.dist_many(bp.center_big(), points)
-    margins = np.full((n, _SLOTS), -np.inf)
-    margins[owners, slot] = np.minimum(
-        R - d_big[owners, slot], r - m.dist_pairs(centres[owners], points)
-    )
-    return _Candidates(ts, ends, present, margins, d_big, touching)
+    full_d_big = np.full(present.shape, np.nan)
+    full_d_big[owners, slot] = d_big
+    margins = np.full(present.shape, -np.inf)
+    margins[owners, slot] = np.minimum(bp.R - d_big, bp.r - d_small)
+    return _Candidates(ts, ends, present, margins, full_d_big, touching)
 
 
 def _chords_at(bp: BallPair, centres, dirs) -> np.ndarray:
@@ -457,10 +473,13 @@ def _sample_lenses(bp: BallPair, ts, budget: int, seed: int) -> list[PointCloud]
     on (R, r, budget, seed): the two phases, the angles of the small circle
     and the whole big circle.  So the big circle is built once; the small
     circles of the lenses go through one ``exp_pairs`` about their small
-    centres, rejected against the big ball by one ``dist_many``; one
-    ``dist_pairs`` rejects the big circle against each small ball; and the
-    candidates are one :func:`_candidates_at` along each lens's frame.  A
-    circle point is tested against the other ball only: it lies on its own.
+    centres; the candidates are :func:`_candidate_points` along each lens's
+    frame; and one ``dist_pairs`` gives the candidates' distances to both
+    centres, the small circles' to gamma(0) (their rejection against the
+    big ball) and the big circle's to each small centre (its rejection
+    against each small ball), so the surface shoots them all in one Newton
+    loop.  A circle point is tested against the other ball only: it lies
+    on its own.
     A touching row is the contact point alone, with fill 0.  Lenses go in
     steps of at most ``_SAMPLE_ROWS`` rows.
     """
@@ -506,17 +525,33 @@ def _lens_points(bp: BallPair, ts, small_plan, arc):
     n, d = len(ts), m.ambient_dim
     centres, velocity = bp.line.states_many(ts)
     frames = m.tangent_frames(centres, velocity)
-    c = _candidates_at(bp, ts, chord_dirs=frames[:, 1])
+    cands = _candidate_points(bp, ts, chord_dirs=frames[:, 1])
+    _, ends, present, owner_centres, _ = cands
     vecs = _circle_vectors(frames, *small_plan)
     size = vecs.shape[1]
     small = m.exp_pairs(np.repeat(centres, size, axis=0), vecs.reshape(-1, d))
     small_owner = np.repeat(np.arange(n), size)
-    # the small circles rejected against the big ball, the big circle
-    # against each small ball; the candidates keep their own margins
-    inner = m.dist_many(bp.center_big(), small) <= R + 1e-12
     arcs = np.tile(arc, (n, 1))
     arc_owner = np.repeat(np.arange(n), len(arc))
-    outer = m.dist_pairs(centres[arc_owner], arcs) <= r + 1e-12
+    # one dist_pairs: the candidates' distances to both centres, the small
+    # circles' to the big centre (their rejection against the big ball) and
+    # the big circle's to each small centre (against each small ball)
+    cand_owner, slot = np.nonzero(present)
+    x = ends[cand_owner, slot]
+    big = bp.center_big()
+    sources = np.concatenate([
+        np.broadcast_to(big, x.shape),
+        owner_centres[cand_owner],
+        np.broadcast_to(big, small.shape),
+        centres[arc_owner],
+    ])
+    targets = np.concatenate([x, x, small, arcs])
+    d_big, d_small, d_inner, d_outer = np.split(
+        m.dist_pairs(sources, targets), np.cumsum([len(x), len(x), len(small)])
+    )
+    c = _scored(bp, cands, d_big, d_small)
+    inner = d_inner <= R + 1e-12
+    outer = d_outer <= r + 1e-12
     near, near_owner = _far_points(c)
     chord_owner, chord_slot = np.nonzero(c.margins[:, _CHORD] >= -BOUNDARY_TOL)
     chord_slot += _CHORD.start

@@ -205,11 +205,12 @@ class Manifold(ABC):
     def geodesic_acceleration(self, pos, vel) -> np.ndarray:
         """Right-hand side of the geodesic equation in chart coordinates."""
 
-    def geodesic_rhs(self, state) -> np.ndarray:
+    def geodesic_rhs(self, state, out=None) -> np.ndarray:
         """The geodesic equation as a first-order system, on a state
-        (..., 2 * ambient_dim) of positions followed by velocities."""
+        (..., 2 * ambient_dim) of positions followed by velocities, written
+        into ``out`` (a new array if None)."""
         d = self.ambient_dim
-        out = np.empty_like(state)
+        out = np.empty_like(state) if out is None else out
         out[..., :d] = state[..., d:]
         out[..., d:] = self.geodesic_acceleration(state[..., :d], state[..., d:])
         return out
@@ -726,6 +727,13 @@ class SurfaceOfRevolution(Manifold):
     exponentials, line points or shots, integrates each row in the row's own
     ``_n_steps`` (:func:`geolens._ode.rk4_rows`): a row has the same bits
     whichever batch it is in.
+
+    :meth:`jacobi_rhs` follows NumPy's ``out=`` convention: it writes the
+    derivative into a given array, one component at a time with ``out=``
+    ufuncs, so the RK4 loops step their blocks through reused buffers
+    (:meth:`geodesic_rhs` takes ``out=`` too).  The radii scan keeps its
+    (rows, 6) block in Fortran order, so each component is one contiguous
+    run; the values do not depend on the layout or the buffer.
     """
 
     kind = "surface_of_revolution"
@@ -768,9 +776,13 @@ class SurfaceOfRevolution(Manifold):
     @staticmethod
     def _acceleration(out, f, fp, du, dv):
         """Write the geodesic acceleration (u'', v'') of velocity (du, dv),
-        from f and f' at u, into the last axis of ``out``."""
-        out[..., 0] = f * fp * dv * dv
-        out[..., 1] = -2.0 * (fp / f) * du * dv
+        from f and f' at u, into the last axis of ``out``: f f' dv dv and
+        -2 (f'/f) du dv, each left to right with ``out=`` ufuncs."""
+        a = out[..., 0]
+        np.multiply(np.multiply(np.multiply(f, fp, out=a), dv, out=a), dv, out=a)
+        a = out[..., 1]
+        np.multiply(np.divide(fp, f, out=a), -2.0, out=a)
+        np.multiply(np.multiply(a, du, out=a), dv, out=a)
 
     def geodesic_acceleration(self, pos, vel):
         pos = np.asarray(pos, dtype=np.float64)
@@ -780,22 +792,25 @@ class SurfaceOfRevolution(Manifold):
         self._acceleration(acc, f, fp, vel[..., 0], vel[..., 1])
         return acc
 
-    def jacobi_rhs(self, state):
+    def jacobi_rhs(self, state, out=None):
         """The geodesic equation joined with the scalar Jacobi equation
         j'' = -K j, on a state (..., 6) of u, v, du, dv, j, j'.
 
         One profile jet at u gives both the geodesic acceleration and the
         Gauss curvature K = -f''/f, so j'' is written (f''/f) j.  u is
         clamped to the profile's domain, which leaves rows inside it
-        unchanged; rows that leave it are the caller's to detect.
+        unchanged; rows that leave it are the caller's to detect.  The
+        derivative goes into ``out`` (a new array of the state's layout if
+        None), one component at a time, with the bits of a new array.
         """
         p = self.profile
         f, fp, fpp = p.jet(np.minimum(np.maximum(state[..., 0], p.u_min), p.u_max))
-        out = np.empty_like(state)
+        out = np.empty_like(state) if out is None else out
         out[..., :2] = state[..., 2:4]
         self._acceleration(out[..., 2:4], f, fp, state[..., 2], state[..., 3])
         out[..., 4] = state[..., 5]
-        out[..., 5] = fpp / f * state[..., 4]
+        jpp = out[..., 5]
+        np.multiply(np.divide(fpp, f, out=jpp), state[..., 4], out=jpp)
         return out
 
     def _n_steps(self, span):

@@ -155,6 +155,15 @@ def _first_zeros_batch(
     length t: any later zero or exit would be capped to ``cap`` as well.
     Otherwise it runs on as without ``cap``.
 
+    The state is one (rows, 6) block in Fortran order, component-contiguous:
+    each ``state[:, k]`` that :meth:`jacobi_rhs` reads and writes is one
+    contiguous run, and the block keeps the (..., 6) layout of every other
+    caller.  Each step goes through :func:`rk4_step` with ``out=`` and
+    ``work=``: the new state lands in a second block and the stages in
+    three more, which every step reuses, in the operations of the
+    allocating step.  The blocks swap roles after a step and are allocated
+    anew only when rows leave.
+
     Most steps change nothing but the state: every new u is inside
     [u_min, u_max] and no searched column of a live row crosses or touches
     zero (one ``min``/``max`` each, which a nan fails).  Only the other
@@ -178,7 +187,7 @@ def _first_zeros_batch(
     state[..., 2] = np.cos(angles)
     state[..., 3] = np.sin(angles) / np.asarray(profile.f(base[:, 0]))[:, None]
     state[..., 5] = 1.0
-    state = state.reshape(-1, 6)
+    state = np.asfortranarray(state.reshape(-1, 6))
 
     # the searched columns first:last of the zeros (j, j')
     first = 0 if "value" in _of else 1
@@ -193,18 +202,19 @@ def _first_zeros_batch(
     brackets = []
     # the step at whose start the capped search may be decided (n: never)
     decide = n if cap is None else int(np.searchsorted(ts, cap))
+    new, *work = (np.empty_like(state) for _ in range(4))
     for i in range(n):
         if not len(live):
             break
         if i == decide and len(live) == len(zeros) and np.isnan(zeros).all():
             valid_length[:] = ts[i]
             break
-        new = rk4_step(manifold.jacobi_rhs, state, h)
+        rk4_step(manifold.jacobi_rhs, state, h, out=new, work=work)
         u = new[:, 0]
         before, after = state[:, searched], new[:, searched]
         product = before * after
         if u.min() >= profile.u_min and u.max() <= profile.u_max and product.min() > 0:
-            state = new
+            state, new = new, state
             continue
         exited = (u < profile.u_min) | (u > profile.u_max)
         valid_length[live[exited]] = ts[i]
@@ -223,7 +233,12 @@ def _first_zeros_batch(
             found[rows, cols] = np.inf  # placed after the loop
         zeros[live, first:last] = found
         keep = ~exited & np.isnan(found).any(axis=1)
-        live, state = live[keep], new[keep]
+        if keep.all():
+            state, new = new, state
+        else:
+            # rows left: the buffers shrink to the rows still live
+            live, state = live[keep], np.asfortranarray(new[keep])
+            new, *work = (np.empty_like(state) for _ in range(4))
     if brackets:
         steps, rows, cols, v0, v1, d0, d1 = (np.concatenate(part) for part in zip(*brackets))
         zeros[rows, cols] = hermite_zero(ts[steps], ts[steps + 1], v0, v1, d0, d1)
@@ -245,13 +260,14 @@ def _jacobi_zeros(manifold, directions, horizon, of, cap=None) -> tuple[RadiusVa
     """The first zeros named by ``of`` ("value": j, "derivative": j'), with
     j(0)=0 and j'(0)=1, each minimized over sampled directions from the
     model's base point; one Jacobi integration serves them all.  ``cap`` is
-    that of :func:`_first_zeros_batch`; the closed-form scan ignores it."""
+    that of :func:`_first_zeros_batch`; the closed-form scan ignores it,
+    and its integration ends one step after the last zero it reads."""
     if directions < 1:
         raise ValueError("directions must be >= 1")
     horizon = horizon if horizon is not None else manifold.horizon
     if manifold.closed_form:
         # constant curvature: the scalar equation is direction-independent
-        solution = integrate_jacobi(manifold, horizon)
+        solution = integrate_jacobi(manifold, horizon, _of=of)
         zeros = [solution.first_zero(of=name) for name in of]
         return tuple(
             RadiusValue(horizon, NUMERIC, lower_bound_only=True)

@@ -179,9 +179,9 @@ def test_configured_step_reaches_the_line_and_the_jacobi_integration(monkeypatch
     steps = []
     rk4_step = ode_module.rk4_step
 
-    def spy(rhs, y, h):
+    def spy(rhs, y, h, **buffers):
         steps.append(np.max(np.abs(h)))
-        return rk4_step(rhs, y, h)
+        return rk4_step(rhs, y, h, **buffers)
 
     monkeypatch.setattr(ode_module, "rk4_step", spy)
     bp = BallPair.create(surface, 0.3, 0.2, convexity_bound=0.5)

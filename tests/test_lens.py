@@ -329,6 +329,72 @@ def test_surface_sample_pass_takes_the_lenses_in_one_step(monkeypatch):
         assert cloud.fill_radius == one.fill_radius
 
 
+def _four_query_lens_points(bp, ts, small_plan, arc):
+    """``lens._lens_points`` with its distances as four queries, one Newton
+    loop each on the surface: the candidates' two (``_candidates_at``), the
+    small circles' ``dist_many`` about gamma(0) and the big circle's
+    ``dist_pairs`` against the small centres."""
+    m, R, r = bp.manifold, bp.R, bp.r
+    n, d = len(ts), m.ambient_dim
+    centres, velocity = bp.line.states_many(ts)
+    frames = m.tangent_frames(centres, velocity)
+    c = lens_module._candidates_at(bp, ts, chord_dirs=frames[:, 1])
+    vecs = lens_module._circle_vectors(frames, *small_plan)
+    small = m.exp_pairs(np.repeat(centres, vecs.shape[1], axis=0), vecs.reshape(-1, d))
+    small_owner = np.repeat(np.arange(n), vecs.shape[1])
+    inner = m.dist_many(bp.center_big(), small) <= R + 1e-12
+    arcs = np.tile(arc, (n, 1))
+    arc_owner = np.repeat(np.arange(n), len(arc))
+    outer = m.dist_pairs(centres[arc_owner], arcs) <= r + 1e-12
+    near, near_owner = lens_module._far_points(c)
+    chord_owner, chord_slot = np.nonzero(c.margins[:, 4:6] >= -BOUNDARY_TOL)
+    owners = np.concatenate([near_owner, small_owner[inner], arc_owner[outer], chord_owner])
+    points = np.concatenate([near, small[inner], arcs[outer], c.ends[chord_owner, chord_slot + 4]])
+    order = np.argsort(owners, kind="stable")
+    return np.split(points[order], np.cumsum(np.bincount(owners, minlength=n))[:-1])
+
+
+def _counted_shots(monkeypatch):
+    """The row counts of every ``SurfaceOfRevolution._shoot`` call, as they
+    are made."""
+    shots = []
+    shoot = SurfaceOfRevolution._shoot
+
+    def spy(self, p, q):
+        shots.append(len(p))
+        return shoot(self, p, q)
+
+    monkeypatch.setattr(SurfaceOfRevolution, "_shoot", spy)
+    return shots
+
+
+def test_surface_sample_shoots_in_one_newton_loop(monkeypatch):
+    # the candidates' margins and both circle rejections are one dist_pairs,
+    # so one lockstep Newton loop; four separate queries take four
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    bp = BallPair.create(surface, 0.05, 0.03, t=0.04, convexity_bound=0.5)
+    shots = _counted_shots(monkeypatch)
+    merged = sample_intersection(bp, 16, 1)
+    assert shots == [6 + 6 + 64 + 64]
+    shots.clear()
+    monkeypatch.setattr(lens_module, "_lens_points", _four_query_lens_points)
+    separate = sample_intersection(bp, 16, 1)
+    assert shots == [6, 6, 64, 64]
+    assert merged.points.tobytes() == separate.points.tobytes()
+
+
+def test_surface_sample_batch_gives_the_bits_of_four_queries(monkeypatch):
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    bp = BallPair.create(surface, 0.05, 0.03, convexity_bound=0.5)
+    cases = [(seed, t) for seed in (1, 3, 7) for t in (0.0, 0.02, 0.04, 0.07)]
+    merged = [sample_intersection(bp.with_separation(t), 16, seed) for seed, t in cases]
+    monkeypatch.setattr(lens_module, "_lens_points", _four_query_lens_points)
+    for (seed, t), cloud in zip(cases, merged):
+        separate = sample_intersection(bp.with_separation(t), 16, seed)
+        assert cloud.points.tobytes() == separate.points.tobytes(), (seed, t)
+        assert cloud.fill_radius == separate.fill_radius
+
+
 def test_surface_pair_whose_line_leaves_the_chart_fails_at_creation():
     # on the bump (|u| <= 0.6) the line along the meridian reaches
     # u = R + r > 0.6: the pair fails when built, not mid-run

@@ -15,6 +15,7 @@ from geolens import (
     Sphere,
     SurfaceOfRevolution,
 )
+from geolens import _ode
 from geolens import manifolds as manifolds_module
 from geolens.errors import ChartError, InjectivityError, OffManifoldError, ShootingError
 from geolens.manifolds import ManifoldPoint, TangentVector
@@ -579,6 +580,46 @@ def test_fused_jacobi_rhs_gives_the_bits_of_the_separate_formulas(kind):
     for block in (state, state[:1], state[11], state.reshape(8, 8, 6)):
         expected = _jacobi_rhs_oracle(surface, block)
         assert surface.jacobi_rhs(block).tobytes() == expected.tobytes()
+    # the radii scan's layout: a Fortran-ordered block, written into a
+    # reused buffer, gives the bytes of the C-ordered call
+    expected = surface.jacobi_rhs(state).tobytes()
+    block = np.asfortranarray(state)
+    out = np.full_like(block, np.inf)
+    for _ in range(2):
+        assert surface.jacobi_rhs(block, out=out) is out
+        assert np.ascontiguousarray(out).tobytes() == expected
+    assert np.ascontiguousarray(surface.jacobi_rhs(block)).tobytes() == expected
+    assert surface.jacobi_rhs(block).flags.f_contiguous
+
+
+def _rk4_formula(rhs, y, h):
+    """The classical RK4 step as written in the textbook, one new array per
+    operation."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_rk4_step_in_buffers_gives_the_bits_of_the_formula():
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    rng = np.random.default_rng(3)
+    state = rng.normal(scale=0.2, size=(40, 6))
+    expected = _rk4_formula(surface.jacobi_rhs, state, 0.01).tobytes()
+    assert _ode.rk4_step(surface.jacobi_rhs, state, 0.01).tobytes() == expected
+    # the radii scan: a Fortran-ordered block into reused buffers
+    block = np.asfortranarray(state)
+    out, *work = (np.empty_like(block) for _ in range(4))
+    for _ in range(2):
+        _ode.rk4_step(surface.jacobi_rhs, block, 0.01, out=out, work=work)
+        assert np.ascontiguousarray(out).tobytes() == expected
+    # rk4_rows: a column of steps, the state stepped in place
+    h = rng.uniform(1e-3, 1e-2, size=(40, 1))
+    y = state[:, :4].copy()
+    expected = _rk4_formula(surface.geodesic_rhs, y, h).tobytes()
+    _ode.rk4_step(surface.geodesic_rhs, y, h, out=y, work=[np.empty_like(y) for _ in range(3)])
+    assert y.tobytes() == expected
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])

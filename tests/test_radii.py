@@ -233,13 +233,60 @@ def test_zeros_of_all_base_points_match_one_base_point_at_a_time(base_points):
     assert np.any(~np.isnan(j_zero)) and np.any(~np.isnan(jp_zero))
 
 
+def test_back_to_back_scans_each_give_the_bits_they_give_alone():
+    # the scan steps in buffers it allocates per call: nothing of one scan
+    # reaches the next
+    sor = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    bases = np.column_stack([[-0.3, 0.0, 0.3], np.zeros(3)])
+    wide = bases, np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False), 16.0
+    narrow = bases[1], np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False), 16.0
+
+    def scan(case, cap=None):
+        base, angles, horizon = case
+        return b"".join(a.tobytes() for a in _first_zeros_batch(sor, base, angles, horizon, cap=cap))
+
+    alone_wide = scan(wide)
+    alone_narrow = scan(narrow, cap=0.5)
+    assert scan(wide) == alone_wide
+    assert scan(narrow, cap=0.5) == alone_narrow
+    assert scan(narrow, cap=0.5) == alone_narrow
+    assert scan(wide) == alone_wide
+
+
+@pytest.mark.parametrize(
+    "of,steps", [(("value", "derivative"), 1572), (("derivative",), 786)]
+)
+def test_closed_form_scan_stops_one_step_past_its_zeros(of, steps, monkeypatch):
+    # on Sphere(2, 1) the horizon 1.25 pi takes 1964 steps; the conjugate
+    # zero pi is bracketed at step 1571 and the focal zero pi/2 at 785
+    sphere = Sphere(2, 1.0)
+    full = integrate_jacobi(sphere, sphere.horizon)
+    assert len(full.ts) == 1965
+    solutions = []
+
+    def spy(*args, **kwargs):
+        solutions.append(integrate_jacobi(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(radii_module, "integrate_jacobi", spy)
+    radii = radii_module._jacobi_zeros(sphere, 1, None, of)
+    [solution] = solutions
+    assert len(solution.ts) - 1 == steps
+    for name in ("ts", "j", "jp", "curvature"):
+        assert getattr(solution, name).tobytes() == getattr(full, name)[: steps + 1].tobytes()
+    expected = {"value": "3.1415926535902106", "derivative": "1.5707963267951057"}
+    for name, radius in zip(of, radii):
+        assert repr(radius.value) == expected[name] == repr(full.first_zero(name))
+        assert not radius.lower_bound_only
+
+
 def test_configured_step_reaches_the_batched_radii_scan(monkeypatch):
     steps = []
     rk4_step = radii_module.rk4_step
 
-    def spy(rhs, y, h):
+    def spy(rhs, y, h, **buffers):
         steps.append(h)
-        return rk4_step(rhs, y, h)
+        return rk4_step(rhs, y, h, **buffers)
 
     monkeypatch.setattr(radii_module, "rk4_step", spy)
     surface = ManifoldSpec(kind="surface_of_revolution", step=1e-3).build()
@@ -351,9 +398,9 @@ def test_the_focal_scan_stops_at_its_zeros(monkeypatch):
     steps = []
     rk4_step = radii_module.rk4_step
 
-    def spy(rhs, y, h):
+    def spy(rhs, y, h, **buffers):
         steps.append(len(y))
-        return rk4_step(rhs, y, h)
+        return rk4_step(rhs, y, h, **buffers)
 
     monkeypatch.setattr(radii_module, "rk4_step", spy)
     surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
@@ -404,9 +451,9 @@ def test_convexity_bound_scan_stops_once_decided(name, monkeypatch):
     steps = []
     rk4_step = radii_module.rk4_step
 
-    def spy(rhs, y, h):
+    def spy(rhs, y, h, **buffers):
         steps.append(len(y))
-        return rk4_step(rhs, y, h)
+        return rk4_step(rhs, y, h, **buffers)
 
     monkeypatch.setattr(radii_module, "rk4_step", spy)
     _surface_convexity_bound.__wrapped__(spec)
