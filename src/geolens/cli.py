@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: profile, verify, radii, counterexample, speculate.
+Subcommands: profile, verify, radii.  ``verify`` runs every claim, the
+report-only probes among them; with ``--expect-counterexample`` it runs the
+large-ball sphere scenario instead.
 Exit codes: 0 success, 1 claim failure, 2 configuration error.
 """
 
@@ -14,7 +16,7 @@ from geolens.config import RunConfig, atomic_write, convexity_bound_for, load_co
 from geolens.errors import ConfigError, GeolensError
 from geolens.lens import BallPair, w_profile
 from geolens.radii import radii_report
-from geolens.suite import run_counterexample, run_speculation_probe, run_verification_suite
+from geolens.suite import run_counterexample, run_verification_suite
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
@@ -31,8 +33,6 @@ def _build_parser():
         ("profile", "sample the overlap width profile and write it as CSV"),
         ("verify", "run the verification suite (exit 1 on claim failure)"),
         ("radii", "print the radii report of the configured manifold"),
-        ("counterexample", "run the large-ball sphere scenario"),
-        ("speculate", "run the report-only regularity probes"),
     ]:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="path to the INI run configuration")
@@ -43,7 +43,8 @@ def _build_parser():
         p.add_argument(
             "--expect-counterexample",
             action="store_true",
-            help="admit radii at or beyond the convexity radius",
+            help="admit radii at or beyond the convexity radius; verify then "
+            "runs the large-ball sphere scenario",
         )
     return parser
 
@@ -54,7 +55,7 @@ def _resolve(args) -> RunConfig:
         for key in ("seed", "grid", "budget", "out")
         if getattr(args, key) is not None
     }
-    if args.expect_counterexample or args.command == "counterexample":
+    if args.expect_counterexample:
         overrides["expect_counterexample"] = True
     return load_config(args.config, overrides)
 
@@ -110,18 +111,6 @@ def _cmd_radii(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_counterexample(config: RunConfig) -> int:
-    report = run_counterexample(config)
-    print(report.to_text())
-    return EXIT_OK if report.passed else EXIT_CLAIM_FAILURE
-
-
-def _cmd_speculate(config: RunConfig) -> int:
-    report = run_speculation_probe(config)
-    print(report.to_text())
-    return EXIT_OK
-
-
 def _write_records(path, report) -> None:
     lines = ["claim,status,margin,summary"]
     for rec in report.to_records():
@@ -142,8 +131,6 @@ def main(argv=None) -> int:
             "profile": _cmd_profile,
             "verify": _cmd_verify,
             "radii": _cmd_radii,
-            "counterexample": _cmd_counterexample,
-            "speculate": _cmd_speculate,
         }[args.command]
         return handler(config)
     except ConfigError as exc:

@@ -130,14 +130,6 @@ class RunConfig:
     out: str | None = None
     expect_counterexample: bool = False
 
-    @property
-    def R(self) -> float:
-        return self.pairs[0][0]
-
-    @property
-    def r(self) -> float:
-        return self.pairs[0][1]
-
     def all_pairs(self):
         return self.pairs
 

@@ -176,8 +176,12 @@ class BallPair:
             object.__setattr__(self, name, value)
         return value
 
+    def _start(self) -> TangentVector:
+        """gamma'(0) at gamma(0), from one evaluation of the line."""
+        return self._memo("_start_velocity", lambda: self.line.velocity_at(0.0))
+
     def center_big(self) -> np.ndarray:
-        return self._memo("_center_big", lambda: self.line.coords_at(0.0))
+        return self._start().base.coords
 
     def center_small(self) -> np.ndarray:
         return self._memo("_center_small", lambda: self.line.coords_at(self.t))
@@ -187,7 +191,7 @@ class BallPair:
         return self._memo(
             "_frame_big",
             lambda: self.manifold.tangent_basis(
-                self.center_big(), primary=self.line.velocity_at(0.0).components
+                self.center_big(), primary=self._start().components
             ),
         )
 
@@ -251,30 +255,30 @@ class _Candidates:
     touching: np.ndarray  # (n,) bool: t = R + r up to rounding
 
 
-def _candidates_at(bp: BallPair, ts, chords: bool = True, chord_dirs=None) -> _Candidates:
+def _candidates_at(bp: BallPair, ts, chords: bool = True) -> _Candidates:
     """The candidates of every separation of ``ts`` in one pass, with the
     bits of a lens-by-lens evaluation (each row's values do not depend on
     the others): the points of :func:`_candidate_points`, scored from one
     ``dist_many`` about gamma(0) and one ``dist_pairs`` against each row's
     small centre."""
-    cands = _candidate_points(bp, ts, chords, chord_dirs)
-    _, ends, present, centres, _ = cands
+    cands = _candidate_points(bp, ts, chords)
+    _, ends, present, centres, _, _ = cands
     owners, slot = np.nonzero(present)
     m, x = bp.manifold, ends[owners, slot]
     return _scored(bp, cands, m.dist_many(bp.center_big(), x), m.dist_pairs(centres[owners], x))
 
 
-def _candidate_points(bp: BallPair, ts, chords: bool = True, chord_dirs=None):
-    """(ts, ends, present, small centres, touching) of the candidates of
-    :func:`_candidates_at`, before their distances:
+def _candidate_points(bp: BallPair, ts, chords: bool = True):
+    """(ts, ends, present, small centres, touching, frames) of the
+    candidates of :func:`_candidates_at`, before their distances:
 
     * the axis ends, the small centres, their velocities and the contact
       point gamma(R) from one evaluation of the line;
     * the corners through one ``exp_many`` about gamma(0) (``_corners_at``);
-    * with ``chords``, the chord ends through one ``exp_pairs`` about the
-      small centres, along ``chord_dirs`` (an (n, ambient_dim) block; by
-      default the second vector of each centre's tangent frame, all from
-      one ``tangent_frames``).
+    * with ``chords``, the tangent frames of the small centres, whose first
+      vector is the velocity, from one ``tangent_frames`` (else frames is
+      None), and the chord ends through one ``exp_pairs`` about the
+      centres, along each frame's second vector.
 
     At a touching separation the contact point stands alone in the axis
     and corner slots.
@@ -293,22 +297,22 @@ def _candidate_points(bp: BallPair, ts, chords: bool = True, chord_dirs=None):
     found, corners = _corners_at(bp, ts)
     ends[found, _CORNERS] = corners
     present[found, _CORNERS] = True
+    frames = None
     if chords:
-        if chord_dirs is None:
-            chord_dirs = m.tangent_frames(centres, velocity[2 * n : 3 * n])[:, 1]
-        ends[:, _CHORD] = _chords_at(bp, centres, chord_dirs)
+        frames = m.tangent_frames(centres, velocity[2 * n : 3 * n])
+        ends[:, _CHORD] = _chords_at(bp, centres, frames[:, 1])
         present[:, _CHORD] = True
     touching = R + r - ts < 1e-12 * (R + r)
     ends[touching, 0] = on_line[-1]
     present[touching, 1 : _CHORD.start] = False
-    return ts, ends, present, centres, touching
+    return ts, ends, present, centres, touching, frames
 
 
 def _scored(bp: BallPair, cands, d_big, d_small) -> _Candidates:
     """The candidates of the :func:`_candidate_points` tuple ``cands``,
     given the distances of the present ends, in ``np.nonzero(present)``
     order, to gamma(0) and to their small centres."""
-    ts, ends, present, _, touching = cands
+    ts, ends, present, _, touching, _ = cands
     owners, slot = np.nonzero(present)
     full_d_big = np.full(present.shape, np.nan)
     full_d_big[owners, slot] = d_big
@@ -471,14 +475,14 @@ def _sample_lenses(bp: BallPair, ts, budget: int, seed: int) -> list[PointCloud]
     The spacing drho is the pitch of a polar grid of 0.6 * ``budget``
     points over the small disk.  Everything but a lens's frame depends only
     on (R, r, budget, seed): the two phases, the angles of the small circle
-    and the whole big circle.  So the big circle is built once; the small
-    circles of the lenses go through one ``exp_pairs`` about their small
-    centres; the candidates are :func:`_candidate_points` along each lens's
-    frame; and one ``dist_pairs`` gives the candidates' distances to both
-    centres, the small circles' to gamma(0) (their rejection against the
-    big ball) and the big circle's to each small centre (its rejection
-    against each small ball), so the surface shoots them all in one Newton
-    loop.  A circle point is tested against the other ball only: it lies
+    and the whole big circle.  So the big circle is built once; the
+    candidates are :func:`_candidate_points`, whose small centres and
+    frames (one evaluation of the line) also carry the small circles
+    through one ``exp_pairs``; and one ``dist_pairs`` gives the
+    candidates' distances to both centres, the small circles' to gamma(0)
+    (their rejection against the big ball) and the big circle's to each
+    small centre (its rejection against each small ball), so the surface
+    shoots them all in one Newton loop.  A circle point is tested against the other ball only: it lies
     on its own.
     A touching row is the contact point alone, with fill 0.  Lenses go in
     steps of at most ``_SAMPLE_ROWS`` rows.
@@ -523,10 +527,8 @@ def _lens_points(bp: BallPair, ts, small_plan, arc):
     ends inside the lens."""
     m, R, r = bp.manifold, bp.R, bp.r
     n, d = len(ts), m.ambient_dim
-    centres, velocity = bp.line.states_many(ts)
-    frames = m.tangent_frames(centres, velocity)
-    cands = _candidate_points(bp, ts, chord_dirs=frames[:, 1])
-    _, ends, present, owner_centres, _ = cands
+    cands = _candidate_points(bp, ts)
+    _, ends, present, centres, _, frames = cands
     vecs = _circle_vectors(frames, *small_plan)
     size = vecs.shape[1]
     small = m.exp_pairs(np.repeat(centres, size, axis=0), vecs.reshape(-1, d))
@@ -541,7 +543,7 @@ def _lens_points(bp: BallPair, ts, small_plan, arc):
     big = bp.center_big()
     sources = np.concatenate([
         np.broadcast_to(big, x.shape),
-        owner_centres[cand_owner],
+        centres[cand_owner],
         np.broadcast_to(big, small.shape),
         centres[arc_owner],
     ])

@@ -91,9 +91,10 @@ class Manifold(ABC):
     The sampling machinery runs on the coordinate layer: the pair batches
     ``exp_pairs`` and ``dist_pairs`` and their one-source forms ``exp_many``
     and ``dist_many``.  The typed single-point operations (``point``,
-    ``exp``, ``exp_with_velocity``, ``log``, ``distance``) wrap the
-    coordinate routines one point at a time; no command reaches them, and
-    the tests keep them as the reference the batches are checked against.
+    ``exp``, ``exp_with_velocity``, ``log``, ``distance``) are one-point
+    conveniences over the coordinate routines: ``exp`` is the one-row case
+    of ``exp_many`` and ``distance`` one row of ``dist_pairs``, so they
+    check nothing the batches do not.  No command reaches them.
 
     Every closed-form formula is written once, with NumPy ufuncs and
     ``einsum``, which give an element the same bits alone or at any place

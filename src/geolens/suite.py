@@ -170,52 +170,6 @@ def _concentric_limit(manifold, center, frame, r):
     return float(1e-2 * max(1.0, r) - gaps[-1]), gaps[-1]
 
 
-def _checked_convexity_bound(config: RunConfig, manifold) -> float:
-    """The convexity bound of the configured model; raises ConfigError
-    unless every pair satisfies 0 < r <= R below it."""
-    conv = convexity_bound_for(config, manifold)
-    for R, r in config.all_pairs():
-        if not (0 < r <= R < conv):
-            raise ConfigError(
-                f"pair ({R:g}, {r:g}) violates 0 < r <= R < convexity radius {conv:g}"
-            )
-    return conv
-
-
-def _record_probes(profile, key, per_claim, notes):
-    """The report-only probes of one width profile: plateau end against
-    nesting onset, discrete concavity past the onset and the one-sided
-    slopes at it.  They read nothing but the profile."""
-    ts, w = profile.ts, profile.w
-    span = profile.R + profile.r
-    h = ts[1] - ts[0]
-    onset = profile.nesting_onset.value
-    s_end = profile.full_width_end.value
-    per_claim["probe_plateau_end_matches_onset"][key] = float(
-        2 * h - abs(s_end - onset)
-    )
-    inner = (ts >= onset - 1e-12) & (ts <= span + 1e-12)
-    ii = np.where(inner)[0]
-    if len(ii) >= 3:
-        second = w[ii][2:] - 2 * w[ii][1:-1] + w[ii][:-2]
-        per_claim["probe_concavity"][key] = float(1e-4 - np.max(second))
-        notes["probe_concavity"].append(
-            f"{key}: max second difference {np.max(second):.3g}"
-        )
-    else:
-        per_claim["probe_concavity"][key] = 0.0
-    k = int(np.searchsorted(ts, onset))
-    if 1 <= k < len(ts) - 1:
-        d_minus = (w[k] - w[k - 1]) / h
-        d_plus = (w[k + 1] - w[k]) / h
-        per_claim["probe_derivative_continuity"][key] = float(-abs(d_plus - d_minus))
-        notes["probe_derivative_continuity"].append(
-            f"{key}: one-sided slope jump {abs(d_plus - d_minus):.4g}"
-        )
-    else:
-        per_claim["probe_derivative_continuity"][key] = 0.0
-
-
 def _claim_entry(claim: str, results: dict[str, float], notes: list) -> ClaimResult:
     """One claim's entry: its smallest margin over the pairs, gating unless
     the claim is report-only, with the first notes and every pair's margin."""
@@ -242,7 +196,12 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
     the far points of an exact pair, else the sampled clouds.
     """
     manifold = config.manifold.build()
-    conv = _checked_convexity_bound(config, manifold)
+    conv = convexity_bound_for(config, manifold)
+    for R, r in config.all_pairs():
+        if not (0 < r <= R < conv):
+            raise ConfigError(
+                f"pair ({R:g}, {r:g}) violates 0 < r <= R < convexity radius {conv:g}"
+            )
     per_claim: dict[str, dict[str, float]] = {c: {} for c in CLAIM_REGISTRY}
     notes: dict[str, list] = {c: [] for c in CLAIM_REGISTRY}
 
@@ -393,7 +352,25 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
         per_claim["monotone_set_limits"][key] = margin
         notes["monotone_set_limits"].append(f"{key}: final Hausdorff gap {gap_final:.4g}")
 
-        _record_probes(profile, key, per_claim, notes)
+        # the report-only probes, read off the profile alone: plateau end
+        # against the onset, discrete concavity past the onset and the
+        # one-sided slopes at it
+        s_end = profile.full_width_end.value
+        per_claim["probe_plateau_end_matches_onset"][key] = float(2 * h - abs(s_end - onset))
+        ii = np.where((ts >= onset - 1e-12) & (ts <= span + 1e-12))[0]
+        if len(ii) >= 3:
+            second = w[ii][2:] - 2 * w[ii][1:-1] + w[ii][:-2]
+            per_claim["probe_concavity"][key] = float(1e-4 - np.max(second))
+            notes["probe_concavity"].append(f"{key}: max second difference {np.max(second):.3g}")
+        else:
+            per_claim["probe_concavity"][key] = 0.0
+        k = int(np.searchsorted(ts, onset))
+        if 1 <= k < len(ts) - 1:
+            jump = abs((w[k + 1] - w[k]) / h - (w[k] - w[k - 1]) / h)
+            per_claim["probe_derivative_continuity"][key] = float(-jump)
+            notes["probe_derivative_continuity"].append(f"{key}: one-sided slope jump {jump:.4g}")
+        else:
+            per_claim["probe_derivative_continuity"][key] = 0.0
 
     # radii identity (manifold-level, not per-pair)
     report = radii_report(
@@ -493,31 +470,4 @@ def run_counterexample(config: RunConfig) -> VerificationReport:
             {f"{R:g},{r:g},t={t:.3g}": v for R, r, t, v in observed},
         )
     )
-    return VerificationReport(manifold.describe(), config.resolved_lines(), entries)
-
-
-def run_speculation_probe(config: RunConfig) -> VerificationReport:
-    """Report-only probes of the extra regularity seen in constant curvature.
-
-    Profiles each pair with ``w_profile`` and reports only the three probe
-    entries (plateau-end vs onset agreement, discrete concavity past the
-    onset, one-sided derivative agreement), with the margins ``geolens
-    verify`` gives them; never fails.
-    """
-    manifold = config.manifold.build()
-    if not manifold.closed_form:
-        raise ConfigError("the probes are defined for constant-curvature models")
-    conv = _checked_convexity_bound(config, manifold)
-    per_claim = {c: {} for c in REPORT_ONLY}
-    notes = {c: [] for c in REPORT_ONLY}
-    for R, r in config.all_pairs():
-        bp = BallPair.create(manifold, R, r, convexity_bound=conv)
-        profile = w_profile(bp, grid=config.grid, budget=config.budget, seed=config.seed)
-        _record_probes(profile, _pair_key(R, r), per_claim, notes)
-    entries = [
-        _claim_entry(c, per_claim[c], notes[c])
-        if c in REPORT_ONLY
-        else ClaimResult(c, REPORT, None, "suppressed in probe-only run")
-        for c in CLAIM_REGISTRY
-    ]
     return VerificationReport(manifold.describe(), config.resolved_lines(), entries)

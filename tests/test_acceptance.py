@@ -29,7 +29,7 @@ from geolens.cli import main
 from geolens.config import ManifoldSpec, RunConfig
 from geolens.lens import estimate_nesting_onset
 from geolens.sets import hausdorff
-from geolens.suite import REPORT_ONLY, run_counterexample, run_speculation_probe
+from geolens.suite import REPORT_ONLY, run_counterexample, run_verification_suite
 from lens_oracles import Hyperboloid2, Plane, Sphere2, brute_width, witness_excess
 
 GRID = 200
@@ -279,9 +279,9 @@ def test_criterion_10_speculation_probe(profiles):
         budget=1024,
         seed=SEED,
     )
-    report = run_speculation_probe(config)
-    assert report.passed  # report-only entries can never gate
-    assert all(e.status == "report" for e in report.entries)
-    assert {e.claim_id for e in report.entries} >= REPORT_ONLY
+    probes = [e for e in run_verification_suite(config).entries if e.claim_id in REPORT_ONLY]
+    assert {e.claim_id for e in probes} == REPORT_ONLY
+    # report-only entries can never gate
+    assert all(e.status == "report" and e.margin is not None for e in probes)
     print("[PASS] criterion 10: |S_est - T_est| <= 2h and concave second "
           "differences on all constant-curvature configs; probe is report-only")

@@ -4,6 +4,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -196,7 +198,7 @@ def test_radii_that_disagree_with_the_first_pair_are_rejected(radii, tmp_path):
     assert main(["profile", "--config", str(cfg), "--out", out]) == 2
     agreeing = tmp_path / "agreeing.ini"
     agreeing.write_text(EUCLID_CFG.replace("R = 1.0\nr = 1.0", "R = 1.0\npairs = 1.0,0.5"))
-    assert load_config(str(agreeing)).r == 0.5
+    assert load_config(str(agreeing)).pairs == ((1.0, 0.5),)
 
 
 @pytest.mark.parametrize(
@@ -432,29 +434,30 @@ def test_missing_config_is_usage_error(tmp_path):
 
 def test_verify_euclidean_exits_zero(euclid_config, capsys):
     assert main(["verify", "--config", euclid_config]) == 0
-    assert "RESULT: PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "RESULT: PASS" in out
+    assert re.search(r"^\[REPORT\] probe_concavity margin=", out, re.MULTILINE)
 
 
 def test_verify_counterexample_flag(tmp_path, capsys):
     cfg = tmp_path / "ce.ini"
     cfg.write_text(COUNTEREXAMPLE_CFG)
     assert main(["verify", "--config", str(cfg)]) == 2  # rejected without flag
-    assert main(["verify", "--config", str(cfg), "--expect-counterexample"]) == 0
-    out = capsys.readouterr().out
-    assert "counterexample_large_balls" in out
+    rec = str(tmp_path / "rec.csv")
+    argv = ["verify", "--config", str(cfg), "--expect-counterexample"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert "counterexample_large_balls" in text and "not eventually decreasing" in text
+    assert main(argv + ["--out", rec]) == 0
+    assert capsys.readouterr().out == text + f"wrote {rec}\n"
+    rows = {row.split(",")[0]: row.split(",")[1] for row in open(rec).read().splitlines()[1:]}
+    assert rows["counterexample_large_balls"] == "pass"
 
 
 def test_verify_radius_beyond_convexity_rejected(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(SPHERE_CFG.replace("R = 1.2", f"R = {math.pi / 2}"))
     assert main(["verify", "--config", str(cfg)]) == 2
-
-
-def test_counterexample_subcommand(tmp_path, capsys):
-    cfg = tmp_path / "ce.ini"
-    cfg.write_text(COUNTEREXAMPLE_CFG)
-    assert main(["counterexample", "--config", str(cfg)]) == 0
-    assert "not eventually decreasing" in capsys.readouterr().out
 
 
 def test_radii_unit_sphere(tmp_path, capsys):
@@ -491,11 +494,6 @@ def test_radii_surface_mixed_provenance(tmp_path, capsys):
     assert main(["radii", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "user-certified" in out and "numeric-estimate" in out
-
-
-def test_speculate_subcommand(euclid_config, capsys):
-    assert main(["speculate", "--config", euclid_config]) == 0
-    assert "probe_concavity" in capsys.readouterr().out
 
 
 def test_verify_records_out(euclid_config, tmp_path):
@@ -602,16 +600,29 @@ def test_surface_focal_scan_runs_once_per_config(tmp_path, monkeypatch):
     assert bound == 0.5
 
 
+def _python(*args):
+    """A fresh interpreter run with ``args``, the package's sources on its path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def _loaded_scipy(code):
     """The scipy modules loaded by a fresh interpreter that runs ``code``."""
-    import subprocess
-    import sys
-
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = _python("-c", code)
+    out.check_returncode()
     return out.stdout.strip().splitlines()[-1]
+
+
+def test_module_entry_point_has_three_subcommands(euclid_config):
+    shown = _python("-m", "geolens.cli", "--help")
+    assert shown.returncode == 0
+    listed = re.search(r"\{(.*?)\}", shown.stdout).group(1)
+    assert listed.split(",") == ["profile", "verify", "radii"]
+    for name in ("speculate", "counterexample"):
+        gone = _python("-m", "geolens.cli", name, "--config", euclid_config)
+        assert gone.returncode == 2 and "invalid choice" in gone.stderr
 
 
 def test_start_up_loads_no_scipy():

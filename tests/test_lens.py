@@ -338,7 +338,7 @@ def _four_query_lens_points(bp, ts, small_plan, arc):
     n, d = len(ts), m.ambient_dim
     centres, velocity = bp.line.states_many(ts)
     frames = m.tangent_frames(centres, velocity)
-    c = lens_module._candidates_at(bp, ts, chord_dirs=frames[:, 1])
+    c = lens_module._candidates_at(bp, ts)
     vecs = lens_module._circle_vectors(frames, *small_plan)
     small = m.exp_pairs(np.repeat(centres, vecs.shape[1], axis=0), vecs.reshape(-1, d))
     small_owner = np.repeat(np.arange(n), vecs.shape[1])

@@ -366,14 +366,25 @@ def test_surface_radii_keep_the_bits_of_the_benchmark_fingerprint():
     assert repr(focal.value) == "2.720699046351368"
 
 
-def test_surface_sample_keeps_the_bits_of_the_benchmark_fingerprint():
+def test_surface_sample_keeps_the_bits_of_the_benchmark_fingerprint(monkeypatch):
     # the seed-1 cloud_sha256 of the surface_bump benchmark workload
+    calls = []
+    evaluate = SurfaceOfRevolution.exp_velocity_coords
+
+    def spy(self, *args):
+        calls.append(1)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(SurfaceOfRevolution, "exp_velocity_coords", spy)
     surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     bp = BallPair.create(surface, 0.05, 0.03, t=0.04, convexity_bound=0.5)
     cloud = sample_intersection(bp, 16, 1)
     assert hashlib.sha256(cloud.points.tobytes()).hexdigest() == (
         "4d63d93d569dc1baa521c5cdcaad91c9b218a69497ff9ae67404927ae8c64407"
     )
+    # the line is evaluated once to check the chart, once at gamma(0) and
+    # once for the candidates, whose centres and frames the circles share
+    assert len(calls) <= 3
 
 
 def test_one_root_solve_places_every_zero_of_a_batch(monkeypatch):

@@ -17,7 +17,6 @@ from geolens.suite import (
     REPORT_ONLY,
     _concentric_limit,
     run_counterexample,
-    run_speculation_probe,
     run_verification_suite,
 )
 from lens_clouds import concentric_cloud
@@ -49,6 +48,8 @@ def test_euclidean_matrix_passes(euclid_report):
             assert entry.status == "report"
         else:
             assert entry.status == "pass", entry.render()
+    probe = {e.claim_id: e for e in report.entries}["probe_plateau_end_matches_onset"]
+    assert probe.margin is not None and probe.margin >= 0
 
 
 def test_report_runs_are_deterministic(euclid_report):
@@ -218,63 +219,6 @@ def test_small_radii_pass_standard_suite_instead():
         seed=9,
     )
     assert run_verification_suite(cfg).passed
-
-
-def test_speculation_probe_is_report_only():
-    cfg = RunConfig(
-        manifold=ManifoldSpec(kind="euclidean"),
-        pairs=((2.0, 1.0),),
-        grid=60,
-        budget=1024,
-        seed=9,
-    )
-    report = run_speculation_probe(cfg)
-    assert report.passed
-    assert all(e.status == "report" for e in report.entries)
-    probe = {e.claim_id: e for e in report.entries}["probe_plateau_end_matches_onset"]
-    assert probe.margin is not None and probe.margin >= 0
-
-
-def test_probe_rejects_numeric_manifold():
-    cfg = RunConfig(
-        manifold=ManifoldSpec(
-            kind="surface_of_revolution", injectivity_bound=1.0
-        ),
-        pairs=((0.3, 0.2),),
-        seed=9,
-    )
-    with pytest.raises(ConfigError):
-        run_speculation_probe(cfg)
-
-
-SPHERE_PAIRS = RunConfig(
-    manifold=ManifoldSpec(kind="sphere", curvature=1.0),
-    pairs=((1.2, 0.6), (1.0, 1.0)),
-    grid=8,
-    budget=1024,
-    seed=7,
-)
-
-
-def test_speculation_margins_are_the_verify_probe_entries():
-    verify = {e.claim_id: e for e in run_verification_suite(SPHERE_PAIRS).entries}
-    probes = {e.claim_id: e for e in run_speculation_probe(SPHERE_PAIRS).entries}
-    for claim in REPORT_ONLY:
-        ours, theirs = probes[claim], verify[claim]
-        assert (ours.margin, ours.summary, ours.data) == (theirs.margin, theirs.summary, theirs.data)
-    suppressed = [e for c, e in probes.items() if c not in REPORT_ONLY]
-    assert all(e.summary == "suppressed in probe-only run" for e in suppressed)
-
-
-def test_speculation_on_exact_pairs_samples_no_cloud(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("sampled a cloud")
-
-    # every cloud, one lens's or the suite's probe clouds, comes from the
-    # sampling pass
-    monkeypatch.setattr(lens_module, "_sample_lenses", refuse)
-    monkeypatch.setattr(suite_module, "_sample_lenses", refuse)
-    assert run_speculation_probe(SPHERE_PAIRS).passed
 
 
 def _per_ring_concentric_cloud(manifold, center, frame, radius, n_rings=16, n_ang=64):
