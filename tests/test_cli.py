@@ -18,7 +18,7 @@ from geolens.cli import _cmd_profile, main
 from geolens.config import ManifoldSpec, RunConfig, load_config, validate_config
 from geolens.errors import ConfigError
 from geolens.manifolds import RevolutionProfile, SurfaceOfRevolution
-from geolens.suite import CLAIM_REGISTRY
+from geolens.suite import CLAIM_REGISTRY, REPORT_ONLY
 
 PERFBENCH_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
@@ -443,15 +443,28 @@ def test_verify_counterexample_flag(tmp_path, capsys):
     cfg = tmp_path / "ce.ini"
     cfg.write_text(COUNTEREXAMPLE_CFG)
     assert main(["verify", "--config", str(cfg)]) == 2  # rejected without flag
+    assert main(["verify", "--config", str(cfg), "--expect-counterexample"]) == 0
+    text = capsys.readouterr().out
+    assert "counterexample_large_balls" in text and "not eventually decreasing" in text
+
+
+def test_verify_counterexample_records_out(tmp_path, capsys):
+    cfg = tmp_path / "ce.ini"
+    cfg.write_text(COUNTEREXAMPLE_CFG)
     rec = str(tmp_path / "rec.csv")
     argv = ["verify", "--config", str(cfg), "--expect-counterexample"]
     assert main(argv) == 0
     text = capsys.readouterr().out
-    assert "counterexample_large_balls" in text and "not eventually decreasing" in text
     assert main(argv + ["--out", rec]) == 0
     assert capsys.readouterr().out == text + f"wrote {rec}\n"
     rows = {row.split(",")[0]: row.split(",")[1] for row in open(rec).read().splitlines()[1:]}
     assert rows["counterexample_large_balls"] == "pass"
+
+
+def test_verify_counterexample_on_a_flat_model_is_a_configuration_error(euclid_config, capsys):
+    argv = ["verify", "--config", euclid_config, "--expect-counterexample"]
+    assert main(argv) == 2
+    assert "runs on a sphere model" in capsys.readouterr().err
 
 
 def test_verify_radius_beyond_convexity_rejected(tmp_path):
@@ -502,6 +515,15 @@ def test_verify_records_out(euclid_config, tmp_path):
     rows = open(out).read().strip().split("\n")
     assert rows[0] == "claim,status,margin,summary"
     assert len(rows) == 1 + len(CLAIM_REGISTRY)  # header + full claim registry
+
+
+def test_verify_records_the_probes_as_report(euclid_config, tmp_path):
+    out = str(tmp_path / "report.csv")
+    assert main(["verify", "--config", euclid_config, "--out", out]) == 0
+    rows = {row.split(",")[0]: row.split(",")[1:3] for row in open(out).read().splitlines()[1:]}
+    for claim in REPORT_ONLY:
+        status, margin = rows[claim]
+        assert status == "report" and math.isfinite(float(margin)), claim
 
 
 VERIFY_S2_CFG = """
