@@ -334,9 +334,9 @@ def convexity_bound_for(config: RunConfig, manifold: Manifold) -> float:
     gives min(focal, injectivity_bound / 2), from a 16-direction focal scan
     computed once per manifold spec (a focal lower bound below
     injectivity_bound / 2 is returned as it is).  The scan stops at the
-    first grid time at or past injectivity_bound / 2 when no direction has
-    a focal zero or has left the chart by then, as no later outcome can
-    change the bound; the bound has the bits of the full scan's.
+    start of its first step at or past injectivity_bound / 2 when no
+    direction has a focal zero or has left the chart by then, as no later
+    outcome can change the bound; the bound has the bits of the full scan's.
     """
     if not manifold.closed_form:
         return _surface_convexity_bound(config.manifold)

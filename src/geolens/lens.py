@@ -164,10 +164,15 @@ class BallPair:
         return self.R + self.r - self.t < 1e-12 * (self.R + self.r)
 
     def with_separation(self, t: float) -> "BallPair":
-        """The pair at separation t."""
+        """The pair at separation t.  It keeps the memos that do not depend
+        on t, gamma'(0) and the frame at gamma(0); gamma(t) is its own."""
         if not 0.0 <= t <= self.R + self.r + 1e-12:
             raise ValueError(f"separation t={t:g} outside [0, R+r]")
-        return replace(self, t=float(min(t, self.R + self.r)))
+        pair = replace(self, t=float(min(t, self.R + self.r)))
+        for name in ("_start_velocity", "_frame_big"):
+            if name in self.__dict__:
+                object.__setattr__(pair, name, self.__dict__[name])
+        return pair
 
     def _memo(self, name, compute):
         value = self.__dict__.get(name)

@@ -727,11 +727,19 @@ class SurfaceOfRevolution(Manifold):
     the unit normal), and along L the unit end velocity.  Every batch, of
     exponentials, line points or shots, integrates each row in the row's own
     ``_n_steps`` (:func:`geolens._ode.rk4_rows`): a row has the same bits
-    whichever batch it is in.
+    whichever batch it is in.  These spans are short (a ball radius, a
+    chord), and RK4 keeps their bits pinned by the tests.
+
+    The conjugate and focal radii come from the radii scan
+    (``radii._first_zeros_batch``), which integrates the same joint system
+    over whole horizons, and there the step is order-8 DOP853
+    (:func:`geolens._ode.dop853_step`): one step of twelve right-hand sides
+    spans twenty steps of the RK4 grid, which is still where the scan places
+    its zeros and chart exits, with a smaller error than RK4 on that grid.
 
     :meth:`jacobi_rhs` follows NumPy's ``out=`` convention: it writes the
     derivative into a given array, one component at a time with ``out=``
-    ufuncs, so the RK4 loops step their blocks through reused buffers
+    ufuncs, so the batched loops step their blocks through reused buffers
     (:meth:`geodesic_rhs` takes ``out=`` too).  The radii scan keeps its
     (rows, 6) block in Fortran order, so each component is one contiguous
     run; the values do not depend on the layout or the buffer.

@@ -1,16 +1,20 @@
 """Convexity, injectivity, conjugate, focal, and loop radii of the models.
 
 Constant-curvature models have closed forms; their Jacobi scans
-(``jacobi_radii``) integrate the one scalar equation on Python floats
-(``geodesics.integrate_jacobi``).  Numeric surfaces get conjugate and focal
-radii from one batched integration of the joint geodesic + Jacobi system
-over sampled directions (:func:`_first_zeros_batch`, whose one-direction
-reference is in ``tests/ode_oracles.py``); their injectivity radius is never
-estimated, it must be certified by the user (e.g. in the run configuration),
-and the convexity radius is assembled from the identity
-conv = min(focal, injectivity / 2).  A caller that needs only that minimum
-passes injectivity / 2 as the ``cap`` of :func:`focal_radius`, whose scan
-then stops at the cap when no direction has a zero or has left the chart.
+(``jacobi_radii``) integrate the one scalar equation on Python floats in
+RK4 steps (``geodesics.integrate_jacobi``).  Numeric surfaces get conjugate
+and focal radii from one batched integration of the joint geodesic + Jacobi
+system over sampled directions (:func:`_first_zeros_batch`).  It runs every
+row over a whole horizon, so it steps with order-8 DOP853, whose step spans
+twenty grid steps at 12 right-hand sides against RK4's 80, and places zeros
+and exits on the grid after the loop.  Its one-direction reference and the
+RK4 scan it replaced are in ``tests/ode_oracles.py``.  A surface's
+injectivity radius is never estimated, it must be certified by the user
+(e.g. in the run configuration), and its convexity radius is assembled from
+the identity conv = min(focal, injectivity / 2).  A caller that needs only
+that minimum passes injectivity / 2 as the ``cap`` of :func:`focal_radius`,
+whose scan then stops at the cap when no direction has a zero or has left
+the chart.
 
 Horizon-limited searches report a lower bound, never a fabricated value.
 """
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geolens._ode import rk4_step
+from geolens._ode import DOP853_WORK, dop853_step
 from geolens.errors import ConfigError
 from geolens.geodesics import hermite_zero, integrate_jacobi
 from geolens.manifolds import Manifold
@@ -55,7 +59,10 @@ class RadiusValue:
 
 @dataclass(frozen=True)
 class RadiiReport:
-    """The five radii of one model, each with provenance."""
+    """The five radii of one model, each with provenance.  A numeric
+    surface's report also carries ``jacobi_error``, the largest embedded
+    error estimate of any row-step of its Jacobi scan (:class:`ScanZeros`);
+    it is None for the closed forms, and no command prints it."""
 
     manifold_label: str
     injectivity: RadiusValue
@@ -63,6 +70,7 @@ class RadiiReport:
     focal: RadiusValue
     loop_length: RadiusValue
     convexity: RadiusValue
+    jacobi_error: float | None = None
 
     def fields(self):
         return [
@@ -132,49 +140,64 @@ def closed_form_radii(manifold: Manifold) -> RadiiReport:
     )
 
 
+# grid steps per DOP853 step of the surface's radii scan
+SCAN_GRID_STEPS = 20
+
+
+class ScanZeros(tuple):
+    """The (j_zero, jp_zero, valid_length) arrays of a surface radii scan,
+    with ``error``: the largest embedded error estimate of any of its
+    row-steps that stayed in the chart."""
+
+    def __new__(cls, arrays, error):
+        zeros = super().__new__(cls, arrays)
+        zeros.error = error
+        return zeros
+
+
 def _first_zeros_batch(
     manifold, base_coords, angles, horizon, step=None, _of=("value", "derivative"), cap=None
 ):
     """First zeros of j and j' along geodesics in the given directions from
-    one base point (2,) or from each of a block of them (..., 2), in steps of
-    at most ``step`` (default: the model's).
+    one base point (2,) or from each of a block of them (..., 2), on a grid
+    of steps of at most ``step`` (default: the model's).
 
     Returns (j_zero, jp_zero, valid_length) arrays of shape
     ``base_coords.shape[:-1] + (len(angles),)``, with nan for "no zero
-    found"; valid_length is where a direction left the chart before its
-    zeros were found (else horizon).  Integrates the surface's joint geodesic
-    + Jacobi system over every base point and direction at once, on the grid
-    :func:`integrate_jacobi` uses.  A row stops once it leaves the chart or
-    has the zeros it needs, so its results do not depend on the other rows.
+    found", as a :class:`ScanZeros`; valid_length is where a direction left
+    the chart before its zeros were found (else horizon).  Integrates the
+    surface's joint geodesic + Jacobi system over every base point and
+    direction at once.  A row stops once it leaves the chart or has the
+    zeros it needs, so its results do not depend on the other rows.
     ``_of`` names the zeros needed, "value" (j) and "derivative" (j'); a
     zero not named stays nan.
 
+    The scan steps with :func:`dop853_step`, one step per
+    :data:`SCAN_GRID_STEPS` steps of the grid (the last one shorter), and
+    detects chart exits and sign changes of j and j' at the ends of these
+    steps; an excursion out of the chart and back within one step goes
+    unseen.  The grid stays the resolution of what it reports: after the
+    loop, :func:`_place_events` finds the grid step of every exit and zero.
+    RK4 on the grid itself (``rk4_zeros_batch`` of ``tests/ode_oracles.py``)
+    takes 80 right-hand sides where this takes 12, and its zeros are
+    further from those of a finer grid.
+
     ``cap`` is for a caller that reads only the smallest zero capped at
-    ``cap``.  At the first grid time t >= cap, if no row has a searched zero
-    and none has left the chart, the scan stops there with every valid
-    length t: any later zero or exit would be capped to ``cap`` as well.
-    Otherwise it runs on as without ``cap``.
+    ``cap``.  At the start of the first scan step at or past ``cap``, if no
+    row has a searched zero and none has left the chart, the scan stops
+    there with every valid length that time: any later zero or exit would
+    be capped to ``cap`` as well.  Otherwise it runs on as without ``cap``.
 
     The state is one (rows, 6) block in Fortran order, component-contiguous:
     each ``state[:, k]`` that :meth:`jacobi_rhs` reads and writes is one
-    contiguous run, and the block keeps the (..., 6) layout of every other
-    caller.  Each step goes through :func:`rk4_step` with ``out=`` and
-    ``work=``: the new state lands in a second block and the stages in
-    three more, which every step reuses, in the operations of the
-    allocating step.  The blocks swap roles after a step and are allocated
-    anew only when rows leave.
-
-    Most steps change nothing but the state: every new u is inside
+    contiguous run.  Each step writes the new state into a second block and
+    its stages into :data:`DOP853_WORK` more, which every step reuses; the
+    blocks swap roles after a step and are allocated anew only when rows
+    leave.  Most steps change nothing but the state: every new u is inside
     [u_min, u_max] and no searched column of a live row crosses or touches
     zero (one ``min``/``max`` each, which a nan fails).  Only the other
-    steps run the exit and zero bookkeeping.  A sign change keeps its
-    bracket (step, row, column, both end values and both end derivatives
-    from :meth:`jacobi_rhs`), and after the loop one :func:`hermite_zero`
-    call places every zero inside its step with the cubic Hermite
-    interpolant of the RK4 states, as ``JacobiSolution.first_zero`` does.
-    Its reference is one direction at a time: ``surface_jacobi`` of
-    ``tests/ode_oracles.py``, a sampled RK4 trajectory of the same system,
-    read by ``first_zero``.
+    steps keep their events: the row, what happened (a sign change of j or
+    j', or an exit) and the states at both ends of the step.
     """
     profile = manifold.profile
     step = manifold.step if step is None else step
@@ -194,59 +217,119 @@ def _first_zeros_batch(
     last = 2 if "derivative" in _of else 1
     searched = slice(4 + first, 4 + last)
     n = max(2, int(math.ceil(horizon / step)))
-    ts = np.linspace(0.0, horizon, n + 1)
     h = horizon / n
+
+    def times(i):
+        """The times of grid indices i: i h, and the horizon at n."""
+        return np.where(i < n, i * h, horizon)
+
+    starts = np.arange(0, n, SCAN_GRID_STEPS)  # the grid index each step starts at
     valid_length = np.full(len(state), horizon)
     zeros = np.full((len(state), 2), np.nan)  # columns: j, j'
     live = np.arange(len(state))  # rows in the chart with a zero to find
-    brackets = []
-    # the step at whose start the capped search may be decided (n: never)
-    decide = n if cap is None else int(np.searchsorted(ts, cap))
-    new, *work = (np.empty_like(state) for _ in range(4))
-    for i in range(n):
+    events, error = [], 0.0
+    # the step at whose start the capped search may be decided (past the last: never)
+    decide = len(starts) if cap is None else int(np.searchsorted(times(starts), cap))
+    new, *work = (np.empty_like(state) for _ in range(1 + DOP853_WORK))
+    for k, start in enumerate(starts):
         if not len(live):
             break
-        if i == decide and len(live) == len(zeros) and np.isnan(zeros).all():
-            valid_length[:] = ts[i]
+        if k == decide and len(live) == len(zeros) and np.isnan(zeros).all():
+            valid_length[:] = times(start)
             break
-        rk4_step(manifold.jacobi_rhs, state, h, out=new, work=work)
+        grid_steps = min(SCAN_GRID_STEPS, n - start)
+        _, estimate = dop853_step(manifold.jacobi_rhs, state, grid_steps * h, out=new, work=work)
         u = new[:, 0]
         before, after = state[:, searched], new[:, searched]
         product = before * after
         if u.min() >= profile.u_min and u.max() <= profile.u_max and product.min() > 0:
+            error = max(error, estimate.max())
             state, new = new, state
             continue
         exited = (u < profile.u_min) | (u > profile.u_max)
-        valid_length[live[exited]] = ts[i]
+        error = max(error, estimate.max(initial=0.0, where=~exited))
         found = zeros[live, first:last]
-        pending = ~exited[:, None] & np.isnan(found)
-        at_start = pending & (before == 0.0) & (ts[i] > 0)
-        found[at_start] = ts[i]
-        rows, cols = np.nonzero(pending & ~at_start & (product < 0))
+        # a zero at the step's end counts; one at its start was counted before
+        crossed = np.isnan(found) & (product <= 0) & (before != 0)
+        rows, cols = np.nonzero(crossed)
+        rows = np.concatenate([rows, np.flatnonzero(exited)])
         if len(rows):
-            # the derivatives of (j, j') are columns 4 and 5 of the system
-            at = np.arange(len(rows)), 4 + first + cols
-            d0 = manifold.jacobi_rhs(state[rows])[at]
-            d1 = manifold.jacobi_rhs(new[rows])[at]
-            bracket = (np.full(len(rows), i), live[rows], first + cols)
-            brackets.append(bracket + (before[rows, cols], after[rows, cols], d0, d1))
-            found[rows, cols] = np.inf  # placed after the loop
+            # what happened: the column of j or j' that changed sign, or u
+            what = np.concatenate([4 + first + cols, np.zeros(len(rows) - len(cols), int)])
+            spans = np.full(len(rows), start), np.full(len(rows), grid_steps)
+            events.append(spans + (live[rows], what, state[rows], new[rows]))
+            found[crossed] = np.inf  # placed after the loop
         zeros[live, first:last] = found
         keep = ~exited & np.isnan(found).any(axis=1)
-        if keep.all():
-            state, new = new, state
-        else:
-            # rows left: the buffers shrink to the rows still live
-            live, state = live[keep], np.asfortranarray(new[keep])
-            new, *work = (np.empty_like(state) for _ in range(4))
-    if brackets:
-        steps, rows, cols, v0, v1, d0, d1 = (np.concatenate(part) for part in zip(*brackets))
-        zeros[rows, cols] = hermite_zero(ts[steps], ts[steps + 1], v0, v1, d0, d1)
-    return (
-        zeros[:, 0].reshape(shape),
-        zeros[:, 1].reshape(shape),
-        valid_length.reshape(shape),
-    )
+        if not keep.all():
+            # rows left: the buffers are made anew for the rows still live
+            # (cut views of them would step more slowly, not contiguous)
+            live, new = live[keep], np.asfortranarray(new[keep])
+            del state, work
+            state, *work = (np.empty_like(new) for _ in range(1 + DOP853_WORK))
+        state, new = new, state
+    del new, work  # placing the events needs none of the step's buffers
+    if events:
+        events = [np.concatenate(part) for part in zip(*events)]
+        _place_events(manifold, events, times, h, zeros, valid_length)
+    arrays = (zeros[:, 0], zeros[:, 1], valid_length)
+    return ScanZeros(tuple(a.reshape(shape) for a in arrays), float(error))
+
+
+def _place_events(manifold, events, times, h, zeros, valid_length):
+    """Place the events of a radii scan on its grid of steps h, whose grid
+    index i is at ``times(i)``, in ``zeros`` and ``valid_length``.
+
+    ``events`` are the arrays (start index, grid steps, row, what, start
+    state, end state) of the scan steps in which a row's u left the chart
+    (what = 0) or its j or j' changed sign (what = 4 or 5, the column).
+    All of them bisect in lockstep on the grid of their step: a state at a
+    grid time is one :func:`dop853_step` from the step's start state, so
+    ceil(log2 of the grid steps) batched steps find the grid step in which
+    each event happens.  An exit at the end of grid step i gives the valid
+    length t_i, as a row that leaves in that step has no zero there or
+    later.  A zero in an earlier grid step is placed, all of them by one
+    :func:`hermite_zero` call, with the cubic Hermite interpolant of the
+    states at the ends of its grid step and their derivatives from
+    :meth:`jacobi_rhs`, as ``JacobiSolution.first_zero`` does.
+    """
+    profile = manifold.profile
+    start_index, grid_steps, rows, what, start, end = events
+    at = np.arange(len(rows)), what
+    v0 = start[at]
+
+    def reached(x):
+        v = x[at]
+        return np.where(what == 0, (v < profile.u_min) | (v > profile.u_max), v * v0 <= 0)
+
+    # the event happens between the grid times lo and hi of the step, whose
+    # states are x_lo and x_hi
+    lo, hi = np.zeros_like(grid_steps), grid_steps
+    x_lo, x_hi = start.copy(), end
+    x, *work = (np.empty_like(start) for _ in range(1 + DOP853_WORK))
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        dop853_step(manifold.jacobi_rhs, start, (mid * h)[:, None], out=x, work=work)
+        now = reached(x)
+        lo, hi = np.where(now, lo, mid), np.where(now, mid, hi)
+        x_lo[~now], x_hi[now] = x[~now], x[now]
+    del x, work
+    grid_step = start_index + hi - 1
+    exits = what == 0
+    exit_step = np.full(len(zeros), np.iinfo(grid_step.dtype).max)
+    exit_step[rows[exits]] = grid_step[exits]
+    valid_length[rows[exits]] = times(grid_step[exits])
+    placed = ~exits & (grid_step < exit_step[rows])
+    lost = ~exits & ~placed
+    zeros[rows[lost], what[lost] - 4] = np.nan
+    if placed.any():
+        col, i = what[placed], grid_step[placed]
+        ends = np.concatenate([x_lo[placed], x_hi[placed]])
+        at = np.arange(len(ends)), np.tile(col, 2)
+        # the derivatives of (j, j') are columns 4 and 5 of the system
+        d0, d1 = np.split(manifold.jacobi_rhs(ends)[at], 2)
+        v0, v1 = np.split(ends[at], 2)
+        zeros[rows[placed], col - 4] = hermite_zero(times(i), times(i + 1), v0, v1, d0, d1)
 
 
 def _smallest_zero(zeros, valid) -> RadiusValue:
@@ -319,7 +402,7 @@ def focal_radius(
     Its scan drops each direction once j' has its zero, so it stops before
     the conjugate zero that ``jacobi_radii`` waits for; both give the same
     focal radius.  A caller that reads only min(focal, cap) passes ``cap``:
-    once the grid reaches ``cap`` with no zero and no direction out of the
+    once the scan reaches ``cap`` with no zero and no direction out of the
     chart, the surface scan stops and returns a lower bound >= cap, which
     gives that minimum the bits of the full scan's."""
     return _jacobi_zeros(manifold, directions, horizon, ("derivative",), cap)[0]
@@ -368,7 +451,8 @@ def radii_report(
     angles = np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False)
     bases = np.column_stack([us, np.zeros(base_points)])
     # one batched integration serves both scans at every base point
-    j_zero, jp_zero, valid = _first_zeros_batch(manifold, bases, angles, horizon)
+    scan = _first_zeros_batch(manifold, bases, angles, horizon)
+    j_zero, jp_zero, valid = scan
     conj_best: RadiusValue | None = None
     foc_best: RadiusValue | None = None
     for j_row, jp_row, valid_row in zip(j_zero, jp_zero, valid):
@@ -381,7 +465,7 @@ def radii_report(
         else RadiusValue(horizon * 2.0, CERTIFIED, lower_bound_only=True)
     )
     conv = convexity_from(foc_best, inj)
-    return RadiiReport(manifold.describe(), inj, conj_best, foc_best, loop, conv)
+    return RadiiReport(manifold.describe(), inj, conj_best, foc_best, loop, conv, scan.error)
 
 
 def _merge_min(acc: RadiusValue | None, new: RadiusValue) -> RadiusValue:

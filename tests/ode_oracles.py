@@ -6,17 +6,20 @@ state alone, or with :func:`geolens._ode.rk4_rows` where the rows are
 independent (each row then has the bits it has alone), both looked up at
 call time.  The models' closed-form exponential maps, the surface's
 shooting and its batched Jacobi scan (``radii._first_zeros_batch``) are
-compared with them.
+compared with them; the scan also with :func:`rk4_zeros_batch`, the batched
+RK4 scan that it was before it stepped with DOP853.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 
 from geolens import _ode
-from geolens.geodesics import JacobiSolution, _check_unit_direction
+from geolens.geodesics import JacobiSolution, _check_unit_direction, hermite_zero
 from geolens.manifolds import Manifold, ManifoldPoint, TangentVector
 
 
@@ -119,3 +122,90 @@ def surface_jacobi(surface, base, direction, length, step=None) -> JacobiSolutio
     surface.profile.check_domain(ys[:, 0])
     curvature = np.asarray(surface.curvature_of_u(ys[:, 0]))
     return JacobiSolution(ts, ys[:, 4].copy(), ys[:, 5].copy(), curvature)
+
+
+def rk4_zeros_batch(
+    manifold, base_coords, angles, horizon, step=None, _of=("value", "derivative"), cap=None
+):
+    """The surface's batched radii scan in RK4 steps on its grid, as
+    ``radii._first_zeros_batch`` ran before it took DOP853 steps: the same
+    arguments and (j_zero, jp_zero, valid_length) arrays, with the scan's
+    exits, cap and zero rules at every grid step.
+
+    The state is one Fortran-ordered (rows, 6) block stepped through reused
+    buffers.  A sign change keeps its bracket (step, row, column, both end
+    values and both end derivatives from :meth:`jacobi_rhs`), and after the
+    loop one :func:`hermite_zero` call places every zero inside its step,
+    as ``JacobiSolution.first_zero`` does on :func:`surface_jacobi`.
+    """
+    profile = manifold.profile
+    step = manifold.step if step is None else step
+    base = np.asarray(base_coords, dtype=np.float64)
+    shape = base.shape[:-1] + (len(angles),)
+    base = base.reshape(-1, 2)
+    state = np.zeros((len(base), len(angles), 6))
+    state[..., 0] = base[:, None, 0]
+    state[..., 1] = base[:, None, 1]
+    state[..., 2] = np.cos(angles)
+    state[..., 3] = np.sin(angles) / np.asarray(profile.f(base[:, 0]))[:, None]
+    state[..., 5] = 1.0
+    state = np.asfortranarray(state.reshape(-1, 6))
+
+    # the searched columns first:last of the zeros (j, j')
+    first = 0 if "value" in _of else 1
+    last = 2 if "derivative" in _of else 1
+    searched = slice(4 + first, 4 + last)
+    n = max(2, int(math.ceil(horizon / step)))
+    ts = np.linspace(0.0, horizon, n + 1)
+    h = horizon / n
+    valid_length = np.full(len(state), horizon)
+    zeros = np.full((len(state), 2), np.nan)  # columns: j, j'
+    live = np.arange(len(state))  # rows in the chart with a zero to find
+    brackets = []
+    # the step at whose start the capped search may be decided (n: never)
+    decide = n if cap is None else int(np.searchsorted(ts, cap))
+    new, *work = (np.empty_like(state) for _ in range(4))
+    for i in range(n):
+        if not len(live):
+            break
+        if i == decide and len(live) == len(zeros) and np.isnan(zeros).all():
+            valid_length[:] = ts[i]
+            break
+        _ode.rk4_step(manifold.jacobi_rhs, state, h, out=new, work=work)
+        u = new[:, 0]
+        before, after = state[:, searched], new[:, searched]
+        product = before * after
+        if u.min() >= profile.u_min and u.max() <= profile.u_max and product.min() > 0:
+            state, new = new, state
+            continue
+        exited = (u < profile.u_min) | (u > profile.u_max)
+        valid_length[live[exited]] = ts[i]
+        found = zeros[live, first:last]
+        pending = ~exited[:, None] & np.isnan(found)
+        at_start = pending & (before == 0.0) & (ts[i] > 0)
+        found[at_start] = ts[i]
+        rows, cols = np.nonzero(pending & ~at_start & (product < 0))
+        if len(rows):
+            # the derivatives of (j, j') are columns 4 and 5 of the system
+            at = np.arange(len(rows)), 4 + first + cols
+            d0 = manifold.jacobi_rhs(state[rows])[at]
+            d1 = manifold.jacobi_rhs(new[rows])[at]
+            bracket = (np.full(len(rows), i), live[rows], first + cols)
+            brackets.append(bracket + (before[rows, cols], after[rows, cols], d0, d1))
+            found[rows, cols] = np.inf  # placed after the loop
+        zeros[live, first:last] = found
+        keep = ~exited & np.isnan(found).any(axis=1)
+        if keep.all():
+            state, new = new, state
+        else:
+            # rows left: the buffers shrink to the rows still live
+            live, state = live[keep], np.asfortranarray(new[keep])
+            new, *work = (np.empty_like(state) for _ in range(4))
+    if brackets:
+        steps, rows, cols, v0, v1, d0, d1 = (np.concatenate(part) for part in zip(*brackets))
+        zeros[rows, cols] = hermite_zero(ts[steps], ts[steps + 1], v0, v1, d0, d1)
+    return (
+        zeros[:, 0].reshape(shape),
+        zeros[:, 1].reshape(shape),
+        valid_length.reshape(shape),
+    )

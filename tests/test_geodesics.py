@@ -405,12 +405,16 @@ def test_first_zero_gives_the_loop_answer_on_hand_built_arrays(of, vals, bracket
 
 def test_constant_curvature_radii_take_no_numpy_trajectory(monkeypatch):
     # the per-step NumPy integration must not come back on the radii scan:
-    # no binding of rk4_step is called
+    # no binding of rk4_step or dop853_step is called
     def refuse(*args, **kwargs):
-        raise AssertionError("rk4_step called")
+        raise AssertionError("a NumPy step called")
 
-    for module in (ode_module, radii_module):
-        monkeypatch.setattr(module, "rk4_step", refuse)
+    for module, name in (
+        (ode_module, "rk4_step"),
+        (ode_module, "dop853_step"),
+        (radii_module, "dop853_step"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
     conjugate, focal = jacobi_radii(Sphere(2, 1.0), directions=1)
     assert abs(conjugate.value - math.pi) < RADII_TOL
     assert abs(focal.value - math.pi / 2) < RADII_TOL

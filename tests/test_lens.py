@@ -435,6 +435,28 @@ def test_sample_makes_a_fixed_number_of_model_calls(monkeypatch):
     assert calls["dist_many"] <= 8
 
 
+def test_copies_at_other_separations_keep_the_memos_of_gamma_0(monkeypatch):
+    # gamma'(0) and the frame at gamma(0) do not depend on t: every copy
+    # carries them; gamma(t) is each copy's own
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    pair = BallPair.create(surface, 0.05, 0.03, t=0.04, convexity_bound=0.5)
+    frame, center = pair.frame_big(), pair.center_small()
+    calls = []
+    evaluate = SurfaceOfRevolution.exp_velocity_coords
+
+    def spy(self, *args):
+        calls.append(1)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(SurfaceOfRevolution, "exp_velocity_coords", spy)
+    copies = [pair.with_separation(t) for t in (0.0, 0.02, 0.07)]
+    for copy in copies:
+        assert copy.frame_big().tobytes() == frame.tobytes()
+    assert not calls
+    assert not np.array_equal(copies[2].center_small(), center)
+    assert len(calls) == 1
+
+
 # ------------------------------------------------------------- diameter
 
 

@@ -622,6 +622,62 @@ def test_rk4_step_in_buffers_gives_the_bits_of_the_formula():
     assert y.tobytes() == expected
 
 
+def test_dop853_step_in_buffers_gives_the_bits_of_the_allocating_step():
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    rng = np.random.default_rng(3)
+    state = rng.normal(scale=0.2, size=(40, 6))
+    expected, error = _ode.dop853_step(surface.jacobi_rhs, state, 0.04)
+    # the radii scan: a Fortran-ordered block into reused buffers
+    block = np.asfortranarray(state)
+    out, *work = (np.empty_like(block) for _ in range(1 + _ode.DOP853_WORK))
+    for _ in range(2):
+        _, again = _ode.dop853_step(surface.jacobi_rhs, block, 0.04, out=out, work=work)
+        assert np.ascontiguousarray(out).tobytes() == expected.tobytes()
+        assert again.tobytes() == error.tobytes()
+    # a column of steps, one per row: each row has the bits it has alone
+    h = rng.uniform(1e-3, 4e-2, size=(40, 1))
+    rows, errors = _ode.dop853_step(surface.jacobi_rhs, state, h)
+    for i in (0, 17, 39):
+        alone, alone_error = _ode.dop853_step(surface.jacobi_rhs, state[i : i + 1], h[i : i + 1])
+        assert alone.tobytes() == rows[i : i + 1].tobytes()
+        assert alone_error.tobytes() == errors[i : i + 1].tobytes()
+
+
+def test_dop853_coefficients_are_the_published_table():
+    table = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    a = np.zeros((13, 12))
+    for i, terms in enumerate(_ode._DOP853_A, start=1):
+        for j, coefficient in terms:
+            a[i, j] = coefficient
+    assert np.array_equal(a[:12], table.A[:12, :12])
+    assert np.array_equal(a[12], table.B)
+    for weights, expected in ((_ode._DOP853_E5, table.E5), (_ode._DOP853_E3, table.E3)):
+        e = np.zeros(13)
+        for j, coefficient in weights:
+            e[j] = coefficient
+        assert np.array_equal(e, expected)
+
+
+def _oscillator(y, out):
+    out[..., 0] = y[..., 1]
+    np.negative(y[..., 0], out=out[..., 1])
+    return out
+
+
+def test_dop853_step_and_its_error_estimate_have_order_eight():
+    # y'' = -y from (0, 1) over [0, 2]: half the step, about 2^-8 the error
+    errors, estimates = [], []
+    for n in (5, 10):
+        y, estimate = np.array([0.0, 1.0]), 0.0
+        for _ in range(n):
+            y, step_estimate = _ode.dop853_step(_oscillator, y, 2.0 / n)
+            estimate = max(estimate, step_estimate)
+        errors.append(abs(y[0] - math.sin(2.0)))
+        estimates.append(estimate)
+    assert errors[0] / errors[1] >= 128.0
+    assert estimates[0] / estimates[1] >= 128.0
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_minkowski_of_vectors_gives_the_bits_of_the_einsum_form(dim):
     model = Hyperbolic(dim, -1.0)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from geolens.radii import (
     _first_zeros_batch,
     _merge_min,
 )
-from ode_oracles import surface_jacobi
+from ode_oracles import rk4_zeros_batch, surface_jacobi
+from surface_oracles import sphere_surface
 
 
 def test_conjugate_radius_euclidean_is_lower_bound():
@@ -280,18 +282,27 @@ def test_closed_form_scan_stops_one_step_past_its_zeros(of, steps, monkeypatch):
         assert not radius.lower_bound_only
 
 
-def test_configured_step_reaches_the_batched_radii_scan(monkeypatch):
+def _record_scan_steps(monkeypatch):
+    """The step of every ``dop853_step`` call of the surface radii scans,
+    recorded as they run: a number for a step of the scan, an array (one
+    step per event) for a round that places its events."""
     steps = []
-    rk4_step = radii_module.rk4_step
+    dop853_step = radii_module.dop853_step
 
     def spy(rhs, y, h, **buffers):
         steps.append(h)
-        return rk4_step(rhs, y, h, **buffers)
+        return dop853_step(rhs, y, h, **buffers)
 
-    monkeypatch.setattr(radii_module, "rk4_step", spy)
+    monkeypatch.setattr(radii_module, "dop853_step", spy)
+    return steps
+
+
+def test_configured_step_reaches_the_batched_radii_scan(monkeypatch):
+    # the grid is the configured step's; the scan steps SCAN_GRID_STEPS of it
+    steps = _record_scan_steps(monkeypatch)
     surface = ManifoldSpec(kind="surface_of_revolution", step=1e-3).build()
     jacobi_radii(surface, directions=4, horizon=0.5)
-    assert steps and max(steps) <= 1e-3 * (1 + 1e-12)
+    assert steps and max(steps) <= radii_module.SCAN_GRID_STEPS * 1e-3 * (1 + 1e-12)
 
 
 def test_surface_requires_certified_injectivity():
@@ -357,13 +368,13 @@ def test_jacobi_radii_on_the_surface_match_the_single_scans():
 def test_surface_radii_keep_the_bits_of_the_benchmark_fingerprint():
     surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     report = radii_report(surface, certified_injectivity=1.0, base_points=3, directions=64)
-    assert repr(report.conjugate.value) == "5.441398092702734"
-    assert repr(report.focal.value) == "2.720699046351368"
+    assert repr(report.conjugate.value) == "5.441398092702654"
+    assert repr(report.focal.value) == "2.720699046351327"
     # at the default horizon the joint scan runs on to the conjugate zero
     # pi * sqrt(3) that the focal scan stops before
     focal = focal_radius(surface, directions=16)
     assert focal == jacobi_radii(surface, directions=16)[1]
-    assert repr(focal.value) == "2.720699046351368"
+    assert repr(focal.value) == "2.720699046351327"
 
 
 def test_surface_sample_keeps_the_bits_of_the_benchmark_fingerprint(monkeypatch):
@@ -406,22 +417,15 @@ def test_one_root_solve_places_every_zero_of_a_batch(monkeypatch):
 
 
 def test_the_focal_scan_stops_at_its_zeros(monkeypatch):
-    steps = []
-    rk4_step = radii_module.rk4_step
-
-    def spy(rhs, y, h, **buffers):
-        steps.append(len(y))
-        return rk4_step(rhs, y, h, **buffers)
-
-    monkeypatch.setattr(radii_module, "rk4_step", spy)
+    steps = _record_scan_steps(monkeypatch)
     surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     focal_radius(surface, directions=16)
-    focal_steps = len(steps)
+    focal_span = sum(h for h in steps if np.ndim(h) == 0)
     steps.clear()
     conj, _ = jacobi_radii(surface, directions=16)
-    assert focal_steps < len(steps)
+    assert focal_span < sum(h for h in steps if np.ndim(h) == 0)
     # no direction of the focal scan integrates on to the conjugate zero
-    assert focal_steps * surface.step < conj.value
+    assert focal_span < conj.value
 
 
 def _bump_spec(**settings):
@@ -429,16 +433,16 @@ def _bump_spec(**settings):
 
 
 # surfaces of the bump profile, the steps of the focal scan of their
-# convexity bound, and the bound: the bump itself, decided at inj/2; a chart
-# that directions leave before inj/2; and a zone of the unit sphere
-# (f = cos u), whose focal zero pi/2 comes before inj/2
+# convexity bound (of 0.04 each), and the bound: the bump itself, decided
+# at inj/2; a chart that directions leave before inj/2; and a zone of the
+# unit sphere (f = cos u), whose focal zero pi/2 comes before inj/2
 CAPPED_SCANS = {
-    "bump": (_bump_spec(injectivity_bound=1.0), 250, 0.5),
-    "narrow_chart": (_bump_spec(u_min=-0.2, u_max=0.2, injectivity_bound=1.0), 1361, 0.5),
+    "bump": (_bump_spec(injectivity_bound=1.0), 13, 0.5),
+    "narrow_chart": (_bump_spec(u_min=-0.2, u_max=0.2, injectivity_bound=1.0), 69, 0.5),
     "sphere_zone": (
         _bump_spec(offset=0.0, u_min=-1.2, u_max=1.2, injectivity_bound=4.0),
-        786,
-        1.5707963267951066,
+        40,
+        1.5707963267948966,
     ),
 }
 
@@ -459,13 +463,80 @@ def test_convexity_bound_has_the_bits_of_the_full_scan(name):
 @pytest.mark.parametrize("name", sorted(CAPPED_SCANS))
 def test_convexity_bound_scan_stops_once_decided(name, monkeypatch):
     spec, expected_steps, _ = CAPPED_SCANS[name]
-    steps = []
-    rk4_step = radii_module.rk4_step
-
-    def spy(rhs, y, h, **buffers):
-        steps.append(len(y))
-        return rk4_step(rhs, y, h, **buffers)
-
-    monkeypatch.setattr(radii_module, "rk4_step", spy)
+    steps = _record_scan_steps(monkeypatch)
     _surface_convexity_bound.__wrapped__(spec)
-    assert len(steps) == expected_steps
+    assert sum(np.ndim(h) == 0 for h in steps) == expected_steps
+
+
+def test_sphere_surface_radii_are_as_close_to_pi_as_the_rk4_scans():
+    # K = 1: the zeros of j and j' are pi and pi / 2 in every direction that
+    # stays in the chart
+    surface = sphere_surface().surface
+    conj, foc = jacobi_radii(surface, directions=8)
+    angles = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    j_zero, jp_zero, _ = rk4_zeros_batch(surface, surface.basepoint().coords, angles, 16.0)
+    assert abs(conj.value - math.pi) <= abs(np.nanmin(j_zero) - math.pi)
+    assert abs(foc.value - 0.5 * math.pi) <= abs(np.nanmin(jp_zero) - 0.5 * math.pi)
+
+
+def _benchmark_scan(**kwargs):
+    """The scan of the surface_bump benchmark's radii report, 3 base points
+    times 64 directions, as (surface, arguments, result)."""
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    lo, hi = surface.profile.u_min, surface.profile.u_max
+    us = lo + (hi - lo) * (np.arange(3) + 1.0) / 4.0
+    args = (np.column_stack([us, np.zeros(3)]), np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+    return surface, args, _first_zeros_batch(surface, *args, surface.horizon, **kwargs)
+
+
+def test_benchmark_rows_match_the_rk4_scans():
+    surface, args, scan = _benchmark_scan()
+    # the RK4 scan on the same grid exits and finds zeros on the same rows
+    rk4 = rk4_zeros_batch(surface, *args, surface.horizon)
+    for new, old in zip(scan, rk4):
+        assert np.array_equal(np.isnan(new), np.isnan(old))
+    assert scan[2].tobytes() == rk4[2].tobytes()
+    # each zero lies within 2e-14 of the RK4 scan on a grid eight times finer
+    fine = rk4_zeros_batch(surface, *args, surface.horizon, step=surface.step / 8)
+    for new, ref in zip(scan[:2], fine[:2]):
+        assert np.array_equal(np.isnan(new), np.isnan(ref))
+        assert np.nanmax(np.abs(new - ref)) <= 2e-14
+        assert np.count_nonzero(~np.isnan(new)) > 0
+
+
+def test_the_scan_error_estimate_is_reported_and_grows_with_the_step():
+    surface, _, scan = _benchmark_scan()
+    assert 0.0 < scan.error < 1e-12
+    # twice the grid step, twice the scan step
+    assert _benchmark_scan(step=2.0 * surface.step)[2].error > scan.error
+    report = radii_report(surface, certified_injectivity=1.0, base_points=3, directions=64)
+    assert report.jacobi_error == scan.error
+    assert [name for name, _ in report.fields()] == [
+        "injectivity", "conjugate", "focal", "loop_length", "convexity"
+    ]
+    assert closed_form_radii(Sphere(2, 1.0)).jacobi_error is None
+
+
+def test_benchmark_radii_report_takes_few_right_hand_sides_in_little_memory(monkeypatch):
+    # the RK4 scan took 11320 right-hand sides and peaked at 0.17 MB
+    surface, args, _ = _benchmark_scan()
+    calls = []
+    rhs = SurfaceOfRevolution.jacobi_rhs
+
+    def counted(self, *a, **kw):
+        calls.append(1)
+        return rhs(self, *a, **kw)
+
+    monkeypatch.setattr(SurfaceOfRevolution, "jacobi_rhs", counted)
+    radii_report(surface, certified_injectivity=1.0, base_points=3, directions=64)
+    assert len(calls) <= 2000
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        _first_zeros_batch(surface, *args, surface.horizon)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5e6
+
