@@ -5,12 +5,12 @@ Sections and the keys each one reads:
     [manifold]   kind, dimension, curvature; surface models add either
                  profile = bump (built-in f(u) = offset + cos u) with
                  u_min, u_max, offset, or profile_file = CSV with columns
-                 u, f[, df, d2f]; then step, the RK4 step of every
-                 integration on the surface (exp and shooting, the geodesic
-                 line, the Jacobi radii scans), injectivity_bound (required
-                 on the surface; > 0, and the focal scan of the convexity
-                 bound stops at half of it once that decides the bound) and
-                 loop_length (> 0).  Every float of [manifold] must be
+                 u, f[, df, d2f]; then step, the grid of every integration
+                 on the surface (exp and shooting, the geodesic line, the
+                 Jacobi radii scans), whose DOP853 steps span 20 grid steps
+                 each, injectivity_bound (required on the surface; > 0, and
+                 the focal scan of the convexity bound stops at half of it
+                 once that decides the bound) and loop_length (> 0).  Every float of [manifold] must be
                  finite.
     [lens]       pairs = "R1,r1; R2,r2; ..."; R and r name the first pair
                  (profile runs it, verify runs every pair).

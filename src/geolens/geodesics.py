@@ -140,10 +140,11 @@ def integrate_jacobi(
 
     The state is two floats, and a NumPy call on a 2-vector costs about a
     microsecond, so the steps run on Python floats: each makes the
-    operations of :func:`geolens._ode.rk4_step` on (j', -K j) in the same
-    order, and so gives its bits.  A model without closed forms raises
-    ``ValueError``: its curvature varies along each geodesic, and its radii
-    scans integrate the joint system in ``radii._first_zeros_batch``.
+    operations of the textbook RK4 step (``rk4_step`` of
+    ``tests/ode_oracles.py``) on (j', -K j) in the same order, and so gives
+    its bits.  A model without closed forms raises ``ValueError``: its
+    curvature varies along each geodesic, and its radii scans integrate the
+    joint system in ``radii._first_zeros_batch``.
 
     ``_of`` names the zeros a radii scan reads, "value" (j) and
     "derivative" (j'), as in :meth:`JacobiSolution.first_zero`.  The grid
@@ -165,7 +166,7 @@ def integrate_jacobi(
     watch_j, watch_jp = "value" in _of, "derivative" in _of
     stop, last = False, n  # last: the last grid index of the solution
     for i in range(1, n + 1):
-        # the stages of rk4_step: j' at the substeps (jp, p2, p3, p4) for j,
+        # the stages of RK4: j' at the substeps (jp, p2, p3, p4) for j,
         # and -K j there (q1 to q4) for j'
         q1 = mk * j
         p2 = jp + a * q1

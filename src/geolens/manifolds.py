@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from geolens._ode import rk4_rows
+from geolens._ode import SCAN_GRID_STEPS, dop853_rows
 from geolens.errors import (
     ChartError,
     InjectivityError,
@@ -303,7 +303,9 @@ class Manifold(ABC):
 
     # Length of the Jacobi scans of geolens.radii when the caller gives none.
     horizon: float = 8.0
-    # RK4 step of every numeric geodesic and Jacobi integration on the model.
+    # Grid step of the model's numeric integrations: the step of the float
+    # RK4 Jacobi scan on the closed forms; on the surface, the grid of its
+    # radii scan, each DOP853 step spanning SCAN_GRID_STEPS of it.
     step: float = 2e-3
 
     def convexity_radius(self) -> float:
@@ -716,26 +718,26 @@ class RevolutionProfile:
 class SurfaceOfRevolution(Manifold):
     """Numeric 2D surface of revolution with metric du^2 + f(u)^2 dv^2.
 
-    Gauss curvature is K(u) = -f''(u)/f(u).  The exponential map integrates
-    the geodesic equations with fixed-step RK4.  The logarithm map and every
+    Gauss curvature is K(u) = -f''(u)/f(u).  The exponential map integrates the
+    geodesic equations with fixed-step DOP853.  The logarithm map and every
     distance solve the two-point problem by Newton shooting on (direction
-    angle, arclength L), many (source, target) rows in lockstep: each
-    iteration integrates the joint geodesic + Jacobi system
-    (:meth:`jacobi_rhs`) of every row once, at unit speed over [0, L], and
-    reads the exact Newton Jacobian off the end state.  The derivative of
-    the endpoint along the direction angle is the Jacobi field j(L) n(L) (n
-    the unit normal), and along L the unit end velocity.  Every batch, of
-    exponentials, line points or shots, integrates each row in the row's own
-    ``_n_steps`` (:func:`geolens._ode.rk4_rows`): a row has the same bits
-    whichever batch it is in.  These spans are short (a ball radius, a
-    chord), and RK4 keeps their bits pinned by the tests.
+    angle, arclength L), many (source, target) rows in lockstep: each iteration
+    integrates the joint geodesic + Jacobi system (:meth:`jacobi_rhs`) of every
+    row once, at unit speed over [0, L], and reads the exact Newton Jacobian
+    off the end state.  The derivative of the endpoint along the direction
+    angle is the Jacobi field j(L) n(L) (n the unit normal), and along L the
+    unit end velocity.  Every batch, of exponentials, line points or shots,
+    integrates each row in the row's own ``_n_steps``
+    (:func:`geolens._ode.dop853_rows`): a row has the same bits whichever batch
+    it is in.
 
     The conjugate and focal radii come from the radii scan
     (``radii._first_zeros_batch``), which integrates the same joint system
-    over whole horizons, and there the step is order-8 DOP853
-    (:func:`geolens._ode.dop853_step`): one step of twelve right-hand sides
-    spans twenty steps of the RK4 grid, which is still where the scan places
-    its zeros and chart exits, with a smaller error than RK4 on that grid.
+    over whole horizons.  Every integration on the surface takes the one
+    step of :mod:`geolens._ode`, order-8 DOP853
+    (:func:`geolens._ode.dop853_step`), spanning
+    :data:`geolens._ode.SCAN_GRID_STEPS` steps of the grid ``step``; the
+    radii scan still places its zeros and chart exits on that grid.
 
     :meth:`jacobi_rhs` follows NumPy's ``out=`` convention: it writes the
     derivative into a given array, one component at a time with ``out=``
@@ -823,13 +825,14 @@ class SurfaceOfRevolution(Manifold):
         return out
 
     def _n_steps(self, span):
-        """RK4 steps over an arclength span; elementwise over arrays."""
-        return np.maximum(16, np.ceil(np.abs(span) / self.step).astype(int))
+        """DOP853 steps over an arclength span, each at most
+        ``SCAN_GRID_STEPS`` grid steps long; elementwise over arrays."""
+        return np.maximum(1, np.ceil(np.abs(span) / (SCAN_GRID_STEPS * self.step)).astype(int))
 
     def exp_pairs(self, bases, tangents):
-        """RK4 integration of every row over [0, 1] in the ``_n_steps`` of
-        its tangent's length (:func:`rk4_rows`), so a row has the bits it has
-        alone; a zero tangent takes no step."""
+        """DOP853 integration of every row over [0, 1] in the ``_n_steps``
+        of its tangent's length (:func:`dop853_rows`), so a row has the bits
+        it has alone; a zero tangent takes no step."""
         base = np.asarray(bases, dtype=np.float64)
         tg = np.atleast_2d(np.asarray(tangents, dtype=np.float64))
         speeds = np.sqrt(
@@ -840,13 +843,14 @@ class SurfaceOfRevolution(Manifold):
             raise ChartError(f"requested length {span:g} exceeds horizon {self.horizon:g}")
         n = np.where(speeds < 1e-300, 0, self._n_steps(speeds))
         state0 = np.concatenate([np.broadcast_to(base, tg.shape), tg], axis=1)
-        end = rk4_rows(self.geodesic_rhs, state0, 1.0 / np.maximum(n, 1), n)
+        end = dop853_rows(self.geodesic_rhs, state0, 1.0 / np.maximum(n, 1), n)
         self.profile.check_domain(end[:, 0])
         return end[:, :2]
 
     def exp_velocity_coords(self, base_coords, components, t):
-        """RK4 integration over [0, t] in ``_n_steps(|t| speed)`` steps; the
-        rows of a column of ``t`` each take their own (:func:`rk4_rows`)."""
+        """DOP853 integration over [0, t] in ``_n_steps(|t| speed)`` steps;
+        the rows of a column of ``t`` each take their own
+        (:func:`dop853_rows`)."""
         base = np.asarray(base_coords, dtype=np.float64)
         c = np.asarray(components, dtype=np.float64)
         ts = np.reshape(np.asarray(t, dtype=np.float64), -1)
@@ -854,7 +858,7 @@ class SurfaceOfRevolution(Manifold):
         speed = math.sqrt(self.inner_coords(base, c, c))
         if speed >= 1e-300:
             n = self._n_steps(np.abs(ts) * speed)
-            state = rk4_rows(self.geodesic_rhs, state, ts / n, n)
+            state = dop853_rows(self.geodesic_rhs, state, ts / n, n)
             self.profile.check_domain(state[:, 0])
         if np.ndim(t) == 0:
             state = state[0]
@@ -870,15 +874,15 @@ class SurfaceOfRevolution(Manifold):
         """End states (u, v, du, dv, j, j') of the unit-speed geodesics that
         leave the rows of p at the given angles, after arclength ``length``
         per row, with j(0) = 0 and j'(0) = 1.  Each row takes its own
-        ``_n_steps(length)`` RK4 steps (:func:`rk4_rows`), so its bits do not
-        depend on the other rows of the batch."""
+        ``_n_steps(length)`` DOP853 steps (:func:`dop853_rows`), so its bits
+        do not depend on the other rows of the batch."""
         state = np.zeros((len(p), 6))
         state[:, :2] = p
         state[:, 2] = np.cos(angle)
         state[:, 3] = np.sin(angle) / np.asarray(self.profile.f(p[:, 0]))
         state[:, 5] = 1.0
         n = self._n_steps(length)
-        return rk4_rows(self.jacobi_rhs, state, length / n, n)
+        return dop853_rows(self.jacobi_rhs, state, length / n, n)
 
     def _residual(self, p, q, fbar, x):
         """Shooting residuals (u miss, v miss scaled by f at the mean u) of

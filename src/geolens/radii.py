@@ -4,17 +4,16 @@ Constant-curvature models have closed forms; their Jacobi scans
 (``jacobi_radii``) integrate the one scalar equation on Python floats in
 RK4 steps (``geodesics.integrate_jacobi``).  Numeric surfaces get conjugate
 and focal radii from one batched integration of the joint geodesic + Jacobi
-system over sampled directions (:func:`_first_zeros_batch`).  It runs every
-row over a whole horizon, so it steps with order-8 DOP853, whose step spans
-twenty grid steps at 12 right-hand sides against RK4's 80, and places zeros
-and exits on the grid after the loop.  Its one-direction reference and the
-RK4 scan it replaced are in ``tests/ode_oracles.py``.  A surface's
-injectivity radius is never estimated, it must be certified by the user
-(e.g. in the run configuration), and its convexity radius is assembled from
-the identity conv = min(focal, injectivity / 2).  A caller that needs only
-that minimum passes injectivity / 2 as the ``cap`` of :func:`focal_radius`,
-whose scan then stops at the cap when no direction has a zero or has left
-the chart.
+system over sampled directions (:func:`_first_zeros_batch`).  It steps with
+the surface's one integrator, order-8 DOP853, whose step spans twenty grid
+steps at 12 right-hand sides, and places zeros and exits on the grid after
+the loop.  Its one-direction reference and the RK4 scan it replaced are in
+``tests/ode_oracles.py``.  A surface's injectivity radius is never
+estimated, it must be certified by the user (e.g. in the run
+configuration), and its convexity radius is assembled from the identity
+conv = min(focal, injectivity / 2).  A caller that needs only that minimum
+passes injectivity / 2 as the ``cap`` of :func:`focal_radius`, whose scan
+then stops at the cap when no direction has a zero or has left the chart.
 
 Horizon-limited searches report a lower bound, never a fabricated value.
 """
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geolens._ode import DOP853_WORK, dop853_step
+from geolens._ode import DOP853_WORK, SCAN_GRID_STEPS, dop853_step
 from geolens.errors import ConfigError
 from geolens.geodesics import hermite_zero, integrate_jacobi
 from geolens.manifolds import Manifold
@@ -140,10 +139,6 @@ def closed_form_radii(manifold: Manifold) -> RadiiReport:
     )
 
 
-# grid steps per DOP853 step of the surface's radii scan
-SCAN_GRID_STEPS = 20
-
-
 class ScanZeros(tuple):
     """The (j_zero, jp_zero, valid_length) arrays of a surface radii scan,
     with ``error``: the largest embedded error estimate of any of its
@@ -172,13 +167,14 @@ def _first_zeros_batch(
     ``_of`` names the zeros needed, "value" (j) and "derivative" (j'); a
     zero not named stays nan.
 
-    The scan steps with :func:`dop853_step`, one step per
-    :data:`SCAN_GRID_STEPS` steps of the grid (the last one shorter), and
-    detects chart exits and sign changes of j and j' at the ends of these
-    steps; an excursion out of the chart and back within one step goes
-    unseen.  The grid stays the resolution of what it reports: after the
-    loop, :func:`_place_events` finds the grid step of every exit and zero.
-    RK4 on the grid itself (``rk4_zeros_batch`` of ``tests/ode_oracles.py``)
+    The scan steps with :func:`dop853_step`, the step of every integration
+    on the surface, one step per :data:`SCAN_GRID_STEPS` steps of the grid
+    (the last one shorter), and detects chart exits and sign changes of j
+    and j' at the ends of these steps; an excursion out of the chart and
+    back within one step goes unseen.  The grid stays the resolution of
+    what it reports: after the loop, :func:`_place_events` finds the grid
+    step of every exit and zero.  The RK4 scan on the grid itself
+    (``rk4_zeros_batch`` of ``tests/ode_oracles.py``) is the reference: it
     takes 80 right-hand sides where this takes 12, and its zeros are
     further from those of a finer grid.
 

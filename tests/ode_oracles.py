@@ -1,13 +1,16 @@
 """ODE references for the tests: sampled RK4 trajectories of the geodesic
 equation and of the surface's joint geodesic + Jacobi system.
 
-No command runs these.  They step with :func:`geolens._ode.rk4_step`, one
-state alone, or with :func:`geolens._ode.rk4_rows` where the rows are
-independent (each row then has the bits it has alone), both looked up at
-call time.  The models' closed-form exponential maps, the surface's
-shooting and its batched Jacobi scan (``radii._first_zeros_batch``) are
-compared with them; the scan also with :func:`rk4_zeros_batch`, the batched
-RK4 scan that it was before it stepped with DOP853.
+No command runs these.  They step with :func:`rk4_step`, the classical RK4
+step as the textbook writes it, one state alone, or with :func:`rk4_rows`
+where the rows are independent (each row then has the bits it has alone).
+That step is the tests' own, independent of the DOP853 step geolens
+integrates the surface with; ``geodesics.integrate_jacobi`` makes its
+operations on floats, in the same order.  The models' closed-form
+exponential maps, the surface's shooting and its batched Jacobi scan
+(``radii._first_zeros_batch``) are compared with them; the scan also with
+:func:`rk4_zeros_batch`, the batched RK4 scan that it was before it stepped
+with DOP853.
 """
 
 from __future__ import annotations
@@ -18,9 +21,31 @@ import math
 
 import numpy as np
 
-from geolens import _ode
 from geolens.geodesics import JacobiSolution, _check_unit_direction, hermite_zero
 from geolens.manifolds import Manifold, ManifoldPoint, TangentVector
+
+
+def rk4_step(rhs, y, h):
+    """The classical RK4 step of y' = rhs(y) as written in the textbook, one
+    new array per operation; ``h`` is a number or broadcasts against y."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_rows(rhs, y, h, n):
+    """Integrate each row of an (m, k) block of states over its own ``n[i]``
+    steps of ``h[i]`` and return the end states: the rows with steps left
+    step together, so each has the bits it has alone."""
+    state = np.array(y, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)[:, None]
+    n = np.asarray(n)
+    for i in range(int(n.max(initial=0))):
+        live = n > i
+        state[live] = rk4_step(rhs, state[live], h[live])
+    return state
 
 
 def rk4_trajectory(rhs, y0, span, n_steps):
@@ -34,7 +59,7 @@ def rk4_trajectory(rhs, y0, span, n_steps):
     ys = np.empty((n_steps + 1,) + y.shape)
     ys[0] = y
     for i in range(n_steps):
-        y = _ode.rk4_step(rhs, y, h)
+        y = rk4_step(rhs, y, h)
         ys[i + 1] = y
     return ts, ys
 
@@ -44,7 +69,7 @@ def rk4_endpoint(rhs, y0, span, n_steps):
     y = np.array(y0, dtype=np.float64)
     h = span / n_steps
     for _ in range(n_steps):
-        y = _ode.rk4_step(rhs, y, h)
+        y = rk4_step(rhs, y, h)
     return y
 
 
@@ -107,7 +132,7 @@ def geodesic_endpoints(manifold, starts, directions, lengths, step=None):
     lengths = np.asarray(lengths, dtype=np.float64)
     n = _n_steps(lengths, step)
     state = np.concatenate([starts, directions], axis=1)
-    return _ode.rk4_rows(manifold.geodesic_rhs, state, lengths / n, n)[:, : manifold.ambient_dim]
+    return rk4_rows(manifold.geodesic_rhs, state, lengths / n, n)[:, : manifold.ambient_dim]
 
 
 def surface_jacobi(surface, base, direction, length, step=None) -> JacobiSolution:
@@ -132,11 +157,11 @@ def rk4_zeros_batch(
     arguments and (j_zero, jp_zero, valid_length) arrays, with the scan's
     exits, cap and zero rules at every grid step.
 
-    The state is one Fortran-ordered (rows, 6) block stepped through reused
-    buffers.  A sign change keeps its bracket (step, row, column, both end
-    values and both end derivatives from :meth:`jacobi_rhs`), and after the
-    loop one :func:`hermite_zero` call places every zero inside its step,
-    as ``JacobiSolution.first_zero`` does on :func:`surface_jacobi`.
+    The state is one Fortran-ordered (rows, 6) block.  A sign change keeps
+    its bracket (step, row, column, both end values and both end derivatives
+    from :meth:`jacobi_rhs`), and after the loop one :func:`hermite_zero`
+    call places every zero inside its step, as ``JacobiSolution.first_zero``
+    does on :func:`surface_jacobi`.
     """
     profile = manifold.profile
     step = manifold.step if step is None else step
@@ -164,19 +189,18 @@ def rk4_zeros_batch(
     brackets = []
     # the step at whose start the capped search may be decided (n: never)
     decide = n if cap is None else int(np.searchsorted(ts, cap))
-    new, *work = (np.empty_like(state) for _ in range(4))
     for i in range(n):
         if not len(live):
             break
         if i == decide and len(live) == len(zeros) and np.isnan(zeros).all():
             valid_length[:] = ts[i]
             break
-        _ode.rk4_step(manifold.jacobi_rhs, state, h, out=new, work=work)
+        new = rk4_step(manifold.jacobi_rhs, state, h)
         u = new[:, 0]
         before, after = state[:, searched], new[:, searched]
         product = before * after
         if u.min() >= profile.u_min and u.max() <= profile.u_max and product.min() > 0:
-            state, new = new, state
+            state = new
             continue
         exited = (u < profile.u_min) | (u > profile.u_max)
         valid_length[live[exited]] = ts[i]
@@ -195,12 +219,7 @@ def rk4_zeros_batch(
             found[rows, cols] = np.inf  # placed after the loop
         zeros[live, first:last] = found
         keep = ~exited & np.isnan(found).any(axis=1)
-        if keep.all():
-            state, new = new, state
-        else:
-            # rows left: the buffers shrink to the rows still live
-            live, state = live[keep], np.asfortranarray(new[keep])
-            new, *work = (np.empty_like(state) for _ in range(4))
+        live, state = live[keep], np.asfortranarray(new[keep])
     if brackets:
         steps, rows, cols, v0, v1, d0, d1 = (np.concatenate(part) for part in zip(*brackets))
         zeros[rows, cols] = hermite_zero(ts[steps], ts[steps + 1], v0, v1, d0, d1)

@@ -172,21 +172,22 @@ def test_integrator_is_fourth_order(sphere):
 
 
 def test_configured_step_reaches_the_line_and_the_jacobi_integration(monkeypatch):
-    # [manifold] step sets the spacing of every surface integration: the
-    # geodesic line of a ball pair, and the reference Jacobi field left at
-    # its default
+    # [manifold] step sets the grid of every surface integration: the
+    # geodesic line of a ball pair, whose DOP853 steps each span
+    # SCAN_GRID_STEPS of it, and the reference Jacobi field left at its
+    # default
     surface = ManifoldSpec(kind="surface_of_revolution", step=1e-3).build()
     steps = []
-    rk4_step = ode_module.rk4_step
+    dop853_step = ode_module.dop853_step
 
     def spy(rhs, y, h, **buffers):
         steps.append(np.max(np.abs(h)))
-        return rk4_step(rhs, y, h, **buffers)
+        return dop853_step(rhs, y, h, **buffers)
 
-    monkeypatch.setattr(ode_module, "rk4_step", spy)
+    monkeypatch.setattr(ode_module, "dop853_step", spy)
     bp = BallPair.create(surface, 0.3, 0.2, convexity_bound=0.5)
     bp.line.states_many([-0.2, 0.1, 0.5])
-    assert steps and max(steps) <= 1e-3 * (1 + 1e-12)
+    assert steps and max(steps) <= ode_module.SCAN_GRID_STEPS * 1e-3 * (1 + 1e-12)
     base = surface.basepoint()
     d = TangentVector(base, surface.unit_tangent(base.coords, 1.3))
     sol = surface_jacobi(surface, base, d, 0.5)
@@ -405,12 +406,11 @@ def test_first_zero_gives_the_loop_answer_on_hand_built_arrays(of, vals, bracket
 
 def test_constant_curvature_radii_take_no_numpy_trajectory(monkeypatch):
     # the per-step NumPy integration must not come back on the radii scan:
-    # no binding of rk4_step or dop853_step is called
+    # no binding of dop853_step is called
     def refuse(*args, **kwargs):
         raise AssertionError("a NumPy step called")
 
     for module, name in (
-        (ode_module, "rk4_step"),
         (ode_module, "dop853_step"),
         (radii_module, "dop853_step"),
     ):

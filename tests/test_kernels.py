@@ -90,7 +90,7 @@ def test_scans_match_dist_many(model):
 def test_surface_scans_take_the_row_loop_and_match_dist_many():
     surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     rng = np.random.default_rng(6)
-    # a small patch keeps every shoot at the minimum RK4 step count
+    # a small patch keeps every shoot at one DOP853 step
     pts = np.column_stack([rng.uniform(-0.01, 0.01, 20), rng.uniform(-0.004, 0.004, 20)])
     full = _brute_force(surface, pts, pts)
     d, i, j = _kernels.pairwise_max(pts, surface)

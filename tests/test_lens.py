@@ -211,8 +211,8 @@ def test_scans_give_the_pair_distances_of_their_witnesses(model, R, r):
 
 
 def test_surface_sample_block_matches_per_ring_reference():
-    # r = 0.03 is below 16 RK4 steps, so the shared step count of the
-    # block changes no point
+    # r = 0.03 is below one DOP853 step (20 grid steps, 0.04), so every
+    # row of the block takes the one step it takes alone
     surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     bp = BallPair.create(surface, 0.05, 0.03, t=0.04, convexity_bound=1.0)
     cloud = sample_intersection(bp, budget=16, seed=0)
@@ -311,7 +311,7 @@ def test_sample_pass_gives_each_lens_the_bits_of_its_one_row_case(model, R, r, m
 
 
 def test_surface_sample_pass_takes_the_lenses_in_one_step(monkeypatch):
-    # the surface's exp_pairs and shots integrate each row in its own RK4
+    # the surface's exp_pairs and shots integrate each row in its own DOP853
     # steps, so the lenses share one step with the bits of each alone
     surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     bp = BallPair.create(surface, 0.05, 0.03, convexity_bound=1.0)
@@ -381,6 +381,28 @@ def test_surface_sample_shoots_in_one_newton_loop(monkeypatch):
     separate = sample_intersection(bp, 16, 1)
     assert shots == [6, 6, 64, 64]
     assert merged.points.tobytes() == separate.points.tobytes()
+
+
+def test_surface_pair_and_sample_take_few_right_hand_sides(monkeypatch):
+    # every integration steps with DOP853 over SCAN_GRID_STEPS grid steps:
+    # the pair and its sample take 240 right-hand sides, and the shots
+    # converge in 3 Newton evaluations
+    calls = {"rhs": 0, "residual": 0}
+
+    def counted(name, method):
+        def spy(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+
+        return spy
+
+    for attr, name in (("jacobi_rhs", "rhs"), ("geodesic_rhs", "rhs"), ("_residual", "residual")):
+        monkeypatch.setattr(SurfaceOfRevolution, attr, counted(name, getattr(SurfaceOfRevolution, attr)))
+    surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
+    bp = BallPair.create(surface, 0.05, 0.03, t=0.04, convexity_bound=0.5)
+    sample_intersection(bp, 16, 1)
+    assert calls["rhs"] <= 300
+    assert calls["residual"] <= 3
 
 
 def test_surface_sample_batch_gives_the_bits_of_four_queries(monkeypatch):

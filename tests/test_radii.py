@@ -391,7 +391,7 @@ def test_surface_sample_keeps_the_bits_of_the_benchmark_fingerprint(monkeypatch)
     bp = BallPair.create(surface, 0.05, 0.03, t=0.04, convexity_bound=0.5)
     cloud = sample_intersection(bp, 16, 1)
     assert hashlib.sha256(cloud.points.tobytes()).hexdigest() == (
-        "4d63d93d569dc1baa521c5cdcaad91c9b218a69497ff9ae67404927ae8c64407"
+        "083e0e85902bff9b7b5a41d80d9af92cd212e61560dd06bb0dc2b383b671ac0c"
     )
     # the line is evaluated once to check the chart, once at gamma(0) and
     # once for the candidates, whose centres and frames the circles share

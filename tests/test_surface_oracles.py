@@ -41,7 +41,7 @@ def test_surface_exponential_matches_the_model(oracle):
     p, _, v = _pairs(oracle, 200, 6)
     ends = oracle.surface.exp_pairs(p, v)
     exact = oracle.model.exp_pairs(oracle.to_model(p), oracle.push(p, v))
-    assert np.max(np.abs(oracle.to_model(ends) - exact)) <= 1e-11
+    assert np.max(np.abs(oracle.to_model(ends) - exact)) <= 1e-14
 
 
 @pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: o.name)
@@ -81,8 +81,8 @@ def test_surface_geodesic_line_matches_the_model(oracle, base, angle):
     ts = np.linspace(-0.8, 0.8, 41)
     points, velocities = line.states_many(ts)
     exact_points, exact_velocities = exact_line.states_many(ts)
-    assert np.max(np.abs(oracle.to_model(points) - exact_points)) <= 1e-11
-    assert np.max(np.abs(oracle.push(points, velocities) - exact_velocities)) <= 1e-11
+    assert np.max(np.abs(oracle.to_model(points) - exact_points)) <= 1e-14
+    assert np.max(np.abs(oracle.push(points, velocities) - exact_velocities)) <= 1e-14
 
 
 def test_sphere_surface_radii_are_pi_and_half_pi():
