@@ -1,15 +1,16 @@
-"""Fixed-step explicit Runge-Kutta integration for autonomous systems.
+"""Explicit Runge-Kutta integration for autonomous systems.
 
-Fixed steps keep runs reproducible; accuracy is controlled by the step size
-and checked by the tests against closed forms, invariants and finer-step
-runs.  The numeric surface has one integrator, :func:`dop853_step`, the
-order-8 step of Dormand and Prince, with one step rule: a step spans
-:data:`SCAN_GRID_STEPS` steps of the model's grid (``manifold.step``), at
-twelve right-hand sides, and its embedded pair estimates its error.  The
-radii scan (``radii._first_zeros_batch``) steps every row over its whole
-horizon and places zeros and exits on the grid; the exponential maps, line
-points and Newton shots integrate their batches with :func:`dop853_rows`,
-whose rows each take their own steps, so a row has the bits it has alone.
+The numeric surface has one integrator, :func:`dop853_step`, the order-8
+step of Dormand and Prince at twelve right-hand sides, whose embedded pair
+estimates its error.  The exponential maps, line points and Newton shots
+integrate their batches with :func:`dop853_rows` in fixed equal steps of at
+most :data:`SCAN_GRID_STEPS` steps of the model's grid (``manifold.step``);
+the tests check their accuracy against closed forms, invariants and
+finer-step runs.  The radii scan (``radii._first_zeros_batch``) sizes each
+row's steps, whole numbers of grid steps and never fewer than
+:data:`SCAN_GRID_STEPS`, from that row's own error estimate, and places
+zeros and exits on the grid.  In both, every row takes its own steps, so a
+row has the bits it has alone.
 
 The constant-curvature Jacobi scan (``geodesics.integrate_jacobi``) is two
 Python floats stepped by classical RK4.  The sampled trajectories that the
@@ -30,8 +31,9 @@ that its right-hand side reads or writes is one contiguous run.
 
 import numpy as np
 
-# grid steps of ``manifold.step`` per step of every integration of the
-# numeric surface (its radii scan, exponential maps, line points and shots)
+# grid steps of ``manifold.step`` per step of the numeric surface's
+# exponential maps, line points and shots, and the shortest step of its
+# radii scan
 SCAN_GRID_STEPS = 20
 
 
@@ -157,7 +159,7 @@ def _weighted_sum(terms, k, out, term):
     return out
 
 
-def dop853_step(rhs, y, h, out=None, work=None):
+def dop853_step(rhs, y, h, out=None, work=None, estimate=True):
     """One DOP853 step of y' = rhs(y) with step h, and its error estimate.
 
     ``rhs`` is called as ``rhs(x, out=k)``.  ``h`` is a number, or an array
@@ -171,7 +173,9 @@ def dop853_step(rhs, y, h, out=None, work=None):
     Returns (new state, error), where the error of each state along the
     last axis of ``y`` combines the max norms e5 and e3 of h times the
     order-8 less the order-5 and order-3 solutions as DOP853 does,
-    e5^2 / sqrt(e5^2 + 0.01 e3^2): an estimate of order 8 in h.
+    e5^2 / sqrt(e5^2 + 0.01 e3^2): an estimate of order 8 in h.  With
+    ``estimate`` False the error is not computed and is None; the new
+    state has the same bits.
     """
     if work is None:
         work = [np.empty_like(y, dtype=np.float64) for _ in range(DOP853_WORK)]
@@ -180,11 +184,13 @@ def dop853_step(rhs, y, h, out=None, work=None):
     for i, terms in enumerate(_DOP853_A[:-1], start=1):
         _weighted_sum(terms, k, acc, term)
         rhs(np.add(y, np.multiply(h, acc, out=acc), out=acc), out=k[i])
-    e5, e3 = (
-        np.abs(np.multiply(h, _weighted_sum(weights, k, acc, term), out=acc), out=acc).max(axis=-1)
-        for weights in (_DOP853_E5, _DOP853_E3)
-    )
-    error = e5 * e5 / np.maximum(np.hypot(e5, 0.1 * e3), np.finfo(np.float64).tiny)
+    error = None
+    if estimate:
+        e5, e3 = (
+            np.abs(np.multiply(h, _weighted_sum(w, k, acc, term), out=acc), out=acc).max(axis=-1)
+            for w in (_DOP853_E5, _DOP853_E3)
+        )
+        error = e5 * e5 / np.maximum(np.hypot(e5, 0.1 * e3), np.finfo(np.float64).tiny)
     _weighted_sum(_DOP853_B, k, acc, term)
     return np.add(y, np.multiply(h, acc, out=acc), out=out), error
 
@@ -197,7 +203,7 @@ def dop853_rows(rhs, y, h, n):
     leaves the batch after its last step.  With an ``rhs`` that treats the
     rows independently, each row gets the bits it has alone.  ``rhs`` takes
     ``out=``: the rows step in place, through stage buffers that every step
-    reuses.
+    reuses.  The steps are fixed, so no error estimate is computed.
     """
     n = np.asarray(n)
     order = np.argsort(-n, kind="stable")
@@ -210,7 +216,7 @@ def dop853_rows(rhs, y, h, n):
         while n[rows - 1] <= i:
             rows -= 1
         live = state[:rows]
-        dop853_step(rhs, live, h[:rows], out=live, work=[w[:rows] for w in work])
+        dop853_step(rhs, live, h[:rows], out=live, work=[w[:rows] for w in work], estimate=False)
     out = np.empty_like(state)
     out[order] = state
     return out

@@ -305,7 +305,7 @@ class Manifold(ABC):
     horizon: float = 8.0
     # Grid step of the model's numeric integrations: the step of the float
     # RK4 Jacobi scan on the closed forms; on the surface, the grid of its
-    # radii scan, each DOP853 step spanning SCAN_GRID_STEPS of it.
+    # radii scan, whose DOP853 steps span SCAN_GRID_STEPS or more of it.
     step: float = 2e-3
 
     def convexity_radius(self) -> float:
@@ -735,9 +735,12 @@ class SurfaceOfRevolution(Manifold):
     (``radii._first_zeros_batch``), which integrates the same joint system
     over whole horizons.  Every integration on the surface takes the one
     step of :mod:`geolens._ode`, order-8 DOP853
-    (:func:`geolens._ode.dop853_step`), spanning
-    :data:`geolens._ode.SCAN_GRID_STEPS` steps of the grid ``step``; the
-    radii scan still places its zeros and chart exits on that grid.
+    (:func:`geolens._ode.dop853_step`).  Exponentials, line points and
+    shots take fixed steps of at most :data:`geolens._ode.SCAN_GRID_STEPS`
+    steps of the grid ``step``.  The radii scan sizes each row's steps,
+    whole numbers of grid steps and never fewer than that, from the row's
+    embedded error estimate, and places its zeros and chart exits on the
+    grid.
 
     :meth:`jacobi_rhs` follows NumPy's ``out=`` convention: it writes the
     derivative into a given array, one component at a time with ``out=``

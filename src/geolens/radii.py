@@ -5,13 +5,13 @@ Constant-curvature models have closed forms; their Jacobi scans
 RK4 steps (``geodesics.integrate_jacobi``).  Numeric surfaces get conjugate
 and focal radii from one batched integration of the joint geodesic + Jacobi
 system over sampled directions (:func:`_first_zeros_batch`).  It steps with
-the surface's one integrator, order-8 DOP853, whose step spans twenty grid
-steps at 12 right-hand sides, and places zeros and exits on the grid after
-the loop.  Its one-direction reference and the RK4 scan it replaced are in
-``tests/ode_oracles.py``.  A surface's injectivity radius is never
-estimated, it must be certified by the user (e.g. in the run
-configuration), and its convexity radius is assembled from the identity
-conv = min(focal, injectivity / 2).  A caller that needs only that minimum
+the surface's one integrator, order-8 DOP853 at 12 right-hand sides, each
+row in steps sized from its own error estimate, and places zeros and exits
+on the grid after the loop.  Its one-direction reference and the RK4 scan
+it replaced are in ``tests/ode_oracles.py``.  A surface's injectivity
+radius is never estimated, it must be certified by the user (e.g. in the
+run configuration), and its convexity radius is assembled from the
+identity conv = min(focal, injectivity / 2).  A caller that needs only that minimum
 passes injectivity / 2 as the ``cap`` of :func:`focal_radius`, whose scan
 then stops at the cap when no direction has a zero or has left the chart.
 
@@ -36,6 +36,10 @@ CERTIFIED = "user-certified"
 
 DEFAULT_DIRECTIONS = 64
 DEFAULT_BASE_POINTS = 16
+# the largest embedded error estimate that a step of the surface's radii
+# scan longer than SCAN_GRID_STEPS grid steps may have: about one rounding
+# unit of a unit-size state
+SCAN_TOLERANCE = 1e-16
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,9 @@ class RadiusValue:
 class RadiiReport:
     """The five radii of one model, each with provenance.  A numeric
     surface's report also carries ``jacobi_error``, the largest embedded
-    error estimate of any row-step of its Jacobi scan (:class:`ScanZeros`);
-    it is None for the closed forms, and no command prints it."""
+    error estimate of any accepted row-step of its Jacobi scan
+    (:class:`ScanZeros`); it is None for the closed forms, and no command
+    prints it."""
 
     manifold_label: str
     injectivity: RadiusValue
@@ -142,7 +147,7 @@ def closed_form_radii(manifold: Manifold) -> RadiiReport:
 class ScanZeros(tuple):
     """The (j_zero, jp_zero, valid_length) arrays of a surface radii scan,
     with ``error``: the largest embedded error estimate of any of its
-    row-steps that stayed in the chart."""
+    accepted row-steps that stayed in the chart."""
 
     def __new__(cls, arrays, error):
         zeros = super().__new__(cls, arrays)
@@ -168,32 +173,51 @@ def _first_zeros_batch(
     zero not named stays nan.
 
     The scan steps with :func:`dop853_step`, the step of every integration
-    on the surface, one step per :data:`SCAN_GRID_STEPS` steps of the grid
-    (the last one shorter), and detects chart exits and sign changes of j
-    and j' at the ends of these steps; an excursion out of the chart and
-    back within one step goes unseen.  The grid stays the resolution of
-    what it reports: after the loop, :func:`_place_events` finds the grid
-    step of every exit and zero.  The RK4 scan on the grid itself
-    (``rk4_zeros_batch`` of ``tests/ode_oracles.py``) is the reference: it
-    takes 80 right-hand sides where this takes 12, and its zeros are
-    further from those of a finer grid.
+    on the surface.  Each row has its own grid index and takes its own
+    steps, whole numbers of grid steps, all rows in one call per loop step
+    (a column of steps).  A row starts with :data:`SCAN_GRID_STEPS` grid
+    steps.  A step whose embedded estimate exceeds :data:`SCAN_TOLERANCE`
+    is retried with fewer grid steps, unless it has no more than
+    :data:`SCAN_GRID_STEPS` (the shortest step, shorter only at the
+    horizon); otherwise it is accepted.  Either way the order-8 controller
+    (:func:`_next_grid_steps`) sizes the row's next step.  A lower floor
+    buys nothing at this tolerance, where rounding, not truncation, limits
+    the result: with a floor of one grid step the sphere oracle took twice
+    the loop steps and got no radius closer to pi, and the H^2 oracle,
+    whose j grows like sinh t past any absolute tolerance, almost three
+    times.
+
+    Chart exits and sign changes of j and j' are detected at the ends of
+    the accepted steps; an excursion out of the chart and back within one
+    step goes unseen.  The grid stays the resolution of what it reports:
+    after the loop, :func:`_place_events` finds the grid step of every exit
+    and zero from the start index and grid steps of its step.  The RK4 scan
+    on the grid itself (``rk4_zeros_batch`` of ``tests/ode_oracles.py``) is
+    the reference: it takes 80 right-hand sides per 20 grid steps, where
+    this takes 12 or fewer, and its zeros are further from those of a finer
+    grid.  :class:`ScanZeros` reports the largest estimate of any
+    accepted row-step.
 
     ``cap`` is for a caller that reads only the smallest zero capped at
-    ``cap``.  At the start of the first scan step at or past ``cap``, if no
-    row has a searched zero and none has left the chart, the scan stops
-    there with every valid length that time: any later zero or exit would
-    be capped to ``cap`` as well.  Otherwise it runs on as without ``cap``.
+    ``cap``.  While no row has a searched zero and none has left the chart,
+    a row that reaches a grid time at or past ``cap`` waits there; once
+    every row waits, the scan stops with each row's valid length its own
+    time: any later zero or exit would be capped to ``cap`` as well.  Once
+    a row has a zero or leaves, the waiting rows step on, and the scan runs
+    as without ``cap``; a row's steps do not depend on the wait.
 
     The state is one (rows, 6) block in Fortran order, component-contiguous:
     each ``state[:, k]`` that :meth:`jacobi_rhs` reads and writes is one
     contiguous run.  Each step writes the new state into a second block and
-    its stages into :data:`DOP853_WORK` more, which every step reuses; the
-    blocks swap roles after a step and are allocated anew only when rows
-    leave.  Most steps change nothing but the state: every new u is inside
-    [u_min, u_max] and no searched column of a live row crosses or touches
-    zero (one ``min``/``max`` each, which a nan fails).  Only the other
-    steps keep their events: the row, what happened (a sign change of j or
-    j', or an exit) and the states at both ends of the step.
+    its stages into :data:`DOP853_WORK` more, which every step reuses; a
+    row whose step is retried or that waits has its old state copied back.
+    The blocks swap roles after a step and are allocated anew only when
+    rows leave.  Most steps change nothing but the state: every new u is
+    inside [u_min, u_max], no searched column of a live row crosses or
+    touches zero (one ``min``/``max`` each, which a nan fails) and no row
+    reaches the horizon.  Only the other steps keep their events: the row,
+    what happened (a sign change of j or j', or an exit), the step's start
+    index and grid steps, and the states at both ends of the step.
     """
     profile = manifold.profile
     step = manifold.step if step is None else step
@@ -219,31 +243,47 @@ def _first_zeros_batch(
         """The times of grid indices i: i h, and the horizon at n."""
         return np.where(i < n, i * h, horizon)
 
-    starts = np.arange(0, n, SCAN_GRID_STEPS)  # the grid index each step starts at
     valid_length = np.full(len(state), horizon)
     zeros = np.full((len(state), 2), np.nan)  # columns: j, j'
     live = np.arange(len(state))  # rows in the chart with a zero to find
+    index = np.zeros(len(state), int)  # each live row's grid index
+    grid_steps = np.full(len(state), SCAN_GRID_STEPS)  # each live row's next step
     events, error = [], 0.0
-    # the step at whose start the capped search may be decided (past the last: never)
-    decide = len(starts) if cap is None else int(np.searchsorted(times(starts), cap))
     new, *work = (np.empty_like(state) for _ in range(1 + DOP853_WORK))
-    for k, start in enumerate(starts):
-        if not len(live):
-            break
-        if k == decide and len(live) == len(zeros) and np.isnan(zeros).all():
-            valid_length[:] = times(start)
-            break
-        grid_steps = min(SCAN_GRID_STEPS, n - start)
-        _, estimate = dop853_step(manifold.jacobi_rhs, state, grid_steps * h, out=new, work=work)
+    while len(live):
+        held = np.False_  # the rows that wait at the cap
+        if cap is not None:
+            if len(live) < len(zeros) or not np.isnan(zeros).all():
+                cap = None  # not decided at the cap: the scan runs on without it
+            else:
+                held = times(index) >= cap
+                if held.all():
+                    valid_length[:] = times(index)
+                    break
+        span = np.minimum(grid_steps, n - index)
+        _, estimate = dop853_step(
+            manifold.jacobi_rhs, state, (span * h)[:, None], out=new, work=work
+        )
+        accepted = ((estimate <= SCAN_TOLERANCE) | (span <= SCAN_GRID_STEPS)) & ~held
+        grid_steps = np.where(held, grid_steps, _next_grid_steps(span, estimate))
+        if not accepted.all():
+            np.copyto(new, state, where=~accepted[:, None])
+        start, index = index, index + np.where(accepted, span, 0)
         u = new[:, 0]
         before, after = state[:, searched], new[:, searched]
         product = before * after
-        if u.min() >= profile.u_min and u.max() <= profile.u_max and product.min() > 0:
-            error = max(error, estimate.max())
+        if (
+            u.min() >= profile.u_min
+            and u.max() <= profile.u_max
+            and product.min() > 0
+            and index.max() < n
+        ):
+            error = max(error, estimate.max(initial=0.0, where=accepted))
             state, new = new, state
             continue
+        # a row that did not step has its state again: no event
         exited = (u < profile.u_min) | (u > profile.u_max)
-        error = max(error, estimate.max(initial=0.0, where=~exited))
+        error = max(error, estimate.max(initial=0.0, where=accepted & ~exited))
         found = zeros[live, first:last]
         # a zero at the step's end counts; one at its start was counted before
         crossed = np.isnan(found) & (product <= 0) & (before != 0)
@@ -252,15 +292,15 @@ def _first_zeros_batch(
         if len(rows):
             # what happened: the column of j or j' that changed sign, or u
             what = np.concatenate([4 + first + cols, np.zeros(len(rows) - len(cols), int)])
-            spans = np.full(len(rows), start), np.full(len(rows), grid_steps)
-            events.append(spans + (live[rows], what, state[rows], new[rows]))
+            events.append((start[rows], span[rows], live[rows], what, state[rows], new[rows]))
             found[crossed] = np.inf  # placed after the loop
         zeros[live, first:last] = found
-        keep = ~exited & np.isnan(found).any(axis=1)
+        keep = ~exited & np.isnan(found).any(axis=1) & (index < n)
         if not keep.all():
             # rows left: the buffers are made anew for the rows still live
             # (cut views of them would step more slowly, not contiguous)
             live, new = live[keep], np.asfortranarray(new[keep])
+            index, grid_steps = index[keep], grid_steps[keep]
             del state, work
             state, *work = (np.empty_like(new) for _ in range(1 + DOP853_WORK))
         state, new = new, state
@@ -270,6 +310,18 @@ def _first_zeros_batch(
         _place_events(manifold, events, times, h, zeros, valid_length)
     arrays = (zeros[:, 0], zeros[:, 1], valid_length)
     return ScanZeros(tuple(a.reshape(shape) for a in arrays), float(error))
+
+
+def _next_grid_steps(grid_steps, estimate):
+    """The next step of each row, in grid steps, after a step of
+    ``grid_steps`` with embedded ``estimate``: the order-8 controller
+    (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4) scales the step
+    by 0.9 (SCAN_TOLERANCE / estimate)^(1/8), kept within [1/3, 6] (a nan
+    estimate takes 1/3), and floors it to whole grid steps, at least
+    :data:`SCAN_GRID_STEPS`."""
+    scale = 0.9 * (SCAN_TOLERANCE / np.maximum(estimate, np.finfo(np.float64).tiny)) ** 0.125
+    scale = np.fmin(np.fmax(scale, 1.0 / 3.0), 6.0)
+    return np.maximum(SCAN_GRID_STEPS, np.floor(grid_steps * scale).astype(int))
 
 
 def _place_events(manifold, events, times, h, zeros, valid_length):

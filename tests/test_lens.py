@@ -384,7 +384,7 @@ def test_surface_sample_shoots_in_one_newton_loop(monkeypatch):
 
 
 def test_surface_pair_and_sample_take_few_right_hand_sides(monkeypatch):
-    # every integration steps with DOP853 over SCAN_GRID_STEPS grid steps:
+    # exp and shots step with DOP853 over at most SCAN_GRID_STEPS grid steps:
     # the pair and its sample take 240 right-hand sides, and the shots
     # converge in 3 Newton evaluations
     calls = {"rhs": 0, "residual": 0}

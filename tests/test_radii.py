@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -283,26 +284,38 @@ def test_closed_form_scan_stops_one_step_past_its_zeros(of, steps, monkeypatch):
 
 
 def _record_scan_steps(monkeypatch):
-    """The step of every ``dop853_step`` call of the surface radii scans,
-    recorded as they run: a number for a step of the scan, an array (one
-    step per event) for a round that places its events."""
+    """The steps of every ``dop853_step`` call of the surface radii scans,
+    recorded as they run: ("scan", h) for a step of the scan's loop and
+    ("place", h) for a round that places its events, h the column of the
+    steps of the rows in the call."""
     steps = []
     dop853_step = radii_module.dop853_step
 
     def spy(rhs, y, h, **buffers):
-        steps.append(h)
+        caller = sys._getframe(1).f_code.co_name
+        steps.append(("scan" if caller == "_first_zeros_batch" else "place", np.ravel(h)))
         return dop853_step(rhs, y, h, **buffers)
 
     monkeypatch.setattr(radii_module, "dop853_step", spy)
     return steps
 
 
+def _scan_steps(steps):
+    """The step columns of the scan's loop among recorded ``steps``."""
+    return [h for phase, h in steps if phase == "scan"]
+
+
 def test_configured_step_reaches_the_batched_radii_scan(monkeypatch):
-    # the grid is the configured step's; the scan steps SCAN_GRID_STEPS of it
+    # the grid is the configured step's: every step of the scan and of its
+    # event placement is a whole number of its grid steps
     steps = _record_scan_steps(monkeypatch)
     surface = ManifoldSpec(kind="surface_of_revolution", step=1e-3).build()
-    jacobi_radii(surface, directions=4, horizon=0.5)
-    assert steps and max(steps) <= radii_module.SCAN_GRID_STEPS * 1e-3 * (1 + 1e-12)
+    # the focal zero near 2.72 is an event to place
+    jacobi_radii(surface, directions=4, horizon=3.0)
+    assert {phase for phase, _ in steps} == {"scan", "place"}
+    grid_steps = np.concatenate([h for _, h in steps]) / 1e-3
+    assert np.all(np.abs(grid_steps - np.rint(grid_steps)) <= 1e-9 * grid_steps)
+    assert grid_steps.min() >= 1
 
 
 def test_surface_requires_certified_injectivity():
@@ -368,7 +381,7 @@ def test_jacobi_radii_on_the_surface_match_the_single_scans():
 def test_surface_radii_keep_the_bits_of_the_benchmark_fingerprint():
     surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     report = radii_report(surface, certified_injectivity=1.0, base_points=3, directions=64)
-    assert repr(report.conjugate.value) == "5.441398092702654"
+    assert repr(report.conjugate.value) == "5.441398092702652"
     assert repr(report.focal.value) == "2.720699046351327"
     # at the default horizon the joint scan runs on to the conjugate zero
     # pi * sqrt(3) that the focal scan stops before
@@ -417,13 +430,15 @@ def test_one_root_solve_places_every_zero_of_a_batch(monkeypatch):
 
 
 def test_the_focal_scan_stops_at_its_zeros(monkeypatch):
+    # each loop step's longest row step, summed: no row of the scan got
+    # further than that
     steps = _record_scan_steps(monkeypatch)
     surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     focal_radius(surface, directions=16)
-    focal_span = sum(h for h in steps if np.ndim(h) == 0)
+    focal_span = sum(h.max() for h in _scan_steps(steps))
     steps.clear()
     conj, _ = jacobi_radii(surface, directions=16)
-    assert focal_span < sum(h for h in steps if np.ndim(h) == 0)
+    assert focal_span < sum(h.max() for h in _scan_steps(steps))
     # no direction of the focal scan integrates on to the conjugate zero
     assert focal_span < conj.value
 
@@ -432,13 +447,14 @@ def _bump_spec(**settings):
     return ManifoldSpec(kind="surface_of_revolution", profile="bump", **settings)
 
 
-# surfaces of the bump profile, the steps of the focal scan of their
-# convexity bound (of 0.04 each), and the bound: the bump itself, decided
+# surfaces of the bump profile, the loop steps of the focal scan of their
+# convexity bound (each row's sized from its own estimate), and the
+# bound: the bump itself, decided
 # at inj/2; a chart that directions leave before inj/2; and a zone of the
 # unit sphere (f = cos u), whose focal zero pi/2 comes before inj/2
 CAPPED_SCANS = {
-    "bump": (_bump_spec(injectivity_bound=1.0), 13, 0.5),
-    "narrow_chart": (_bump_spec(u_min=-0.2, u_max=0.2, injectivity_bound=1.0), 69, 0.5),
+    "bump": (_bump_spec(injectivity_bound=1.0), 9, 0.5),
+    "narrow_chart": (_bump_spec(u_min=-0.2, u_max=0.2, injectivity_bound=1.0), 30, 0.5),
     "sphere_zone": (
         _bump_spec(offset=0.0, u_min=-1.2, u_max=1.2, injectivity_bound=4.0),
         40,
@@ -465,7 +481,7 @@ def test_convexity_bound_scan_stops_once_decided(name, monkeypatch):
     spec, expected_steps, _ = CAPPED_SCANS[name]
     steps = _record_scan_steps(monkeypatch)
     _surface_convexity_bound.__wrapped__(spec)
-    assert sum(np.ndim(h) == 0 for h in steps) == expected_steps
+    assert len(_scan_steps(steps)) == expected_steps
 
 
 def test_sphere_surface_radii_are_as_close_to_pi_as_the_rk4_scans():
@@ -504,11 +520,20 @@ def test_benchmark_rows_match_the_rk4_scans():
         assert np.count_nonzero(~np.isnan(new)) > 0
 
 
-def test_the_scan_error_estimate_is_reported_and_grows_with_the_step():
+def test_the_scan_error_estimate_is_reported_and_grows_with_the_step(monkeypatch):
     surface, _, scan = _benchmark_scan()
-    assert 0.0 < scan.error < 1e-12
-    # twice the grid step, twice the scan step
+    assert 0.0 < scan.error <= radii_module.SCAN_TOLERANCE
+    # twice the grid step: steps of SCAN_GRID_STEPS grid steps, the
+    # shortest the scan takes, are twice as long and exceed the tolerance
     assert _benchmark_scan(step=2.0 * surface.step)[2].error > scan.error
+    # K = 1 on the sphere oracle, at most 1/3 on the bump: shorter steps
+    steps = _record_scan_steps(monkeypatch)
+    median_step = []
+    for model in (sphere_surface().surface, surface):
+        steps.clear()
+        jacobi_radii(model, directions=64)
+        median_step.append(np.median(np.concatenate(_scan_steps(steps))))
+    assert median_step[0] < median_step[1]
     report = radii_report(surface, certified_injectivity=1.0, base_points=3, directions=64)
     assert report.jacobi_error == scan.error
     assert [name for name, _ in report.fields()] == [
@@ -518,7 +543,8 @@ def test_the_scan_error_estimate_is_reported_and_grows_with_the_step():
 
 
 def test_benchmark_radii_report_takes_few_right_hand_sides_in_little_memory(monkeypatch):
-    # the RK4 scan took 11320 right-hand sides and peaked at 0.17 MB
+    # the RK4 scan took 11320 right-hand sides and peaked at 0.17 MB, the
+    # DOP853 scan in fixed steps of SCAN_GRID_STEPS grid steps 1765
     surface, args, _ = _benchmark_scan()
     calls = []
     rhs = SurfaceOfRevolution.jacobi_rhs
@@ -529,7 +555,7 @@ def test_benchmark_radii_report_takes_few_right_hand_sides_in_little_memory(monk
 
     monkeypatch.setattr(SurfaceOfRevolution, "jacobi_rhs", counted)
     radii_report(surface, certified_injectivity=1.0, base_points=3, directions=64)
-    assert len(calls) <= 2000
+    assert len(calls) <= 973
     monkeypatch.undo()
     tracemalloc.start()
     try:
