@@ -7,8 +7,8 @@ integrate their batches with :func:`dop853_rows` in fixed equal steps of at
 most :data:`SCAN_GRID_STEPS` steps of the model's grid (``manifold.step``);
 the tests check their accuracy against closed forms, invariants and
 finer-step runs.  The radii scan (``radii._first_zeros_batch``) sizes each
-row's steps, whole numbers of grid steps and never fewer than
-:data:`SCAN_GRID_STEPS`, from that row's own error estimate, and places
+row's steps, whole numbers of grid steps from :data:`SCAN_GRID_STEPS` to
+twice that, from the error estimate of that row's Jacobi field, and places
 zeros and exits on the grid.  In both, every row takes its own steps, so a
 row has the bits it has alone.
 
@@ -33,7 +33,7 @@ import numpy as np
 
 # grid steps of ``manifold.step`` per step of the numeric surface's
 # exponential maps, line points and shots, and the shortest step of its
-# radii scan
+# radii scan, whose longest is twice this
 SCAN_GRID_STEPS = 20
 
 
@@ -159,7 +159,7 @@ def _weighted_sum(terms, k, out, term):
     return out
 
 
-def dop853_step(rhs, y, h, out=None, work=None, estimate=True):
+def dop853_step(rhs, y, h, out=None, work=None, estimate=slice(None)):
     """One DOP853 step of y' = rhs(y) with step h, and its error estimate.
 
     ``rhs`` is called as ``rhs(x, out=k)``.  ``h`` is a number, or an array
@@ -173,9 +173,10 @@ def dop853_step(rhs, y, h, out=None, work=None, estimate=True):
     Returns (new state, error), where the error of each state along the
     last axis of ``y`` combines the max norms e5 and e3 of h times the
     order-8 less the order-5 and order-3 solutions as DOP853 does,
-    e5^2 / sqrt(e5^2 + 0.01 e3^2): an estimate of order 8 in h.  With
-    ``estimate`` False the error is not computed and is None; the new
-    state has the same bits.
+    e5^2 / sqrt(e5^2 + 0.01 e3^2): an estimate of order 8 in h.  The
+    norms are taken over the components in the slice ``estimate`` of that
+    axis, all of them by default; with ``estimate`` None the error is not
+    computed and is None.  The new state has the same bits either way.
     """
     if work is None:
         work = [np.empty_like(y, dtype=np.float64) for _ in range(DOP853_WORK)]
@@ -185,9 +186,11 @@ def dop853_step(rhs, y, h, out=None, work=None, estimate=True):
         _weighted_sum(terms, k, acc, term)
         rhs(np.add(y, np.multiply(h, acc, out=acc), out=acc), out=k[i])
     error = None
-    if estimate:
+    if estimate is not None:
+        # the stage sums of the estimated components alone
+        k_est, a, t = [x[..., estimate] for x in k], acc[..., estimate], term[..., estimate]
         e5, e3 = (
-            np.abs(np.multiply(h, _weighted_sum(w, k, acc, term), out=acc), out=acc).max(axis=-1)
+            np.abs(np.multiply(h, _weighted_sum(w, k_est, a, t), out=a), out=a).max(axis=-1)
             for w in (_DOP853_E5, _DOP853_E3)
         )
         error = e5 * e5 / np.maximum(np.hypot(e5, 0.1 * e3), np.finfo(np.float64).tiny)
@@ -216,7 +219,7 @@ def dop853_rows(rhs, y, h, n):
         while n[rows - 1] <= i:
             rows -= 1
         live = state[:rows]
-        dop853_step(rhs, live, h[:rows], out=live, work=[w[:rows] for w in work], estimate=False)
+        dop853_step(rhs, live, h[:rows], out=live, work=[w[:rows] for w in work], estimate=None)
     out = np.empty_like(state)
     out[order] = state
     return out

@@ -8,8 +8,8 @@ Sections and the keys each one reads:
                  u, f[, df, d2f]; then step, the grid of every integration
                  on the surface (exp and shooting, the geodesic line, the
                  Jacobi radii scans), whose DOP853 steps span at most 20
-                 grid steps in exp, shooting and the line and at least 20
-                 in the radii scans, where each direction's error estimate
+                 grid steps in exp, shooting and the line and 20 to 40 in
+                 the radii scans, where each direction's error estimate
                  sizes them, injectivity_bound (required on the surface; > 0, and
                  the focal scan of the convexity bound stops at half of it
                  once that decides the bound) and loop_length (> 0).  Every float of [manifold] must be

@@ -305,7 +305,7 @@ class Manifold(ABC):
     horizon: float = 8.0
     # Grid step of the model's numeric integrations: the step of the float
     # RK4 Jacobi scan on the closed forms; on the surface, the grid of its
-    # radii scan, whose DOP853 steps span SCAN_GRID_STEPS or more of it.
+    # radii scan, whose DOP853 steps span SCAN_GRID_STEPS to twice that.
     step: float = 2e-3
 
     def convexity_radius(self) -> float:
@@ -738,9 +738,9 @@ class SurfaceOfRevolution(Manifold):
     (:func:`geolens._ode.dop853_step`).  Exponentials, line points and
     shots take fixed steps of at most :data:`geolens._ode.SCAN_GRID_STEPS`
     steps of the grid ``step``.  The radii scan sizes each row's steps,
-    whole numbers of grid steps and never fewer than that, from the row's
-    embedded error estimate, and places its zeros and chart exits on the
-    grid.
+    whole numbers of grid steps from that to twice that, from the embedded
+    error estimate of the row's Jacobi field, and places its zeros and
+    chart exits on the grid.
 
     :meth:`jacobi_rhs` follows NumPy's ``out=`` convention: it writes the
     derivative into a given array, one component at a time with ``out=``

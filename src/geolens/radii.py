@@ -6,14 +6,15 @@ RK4 steps (``geodesics.integrate_jacobi``).  Numeric surfaces get conjugate
 and focal radii from one batched integration of the joint geodesic + Jacobi
 system over sampled directions (:func:`_first_zeros_batch`).  It steps with
 the surface's one integrator, order-8 DOP853 at 12 right-hand sides, each
-row in steps sized from its own error estimate, and places zeros and exits
-on the grid after the loop.  Its one-direction reference and the RK4 scan
-it replaced are in ``tests/ode_oracles.py``.  A surface's injectivity
-radius is never estimated, it must be certified by the user (e.g. in the
-run configuration), and its convexity radius is assembled from the
-identity conv = min(focal, injectivity / 2).  A caller that needs only that minimum
-passes injectivity / 2 as the ``cap`` of :func:`focal_radius`, whose scan
-then stops at the cap when no direction has a zero or has left the chart.
+row in steps sized from the error estimate of its own Jacobi field, and
+places zeros and exits on the grid after the loop.  Its one-direction
+reference and the RK4 scan it replaced are in ``tests/ode_oracles.py``.
+A surface's injectivity radius is never estimated, it must be certified by
+the user (e.g. in the run configuration), and its convexity radius is
+assembled from the identity conv = min(focal, injectivity / 2).  A caller
+that needs only that minimum passes injectivity / 2 as the ``cap`` of
+:func:`focal_radius`, whose scan then stops at the cap when no direction
+has a zero or has left the chart.
 
 Horizon-limited searches report a lower bound, never a fabricated value.
 """
@@ -36,10 +37,14 @@ CERTIFIED = "user-certified"
 
 DEFAULT_DIRECTIONS = 64
 DEFAULT_BASE_POINTS = 16
-# the largest embedded error estimate that a step of the surface's radii
-# scan longer than SCAN_GRID_STEPS grid steps may have: about one rounding
-# unit of a unit-size state
+# the surface's radii scan steps SCAN_GRID_STEPS to SCAN_MAX_GRID_STEPS
+# grid steps; a step longer than SCAN_GRID_STEPS is accepted when the
+# embedded error estimate of its Jacobi field (j, j') is at most
+# SCAN_TOLERANCE, about one rounding unit of a unit-size state
 SCAN_TOLERANCE = 1e-16
+SCAN_MAX_GRID_STEPS = 2 * SCAN_GRID_STEPS
+# the columns of (j, j') in a state of the joint geodesic + Jacobi system
+_JACOBI = slice(4, 6)
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,7 @@ class RadiusValue:
 class RadiiReport:
     """The five radii of one model, each with provenance.  A numeric
     surface's report also carries ``jacobi_error``, the largest embedded
-    error estimate of any accepted row-step of its Jacobi scan
+    error estimate of (j, j') of any accepted row-step of its Jacobi scan
     (:class:`ScanZeros`); it is None for the closed forms, and no command
     prints it."""
 
@@ -146,8 +151,8 @@ def closed_form_radii(manifold: Manifold) -> RadiiReport:
 
 class ScanZeros(tuple):
     """The (j_zero, jp_zero, valid_length) arrays of a surface radii scan,
-    with ``error``: the largest embedded error estimate of any of its
-    accepted row-steps that stayed in the chart."""
+    with ``error``: the largest embedded error estimate of (j, j') of any
+    of its accepted row-steps that stayed in the chart."""
 
     def __new__(cls, arrays, error):
         zeros = super().__new__(cls, arrays)
@@ -180,23 +185,32 @@ def _first_zeros_batch(
     is retried with fewer grid steps, unless it has no more than
     :data:`SCAN_GRID_STEPS` (the shortest step, shorter only at the
     horizon); otherwise it is accepted.  Either way the order-8 controller
-    (:func:`_next_grid_steps`) sizes the row's next step.  A lower floor
-    buys nothing at this tolerance, where rounding, not truncation, limits
-    the result: with a floor of one grid step the sphere oracle took twice
-    the loop steps and got no radius closer to pi, and the H^2 oracle,
-    whose j grows like sinh t past any absolute tolerance, almost three
-    times.
+    (:func:`_next_grid_steps`) sizes the row's next step, at most
+    :data:`SCAN_MAX_GRID_STEPS`.  A lower floor buys nothing at this
+    tolerance, where rounding, not truncation, limits the result: with a
+    floor of one grid step the H^2 oracle, whose j grows like sinh t past
+    any absolute tolerance, took almost three times the loop steps.
+
+    The estimate is that of (j, j') alone, the columns whose zeros the
+    scan reports; the geodesic columns enter them only through K.  Where K
+    is constant they do not enter at all, so every direction takes the
+    same steps and has the same zeros: on the unit sphere, pi and pi/2
+    exactly.  An estimate over all six columns, which differ between
+    directions, scattered the sphere's zeros by 2 ulp.  The ceiling bounds
+    the steps, and so the error, of the geodesic columns, which the
+    estimate leaves out.
 
     Chart exits and sign changes of j and j' are detected at the ends of
     the accepted steps; an excursion out of the chart and back within one
-    step goes unseen.  The grid stays the resolution of what it reports:
-    after the loop, :func:`_place_events` finds the grid step of every exit
-    and zero from the start index and grid steps of its step.  The RK4 scan
-    on the grid itself (``rk4_zeros_batch`` of ``tests/ode_oracles.py``) is
-    the reference: it takes 80 right-hand sides per 20 grid steps, where
-    this takes 12 or fewer, and its zeros are further from those of a finer
-    grid.  :class:`ScanZeros` reports the largest estimate of any
-    accepted row-step.
+    step, of at most :data:`SCAN_MAX_GRID_STEPS` grid steps, goes unseen.
+    The grid stays the resolution of what it reports: after the loop,
+    :func:`_place_events` finds the grid step of every exit and zero from
+    the start index and grid steps of its step.  The RK4 scan on the grid
+    itself (``rk4_zeros_batch`` of ``tests/ode_oracles.py``) is the
+    reference: it takes 80 right-hand sides per 20 grid steps, where this
+    takes 12 or fewer, and its zeros are further from those of a finer
+    grid.  :class:`ScanZeros` reports the largest estimate of (j, j') of
+    any accepted row-step.
 
     ``cap`` is for a caller that reads only the smallest zero capped at
     ``cap``.  While no row has a searched zero and none has left the chart,
@@ -262,7 +276,7 @@ def _first_zeros_batch(
                     break
         span = np.minimum(grid_steps, n - index)
         _, estimate = dop853_step(
-            manifold.jacobi_rhs, state, (span * h)[:, None], out=new, work=work
+            manifold.jacobi_rhs, state, (span * h)[:, None], out=new, work=work, estimate=_JACOBI
         )
         accepted = ((estimate <= SCAN_TOLERANCE) | (span <= SCAN_GRID_STEPS)) & ~held
         grid_steps = np.where(held, grid_steps, _next_grid_steps(span, estimate))
@@ -317,11 +331,12 @@ def _next_grid_steps(grid_steps, estimate):
     ``grid_steps`` with embedded ``estimate``: the order-8 controller
     (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4) scales the step
     by 0.9 (SCAN_TOLERANCE / estimate)^(1/8), kept within [1/3, 6] (a nan
-    estimate takes 1/3), and floors it to whole grid steps, at least
-    :data:`SCAN_GRID_STEPS`."""
+    estimate takes 1/3), and floors it to whole grid steps, from
+    :data:`SCAN_GRID_STEPS` to :data:`SCAN_MAX_GRID_STEPS`."""
     scale = 0.9 * (SCAN_TOLERANCE / np.maximum(estimate, np.finfo(np.float64).tiny)) ** 0.125
     scale = np.fmin(np.fmax(scale, 1.0 / 3.0), 6.0)
-    return np.maximum(SCAN_GRID_STEPS, np.floor(grid_steps * scale).astype(int))
+    steps = np.floor(grid_steps * scale).astype(int)
+    return np.clip(steps, SCAN_GRID_STEPS, SCAN_MAX_GRID_STEPS)
 
 
 def _place_events(manifold, events, times, h, zeros, valid_length):
@@ -357,7 +372,9 @@ def _place_events(manifold, events, times, h, zeros, valid_length):
     x, *work = (np.empty_like(start) for _ in range(1 + DOP853_WORK))
     while np.any(hi - lo > 1):
         mid = (lo + hi) // 2
-        dop853_step(manifold.jacobi_rhs, start, (mid * h)[:, None], out=x, work=work)
+        dop853_step(
+            manifold.jacobi_rhs, start, (mid * h)[:, None], out=x, work=work, estimate=None
+        )
         now = reached(x)
         lo, hi = np.where(now, lo, mid), np.where(now, mid, hi)
         x_lo[~now], x_hi[now] = x[~now], x[now]

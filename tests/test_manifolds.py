@@ -652,6 +652,26 @@ def test_dop853_step_and_its_error_estimate_have_order_eight():
     assert estimates[0] / estimates[1] >= 128.0
 
 
+def _two_oscillators(y, out):
+    _oscillator(y[..., :2], out[..., :2])
+    _oscillator(y[..., 2:], out[..., 2:])
+    return out
+
+
+def test_dop853_step_estimates_the_components_it_is_given():
+    # two uncoupled oscillators: the estimate of the second one's components
+    # is that of the second one alone, and with no estimate the new state
+    # has the same bits
+    y = np.array([[0.3, -1.2, 0.0, 1.0], [2.0, 0.5, -0.7, 0.1]])
+    new, error = _ode.dop853_step(_two_oscillators, y, 0.3, estimate=slice(2, 4))
+    alone, alone_error = _ode.dop853_step(_oscillator, y[:, 2:], 0.3)
+    assert new[:, 2:].tobytes() == alone.tobytes()
+    assert error.tobytes() == alone_error.tobytes()
+    bare, none = _ode.dop853_step(_two_oscillators, y, 0.3, estimate=None)
+    assert none is None
+    assert bare.tobytes() == new.tobytes()
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_minkowski_of_vectors_gives_the_bits_of_the_einsum_form(dim):
     model = Hyperbolic(dim, -1.0)

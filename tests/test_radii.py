@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -286,17 +285,25 @@ def test_closed_form_scan_stops_one_step_past_its_zeros(of, steps, monkeypatch):
 def _record_scan_steps(monkeypatch):
     """The steps of every ``dop853_step`` call of the surface radii scans,
     recorded as they run: ("scan", h) for a step of the scan's loop and
-    ("place", h) for a round that places its events, h the column of the
+    ("place", h) for a round of ``_place_events``, h the column of the
     steps of the rows in the call."""
-    steps = []
+    steps, phase = [], ["scan"]
     dop853_step = radii_module.dop853_step
+    place_events = radii_module._place_events
 
     def spy(rhs, y, h, **buffers):
-        caller = sys._getframe(1).f_code.co_name
-        steps.append(("scan" if caller == "_first_zeros_batch" else "place", np.ravel(h)))
+        steps.append((phase[0], np.ravel(h)))
         return dop853_step(rhs, y, h, **buffers)
 
+    def placing(*args):
+        phase[0] = "place"
+        try:
+            return place_events(*args)
+        finally:
+            phase[0] = "scan"
+
     monkeypatch.setattr(radii_module, "dop853_step", spy)
+    monkeypatch.setattr(radii_module, "_place_events", placing)
     return steps
 
 
@@ -307,7 +314,8 @@ def _scan_steps(steps):
 
 def test_configured_step_reaches_the_batched_radii_scan(monkeypatch):
     # the grid is the configured step's: every step of the scan and of its
-    # event placement is a whole number of its grid steps
+    # event placement is a whole number of its grid steps, and no step of
+    # the scan is longer than SCAN_MAX_GRID_STEPS of them
     steps = _record_scan_steps(monkeypatch)
     surface = ManifoldSpec(kind="surface_of_revolution", step=1e-3).build()
     # the focal zero near 2.72 is an event to place
@@ -316,6 +324,8 @@ def test_configured_step_reaches_the_batched_radii_scan(monkeypatch):
     grid_steps = np.concatenate([h for _, h in steps]) / 1e-3
     assert np.all(np.abs(grid_steps - np.rint(grid_steps)) <= 1e-9 * grid_steps)
     assert grid_steps.min() >= 1
+    longest = np.concatenate(_scan_steps(steps)).max() / 1e-3
+    assert round(longest) == radii_module.SCAN_MAX_GRID_STEPS
 
 
 def test_surface_requires_certified_injectivity():
@@ -381,7 +391,7 @@ def test_jacobi_radii_on_the_surface_match_the_single_scans():
 def test_surface_radii_keep_the_bits_of_the_benchmark_fingerprint():
     surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     report = radii_report(surface, certified_injectivity=1.0, base_points=3, directions=64)
-    assert repr(report.conjugate.value) == "5.441398092702652"
+    assert repr(report.conjugate.value) == "5.441398092702654"
     assert repr(report.focal.value) == "2.720699046351327"
     # at the default horizon the joint scan runs on to the conjugate zero
     # pi * sqrt(3) that the focal scan stops before
@@ -454,10 +464,10 @@ def _bump_spec(**settings):
 # unit sphere (f = cos u), whose focal zero pi/2 comes before inj/2
 CAPPED_SCANS = {
     "bump": (_bump_spec(injectivity_bound=1.0), 9, 0.5),
-    "narrow_chart": (_bump_spec(u_min=-0.2, u_max=0.2, injectivity_bound=1.0), 30, 0.5),
+    "narrow_chart": (_bump_spec(u_min=-0.2, u_max=0.2, injectivity_bound=1.0), 35, 0.5),
     "sphere_zone": (
         _bump_spec(offset=0.0, u_min=-1.2, u_max=1.2, injectivity_bound=4.0),
-        40,
+        29,
         1.5707963267948966,
     ),
 }
@@ -493,6 +503,23 @@ def test_sphere_surface_radii_are_as_close_to_pi_as_the_rk4_scans():
     j_zero, jp_zero, _ = rk4_zeros_batch(surface, surface.basepoint().coords, angles, 16.0)
     assert abs(conj.value - math.pi) <= abs(np.nanmin(j_zero) - math.pi)
     assert abs(foc.value - 0.5 * math.pi) <= abs(np.nanmin(jp_zero) - 0.5 * math.pi)
+
+
+def test_sphere_surface_radii_are_exactly_pi_and_half_pi():
+    # f''/f = -1 exactly: (j, j') and their error estimate are the same in
+    # every direction, which therefore takes the steps of every other, and
+    # each direction that stays in the chart has its zeros at pi and pi / 2
+    surface = sphere_surface().surface
+    assert jacobi_radii(surface, directions=64) == (
+        RadiusValue(math.pi, NUMERIC),
+        RadiusValue(0.5 * math.pi, NUMERIC),
+    )
+    angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    j_zero, jp_zero, _ = _first_zeros_batch(
+        surface, surface.basepoint().coords, angles, surface.horizon
+    )
+    assert set(j_zero[~np.isnan(j_zero)]) == {math.pi}
+    assert set(jp_zero[~np.isnan(jp_zero)]) == {0.5 * math.pi}
 
 
 def _benchmark_scan(**kwargs):
