@@ -16,17 +16,6 @@ The constant-curvature Jacobi scan (``geodesics.integrate_jacobi``) is two
 Python floats stepped by classical RK4.  The sampled trajectories that the
 tests compare these with, and the RK4 radii scan that :func:`dop853_step`
 replaced, are in ``tests/ode_oracles.py``, with their own RK4 step.
-
-Buffers follow NumPy's ``out=`` convention.  A right-hand side that the
-batched loops call takes ``out=``: it writes y' into that array, one
-component at a time with ``out=`` ufuncs, and returns it.  Given ``out``
-and ``work``, the step makes its stages in those arrays, so a loop that
-passes the same arrays at every step allocates nothing per step.  The
-operations and their order are those of the allocating call, so both give
-the same bits, and every operation is elementwise, so each row of a block
-has the bits it has alone.  The surface's radii scan keeps its (rows, 6)
-states component-contiguous (Fortran order): each component ``state[:, k]``
-that its right-hand side reads or writes is one contiguous run.
 """
 
 import numpy as np
@@ -146,29 +135,27 @@ _BHH = {
     11: 0.220588235294117647058823529412e-1,
 }
 _DOP853_E3 = tuple((j, b - _BHH.get(j, 0.0)) for j, b in _DOP853_B)
-DOP853_WORK = 14  # the arrays of a step's ``work``: twelve stages and two sums
 
 
-def _weighted_sum(terms, k, out, term):
+def _weighted_sum(terms, k):
     """The sum of a k[j] over the (j, a) of ``terms``, built up left to
-    right in ``out``, each product made in ``term``."""
+    right, each product after the first made in one buffer."""
     (j, a), *rest = terms
-    np.multiply(a, k[j], out=out)
+    acc = a * k[j]
+    term = np.empty_like(acc)
     for j, a in rest:
-        np.add(out, np.multiply(a, k[j], out=term), out=out)
-    return out
+        acc += np.multiply(a, k[j], out=term)
+    return acc
 
 
-def dop853_step(rhs, y, h, out=None, work=None, estimate=slice(None)):
+def dop853_step(rhs, y, h, estimate=slice(None)):
     """One DOP853 step of y' = rhs(y) with step h, and its error estimate.
 
-    ``rhs`` is called as ``rhs(x, out=k)``.  ``h`` is a number, or an array
-    that broadcasts against ``y`` (a column gives each row its own step).
-    The stages are written into ``work``, :data:`DOP853_WORK` arrays of y's
-    shape (new ones if None), and the new state into ``out`` (a new array
-    if None), which may be ``y`` itself.  Every stage sum is a chain of
-    multiply-adds in a fixed order, with no dot product, so each element
-    has the bits it has alone, whatever else the block holds.
+    ``rhs(x)`` returns a new array.  ``h`` is a number, or an array that
+    broadcasts against ``y`` (a column gives each row its own step).  Every
+    stage sum is a chain of multiply-adds in a fixed order, with no dot
+    product, and every operation is elementwise, so each element has the
+    bits it has alone, whatever else the block holds.
 
     Returns (new state, error), where the error of each state along the
     last axis of ``y`` combines the max norms e5 and e3 of h times the
@@ -178,24 +165,18 @@ def dop853_step(rhs, y, h, out=None, work=None, estimate=slice(None)):
     axis, all of them by default; with ``estimate`` None the error is not
     computed and is None.  The new state has the same bits either way.
     """
-    if work is None:
-        work = [np.empty_like(y, dtype=np.float64) for _ in range(DOP853_WORK)]
-    *k, acc, term = work
-    rhs(y, out=k[0])
-    for i, terms in enumerate(_DOP853_A[:-1], start=1):
-        _weighted_sum(terms, k, acc, term)
-        rhs(np.add(y, np.multiply(h, acc, out=acc), out=acc), out=k[i])
+    k = [rhs(y)]
+    for terms in _DOP853_A[:-1]:
+        k.append(rhs(y + h * _weighted_sum(terms, k)))
     error = None
     if estimate is not None:
         # the stage sums of the estimated components alone
-        k_est, a, t = [x[..., estimate] for x in k], acc[..., estimate], term[..., estimate]
+        k_est = [x[..., estimate] for x in k]
         e5, e3 = (
-            np.abs(np.multiply(h, _weighted_sum(w, k_est, a, t), out=a), out=a).max(axis=-1)
-            for w in (_DOP853_E5, _DOP853_E3)
+            np.abs(h * _weighted_sum(w, k_est)).max(axis=-1) for w in (_DOP853_E5, _DOP853_E3)
         )
         error = e5 * e5 / np.maximum(np.hypot(e5, 0.1 * e3), np.finfo(np.float64).tiny)
-    _weighted_sum(_DOP853_B, k, acc, term)
-    return np.add(y, np.multiply(h, acc, out=acc), out=out), error
+    return y + h * _weighted_sum(_DOP853_B, k), error
 
 
 def dop853_rows(rhs, y, h, n):
@@ -204,22 +185,17 @@ def dop853_rows(rhs, y, h, n):
 
     The rows step in lockstep, sorted by step count, longest first; a row
     leaves the batch after its last step.  With an ``rhs`` that treats the
-    rows independently, each row gets the bits it has alone.  ``rhs`` takes
-    ``out=``: the rows step in place, through stage buffers that every step
-    reuses.  The steps are fixed, so no error estimate is computed.
+    rows independently, each row gets the bits it has alone.  The steps
+    are fixed, so no error estimate is computed.
     """
     n = np.asarray(n)
     order = np.argsort(-n, kind="stable")
     n = n[order]
     state = np.asarray(y, dtype=np.float64)[order]
     h = np.asarray(h, dtype=np.float64)[order][:, None]
-    work = [np.empty_like(state) for _ in range(DOP853_WORK)]
     rows = len(n)
     for i in range(n[0] if rows else 0):
         while n[rows - 1] <= i:
             rows -= 1
-        live = state[:rows]
-        dop853_step(rhs, live, h[:rows], out=live, work=[w[:rows] for w in work], estimate=None)
-    out = np.empty_like(state)
-    out[order] = state
-    return out
+        state[:rows] = dop853_step(rhs, state[:rows], h[:rows], estimate=None)[0]
+    return state[np.argsort(order, kind="stable")]

@@ -133,6 +133,7 @@ class RunConfig:
     expect_counterexample: bool = False
 
     def all_pairs(self):
+        """``pairs``, under the name ``perfbench/workloads.py`` still reads."""
         return self.pairs
 
     def resolved_lines(self):
@@ -159,7 +160,7 @@ class RunConfig:
                 f"manifold.loop_length={_opt(ms.loop_length)}",
             ]
         lines += [
-            "lens.pairs=" + ";".join(f"{_num(R)},{_num(r)}" for R, r in self.all_pairs()),
+            "lens.pairs=" + ";".join(f"{_num(R)},{_num(r)}" for R, r in self.pairs),
             f"run.grid={self.grid}",
             f"run.budget={self.budget}",
             f"run.seed={self.seed}",
@@ -319,7 +320,7 @@ def validate_config(config: RunConfig):
     if config.seed < 0:
         raise ConfigError(f"run.seed = {config.seed} must be >= 0")
     conv = convexity_bound_for(config, manifold)
-    for R, r in config.all_pairs():
+    for R, r in config.pairs:
         if not (0 < r <= R):
             raise ConfigError(f"radii must satisfy 0 < r <= R (got {R}, {r})")
         if not config.expect_counterexample and not R < conv:

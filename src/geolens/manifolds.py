@@ -206,12 +206,11 @@ class Manifold(ABC):
     def geodesic_acceleration(self, pos, vel) -> np.ndarray:
         """Right-hand side of the geodesic equation in chart coordinates."""
 
-    def geodesic_rhs(self, state, out=None) -> np.ndarray:
+    def geodesic_rhs(self, state) -> np.ndarray:
         """The geodesic equation as a first-order system, on a state
-        (..., 2 * ambient_dim) of positions followed by velocities, written
-        into ``out`` (a new array if None)."""
+        (..., 2 * ambient_dim) of positions followed by velocities."""
         d = self.ambient_dim
-        out = np.empty_like(state) if out is None else out
+        out = np.empty_like(state)
         out[..., :d] = state[..., d:]
         out[..., d:] = self.geodesic_acceleration(state[..., :d], state[..., d:])
         return out
@@ -741,13 +740,6 @@ class SurfaceOfRevolution(Manifold):
     whole numbers of grid steps from that to twice that, from the embedded
     error estimate of the row's Jacobi field, and places its zeros and
     chart exits on the grid.
-
-    :meth:`jacobi_rhs` follows NumPy's ``out=`` convention: it writes the
-    derivative into a given array, one component at a time with ``out=``
-    ufuncs, so the batched loops step their blocks through reused buffers
-    (:meth:`geodesic_rhs` takes ``out=`` too).  The radii scan keeps its
-    (rows, 6) block in Fortran order, so each component is one contiguous
-    run; the values do not depend on the layout or the buffer.
     """
 
     kind = "surface_of_revolution"
@@ -788,25 +780,20 @@ class SurfaceOfRevolution(Manifold):
         return float(a[0] * b[0] + fu * fu * a[1] * b[1])
 
     @staticmethod
-    def _acceleration(out, f, fp, du, dv):
-        """Write the geodesic acceleration (u'', v'') of velocity (du, dv),
-        from f and f' at u, into the last axis of ``out``: f f' dv dv and
-        -2 (f'/f) du dv, each left to right with ``out=`` ufuncs."""
-        a = out[..., 0]
-        np.multiply(np.multiply(np.multiply(f, fp, out=a), dv, out=a), dv, out=a)
-        a = out[..., 1]
-        np.multiply(np.divide(fp, f, out=a), -2.0, out=a)
-        np.multiply(np.multiply(a, du, out=a), dv, out=a)
+    def _acceleration(f, fp, du, dv):
+        """The geodesic acceleration (u'', v'') of velocity (du, dv), from f
+        and f' at u: f f' dv dv and -2 (f'/f) du dv, each left to right."""
+        return f * fp * dv * dv, fp / f * -2.0 * du * dv
 
     def geodesic_acceleration(self, pos, vel):
         pos = np.asarray(pos, dtype=np.float64)
         vel = np.asarray(vel, dtype=np.float64)
         f, fp, _ = self.profile.jet(pos[..., 0])
         acc = np.empty_like(vel)
-        self._acceleration(acc, f, fp, vel[..., 0], vel[..., 1])
+        acc[..., 0], acc[..., 1] = self._acceleration(f, fp, vel[..., 0], vel[..., 1])
         return acc
 
-    def jacobi_rhs(self, state, out=None):
+    def jacobi_rhs(self, state):
         """The geodesic equation joined with the scalar Jacobi equation
         j'' = -K j, on a state (..., 6) of u, v, du, dv, j, j'.
 
@@ -814,17 +801,15 @@ class SurfaceOfRevolution(Manifold):
         Gauss curvature K = -f''/f, so j'' is written (f''/f) j.  u is
         clamped to the profile's domain, which leaves rows inside it
         unchanged; rows that leave it are the caller's to detect.  The
-        derivative goes into ``out`` (a new array of the state's layout if
-        None), one component at a time, with the bits of a new array.
+        derivative is a new array of the state's layout.
         """
         p = self.profile
         f, fp, fpp = p.jet(np.minimum(np.maximum(state[..., 0], p.u_min), p.u_max))
-        out = np.empty_like(state) if out is None else out
+        out = np.empty_like(state)
         out[..., :2] = state[..., 2:4]
-        self._acceleration(out[..., 2:4], f, fp, state[..., 2], state[..., 3])
+        out[..., 2], out[..., 3] = self._acceleration(f, fp, state[..., 2], state[..., 3])
         out[..., 4] = state[..., 5]
-        jpp = out[..., 5]
-        np.multiply(np.divide(fpp, f, out=jpp), state[..., 4], out=jpp)
+        out[..., 5] = fpp / f * state[..., 4]
         return out
 
     def _n_steps(self, span):

@@ -197,7 +197,7 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
     """
     manifold = config.manifold.build()
     conv = convexity_bound_for(config, manifold)
-    for R, r in config.all_pairs():
+    for R, r in config.pairs:
         if not (0 < r <= R < conv):
             raise ConfigError(
                 f"pair ({R:g}, {r:g}) violates 0 < r <= R < convexity radius {conv:g}"
@@ -205,7 +205,7 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
     per_claim: dict[str, dict[str, float]] = {c: {} for c in CLAIM_REGISTRY}
     notes: dict[str, list] = {c: [] for c in CLAIM_REGISTRY}
 
-    for R, r in config.all_pairs():
+    for R, r in config.pairs:
         key = _pair_key(R, r)
         bp = BallPair.create(manifold, R, r, convexity_bound=conv)
         profile = w_profile(bp, grid=config.grid, budget=config.budget, seed=config.seed)
@@ -420,8 +420,7 @@ def run_counterexample(config: RunConfig) -> VerificationReport:
     conv = manifold.convexity_radius() if manifold.closed_form else math.inf
     if not math.isfinite(conv):
         raise ConfigError("the counterexample scenario runs on a sphere model")
-    pairs = config.all_pairs()
-    for R, r in pairs:
+    for R, r in config.pairs:
         if r < conv - 1e-12:
             raise ConfigError(
                 f"counterexample needs both radii >= the convexity radius {conv:g}"
@@ -430,7 +429,7 @@ def run_counterexample(config: RunConfig) -> VerificationReport:
     target = 2.0 * conv
     worst = math.inf
     observed = []
-    for R, r in pairs:
+    for R, r in config.pairs:
         bp = BallPair.create(manifold, R, r, convexity_bound=math.inf)
         t_hi = min(R + r, 0.8 * target)
         ts = np.linspace(0.25 * t_hi, t_hi, 4)

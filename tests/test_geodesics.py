@@ -180,9 +180,9 @@ def test_configured_step_reaches_the_line_and_the_jacobi_integration(monkeypatch
     steps = []
     dop853_step = ode_module.dop853_step
 
-    def spy(rhs, y, h, **buffers):
+    def spy(rhs, y, h, **kwargs):
         steps.append(np.max(np.abs(h)))
-        return dop853_step(rhs, y, h, **buffers)
+        return dop853_step(rhs, y, h, **kwargs)
 
     monkeypatch.setattr(ode_module, "dop853_step", spy)
     bp = BallPair.create(surface, 0.3, 0.2, convexity_bound=0.5)

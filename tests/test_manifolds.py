@@ -584,31 +584,19 @@ def test_fused_jacobi_rhs_gives_the_bits_of_the_separate_formulas(kind):
     for block in (state, state[:1], state[11], state.reshape(8, 8, 6)):
         expected = _jacobi_rhs_oracle(surface, block)
         assert surface.jacobi_rhs(block).tobytes() == expected.tobytes()
-    # the radii scan's layout: a Fortran-ordered block, written into a
-    # reused buffer, gives the bytes of the C-ordered call
+    # the radii scan's layout: a Fortran-ordered block gives the bytes of
+    # the C-ordered call, in a block of its own layout
     expected = surface.jacobi_rhs(state).tobytes()
     block = np.asfortranarray(state)
-    out = np.full_like(block, np.inf)
-    for _ in range(2):
-        assert surface.jacobi_rhs(block, out=out) is out
-        assert np.ascontiguousarray(out).tobytes() == expected
     assert np.ascontiguousarray(surface.jacobi_rhs(block)).tobytes() == expected
     assert surface.jacobi_rhs(block).flags.f_contiguous
 
 
-def test_dop853_step_in_buffers_gives_the_bits_of_the_allocating_step():
+def test_dop853_step_with_a_column_of_steps_gives_each_row_its_bits_alone():
+    # a column of steps, one per row: each row has the bits it has alone
     surface = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     rng = np.random.default_rng(3)
     state = rng.normal(scale=0.2, size=(40, 6))
-    expected, error = _ode.dop853_step(surface.jacobi_rhs, state, 0.04)
-    # the radii scan: a Fortran-ordered block into reused buffers
-    block = np.asfortranarray(state)
-    out, *work = (np.empty_like(block) for _ in range(1 + _ode.DOP853_WORK))
-    for _ in range(2):
-        _, again = _ode.dop853_step(surface.jacobi_rhs, block, 0.04, out=out, work=work)
-        assert np.ascontiguousarray(out).tobytes() == expected.tobytes()
-        assert again.tobytes() == error.tobytes()
-    # a column of steps, one per row: each row has the bits it has alone
     h = rng.uniform(1e-3, 4e-2, size=(40, 1))
     rows, errors = _ode.dop853_step(surface.jacobi_rhs, state, h)
     for i in (0, 17, 39):
@@ -632,10 +620,8 @@ def test_dop853_coefficients_are_the_published_table():
         assert np.array_equal(e, expected)
 
 
-def _oscillator(y, out):
-    out[..., 0] = y[..., 1]
-    np.negative(y[..., 0], out=out[..., 1])
-    return out
+def _oscillator(y):
+    return np.stack([y[..., 1], -y[..., 0]], axis=-1)
 
 
 def test_dop853_step_and_its_error_estimate_have_order_eight():
@@ -652,10 +638,8 @@ def test_dop853_step_and_its_error_estimate_have_order_eight():
     assert estimates[0] / estimates[1] >= 128.0
 
 
-def _two_oscillators(y, out):
-    _oscillator(y[..., :2], out[..., :2])
-    _oscillator(y[..., 2:], out[..., 2:])
-    return out
+def _two_oscillators(y):
+    return np.concatenate([_oscillator(y[..., :2]), _oscillator(y[..., 2:])], axis=-1)
 
 
 def test_dop853_step_estimates_the_components_it_is_given():

@@ -236,8 +236,7 @@ def test_zeros_of_all_base_points_match_one_base_point_at_a_time(base_points):
 
 
 def test_back_to_back_scans_each_give_the_bits_they_give_alone():
-    # the scan steps in buffers it allocates per call: nothing of one scan
-    # reaches the next
+    # every scan makes its own arrays: nothing of one scan reaches the next
     sor = SurfaceOfRevolution(RevolutionProfile.cosine_bump())
     bases = np.column_stack([[-0.3, 0.0, 0.3], np.zeros(3)])
     wide = bases, np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False), 16.0
@@ -282,18 +281,11 @@ def test_closed_form_scan_stops_one_step_past_its_zeros(of, steps, monkeypatch):
         assert not radius.lower_bound_only
 
 
-def _record_scan_steps(monkeypatch):
-    """The steps of every ``dop853_step`` call of the surface radii scans,
-    recorded as they run: ("scan", h) for a step of the scan's loop and
-    ("place", h) for a round of ``_place_events``, h the column of the
-    steps of the rows in the call."""
-    steps, phase = [], ["scan"]
-    dop853_step = radii_module.dop853_step
+def _record_phase(monkeypatch):
+    """A one-item list that holds the phase of the surface radii scans as
+    they run: "place" while ``_place_events`` runs, "scan" otherwise."""
+    phase = ["scan"]
     place_events = radii_module._place_events
-
-    def spy(rhs, y, h, **buffers):
-        steps.append((phase[0], np.ravel(h)))
-        return dop853_step(rhs, y, h, **buffers)
 
     def placing(*args):
         phase[0] = "place"
@@ -302,8 +294,23 @@ def _record_scan_steps(monkeypatch):
         finally:
             phase[0] = "scan"
 
-    monkeypatch.setattr(radii_module, "dop853_step", spy)
     monkeypatch.setattr(radii_module, "_place_events", placing)
+    return phase
+
+
+def _record_scan_steps(monkeypatch):
+    """The steps of every ``dop853_step`` call of the surface radii scans,
+    recorded as they run: ("scan", h) for a step of the scan's loop and
+    ("place", h) for a round of ``_place_events``, h the column of the
+    steps of the rows in the call."""
+    steps, phase = [], _record_phase(monkeypatch)
+    dop853_step = radii_module.dop853_step
+
+    def spy(rhs, y, h, **kwargs):
+        steps.append((phase[0], np.ravel(h)))
+        return dop853_step(rhs, y, h, **kwargs)
+
+    monkeypatch.setattr(radii_module, "dop853_step", spy)
     return steps
 
 
@@ -569,6 +576,24 @@ def test_the_scan_error_estimate_is_reported_and_grows_with_the_step(monkeypatch
     assert closed_form_radii(Sphere(2, 1.0)).jacobi_error is None
 
 
+def test_the_scan_loop_steps_fortran_ordered_blocks(monkeypatch):
+    # each column that the right-hand side reads is one contiguous run, also
+    # in the blocks made when rows leave
+    blocks, phase = [], _record_phase(monkeypatch)
+    rhs = SurfaceOfRevolution.jacobi_rhs
+
+    def spy(self, state):
+        if phase[0] == "scan":
+            blocks.append((len(state), state.flags.f_contiguous))
+        return rhs(self, state)
+
+    monkeypatch.setattr(SurfaceOfRevolution, "jacobi_rhs", spy)
+    _benchmark_scan()
+    rows = [n for n, _ in blocks]
+    assert rows[0] == 3 * 64 and len(set(rows)) > 2
+    assert all(f_contiguous for _, f_contiguous in blocks)
+
+
 def test_benchmark_radii_report_takes_few_right_hand_sides_in_little_memory(monkeypatch):
     # the RK4 scan took 11320 right-hand sides and peaked at 0.17 MB, the
     # DOP853 scan in fixed steps of SCAN_GRID_STEPS grid steps 1765
@@ -591,5 +616,5 @@ def test_benchmark_radii_report_takes_few_right_hand_sides_in_little_memory(monk
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5e6
+    assert peak <= 0.3e6
 

@@ -352,7 +352,7 @@ def test_suite_monotone_entry_is_the_full_cloud_reading(euclid_report):
     cfg, report = euclid_report
     entry = next(e for e in report.entries if e.claim_id == "monotone_set_limits")
     model = cfg.manifold.build()
-    for R, r in cfg.all_pairs():
+    for R, r in cfg.pairs:
         bp = BallPair.create(model, R, r)
         margin, gap = _full_cloud_limit(model, bp.center_big(), bp.frame_big(), r)
         key = f"R={R:g},r={r:g}"
