@@ -7,12 +7,16 @@ width
 
     w(t) = diam( D_R(gamma(0)) ∩ D_r(gamma(t)) )
 
-over a separation grid, and estimates two thresholds of that profile:
+over a separation grid, and finds two thresholds of that profile:
 
 * ``nesting_onset`` (printed as T_est): the smallest separation after which
   further separation only shrinks the lens into the earlier one;
 * ``full_width_end`` (printed as S_est): the largest separation at which the
   lens still achieves the full diameter 2r.
+
+On an exact pair (below) both are the model's Pythagorean leg
+(``Manifold.pythagorean_leg``), up to its rounding bound; elsewhere they
+are estimates, bisected on the grid.
 
 Three deterministic candidates carry the geometry: the axis ends, the
 corners where the boundary circles meet and the ends of the small ball's
@@ -32,19 +36,25 @@ convex and the candidates are the answers:
   point of one (an axis end or a corner) to the other lens
   (:func:`lens_gaps`);
 * the lens keeps the full width 2r exactly while the perpendicular chord
-  lies in the big ball, so the plateau end bisects on that chord's margin
-  (the Pythagorean theorem of the model at the end).
+  lies in the big ball, so the plateau ends at the model's Pythagorean leg
+  S, where the chord reaches the big circle;
+* the corner at angle phi(t) off the axis lies within r of gamma(s), s < t,
+  exactly when cos phi(t) >= cos phi(s), and cos phi is smallest at S (the
+  law of cosines of the model), while the axis ends nest once s >= R - r:
+  so the nesting onset T is S too.  The grid bisections, the onset's on the
+  far points and the plateau's on the chord's margin, run only as the
+  labelled cross-check :func:`bisected_thresholds` of ``geolens verify``.
 
 A profile builds the candidates of every grid separation in one pass
 (``_candidates_at``: a few model calls for the whole grid, the tangent
-frames of all separations from one ``tangent_frames``), and the widths, the
-plateau test at the grid points and the nesting scan all read it; a single
-lens is the one-row case.  Each row's values do not depend on the others,
-so the numbers are those of a lens-by-lens pass, and each width is the
-``dist_coords`` of its pair.  The nesting onset and the
-plateau end bisect in lockstep rounds (``_bisect``): each round tests the
-next levels of the bisection tree in one batch and walks it, with the
-floats and tests of a step-by-step loop.
+frames of all separations from one ``tangent_frames``), and the widths and
+the nesting scan both read it; a single lens is the one-row case.  Each
+row's values do not depend on the others, so the numbers are those of a
+lens-by-lens pass, and each width is the ``dist_coords`` of its pair.
+Where they bisect, the nesting onset and the plateau end do so in lockstep
+rounds (``_bisect``): each round tests the next levels of the bisection
+tree in one batch and walks it, with the floats and tests of a
+step-by-step loop.
 
 Elsewhere -- on the numeric surface, whose corner is a leading-order flat
 estimate, and for balls at or beyond the convexity radius (the sphere
@@ -722,6 +732,9 @@ class WProfile:
     budget: int
 
     def summary(self) -> str:
+        """T_est and S_est with their uncertainties: a rounding bound on an
+        exact pair, where both are the model's Pythagorean leg, else the
+        resolution of the bisection."""
         return (
             f"T_est={self.nesting_onset.value:.6f} (+-{self.nesting_onset.uncertainty:.1e}) "
             f"S_est={self.full_width_end.value:.6f} (+-{self.full_width_end.uncertainty:.1e})"
@@ -918,6 +931,10 @@ def estimate_nesting_onset(
 ) -> ThresholdEstimate:
     """Smallest separation s after which all later lenses nest into D_r(gamma(s)).
 
+    :func:`w_profile` bisects it on the pairs that are not exact; on an
+    exact pair it reads the model's Pythagorean leg, and this bisection is
+    the cross-check :func:`bisected_thresholds`.
+
     Grid form of the defining test: for every grid t >= s, the lens at t must
     lie within r + ``NESTING_SLACK`` of gamma(s).  On an exact pair the test
     reads the axis ends and corners of each lens, where the distance to
@@ -995,6 +1012,11 @@ def estimate_nesting_onset(
 def estimate_full_width_end(ts: np.ndarray, passing, full_width, batch: int = 1) -> ThresholdEstimate:
     """Largest separation at which the lens keeps its full width 2r.
 
+    :func:`w_profile` bisects it on sampled widths on the pairs that are
+    not exact; on an exact pair it reads the model's Pythagorean leg, and
+    the bisection on chord margins is the cross-check
+    :func:`bisected_thresholds`.
+
     ``ts`` is the uniform grid over [0, R + r], ``passing`` says per grid
     point whether the lens has full width there, and ``full_width(mids) ->
     bools`` decides the bisection steps at an array of separations (it
@@ -1033,41 +1055,34 @@ def w_profile(
     """Profile the lens width over a uniform separation grid.
 
     Evaluates the diameter at each grid separation and checks the witnesses
-    of every row at once (``check_witnesses``), estimates the nesting onset
-    on the same grid (refined by continuous bisection), locates the end of
-    the full-width plateau with bisection between grid points, and flags
-    which grid points nest into the lens at the onset.
+    of every row at once (``check_witnesses``), finds the nesting onset and
+    the end of the full-width plateau, and flags which grid points nest
+    into the lens at the onset.
 
     An exact pair draws no cloud and runs one grid pass
     (``_candidates_at``): the candidates of every separation (their frames
     from one ``tangent_frames``), their margins and each row's best pair
-    (one ``dist_pairs``) give the widths, the chords' distances to gamma(0)
-    give the plateau test at the grid points, and the axis ends and corners
-    inside the lenses are the nesting scan.  Both bisections then run in
-    lockstep rounds, the plateau's on chord passes (``_chord_margins``), so
-    no stage loops in Python per row or per step.  Elsewhere the width
-    clouds are one sampling pass (``_sample_lenses``), as is the onset
-    scan, and each plateau step samples its lens.  The flags read the
-    scan's distances to the anchor in one call.  Every number has the bits
-    of a lens-by-lens, step-by-step evaluation.
+    (one ``dist_pairs``) give the widths, and the axis ends and corners
+    inside the lenses are the nesting scan.  Both thresholds are the
+    model's Pythagorean leg (``Manifold.pythagorean_leg``), with its
+    rounding bound as their uncertainty (see the module docstring); the
+    grid bisections run there only as the cross-check
+    :func:`bisected_thresholds`.  Elsewhere the width clouds are one
+    sampling pass (``_sample_lenses``), as is the onset scan, the onset
+    bisects on that scan and each plateau step samples its lens.  The
+    flags read the scan's distances to the anchor in one call.  Every
+    number has the bits of a lens-by-lens, step-by-step evaluation.
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     m = bp.manifold
     ts = np.linspace(0.0, bp.R + bp.r, grid)
-    probe_budget = max(256, budget // 8)
     if bp.exact:
         c = _candidates_at(bp, ts)
         w, slack, wa, wb = _exact_widths(m, c)
+        check_witnesses(bp, ts, w, wa, wb)
         scan = _far_points(c)
-        # the lens keeps width 2r exactly while the perpendicular chord lies
-        # in the big ball, which holds up to the model's Pythagorean end
-        passing = bp.R - np.max(c.d_big[:, _CHORD], axis=1) >= 0.0
-        batch = _BISECT_ROWS // 2
-
-        def full_width(mids):
-            return _chord_margins(bp, mids) >= 0.0
-
+        onset = full_end = ThresholdEstimate(*m.pythagorean_leg(bp.R, bp.r))
     else:
         clouds = _sample_lenses(bp, ts, budget, seed)
         rows = [
@@ -1078,7 +1093,12 @@ def w_profile(
         slack = np.array([res.slack for res in rows])
         wa = np.array([res.witness_a for res in rows])
         wb = np.array([res.witness_b for res in rows])
+        check_witnesses(bp, ts, w, wa, wb)
+        probe_budget = max(256, budget // 8)
         scan = _nesting_scan(bp, ts, probe_budget, seed)
+        onset = estimate_nesting_onset(
+            bp, n_grid=grid, budget=probe_budget, seed=seed, scan=scan
+        )
         # w leaves 2r quadratically at the end, so the sampled test passes
         # for about sqrt(FULL_WIDTH_TOL / c) past it
         eval_budget = max(512, budget // 8)
@@ -1087,14 +1107,7 @@ def w_profile(
             width = [lens_diameter(bp.with_separation(float(t)), eval_budget, seed).value for t in mids]
             return np.array(width) >= 2.0 * bp.r - FULL_WIDTH_TOL
 
-        passing = w >= 2.0 * bp.r - FULL_WIDTH_TOL
-        batch = 1
-    check_witnesses(bp, ts, w, wa, wb)
-
-    onset = estimate_nesting_onset(
-        bp, n_grid=grid, budget=probe_budget, seed=seed, scan=scan
-    )
-    full_end = estimate_full_width_end(ts, passing, full_width, batch)
+        full_end = estimate_full_width_end(ts, w >= 2.0 * bp.r - FULL_WIDTH_TOL, full_width)
 
     # nesting flags against the first grid point at or after the onset, on
     # the points of the onset scan: one distance call, then a max per owner
@@ -1123,3 +1136,33 @@ def w_profile(
         seed=seed,
         budget=budget,
     )
+
+
+def bisected_thresholds(
+    bp: BallPair, grid: int, fine_grid: int, budget: int = 512, seed: int = 0
+) -> tuple[ThresholdEstimate, ThresholdEstimate | None]:
+    """Labelled cross-check of the thresholds that an exact profile reads
+    from the model's Pythagorean leg: (nesting onset, plateau end), each
+    found by its grid bisection.
+
+    The onset is :func:`estimate_nesting_onset` on a grid of ``fine_grid``
+    points (its scan sampled at ``budget`` and ``seed`` where the pair is
+    not exact).  On an exact pair the plateau end is
+    :func:`estimate_full_width_end` on the chord margins
+    (``_chord_margins``) of the profile's grid of ``grid`` points, with the
+    bits that :func:`w_profile` reported before it read the leg; elsewhere
+    it is None, since the chord test is exact only there and the profile
+    bisects the plateau on sampled widths itself.  ``geolens verify`` runs
+    this; :func:`w_profile` never does.
+    """
+    onset = estimate_nesting_onset(bp, n_grid=fine_grid, budget=budget, seed=seed)
+    if not bp.exact:
+        return onset, None
+    ts = np.linspace(0.0, bp.R + bp.r, grid)
+    full_end = estimate_full_width_end(
+        ts,
+        _chord_margins(bp, ts) >= 0.0,
+        lambda mids: _chord_margins(bp, mids) >= 0.0,
+        _BISECT_ROWS // 2,
+    )
+    return onset, full_end

@@ -32,6 +32,9 @@ from geolens.errors import (
 ON_MANIFOLD_TOL = 1e-10
 # Newton iterations a surface shoot may take before it raises ShootingError
 SHOOT_ITERATIONS = 60
+# relative rounding error of ``Manifold.pythagorean_leg`` per unit of its
+# condition number: a few roundings of 2**-53 through sqrt and asin
+LEG_ROUNDING = 8.0 * 2.0**-52
 # the built-in profile f(u) = offset + cos u on [u_min, u_max]
 BUMP_U_MIN, BUMP_U_MAX, BUMP_OFFSET = -0.6, 0.6, 2.0
 
@@ -342,6 +345,23 @@ class Manifold(ABC):
         formula degenerates."""
         return (t * t + R * R - r * r) / (2.0 * t * R)
 
+    def pythagorean_leg(self, R: float, r: float) -> tuple[float, float]:
+        """The leg S of a right triangle with hypotenuse R and other leg
+        r <= R, and a bound on its rounding error: S = sqrt(R^2 - r^2) here,
+        cos R = cos r cos S on the sphere and cosh R = cosh r cosh S on
+        hyperbolic space.  About gamma(S) the perpendicular chord of the
+        ball of radius r ends on the circle of radius R about gamma(0), so S
+        is where the full-width plateau of a lens ends and where it starts
+        to nest.  Written in forms that stay accurate as r -> R, where S is
+        0.
+
+        The bound is ``LEG_ROUNDING`` times S times 1 plus the condition
+        number of the form: a factor f(x) of it (a sine, a cosine, ...)
+        turns the relative rounding of its argument into x f'(x) / f(x)
+        times as much.  Flat, the form has no such factor."""
+        leg = math.sqrt((R - r) * (R + r))
+        return leg, LEG_ROUNDING * leg
+
     # -- distance ------------------------------------------------------------
     # A closed-form distance is a monotone function (``scan_dist``) of a
     # squared pre-metric of the chart difference (``pre_sq``).  The scans of
@@ -504,6 +524,15 @@ class Sphere(Manifold):
             math.sin(R / a) * np.sin(t / a),
         )
 
+    def pythagorean_leg(self, R, r):
+        # 1 - cos S = (cos r - cos R) / cos r, each side a product of sines;
+        # x cot x <= 1 for the sines, and the cosine's x tan x grows without
+        # bound as r nears the convexity radius
+        a = self.radius
+        half = math.sin((R - r) / (2.0 * a)) * math.sin((R + r) / (2.0 * a))
+        leg = 2.0 * a * math.asin(math.sqrt(half / math.cos(r / a)))
+        return leg, LEG_ROUNDING * leg * (1.0 + r / a * math.tan(r / a))
+
     def scan_dist(self, sq):
         # sq is a sum of squares, so only the upper clip can act
         return 2.0 * self.radius * np.arcsin(np.minimum(np.sqrt(sq) / (2.0 * self.radius), 1.0))
@@ -628,6 +657,14 @@ class Hyperbolic(Manifold):
             math.cosh(R / a) * np.cosh(t / a) - math.cosh(r / a),
             math.sinh(R / a) * np.sinh(t / a),
         )
+
+    def pythagorean_leg(self, R, r):
+        # cosh S - 1 = (cosh R - cosh r) / cosh r, each side a product of
+        # sinhs; x coth x <= 1 + x and x tanh x <= x sum to 2 + (R + r) / a
+        a = self.radius
+        half = math.sinh((R - r) / (2.0 * a)) * math.sinh((R + r) / (2.0 * a))
+        leg = 2.0 * a * math.asinh(math.sqrt(half / math.cosh(r / a)))
+        return leg, LEG_ROUNDING * leg * (1.0 + (R + r) / a)
 
     def pre_sq(self, diff):
         # the Minkowski square, clipped at 0: rounding can take it below

@@ -2,9 +2,8 @@
 pass/fail/report entry with observed margins.
 
 Entries with status "report" never gate a run: they cover the exploratory
-probes (plateau-end versus nesting-onset agreement, discrete concavity,
-derivative continuity) and, in standard runs, the large-ball counterexample
-scenario, which has its own runner.
+probes (discrete concavity, derivative continuity) and, in standard runs,
+the large-ball counterexample scenario, which has its own runner.
 
 Three claims test the paper's continuity argument, |w(s) - w(t)| <=
 2 H(L_s, L_t) for the lenses at separations s and t: on 25 grid pairs
@@ -22,7 +21,11 @@ limit's radius, and that maximum lies on the ball's boundary.
 ``sampled_width_matches_exact`` is the labelled cross-check of the exact
 widths of convex closed-form pairs against the diameters of sampled clouds,
 the only clouds an exact pair draws; where no width is exact it reports no
-admissible data.
+admissible data.  ``thresholds_match_leg`` is the same for the thresholds:
+an exact profile reads T and S from the model's Pythagorean leg, and the
+grid bisections (``lens.bisected_thresholds``: the onset on the fine grid,
+the plateau end on the profile's) must each land within the sum of the two
+uncertainties of it.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from geolens.lens import (
     _circles,
     _nesting_scan,
     _sample_lenses,
+    bisected_thresholds,
     check_witnesses,
-    estimate_nesting_onset,
     lens_diameter,
     lens_gaps,
     w_profile,
@@ -66,6 +69,7 @@ CLAIM_REGISTRY = [
     "full_width_plateau",
     "onset_not_before_gap",
     "onset_before_big_radius",
+    "thresholds_match_leg",
     "width_above_axis_chord",
     "width_left_continuous",
     "width_right_continuous",
@@ -76,13 +80,11 @@ CLAIM_REGISTRY = [
     "monotone_set_limits",
     "convexity_radius_identity",
     "counterexample_large_balls",
-    "probe_plateau_end_matches_onset",
     "probe_concavity",
     "probe_derivative_continuity",
 ]
 
 REPORT_ONLY = {
-    "probe_plateau_end_matches_onset",
     "probe_concavity",
     "probe_derivative_continuity",
 }
@@ -193,7 +195,9 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
     draws clouds for the cross-check rows alone; elsewhere the clouds of
     the Lipschitz-type rows come from one sampling pass (``_sample_lenses``)
     at the probe budget.  Nesting reads the points of ``_nesting_scan``:
-    the far points of an exact pair, else the sampled clouds.
+    the far points of an exact pair, else the sampled clouds.  The onset
+    claims read the fine onset of ``bisected_thresholds``, which on an
+    exact pair also bisects the plateau end for ``thresholds_match_leg``.
     """
     manifold = config.manifold.build()
     conv = convexity_bound_for(config, manifold)
@@ -222,12 +226,10 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
         else:
             per_claim["full_width_plateau"][key] = 0.0
 
-        # onset bounds
-        fine = estimate_nesting_onset(
-            bp,
-            n_grid=FINE_ONSET_GRID,
-            budget=max(256, config.budget // 8),
-            seed=config.seed,
+        # onset bounds, on the bisected fine onset; on an exact pair the
+        # bisections cross-check the profile's thresholds, the model's leg
+        fine, bisected_end = bisected_thresholds(
+            bp, config.grid, FINE_ONSET_GRID, max(256, config.budget // 8), config.seed
         )
         h_fine = fine.uncertainty
         if abs(R - r) < 1e-12:
@@ -236,6 +238,15 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
         else:
             per_claim["onset_not_before_gap"][key] = float(fine.value - (R - r - h_fine))
         per_claim["onset_before_big_radius"][key] = float(R - fine.value)
+        if bisected_end is not None:
+            checks = [(fine, profile.nesting_onset), (bisected_end, profile.full_width_end)]
+            per_claim["thresholds_match_leg"][key] = min(
+                float(a.uncertainty + b.uncertainty - abs(a.value - b.value)) for a, b in checks
+            )
+            notes["thresholds_match_leg"].append(
+                f"{key}: bisected T - leg {fine.value - onset:.3g}, "
+                f"S - leg {bisected_end.value - onset:.3g}"
+            )
 
         # width exceeds the leftover axis chord strictly inside the moving range
         inside = (ts > R - r + 1e-12) & (ts < span - 1e-12)
@@ -352,11 +363,8 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
         per_claim["monotone_set_limits"][key] = margin
         notes["monotone_set_limits"].append(f"{key}: final Hausdorff gap {gap_final:.4g}")
 
-        # the report-only probes, read off the profile alone: plateau end
-        # against the onset, discrete concavity past the onset and the
-        # one-sided slopes at it
-        s_end = profile.full_width_end.value
-        per_claim["probe_plateau_end_matches_onset"][key] = float(2 * h - abs(s_end - onset))
+        # the report-only probes, read off the profile alone: discrete
+        # concavity past the onset and the one-sided slopes at it
         ii = np.where((ts >= onset - 1e-12) & (ts <= span + 1e-12))[0]
         if len(ii) >= 3:
             second = w[ii][2:] - 2 * w[ii][1:-1] + w[ii][:-2]

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,6 +31,7 @@ from geolens.lens import (
     _ascend_pair,
     _corners_at,
     _nesting_scan,
+    bisected_thresholds,
 )
 from lens_clouds import polar_lens_cloud
 from lens_oracles import Plane, brute_width
@@ -671,14 +673,16 @@ def _cloud_nesting_scan(bp, ts, budget, seed):
 @pytest.mark.parametrize("model,pairs", CONVEX_CASES, ids=[m.describe() for m, _ in CONVEX_CASES])
 def test_exact_nesting_matches_the_cloud_scan(model, pairs, monkeypatch):
     # the farthest lens point from gamma(s) is an axis end or a corner, so
-    # the exact scan decides the onset and the flags as the clouds do
+    # the exact scan decides the bisected onset and the flags as the clouds do
     for R, r in pairs:
         bp = BallPair.create(model, R, r)
         exact = w_profile(bp, grid=80, budget=2048, seed=3)
+        exact_onset = bisected_thresholds(bp, 80, 80, budget=2048, seed=3)[0]
         with monkeypatch.context() as patch:
             patch.setattr(lens_module, "_nesting_scan", _cloud_nesting_scan)
             sampled = w_profile(bp, grid=80, budget=2048, seed=3)
-        assert exact.nesting_onset == sampled.nesting_onset, (R, r)
+            sampled_onset = bisected_thresholds(bp, 80, 80, budget=2048, seed=3)[0]
+        assert exact_onset == sampled_onset, (R, r)
         assert exact.nested_after_onset.tobytes() == sampled.nested_after_onset.tobytes()
 
 
@@ -794,10 +798,11 @@ def _reference_csv(ts, w, slack, wa, wb, flags):
 def _per_lens_profile(bp, grid):
     """The exact profile lens by lens, the reference for the grid pass: per
     lens the best admissible candidate by scalar distances, its witness
-    check, the chord margin of the plateau test, one distance call per
-    flagged row, and the two thresholds by step-by-step bisection.  Returns
-    the arrays and estimates that ``w_profile`` reports, and the plateau's
-    grid flags."""
+    check, one distance call per row flagged against the grid point at or
+    after the leg, and the chord margin of the plateau test and the two
+    thresholds by step-by-step bisection.  Returns the arrays that
+    ``w_profile`` reports, the plateau's grid flags, and the estimates of
+    ``bisected_thresholds`` on this grid."""
     m, R, r = bp.manifold, bp.R, bp.r
     ts = np.linspace(0.0, R + r, grid)
     d = m.ambient_dim
@@ -836,7 +841,8 @@ def _per_lens_profile(bp, grid):
     )
     points, owners = scan
     flags = np.zeros(grid, dtype=int)
-    anchor_idx = min(int(np.searchsorted(ts, onset.value - 1e-12)), grid - 1)
+    leg = m.pythagorean_leg(R, r)[0]
+    anchor_idx = min(int(np.searchsorted(ts, leg - 1e-12)), grid - 1)
     anchor = bp.line.coords_at(ts[anchor_idx])
     for i in range(anchor_idx + 1, grid):
         dmax = float(np.max(m.dist_many(anchor, points[owners == i])))
@@ -858,14 +864,18 @@ def test_grid_pass_gives_the_bits_of_the_per_lens_profile(model, pairs, monkeypa
     monkeypatch.setattr(lens_module, "estimate_full_width_end", recorded)
     for R, r in pairs:
         bp = BallPair.create(model, R, r)
+        leg = ThresholdEstimate(*model.pythagorean_leg(R, r))
         for grid in (2, 13, 41, 201):
             prof = w_profile(bp, grid=grid, budget=512, seed=0)
+            assert prof.nesting_onset == prof.full_width_end == leg
+            # the cross-check bisects on the profile's grid; its onset here too
+            bisected = bisected_thresholds(bp, grid, grid, budget=512, seed=0)
             arrays, onset, full_end = _per_lens_profile(bp, grid)
             got = (prof.w, prof.slack, prof.witness_a, prof.witness_b)
             got += (seen[-1], prof.nested_after_onset)
             for name, a, b in zip(("w", "slack", "wa", "wb", "passing", "flags"), got, arrays):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (R, r, grid, name)
-            for got_est, ref in ((prof.nesting_onset, onset), (prof.full_width_end, full_end)):
+            for got_est, ref in zip(bisected, (onset, full_end)):
                 assert repr(float(got_est.value)) == repr(float(ref.value)), (R, r, grid)
                 assert repr(float(got_est.uncertainty)) == repr(float(ref.uncertainty)), (R, r, grid)
             prof.to_csv(tmp_path / "profile.csv")
@@ -942,10 +952,10 @@ def test_onset_rounds_give_the_sequential_estimate(model, R, r, grid):
 
 @pytest.mark.parametrize("model,R,r", [(Sphere(2, 1.0), 1.2, 0.6), (Hyperbolic(2, -1.0), 2.0, 1.0)])
 def test_bisection_rounds_do_not_grow_with_the_grid(model, R, r, monkeypatch):
-    # a round is one batched test: of the onset at grid separations (t = 0,
-    # then the grid phase) or between two of them (its 30 continuous
-    # steps), or of the plateau (one chord pass); the step-by-step loops
-    # made one test per step
+    # a round of the cross-check's bisections is one batched test: of the
+    # onset at grid separations (t = 0, then the grid phase) or between two
+    # of them (its 30 continuous steps), or of the plateau (one chord pass);
+    # the step-by-step loops made one test per step
     tests = []
     for name in ("_later_distances", "_chord_margins"):
         fn = getattr(lens_module, name)
@@ -959,9 +969,10 @@ def test_bisection_rounds_do_not_grow_with_the_grid(model, R, r, monkeypatch):
     for grid in (11, 41, 201, 1001):
         ts = np.linspace(0.0, R + r, grid)
         tests.clear()
-        w_profile(BallPair.create(model, R, r), grid=grid, budget=512, seed=0)
+        bisected_thresholds(BallPair.create(model, R, r), grid, grid, budget=512, seed=0)
         on_grid = [bool(np.isin(s, ts).all()) for name, s in tests if name == "_later_distances"]
-        plateau = sum(name == "_chord_margins" for name, _ in tests)
+        # the plateau's rounds, after its flags at the grid points
+        plateau = sum(name == "_chord_margins" and not np.isin(s, ts).all() for name, s in tests)
         per_grid[grid] = (sum(on_grid), len(on_grid) - sum(on_grid), plateau)
     # the grid phase takes at most its log2(grid) steps; the 30 continuous
     # steps and the plateau's steps stay under round counts that do not
@@ -1008,17 +1019,65 @@ def test_exact_profile_makes_a_fixed_number_of_exps_and_distance_calls(monkeypat
     assert counts[2]["dist_many"] <= 3
 
 
-def _closed_form_plateau_end(model, R, r):
-    """The separation S at which the perpendicular chord reaches the big
-    circle: the Pythagorean theorem of the model."""
-    k = model.curvature if model.kind != "euclidean" else 0.0
-    if k == 0.0:
+def _mpmath_leg(model, R, r):
+    """The Pythagorean leg S of the model at 60 digits, from the law of
+    cosines as written (cos R = cos r cos S, cosh R = cosh r cosh S, R^2 =
+    r^2 + S^2) at the float inputs R and r and the model's curvature."""
+    with mpmath.workdps(60):
+        R, r = mpmath.mpf(R), mpmath.mpf(r)
+        if model.kind == "euclidean":
+            return mpmath.sqrt(R * R - r * r)
+        a = mpmath.sqrt(abs(mpmath.mpf(model.curvature)))
+        if model.curvature > 0:
+            return mpmath.acos(mpmath.cos(a * R) / mpmath.cos(a * r)) / a
+        return mpmath.acosh(mpmath.cosh(a * R) / mpmath.cosh(a * r)) / a
+
+
+def _acos_leg(model, R, r):
+    """The leg from the law of cosines in float arithmetic: near R = r
+    acos(cos R / cos r) reads a quotient within rounding of 1."""
+    if model.kind == "euclidean":
         return math.sqrt(R * R - r * r)
-    if k > 0:
-        a = math.sqrt(k)
+    a = math.sqrt(abs(model.curvature))
+    if model.curvature > 0:
         return math.acos(math.cos(a * R) / math.cos(a * r)) / a
-    a = math.sqrt(-k)
     return math.acosh(math.cosh(a * R) / math.cosh(a * r)) / a
+
+
+LEG_CASES = [
+    (model, R, r)
+    for dim in (2, 3)
+    for model, R, r in [
+        (Euclidean(dim), 2.0, 1.0),
+        (Euclidean(dim), 1.0, 1.0),
+        (Euclidean(dim), 1.0 + 1e-9, 1.0),
+        (Sphere(dim, 1.0), 1.2, 0.6),
+        (Sphere(dim, 1.0), 1.0, 1.0),
+        (Sphere(dim, 1.0), 1.0 + 1e-9, 1.0),
+        (Sphere(dim, 2.7), 0.95, 0.94),  # cos r / a near 0: r / a = 1.54
+        (Sphere(dim, 0.25), 2.0, 2.0 - 1e-9),
+        (Hyperbolic(dim, -1.0), 2.0, 1.0),
+        (Hyperbolic(dim, -1.0), 1.0, 1.0),
+        (Hyperbolic(dim, -1.0), 1.0 + 1e-9, 1.0),
+        (Hyperbolic(dim, -3.1), 9.0, 8.5),
+    ]
+]
+
+
+@pytest.mark.parametrize(
+    "model,R,r", LEG_CASES, ids=[f"{m.describe()}-{R!r}-{r!r}" for m, R, r in LEG_CASES]
+)
+def test_pythagorean_leg_matches_the_mpmath_oracle(model, R, r):
+    leg, bound = model.pythagorean_leg(R, r)
+    oracle = _mpmath_leg(model, R, r)
+    assert abs(mpmath.mpf(leg) - oracle) <= bound
+    assert bound <= 1e-12 * max(leg, 1e-300)
+    if R == r:
+        assert leg == bound == 0.0
+    if 0.0 < R - r < 1e-8:
+        # where the acos form loses about half its digits, the bound still
+        # tells the two apart
+        assert abs(mpmath.mpf(_acos_leg(model, R, r)) - oracle) > 100 * bound
 
 
 PLATEAU_CASES = [
@@ -1041,9 +1100,34 @@ PLATEAU_CASES = [
     "model,R,r", PLATEAU_CASES, ids=[f"{m.describe()}-{R}-{r}" for m, R, r in PLATEAU_CASES]
 )
 def test_plateau_end_matches_the_closed_form(model, R, r):
-    prof = w_profile(BallPair.create(model, R, r), grid=60, budget=512, seed=0)
-    est = prof.full_width_end
-    assert abs(est.value - _closed_form_plateau_end(model, R, r)) <= est.uncertainty
+    # the cross-check's bisections, the plateau end on the profile's grid
+    # and the onset on verify's fine grid, each land within their
+    # uncertainty of the leg
+    onset, est = bisected_thresholds(BallPair.create(model, R, r), 60, 1001)
+    leg = _mpmath_leg(model, R, r)
+    assert abs(est.value - leg) <= est.uncertainty
+    assert abs(onset.value - leg) <= onset.uncertainty
+
+
+def test_exact_profile_runs_no_threshold_bisection(monkeypatch):
+    # an exact profile reads both thresholds from the leg; the sampled
+    # profile of the counterexample still bisects both
+    calls = []
+    for name in ("estimate_nesting_onset", "estimate_full_width_end"):
+        stage = getattr(lens_module, name)
+
+        def counted(*args, _stage=stage, _name=name, **kwargs):
+            calls.append(_name)
+            return _stage(*args, **kwargs)
+
+        monkeypatch.setattr(lens_module, name, counted)
+    for model, pairs in CONVEX_CASES:
+        for R, r in pairs:
+            w_profile(BallPair.create(model, R, r), grid=41, budget=512, seed=0)
+    assert calls == []
+    big = BallPair.create(Sphere(2, 1.0), 1.6, 1.6, convexity_bound=math.inf)
+    w_profile(big, grid=6, budget=512, seed=0)
+    assert calls == ["estimate_nesting_onset", "estimate_full_width_end"]
 
 
 def test_witness_check_rejects_an_axis_end_outside_the_lens(monkeypatch):

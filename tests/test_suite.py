@@ -112,8 +112,23 @@ def test_cross_check_reports_no_data_without_exact_widths(monkeypatch):
     monkeypatch.setattr(lens_module.BallPair, "exact", property(lambda self: False))
     cfg = replace(SPHERE_PAIR, grid=12, budget=256)
     entry = {e.claim_id: e for e in run_verification_suite(cfg).entries}
-    cross = entry["sampled_width_matches_exact"]
-    assert (cross.status, cross.summary) == ("report", "no admissible data")
+    for claim in ("sampled_width_matches_exact", "thresholds_match_leg"):
+        cross = entry[claim]
+        assert (cross.status, cross.summary) == ("report", "no admissible data")
+
+
+def test_leg_claim_fails_on_a_plateau_end_shifted_by_twice_its_uncertainty(monkeypatch):
+    entry = {e.claim_id: e for e in run_verification_suite(SPHERE_PAIR).entries}
+    assert entry["thresholds_match_leg"].status == "pass"
+    bisected = suite_module.bisected_thresholds
+
+    def shifted(*args, **kwargs):
+        onset, end = bisected(*args, **kwargs)
+        return onset, replace(end, value=end.value + 2.0 * end.uncertainty)
+
+    monkeypatch.setattr(suite_module, "bisected_thresholds", shifted)
+    entry = {e.claim_id: e for e in run_verification_suite(SPHERE_PAIR).entries}
+    assert entry["thresholds_match_leg"].status == "fail"
 
 
 def test_counterexample_checks_its_witnesses(monkeypatch):
@@ -233,8 +248,9 @@ def test_speculation_probe_is_report_only():
     probes = {e.claim_id: e for e in report.entries if e.claim_id in REPORT_ONLY}
     assert set(probes) == REPORT_ONLY
     assert all(e.status == "report" for e in probes.values())
-    probe = probes["probe_plateau_end_matches_onset"]
-    assert probe.margin is not None and probe.margin >= 0
+    # the plateau-end probe became the gating leg claim
+    gate = {e.claim_id: e for e in report.entries}["thresholds_match_leg"]
+    assert gate.status == "pass" and gate.margin >= 0
 
 
 SPHERE_PAIRS = RunConfig(
