@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: profile, verify, radii.  ``verify`` runs every claim, the
-report-only probes among them; with ``--expect-counterexample`` it runs the
-large-ball sphere scenario instead.
+Subcommands: profile, verify, radii.  ``verify`` runs every claim the
+config selects, the report-only probes among them; with
+``--expect-counterexample`` that is the large-ball sphere counterexample
+claim alone.
 Exit codes: 0 success, 1 claim failure, 2 configuration error.
 """
 
@@ -16,7 +17,7 @@ from geolens.config import RunConfig, atomic_write, convexity_bound_for, load_co
 from geolens.errors import ConfigError, GeolensError
 from geolens.lens import BallPair, w_profile
 from geolens.radii import radii_report
-from geolens.suite import run_counterexample, run_verification_suite
+from geolens.suite import run_verification_suite
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
@@ -44,7 +45,7 @@ def _build_parser():
             "--expect-counterexample",
             action="store_true",
             help="admit radii at or beyond the convexity radius; verify then "
-            "runs the large-ball sphere scenario",
+            "runs the large-ball sphere counterexample claim alone",
         )
     return parser
 
@@ -74,10 +75,7 @@ def _cmd_profile(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    if config.expect_counterexample:
-        report = run_counterexample(config)
-    else:
-        report = run_verification_suite(config)
+    report = run_verification_suite(config)
     print(report.to_text())
     if config.out:
         _write_records(config.out, report)

@@ -29,7 +29,7 @@ from geolens.cli import main
 from geolens.config import ManifoldSpec, RunConfig
 from geolens.lens import bisected_thresholds, estimate_nesting_onset
 from geolens.sets import hausdorff
-from geolens.suite import REPORT_ONLY, run_counterexample, run_verification_suite
+from geolens.suite import REPORT_ONLY, run_verification_suite
 from lens_oracles import Hyperboloid2, Plane, Sphere2, brute_width, witness_excess
 
 GRID = 200
@@ -204,7 +204,7 @@ def test_criterion_06_counterexample_diameter_pi():
         seed=SEED,
         expect_counterexample=True,
     )
-    report = run_counterexample(config)
+    report = run_verification_suite(config)
     entry = {e.claim_id: e for e in report.entries}["counterexample_large_balls"]
     assert entry.status == "pass"
     assert all(abs(v - math.pi) <= 0.05 for v in entry.data.values())

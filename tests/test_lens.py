@@ -673,14 +673,19 @@ def _cloud_nesting_scan(bp, ts, budget, seed):
 @pytest.mark.parametrize("model,pairs", CONVEX_CASES, ids=[m.describe() for m, _ in CONVEX_CASES])
 def test_exact_nesting_matches_the_cloud_scan(model, pairs, monkeypatch):
     # the farthest lens point from gamma(s) is an axis end or a corner, so
-    # the exact scan decides the bisected onset and the flags as the clouds do
+    # the exact scan decides the bisected onset and the flags as the clouds
+    # do; an exact profile reads its flags off _far_points, which is handed
+    # the cloud scan of its grid (computed first: sampling calls it too)
     for R, r in pairs:
         bp = BallPair.create(model, R, r)
         exact = w_profile(bp, grid=80, budget=2048, seed=3)
         exact_onset = bisected_thresholds(bp, 80, 80, budget=2048, seed=3)[0]
+        cloud_scan = _cloud_nesting_scan(bp, np.linspace(0.0, R + r, 80), 2048, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(lens_module, "_far_points", lambda c: cloud_scan)
+            sampled = w_profile(bp, grid=80, budget=2048, seed=3)
         with monkeypatch.context() as patch:
             patch.setattr(lens_module, "_nesting_scan", _cloud_nesting_scan)
-            sampled = w_profile(bp, grid=80, budget=2048, seed=3)
             sampled_onset = bisected_thresholds(bp, 80, 80, budget=2048, seed=3)[0]
         assert exact_onset == sampled_onset, (R, r)
         assert exact.nested_after_onset.tobytes() == sampled.nested_after_onset.tobytes()

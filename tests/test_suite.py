@@ -16,7 +16,6 @@ from geolens.suite import (
     CLAIM_REGISTRY,
     REPORT_ONLY,
     _concentric_limit,
-    run_counterexample,
     run_verification_suite,
 )
 from lens_clouds import concentric_cloud
@@ -131,6 +130,17 @@ def test_leg_claim_fails_on_a_plateau_end_shifted_by_twice_its_uncertainty(monke
     assert entry["thresholds_match_leg"].status == "fail"
 
 
+def test_every_gating_claim_gates(monkeypatch):
+    # a claim that reads -1 fails the run unless it is report-only or the
+    # counterexample, which a standard run marks not exercised
+    for claim in list(CLAIM_REGISTRY):
+        monkeypatch.setitem(CLAIM_REGISTRY, claim, lambda *args: -1.0)
+    report = run_verification_suite(replace(SPHERE_PAIR, grid=12, budget=256))
+    failed = {e.claim_id for e in report.entries if e.status == "fail"}
+    assert failed == set(CLAIM_REGISTRY) - REPORT_ONLY - {"counterexample_large_balls"}
+    assert not report.passed
+
+
 def test_counterexample_checks_its_witnesses(monkeypatch):
     diameter = suite_module.lens_diameter
 
@@ -147,7 +157,7 @@ def test_counterexample_checks_its_witnesses(monkeypatch):
         expect_counterexample=True,
     )
     with pytest.raises(DefectError, match="pair"):
-        run_counterexample(cfg)
+        run_verification_suite(cfg)
 
 
 def test_radius_at_convexity_rejected():
@@ -170,7 +180,7 @@ def test_counterexample_passes_at_half_pi():
         seed=9,
         expect_counterexample=True,
     )
-    report = run_counterexample(cfg)
+    report = run_verification_suite(cfg)
     assert report.passed
     entry = {e.claim_id: e for e in report.entries}["counterexample_large_balls"]
     assert entry.status == "pass"
@@ -191,7 +201,7 @@ def test_counterexample_witnesses_near_the_antipode(pairs, budget):
         seed=9,
         expect_counterexample=True,
     )
-    assert run_counterexample(cfg).passed
+    assert run_verification_suite(cfg).passed
 
 
 def test_counterexample_requires_large_radii():
@@ -203,7 +213,7 @@ def test_counterexample_requires_large_radii():
         expect_counterexample=True,
     )
     with pytest.raises(ConfigError):
-        run_counterexample(cfg)
+        run_verification_suite(cfg)
 
 
 @pytest.mark.parametrize(
@@ -220,7 +230,7 @@ def test_counterexample_needs_a_model_of_finite_convexity_radius(spec):
     # with an infinite convexity radius nor the numeric surface qualifies
     cfg = RunConfig(manifold=spec, pairs=((0.4, 0.3),), budget=512, seed=9, expect_counterexample=True)
     with pytest.raises(ConfigError, match="runs on a sphere model"):
-        run_counterexample(cfg)
+        run_verification_suite(cfg)
 
 
 def test_small_radii_pass_standard_suite_instead():
